@@ -287,7 +287,7 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 // blowing the deadline run first). Stability makes ties keep submission
 // order, so a cold estimator (all estimates 0) degenerates to FIFO.
 func (e *Engine) dispatchOrder(queries []Query, sched Schedule, perQuery time.Duration) []int {
-	if sched == ScheduleFIFO || len(queries) < 2 || e.planner == nil {
+	if sched == ScheduleFIFO || len(queries) < 2 {
 		return nil
 	}
 	est := make([]time.Duration, len(queries))

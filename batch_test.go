@@ -265,7 +265,7 @@ func TestAnswerBatchPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := wwt.NewEngineFrom(eng.Index, nil, &eng.Opts) // nil store: Read1 panics
+	broken := wwt.NewEngineFrom(eng.Searcher(), nil, &eng.Opts) // nil store: Read1 panics
 	queries := []wwt.Query{
 		{Columns: []string{"country", "currency"}},
 		{Columns: []string{"currency"}},

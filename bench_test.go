@@ -65,7 +65,7 @@ func getWorld(b *testing.B) *benchWorld {
 			if err != nil {
 				cands = nil
 			}
-			builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Index, PMI: eng.PMISource()}
+			builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.PMISource()}
 			w.cands = append(w.cands, cands)
 			w.models = append(w.models, builder.Build(q.Columns, cands))
 		}
@@ -105,7 +105,7 @@ func BenchmarkFig5Baseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
-		baseline.Solve(baseline.Basic, cfg, w.queries[qi].Columns, w.cands[qi], w.engine.Index, nil)
+		baseline.Solve(baseline.Basic, cfg, w.queries[qi].Columns, w.cands[qi], w.engine.Searcher(), nil)
 	}
 }
 
@@ -117,7 +117,7 @@ func BenchmarkFig5PMI2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
-		baseline.Solve(baseline.PMI2, cfg, w.queries[qi].Columns, w.cands[qi], w.engine.Index, w.engine.PMISource())
+		baseline.Solve(baseline.PMI2, cfg, w.queries[qi].Columns, w.cands[qi], w.engine.Searcher(), w.engine.PMISource())
 	}
 }
 
@@ -199,7 +199,7 @@ func benchModelBuild(b *testing.B, unsegmented bool) {
 	// Fig 8 deliberately builds cacheless (a params sweep can't share view
 	// caches), but a sweep CAN share one interner across configurations —
 	// the symbol table is pure content addressing.
-	builder := &core.Builder{Params: params, Stats: w.engine.Index, PMI: w.engine.PMISource(), Interner: core.NewInterner()}
+	builder := &core.Builder{Params: params, Stats: w.engine.Searcher(), PMI: w.engine.PMISource(), Interner: core.NewInterner()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
@@ -292,18 +292,6 @@ func BenchmarkSearchDense(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchMap measures the reference map-based scorer on the same
-// probes — the before side of the CSR refactor.
-func BenchmarkSearchMap(b *testing.B) {
-	w := getWorld(b)
-	toks := queryTokens(w)
-	k := w.engine.Opts.ProbeK
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.engine.Index.Search(toks[i%len(toks)], k)
-	}
-}
-
 // BenchmarkBuildParallel measures the worker-pool model build (with the
 // engine's shared view cache) over the workload's candidate sets.
 func BenchmarkBuildParallel(b *testing.B) {
@@ -320,7 +308,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 // the given pair cache.
 func edgeBenchBuilder(w *benchWorld, pairs *core.PairSimCache) *core.Builder {
 	views := core.NewViewCache()
-	b := &core.Builder{Params: w.engine.Opts.Params, Stats: w.engine.Index, PMI: w.engine.PMISource(), Views: views, Pairs: pairs}
+	b := &core.Builder{Params: w.engine.Opts.Params, Stats: w.engine.Searcher(), PMI: w.engine.PMISource(), Views: views, Pairs: pairs}
 	for i, q := range w.queries {
 		b.Build(q.Columns, w.cands[i])
 	}

@@ -89,7 +89,7 @@ func main() {
 	}
 	flatStart := time.Now()
 	wopts := index.WriteShardedOptions{FormatVersion: *flatVersion, BlockSize: *blockSize}
-	if err := index.WriteShardedWith(*out, index.NewSearcher(ix), *shards, wopts); err != nil {
+	if err := index.WriteSharded(*out, index.NewSearcher(ix), *shards, wopts); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("indexed %d tables from %d pages in %.1fs -> %s (flat index: %d shard(s), %.2fs)\n",

@@ -203,7 +203,7 @@ func openBackend(dir string, opts *wwt.Options) (engineHandle, string, int, erro
 	if err != nil {
 		return nil, "", 0, err
 	}
-	return wwt.NewEngineFrom(ix, st, opts), "gob index", st.Len(), nil
+	return wwt.NewEngineFrom(index.NewSearcher(ix), st, opts), "gob index", st.Len(), nil
 }
 
 func fatal(err error) {

@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := wwt.NewEngineFrom(ix, st, &opts)
+	eng := wwt.NewEngineFrom(index.NewSearcher(ix), st, &opts)
 
 	if !single {
 		runBatch(eng, *batchFile, *workers, sched)

@@ -19,9 +19,14 @@
 //
 // # Ownership and concurrency
 //
-// An Engine is immutable after construction and safe for concurrent use:
-// any number of goroutines may call Answer, AnswerBatch, Candidates,
-// CandidatesBatch and MapColumns on one engine. The cross-query caches
+// An Engine is only ever obtained from NewEngine (build and freeze in
+// memory) or NewEngineFrom (wrap an index.Searcher, however it was
+// constructed: frozen in memory, opened from a flat index directory, or
+// opened from a live index's manifest snapshot) — one constructor, one
+// searcher field, no per-kind paths. It is immutable after construction
+// and safe for concurrent use: any number of goroutines may call Answer,
+// AnswerBatch, Candidates, CandidatesBatch and MapColumns on one engine.
+// LiveEngine hot-swaps whole engines (generations) under running queries. The cross-query caches
 // (table views, pair similarities, PMI doc sets, normalized cells) are
 // concurrency-safe and hand out shared read-only slices.
 //

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Index, PMI: eng.PMISource()}
+	builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.PMISource()}
 	m := builder.Build(query.Columns, cands)
 	fmt.Printf("query %q: %d candidates (probe2=%v), %d cross-table edges\n\n",
 		query.Columns, len(cands), usedProbe2, len(m.Edges))

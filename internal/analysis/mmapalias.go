@@ -20,9 +20,9 @@ import (
 // or receiver, transitively), then flags assignments of their results —
 // or of direct unsafe.Slice/unsafe.String calls — into package-level
 // variables or into fields of non-owning types. A type that legitimately
-// holds views on behalf of an owner with the Close (e.g. the per-shard
-// struct inside ShardedSearcher) is marked //wwt:mmap-owner on its
-// declaration line.
+// holds views on behalf of an owner with the Close (e.g. the per-segment
+// and per-shard structs inside index.Searcher) is marked //wwt:mmap-owner
+// on its declaration line.
 var MmapAlias = &Analyzer{
 	Name: "mmapalias",
 	Doc: "flag mmap-aliased slices stored where they outlive Close\n\n" +

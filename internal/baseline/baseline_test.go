@@ -155,14 +155,15 @@ func TestPMI2AddsCorpusSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := indexPMI{ix}
+	s := index.NewSearcher(ix)
+	src := indexPMI{s}
 	// Use permissive thresholds: this test isolates the PMI² signal, not
 	// the trained relevance gate.
 	cfg := Config{RelevanceThreshold: 0.05, ColumnThreshold: 0.3, PMIWeight: 1.0, NbrMinSim: 0.5}
 	lBasic := Solve(Basic, cfg, []string{"black metal bands"},
-		[]*wtable.Table{cand}, ix, nil)
+		[]*wtable.Table{cand}, s, nil)
 	lPMI := Solve(PMI2, cfg, []string{"black metal bands"},
-		[]*wtable.Table{cand}, ix, src)
+		[]*wtable.Table{cand}, s, src)
 	if lBasic.Y[0][0] == 0 {
 		t.Fatalf("Basic should not clear the column threshold without PMI: %v", lBasic.Y[0])
 	}
@@ -173,8 +174,8 @@ func TestPMI2AddsCorpusSignal(t *testing.T) {
 
 func idf(p string, i int) string { return p + string(rune('a'+i)) }
 
-// indexPMI adapts index.Index to core.PMISource.
-type indexPMI struct{ ix *index.Index }
+// indexPMI adapts index.Searcher to core.PMISource.
+type indexPMI struct{ ix *index.Searcher }
 
 func (s indexPMI) HeaderContextDocs(tokens []string) []int32 {
 	return s.ix.DocSet(tokens, index.FieldHeader, index.FieldContext)

@@ -59,7 +59,7 @@ func ExperimentAblationProbe2(w io.Writer, r *Runner) {
 	n := 0
 	opts := r.Engine.Opts
 	opts.SecondProbe = false
-	single := wwt.NewEngineFrom(r.Engine.Index, r.Engine.Store, &opts)
+	single := wwt.NewEngineFrom(r.Engine.Searcher(), r.Engine.Store, &opts)
 	for _, q := range r.Queries {
 		res := r.Run(q) // full two-probe pipeline
 		withErr += res.Errors[MethodWWT]
@@ -124,7 +124,7 @@ func ExperimentAblationCooccur(w io.Writer, r *Runner) {
 			v.mod(&p)
 			// The feature enters node potentials, so a full rebuild is
 			// needed (Reweight caches features).
-			b := &core.Builder{Params: p, Stats: r.Engine.Index, PMI: pmi}
+			b := &core.Builder{Params: p, Stats: r.Engine.Searcher(), PMI: pmi}
 			m := b.Build(q.Columns, res.Tables)
 			l := inference.SolveTableCentric(m)
 			sums[vi] += F1Error(l, res.Tables, res.GT)

@@ -169,7 +169,7 @@ func (r *Runner) evaluate(q workload.Query, ans *wwt.Result, err error) *QueryRe
 	// lifetime, and the member's Model aliases a full QueryScratch arena —
 	// releasing the member recycles that arena through the engine pool
 	// instead of pinning one per query.
-	builder := &core.Builder{Params: r.Engine.Opts.Params, Stats: r.Engine.Index, PMI: pmi}
+	builder := &core.Builder{Params: r.Engine.Opts.Params, Stats: r.Engine.Searcher(), PMI: pmi}
 	res.Model = builder.Build(q.Columns, tables)
 	if ans != nil {
 		ans.Release()
@@ -178,7 +178,7 @@ func (r *Runner) evaluate(q workload.Query, ans *wwt.Result, err error) *QueryRe
 	// Baselines.
 	cfg := baseline.DefaultConfig()
 	for _, bm := range []baseline.Method{baseline.Basic, baseline.NbrText, baseline.PMI2} {
-		l := baseline.Solve(bm, cfg, q.Columns, tables, r.Engine.Index, pmi)
+		l := baseline.Solve(bm, cfg, q.Columns, tables, r.Engine.Searcher(), pmi)
 		res.Labelings[bm.String()] = l
 		res.Errors[bm.String()] = F1Error(l, tables, res.GT)
 	}
@@ -200,7 +200,7 @@ func (r *Runner) evaluate(q workload.Query, ans *wwt.Result, err error) *QueryRe
 	// Unsegmented ablation (§5.2).
 	unsegParams := r.Engine.Opts.Params
 	unsegParams.Unsegmented = true
-	ub := &core.Builder{Params: unsegParams, Stats: r.Engine.Index, PMI: pmi}
+	ub := &core.Builder{Params: unsegParams, Stats: r.Engine.Searcher(), PMI: pmi}
 	um := ub.Build(q.Columns, tables)
 	ul := inference.Solve(um, inference.TableCentric)
 	res.Labelings[MethodUnseg] = ul

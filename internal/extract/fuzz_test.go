@@ -56,7 +56,7 @@ func FuzzExtractHTML(f *testing.F) {
 		if err := w.Flush(dir, index.WriteShardedOptions{}); err != nil {
 			t.Fatalf("SegmentWriter.Flush: %v", err)
 		}
-		ms, err := index.OpenMulti([]string{dir})
+		ms, err := index.OpenSharded(dir)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}

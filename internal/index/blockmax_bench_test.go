@@ -81,12 +81,13 @@ func benchSkewedSearcher(b *testing.B) *Searcher {
 // stripBlocks drops a searcher's block summaries, turning it into the
 // exact v1 probe path (term-level max-score skip only) for baselines.
 func stripBlocks(s *Searcher) {
-	s.sh.blockSize = 0
+	sh := s.segs[0].shards[0]
+	sh.blockSize = 0
 	for f := 0; f < int(numFields); f++ {
-		s.sh.blkOff[f] = nil
-		s.sh.blkMax[f] = nil
-		s.sh.blkDoc[f] = nil
-		s.sh.fieldMaxW[f] = nil
+		sh.blkOff[f] = nil
+		sh.blkMax[f] = nil
+		sh.blkDoc[f] = nil
+		sh.fieldMaxW[f] = nil
 	}
 }
 
@@ -140,7 +141,7 @@ func BenchmarkShardedPruned(b *testing.B) {
 	for _, mode := range []int{2, 1} {
 		b.Run(fmt.Sprintf("v%d", mode), func(b *testing.B) {
 			dir := b.TempDir()
-			if err := WriteShardedWith(dir, s, 8, WriteShardedOptions{FormatVersion: mode}); err != nil {
+			if err := WriteSharded(dir, s, 8, WriteShardedOptions{FormatVersion: mode}); err != nil {
 				b.Fatal(err)
 			}
 			ss, err := OpenSharded(dir)

@@ -7,33 +7,42 @@
 //
 // # Ownership and concurrency contracts
 //
-// Index is the mutable, map-based build-time structure and the reference
-// scorer; it must not be mutated once a Searcher has been frozen from it.
-// Searcher is the query-time form: a frozen CSR layout with precomputed
-// (1+ln tf)·boost/√len weights, a pooled dense accumulator with
-// generation-tagged reset, bounded top-k heap selection and the layered
-// probe pruning described below. A Searcher is immutable and safe for
-// concurrent Search calls; TestSearcherEquivalence pins it hit-for-hit
-// identical to Index.Search — keep that invariant when touching either
-// side.
+// Index is the mutable, map-based build-time structure; it must not be
+// mutated once a Searcher has been frozen from it. Searcher is the
+// query-time form, and the only one: an ordered list of K immutable
+// segments × N term-hash shards over a global doc space, each shard a
+// frozen CSR layout with precomputed (1+ln tf)·boost/√len weights, probed
+// through a pooled dense accumulator with generation-tagged reset, bounded
+// top-k heap selection and the layered pruning described below. The
+// in-memory freeze of an Index (NewSearcher) is K=1, N=1; a flat index
+// directory (OpenSharded) is K=1; a live index's manifest snapshot
+// (OpenSnapshot) is the general case — one type, one SearchStats, one each
+// of IDF, TermStats, DocSet and DocsWithToken. A Searcher is immutable and
+// safe for concurrent calls.
 //
-// DocSetCache (and its sharded counterpart ShardedDocSetCache) is a
-// concurrency-safe LRU over DocSet, keyed by the canonicalized token set
-// plus field mask. Cached doc-set slices are shared and read-only: callers
-// only intersect them, never mutate. Store is append-only at build time
-// and read-only afterwards.
+// The map-based scorer over Index (Index.Search and friends) lives in
+// oracle_test.go: it ships in no binary and exists as the reference the
+// equivalence tests and the fuzzer compare the Searcher against.
+//
+// DocSetCache is a concurrency-safe LRU over Searcher.DocSet, keyed by the
+// canonicalized token set plus field mask. Cached doc-set slices are shared
+// and read-only: callers only intersect them, never mutate. Store is
+// append-only at build time and read-only afterwards.
 //
 // # The canonical term order and bit-identity
 //
-// All three scorers — Index.Search, Searcher and ShardedSearcher —
-// accumulate per-document float64 scores in one canonical term order:
+// Per-document float64 scores accumulate in one canonical term order:
 // document frequency ascending, token ascending on ties. Identical
 // operation order makes the sums — and therefore hits, scores and
-// tie-breaks — bit-identical across every path and shard count
-// (TestSearcherEquivalence, TestShardedSearcherEquivalence). Rarest-first
-// is not cosmetic: the selective terms establish the top-k score floor
-// before the long common lists are walked, which is what arms the block
-// and shard pruning below. Keep the order in sync in all three scorers.
+// tie-breaks — bit-identical between the reference scorer and every
+// construction of the Searcher (TestSearcherEquivalence,
+// TestShardedSearcherEquivalence, TestMultiSearcherEquivalence: one grid,
+// K ∈ {1, 2, 3, 8} × N ∈ {1, 2, 3, 8}, in memory and mmap-opened, format
+// v1 and v2; FuzzSearchPruningEquivalence walks the same space).
+// Rarest-first is not cosmetic: the selective terms establish the top-k
+// score floor before the long common lists are walked, which is what arms
+// the block and shard pruning below. Keep the order in sync with the
+// oracle.
 //
 // # The probe layer: three levels of exact pruning
 //
@@ -50,14 +59,15 @@
 //     only the dense summaries (~1/blockSize of the postings) are read.
 //     Live candidates are tracked in a lazily built per-probe bitmap, so
 //     probes that never close a block pay nothing for it.
-//  3. Shard pruning. When every involved shard has block summaries, a
-//     floor-seeding pre-pass scores the highest-bound shard(s) into a
-//     throwaway accumulator generation; shards whose score upper bound
-//     cannot beat the resulting floor are pruned — their posting pages
-//     are never prefaulted — and the main gather opens with the floor
-//     preseeded, so pruned shards' lists begin closed. The pre-pass only
-//     arms itself when the per-query bound profile is skewed
-//     (passASkewFactor); on flat profiles it would be pure double work.
+//  3. Shard pruning. When a segment's probe involves several shards and
+//     all of them have block summaries, a floor-seeding pre-pass scores the
+//     highest-bound shard(s) into a throwaway accumulator generation;
+//     shards whose score upper bound cannot beat the resulting floor are
+//     pruned — their posting pages are never prefaulted — and the main
+//     gather opens with the floor preseeded, so pruned shards' lists begin
+//     closed. The pre-pass only arms itself when the per-query bound
+//     profile is skewed (passASkewFactor); on flat profiles it would be
+//     pure double work.
 //
 // Inner scoring loops are lane-grouped (laneWidth-wide groups with bounds
 // checks hoisted); every document sees the identical float64 operation
@@ -76,10 +86,10 @@
 //     the index gob decodes every posting map into memory (O(corpus)).
 //
 //   - docs.wwt + postings-NNN.wwt — the flat sharded index written by
-//     WriteSharded / WriteShardedWith and opened by OpenSharded. Opening
-//     is O(1) in corpus size: the files are memory-mapped (page-cache
-//     backed) and the searcher's arrays alias the mapping directly; no
-//     maps are built and no bytes are copied on the fast path.
+//     WriteSharded and opened by OpenSharded. Opening is O(1) in corpus
+//     size: the files are memory-mapped (page-cache backed) and the
+//     searcher's arrays alias the mapping directly; no maps are built and
+//     no bytes are copied on the fast path.
 //
 // # Flat file layout (format versions 1 and 2)
 //
@@ -123,11 +133,11 @@
 //
 // Postings shards may also carry section secBestWeight (id 24, float64,
 // numTerms entries): each term's best per-document cross-field weight sum
-// — the idf-free factor of the maxScore bound. Multi-segment probes need
-// it to restate a term's score bound under the corpus-global idf (bound =
-// global idf · bestWeight). Files written before the section derive a
-// safe overshoot from maxScore/idf at open; readers that predate it skip
-// the unknown section id — both directions stay compatible.
+// — the idf-free factor of the maxScore bound. Probes use it to restate
+// a term's score bound under the corpus-global idf (bound = global idf ·
+// bestWeight). Files written before the section derive a safe overshoot
+// from maxScore/idf at open; readers that predate it skip the unknown
+// section id — both directions stay compatible.
 //
 // On little-endian hosts with an aligned mapping the typed views are
 // zero-copy (unsafe.Slice over the mapped bytes); on big-endian hosts or
@@ -137,25 +147,39 @@
 // same format, portable path, still one validation pass.
 //
 // Because the flat searcher's strings and doc sets alias the mapping,
-// results must not outlive ShardedSearcher.Close.
+// results must not outlive Searcher.Close.
 //
-// # Sharding and the scatter-gather contract
+// # Segments × shards: the one probe
 //
-// Terms are partitioned across postings shards by FNV-1a hash
-// (shardOfToken), while documents stay global: every shard stores the
-// full-corpus df, idf and max-score bound for its terms, so per-term
-// statistics are exactly equal to their single-shard values. A probe
-// scatters term resolution (lookup + page prefault) across shards in
-// parallel — or, when the pruning pre-pass is armed, resolves serially
-// and defers prefaulting until the prune decision — then gathers by
-// accumulating every resolved term in the canonical order above.
-// TestShardedSearcherEquivalence pins bit-identity for N ∈ {1, 2, 3, 8};
-// keep that invariant when touching either search loop.
+// Within a segment, terms are partitioned across postings shards by
+// FNV-1a hash (shardOfToken) while documents stay segment-wide, so a
+// term's whole posting list — and its df and best-weight bound — lives in
+// exactly one shard: sharding changes where a list lives, never what it
+// holds. Across segments, documents are partitioned (global doc number =
+// segment base + local number, bases being the running sum of segment
+// lengths) and a term may occur in several.
+//
+// SearchStats is the same four steps at every K and N. (1) Deduplicate the
+// query tokens. (2) Resolve every token in its home shard of every
+// segment, sum its df across segments — exact, since a document lives in
+// one segment — and stamp the corpus-global df, idf (smoothedIDF, the same
+// float64 operation a rebuilt index runs at freeze time) and rescaled
+// max-score bound on each termRef; sort the refs segment-major into the
+// canonical order. (3) For each segment in order: scatter — prefault the
+// involved shards' posting pages concurrently, or run the floor-seeding pre-pass above when
+// several block-summarized shards are involved; gather (gather.go) with
+// the admission floor carried over from the segments already scored, so
+// later segments open with blocks already closed; collect the segment's
+// top k. (4) The global top k is a subset of the per-segment top k's, so
+// merging the candidates by the shared hit order (score descending, ID
+// ascending) reproduces exactly what one index rebuilt over the union
+// would return. DocSet and DocsWithToken intersect per segment and
+// concatenate the rebased results; TermStats and IDF sum over segments.
 //
 // # Segments and the manifest: the live-index lifecycle
 //
 // A live index directory is a flat index plus an ordered list of frozen
-// segments, committed by a manifest (segment.go, multi.go):
+// segments, committed by a manifest (segment.go):
 //
 //	idx/
 //	  MANIFEST.json           the committed generation (may be absent)
@@ -182,7 +206,7 @@
 // merges (MergeSegments) and the base index are create-only, so the
 // crash-recovery rule is simply "trust the manifest": a segment
 // directory not (or not yet) listed is an orphan from a crash between
-// flush and commit — ignored by OpenMultiSnapshot, its sequence number
+// flush and commit — ignored by OpenSnapshot, its sequence number
 // never reused (the live engine scans segments/ before minting names).
 // A directory with no manifest at all is a plain frozen index; its
 // implicit manifest is generation 0 with segments ["."].
@@ -196,12 +220,7 @@
 // buckets over doc counts) holding at least TierFanIn segments; the base
 // "." is never an input.
 //
-// MultiSearcher unions top-k across the listed segments with per-term
-// corpus-global statistics: df sums across segments, idf and the
-// max-score bound are restated from the summed df (via secBestWeight
-// above), and each segment gathers in the canonical term order, so a
-// partitioned corpus scores bit-identically to the same corpus rebuilt
-// as one index (TestMultiSearcherEquivalence, K ∈ {1, 2, 3, 8} × format
-// versions × open paths). Doc numbers remap by adding the segment's base
-// (sum of prior segment lengths).
+// OpenSnapshot opens the listed segments as one Searcher (above), so a
+// partitioned corpus scores bit-identically to the same corpus rebuilt as
+// one index.
 package index

@@ -8,22 +8,15 @@ import (
 	"wwt/internal/lru"
 )
 
-// DocSetSource is anything that can compute sorted doc sets — both the
-// single-shard Searcher and the ShardedSearcher qualify, as does the
-// map-based Index.
-type DocSetSource interface {
-	DocSet(tokens []string, fields ...Field) []int32
-}
-
-// DocSetCache is a bounded, concurrency-safe LRU cache in front of a
-// DocSetSource. The PMI² feature probes the same H(Qℓ) set once per
+// DocSetCache is a bounded, concurrency-safe LRU cache in front of
+// Searcher.DocSet. The PMI² feature probes the same H(Qℓ) set once per
 // (query column × candidate column) and the same B(cell) set for every
 // repeated cell value, within and across queries; caching the intersected
 // sets turns those repeats into a map hit. Cached slices are shared —
 // callers must treat them as read-only (every in-repo consumer only
 // intersects them).
 type DocSetCache struct {
-	src DocSetSource
+	src *Searcher
 	c   *lru.Cache[string, []int32]
 }
 
@@ -31,9 +24,9 @@ type DocSetCache struct {
 // non-positive capacity.
 const DefaultDocSetCacheSize = 8192
 
-// NewDocSetCache wraps a doc-set source with an LRU of at most capacity
-// entries.
-func NewDocSetCache(src DocSetSource, capacity int) *DocSetCache {
+// NewDocSetCache wraps a searcher's doc sets with an LRU of at most
+// capacity entries.
+func NewDocSetCache(src *Searcher, capacity int) *DocSetCache {
 	if capacity <= 0 {
 		capacity = DefaultDocSetCacheSize
 	}
@@ -78,98 +71,6 @@ func (c *DocSetCache) Stats() (hits, misses uint64) { return c.c.Stats() }
 
 // Len returns the number of cached entries.
 func (c *DocSetCache) Len() int { return c.c.Len() }
-
-// CacheCounters is one cache partition's cumulative hit/miss counters.
-type CacheCounters struct {
-	Hits, Misses uint64
-}
-
-// ShardedDocSetCache is the sharded counterpart of DocSetCache: one
-// independent LRU per index shard, with keys routed by hash. Aligning the
-// cache partitions with the index shards keeps lock contention per shard
-// rather than global and gives per-shard hit-rate observability (surfaced
-// through Engine.CacheStats → /metrics).
-type ShardedDocSetCache struct {
-	src    DocSetSource
-	shards []*lru.Cache[string, []int32]
-}
-
-// NewShardedDocSetCache wraps src with nShards independent LRUs holding at
-// most capacity entries in total (DefaultDocSetCacheSize when capacity is
-// non-positive; every shard gets at least a handful of entries).
-func NewShardedDocSetCache(src DocSetSource, nShards, capacity int) *ShardedDocSetCache {
-	if nShards < 1 {
-		nShards = 1
-	}
-	if capacity <= 0 {
-		capacity = DefaultDocSetCacheSize
-	}
-	per := capacity / nShards
-	if per < 16 {
-		per = 16
-	}
-	c := &ShardedDocSetCache{src: src, shards: make([]*lru.Cache[string, []int32], nShards)}
-	for i := range c.shards {
-		c.shards[i] = lru.New[string, []int32](per)
-	}
-	return c
-}
-
-// DocSet is DocSetCache.DocSet with the key routed to its home shard.
-func (c *ShardedDocSetCache) DocSet(tokens []string, fields ...Field) []int32 {
-	key := docSetKey(tokens, fields)
-	sh := c.shards[shardOfToken(key, len(c.shards))]
-	if v, ok := sh.Cached(key); ok { // closure-free: warm hits allocate only the key
-		return v
-	}
-	fs := append([]Field(nil), fields...) // see DocSetCache.DocSet
-	return sh.Get(key, func() []int32 { return c.src.DocSet(tokens, fs...) })
-}
-
-// AdoptFrom is DocSetCache.AdoptFrom for the sharded cache: old's entries
-// are re-routed by the new cache's shard count (generations can differ in
-// shard layout), then the staled keys are evicted in place. Same
-// append-only-generations contract. Returns entries adopted and evicted.
-func (c *ShardedDocSetCache) AdoptFrom(old *ShardedDocSetCache, stale func(tokens []string) bool) (adopted, evicted int) {
-	for _, osh := range old.shards {
-		osh.Each(func(k string, v []int32) {
-			c.shards[shardOfToken(k, len(c.shards))].Put(k, v)
-			adopted++
-		})
-	}
-	for _, sh := range c.shards {
-		evicted += sh.EvictIf(func(k string) bool { return stale(docSetKeyTokens(k)) })
-	}
-	return adopted, evicted
-}
-
-// Stats reports cumulative hit/miss counts summed over all shards.
-func (c *ShardedDocSetCache) Stats() (hits, misses uint64) {
-	for _, sh := range c.shards {
-		h, m := sh.Stats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
-}
-
-// ShardStats reports each shard's cumulative counters, in shard order.
-func (c *ShardedDocSetCache) ShardStats() []CacheCounters {
-	out := make([]CacheCounters, len(c.shards))
-	for i, sh := range c.shards {
-		out[i].Hits, out[i].Misses = sh.Stats()
-	}
-	return out
-}
-
-// Len returns the number of cached entries across all shards.
-func (c *ShardedDocSetCache) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.Len()
-	}
-	return n
-}
 
 // keyScratch pools the sort buffer docSetKey uses, so key construction's
 // only allocation is the key string itself.

@@ -2,11 +2,11 @@ package index
 
 import "math"
 
-// This file is the single scoring gather shared by Searcher and
-// ShardedSearcher. Both resolve their query terms into termRefs (a shard
-// plus a local term ID), sort them into the canonical lexicographic term
-// order, and hand them to gather, which accumulates per-document float64
-// scores in exactly that order — the property the bit-identity tests pin.
+// This file is the one scoring gather. Searcher.SearchStats resolves the
+// query terms into termRefs (a shard plus a local term ID), sorts each
+// segment's into the canonical term order, and hands them to gather, which
+// accumulates per-document float64 scores in exactly that order — the
+// property the bit-identity tests pin.
 //
 // On top of the PR 1 term-level max-score skip, gather layers three exact
 // pruning mechanisms, all of which only ever discard work that provably

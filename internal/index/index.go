@@ -1,11 +1,8 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"slices"
-	"sync"
 
 	"wwt/internal/text"
 	"wwt/internal/wtable"
@@ -45,7 +42,9 @@ type Posting struct {
 	TF  float32
 }
 
-// Index is an inverted index over table documents.
+// Index is the mutable build-time inverted index over table documents.
+// It is not queried directly: NewSearcher freezes it into the query-time
+// form.
 type Index struct {
 	ids      []string
 	byID     map[string]int32
@@ -141,86 +140,10 @@ func (ix *Index) DocOf(id string) (int32, bool) {
 	return d, ok
 }
 
-// IDF returns the smoothed inverse document frequency of a token over the
-// whole corpus (union of fields): log(1 + N/(1+df)).
-// TermStats returns a token's union document frequency and total posting
-// entries across all fields — the map-based equivalent of
-// Searcher.TermStats, for engines that never froze their index. Unknown
-// tokens report ok=false.
-func (ix *Index) TermStats(tok string) (df int32, postings int, ok bool) {
-	d, ok := ix.df[tok]
-	if !ok {
-		return 0, 0, false
-	}
-	for f := 0; f < int(numFields); f++ {
-		postings += len(ix.postings[f][tok])
-	}
-	return int32(d), postings, true
-}
-
-func (ix *Index) IDF(tok string) float64 {
-	n := len(ix.ids)
-	if n == 0 {
-		return 1
-	}
-	return math.Log(1 + float64(n)/float64(1+ix.df[tok]))
-}
-
 // Hit is one search result.
 type Hit struct {
 	ID    string
 	Score float64
-}
-
-// hitScratch pools the intermediate candidate slices of the map-based
-// scorer so repeated searches reuse capacity instead of reallocating.
-var hitScratch = sync.Pool{New: func() any { s := make([]Hit, 0, 256); return &s }}
-
-// Search runs a union-of-keywords (OR) query over all three fields with the
-// standard boosted TF-IDF score
-//
-//	score(d) = Σ_f boost_f Σ_{t∈q} (1+ln tf) · idf(t) / sqrt(len_f(d))
-//
-// and returns the top k hits by score (all hits when k <= 0). tokens must
-// already be analyzed (text.Normalize).
-//
-// This is the reference scorer; the hot path uses the frozen Searcher,
-// which must stay hit-for-hit identical (see TestSearcherEquivalence).
-func (ix *Index) Search(tokens []string, k int) []Hit {
-	if len(tokens) == 0 || len(ix.ids) == 0 {
-		return nil
-	}
-	uniq := dedup(tokens)
-	// Accumulate in canonical term order — df ascending, token ascending on
-	// ties — the same order the frozen Searcher uses, so both scorers
-	// produce bit-identical sums. Rarest-first is not cosmetic: the
-	// selective terms establish the block-max probe's top-k floor before
-	// the long common lists are walked, which is what lets whole blocks of
-	// those lists be skipped (gather.go).
-	slices.SortFunc(uniq, func(a, b string) int {
-		if da, db := ix.df[a], ix.df[b]; da != db {
-			return cmp.Compare(da, db)
-		}
-		return cmp.Compare(a, b)
-	})
-	scores := make(map[int32]float64)
-	for _, tok := range uniq {
-		idf := ix.IDF(tok)
-		for f := 0; f < int(numFields); f++ {
-			for _, p := range ix.postings[f][tok] {
-				scores[p.Doc] += idf * float64(postingWeight(f, p.TF, ix.fieldLen[f][p.Doc]))
-			}
-		}
-	}
-	scratchp := hitScratch.Get().(*[]Hit)
-	scratch := (*scratchp)[:0]
-	for d, s := range scores {
-		scratch = append(scratch, Hit{ID: ix.ids[d], Score: s})
-	}
-	hits := selectTopHits(scratch, k)
-	*scratchp = scratch[:0]
-	hitScratch.Put(scratchp)
-	return hits
 }
 
 // betterHit is the hit ordering: higher score first, ties by table ID.
@@ -303,56 +226,6 @@ func selectTopHits(cands []Hit, k int) []Hit {
 	copy(out, sel)
 	slices.SortFunc(out, cmpHits)
 	return out
-}
-
-// DocsWithToken returns the sorted doc set containing tok in any of the
-// given fields. Per-field posting lists are already doc-sorted, so multiple
-// fields k-way merge instead of the old append-then-sort. Duplicate fields
-// are ignored.
-func (ix *Index) DocsWithToken(tok string, fields ...Field) []int32 {
-	var lists [int(numFields)][]int32
-	var used [int(numFields)]bool
-	n := 0
-	for _, f := range fields {
-		if used[f] {
-			continue
-		}
-		used[f] = true
-		ps := ix.postings[f][tok]
-		if len(ps) == 0 {
-			continue
-		}
-		docs := make([]int32, len(ps))
-		for i, p := range ps {
-			docs[i] = p.Doc
-		}
-		lists[n] = docs
-		n++
-	}
-	if n == 1 {
-		return lists[0] // already freshly allocated; skip the merge's copy
-	}
-	return mergeSortedDocLists(lists[:n])
-}
-
-// DocSet returns the sorted set of documents containing *all* tokens, each
-// in at least one of the given fields. Used by PMI²: H(Qℓ) is
-// DocSet(Qℓ, header, context); B(cell) is DocSet(cellTokens, content).
-func (ix *Index) DocSet(tokens []string, fields ...Field) []int32 {
-	uniq := dedup(tokens)
-	if len(uniq) == 0 {
-		return nil
-	}
-	// Start from the rarest token for cheap intersections.
-	slices.SortFunc(uniq, func(a, b string) int { return cmp.Compare(ix.df[a], ix.df[b]) })
-	set := ix.DocsWithToken(uniq[0], fields...)
-	for _, tok := range uniq[1:] {
-		if len(set) == 0 {
-			return nil
-		}
-		set = intersectSorted(set, ix.DocsWithToken(tok, fields...))
-	}
-	return set
 }
 
 // IntersectSize returns |a ∩ b| for two sorted doc sets.

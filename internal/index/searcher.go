@@ -1,259 +1,573 @@
 package index
 
 import (
-	"cmp"
 	"math"
+	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 )
 
-// Searcher is a frozen, flat snapshot of an Index built for the online hot
-// path. Postings are laid out CSR-style: for every (term, field) pair a
-// contiguous range over flat doc/weight arrays, with the length-normalized
-// boosted weight (1+ln tf)·boost_f/√len_f(d) precomputed at freeze time so
-// a query probe is a pure gather-multiply-accumulate over idf. Scoring uses
-// a dense accumulator with generation-tagged reset (no per-query map), a
-// bounded top-k heap instead of a full sort, and the layered score-bound
-// pruning in gather.go: the term-level max-score skip, per-block closure
-// from the block-max summaries, candidate freezing, and whole-block skips.
+// Searcher is the query-time form of the index, and the only one: an
+// ordered list of K immutable segments, each a doc table plus N term-hash
+// shards of CSR postings, presented as one index over a global doc space
+// (segment i's documents occupy the contiguous range starting at its doc
+// base, in list order). Freezing an Index in memory (NewSearcher) is
+// K=1, N=1; a flat index directory (OpenSharded) is K=1; a live index's
+// manifest snapshot (OpenSnapshot) is the general case.
 //
-// The CSR arrays live in a single *shard — the same representation
-// ShardedSearcher partitions by term hash — so both searchers share one
-// gather implementation and stay bit-identical by construction.
+// Scoring is bit-identical — IDs, float64 scores, order, tie-breaks — at
+// every K and N to one index built over the union of the documents:
 //
-// A Searcher is immutable and safe for concurrent use; per-query scratch
-// state lives in a sync.Pool.
+//   - Term-hash sharding keeps a term's whole posting list in one shard, so
+//     sharding changes where a list lives, never what it holds.
+//   - The one corpus-wide quantity in a score is idf. Every probe sums a
+//     term's df across segments (documents live in exactly one segment, so
+//     the sum is exact) and restates idf from the global doc count with
+//     smoothedIDF — the identical float64 operation a rebuilt index runs at
+//     freeze time — and carries both on the termRef.
+//   - Each segment is gathered independently (gather.go) in the canonical
+//     term order, df ascending then token ascending, so every document
+//     accumulates the identical operation sequence it would in the rebuilt
+//     index; per-segment top-k candidates merge by the shared hit order.
+//
+// A Searcher is immutable and safe for concurrent use (the pruning
+// counters are atomics; per-probe state lives in a sync.Pool). When opened
+// from disk its strings and arrays alias the file mappings: results must
+// not outlive Close.
 type Searcher struct {
-	ids     []string
+	segs    []*segment
+	numDocs int
+	maxSeg  int       // largest single-segment doc count (accumulator sizing)
+	gen     uint64    // manifest generation this snapshot was opened at
+	pool    sync.Pool // *scratch
+}
+
+// segment is one immutable slice of the corpus: a doc table — materialized
+// strings (in-memory construction) or an offsets+blob view into the docs
+// file (flat construction) — and its term-hash shards. Views alias the
+// file mappings the Searcher's Close releases.
+//
+//wwt:mmap-owner
+type segment struct {
+	base    int32 // global doc number of local doc 0
 	numDocs int
 
-	terms map[string]int32 // token -> term ID (lexicographic rank)
-	sh    *shard
+	ids    []string
+	idOffs []int64
+	idBlob []byte
 
-	pool sync.Pool // *accumulator
+	shards  []*shard
+	pruned  []atomic.Uint64 // per shard: probes that pruned its scatter
+	closers []func() error
+	mmapped bool
 }
 
-// postingWeight is the per-posting score weight shared by the map-based
-// scorer and the frozen searcher: boost_f · (1+ln tf) / √len_f(d), rounded
-// to float32 (the searcher's storage precision) so both paths score
-// identically.
-func postingWeight(f int, tf, fieldLen float32) float32 {
-	l := float64(fieldLen)
-	if l < 1 {
-		l = 1
-	}
-	return float32(Boosts[f] * (1 + math.Log(float64(tf))) / math.Sqrt(l))
-}
-
-// NewSearcher freezes an index into its flat search form. The index must
-// not be mutated afterwards (the searcher shares its ids slice).
+// NewSearcher freezes an index into its search form: one segment, one
+// shard. The index must not be mutated afterwards (the searcher shares its
+// ids slice).
 func NewSearcher(ix *Index) *Searcher {
-	terms := make([]string, 0, len(ix.df))
-	for tok := range ix.df {
-		terms = append(terms, tok)
-	}
-	sort.Strings(terms)
-
-	sh := &shard{
-		numTerms: len(terms),
-		names:    terms,
-		idf:      make([]float64, len(terms)),
-		maxScore: make([]float64, len(terms)),
-		bestW:    make([]float64, len(terms)),
-		df:       make([]int32, len(terms)),
-	}
-	s := &Searcher{
-		ids:     ix.ids,
-		numDocs: len(ix.ids),
-		terms:   make(map[string]int32, len(terms)),
-		sh:      sh,
-	}
-	for ti, tok := range terms {
-		s.terms[tok] = int32(ti)
-		sh.idf[ti] = ix.IDF(tok)
-		sh.df[ti] = int32(ix.df[tok])
-	}
-	for f := 0; f < int(numFields); f++ {
-		total := 0
-		for _, ps := range ix.postings[f] {
-			total += len(ps)
-		}
-		sh.off[f] = make([]int32, len(terms)+1)
-		sh.docs[f] = make([]int32, 0, total)
-		sh.wts[f] = make([]float32, 0, total)
-		for ti, tok := range terms {
-			sh.off[f][ti] = int32(len(sh.docs[f]))
-			for _, p := range ix.postings[f][tok] {
-				sh.docs[f] = append(sh.docs[f], p.Doc)
-				sh.wts[f] = append(sh.wts[f], postingWeight(f, p.TF, ix.fieldLen[f][p.Doc]))
-			}
-		}
-		sh.off[f][len(terms)] = int32(len(sh.docs[f]))
-	}
-	// maxScore[t] bounds the contribution of term t to any single document:
-	// a doc matching t in several fields accumulates the SUM of its
-	// per-field weights, so the bound is the max per-doc cross-field sum,
-	// found with a 3-way merge over the term's doc-sorted ranges.
-	for ti := range terms {
-		var pos, hi [numFields]int32
-		for f := 0; f < int(numFields); f++ {
-			pos[f], hi[f] = sh.off[f][ti], sh.off[f][ti+1]
-		}
-		best := 0.0
-		for {
-			min := int32(math.MaxInt32)
-			for f := 0; f < int(numFields); f++ {
-				if pos[f] < hi[f] && sh.docs[f][pos[f]] < min {
-					min = sh.docs[f][pos[f]]
-				}
-			}
-			if min == math.MaxInt32 {
-				break
-			}
-			sum := 0.0
-			for f := 0; f < int(numFields); f++ {
-				if pos[f] < hi[f] && sh.docs[f][pos[f]] == min {
-					sum += float64(sh.wts[f][pos[f]])
-					pos[f]++
-				}
-			}
-			if sum > best {
-				best = sum
-			}
-		}
-		sh.bestW[ti] = best
-		sh.maxScore[ti] = sh.idf[ti] * best
-	}
-	sh.computeBlocks(DefaultBlockSize)
+	s := &Searcher{}
+	s.add(&segment{numDocs: len(ix.ids), ids: ix.ids, shards: []*shard{freezeShard(ix)}, pruned: make([]atomic.Uint64, 1)})
 	return s
+}
+
+// add appends a segment, assigning it the next global doc range.
+func (s *Searcher) add(seg *segment) {
+	seg.base = int32(s.numDocs)
+	s.segs = append(s.segs, seg)
+	s.numDocs += seg.numDocs
+	s.maxSeg = max(s.maxSeg, seg.numDocs)
+}
+
+// OpenSharded opens the given flat index directories (each written by
+// WriteSharded) as the segments of one searcher, in the given canonical
+// order. Opening is O(1) in corpus size: the files are page-mapped (or
+// read whole where mmap is unavailable) and only headers are validated.
+// The returned searcher's strings and arrays alias the mappings; results
+// must not outlive Close. A directory without a flat index fails with an
+// error wrapping fs.ErrNotExist, so callers can fall back to the gob path.
+func OpenSharded(dirs ...string) (*Searcher, error) {
+	return openSharded(false, dirs...)
+}
+
+func openSharded(noMmap bool, dirs ...string) (*Searcher, error) {
+	s := &Searcher{}
+	for _, d := range dirs {
+		seg, err := openSegment(d, noMmap)
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		s.add(seg)
+	}
+	return s, nil
+}
+
+// OpenSnapshot opens dir's committed manifest (or the implicit base-only
+// manifest of a plain frozen index directory) and returns the manifest it
+// opened. A directory holding neither a manifest nor a flat index fails
+// with an error wrapping fs.ErrNotExist, so callers can fall back to the
+// gob path.
+func OpenSnapshot(dir string) (*Searcher, Manifest, error) {
+	return openSnapshot(dir, false)
+}
+
+func openSnapshot(dir string, noMmap bool) (*Searcher, Manifest, error) {
+	m, err := SnapshotManifest(dir)
+	if err != nil {
+		return nil, m, err
+	}
+	dirs := make([]string, len(m.Segments))
+	for i, entry := range m.Segments {
+		dirs[i] = filepath.Join(dir, entry) // "." is the index root itself
+	}
+	s, err := openSharded(noMmap, dirs...)
+	if err != nil {
+		return nil, m, err
+	}
+	s.gen = m.Generation
+	return s, m, nil
+}
+
+func (seg *segment) close() error {
+	var first error
+	for _, c := range seg.closers {
+		if err := c(); err != nil && first == nil {
+			first = err
+		}
+	}
+	seg.closers = nil
+	return first
+}
+
+// Close releases the file mappings of a disk-opened searcher. Hits, doc
+// IDs and doc sets returned earlier alias the mappings and must not be
+// used afterwards. Close on an in-memory searcher is a no-op.
+func (s *Searcher) Close() error {
+	var first error
+	for _, seg := range s.segs {
+		if err := seg.close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Len returns the number of indexed documents.
 func (s *Searcher) Len() int { return s.numDocs }
 
-// IDF returns the smoothed inverse document frequency of a token,
-// identical to Index.IDF: known terms return the value precomputed at
-// freeze time; unknown terms recompute the same smoothed formula.
+// Segments returns the segment count.
+func (s *Searcher) Segments() int { return len(s.segs) }
+
+// Generation returns the manifest generation this snapshot was opened at
+// (0 for searchers assembled without a manifest).
+func (s *Searcher) Generation() uint64 { return s.gen }
+
+// SegmentLens returns the per-segment document counts in canonical order —
+// the merge planner's input.
+func (s *Searcher) SegmentLens() []int {
+	out := make([]int, len(s.segs))
+	for i, seg := range s.segs {
+		out[i] = seg.numDocs
+	}
+	return out
+}
+
+// Shards returns the total shard count across segments.
+func (s *Searcher) Shards() int {
+	n := 0
+	for _, seg := range s.segs {
+		n += len(seg.shards)
+	}
+	return n
+}
+
+// Mmapped reports whether every segment aliases file mappings (as opposed
+// to heap-resident arrays).
+func (s *Searcher) Mmapped() bool {
+	for _, seg := range s.segs {
+		if !seg.mmapped {
+			return false
+		}
+	}
+	return len(s.segs) > 0
+}
+
+// ShardPruneCounts returns, per shard in segment order, how many probes
+// pruned that shard's scatter since the searcher was opened.
+func (s *Searcher) ShardPruneCounts() []uint64 {
+	out := make([]uint64, 0, s.Shards())
+	for _, seg := range s.segs {
+		for i := range seg.pruned {
+			out = append(out, seg.pruned[i].Load())
+		}
+	}
+	return out
+}
+
+// idOf returns the table ID of a segment-local doc number. For disk-opened
+// segments the string aliases the mapping (zero-copy).
+func (seg *segment) idOf(doc int32) string {
+	if seg.ids != nil {
+		return seg.ids[doc]
+	}
+	return unsafeString(seg.idBlob[seg.idOffs[doc]:seg.idOffs[doc+1]])
+}
+
+// IDOf returns the table ID of a global doc number.
+func (s *Searcher) IDOf(doc int32) string {
+	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].base > doc }) - 1
+	return s.segs[i].idOf(doc - s.segs[i].base)
+}
+
+// find resolves a token in its home shard of the segment.
+func (seg *segment) find(tok string) (*shard, int32, bool) {
+	sh := seg.shards[shardOfToken(tok, len(seg.shards))]
+	tid, ok := sh.lookup(tok)
+	return sh, tid, ok
+}
+
+// TermStats returns a token's corpus-global union document frequency and
+// total posting entries across all fields — the cost-model features a
+// query planner reads before probing. Unknown tokens report ok=false.
+func (s *Searcher) TermStats(tok string) (df int32, postings int, ok bool) {
+	for _, seg := range s.segs {
+		if sh, tid, found := seg.find(tok); found {
+			ok = true
+			df += sh.df[tid]
+			for f := 0; f < int(numFields); f++ {
+				postings += int(sh.off[f][tid+1] - sh.off[f][tid])
+			}
+		}
+	}
+	return df, postings, ok
+}
+
+// IDF returns the smoothed corpus-global inverse document frequency of a
+// token (unknown tokens have df 0).
 func (s *Searcher) IDF(tok string) float64 {
 	if s.numDocs == 0 {
 		return 1
 	}
-	if ti, ok := s.terms[tok]; ok {
-		return s.sh.idf[ti]
-	}
-	return math.Log(1 + float64(s.numDocs))
+	df, _, _ := s.TermStats(tok)
+	return smoothedIDF(s.numDocs, int64(df))
 }
 
-// IDOf returns the table ID of an internal doc number.
-func (s *Searcher) IDOf(doc int32) string { return s.ids[doc] }
-
-// TermStats returns a token's union document frequency and total posting
-// entries across all fields — the cost-model features a query planner
-// reads before probing. Both are O(1) reads off the frozen CSR arrays;
-// unknown tokens report ok=false.
-func (s *Searcher) TermStats(tok string) (df int32, postings int, ok bool) {
-	ti, ok := s.terms[tok]
-	if !ok {
-		return 0, 0, false
-	}
-	for f := 0; f < int(numFields); f++ {
-		postings += int(s.sh.off[f][ti+1] - s.sh.off[f][ti])
-	}
-	return s.sh.df[ti], postings, true
+// HasTerm reports whether any segment contains the token.
+func (s *Searcher) HasTerm(tok string) bool {
+	_, _, ok := s.TermStats(tok)
+	return ok
 }
 
-// accumulator is the per-query scratch of a search: a dense score array
-// whose entries are valid only when their generation tag matches cur, the
-// list of touched docs, reusable heap scratch for threshold and top-k
-// selection, and the probe-side term buffers (resolution set, canonical
-// term list, admission bounds). live/merged maintain the sorted list of
-// unfrozen candidates that whole-block skips check against (gather.go).
+// SegmentHasTerm reports whether segment i contains the token. Generation
+// swaps use it to evict exactly the cached doc sets the new segment
+// staled.
+func (s *Searcher) SegmentHasTerm(i int, tok string) bool {
+	_, _, ok := s.segs[i].find(tok)
+	return ok
+}
+
+// termRef is one query term resolved in one segment: its home shard there
+// and local term ID, plus the token for canonical ordering at gather time.
+// The statistics are carried on the ref rather than read from the shard
+// arrays because a segment's shard only knows its own doc population:
+// every segment is scored under the corpus-global df/idf, which is what
+// keeps segmented sums bit-identical to a single rebuilt index. The
+// segment-local best-weight bound rescaled by the global idf is still a
+// valid per-doc contribution bound within that segment.
+type termRef struct {
+	tok   string
+	sh    *shard
+	tid   int32
+	seg   int32   // segment index
+	shard int32   // home shard index within the segment
+	df    int32   // corpus-global document frequency
+	idf   float64 // smoothed IDF the gather multiplies by
+	maxS  float64 // per-doc contribution bound: idf · best cross-field weight sum
+}
+
+// cmpRefs orders refs segment-major and, within a segment, into the
+// canonical accumulation order: df ascending, token ascending on ties.
+// Per-document float64 sums depend on that order. Rarest-first is not
+// cosmetic either: the selective terms establish the top-k floor before
+// the long common lists are walked, which is what lets whole blocks of
+// those lists be skipped (gather.go).
+func cmpRefs(a, b termRef) int {
+	if a.seg != b.seg {
+		return int(a.seg - b.seg)
+	}
+	if a.df != b.df {
+		return int(a.df - b.df)
+	}
+	return strings.Compare(a.tok, b.tok)
+}
+
+// accumulator is the per-probe scoring state of one segment's gather: a
+// dense score array whose entries are valid only when their generation tag
+// matches cur, the list of touched docs, and reusable selection scratch.
+// liveBits/merged maintain the set of unfrozen candidates that whole-block
+// skips check against (gather.go).
 type accumulator struct {
 	score   []float64
 	gen     []uint32
 	cur     uint32
 	touched []int32
 	scratch []float64 // reusable buffer for the skip-threshold selection
-
-	tids   []int32        // resolved unique term IDs, canonical order
-	refs   []termRef      // resolved term refs handed to gather
-	seen   map[int32]bool // term dedup, cleared per search
-	suffix []float64      // per-position admission bound
+	suffix  []float64 // per-position admission bound
 
 	liveBits  []uint64 // bit per doc: unfrozen candidate (whole-block skip test)
 	merged    int      // touched entries already folded into liveBits
 	liveBuilt bool     // liveBits materialized (first closed block encountered)
 }
 
-func (s *Searcher) getAcc() *accumulator {
-	a, _ := s.pool.Get().(*accumulator)
-	if a == nil {
-		a = &accumulator{}
-	}
-	if len(a.score) < s.numDocs {
-		a.score = make([]float64, s.numDocs)
-		a.gen = make([]uint32, s.numDocs)
-		a.cur = 0
-	}
-	a.nextGen()
-	return a
+// scratch is the pooled per-probe state: the accumulator plus the
+// resolution-side buffers (token dedup, resolved refs, merged candidates,
+// and the pruning pre-pass's shard ordering).
+type scratch struct {
+	acc    accumulator
+	seen   map[string]bool
+	refs   []termRef
+	sub    []termRef // one shard's refs, for the pre-pass
+	all    []Hit     // per-segment winners, merged at the end
+	order  []int32   // a segment's shards with refs, by descending bound
+	bounds []float64 // per entry of order: shard score upper bound
 }
 
-// Search scores a union-of-keywords query exactly like Index.Search and
-// returns the top k hits (all hits when k <= 0), sorted by score then ID.
+func (s *Searcher) getScratch() *scratch {
+	sc, _ := s.pool.Get().(*scratch)
+	if sc == nil {
+		sc = &scratch{seen: make(map[string]bool, 16)}
+	}
+	if a := &sc.acc; len(a.score) < s.maxSeg {
+		a.score = make([]float64, s.maxSeg)
+		a.gen = make([]uint32, s.maxSeg)
+		a.cur = 0
+	}
+	clear(sc.seen)
+	return sc
+}
+
+// Search scores a union-of-keywords (OR) query over all three fields with
+// the standard boosted TF-IDF score
+//
+//	score(d) = Σ_f boost_f Σ_{t∈q} (1+ln tf) · idf(t) / sqrt(len_f(d))
+//
+// and returns the top k hits by score then ID (all hits when k <= 0).
+// tokens must already be analyzed (text.Normalize).
 func (s *Searcher) Search(tokens []string, k int) []Hit {
 	hits, _ := s.SearchStats(tokens, k)
 	return hits
 }
 
-// SearchStats is Search plus the probe's skip counters.
+// SearchStats is Search plus the probe's skip and shard-pruning counters,
+// summed across segments.
+//
+// Every unique token is resolved in every segment's home shard and stamped
+// with the corpus-global statistics. Each segment then runs the same step
+// into one reused accumulator: scatter (prefault, or the floor-seeding
+// pre-pass when several shards are involved), gather in canonical order
+// with the floor carried over from already-scored segments' merged top k —
+// exact, since no document spans segments, so later segments open with
+// blocks already closed — and collect. The global top k is a subset of the
+// per-segment top k's, so merging the candidate lists with the shared hit
+// order reproduces the rebuilt index's result exactly.
 func (s *Searcher) SearchStats(tokens []string, k int) ([]Hit, ProbeStats) {
 	var st ProbeStats
 	if len(tokens) == 0 || s.numDocs == 0 {
 		return nil, st
 	}
-	acc := s.getAcc()
-	defer s.pool.Put(acc)
-	// Resolve unique known terms into the pooled probe buffers.
-	tids := acc.tids[:0]
-	if acc.seen == nil {
-		acc.seen = make(map[int32]bool, len(tokens))
-	}
-	seen := acc.seen
-	clear(seen)
+	sc := s.getScratch()
+	defer s.pool.Put(sc)
+
+	refs := sc.refs[:0]
 	for _, tok := range tokens {
-		if ti, ok := s.terms[tok]; ok && !seen[ti] {
-			seen[ti] = true
-			tids = append(tids, ti)
+		if sc.seen[tok] {
+			continue
+		}
+		sc.seen[tok] = true
+		start := len(refs)
+		var df int64
+		for si, seg := range s.segs {
+			g := shardOfToken(tok, len(seg.shards))
+			if tid, ok := seg.shards[g].lookup(tok); ok {
+				df += int64(seg.shards[g].df[tid])
+				refs = append(refs, termRef{tok: tok, sh: seg.shards[g], tid: tid, seg: int32(si), shard: int32(g)})
+			}
+		}
+		idf := smoothedIDF(s.numDocs, df)
+		for i := start; i < len(refs); i++ {
+			r := &refs[i]
+			r.df, r.idf, r.maxS = int32(df), idf, idf*r.sh.bestW[r.tid]
 		}
 	}
-	acc.tids = tids
-	if len(tids) == 0 {
+	sc.refs = refs
+	slices.SortFunc(refs, cmpRefs)
+
+	acc := &sc.acc
+	all := sc.all[:0]
+	floor := math.Inf(-1)
+	for len(refs) > 0 {
+		n := 1
+		for n < len(refs) && refs[n].seg == refs[0].seg {
+			n++
+		}
+		seg, segRefs := s.segs[refs[0].seg], refs[:n]
+		refs = refs[n:]
+		acc.nextGen()
+		floor = seg.scatter(sc, segRefs, k, floor, &st)
+		gather(acc, segRefs, k, floor, &st)
+		all = seg.collect(acc, k, all)
+		if k > 0 && len(all) >= k && len(refs) > 0 { // a floor is only worth computing for a later segment
+			floor = max(floor, kthHitScore(all, k, &acc.scratch))
+		}
+	}
+	sc.all = all
+	if len(all) == 0 {
 		return nil, st
 	}
-	// Canonical processing order: df ascending, token ascending on ties.
-	// The map-based reference scorer uses the same order, which makes
-	// per-document float64 sums bit-identical — the equivalence the
-	// ranking tests pin down. Rarest-first also puts the selective terms
-	// ahead of the long lists, so the top-k floor forms before the block
-	// walk reaches the blocks worth skipping (term IDs are lexicographic
-	// ranks, breaking df ties by tid breaks them by token).
-	slices.SortFunc(tids, func(a, b int32) int {
-		if s.sh.df[a] != s.sh.df[b] {
-			return int(s.sh.df[a] - s.sh.df[b])
+	return selectTopHits(all, k), st
+}
+
+// passAShardCap bounds how many shards the floor-seeding pre-pass scores:
+// on a skewed corpus the top-bound shard alone sets a floor that prunes
+// the rest, and on a uniform corpus scanning more shards twice would cost
+// more than the pruning saves.
+const passAShardCap = 2
+
+// passASkewFactor is the bound-skew threshold arming the pre-pass: the
+// top shard's score bound must exceed the weakest involved shard's by this
+// factor before the double scan of the top shards can plausibly pay for
+// itself in pruned prefaults and closed blocks.
+const passASkewFactor = 4
+
+// scatter readies one segment's involved shards for the gather and returns
+// the admission floor to preseed it with. Shards are ranked by their score
+// upper bound (the sum of their resolved terms' max-scores). With a single
+// involved shard, an unbounded probe, or a shard without block summaries
+// (a v1 file — the main gather would rescan pruned shards' postings in
+// full, so a pre-pass would be pure overhead) every involved shard is
+// simply prefaulted. Otherwise the floor-seeding pre-pass scores the top
+// shard(s) into a throwaway accumulator generation and prunes the scatter
+// of every shard whose bound cannot beat the established floor: pruned
+// shards are never prefaulted, and under the preseeded floor the main
+// gather touches at most their block summaries. Pruning is a prefault
+// decision only — the main gather still sees every resolved term, since
+// pruned shards' terms contribute to documents shared with other shards —
+// so a too-aggressive floor can cost speed, never correctness. The
+// returned floor is a valid lower bound on the kth-best final score: the
+// kth-largest sum of real (partial) contributions, or the carried one.
+func (seg *segment) scatter(sc *scratch, refs []termRef, k int, floor float64, st *ProbeStats) float64 {
+	order, bounds := sc.order[:0], sc.bounds[:0]
+	pruning := k > 0
+	for _, r := range refs {
+		i := slices.Index(order, r.shard)
+		if i < 0 {
+			i = len(order)
+			order, bounds = append(order, r.shard), append(bounds, 0)
+			pruning = pruning && r.sh.hasBlocks()
 		}
-		return int(a - b)
-	})
-	refs := acc.refs[:0]
-	for _, ti := range tids {
-		r := termRef{sh: s.sh, tid: ti}
-		r.fill()
-		refs = append(refs, r)
+		bounds[i] += r.maxS
 	}
-	acc.refs = refs
-	gather(acc, refs, k, math.Inf(-1), &st)
-	return s.collect(acc, k), st
+	sc.order, sc.bounds = order, bounds
+	n := len(order)
+	if n == 1 || !pruning {
+		st.ShardsProbed += n
+		prefaultShards(refs, order)
+		return floor
+	}
+	sort.Sort(&shardsByBound{order, bounds})
+
+	acc := &sc.acc
+	scanned, prunedFrom := 0, n
+	// Bound-skew gate: the pre-pass rescans its top shards, so it only pays
+	// when the bound profile is skewed — a floor built from the top shard's
+	// real scores has to plausibly beat the weakest shard's bound. On a flat
+	// profile (every shard could reach comparable scores) no floor can prune
+	// anything, and the pre-pass would be pure double work: fall through to
+	// an ordinary prefault of every involved shard.
+	if bounds[0] > passASkewFactor*bounds[n-1] {
+		var sub ProbeStats // pre-pass work is not part of Postings totals
+		for idx, g := range order {
+			if floor > bounds[idx]+1e-9 {
+				// Neither this shard nor any lower-bound one can lift a new
+				// document into the top k on its own: skip their prefault.
+				prunedFrom = idx
+				break
+			}
+			if scanned >= passAShardCap {
+				continue // bound not beaten, but pre-pass budget spent
+			}
+			scanned++
+			rs := sc.sub[:0]
+			for _, r := range refs { // filtering keeps the canonical order
+				if r.shard == g {
+					rs = append(rs, r)
+				}
+			}
+			sc.sub = rs
+			gather(acc, rs, k, floor, &sub)
+			if len(acc.touched) >= k {
+				floor = max(floor, acc.kthLargest(k))
+			}
+		}
+		st.Scanned += sub.Scanned
+		st.BlocksTotal += sub.BlocksTotal
+		st.BlocksSkipped += sub.BlocksSkipped
+		// Fresh generation for the canonical main gather; the pre-pass floor
+		// carries over as the preseeded admission threshold.
+		acc.nextGen()
+	}
+	st.ShardsPruned += n - prunedFrom
+	st.ShardsProbed += prunedFrom
+	for _, g := range order[prunedFrom:] {
+		seg.pruned[g].Add(1)
+	}
+	// The pre-pass scan already faulted its shards' pages in.
+	prefaultShards(refs, order[scanned:prunedFrom])
+	return floor
+}
+
+// prefaultShards prefaults the given shards' resolved posting pages,
+// concurrently when there is more than one: faulting a single shard from
+// this goroutine is cheaper than spawning one.
+func prefaultShards(refs []termRef, shards []int32) {
+	switch len(shards) {
+	case 0:
+	case 1:
+		prefault(refs, shards[0])
+	default:
+		var wg sync.WaitGroup
+		for _, g := range shards {
+			wg.Add(1)
+			go func(g int32) {
+				defer wg.Done()
+				prefault(refs, g)
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// shardsByBound sorts shard indices by descending bound, shard index
+// ascending on ties — a deterministic pre-pass order.
+type shardsByBound struct {
+	order  []int32
+	bounds []float64
+}
+
+func (s *shardsByBound) Len() int { return len(s.order) }
+func (s *shardsByBound) Less(i, j int) bool {
+	if s.bounds[i] != s.bounds[j] {
+		return s.bounds[i] > s.bounds[j]
+	}
+	return s.order[i] < s.order[j]
+}
+func (s *shardsByBound) Swap(i, j int) {
+	s.order[i], s.order[j] = s.order[j], s.order[i]
+	s.bounds[i], s.bounds[j] = s.bounds[j], s.bounds[i]
 }
 
 // kthLargest returns the kth largest score among touched docs (k <=
@@ -263,124 +577,113 @@ func (a *accumulator) kthLargest(k int) float64 {
 	for _, d := range a.touched {
 		a.scratch = append(a.scratch, a.score[d])
 	}
-	if k >= len(a.scratch) {
-		// topKSelect returns the slice unheapified in this case, so its
-		// [0] would be arbitrary; the kth largest of k items is the min.
-		return slices.Min(a.scratch)
-	}
-	// Worst-first heap of the k largest: the root is the kth largest.
-	return topKSelect(a.scratch, k, func(x, y float64) bool { return x < y })[0]
+	return kthLargest(a.scratch, k)
 }
 
-// worseDoc reports whether doc a ranks strictly below doc b (lower score,
-// or equal score and lexicographically larger table ID) — the inverse of
-// the hit ordering.
-func (s *Searcher) worseDoc(acc *accumulator, a, b int32) bool {
+// kthHitScore returns the kth largest score among hits (k <= len(hits))
+// using the accumulator's reusable selection scratch.
+func kthHitScore(hits []Hit, k int, scratch *[]float64) float64 {
+	s := (*scratch)[:0]
+	for _, h := range hits {
+		s = append(s, h.Score)
+	}
+	*scratch = s
+	return kthLargest(s, k)
+}
+
+// kthLargest returns the kth largest of s (k <= len(s)); s is reordered.
+func kthLargest(s []float64, k int) float64 {
+	if k >= len(s) {
+		// topKSelect returns the slice unheapified in this case, so its
+		// [0] would be arbitrary; the kth largest of k items is the min.
+		return slices.Min(s)
+	}
+	// Worst-first heap of the k largest: the root is the kth largest.
+	return topKSelect(s, k, func(x, y float64) bool { return x < y })[0]
+}
+
+// worseDoc reports whether local doc a ranks strictly below doc b (lower
+// score, or equal score and lexicographically larger table ID) — the
+// inverse of the hit ordering.
+func (seg *segment) worseDoc(acc *accumulator, a, b int32) bool {
 	sa, sb := acc.score[a], acc.score[b]
 	if sa != sb {
 		return sa < sb
 	}
-	return s.ids[a] > s.ids[b]
+	return seg.idOf(a) > seg.idOf(b)
 }
 
-// collect selects the top k touched docs (all when k <= 0) and materializes
-// sorted hits.
-func (s *Searcher) collect(acc *accumulator, k int) []Hit {
-	if len(acc.touched) == 0 {
-		return nil
-	}
+// collect selects the segment's top k touched docs (all when k <= 0) and
+// appends them to out as hits, unsorted.
+func (seg *segment) collect(acc *accumulator, k int, out []Hit) []Hit {
 	winners := acc.touched
 	if k > 0 {
-		winners = topKSelect(acc.touched, k, func(a, b int32) bool { return s.worseDoc(acc, a, b) })
+		winners = topKSelect(acc.touched, k, func(a, b int32) bool { return seg.worseDoc(acc, a, b) })
 	}
-	hits := make([]Hit, len(winners))
-	for i, d := range winners {
-		hits[i] = Hit{ID: s.ids[d], Score: acc.score[d]}
+	for _, d := range winners {
+		out = append(out, Hit{ID: seg.idOf(d), Score: acc.score[d]})
 	}
-	slices.SortFunc(hits, cmpHits)
-	return hits
+	return out
 }
 
-// DocsWithToken returns the sorted doc set containing tok in any of the
-// given fields, equivalent to Index.DocsWithToken.
+// appendGlobal rebases a segment's fresh local doc set in place and
+// appends it to out. Segment bases ascend, so out stays sorted.
+func appendGlobal(out, set []int32, base int32) []int32 {
+	for i := range set {
+		set[i] += base
+	}
+	if out == nil && len(set) > 0 {
+		return set
+	}
+	return append(out, set...)
+}
+
+// DocsWithToken returns the sorted global doc set containing tok in any of
+// the given fields. The slice is freshly allocated and safe to retain
+// across Close.
 func (s *Searcher) DocsWithToken(tok string, fields ...Field) []int32 {
-	ti, ok := s.terms[tok]
-	if !ok {
-		return nil
+	var out []int32
+	for _, seg := range s.segs {
+		if sh, tid, ok := seg.find(tok); ok {
+			out = appendGlobal(out, sh.termDocs(tid, fields), seg.base)
+		}
 	}
-	return s.sh.termDocs(ti, fields)
+	return out
 }
 
-// DocSet returns the sorted set of documents containing all tokens, each in
-// at least one of the given fields — equivalent to Index.DocSet. The result
-// is freshly allocated and safe to retain.
+// DocSet returns the sorted global set of documents containing *all*
+// tokens, each in at least one of the given fields. Used by PMI²: H(Qℓ) is
+// DocSet(Qℓ, header, context); B(cell) is DocSet(cellTokens, content). A
+// document's tokens all live in its own segment, so the intersection runs
+// per segment — rarest term first, which keeps intermediate sets small —
+// and the rebased results concatenate. The slice is freshly allocated and
+// safe to retain across Close.
 func (s *Searcher) DocSet(tokens []string, fields ...Field) []int32 {
-	tids := make([]int32, 0, len(tokens))
-	seen := make(map[int32]bool, len(tokens))
-	for _, tok := range tokens {
-		ti, ok := s.terms[tok]
-		if !ok {
-			return nil // a token absent from the corpus empties the set
-		}
-		if !seen[ti] {
-			seen[ti] = true
-			tids = append(tids, ti)
-		}
-	}
-	if len(tids) == 0 {
-		return nil
-	}
-	// Rarest token first keeps intermediate intersections small.
-	slices.SortFunc(tids, func(a, b int32) int {
-		if s.sh.df[a] != s.sh.df[b] {
-			return cmp.Compare(s.sh.df[a], s.sh.df[b])
-		}
-		return cmp.Compare(a, b)
-	})
-	set := s.sh.termDocs(tids[0], fields)
-	for _, ti := range tids[1:] {
-		if len(set) == 0 {
-			return nil
-		}
-		set = intersectSorted(set, s.sh.termDocs(ti, fields))
-	}
-	return set
-}
-
-// mergeSortedDocLists k-way merges up to numFields sorted doc lists into a
-// fresh deduplicated sorted slice.
-func mergeSortedDocLists(lists [][]int32) []int32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		out := make([]int32, len(lists[0]))
-		copy(out, lists[0])
-		return out
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]int32, 0, total)
-	pos := make([]int, len(lists))
-	for {
-		min := int32(math.MaxInt32)
-		found := false
-		for li, l := range lists {
-			if pos[li] < len(l) && l[pos[li]] < min {
-				min = l[pos[li]]
-				found = true
+	uniq := dedup(tokens)
+	var out []int32
+	refs := make([]termRef, 0, len(uniq))
+	for _, seg := range s.segs {
+		refs = refs[:0]
+		for _, tok := range uniq {
+			sh, tid, ok := seg.find(tok)
+			if !ok {
+				refs = refs[:0] // a token absent from the segment empties its set
+				break
 			}
+			refs = append(refs, termRef{tok: tok, sh: sh, tid: tid, df: sh.df[tid]})
 		}
-		if !found {
-			return out
+		if len(refs) == 0 {
+			continue
 		}
-		for li, l := range lists {
-			if pos[li] < len(l) && l[pos[li]] == min {
-				pos[li]++
+		slices.SortFunc(refs, cmpRefs)
+		set := refs[0].sh.termDocs(refs[0].tid, fields)
+		for _, r := range refs[1:] {
+			if len(set) == 0 {
+				break
 			}
+			set = intersectSorted(set, r.sh.termDocs(r.tid, fields))
 		}
-		out = append(out, min)
+		out = appendGlobal(out, set, seg.base)
 	}
+	return out
 }

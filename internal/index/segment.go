@@ -15,8 +15,8 @@ import (
 // segment is just a one-shard flat index directory plus its table store,
 // so the existing writer, reader and gather are reused verbatim; what is
 // new here is the lifecycle — build (SegmentWriter), list (Manifest),
-// and compact (PlanMerge / MergeSegments). MultiSearcher (multi.go)
-// unions searches across the listed segments.
+// and compact (PlanMerge / MergeSegments). A Searcher opened over the
+// listed segments (OpenSnapshot) unions searches across them.
 
 // StoreFileName is the gob table store each index directory and segment
 // carries alongside its flat files.
@@ -188,7 +188,7 @@ func (w *SegmentWriter) Flush(dir string, opts WriteShardedOptions) error {
 	if err != nil {
 		return fmt.Errorf("segment: %w", err)
 	}
-	if err := WriteShardedWith(dir, NewSearcher(ix), 1, opts); err != nil {
+	if err := WriteSharded(dir, NewSearcher(ix), 1, opts); err != nil {
 		return fmt.Errorf("segment: %w", err)
 	}
 	st := NewStore()

@@ -1,0 +1,184 @@
+package index
+
+import (
+	"errors"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// TestManifestRoundTrip: commit, read back, and the implicit manifest of a
+// bare flat directory.
+func TestManifestRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+
+	// Neither manifest nor flat index: fs.ErrNotExist for the gob fallback.
+	if _, err := SnapshotManifest(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("empty dir: err = %v, want fs.ErrNotExist", err)
+	}
+
+	// A bare flat index gets the implicit base-only manifest.
+	ix, _ := buildRandCorpus(t, 1, 8)
+	if err := WriteSharded(dir, NewSearcher(ix), 2, WriteShardedOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := SnapshotManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Generation != 0 || !reflect.DeepEqual(m.Segments, []string{"."}) {
+		t.Fatalf("implicit manifest = %+v", m)
+	}
+
+	m.Generation = 7
+	m.Segments = []string{".", SegmentDirName(0)}
+	if err := WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := ReadManifest(dir)
+	if err != nil || !ok {
+		t.Fatalf("ReadManifest: ok=%v err=%v", ok, err)
+	}
+	if got.Generation != 7 || !reflect.DeepEqual(got.Segments, m.Segments) {
+		t.Fatalf("round trip = %+v, want %+v", got, m)
+	}
+
+	// Malicious/corrupt segment paths are rejected.
+	for _, bad := range []string{"", "/abs", "../escape"} {
+		b := m
+		b.Segments = []string{bad}
+		if err := WriteManifest(dir, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadManifest(dir); err == nil {
+			t.Fatalf("segment path %q accepted", bad)
+		}
+	}
+}
+
+// TestPlanMerge pins the size-tiered policy: the lowest full tier merges,
+// partial tiers wait.
+func TestPlanMerge(t *testing.T) {
+	p := MergePolicy{TierFanIn: 4, TierBase: 4}
+	cases := []struct {
+		docs []int
+		want []int
+	}{
+		{nil, nil},
+		{[]int{1, 2, 3}, nil},                                  // tier 0 not full
+		{[]int{1, 2, 3, 2}, []int{0, 1, 2, 3}},                 // tier 0 full
+		{[]int{100, 1, 2, 3, 2}, []int{1, 2, 3, 4}},            // big segment left out
+		{[]int{20, 30, 21, 22, 1, 2}, []int{0, 1, 2, 3}},       // tier 2 (16..63 docs) full
+		{[]int{1, 1, 1, 1, 20, 30, 21, 22}, []int{0, 1, 2, 3}}, // lowest full tier wins
+	}
+	for i, c := range cases {
+		if got := PlanMerge(c.docs, p); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("case %d: PlanMerge(%v) = %v, want %v", i, c.docs, got, c.want)
+		}
+	}
+}
+
+// TestMergeSegments: merging segments yields a segment whose search
+// results are bit-identical to the pre-merge segment list (same docs, same order,
+// same global stats) and whose store holds every table.
+func TestMergeSegments(t *testing.T) {
+	_, tables := buildRandCorpus(t, 9, 30)
+	chunks := splitTables(tables, 3, 9)
+	dirs := make([]string, len(chunks))
+	for i, chunk := range chunks {
+		w := NewSegmentWriter()
+		for _, tb := range chunk {
+			if err := w.Add(tb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dirs[i] = filepath.Join(t.TempDir(), "seg")
+		if err := w.Flush(dirs[i], WriteShardedOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := OpenSharded(dirs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer before.Close()
+
+	merged := filepath.Join(t.TempDir(), "merged")
+	n, err := MergeSegments(merged, dirs, WriteShardedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(tables) {
+		t.Fatalf("merged %d docs, want %d", n, len(tables))
+	}
+	after, err := OpenSharded(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 25; i++ {
+		q := randQuery(r)
+		sameHitsBitIdentical(t, before.Search(q, 10), after.Search(q, 10), "merge")
+	}
+	st, err := LoadStore(filepath.Join(merged, StoreFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != len(tables) {
+		t.Fatalf("merged store holds %d tables, want %d", st.Len(), len(tables))
+	}
+}
+
+// TestOpenSnapshot: a committed manifest opens all listed segments in
+// order with stable global doc numbering, and a stale segment directory
+// not in the manifest is ignored.
+func TestOpenSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	ix, tables := buildRandCorpus(t, 11, 20)
+	if err := WriteSharded(dir, NewSearcher(ix), 2, WriteShardedOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	extra := mkTable("live-1", []string{"Planet", "Moons"},
+		[][]string{{"Jupiter", "95"}, {"Saturn", "146"}}, "moon counts")
+	w := NewSegmentWriter()
+	if err := w.Add(extra); err != nil {
+		t.Fatal(err)
+	}
+	seg := SegmentDirName(0)
+	if err := w.Flush(filepath.Join(dir, seg), WriteShardedOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// An orphan directory (crash between flush and commit) must be ignored.
+	orphan := filepath.Join(dir, SegmentDirName(1))
+	if err := os.MkdirAll(orphan, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(dir, Manifest{Generation: 3, Segments: []string{".", seg}}); err != nil {
+		t.Fatal(err)
+	}
+
+	ms, m, err := OpenSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	if m.Generation != 3 || ms.Generation() != 3 {
+		t.Fatalf("generation = %d/%d, want 3", m.Generation, ms.Generation())
+	}
+	if ms.Segments() != 2 || ms.Len() != len(tables)+1 {
+		t.Fatalf("segments=%d len=%d, want 2/%d", ms.Segments(), ms.Len(), len(tables)+1)
+	}
+	// The ingested doc is searchable and globally numbered after the base.
+	hits := ms.Search([]string{"saturn"}, 1)
+	if len(hits) != 1 || hits[0].ID != "live-1" {
+		t.Fatalf("search for ingested table = %v", hits)
+	}
+	if id := ms.IDOf(int32(len(tables))); id != "live-1" {
+		t.Fatalf("IDOf(base len) = %q, want live-1", id)
+	}
+}

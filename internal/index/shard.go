@@ -1,0 +1,595 @@
+package index
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"sync/atomic"
+)
+
+// shard is one term-hash partition of a segment: a term table in
+// lexicographic order plus the per-field CSR arrays over the segment's
+// doc space, with the length-normalized boosted weight
+// (1+ln tf)·boost_f/√len_f(d) precomputed at freeze time so a probe is a
+// pure gather-multiply-accumulate over idf.
+//
+// A flat-opened shard's arrays are zero-copy views over its postings
+// file's mapping; the Searcher that opened it owns the mapping and its
+// Close is the unmap point (mmapalias invariant).
+//
+//wwt:mmap-owner
+type shard struct {
+	numTerms int
+
+	names    []string // in-memory construction
+	termOffs []int64  // flat construction
+	termBlob []byte
+
+	// idf and maxScore are the segment-local values the flat format
+	// persists; probes restate both from the corpus-global df (termRef).
+	idf      []float64
+	maxScore []float64
+	bestW    []float64 // per term: max per-doc cross-field weight sum (idf-free)
+	df       []int32
+
+	off  [numFields][]int32
+	docs [numFields][]int32
+	wts  [numFields][]float32
+
+	// Block-max summaries (gather.go). blockSize == 0 (a v1 file) means no
+	// summaries: the gather falls back to the term-level skip alone, with
+	// identical results.
+	blockSize int
+	blkOff    [numFields][]int32   // per term: cumulative block counts (numTerms+1)
+	blkMax    [numFields][]float32 // per block: max posting weight
+	blkDoc    [numFields][]int32   // per block: first doc ID
+	fieldMaxW [numFields][]float32 // per term: max posting weight in the field
+}
+
+// postingWeight is the per-posting score weight: boost_f · (1+ln tf) /
+// √len_f(d), rounded to float32 (the storage precision) so every scorer
+// sees the same value.
+func postingWeight(f int, tf, fieldLen float32) float32 {
+	l := float64(fieldLen)
+	if l < 1 {
+		l = 1
+	}
+	return float32(Boosts[f] * (1 + math.Log(float64(tf))) / math.Sqrt(l))
+}
+
+// smoothedIDF is the one idf formula: log(1 + N/(1+df)). Freeze and probe
+// both call it, so a segmented corpus restates exactly the float64 a
+// rebuilt index would have stored.
+func smoothedIDF(numDocs int, df int64) float64 {
+	return math.Log(1 + float64(numDocs)/float64(1+df))
+}
+
+// shardOfToken is the stable (cross-process) term→shard assignment:
+// FNV-1a 64 over the token bytes, mod the shard count. Inlined so probes
+// don't allocate a hash.Hash per token.
+func shardOfToken(tok string, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(tok); i++ {
+		h ^= uint64(tok[i])
+		h *= 1099511628211
+	}
+	return int(h % uint64(n))
+}
+
+// termName returns term i's token.
+func (sh *shard) termName(i int32) string {
+	if sh.names != nil {
+		return sh.names[i]
+	}
+	return unsafeString(sh.termBlob[sh.termOffs[i]:sh.termOffs[i+1]])
+}
+
+// lookup binary-searches the shard's lexicographic term table — no map to
+// build at open time, so opening stays O(1) in corpus size.
+func (sh *shard) lookup(tok string) (int32, bool) {
+	lo, hi := int32(0), int32(sh.numTerms)
+	for lo < hi {
+		mid := int32(uint32(lo+hi) >> 1)
+		if sh.termName(mid) < tok {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < int32(sh.numTerms) && sh.termName(lo) == tok {
+		return lo, true
+	}
+	return 0, false
+}
+
+// newShard allocates the per-term and per-field arrays of an in-memory
+// shard over the given sorted term names.
+func newShard(names []string, postings [numFields]int) *shard {
+	sh := &shard{
+		numTerms: len(names),
+		names:    names,
+		idf:      make([]float64, len(names)),
+		maxScore: make([]float64, len(names)),
+		bestW:    make([]float64, len(names)),
+		df:       make([]int32, len(names)),
+	}
+	for f := 0; f < int(numFields); f++ {
+		sh.off[f] = make([]int32, len(names)+1)
+		sh.docs[f] = make([]int32, 0, postings[f])
+		sh.wts[f] = make([]float32, 0, postings[f])
+	}
+	return sh
+}
+
+// freezeShard lays an index out as one shard holding every term.
+func freezeShard(ix *Index) *shard {
+	terms := make([]string, 0, len(ix.df))
+	for tok := range ix.df {
+		terms = append(terms, tok)
+	}
+	sort.Strings(terms)
+	var total [numFields]int
+	for f := 0; f < int(numFields); f++ {
+		for _, ps := range ix.postings[f] {
+			total[f] += len(ps)
+		}
+	}
+	sh := newShard(terms, total)
+	for ti, tok := range terms {
+		sh.df[ti] = int32(ix.df[tok])
+		sh.idf[ti] = smoothedIDF(len(ix.ids), int64(ix.df[tok]))
+		for f := 0; f < int(numFields); f++ {
+			sh.off[f][ti] = int32(len(sh.docs[f]))
+			for _, p := range ix.postings[f][tok] {
+				sh.docs[f] = append(sh.docs[f], p.Doc)
+				sh.wts[f] = append(sh.wts[f], postingWeight(f, p.TF, ix.fieldLen[f][p.Doc]))
+			}
+		}
+	}
+	for f := 0; f < int(numFields); f++ {
+		sh.off[f][len(terms)] = int32(len(sh.docs[f]))
+	}
+	// bestW[t] bounds the contribution of term t to any single document: a
+	// doc matching t in several fields accumulates the SUM of its per-field
+	// weights, so the bound is the max per-doc cross-field sum, found with a
+	// 3-way merge over the term's doc-sorted ranges.
+	for ti := range terms {
+		var pos, hi [numFields]int32
+		for f := 0; f < int(numFields); f++ {
+			pos[f], hi[f] = sh.off[f][ti], sh.off[f][ti+1]
+		}
+		best := 0.0
+		for {
+			min := int32(math.MaxInt32)
+			for f := 0; f < int(numFields); f++ {
+				if pos[f] < hi[f] && sh.docs[f][pos[f]] < min {
+					min = sh.docs[f][pos[f]]
+				}
+			}
+			if min == math.MaxInt32 {
+				break
+			}
+			sum := 0.0
+			for f := 0; f < int(numFields); f++ {
+				if pos[f] < hi[f] && sh.docs[f][pos[f]] == min {
+					sum += float64(sh.wts[f][pos[f]])
+					pos[f]++
+				}
+			}
+			if sum > best {
+				best = sum
+			}
+		}
+		sh.bestW[ti] = best
+		sh.maxScore[ti] = sh.idf[ti] * best
+	}
+	sh.computeBlocks(DefaultBlockSize)
+	return sh
+}
+
+// reshard partitions a single-shard segment's terms by hash into n shards,
+// copying each term's CSR ranges into its home shard. Per-term statistics
+// carry over unchanged — term-hash sharding does not alter them — and the
+// doc table is shared with seg.
+func (seg *segment) reshard(n int) *segment {
+	src := seg.shards[0]
+	perShard := make([][]int32, n)
+	for ti := int32(0); ti < int32(src.numTerms); ti++ {
+		g := shardOfToken(src.termName(ti), n)
+		perShard[g] = append(perShard[g], ti)
+	}
+	out := &segment{numDocs: seg.numDocs, ids: seg.ids, idOffs: seg.idOffs, idBlob: seg.idBlob,
+		shards: make([]*shard, n), pruned: make([]atomic.Uint64, n)}
+	for g, tids := range perShard { // ascending source term IDs = lexicographic order
+		names := make([]string, len(tids))
+		var total [numFields]int
+		for li, ti := range tids {
+			names[li] = src.termName(ti)
+			for f := 0; f < int(numFields); f++ {
+				total[f] += int(src.off[f][ti+1] - src.off[f][ti])
+			}
+		}
+		sh := newShard(names, total)
+		for li, ti := range tids {
+			sh.idf[li] = src.idf[ti]
+			sh.maxScore[li] = src.maxScore[ti]
+			sh.bestW[li] = src.bestW[ti]
+			sh.df[li] = src.df[ti]
+			for f := 0; f < int(numFields); f++ {
+				lo, hi := src.off[f][ti], src.off[f][ti+1]
+				sh.off[f][li] = int32(len(sh.docs[f]))
+				sh.docs[f] = append(sh.docs[f], src.docs[f][lo:hi]...)
+				sh.wts[f] = append(sh.wts[f], src.wts[f][lo:hi]...)
+			}
+		}
+		for f := 0; f < int(numFields); f++ {
+			sh.off[f][len(tids)] = int32(len(sh.docs[f]))
+		}
+		sh.computeBlocks(src.blockSize)
+		out.shards[g] = sh
+	}
+	return out
+}
+
+// shardFileName names shard g's postings file inside an index directory.
+func shardFileName(g int) string { return fmt.Sprintf("postings-%03d.wwt", g) }
+
+// DocsFileName is the shared doc-table file of a flat sharded index; its
+// presence marks a directory as holding one.
+const DocsFileName = "docs.wwt"
+
+// maxShards bounds the builder: beyond this, per-shard overhead dwarfs any
+// fan-out win and the file-per-shard layout stops making sense.
+const maxShards = 4096
+
+// WriteShardedOptions configures WriteSharded.
+type WriteShardedOptions struct {
+	// FormatVersion selects the flat layout: 1 writes WWTFLT01 (no block
+	// summaries, readable by older builds), 2 writes WWTFLT02 (block-max
+	// postings). 0 means 2.
+	FormatVersion int
+	// BlockSize is the v2 posting-block width. 0 means DefaultBlockSize;
+	// an explicit non-positive value is rejected. Ignored for version 1.
+	BlockSize int
+}
+
+// maxSectionInt32 bounds per-field posting counts: the CSR offsets (and
+// the v2 block counts derived from them) are int32 section arrays. A var
+// so tests can exercise the bound without a 2^31-posting corpus.
+var maxSectionInt32 = math.MaxInt32
+
+// WriteSharded persists a freshly frozen Searcher (NewSearcher) as a flat
+// sharded index under dir: one shared doc-table file plus nShards postings
+// files, each in the versioned mmap-friendly layout described in the
+// package documentation. Invalid options fail before any file is written.
+func WriteSharded(dir string, s *Searcher, nShards int, opts WriteShardedOptions) error {
+	if len(s.segs) != 1 || len(s.segs[0].shards) != 1 {
+		return fmt.Errorf("index write: want a freshly frozen searcher (one segment, one shard), got %d segment(s), %d shard(s)",
+			len(s.segs), s.Shards())
+	}
+	if nShards < 1 {
+		nShards = 1
+	}
+	if nShards > maxShards {
+		return fmt.Errorf("index write: %d shards exceeds the %d-shard limit", nShards, maxShards)
+	}
+	version := opts.FormatVersion
+	if version == 0 {
+		version = flatFormatVersion2
+	}
+	if version != flatFormatVersion && version != flatFormatVersion2 {
+		return fmt.Errorf("index write: flat format version %d not supported, this build writes %d (%s) and %d (%s)",
+			version, flatFormatVersion, flatMagic, flatFormatVersion2, flatMagicV2)
+	}
+	blockSize := opts.BlockSize
+	if version == flatFormatVersion2 {
+		if blockSize == 0 {
+			blockSize = DefaultBlockSize
+		}
+		if blockSize <= 0 {
+			return fmt.Errorf("index write: flat format v2 (%s) requires a positive block size, got %d", flatMagicV2, opts.BlockSize)
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("index write: %w", err)
+	}
+	seg := s.segs[0].reshard(nShards)
+	for g, sh := range seg.shards {
+		for f := 0; f < int(numFields); f++ {
+			if n := len(sh.docs[f]); n > maxSectionInt32 {
+				return fmt.Errorf("index write: flat format v%d: shard %d field %s has %d postings, over the int32 section-offset bound (%d); rebuild with more shards",
+					version, g, Field(f), n, maxSectionInt32)
+			}
+		}
+	}
+	idOffs, idBlob := packStrings(seg.ids)
+	err := writeFlatFile(filepath.Join(dir, DocsFileName), uint32(version), 0, kindDocs, 0, uint32(nShards),
+		uint64(seg.numDocs), 0, []section{
+			{secIDOffs, int64Bytes(idOffs)},
+			{secIDBlob, idBlob},
+		})
+	if err != nil {
+		return fmt.Errorf("index write: %w", err)
+	}
+	for g, sh := range seg.shards {
+		termOffs, termBlob := packStrings(sh.names)
+		secs := []section{
+			{secTermOffs, int64Bytes(termOffs)},
+			{secTermBlob, termBlob},
+			{secIDF, float64Bytes(sh.idf)},
+			{secMaxScore, float64Bytes(sh.maxScore)},
+			{secDF, int32Bytes(sh.df)},
+			// The idf-free best weight backs the corpus-global bounds; old
+			// readers ignore the unknown section ID.
+			{secBestWeight, float64Bytes(sh.bestW)},
+		}
+		for f := 0; f < int(numFields); f++ {
+			secs = append(secs,
+				section{secFieldOff(f), int32Bytes(sh.off[f])},
+				section{secFieldDocs(f), int32Bytes(sh.docs[f])},
+				section{secFieldWts(f), float32Bytes(sh.wts[f])},
+			)
+		}
+		shardBlockSize := 0
+		if version == flatFormatVersion2 {
+			shardBlockSize = blockSize
+			if sh.blockSize != blockSize {
+				sh.computeBlocks(blockSize)
+			}
+			for f := 0; f < int(numFields); f++ {
+				secs = append(secs,
+					section{secFieldBlkOff(f), int32Bytes(sh.blkOff[f])},
+					section{secFieldBlkMax(f), float32Bytes(sh.blkMax[f])},
+					section{secFieldBlkDoc(f), int32Bytes(sh.blkDoc[f])},
+					section{secFieldFieldMax(f), float32Bytes(sh.fieldMaxW[f])},
+				)
+			}
+		}
+		err := writeFlatFile(filepath.Join(dir, shardFileName(g)), uint32(version), uint32(shardBlockSize), kindPostings,
+			uint32(g), uint32(nShards), uint64(seg.numDocs), uint64(sh.numTerms), secs)
+		if err != nil {
+			return fmt.Errorf("index write: %w", err)
+		}
+	}
+	return nil
+}
+
+// openSegment opens one flat index directory as a segment. Only headers
+// are validated — no decode, no map building — so opening is O(1) in
+// corpus size. noMmap forces the portable read-into-memory path (exercised
+// by tests; also the only path on platforms without mmap).
+func openSegment(dir string, noMmap bool) (*segment, error) {
+	df, err := openFlatFile(filepath.Join(dir, DocsFileName), noMmap)
+	if err != nil {
+		return nil, err
+	}
+	seg := &segment{mmapped: !noMmap}
+	seg.closers = append(seg.closers, df.Close)
+	fail := func(e error) (*segment, error) {
+		seg.close()
+		return nil, e
+	}
+	if df.kind != kindDocs {
+		return fail(df.corrupt("file kind %d, want doc table (%d)", df.kind, kindDocs))
+	}
+	if df.shardCount < 1 || df.shardCount > maxShards {
+		return fail(df.corrupt("shard count %d out of range", df.shardCount))
+	}
+	seg.numDocs = int(df.numDocs)
+	nShards := int(df.shardCount)
+	if seg.idOffs, err = df.int64Sec(secIDOffs, seg.numDocs+1); err != nil {
+		return fail(err)
+	}
+	if seg.idBlob, err = df.sec(secIDBlob); err != nil {
+		return fail(err)
+	}
+	if seg.numDocs > 0 && int(seg.idOffs[seg.numDocs]) != len(seg.idBlob) {
+		return fail(df.corrupt("doc-ID blob is %d bytes, offsets end at %d", len(seg.idBlob), seg.idOffs[seg.numDocs]))
+	}
+	seg.shards = make([]*shard, nShards)
+	seg.pruned = make([]atomic.Uint64, nShards)
+	for g := 0; g < nShards; g++ {
+		pf, err := openFlatFile(filepath.Join(dir, shardFileName(g)), noMmap)
+		if err != nil {
+			if errors.Is(err, os.ErrNotExist) {
+				return fail(fmt.Errorf("index open %s: shard file %s missing (doc table says %d shards): %w",
+					dir, shardFileName(g), nShards, err))
+			}
+			return fail(err)
+		}
+		seg.closers = append(seg.closers, pf.Close)
+		sh, err := openShardFile(pf, g, nShards, seg.numDocs)
+		if err != nil {
+			return fail(err)
+		}
+		seg.shards[g] = sh
+	}
+	return seg, nil
+}
+
+// openShardFile validates one postings file's header against the doc
+// table and aliases its sections into a shard.
+func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
+	if pf.kind != kindPostings {
+		return nil, pf.corrupt("file kind %d, want postings shard (%d)", pf.kind, kindPostings)
+	}
+	if int(pf.shardIndex) != g || int(pf.shardCount) != shardCount {
+		return nil, pf.corrupt("shard %d/%d, doc table says %d/%d — files from different builds mixed in one directory?",
+			pf.shardIndex, pf.shardCount, g, shardCount)
+	}
+	if int(pf.numDocs) != numDocs {
+		return nil, pf.corrupt("shard built over %d docs, doc table has %d — files from different builds mixed in one directory?",
+			pf.numDocs, numDocs)
+	}
+	sh := &shard{numTerms: int(pf.numTerms)}
+	var err error
+	if sh.termOffs, err = pf.int64Sec(secTermOffs, sh.numTerms+1); err != nil {
+		return nil, err
+	}
+	if sh.termBlob, err = pf.sec(secTermBlob); err != nil {
+		return nil, err
+	}
+	if sh.numTerms > 0 && int(sh.termOffs[sh.numTerms]) != len(sh.termBlob) {
+		return nil, pf.corrupt("term blob is %d bytes, offsets end at %d", len(sh.termBlob), sh.termOffs[sh.numTerms])
+	}
+	if sh.idf, err = pf.float64Sec(secIDF, sh.numTerms); err != nil {
+		return nil, err
+	}
+	if sh.maxScore, err = pf.float64Sec(secMaxScore, sh.numTerms); err != nil {
+		return nil, err
+	}
+	if sh.df, err = pf.int32Sec(secDF, sh.numTerms); err != nil {
+		return nil, err
+	}
+	if pf.hasSec(secBestWeight) {
+		if sh.bestW, err = pf.float64Sec(secBestWeight, sh.numTerms); err != nil {
+			return nil, err
+		}
+	} else {
+		// Files written before the best-weight section carry only
+		// maxScore = idf·bestW. Dividing the rounding back out can land a
+		// hair below the true bestW, so pad by one ulp-scale factor — the
+		// value is only ever used as an upper bound, never in scores.
+		sh.bestW = make([]float64, sh.numTerms)
+		for t := 0; t < sh.numTerms; t++ {
+			if sh.idf[t] > 0 {
+				sh.bestW[t] = sh.maxScore[t] / sh.idf[t] * (1 + 1e-12)
+			}
+		}
+	}
+	for f := 0; f < int(numFields); f++ {
+		if sh.off[f], err = pf.int32Sec(secFieldOff(f), sh.numTerms+1); err != nil {
+			return nil, err
+		}
+		count := int(sh.off[f][sh.numTerms])
+		if sh.docs[f], err = pf.int32Sec(secFieldDocs(f), count); err != nil {
+			return nil, err
+		}
+		if sh.wts[f], err = pf.float32Sec(secFieldWts(f), count); err != nil {
+			return nil, err
+		}
+	}
+	if pf.version >= flatFormatVersion2 {
+		// v2: block-max summaries. Validation stays O(1) in corpus size —
+		// section byte counts are cross-checked against the block counts
+		// declared by the last blkOff entry.
+		if pf.blockSize <= 0 {
+			return nil, pf.corrupt("flat v2 header declares block size %d, want > 0", pf.blockSize)
+		}
+		sh.blockSize = pf.blockSize
+		for f := 0; f < int(numFields); f++ {
+			if sh.blkOff[f], err = pf.int32Sec(secFieldBlkOff(f), sh.numTerms+1); err != nil {
+				return nil, err
+			}
+			nb := 0
+			if sh.numTerms > 0 {
+				nb = int(sh.blkOff[f][sh.numTerms])
+			}
+			if nb < 0 {
+				return nil, pf.corrupt("field %s declares %d posting blocks", Field(f), nb)
+			}
+			if sh.blkMax[f], err = pf.float32Sec(secFieldBlkMax(f), nb); err != nil {
+				return nil, err
+			}
+			if sh.blkDoc[f], err = pf.int32Sec(secFieldBlkDoc(f), nb); err != nil {
+				return nil, err
+			}
+			if sh.fieldMaxW[f], err = pf.float32Sec(secFieldFieldMax(f), sh.numTerms); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sh, nil
+}
+
+// prefetchSink defeats dead-code elimination of the page-prefault loads.
+var prefetchSink atomic.Uint64
+
+// prefault touches the posting pages (one load per 4KiB) of the refs homed
+// in the given shard of their segment, so cold pages of different shards
+// fault in concurrently instead of serially inside the gather loop.
+func prefault(refs []termRef, shard int32) {
+	var touch uint64
+	for _, r := range refs {
+		if r.shard != shard {
+			continue
+		}
+		for f := 0; f < int(numFields); f++ {
+			lo, hi := r.sh.off[f][r.tid], r.sh.off[f][r.tid+1]
+			for p := lo; p < hi; p += 1024 { // 1024 int32s per 4KiB page
+				touch += uint64(r.sh.docs[f][p]) + uint64(math.Float32bits(r.sh.wts[f][p]))
+			}
+			if hi > lo {
+				touch += uint64(r.sh.docs[f][hi-1])
+			}
+		}
+	}
+	if touch != 0 {
+		prefetchSink.Add(touch)
+	}
+}
+
+// termDocs returns the sorted, freshly allocated doc set (segment-local
+// numbers) containing term ti in any of the given fields. Per-field
+// posting lists are already doc-sorted, so multiple fields k-way merge.
+// Duplicate fields are ignored.
+func (sh *shard) termDocs(ti int32, fields []Field) []int32 {
+	var lists [int(numFields)][]int32
+	var used [int(numFields)]bool
+	n := 0
+	for _, f := range fields {
+		if used[f] {
+			continue
+		}
+		used[f] = true
+		lo, hi := sh.off[f][ti], sh.off[f][ti+1]
+		if lo < hi {
+			lists[n] = sh.docs[f][lo:hi]
+			n++
+		}
+	}
+	return mergeSortedDocLists(lists[:n])
+}
+
+// mergeSortedDocLists k-way merges up to numFields sorted doc lists into a
+// fresh deduplicated sorted slice.
+func mergeSortedDocLists(lists [][]int32) []int32 {
+	switch len(lists) {
+	case 0:
+		return nil
+	case 1:
+		return slices.Clone(lists[0])
+	}
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]int32, 0, total)
+	pos := make([]int, len(lists))
+	for {
+		min := int32(math.MaxInt32)
+		found := false
+		for li, l := range lists {
+			if pos[li] < len(l) && l[pos[li]] < min {
+				min = l[pos[li]]
+				found = true
+			}
+		}
+		if !found {
+			return out
+		}
+		for li, l := range lists {
+			if pos[li] < len(l) && l[pos[li]] == min {
+				pos[li]++
+			}
+		}
+		out = append(out, min)
+	}
+}

@@ -28,6 +28,16 @@ func benchSearcher(b *testing.B) *Searcher {
 	return NewSearcher(ix)
 }
 
+// benchQueries is the 64-query random mix the probe benchmarks share.
+func benchQueries() [][]string {
+	r := rand.New(rand.NewSource(7))
+	queries := make([][]string, 64)
+	for i := range queries {
+		queries[i] = randQuery(r)
+	}
+	return queries
+}
+
 func benchGobPath(b *testing.B, s *Searcher) string {
 	b.Helper()
 	r := rand.New(rand.NewSource(2012))
@@ -69,7 +79,7 @@ func BenchmarkOpenIndexGob(b *testing.B) {
 func BenchmarkOpenIndexMmap(b *testing.B) {
 	s := benchSearcher(b)
 	dir := b.TempDir()
-	if err := WriteSharded(dir, s, 2); err != nil {
+	if err := WriteSharded(dir, s, 2, WriteShardedOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	if st, err := os.Stat(filepath.Join(dir, DocsFileName)); err == nil {
@@ -92,7 +102,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			if err := WriteSharded(dir, s, n); err != nil {
+			if err := WriteSharded(dir, s, n, WriteShardedOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			ss, err := OpenSharded(dir)
@@ -114,6 +124,36 @@ func BenchmarkShardedSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkSegmentedSearch probes an mmap-opened searcher over K=4
+// segments of one shard each — the shape live ingest serves from: every
+// segment past the first gathers under the floor carried from the
+// segments before it. Same corpus and query mix as BenchmarkShardedSearch.
+func BenchmarkSegmentedSearch(b *testing.B) {
+	_, tables := buildRandCorpus(b, 2012, benchCorpusSize)
+	var dirs []string
+	for _, chunk := range splitTables(tables, 4, 2012) {
+		ix, err := Build(chunk)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dirs = append(dirs, b.TempDir())
+		if err := WriteSharded(dirs[len(dirs)-1], NewSearcher(ix), 1, WriteShardedOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s, err := OpenSharded(dirs...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	queries := benchQueries()
+	s.Search(queries[0], 10) // fault in before timing
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Search(queries[i%len(queries)], 10)
+	}
+}
+
 // BenchmarkSingleShardSearch is the in-memory Searcher baseline over the
 // same corpus and query mix as BenchmarkShardedSearch.
 func BenchmarkSingleShardSearch(b *testing.B) {
@@ -126,6 +166,17 @@ func BenchmarkSingleShardSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Search(queries[i%len(queries)], 10)
+	}
+}
+
+// BenchmarkSearchMap measures the reference map-based scorer (oracle_test.go)
+// on the same corpus and query mix — the before side of the CSR refactor.
+func BenchmarkSearchMap(b *testing.B) {
+	ix, _ := buildRandCorpus(b, 2012, benchCorpusSize)
+	queries := benchQueries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Search(queries[i%len(queries)], 10)
 	}
 }
 

@@ -3,293 +3,11 @@ package index
 import (
 	"errors"
 	"io/fs"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
-	"sync"
 	"testing"
-
-	"wwt/internal/wtable"
 )
-
-// sameHitsBitIdentical is the strict form of sameHits: IDs, order AND exact
-// float64 score bits must match — the sharded gather accumulates in the
-// same operation order as the single-shard searcher, so == (not a
-// tolerance) is the contract.
-func sameHitsBitIdentical(t *testing.T, want, got []Hit, ctx string) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: hit count %d != %d (want %v, got %v)", ctx, len(got), len(want), want, got)
-	}
-	for i := range want {
-		if want[i].ID != got[i].ID {
-			t.Fatalf("%s: hit %d ID %q != %q", ctx, i, got[i].ID, want[i].ID)
-		}
-		if want[i].Score != got[i].Score {
-			t.Fatalf("%s: hit %d score %v != %v (bit-identity violated)", ctx, i, got[i].Score, want[i].Score)
-		}
-	}
-}
-
-// shardedVariants returns the construction paths for n shards — pure
-// in-memory partitioning, the mmap-opened flat index and the forced
-// read-into-memory fallback for both the block-max v2 format and the
-// summary-less v1 format — with cleanup registered on t. Every variant
-// must stay bit-identical: v2 paths exercise block-max skipping and shard
-// pruning, v1 paths pin the term-level-only fallback.
-func shardedVariants(t *testing.T, s *Searcher, n int) map[string]*ShardedSearcher {
-	t.Helper()
-	out := map[string]*ShardedSearcher{"memory": NewShardedFromSearcher(s, n)}
-	for _, v := range []int{2, 1} {
-		dir := t.TempDir()
-		if err := WriteShardedWith(dir, s, n, WriteShardedOptions{FormatVersion: v}); err != nil {
-			t.Fatal(err)
-		}
-		mm, err := OpenSharded(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mm.Mmapped() {
-			t.Fatalf("OpenSharded did not map the files")
-		}
-		rd, err := openSharded(dir, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { mm.Close(); rd.Close() })
-		for g := 0; g < n; g++ {
-			if got := mm.shards[g].hasBlocks(); got != (v == 2) {
-				t.Fatalf("v%d shard %d: hasBlocks() = %v", v, g, got)
-			}
-		}
-		if v == 2 {
-			out["mmap"], out["nommap"] = mm, rd
-		} else {
-			out["mmap-v1"], out["nommap-v1"] = mm, rd
-		}
-	}
-	return out
-}
-
-// TestShardedSearcherEquivalence: for every shard count, every construction
-// path must return hits bit-identical (IDs, scores, order) to the
-// single-shard Searcher across random queries and k values.
-func TestShardedSearcherEquivalence(t *testing.T) {
-	for _, seed := range []int64{3, 42, 2012} {
-		ix, _ := buildRandCorpus(t, seed, 2+rand.New(rand.NewSource(seed)).Intn(60))
-		s := NewSearcher(ix)
-		for _, n := range []int{1, 2, 3, 8} {
-			for name, ss := range shardedVariants(t, s, n) {
-				if ss.Shards() != n {
-					t.Fatalf("%s: Shards() = %d, want %d", name, ss.Shards(), n)
-				}
-				if ss.Len() != ix.Len() {
-					t.Fatalf("%s: Len() = %d, want %d", name, ss.Len(), ix.Len())
-				}
-				r := rand.New(rand.NewSource(seed + int64(n)))
-				for qi := 0; qi < 25; qi++ {
-					q := randQuery(r)
-					for _, k := range []int{0, 1, 3, 17, 1000} {
-						want := s.Search(q, k)
-						got := ss.Search(q, k)
-						sameHitsBitIdentical(t, want, got, name)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestShardedSearcherSkipWithExactlyKTouched replays the PR 1 skip
-// regression corpus against every shard count: the first term touches
-// exactly k docs, and a document arriving after the skip threshold is set
-// must still enter the top k.
-func TestShardedSearcherSkipWithExactlyKTouched(t *testing.T) {
-	row := func(cells ...string) wtable.Row {
-		r := wtable.Row{}
-		for _, c := range cells {
-			r.Cells = append(r.Cells, wtable.Cell{Text: c})
-		}
-		return r
-	}
-	tables := []*wtable.Table{
-		{ID: "t0", HeaderRows: []wtable.Row{row("aaa")}, BodyRows: []wtable.Row{row("xxx")}},
-		{ID: "t1", BodyRows: []wtable.Row{row("aaa")}},
-		{ID: "t2", BodyRows: []wtable.Row{row("bbb")}},
-	}
-	ix, err := Build(tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSearcher(ix)
-	q := []string{"aaa", "bbb"}
-	want := s.Search(q, 2)
-	for _, n := range []int{1, 2, 3, 8} {
-		for name, ss := range shardedVariants(t, s, n) {
-			got := ss.Search(q, 2)
-			sameHitsBitIdentical(t, want, got, name)
-			ids := map[string]bool{}
-			for _, h := range got {
-				ids[h.ID] = true
-			}
-			if !ids["t0"] || !ids["t2"] {
-				t.Fatalf("%s shards=%d: top-2 = %v, want t0 and t2", name, n, got)
-			}
-		}
-	}
-}
-
-// TestShardedDocSetEquivalence: DocsWithToken, DocSet and IDF must match
-// the single-shard Searcher for every shard count and construction path.
-func TestShardedDocSetEquivalence(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 4242, 40)
-	s := NewSearcher(ix)
-	fieldSets := [][]Field{
-		{FieldHeader}, {FieldContext}, {FieldContent},
-		{FieldHeader, FieldContext}, {FieldHeader, FieldContext, FieldContent},
-	}
-	for _, n := range []int{1, 2, 3, 8} {
-		for name, ss := range shardedVariants(t, s, n) {
-			r := rand.New(rand.NewSource(17))
-			for i := 0; i < 60; i++ {
-				toks := randQuery(r)
-				for _, fs := range fieldSets {
-					want := s.DocSet(toks, fs...)
-					got := ss.DocSet(toks, fs...)
-					if len(want) == 0 && len(got) == 0 {
-						continue
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("%s shards=%d: DocSet(%v, %v) = %v, want %v", name, n, toks, fs, got, want)
-					}
-				}
-				tok := propWords[r.Intn(len(propWords))]
-				for _, fs := range fieldSets {
-					want := s.DocsWithToken(tok, fs...)
-					got := ss.DocsWithToken(tok, fs...)
-					if len(want) == 0 && len(got) == 0 {
-						continue
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("%s shards=%d: DocsWithToken(%q, %v) = %v, want %v", name, n, tok, fs, got, want)
-					}
-				}
-				if got, want := ss.IDF(tok), s.IDF(tok); got != want {
-					t.Fatalf("%s shards=%d: IDF(%q) = %v, want %v", name, n, tok, got, want)
-				}
-				if got, want := ss.IDF("unknownword"), s.IDF("unknownword"); got != want {
-					t.Fatalf("%s shards=%d: unknown-token IDF = %v, want %v", name, n, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestShardedSearcherConcurrent: one mmap-opened sharded searcher must
-// serve goroutines concurrently with bit-identical results (run under
-// -race; the scatter goroutines cross shard boundaries here).
-func TestShardedSearcherConcurrent(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 777, 50)
-	s := NewSearcher(ix)
-	dir := t.TempDir()
-	if err := WriteSharded(dir, s, 4); err != nil {
-		t.Fatal(err)
-	}
-	ss, err := OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 150; i++ {
-				q := randQuery(r)
-				want := s.Search(q, 7)
-				got := ss.Search(q, 7)
-				if len(want) != len(got) {
-					t.Errorf("goroutine %d: %d hits, want %d", g, len(got), len(want))
-					return
-				}
-				for j := range want {
-					if want[j].ID != got[j].ID || want[j].Score != got[j].Score {
-						t.Errorf("goroutine %d: hit %d mismatch", g, j)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestShardedDocSetCache: the sharded cache must return the same sets as
-// the uncached source, expose per-shard counters that sum to the
-// aggregate, and canonicalize keys like the flat cache.
-func TestShardedDocSetCache(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 11, 30)
-	s := NewSearcher(ix)
-	ss := NewShardedFromSearcher(s, 4)
-	c := NewShardedDocSetCache(ss, 4, 0)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		toks := randQuery(r)
-		want := s.DocSet(toks, FieldHeader, FieldContext)
-		got := c.DocSet(toks, FieldHeader, FieldContext)
-		if len(want) != 0 || len(got) != 0 {
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("sharded cached DocSet(%v) = %v, want %v", toks, got, want)
-			}
-		}
-	}
-	toks := []string{propWords[0], propWords[1]}
-	first := c.DocSet(toks, FieldContent)
-	// Token order and duplicates must not change the key.
-	second := c.DocSet([]string{propWords[1], propWords[0], propWords[0]}, FieldContent)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("canonicalized repeat lookup differs")
-	}
-	hits, misses := c.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("stats = %d hits / %d misses, want both nonzero", hits, misses)
-	}
-	per := c.ShardStats()
-	if len(per) != 4 {
-		t.Fatalf("ShardStats has %d shards, want 4", len(per))
-	}
-	var sh, sm uint64
-	for _, st := range per {
-		sh += st.Hits
-		sm += st.Misses
-	}
-	if sh != hits || sm != misses {
-		t.Fatalf("per-shard counters sum to %d/%d, aggregate says %d/%d", sh, sm, hits, misses)
-	}
-	if c.Len() == 0 {
-		t.Fatalf("cache is empty after %d probes", misses)
-	}
-}
-
-// TestDocSetCacheWarmHitAllocs pins the docSetKey rewrite: a warm cache
-// hit's only allocation is the key string itself.
-func TestDocSetCacheWarmHitAllocs(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 5, 20)
-	s := NewSearcher(ix)
-	c := NewDocSetCache(s, 0)
-	toks := []string{propWords[3], propWords[1], propWords[1], propWords[0]}
-	c.DocSet(toks, FieldHeader, FieldContext) // warm
-	allocs := testing.AllocsPerRun(200, func() {
-		c.DocSet(toks, FieldHeader, FieldContext)
-	})
-	if allocs > 1 {
-		t.Fatalf("warm hit does %.1f allocs/op, want <= 1 (the key string)", allocs)
-	}
-}
 
 // writeShardedDir builds a small corpus and writes an n-shard flat index,
 // returning the directory and the frozen searcher it came from.
@@ -298,7 +16,7 @@ func writeShardedDir(t *testing.T, n int) (string, *Searcher) {
 	ix, _ := buildRandCorpus(t, 99, 12)
 	s := NewSearcher(ix)
 	dir := t.TempDir()
-	if err := WriteSharded(dir, s, n); err != nil {
+	if err := WriteSharded(dir, s, n, WriteShardedOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return dir, s
@@ -388,7 +106,7 @@ func TestOpenShardedErrors(t *testing.T) {
 		// directory must be rejected by the header cross-check.
 		dir, s := writeShardedDir(t, 2)
 		other := t.TempDir()
-		if err := WriteSharded(other, s, 3); err != nil {
+		if err := WriteSharded(other, s, 3, WriteShardedOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.Rename(filepath.Join(other, shardFileName(1)), filepath.Join(dir, shardFileName(1))); err != nil {
@@ -417,7 +135,7 @@ func TestOpenShardedErrors(t *testing.T) {
 		ix, _ := buildRandCorpus(t, 99, 12)
 		s := NewSearcher(ix)
 		dir := t.TempDir()
-		if err := WriteShardedWith(dir, s, 1, WriteShardedOptions{FormatVersion: 1}); err != nil {
+		if err := WriteSharded(dir, s, 1, WriteShardedOptions{FormatVersion: 1}); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, shardFileName(0))
@@ -443,9 +161,9 @@ func TestWriteShardedWithErrors(t *testing.T) {
 	expectWriteError := func(t *testing.T, opts WriteShardedOptions, want string) {
 		t.Helper()
 		dir := t.TempDir()
-		err := WriteShardedWith(dir, s, 1, opts)
+		err := WriteSharded(dir, s, 1, opts)
 		if err == nil {
-			t.Fatalf("WriteShardedWith succeeded, want error mentioning %q", want)
+			t.Fatalf("WriteSharded succeeded, want error mentioning %q", want)
 		}
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
@@ -558,40 +276,4 @@ func TestGobHeaderErrors(t *testing.T) {
 		_, err := Load(short)
 		expect(t, err, "too short")
 	})
-}
-
-// TestTermStatsEquivalence: the planner's cost features (df, total posting
-// entries) must read identically from the mutable Index, the frozen
-// Searcher, and every sharded construction path at every shard count.
-func TestTermStatsEquivalence(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 2012, 40)
-	s := NewSearcher(ix)
-	for _, n := range []int{1, 2, 3, 8} {
-		for name, ss := range shardedVariants(t, s, n) {
-			for _, tok := range s.sh.names {
-				wdf, wpost, wok := ix.TermStats(tok)
-				sdf, spost, sok := s.TermStats(tok)
-				gdf, gpost, gok := ss.TermStats(tok)
-				if !wok || !sok || !gok {
-					t.Fatalf("%s shards=%d: token %q ok = (%v,%v,%v), want all true", name, n, tok, wok, sok, gok)
-				}
-				if wdf != sdf || wdf != gdf || wpost != spost || wpost != gpost {
-					t.Fatalf("%s shards=%d: token %q stats (%d,%d)/(%d,%d)/(%d,%d) disagree",
-						name, n, tok, wdf, wpost, sdf, spost, gdf, gpost)
-				}
-				if wpost < int(wdf) {
-					t.Fatalf("token %q: %d posting entries < df %d", tok, wpost, wdf)
-				}
-			}
-			if _, _, ok := ss.TermStats("zzz-no-such-token"); ok {
-				t.Fatalf("%s shards=%d: unknown token reported ok", name, n)
-			}
-		}
-	}
-	if _, _, ok := ix.TermStats("zzz-no-such-token"); ok {
-		t.Fatal("Index: unknown token reported ok")
-	}
-	if _, _, ok := s.TermStats("zzz-no-such-token"); ok {
-		t.Fatal("Searcher: unknown token reported ok")
-	}
 }

@@ -19,8 +19,8 @@
 //
 // The features come from statistics the index already holds: posting-list
 // lengths and document frequencies are direct reads from the CSR term
-// blobs (Searcher/ShardedSearcher TermStats), and the candidate-table
-// count is bounded by min(ProbeK, Σ df). Linear-in-tables is deliberately
+// blobs (index.Searcher.TermStats), and the candidate-table count is
+// bounded by min(ProbeK, Σ df). Linear-in-tables is deliberately
 // crude for the quadratic edge build, but scheduling and degradation only
 // need costs to be *ordered* correctly, and the decaying average tracks
 // the workload's realized mix.

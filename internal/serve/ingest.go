@@ -151,12 +151,13 @@ func rowOf(cells []string, header bool) wtable.Row {
 
 // renderLiveMetrics writes the live-index gauges appended to /metrics
 // when the backend supports ingest: serving generation, segment and doc
-// counts, and cumulative ingest activity.
+// counts, failed background merges, and cumulative ingest activity.
 func (s *Server) renderLiveMetrics() string {
 	info := s.live.Info()
 	var b strings.Builder
 	fmt.Fprintf(&b, "wwt_index_generation %d\n", info.Generation)
 	fmt.Fprintf(&b, "wwt_index_segments %d\n", info.Segments)
+	fmt.Fprintf(&b, "wwt_merge_errors_total %d\n", info.MergeErrors)
 	fmt.Fprintf(&b, "wwt_index_docs %d\n", info.Docs)
 	fmt.Fprintf(&b, "wwt_ingest_requests_total %d\n", s.ingestReqs.Load())
 	fmt.Fprintf(&b, "wwt_ingest_tables_total %d\n", s.ingestTables.Load())

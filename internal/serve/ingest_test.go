@@ -18,7 +18,7 @@ func liveEngine(t *testing.T) *wwt.LiveEngine {
 	t.Helper()
 	eng := testEngine(t)
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, eng.Searcher(), 2); err != nil {
+	if err := index.WriteSharded(dir, eng.Searcher(), 2, index.WriteShardedOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Store.Save(filepath.Join(dir, index.StoreFileName)); err != nil {
@@ -115,6 +115,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"wwt_index_generation 1",
 		"wwt_index_segments 2",
+		"wwt_merge_errors_total 0",
 		"wwt_ingest_requests_total 1",
 		"wwt_ingest_errors_total 1",
 	} {

@@ -131,7 +131,7 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 	put("wwt_plan_queue_drain_seconds", fmt.Sprintf("%.3f", drain.Seconds()))
 	// Probe-pruning counters: blocks the block-max skip pruned vs
 	// considered, and shard scatters the floor-seeding pre-pass pruned —
-	// aggregate plus a per-shard breakdown for sharded engines.
+	// aggregate plus a per-shard breakdown.
 	put("wwt_probe_blocks_skipped_total", ps.ProbeBlocksSkipped)
 	put("wwt_probe_blocks_total", ps.ProbeBlocksTotal)
 	put("wwt_probe_shards_pruned_total", ps.ProbeShardsPruned)
@@ -158,13 +158,6 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 		fmt.Fprintf(&b, "wwt_cache_hits_total{cache=%q} %d\n", name, st.Hits)
 		fmt.Fprintf(&b, "wwt_cache_misses_total{cache=%q} %d\n", name, st.Misses)
 		fmt.Fprintf(&b, "wwt_cache_hit_rate{cache=%q} %.4f\n", name, st.HitRate())
-	}
-	// Sharded engines additionally break the doc-set cache down per shard,
-	// so a cold or thrashing shard is visible in isolation.
-	for i, st := range cache.DocSetShards {
-		fmt.Fprintf(&b, "wwt_cache_hits_total{cache=\"doc_sets\",shard=\"%d\"} %d\n", i, st.Hits)
-		fmt.Fprintf(&b, "wwt_cache_misses_total{cache=\"doc_sets\",shard=\"%d\"} %d\n", i, st.Misses)
-		fmt.Fprintf(&b, "wwt_cache_hit_rate{cache=\"doc_sets\",shard=\"%d\"} %.4f\n", i, st.HitRate())
 	}
 	return b.String()
 }

@@ -24,7 +24,7 @@ func MeasureReliabilities(r *eval.Runner, base core.Params) Reliabilities {
 	var correct, total [5]int
 	for _, q := range r.Queries {
 		tables, gt := r.CandidatesFor(q)
-		b := &core.Builder{Params: base, Stats: r.Engine.Index, PMI: r.Engine.PMISource()}
+		b := &core.Builder{Params: base, Stats: r.Engine.Searcher(), PMI: r.Engine.PMISource()}
 		m := b.Build(q.Columns, tables)
 		for ti, v := range m.Views {
 			truth := gt.Labels[tables[ti].ID]

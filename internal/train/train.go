@@ -51,7 +51,7 @@ func prepare(r *eval.Runner, base core.Params) []queryCase {
 	in := core.NewInterner()
 	for _, q := range r.Queries {
 		tables, gt := r.CandidatesFor(q)
-		b := &core.Builder{Params: base, Stats: r.Engine.Index, PMI: r.Engine.PMISource(), Interner: in}
+		b := &core.Builder{Params: base, Stats: r.Engine.Searcher(), PMI: r.Engine.PMISource(), Interner: in}
 		cases = append(cases, queryCase{
 			query: q, tables: tables, gt: gt,
 			model: b.Build(q.Columns, tables),
@@ -125,7 +125,7 @@ func BaselineThresholds(r *eval.Runner, grid ThresholdGrid) (baseline.Config, fl
 	var cases []tcase
 	for _, q := range r.Queries {
 		tables, gt := r.CandidatesFor(q)
-		cases = append(cases, tcase{tables, gt, baseline.Prepare(q.Columns, tables, r.Engine.Index)})
+		cases = append(cases, tcase{tables, gt, baseline.Prepare(q.Columns, tables, r.Engine.Searcher())})
 	}
 	best := baseline.DefaultConfig()
 	bestErr := 1e18

@@ -20,7 +20,7 @@ import (
 // LiveEngine serves queries over a segmented index directory that grows
 // at runtime: IngestTables freezes each batch into a new immutable
 // segment, commits the manifest atomically, and hot-swaps a fresh
-// generation (Engine over the new multi-segment snapshot) behind an
+// generation (Engine over the new manifest snapshot) behind an
 // atomic pointer. Queries pin the generation they start on with a
 // refcount, so a swap never invalidates an in-flight query — the retired
 // generation's mappings close only when its last query releases it. A
@@ -58,6 +58,7 @@ type LiveEngine struct {
 	ingestedTables atomic.Uint64
 	ingestErrors   atomic.Uint64
 	mergesDone     atomic.Uint64
+	mergeErrors    atomic.Uint64 // background merges that failed (and were dropped)
 	retired        atomic.Uint64 // generations replaced by a swap
 	reclaimed      atomic.Uint64 // retired generations whose last ref released
 }
@@ -92,6 +93,11 @@ type LiveInfo struct {
 	Shards     int
 	Docs       int
 	Mmapped    bool // every segment serves from file mappings
+	// MergeErrors counts background merges that failed since open. A failed
+	// merge publishes nothing — queries and ingests keep being served from
+	// the generation it would have replaced — so this counter is the only
+	// place "merge broken" differs from "nothing to merge".
+	MergeErrors uint64
 }
 
 // OpenLive opens dir — a flat index directory, with or without a
@@ -103,13 +109,13 @@ func OpenLive(dir string, opts *Options) (*LiveEngine, error) {
 	if opts != nil {
 		o = *opts
 	}
-	ms, m, err := index.OpenMultiSnapshot(dir)
+	s, m, err := index.OpenSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
 	st, err := unionStore(dir, m)
 	if err != nil {
-		ms.Close()
+		s.Close()
 		return nil, err
 	}
 	le := &LiveEngine{
@@ -120,12 +126,7 @@ func OpenLive(dir string, opts *Options) (*LiveEngine, error) {
 		norm:     text.NewNormCache(0),
 		planner:  plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
 	}
-	eng := NewEngineFromMulti(ms, st, &o)
-	eng.norm = le.norm
-	eng.planner = le.planner
-	g := &liveGen{eng: eng, gen: m.Generation, reclaimed: &le.reclaimed}
-	g.refs.Store(1)
-	le.cur.Store(g)
+	le.cur.Store(le.newGen(s, st, m.Generation))
 	return le, nil
 }
 
@@ -170,6 +171,18 @@ func nextSegmentSeq(dir string, m index.Manifest) uint64 {
 		}
 	}
 	return next
+}
+
+// newGen wraps an opened snapshot as a publishable generation holding the
+// published pointer's one reference. The normalization cache and the cost
+// estimator are the live engine's, shared across generations.
+func (le *LiveEngine) newGen(s *index.Searcher, st *index.Store, gen uint64) *liveGen {
+	eng := NewEngineFrom(s, st, &le.opts)
+	eng.norm = le.norm
+	eng.planner = le.planner
+	g := &liveGen{eng: eng, gen: gen, reclaimed: &le.reclaimed}
+	g.refs.Store(1)
+	return g
 }
 
 // acquire pins the current generation for one query. The validate-retry
@@ -227,8 +240,9 @@ func (le *LiveEngine) Planner() *plan.Estimator { return le.planner }
 // Info snapshots the serving generation.
 func (le *LiveEngine) Info() LiveInfo {
 	g := le.cur.Load()
-	ms := g.eng.multi
-	return LiveInfo{Generation: g.gen, Segments: ms.Segments(), Shards: ms.Shards(), Docs: ms.Len(), Mmapped: ms.Mmapped()}
+	s := g.eng.searcher
+	return LiveInfo{Generation: g.gen, Segments: s.Segments(), Shards: s.Shards(), Docs: s.Len(),
+		Mmapped: s.Mmapped(), MergeErrors: le.mergeErrors.Load()}
 }
 
 // GenerationCounts reports swap accounting: generations retired by a
@@ -307,7 +321,7 @@ func (le *LiveEngine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 // doc numbers are stable — merges remap doc numbers and start cold.
 func (le *LiveEngine) publishLocked(added []*wtable.Table, migrate bool) error {
 	old := le.cur.Load()
-	ms, m, err := index.OpenMultiSnapshot(le.dir)
+	s, m, err := index.OpenSnapshot(le.dir)
 	if err != nil {
 		return err
 	}
@@ -316,37 +330,29 @@ func (le *LiveEngine) publishLocked(added []*wtable.Table, migrate bool) error {
 		st = index.NewStore()
 		for _, t := range old.eng.Store.All() {
 			if err := st.Add(t); err != nil {
-				ms.Close()
+				s.Close()
 				return err
 			}
 		}
 		for _, t := range added {
 			if err := st.Add(t); err != nil {
-				ms.Close()
+				s.Close()
 				return err
 			}
 		}
 	}
-	eng := NewEngineFromMulti(ms, st, &le.opts)
-	eng.norm = le.norm
-	eng.planner = le.planner
+	g := le.newGen(s, st, m.Generation)
 	if migrate {
-		newC, okNew := eng.docsets.(*index.ShardedDocSetCache)
-		oldC, okOld := old.eng.docsets.(*index.ShardedDocSetCache)
-		if okNew && okOld {
-			last := ms.Segments() - 1
-			newC.AdoptFrom(oldC, func(tokens []string) bool {
-				for _, tok := range tokens {
-					if ms.SegmentHasTerm(last, tok) {
-						return true
-					}
+		last := s.Segments() - 1
+		g.eng.docsets.AdoptFrom(old.eng.docsets, func(tokens []string) bool {
+			for _, tok := range tokens {
+				if s.SegmentHasTerm(last, tok) {
+					return true
 				}
-				return false
-			})
-		}
+			}
+			return false
+		})
 	}
-	g := &liveGen{eng: eng, gen: m.Generation, reclaimed: &le.reclaimed}
-	g.refs.Store(1)
 	le.cur.Store(g)
 	le.retired.Add(1)
 	old.release()
@@ -357,11 +363,9 @@ func (le *LiveEngine) publishLocked(added []*wtable.Table, migrate bool) error {
 // finds a full tier. The merge re-checks under the lock, so spurious
 // kicks are cheap.
 func (le *LiveEngine) maybeMergeLocked() {
-	names, docs := le.mergeableLocked()
-	if index.PlanMerge(docs, le.policy) == nil {
+	if _, docs := le.mergeableLocked(); index.PlanMerge(docs, le.policy) == nil {
 		return
 	}
-	_ = names
 	le.merges.Add(1)
 	go func() {
 		defer le.merges.Done()
@@ -373,7 +377,7 @@ func (le *LiveEngine) maybeMergeLocked() {
 // mergeableLocked lists the merge-eligible segments (every manifest
 // entry except the base index) with their doc counts.
 func (le *LiveEngine) mergeableLocked() ([]string, []int) {
-	lens := le.cur.Load().eng.multi.SegmentLens()
+	lens := le.cur.Load().eng.searcher.SegmentLens()
 	var names []string
 	var docs []int
 	for i, entry := range le.manifest.Segments {
@@ -386,22 +390,33 @@ func (le *LiveEngine) mergeableLocked() ([]string, []int) {
 	return names, docs
 }
 
-// mergeOnce compacts one full tier into a new segment and publishes the
-// swap; reports whether it merged (the caller loops until the policy is
-// satisfied). Inputs are immutable — the merged segment is written
-// beside them, the manifest commit replaces them at the first input's
-// position, and the input directories are unlinked only after the swap
-// (generations still mapping them keep the inodes alive).
+// mergeOnce runs one merge step under the lock and reports whether it
+// merged (the caller loops until the policy is satisfied). A failed merge
+// is counted and dropped: the inputs stay listed, nothing is published,
+// and the next ingest re-kicks the merger.
 func (le *LiveEngine) mergeOnce() bool {
 	le.mu.Lock()
 	defer le.mu.Unlock()
+	merged, err := le.mergeLocked()
+	if err != nil {
+		le.mergeErrors.Add(1)
+	}
+	return merged
+}
+
+// mergeLocked compacts one full tier into a new segment and publishes the
+// swap. Inputs are immutable — the merged segment is written beside them,
+// the manifest commit replaces them at the first input's position, and the
+// input directories are unlinked only after the swap (generations still
+// mapping them keep the inodes alive).
+func (le *LiveEngine) mergeLocked() (bool, error) {
 	if le.closed {
-		return false
+		return false, nil
 	}
 	names, docs := le.mergeableLocked()
 	picks := index.PlanMerge(docs, le.policy)
 	if picks == nil {
-		return false
+		return false, nil
 	}
 	picked := make(map[string]bool, len(picks))
 	srcDirs := make([]string, 0, len(picks))
@@ -411,7 +426,7 @@ func (le *LiveEngine) mergeOnce() bool {
 	}
 	entry := index.SegmentDirName(le.nextSeq)
 	if _, err := index.MergeSegments(filepath.Join(le.dir, entry), srcDirs, le.writeOpts); err != nil {
-		return false
+		return false, err
 	}
 	le.nextSeq++
 	m := le.manifest
@@ -429,17 +444,17 @@ func (le *LiveEngine) mergeOnce() bool {
 	}
 	m.Generation++
 	if err := index.WriteManifest(le.dir, m); err != nil {
-		return false
+		return false, err
 	}
 	le.manifest = m
 	if err := le.publishLocked(nil, false); err != nil {
-		return false
+		return false, err
 	}
 	le.mergesDone.Add(1)
 	for n := range picked {
 		os.RemoveAll(filepath.Join(le.dir, n))
 	}
-	return true
+	return true, nil
 }
 
 // WaitMerges blocks until no background merge is running.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ func liveDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, eng.Searcher(), 2); err != nil {
+	if err := index.WriteSharded(dir, eng.Searcher(), 2, index.WriteShardedOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Store.Save(filepath.Join(dir, index.StoreFileName)); err != nil {
@@ -175,6 +176,76 @@ func TestLiveEngineMerge(t *testing.T) {
 		if !hasRow(res, fmt.Sprintf("Atlantis%d", i)) {
 			t.Fatalf("row Atlantis%d lost after merge", i)
 		}
+	}
+}
+
+// TestLiveEngineMergeErrorCounted: a background merge that cannot write
+// its destination must be counted — not silently dropped — and must leave
+// the daemon serving: queries and further ingests continue on the unmerged
+// generation, and the merger recovers once the destination is writable.
+func TestLiveEngineMergeErrorCounted(t *testing.T) {
+	dir := liveDir(t)
+	le, err := wwt.OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer le.Close()
+
+	// Four one-doc ingests (segments 0–3) fill tier 0; the merge kicked by
+	// the fourth writes segment 4. A regular file squatting on that path
+	// makes the destination unwritable (robust even when the tests run as
+	// root, where permission bits would not stop the write).
+	blocker := filepath.Join(dir, index.SegmentDirName(4))
+	if err := os.MkdirAll(filepath.Dir(blocker), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blocker, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := le.IngestTables([]*wtable.Table{currencyTable(i)}); err != nil {
+			t.Fatal(err)
+		}
+		le.WaitMerges()
+	}
+	info := le.Info()
+	if info.MergeErrors != 1 {
+		t.Fatalf("MergeErrors = %d after a blocked merge, want 1", info.MergeErrors)
+	}
+	if _, _, ingestErrs, merges := le.IngestCounts(); merges != 0 || ingestErrs != 0 {
+		t.Fatalf("blocked merge recorded %d merges / %d ingest errors, want 0/0", merges, ingestErrs)
+	}
+	if info.Segments != 5 || info.Docs != 3+4 {
+		t.Fatalf("failed merge changed the serving generation: %+v", info)
+	}
+	q := wwt.Query{Columns: []string{"country", "currency"}}
+	res, err := le.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if !hasRow(res, fmt.Sprintf("Atlantis%d", i)) {
+			t.Fatalf("row Atlantis%d not served from the unmerged generation", i)
+		}
+	}
+
+	// Destination writable again: the next ingest is served at once and
+	// re-kicks the merger, which now succeeds; the failure stays counted.
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := le.IngestTables([]*wtable.Table{currencyTable(4)}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = le.Answer(q); err != nil || !hasRow(res, "Atlantis4") {
+		t.Fatalf("ingest after a failed merge not served (err=%v)", err)
+	}
+	le.WaitMerges()
+	if _, _, _, merges := le.IngestCounts(); merges == 0 {
+		t.Fatal("merger did not recover once the destination was writable")
+	}
+	if got := le.Info(); got.MergeErrors != 1 || got.Docs != 3+5 {
+		t.Fatalf("post-recovery info = %+v, want MergeErrors 1 and %d docs", got, 3+5)
 	}
 }
 

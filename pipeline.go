@@ -160,22 +160,20 @@ func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 	if len(tokens) == 0 {
 		return false, fmt.Errorf("wwt: query has no content words")
 	}
-	if e.planner != nil {
-		// Cost feature: total posting entries under the (unique) query
-		// terms. The read2 dedup map doubles as the token dedup here — it
-		// is cleared again before stageRead2 uses it.
-		if s.seen == nil {
-			s.seen = make(map[string]bool, 2*len(tokens))
+	// Cost feature: total posting entries under the (unique) query terms.
+	// The read2 dedup map doubles as the token dedup here — it is cleared
+	// again before stageRead2 uses it.
+	if s.seen == nil {
+		s.seen = make(map[string]bool, 2*len(tokens))
+	}
+	clear(s.seen)
+	for _, tok := range tokens {
+		if s.seen[tok] {
+			continue
 		}
-		clear(s.seen)
-		for _, tok := range tokens {
-			if s.seen[tok] {
-				continue
-			}
-			s.seen[tok] = true
-			if _, postings, ok := e.termStats(tok); ok {
-				st.postings += postings
-			}
+		s.seen[tok] = true
+		if _, postings, ok := e.searcher.TermStats(tok); ok {
+			st.postings += postings
 		}
 	}
 	var pst index.ProbeStats
@@ -310,15 +308,8 @@ func stage1Confidence(m *core.Model, l core.Labeling, minRel float64) float64 {
 // normalizeCell analyzes one sampled body cell through the engine's
 // normalization cache: cell values repeat heavily across queries, so the
 // tokenize/stem chain runs once per distinct string. The returned tokens
-// are the cache's backing slice — read-only; callers append copies. Falls
-// back to plain Normalize on zero-value engines built without
-// NewEngine/NewEngineFrom.
-func (e *Engine) normalizeCell(s string) []string {
-	if e.norm != nil {
-		return e.norm.Normalize(s)
-	}
-	return text.Normalize(s)
-}
+// are the cache's backing slice — read-only; callers append copies.
+func (e *Engine) normalizeCell(s string) []string { return e.norm.Normalize(s) }
 
 // stageRead2 merges the second-probe tables into the candidate list,
 // keeping first-probe order first and dropping duplicates.
@@ -383,7 +374,7 @@ func (e *Engine) stageInfer(st *queryState, s *QueryScratch) (bool, error) {
 // of the remaining tail stages (scaled by the headroom factor) exceeds
 // the remaining budget. A cold estimator predicts 0 and never degrades.
 func (e *Engine) overDeadline(st *queryState, includeBuild bool) bool {
-	if !st.popts.DeadlineDegrade || st.deadline.IsZero() || e.planner == nil {
+	if !st.popts.DeadlineDegrade || st.deadline.IsZero() {
 		return false
 	}
 	tail := e.planner.EstimateTail(len(st.tables), int(e.Opts.Algorithm), includeBuild)
@@ -475,9 +466,6 @@ func (e *Engine) answerPlan(ctx context.Context, q Query, s *QueryScratch, popts
 // observePlan folds one answered query's realized per-stage cost into the
 // planner's estimator.
 func (e *Engine) observePlan(st *queryState, tm *Timings) {
-	if e.planner == nil {
-		return
-	}
 	e.planner.Observe(plan.Sample{
 		Postings:        st.postings,
 		PostingsScanned: st.scanned,

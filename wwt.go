@@ -292,31 +292,25 @@ func (r *Result) Release() {
 }
 
 // Engine answers column-keyword queries over an indexed table corpus. An
-// engine is immutable after construction and safe for concurrent Answer /
-// Candidates / MapColumns calls: the hot path runs on a frozen flat
-// searcher, the PMI doc-set and table-view caches are concurrency-safe,
-// and every in-flight query draws its own scratch arena from the pool.
+// engine is only ever obtained from NewEngine or NewEngineFrom, which set
+// every field; it is immutable after construction and safe for concurrent
+// Answer / Candidates / MapColumns calls: the hot path runs on the one
+// immutable index.Searcher, the PMI doc-set and table-view caches are
+// concurrency-safe, and every in-flight query draws its own scratch arena
+// from the pool.
 type Engine struct {
-	// Index is the mutable build-time index. It is nil for engines opened
-	// from a flat on-disk index (NewEngineFromSharded), whose statistics
-	// come from the sharded searcher instead.
-	Index *index.Index
 	Store *index.Store
 	Opts  Options
 
 	searcher *index.Searcher
-	sharded  *index.ShardedSearcher
-	multi    *index.MultiSearcher
-	stats    core.CorpusStats
-	docsets  docSetCache
+	docsets  *index.DocSetCache
 	views    *core.ViewCache
 	pairs    *core.PairSimCache
 	norm     *text.NormCache
 	scratch  sync.Pool // *QueryScratch
 
 	// Adaptive-planner state: the online-calibrated cost estimator (see
-	// internal/plan) plus cumulative lever counters. planner is nil only
-	// on zero-value engines, where every planner path is skipped.
+	// internal/plan) plus cumulative lever counters.
 	planner      *plan.Estimator
 	planElided   atomic.Uint64
 	planDegraded atomic.Uint64
@@ -329,26 +323,10 @@ type Engine struct {
 	probeShardsPruned  atomic.Uint64
 }
 
-// docSetSource is the doc-set probe surface shared by Index, Searcher and
-// ShardedSearcher.
-type docSetSource interface {
-	DocSet(tokens []string, fields ...index.Field) []int32
-}
-
-// docSetCache is a doc-set source with hit/miss counters — the engine's
-// PMI cache, single-shard or sharded.
-type docSetCache interface {
-	docSetSource
-	Stats() (hits, misses uint64)
-}
-
-// NewEngine indexes the given tables and returns a ready engine. opts may
-// be nil for DefaultOptions.
+// NewEngine indexes the given tables in memory and returns a ready engine
+// — the build-and-freeze convenience over NewEngineFrom. opts may be nil
+// for DefaultOptions.
 func NewEngine(tables []*wtable.Table, opts *Options) (*Engine, error) {
-	o := DefaultOptions()
-	if opts != nil {
-		o = *opts
-	}
 	ix, err := index.Build(tables)
 	if err != nil {
 		return nil, fmt.Errorf("wwt: %w", err)
@@ -359,24 +337,26 @@ func NewEngine(tables []*wtable.Table, opts *Options) (*Engine, error) {
 			return nil, fmt.Errorf("wwt: %w", err)
 		}
 	}
-	return NewEngineFrom(ix, st, &o), nil
+	return NewEngineFrom(index.NewSearcher(ix), st, opts), nil
 }
 
-// NewEngineFrom wraps an existing index and store (e.g. loaded from disk),
-// freezing the index into its flat search form. The index must not be
-// mutated afterwards.
-func NewEngineFrom(ix *index.Index, st *index.Store, opts *Options) *Engine {
+// NewEngineFrom wraps a searcher — frozen in memory (index.NewSearcher),
+// opened from a flat index directory (index.OpenSharded) or from a live
+// index's manifest snapshot (index.OpenSnapshot) — and the table store
+// holding its documents. Corpus statistics, probes and PMI doc sets all
+// come from the searcher; when it was opened from disk its arrays alias
+// the file mappings, so the index directory must outlive the engine and
+// the searcher must not be Closed while the engine is in use. opts may be
+// nil for DefaultOptions.
+func NewEngineFrom(s *index.Searcher, st *index.Store, opts *Options) *Engine {
 	o := DefaultOptions()
 	if opts != nil {
 		o = *opts
 	}
-	s := index.NewSearcher(ix)
 	return &Engine{
-		Index:    ix,
 		Store:    st,
 		Opts:     o,
 		searcher: s,
-		stats:    ix,
 		docsets:  index.NewDocSetCache(s, 0),
 		views:    core.NewViewCache(),
 		pairs:    core.NewPairSimCache(0),
@@ -385,99 +365,19 @@ func NewEngineFrom(ix *index.Index, st *index.Store, opts *Options) *Engine {
 	}
 }
 
-// NewEngineFromSharded wraps an opened flat sharded index (OpenSharded)
-// and a table store. The engine has no mutable Index (Engine.Index is
-// nil): corpus statistics, probes and PMI doc sets all come from the
-// sharded searcher, whose arrays alias the file mappings — the index
-// directory must outlive the engine, and the searcher must not be Closed
-// while the engine is in use. The PMI doc-set cache is partitioned per
-// index shard; per-shard counters surface through CacheStats.
-func NewEngineFromSharded(ss *index.ShardedSearcher, st *index.Store, opts *Options) *Engine {
-	o := DefaultOptions()
-	if opts != nil {
-		o = *opts
-	}
-	return &Engine{
-		Store:   st,
-		Opts:    o,
-		sharded: ss,
-		stats:   ss,
-		docsets: index.NewShardedDocSetCache(ss, ss.Shards(), 0),
-		views:   core.NewViewCache(),
-		pairs:   core.NewPairSimCache(0),
-		norm:    text.NewNormCache(0),
-		planner: plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
-	}
-}
-
-// NewEngineFromMulti wraps an opened multi-segment snapshot
-// (index.OpenMultiSnapshot) and the union table store. Like
-// NewEngineFromSharded, the engine has no mutable Index; statistics,
-// probes and PMI doc sets come from the multi searcher, whose arrays
-// alias the segment mappings — the snapshot must not be Closed while the
-// engine is in use. LiveEngine builds one of these per committed
-// generation and hot-swaps between them.
-func NewEngineFromMulti(ms *index.MultiSearcher, st *index.Store, opts *Options) *Engine {
-	o := DefaultOptions()
-	if opts != nil {
-		o = *opts
-	}
-	return &Engine{
-		Store:   st,
-		Opts:    o,
-		multi:   ms,
-		stats:   ms,
-		docsets: index.NewShardedDocSetCache(ms, ms.Shards(), 0),
-		views:   core.NewViewCache(),
-		pairs:   core.NewPairSimCache(0),
-		norm:    text.NewNormCache(0),
-		planner: plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
-	}
-}
-
-// Searcher returns the engine's frozen flat searcher (nil for sharded
-// engines).
+// Searcher returns the engine's searcher: the probe surface, and the
+// corpus statistics (core.CorpusStats) the feature code reads.
 func (e *Engine) Searcher() *index.Searcher { return e.searcher }
 
-// Multi returns the engine's multi-segment searcher (nil unless the
-// engine was built by NewEngineFromMulti).
-func (e *Engine) Multi() *index.MultiSearcher { return e.multi }
+// Close releases the searcher's file mappings, if it was opened from disk.
+// The engine (and any strings or doc sets it returned) must not be used
+// afterwards. Close is a no-op for in-memory engines.
+func (e *Engine) Close() error { return e.searcher.Close() }
 
-// Sharded returns the engine's sharded searcher (nil for single-shard
-// engines).
-func (e *Engine) Sharded() *index.ShardedSearcher { return e.sharded }
-
-// Close releases the engine's file mappings, if it was opened from a flat
-// on-disk index. The engine (and any strings or doc sets it returned) must
-// not be used afterwards. Close is a no-op for in-memory engines.
-func (e *Engine) Close() error {
-	if e.multi != nil {
-		return e.multi.Close()
-	}
-	if e.sharded != nil {
-		return e.sharded.Close()
-	}
-	return nil
-}
-
-// search probes the sharded searcher when present, then the frozen
-// single-shard searcher, falling back to the map-based scorer for
-// zero-value engines constructed without a New* constructor. The probe's
-// skip/prune counters are folded into the engine totals and returned for
-// the planner's scanned-postings feature.
+// search runs one index probe. Its skip/prune counters are folded into the
+// engine totals and returned for the planner's scanned-postings feature.
 func (e *Engine) search(tokens []string, k int) ([]index.Hit, index.ProbeStats) {
-	var hits []index.Hit
-	var st index.ProbeStats
-	switch {
-	case e.multi != nil:
-		hits, st = e.multi.SearchStats(tokens, k)
-	case e.sharded != nil:
-		hits, st = e.sharded.SearchStats(tokens, k)
-	case e.searcher != nil:
-		hits, st = e.searcher.SearchStats(tokens, k)
-	default:
-		return e.Index.Search(tokens, k), st
-	}
+	hits, st := e.searcher.SearchStats(tokens, k)
 	e.probeBlocksTotal.Add(st.BlocksTotal)
 	e.probeBlocksSkipped.Add(st.BlocksSkipped)
 	e.probeShardsPruned.Add(uint64(st.ShardsPruned))
@@ -488,11 +388,7 @@ func (e *Engine) search(tokens []string, k int) ([]index.Hit, index.ProbeStats) 
 // cached PMI doc sets, shared table-view cache and cross-query pair-
 // similarity cache.
 func (e *Engine) builder() *core.Builder {
-	stats := e.stats
-	if stats == nil {
-		stats = e.Index // zero-value engines
-	}
-	return &core.Builder{Params: e.Opts.Params, Stats: stats, PMI: e.PMISource(), Views: e.views, Pairs: e.pairs}
+	return &core.Builder{Params: e.Opts.Params, Stats: e.searcher, PMI: e.PMISource(), Views: e.views, Pairs: e.pairs}
 }
 
 // CacheStats is a point-in-time snapshot of one cache's cumulative
@@ -513,40 +409,22 @@ func (s CacheStats) HitRate() float64 {
 // EngineCacheStats snapshots the four cross-query caches an engine owns:
 // analyzed table views, per-pair column similarities, PMI doc sets, and
 // normalized cell strings. The serving daemon's /metrics endpoint exports
-// these; counters are cumulative since engine construction. For sharded
-// engines, DocSetShards additionally breaks the doc-set counters down per
-// cache shard (DocSets stays the aggregate).
+// these; counters are cumulative since engine construction.
 type EngineCacheStats struct {
 	Views     CacheStats
 	PairSims  CacheStats
 	DocSets   CacheStats
 	NormCells CacheStats
-
-	DocSetShards []CacheStats
 }
 
 // CacheStats snapshots the engine's cross-query cache counters. Safe for
-// concurrent use; zero-value engines built without NewEngine/NewEngineFrom
-// report all zeros.
+// concurrent use.
 func (e *Engine) CacheStats() EngineCacheStats {
 	var st EngineCacheStats
-	if e.views != nil {
-		st.Views.Hits, st.Views.Misses = e.views.Stats()
-	}
-	if e.pairs != nil {
-		st.PairSims.Hits, st.PairSims.Misses = e.pairs.Stats()
-	}
-	if e.docsets != nil {
-		st.DocSets.Hits, st.DocSets.Misses = e.docsets.Stats()
-		if sc, ok := e.docsets.(interface{ ShardStats() []index.CacheCounters }); ok {
-			for _, c := range sc.ShardStats() {
-				st.DocSetShards = append(st.DocSetShards, CacheStats{Hits: c.Hits, Misses: c.Misses})
-			}
-		}
-	}
-	if e.norm != nil {
-		st.NormCells.Hits, st.NormCells.Misses = e.norm.Stats()
-	}
+	st.Views.Hits, st.Views.Misses = e.views.Stats()
+	st.PairSims.Hits, st.PairSims.Misses = e.pairs.Stats()
+	st.DocSets.Hits, st.DocSets.Misses = e.docsets.Stats()
+	st.NormCells.Hits, st.NormCells.Misses = e.norm.Stats()
 	return st
 }
 
@@ -569,66 +447,38 @@ type PlanStats struct {
 	ProbeBlocksSkipped uint64
 	ProbeBlocksTotal   uint64
 	// ProbeShardsPruned counts shard scatters the floor-seeding pre-pass
-	// pruned; ShardPrunes breaks the same counter down per index shard
-	// (nil for single-shard engines).
+	// pruned; ShardPrunes breaks the same counter down per index shard,
+	// in segment order.
 	ProbeShardsPruned uint64
 	ShardPrunes       []uint64
 }
 
 // PlanStats snapshots the planner counters and cost-model quality. Safe
-// for concurrent use; zero-value engines report all zeros.
+// for concurrent use.
 func (e *Engine) PlanStats() PlanStats {
-	st := PlanStats{
+	return PlanStats{
 		Probe2Elided:       e.planElided.Load(),
 		Degraded:           e.planDegraded.Load(),
+		CostError:          e.planner.ErrorRate(),
+		Calibrated:         e.planner.Calibrated(int(e.Opts.Algorithm)),
 		ProbeBlocksSkipped: uint64(e.probeBlocksSkipped.Load()),
 		ProbeBlocksTotal:   uint64(e.probeBlocksTotal.Load()),
 		ProbeShardsPruned:  e.probeShardsPruned.Load(),
+		ShardPrunes:        e.searcher.ShardPruneCounts(),
 	}
-	if e.sharded != nil {
-		st.ShardPrunes = e.sharded.ShardPruneCounts()
-	} else if e.multi != nil {
-		st.ShardPrunes = e.multi.ShardPruneCounts()
-	}
-	if e.planner != nil {
-		st.CostError = e.planner.ErrorRate()
-		st.Calibrated = e.planner.Calibrated(int(e.Opts.Algorithm))
-	}
-	return st
 }
 
-// Planner returns the engine's cost estimator (nil on zero-value
-// engines). Exposed so benchmarks and schedulers outside the package can
-// pre-warm or inspect calibration; normal serving never needs it.
+// Planner returns the engine's cost estimator. Exposed so benchmarks and
+// schedulers outside the package can pre-warm or inspect calibration;
+// normal serving never needs it.
 func (e *Engine) Planner() *plan.Estimator { return e.planner }
-
-// termStats reads one token's planner features (document frequency, total
-// posting entries) from whichever probe surface the engine runs on.
-func (e *Engine) termStats(tok string) (df int32, postings int, ok bool) {
-	if e.multi != nil {
-		return e.multi.TermStats(tok)
-	}
-	if e.sharded != nil {
-		return e.sharded.TermStats(tok)
-	}
-	if e.searcher != nil {
-		return e.searcher.TermStats(tok)
-	}
-	if e.Index != nil {
-		return e.Index.TermStats(tok)
-	}
-	return 0, 0, false
-}
 
 // EstimateCost predicts the wall time of answering q from the calibrated
 // cost model and the index's term statistics — without running anything.
-// A cold (or zero-value) engine returns 0: every query looks equal, and
-// cost-ordered scheduling degenerates to FIFO. The estimate is what SJF
-// batch scheduling sorts by; it is never used to change an answer.
+// A cold engine returns 0: every query looks equal, and cost-ordered
+// scheduling degenerates to FIFO. The estimate is what SJF batch
+// scheduling sorts by; it is never used to change an answer.
 func (e *Engine) EstimateCost(q Query) time.Duration {
-	if e.planner == nil {
-		return 0
-	}
 	seen := make(map[string]bool, 8)
 	f := plan.Features{}
 	dfSum := 0
@@ -638,7 +488,7 @@ func (e *Engine) EstimateCost(q Query) time.Duration {
 				continue
 			}
 			seen[tok] = true
-			df, postings, ok := e.termStats(tok)
+			df, postings, ok := e.searcher.TermStats(tok)
 			if !ok {
 				continue
 			}
@@ -656,20 +506,15 @@ func (e *Engine) EstimateCost(q Query) time.Duration {
 }
 
 // PMISource exposes the engine's index as the co-occurrence source for the
-// PMI² feature. Doc-set probes go through the engine's LRU cache (sharded
-// for sharded engines), so repeated H(Qℓ) and B(cell) intersections within
-// and across queries are served from memory. The returned doc sets are the
-// cache's backing slices: callers must treat them as read-only (mutating
-// one corrupts the cache for every later query).
-func (e *Engine) PMISource() core.PMISource {
-	if e.docsets != nil {
-		return pmiSource{src: e.docsets}
-	}
-	return pmiSource{src: e.Index} // zero-value engines: uncached
-}
+// PMI² feature. Doc-set probes go through the engine's LRU cache, so
+// repeated H(Qℓ) and B(cell) intersections within and across queries are
+// served from memory. The returned doc sets are the cache's backing
+// slices: callers must treat them as read-only (mutating one corrupts the
+// cache for every later query).
+func (e *Engine) PMISource() core.PMISource { return pmiSource{e.docsets} }
 
 type pmiSource struct {
-	src docSetSource
+	src *index.DocSetCache
 }
 
 func (s pmiSource) HeaderContextDocs(tokens []string) []int32 {

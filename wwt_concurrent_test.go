@@ -1,12 +1,15 @@
 package wwt_test
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"wwt"
+	"wwt/internal/index"
 	"wwt/internal/text"
 )
 
@@ -222,13 +225,55 @@ func TestAnswerWarmPoolAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineProbeMatchesMapScorer pins the engine's frozen-searcher probe
-// to the reference map-based scorer at the API level: same hits, same
-// order, same scores.
+// TestEngineProbeMatchesMapScorer pins the engine's probe to a reference
+// map-based scorer at the API level — the §2.1 score spelled out from the
+// definition over the exported field analysis, boosts and corpus IDF:
+// same hits, same order, same scores.
 func TestEngineProbeMatchesMapScorer(t *testing.T) {
-	eng, err := wwt.NewEngine(smallCorpus(t), nil)
+	tables := smallCorpus(t)
+	eng, err := wwt.NewEngine(tables, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	mapSearch := func(tokens []string, k int) []index.Hit {
+		scores := map[string]float64{}
+		seen := map[string]bool{}
+		for _, tok := range tokens {
+			if seen[tok] {
+				continue
+			}
+			seen[tok] = true
+			idf := eng.Searcher().IDF(tok)
+			for _, tb := range tables {
+				for f, toks := range index.FieldTokens(tb) {
+					tf := 0
+					for _, w := range toks {
+						if w == tok {
+							tf++
+						}
+					}
+					if tf > 0 {
+						// float32 is the index's documented storage precision.
+						w := float32(index.Boosts[f] * (1 + math.Log(float64(tf))) / math.Sqrt(float64(len(toks))))
+						scores[tb.ID] += idf * float64(w)
+					}
+				}
+			}
+		}
+		hits := make([]index.Hit, 0, len(scores))
+		for id, s := range scores {
+			hits = append(hits, index.Hit{ID: id, Score: s})
+		}
+		slices.SortFunc(hits, func(a, b index.Hit) int {
+			if a.Score != b.Score {
+				return cmp.Compare(b.Score, a.Score)
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+		if k > 0 && len(hits) > k {
+			hits = hits[:k]
+		}
+		return hits
 	}
 	for _, cols := range [][]string{
 		{"country", "currency"},
@@ -240,7 +285,7 @@ func TestEngineProbeMatchesMapScorer(t *testing.T) {
 			tokens = append(tokens, text.Normalize(c)...)
 		}
 		for _, k := range []int{0, 1, 2, 40} {
-			want := eng.Index.Search(tokens, k)
+			want := mapSearch(tokens, k)
 			got := eng.Searcher().Search(tokens, k)
 			if len(want) != len(got) {
 				t.Fatalf("cols %v k=%d: %d hits, want %d", cols, k, len(got), len(want))

@@ -1,90 +1,90 @@
 package wwt_test
 
 import (
+	"fmt"
 	"testing"
 
 	"wwt"
 	"wwt/internal/index"
 )
 
-// TestEngineShardedFlatRoundTrip: an engine opened from the flat sharded
-// on-disk index must answer identically to the in-memory engine it was
-// written from, and must surface per-shard doc-set cache counters.
+// TestEngineShardedFlatRoundTrip: an engine opened from the flat on-disk
+// index — at every segment count K and shard count N, in both flat format
+// versions — must answer identically to the in-memory engine over the same
+// tables, and must route PMI doc-set probes through its cache.
 func TestEngineShardedFlatRoundTrip(t *testing.T) {
 	tables := smallCorpus(t)
 	eng, err := wwt.NewEngine(tables, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := index.WriteSharded(dir, eng.Searcher(), 2); err != nil {
-		t.Fatal(err)
-	}
-	ss, err := index.OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := wwt.NewEngineFromSharded(ss, eng.Store, nil)
-	defer eng2.Close()
-	if eng2.Sharded() == nil || eng2.Sharded().Shards() != 2 {
-		t.Fatalf("sharded engine not wired to a 2-shard searcher")
-	}
-
 	q := wwt.Query{Columns: []string{"country", "currency"}}
 	a, err := eng.Answer(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Release()
-	b, err := eng2.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Release()
-	if len(a.Answer.Rows) != len(b.Answer.Rows) {
-		t.Fatalf("flat-opened engine differs: %d vs %d rows", len(b.Answer.Rows), len(a.Answer.Rows))
-	}
-	for i := range a.Answer.Rows {
-		for c := range a.Answer.Rows[i].Cells {
-			if a.Answer.Rows[i].Cells[c] != b.Answer.Rows[i].Cells[c] {
-				t.Fatalf("row %d cell %d differs: %q vs %q",
-					i, c, b.Answer.Rows[i].Cells[c], a.Answer.Rows[i].Cells[c])
+
+	for _, k := range []int{1, 2, 3, 8} {
+		k = min(k, len(tables)) // segments are never empty
+		for _, n := range []int{1, 2, 3, 8} {
+			for _, fv := range []int{2, 1} {
+				t.Run(fmt.Sprintf("K=%d,N=%d,v%d", k, n, fv), func(t *testing.T) {
+					var dirs []string
+					for i := 0; i < k; i++ {
+						ix, err := index.Build(tables[i*len(tables)/k : (i+1)*len(tables)/k])
+						if err != nil {
+							t.Fatal(err)
+						}
+						dirs = append(dirs, t.TempDir())
+						if err := index.WriteSharded(dirs[i], index.NewSearcher(ix), n, index.WriteShardedOptions{FormatVersion: fv}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					s, err := index.OpenSharded(dirs...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng2 := wwt.NewEngineFrom(s, eng.Store, nil)
+					defer eng2.Close()
+					if eng2.Searcher().Segments() != k || eng2.Searcher().Shards() != k*n {
+						t.Fatalf("engine not wired to a %d-segment × %d-shard searcher", k, n)
+					}
+
+					b, err := eng2.Answer(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer b.Release()
+					if len(a.Answer.Rows) != len(b.Answer.Rows) {
+						t.Fatalf("flat-opened engine differs: %d vs %d rows", len(b.Answer.Rows), len(a.Answer.Rows))
+					}
+					for i := range a.Answer.Rows {
+						for c := range a.Answer.Rows[i].Cells {
+							if a.Answer.Rows[i].Cells[c] != b.Answer.Rows[i].Cells[c] {
+								t.Fatalf("row %d cell %d differs: %q vs %q",
+									i, c, b.Answer.Rows[i].Cells[c], a.Answer.Rows[i].Cells[c])
+							}
+						}
+						if a.Answer.Rows[i].Support != b.Answer.Rows[i].Support {
+							t.Fatalf("row %d support differs", i)
+						}
+					}
+
+					// Drive the PMI doc-set cache directly (the tiny corpus's
+					// answer path doesn't reach the PMI feature): the first pass
+					// misses, the second hits.
+					pmi := eng2.PMISource()
+					for i := 0; i < 2; i++ {
+						pmi.HeaderContextDocs([]string{"country"})
+						pmi.HeaderContextDocs([]string{"currency"})
+						pmi.ContentDocs([]string{"france", "euro"})
+					}
+					if cs := eng2.CacheStats().DocSets; cs.Misses != 3 || cs.Hits != 3 {
+						t.Fatalf("doc-set cache recorded %d hits / %d misses, want 3/3; PMI probes not routed through it?", cs.Hits, cs.Misses)
+					}
+				})
 			}
 		}
-		if a.Answer.Rows[i].Support != b.Answer.Rows[i].Support {
-			t.Fatalf("row %d support differs", i)
-		}
-	}
-
-	// Drive the PMI doc-set cache directly (the tiny corpus's answer path
-	// doesn't reach the PMI feature), then check the per-shard breakdown is
-	// populated and consistent.
-	pmi := eng2.PMISource()
-	for i := 0; i < 2; i++ { // second pass hits
-		pmi.HeaderContextDocs([]string{"country"})
-		pmi.HeaderContextDocs([]string{"currency"})
-		pmi.ContentDocs([]string{"france", "euro"})
-	}
-	cs := eng2.CacheStats()
-	if len(cs.DocSetShards) != 2 {
-		t.Fatalf("DocSetShards has %d entries, want 2", len(cs.DocSetShards))
-	}
-	var hits, misses uint64
-	for _, sh := range cs.DocSetShards {
-		hits += sh.Hits
-		misses += sh.Misses
-	}
-	if hits != cs.DocSets.Hits || misses != cs.DocSets.Misses {
-		t.Fatalf("per-shard counters %d/%d do not sum to aggregate %d/%d",
-			hits, misses, cs.DocSets.Hits, cs.DocSets.Misses)
-	}
-	if cs.DocSets.Misses == 0 {
-		t.Fatal("doc-set cache recorded no misses; PMI probes not routed through it?")
-	}
-
-	// The in-memory engine keeps the single-shard layout and no per-shard
-	// breakdown.
-	if got := eng.CacheStats().DocSetShards; got != nil {
-		t.Fatalf("single-shard engine reports DocSetShards = %v, want nil", got)
 	}
 }

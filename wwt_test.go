@@ -172,8 +172,12 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	built, err := index.Build(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	if err := eng.Index.Save(filepath.Join(dir, "ix.gob")); err != nil {
+	if err := built.Save(filepath.Join(dir, "ix.gob")); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Store.Save(filepath.Join(dir, "st.gob")); err != nil {
@@ -187,7 +191,7 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := wwt.NewEngineFrom(ix, st, nil)
+	eng2 := wwt.NewEngineFrom(index.NewSearcher(ix), st, nil)
 	a, err := eng.Answer(wwt.Query{Columns: []string{"country", "currency"}})
 	if err != nil {
 		t.Fatal(err)
