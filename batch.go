@@ -231,13 +231,21 @@ type BatchPlan struct {
 // bit-identical to its solo call (pinned by
 // TestAnswerBatchSchedulingEquivalence); BatchResult.Latency records what
 // the reordering did to each member's completion time.
+//
+// The whole batch runs on the generation current at call time, pinned
+// until every member finishes: concurrent ingests swap later calls to
+// newer generations without disturbing this one. Results stay valid after
+// that generation is closed, because answers are backed by the
+// heap-resident table store, not the index mappings.
 func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers int, perQuery time.Duration, bp BatchPlan) *BatchResult {
 	start := time.Now()
+	g := e.acquire()
+	defer e.release(g)
 	popts := e.Opts.Planner
 	if bp.Planner != nil {
 		popts = *bp.Planner
 	}
-	order := e.dispatchOrder(queries, bp.Schedule, perQuery)
+	order := e.dispatchOrder(g, queries, bp.Schedule, perQuery)
 	br := &BatchResult{
 		Results: make([]*Result, len(queries)),
 		Errs:    make([]error, len(queries)),
@@ -255,7 +263,7 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 				qctx, cancel = context.WithTimeout(ctx, perQuery)
 				defer cancel()
 			}
-			return e.answerPlan(qctx, queries[i], s, popts)
+			return e.answerPlan(qctx, g, queries[i], s, popts)
 		}()
 		br.Latency[i] = time.Since(start)
 		if err != nil {
@@ -286,13 +294,13 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 // uniform per-member budget is descending cost — the members closest to
 // blowing the deadline run first). Stability makes ties keep submission
 // order, so a cold estimator (all estimates 0) degenerates to FIFO.
-func (e *Engine) dispatchOrder(queries []Query, sched Schedule, perQuery time.Duration) []int {
+func (e *Engine) dispatchOrder(g *generation, queries []Query, sched Schedule, perQuery time.Duration) []int {
 	if sched == ScheduleFIFO || len(queries) < 2 {
 		return nil
 	}
 	est := make([]time.Duration, len(queries))
 	for i := range queries {
-		est[i] = e.EstimateCost(queries[i])
+		est[i] = e.estimateCost(g, queries[i])
 	}
 	order := make([]int, len(queries))
 	for i := range order {
@@ -318,11 +326,13 @@ func (e *Engine) dispatchOrder(queries []Query, sched Schedule, perQuery time.Du
 // nil.
 func (e *Engine) CandidatesBatch(queries []Query, workers int) (sets []CandidateSet, errs []error, bt BatchTimings) {
 	start := time.Now()
+	g := e.acquire()
+	defer e.release(g)
 	sets = make([]CandidateSet, len(queries))
 	errs = make([]error, len(queries))
 	bt.Queries = len(queries)
 	bt.Workers = e.forEachQuery(len(queries), workers, nil, func(i int, s *QueryScratch) bool {
-		st := &queryState{query: queries[i], popts: e.Opts.Planner}
+		st := &queryState{g: g, query: queries[i], popts: e.Opts.Planner}
 		if err := e.runStages(nil, probePipeline, st, s, &sets[i].Timings); err != nil {
 			errs[i] = err
 			return false

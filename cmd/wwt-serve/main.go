@@ -1,7 +1,7 @@
-// Command wwt-serve is the serving daemon: it loads a persisted index
-// (from wwt-index) and answers column-keyword queries over HTTP on top of
-// the batched engine, with per-query deadlines, admission control and
-// graceful shutdown.
+// Command wwt-serve is the serving daemon: it opens an index directory
+// (from wwt-index) live and answers column-keyword queries over HTTP on
+// top of the batched engine, with per-query deadlines, admission control,
+// live ingest and graceful shutdown.
 //
 //	wwt-serve -idx ./idx -addr :8080
 //	curl -s localhost:8080/v1/answer -d '{"columns": ["country", "currency"]}'
@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"os"
 	"os/signal"
@@ -28,9 +27,7 @@ import (
 	"time"
 
 	"wwt"
-	"wwt/internal/index"
 	"wwt/internal/inference"
-	"wwt/internal/plan"
 	"wwt/internal/serve"
 )
 
@@ -94,7 +91,7 @@ func main() {
 		coeffsPath = filepath.Join(*idxDir, "plan-coeffs.json")
 	}
 
-	eng, form, tables, err := openBackend(*idxDir, &opts)
+	eng, err := wwt.OpenLive(*idxDir, &opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,7 +132,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("wwt-serve: %d tables (%s), listening on %s\n", tables, form, *addr)
+		fmt.Printf("wwt-serve: %s, listening on %s\n", describe(eng.Info()), *addr)
 		errc <- hs.ListenAndServe()
 	}()
 
@@ -168,42 +165,14 @@ func main() {
 	}
 }
 
-// engineHandle is what main needs from either engine form: the serving
-// backend plus planner-sidecar and shutdown hooks.
-type engineHandle interface {
-	serve.Backend
-	Planner() *plan.Estimator
-	Close() error
-}
-
-// openBackend prefers the live segmented engine over the flat index
-// (manifest-aware, memory-mapped, POST /v1/ingest enabled), falling back
-// to the frozen gob snapshot when the directory predates wwt-index's
-// flat output. It returns the engine, a human-readable description of
-// which form loaded, and the serving table count.
-func openBackend(dir string, opts *wwt.Options) (engineHandle, string, int, error) {
-	le, err := wwt.OpenLive(dir, opts)
-	if err == nil {
-		info := le.Info()
-		form := fmt.Sprintf("flat index, %d shard(s)", info.Shards)
-		if info.Mmapped {
-			form = fmt.Sprintf("flat mmap index, %d shard(s)", info.Shards)
-		}
-		form += fmt.Sprintf(", live generation %d, %d segment(s)", info.Generation, info.Segments)
-		return le, form, info.Docs, nil
+// describe renders the startup line's account of what is being served.
+func describe(info wwt.LiveInfo) string {
+	form := "flat index"
+	if info.Mmapped {
+		form = "flat mmap index"
 	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return nil, "", 0, err
-	}
-	st, err := index.LoadStore(filepath.Join(dir, "store.gob"))
-	if err != nil {
-		return nil, "", 0, err
-	}
-	ix, err := index.Load(filepath.Join(dir, "index.gob"))
-	if err != nil {
-		return nil, "", 0, err
-	}
-	return wwt.NewEngineFrom(index.NewSearcher(ix), st, opts), "gob index", st.Len(), nil
+	return fmt.Sprintf("%d tables (%s, %d shard(s), live generation %d, %d segment(s))",
+		info.Docs, form, info.Shards, info.Generation, info.Segments)
 }
 
 func fatal(err error) {

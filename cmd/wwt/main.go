@@ -1,4 +1,6 @@
-// Command wwt answers column-keyword queries against a persisted index:
+// Command wwt answers column-keyword queries against an index directory
+// (from wwt-index), including every segment a running wwt-serve has
+// ingested into it:
 //
 //	wwt -idx ./idx "name of explorers | nationality | areas explored"
 //	wwt -idx ./idx -batch queries.txt -workers 8
@@ -16,11 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"wwt"
-	"wwt/internal/index"
 	"wwt/internal/inference"
 )
 
@@ -53,14 +53,6 @@ func main() {
 		}
 	}
 
-	ix, err := index.Load(filepath.Join(*idxDir, "index.gob"))
-	if err != nil {
-		fatal(err)
-	}
-	st, err := index.LoadStore(filepath.Join(*idxDir, "store.gob"))
-	if err != nil {
-		fatal(err)
-	}
 	opts := wwt.DefaultOptions()
 	switch strings.ToLower(*alg) {
 	case "none":
@@ -81,7 +73,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := wwt.NewEngineFrom(index.NewSearcher(ix), st, &opts)
+	eng, err := wwt.OpenLive(*idxDir, &opts)
+	if err != nil {
+		fatal(err)
+	}
+	defer eng.Close()
 
 	if !single {
 		runBatch(eng, *batchFile, *workers, sched)

@@ -19,16 +19,22 @@
 //
 // # Ownership and concurrency
 //
-// An Engine is only ever obtained from NewEngine (build and freeze in
-// memory) or NewEngineFrom (wrap an index.Searcher, however it was
-// constructed: frozen in memory, opened from a flat index directory, or
-// opened from a live index's manifest snapshot) — one constructor, one
-// searcher field, no per-kind paths. It is immutable after construction
-// and safe for concurrent use: any number of goroutines may call Answer,
-// AnswerBatch, Candidates, CandidatesBatch and MapColumns on one engine.
-// LiveEngine hot-swaps whole engines (generations) under running queries. The cross-query caches
-// (table views, pair similarities, PMI doc sets, normalized cells) are
-// concurrency-safe and hand out shared read-only slices.
+// There is one engine type. An Engine is only ever obtained from
+// NewEngine (build and freeze in memory), NewEngineFrom (wrap an
+// index.Searcher, however it was constructed) or OpenLive (open an index
+// directory, the one way to serve one). It holds engine-lifetime state
+// set once by its constructor — options, the normalization cache, the
+// planner, the arena pool, the probe and lever counters, and for OpenLive
+// the directory, manifest and merge state — plus one immutable,
+// refcounted generation (searcher, store and the caches keyed to them)
+// behind an atomic pointer. Every query entry point pins one generation
+// for its whole call, so any number of goroutines may call Answer,
+// AnswerBatch, Candidates, CandidatesBatch and MapColumns while
+// IngestTables and background merges publish new generations. An engine
+// not opened from a directory is generation 0 forever: its IngestTables
+// refuses. The cross-query caches (table views, pair similarities, PMI
+// doc sets, normalized cells) are concurrency-safe and hand out shared
+// read-only slices.
 //
 // Exactly one query owns a scratch arena at a time. Candidates returns
 // its arena to the pool on exit; Answer hands it to the Result — whose

@@ -5,12 +5,11 @@ import (
 	"go/types"
 )
 
-// ReleaseResult flags Engine.Answer/AnswerCtx (and LiveEngine.Answer)
-// call sites whose *wwt.Result never reaches Release. An unreleased
-// Result is not a leak — the GC reclaims the arena — but it silently
-// defeats the QueryScratch pool: every such call site costs a fresh
-// arena allocation per query, the regression class the PR 3/PR 4 pooling
-// work exists to prevent.
+// ReleaseResult flags Engine.Answer/AnswerCtx call sites whose
+// *wwt.Result never reaches Release. An unreleased Result is not a leak —
+// the GC reclaims the arena — but it silently defeats the QueryScratch
+// pool: every such call site costs a fresh arena allocation per query,
+// the regression class the PR 3/PR 4 pooling work exists to prevent.
 //
 // The analysis is intra-procedural and deliberately forgiving, in the
 // lostcancel style: a call site is flagged only when the Result is
@@ -214,8 +213,8 @@ func (pass *Pass) isAnswerCall(call *ast.CallExpr) bool {
 	return isNamedType(sig.Results().At(0).Type(), "wwt", "Result")
 }
 
-// answerCallName renders the callee for diagnostics (Engine.Answer,
-// LiveEngine.AnswerCtx, ...).
+// answerCallName renders the callee for diagnostics as written at the
+// call site (eng.Answer, r.Engine.AnswerCtx, ...).
 func answerCallName(call *ast.CallExpr) string {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		return types.ExprString(sel.X) + "." + sel.Sel.Name

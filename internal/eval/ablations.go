@@ -59,7 +59,7 @@ func ExperimentAblationProbe2(w io.Writer, r *Runner) {
 	n := 0
 	opts := r.Engine.Opts
 	opts.SecondProbe = false
-	single := wwt.NewEngineFrom(r.Engine.Searcher(), r.Engine.Store, &opts)
+	single := wwt.NewEngineFrom(r.Engine.Searcher(), r.Engine.Store(), &opts)
 	for _, q := range r.Queries {
 		res := r.Run(q) // full two-probe pipeline
 		withErr += res.Errors[MethodWWT]

@@ -88,7 +88,8 @@ func (s *Searcher) add(seg *segment) {
 // read whole where mmap is unavailable) and only headers are validated.
 // The returned searcher's strings and arrays alias the mappings; results
 // must not outlive Close. A directory without a flat index fails with an
-// error wrapping fs.ErrNotExist, so callers can fall back to the gob path.
+// error wrapping fs.ErrNotExist, so callers can tell a missing index from
+// a corrupt one.
 func OpenSharded(dirs ...string) (*Searcher, error) {
 	return openSharded(false, dirs...)
 }
@@ -109,8 +110,8 @@ func openSharded(noMmap bool, dirs ...string) (*Searcher, error) {
 // OpenSnapshot opens dir's committed manifest (or the implicit base-only
 // manifest of a plain frozen index directory) and returns the manifest it
 // opened. A directory holding neither a manifest nor a flat index fails
-// with an error wrapping fs.ErrNotExist, so callers can fall back to the
-// gob path.
+// with an error wrapping fs.ErrNotExist, so callers can tell a missing
+// index from a corrupt one.
 func OpenSnapshot(dir string) (*Searcher, Manifest, error) {
 	return openSnapshot(dir, false)
 }

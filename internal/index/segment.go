@@ -118,7 +118,8 @@ func WriteManifest(dir string, m Manifest) error {
 // SnapshotManifest returns dir's committed manifest, or the implicit
 // base-only manifest (generation 0, segment ".") when none exists and the
 // directory holds a flat index. A directory with neither fails with an
-// error wrapping fs.ErrNotExist so callers can fall back to the gob path.
+// error wrapping fs.ErrNotExist, so callers can tell a missing index from
+// a corrupt one.
 func SnapshotManifest(dir string) (Manifest, error) {
 	m, ok, err := ReadManifest(dir)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
-	// Neither manifest nor flat index: fs.ErrNotExist for the gob fallback.
+	// Neither manifest nor flat index: fs.ErrNotExist (no index at all).
 	if _, err := SnapshotManifest(dir); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("empty dir: err = %v, want fs.ErrNotExist", err)
 	}

@@ -37,7 +37,7 @@ func expectOpenError(t *testing.T, dir, want string) {
 
 // TestOpenShardedErrors: every corruption mode must fail with a precise,
 // actionable message — and a directory without a flat index must wrap
-// fs.ErrNotExist so callers can fall back to the gob path.
+// fs.ErrNotExist so callers can tell a missing index from a corrupt one.
 func TestOpenShardedErrors(t *testing.T) {
 	t.Run("missing", func(t *testing.T) {
 		_, err := OpenSharded(t.TempDir())

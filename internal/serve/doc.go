@@ -10,11 +10,16 @@
 //     object; a batch returns index-aligned per-member results where a
 //     failed member carries its error string in its own slot and the
 //     rest of the batch is unaffected.
+//   - POST /v1/ingest — add tables (an HTML page through the extractor,
+//     or CSV verbatim) to the index as a new segment and generation. The
+//     Backend's IngestTables decides: an engine opened from an index
+//     directory ingests, one built in memory refuses with its own error.
 //   - GET /healthz — liveness: status, uptime, in-flight occupancy.
 //   - GET /metrics — Prometheus-style text: request/query counters, a
 //     live QPS window, cumulative per-stage latency, worker occupancy,
-//     and hit/miss counters for the engine's four cross-query caches
-//     (table views, pair similarities, PMI doc sets, normalized cells).
+//     hit/miss counters for the engine's four cross-query caches (table
+//     views, pair similarities, PMI doc sets, normalized cells), and the
+//     wwt_index_* / wwt_ingest_* gauges from the Backend's Info.
 //
 // # Deadlines
 //
@@ -42,8 +47,8 @@
 // The server borrows each BatchResult only for the duration of one
 // response: every member's pooled arena is released back to the engine
 // before the handler returns, so serving traffic never pins arenas
-// between requests. The Backend must be safe for concurrent
-// AnswerBatchCtx calls (wwt.Engine is). Graceful shutdown is the
-// caller's http.Server.Shutdown: the server holds no background
-// goroutines, so draining in-flight requests drains everything.
+// between requests. The Backend must be safe for concurrent calls
+// (wwt.Engine is). Graceful shutdown is the caller's
+// http.Server.Shutdown: the server holds no background goroutines, so
+// draining in-flight requests drains everything.
 package serve

@@ -7,25 +7,9 @@ import (
 	"net/http"
 	"strings"
 
-	"wwt"
 	"wwt/internal/extract"
 	"wwt/internal/wtable"
 )
-
-// LiveBackend is the optional live-ingest surface of a Backend. When the
-// backend implements it (wwt.LiveEngine does; the frozen wwt.Engine does
-// not), the server additionally exposes POST /v1/ingest and the
-// wwt_index_* gauges on /metrics. Implementations must be safe for
-// concurrent calls; ingests may serialize internally but must never
-// block in-flight queries.
-type LiveBackend interface {
-	Backend
-	// IngestTables freezes the batch into a new index segment and
-	// atomically publishes the new generation.
-	IngestTables(tables []*wtable.Table) (wwt.LiveInfo, error)
-	// Info snapshots the serving generation.
-	Info() wwt.LiveInfo
-}
 
 // ingestRequest is the POST /v1/ingest body. At least one of HTML or CSV
 // must yield a table. HTML goes through the paper's extractor (data-table
@@ -71,7 +55,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorDTO{Error: err.Error()})
 		return
 	}
-	info, err := s.live.IngestTables(tables)
+	info, err := s.backend.IngestTables(tables)
 	if err != nil {
 		s.ingestErrs.Add(1)
 		status := http.StatusBadRequest
@@ -149,11 +133,11 @@ func rowOf(cells []string, header bool) wtable.Row {
 	return r
 }
 
-// renderLiveMetrics writes the live-index gauges appended to /metrics
-// when the backend supports ingest: serving generation, segment and doc
-// counts, failed background merges, and cumulative ingest activity.
+// renderLiveMetrics writes the live-index gauges appended to /metrics:
+// serving generation, segment and doc counts, failed background merges,
+// and cumulative ingest activity.
 func (s *Server) renderLiveMetrics() string {
-	info := s.live.Info()
+	info := s.backend.Info()
 	var b strings.Builder
 	fmt.Fprintf(&b, "wwt_index_generation %d\n", info.Generation)
 	fmt.Fprintf(&b, "wwt_index_segments %d\n", info.Segments)

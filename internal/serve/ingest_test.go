@@ -10,18 +10,19 @@ import (
 
 	"wwt"
 	"wwt/internal/index"
+	"wwt/internal/wtable"
 )
 
 // liveEngine freezes the test corpus to a flat directory and opens it
 // live, so the ingest endpoint runs against the real segment machinery.
-func liveEngine(t *testing.T) *wwt.LiveEngine {
+func liveEngine(t *testing.T) *wwt.Engine {
 	t.Helper()
 	eng := testEngine(t)
 	dir := t.TempDir()
 	if err := index.WriteSharded(dir, eng.Searcher(), 2, index.WriteShardedOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Store.Save(filepath.Join(dir, index.StoreFileName)); err != nil {
+	if err := eng.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {
 		t.Fatal(err)
 	}
 	le, err := wwt.OpenLive(dir, nil)
@@ -37,18 +38,30 @@ const metalsPage = `<html><head><title>Metals</title></head><body>
 <tr><td>Gold</td><td>Au</td></tr><tr><td>Silver</td><td>Ag</td></tr>
 <tr><td>Iron</td><td>Fe</td></tr></table></body></html>`
 
-// TestIngestNotRegisteredOnFrozenBackend: a plain engine has no live
-// surface, so POST /v1/ingest must not exist.
-func TestIngestNotRegisteredOnFrozenBackend(t *testing.T) {
-	ts := httptest.NewServer(New(testEngine(t), Config{}))
+// TestIngestRefusedByInMemoryEngine: an engine built in memory has no
+// index directory to write segments to. A well-formed ingest passes the
+// request validator, reaches the engine, and comes back refused with the
+// engine's own error text.
+func TestIngestRefusedByInMemoryEngine(t *testing.T) {
+	eng := testEngine(t)
+	ts := httptest.NewServer(New(eng, Config{}))
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(`{}`))
+	body := `{"csv": [{"id": "rates-1", "data": "Country,Rate\nNarnia,42\n"}]}`
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorDTO
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		t.Fatal("frozen backend accepted an ingest")
+		t.Fatal("in-memory engine accepted an ingest")
+	}
+	_, want := eng.IngestTables([]*wtable.Table{{ID: "probe"}})
+	if want == nil || e.Error != want.Error() {
+		t.Fatalf("ingest error = %q, want the engine's %v", e.Error, want)
 	}
 }
 

@@ -12,11 +12,13 @@ import (
 
 	"wwt"
 	"wwt/internal/plan"
+	"wwt/internal/wtable"
 )
 
 // Backend is the engine surface the server drives. *wwt.Engine implements
 // it; tests substitute stubs. Implementations must be safe for concurrent
-// calls.
+// calls; ingests may serialize internally but must never block in-flight
+// queries.
 type Backend interface {
 	// AnswerBatchPlan answers queries under ctx with a per-member deadline
 	// and a batch plan (member schedule + planner lever overrides); see
@@ -27,6 +29,12 @@ type Backend interface {
 	// PlanStats snapshots the adaptive planner's lever counters and
 	// cost-model error.
 	PlanStats() wwt.PlanStats
+	// IngestTables freezes the batch into a new index segment and
+	// atomically publishes the new generation, or reports why it cannot
+	// (an engine without an index directory has nowhere to write).
+	IngestTables(tables []*wtable.Table) (wwt.LiveInfo, error)
+	// Info snapshots the serving generation.
+	Info() wwt.LiveInfo
 }
 
 // Config tunes the server. The zero value serves with sane defaults.
@@ -85,9 +93,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the HTTP serving layer: an http.Handler exposing
-// POST /v1/answer, GET /healthz and GET /metrics over a Backend. See the
-// package documentation for the endpoint, deadline and admission
-// contracts. Immutable after New; safe for concurrent requests.
+// POST /v1/answer, POST /v1/ingest, GET /healthz and GET /metrics over a
+// Backend. See the package documentation for the endpoint, deadline and
+// admission contracts. Immutable after New; safe for concurrent requests.
 type Server struct {
 	backend Backend
 	cfg     Config
@@ -95,9 +103,6 @@ type Server struct {
 	met     *metrics
 	mux     *http.ServeMux
 
-	// live is non-nil when backend supports live ingest; POST /v1/ingest
-	// is registered and /metrics gains the wwt_index_* gauges.
-	live         LiveBackend
 	ingestReqs   atomic.Int64
 	ingestTables atomic.Int64
 	ingestErrs   atomic.Int64
@@ -116,10 +121,7 @@ func New(backend Backend, cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/answer", s.handleAnswer)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if lb, ok := backend.(LiveBackend); ok {
-		s.live = lb
-		s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	}
+	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	return s
 }
 
@@ -385,7 +387,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, s.met.render(time.Now(), inFlight, queued, capacity,
 		s.backend.CacheStats(), s.backend.PlanStats(), drain))
-	if s.live != nil {
-		fmt.Fprint(w, s.renderLiveMetrics())
-	}
+	fmt.Fprint(w, s.renderLiveMetrics())
 }

@@ -257,6 +257,12 @@ func (b *stubBackend) CacheStats() wwt.EngineCacheStats { return wwt.EngineCache
 
 func (b *stubBackend) PlanStats() wwt.PlanStats { return wwt.PlanStats{} }
 
+func (b *stubBackend) IngestTables([]*wtable.Table) (wwt.LiveInfo, error) {
+	return wwt.LiveInfo{}, errors.New("stub: no ingest")
+}
+
+func (b *stubBackend) Info() wwt.LiveInfo { return wwt.LiveInfo{} }
+
 // TestAdmissionShedding saturates a 1-slot, no-queue server and demands
 // the second request is shed with 429 + Retry-After while the first
 // completes untouched.

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +30,7 @@ func liveDir(t *testing.T) string {
 	if err := index.WriteSharded(dir, eng.Searcher(), 2, index.WriteShardedOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Store.Save(filepath.Join(dir, index.StoreFileName)); err != nil {
+	if err := eng.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -51,6 +52,14 @@ func currencyTable(i int) *wtable.Table {
 	}
 }
 
+func tableIDs(res *wwt.Result) []string {
+	ids := make([]string, len(res.Tables))
+	for i, t := range res.Tables {
+		ids[i] = t.ID
+	}
+	return ids
+}
+
 func hasRow(res *wwt.Result, cell0 string) bool {
 	for _, row := range res.Answer.Rows {
 		if len(row.Cells) > 0 && row.Cells[0] == cell0 {
@@ -61,10 +70,11 @@ func hasRow(res *wwt.Result, cell0 string) bool {
 }
 
 // TestOpenLiveFallback: a directory without a flat index reports
-// fs.ErrNotExist so the daemon can fall back to the gob path.
+// fs.ErrNotExist, so callers can tell a missing index from a corrupt one.
 func TestOpenLiveFallback(t *testing.T) {
-	if _, err := wwt.OpenLive(t.TempDir(), nil); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("OpenLive on empty dir: %v, want fs.ErrNotExist", err)
+	if _, err := wwt.OpenLive(t.TempDir(), nil); !errors.Is(err, fs.ErrNotExist) ||
+		!strings.Contains(err.Error(), "wwt-index") {
+		t.Fatalf("OpenLive on empty dir: %v, want fs.ErrNotExist naming wwt-index", err)
 	}
 }
 
@@ -138,12 +148,40 @@ func TestLiveEngineIngestRoundTrip(t *testing.T) {
 // background merge; the compacted index answers identically and the
 // segment count drops.
 func TestLiveEngineMerge(t *testing.T) {
-	dir := liveDir(t)
-	le, err := wwt.OpenLive(dir, nil)
+	// The probe counters behind the wwt_*_total series are engine-lifetime:
+	// no swap, ingest or merge, may send them backwards (that would break
+	// Prometheus rate()), and a query after the swaps must move them. On
+	// this 3-table corpus the top-k floor never arms, so the block counters
+	// stay 0; an elision threshold every confident query clears makes the
+	// probe-2 counter move instead. Probe 1 alone finds every table the row
+	// checks below need.
+	opts := wwt.DefaultOptions()
+	opts.Planner = wwt.PlannerOptions{ElideProbe2: true, ElideConfidence: 1e-9}
+	le, err := wwt.OpenLive(liveDir(t), &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer le.Close()
+	q := wwt.Query{Columns: []string{"country", "currency"}}
+	res, err := le.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	prev := le.PlanStats()
+	if prev.Probe2Elided == 0 {
+		t.Fatal("the query on generation 0 moved no probe counter")
+	}
+	monotone := func(when string) wwt.PlanStats {
+		t.Helper()
+		ps := le.PlanStats()
+		if ps.Probe2Elided < prev.Probe2Elided || ps.Degraded < prev.Degraded ||
+			ps.ProbeBlocksTotal < prev.ProbeBlocksTotal || ps.ProbeBlocksSkipped < prev.ProbeBlocksSkipped ||
+			ps.ProbeShardsPruned < prev.ProbeShardsPruned {
+			t.Fatalf("%s: probe counters went backwards: %+v -> %+v", when, prev, ps)
+		}
+		return ps
+	}
 
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -154,6 +192,7 @@ func TestLiveEngineMerge(t *testing.T) {
 		// deterministic: the tier-0 quartet compacts right after the
 		// fourth ingest, before the fifth arrives.
 		le.WaitMerges()
+		prev = monotone(fmt.Sprintf("after ingest %d", i))
 	}
 	info := le.Info()
 	// 5 one-doc segments: the first full tier-0 quartet merges into one
@@ -168,8 +207,7 @@ func TestLiveEngineMerge(t *testing.T) {
 	if merges == 0 {
 		t.Fatal("no merge recorded")
 	}
-	res, err := le.Answer(wwt.Query{Columns: []string{"country", "currency"}})
-	if err != nil {
+	if res, err = le.Answer(q); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -177,6 +215,28 @@ func TestLiveEngineMerge(t *testing.T) {
 			t.Fatalf("row Atlantis%d lost after merge", i)
 		}
 	}
+	if ps := monotone("query after the swaps"); ps.Probe2Elided <= prev.Probe2Elided {
+		t.Fatalf("query after the swaps left Probe2Elided at %d", ps.Probe2Elided)
+	}
+}
+
+// TestInMemoryEngineRefusesIngest: an engine built in memory has no index
+// directory, so IngestTables fails with a precise error and publishes
+// nothing.
+func TestInMemoryEngineRefusesIngest(t *testing.T) {
+	eng, err := wwt.NewEngine(smallCorpus(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Info()
+	if _, err := eng.IngestTables([]*wtable.Table{currencyTable(0)}); err == nil ||
+		!strings.Contains(err.Error(), "no index directory") {
+		t.Fatalf("in-memory ingest: err = %v, want a no-index-directory refusal", err)
+	}
+	if after := eng.Info(); after != before {
+		t.Fatalf("refused ingest changed Info: %+v -> %+v", before, after)
+	}
+	eng.WaitMerges() // no merger to wait for: must return at once
 }
 
 // TestLiveEngineMergeErrorCounted: a background merge that cannot write
@@ -336,6 +396,43 @@ func TestHotSwapConcurrent(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+
+	// The arena pool is engine-lifetime, so arenas dirtied on one
+	// generation serve the next. An answer on a recycled arena after a
+	// swap must equal the answer of a fresh engine over the same directory.
+	le.WaitMerges()
+	q := queries[0]
+	res, err := le.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	if _, err := le.IngestTables([]*wtable.Table{currencyTable(ingests)}); err != nil {
+		t.Fatal(err)
+	}
+	le.WaitMerges()
+	swapped, err := le.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer swapped.Release()
+	fresh, err := wwt.OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want, err := fresh.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Release()
+	if !reflect.DeepEqual(tableIDs(swapped), tableIDs(want)) ||
+		!reflect.DeepEqual(swapped.Labeling.Y, want.Labeling.Y) ||
+		!reflect.DeepEqual(swapped.Model.Node, want.Model.Node) ||
+		!reflect.DeepEqual(swapped.Answer, want.Answer) {
+		t.Fatal("answer on a recycled arena after a swap differs from a fresh engine's")
+	}
+
 	if err := le.Close(); err != nil {
 		t.Fatal(err)
 	}

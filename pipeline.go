@@ -40,7 +40,9 @@ import (
 // is freshly allocated, so an unreleased arena can never corrupt a
 // retained result. Scratch buffers must never be written into the
 // engine's cross-query caches; cache-owned slices referenced from scratch
-// fields are read-only.
+// fields are read-only. The pool is engine-lifetime, so an arena filled
+// on one generation serves the next after a swap; every stage resets what
+// it reuses, which keeps that bit-identical (TestHotSwapConcurrent).
 type QueryScratch struct {
 	tokens []string        // probe-1 query tokens
 	sample []string        // probe-2 token buffer (distinct from tokens: never aliased)
@@ -67,6 +69,7 @@ func (e *Engine) putScratch(s *QueryScratch) { e.scratch.Put(s) }
 // retained outputs (tables, model payload, labeling, answer) own their
 // storage except model, which aliases the query's arena.
 type queryState struct {
+	g      *generation // the generation the whole call is pinned to
 	query  Query
 	tokens []string // normalized probe-1 tokens (scratch-backed)
 
@@ -172,19 +175,19 @@ func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 			continue
 		}
 		s.seen[tok] = true
-		if _, postings, ok := e.searcher.TermStats(tok); ok {
+		if _, postings, ok := st.g.searcher.TermStats(tok); ok {
 			st.postings += postings
 		}
 	}
 	var pst index.ProbeStats
-	st.hits1, pst = e.search(tokens, e.Opts.ProbeK)
+	st.hits1, pst = e.search(st.g.searcher, tokens, e.Opts.ProbeK)
 	st.scanned = pst.Scanned
 	return true, nil
 }
 
 // stageRead1 materializes the first-probe candidate tables from the store.
 func (e *Engine) stageRead1(st *queryState, _ *QueryScratch) (bool, error) {
-	st.tables = e.readTables(st.hits1)
+	st.tables = st.g.readTables(st.hits1)
 	st.tables1 = len(st.tables)
 	return true, nil
 }
@@ -198,7 +201,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	if !e.Opts.SecondProbe || len(st.tables) == 0 {
 		return false, nil
 	}
-	m := e.builder().BuildWith(st.query.Columns, st.tables, &s.build)
+	m := st.g.builder(e.Opts.Params).BuildWith(st.query.Columns, st.tables, &s.build)
 	l := inference.SolveScratch(m, inference.Independent, &s.infer)
 	type scored struct {
 		ti  int
@@ -270,7 +273,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 		}
 	}
 	s.sample = sample
-	st.hits2, _ = e.search(sample, e.Opts.ProbeK)
+	st.hits2, _ = e.search(st.g.searcher, sample, e.Opts.ProbeK)
 	st.probe2Fired = true
 	return true, nil
 }
@@ -325,7 +328,7 @@ func (e *Engine) stageRead2(st *queryState, s *QueryScratch) (bool, error) {
 	for _, t := range st.tables {
 		seen[t.ID] = true
 	}
-	for _, t := range e.readTables(st.hits2) {
+	for _, t := range st.g.readTables(st.hits2) {
 		if !seen[t.ID] {
 			seen[t.ID] = true
 			st.tables = append(st.tables, t)
@@ -347,7 +350,7 @@ func (e *Engine) stageColumnMap(st *queryState, s *QueryScratch) (bool, error) {
 			st.tables = st.tables[:limit]
 		}
 	}
-	st.model = e.builder().BuildWith(st.query.Columns, st.tables, &s.build)
+	st.model = st.g.builder(e.Opts.Params).BuildWith(st.query.Columns, st.tables, &s.build)
 	return true, nil
 }
 
@@ -398,9 +401,11 @@ func (e *Engine) stageConsolidate(st *queryState, s *QueryScratch) (bool, error)
 // accumulates stage timings. The probe scratch comes from the engine pool
 // and is returned before Candidates does.
 func (e *Engine) Candidates(q Query, tm *Timings) ([]*wtable.Table, bool, error) {
+	g := e.acquire()
+	defer e.release(g)
 	s := e.getScratch()
 	defer e.putScratch(s)
-	st := &queryState{query: q, popts: e.Opts.Planner}
+	st := &queryState{g: g, query: q, popts: e.Opts.Planner}
 	if err := e.runStages(nil, probePipeline, st, s, tm); err != nil {
 		return nil, false, err
 	}
@@ -430,20 +435,24 @@ func (e *Engine) AnswerCtx(ctx context.Context, q Query) (*Result, error) {
 	return res, nil
 }
 
-// answer drives the full stage list with the given arena under the
-// engine's default planner levers; the returned Result owns the arena. A
-// nil ctx disables cancellation checks.
+// answer drives the full stage list on the current generation, pinned for
+// the call, with the given arena under the engine's default planner
+// levers; the returned Result owns the arena. A nil ctx disables
+// cancellation checks.
 func (e *Engine) answer(ctx context.Context, q Query, s *QueryScratch) (*Result, error) {
-	return e.answerPlan(ctx, q, s, e.Opts.Planner)
+	g := e.acquire()
+	defer e.release(g)
+	return e.answerPlan(ctx, g, q, s, e.Opts.Planner)
 }
 
-// answerPlan is answer with explicit planner levers (batch requests can
-// override the engine default per call). Every successfully answered
-// query feeds its observed stage timings back into the cost estimator —
-// calibration is observability-only and never changes an answer.
-func (e *Engine) answerPlan(ctx context.Context, q Query, s *QueryScratch, popts PlannerOptions) (*Result, error) {
+// answerPlan is answer on a pinned generation with explicit planner
+// levers (batch requests can override the engine default per call).
+// Every successfully answered query feeds its observed stage timings back
+// into the cost estimator — calibration is observability-only and never
+// changes an answer.
+func (e *Engine) answerPlan(ctx context.Context, g *generation, q Query, s *QueryScratch, popts PlannerOptions) (*Result, error) {
 	res := &Result{engine: e, scratch: s}
-	st := &queryState{query: q, popts: popts}
+	st := &queryState{g: g, query: q, popts: popts}
 	if ctx != nil {
 		if d, ok := ctx.Deadline(); ok {
 			st.deadline = d

@@ -291,23 +291,24 @@ func (r *Result) Release() {
 	e.putScratch(s)
 }
 
-// Engine answers column-keyword queries over an indexed table corpus. An
-// engine is only ever obtained from NewEngine or NewEngineFrom, which set
-// every field; it is immutable after construction and safe for concurrent
-// Answer / Candidates / MapColumns calls: the hot path runs on the one
-// immutable index.Searcher, the PMI doc-set and table-view caches are
-// concurrency-safe, and every in-flight query draws its own scratch arena
-// from the pool.
+// Engine answers column-keyword queries over an indexed table corpus. It
+// is only ever obtained from NewEngine, NewEngineFrom or OpenLive, and is
+// safe for concurrent use. Its state has two layers:
+//
+//   - Engine-lifetime state, set once by the constructor: Opts, the
+//     normalization cache, the planner, the scratch-arena pool, the probe
+//     and lever counters, and the directory, manifest, merge and ingest
+//     state of live.go (unset unless the engine came from OpenLive).
+//   - The current generation: an immutable, refcounted corpus snapshot
+//     (searcher, store and the caches that bake its statistics in) behind
+//     an atomic pointer. Every query entry point pins one generation for
+//     its whole call, so IngestTables and background merges swap
+//     generations under running queries without disturbing them.
 type Engine struct {
-	Store *index.Store
-	Opts  Options
+	Opts Options
 
-	searcher *index.Searcher
-	docsets  *index.DocSetCache
-	views    *core.ViewCache
-	pairs    *core.PairSimCache
-	norm     *text.NormCache
-	scratch  sync.Pool // *QueryScratch
+	norm    *text.NormCache
+	scratch sync.Pool // *QueryScratch
 
 	// Adaptive-planner state: the online-calibrated cost estimator (see
 	// internal/plan) plus cumulative lever counters.
@@ -321,6 +322,78 @@ type Engine struct {
 	probeBlocksTotal   atomic.Int64
 	probeBlocksSkipped atomic.Int64
 	probeShardsPruned  atomic.Uint64
+
+	cur atomic.Pointer[generation]
+
+	// Directory state (live.go). dir is empty unless the engine was
+	// opened by OpenLive. mu serializes ingest, merge, generation
+	// publication and Close; queries never take it.
+	dir       string
+	mu        sync.Mutex
+	closed    bool
+	manifest  index.Manifest
+	nextSeq   uint64
+	writeOpts index.WriteShardedOptions
+	policy    index.MergePolicy
+	merges    sync.WaitGroup
+
+	ingests        atomic.Uint64
+	ingestedTables atomic.Uint64
+	ingestErrors   atomic.Uint64
+	mergesDone     atomic.Uint64
+	mergeErrors    atomic.Uint64 // background merges that failed (and were dropped)
+	retired        atomic.Uint64 // generations replaced by a swap
+	reclaimed      atomic.Uint64 // retired generations whose last ref released
+}
+
+// generation is one published corpus snapshot: the searcher, the store
+// holding its tables, and the caches keyed to it — views and pair
+// similarities bake its IDF, doc sets its global doc numbers. It is
+// immutable once published. The published pointer holds one reference
+// and every pinned call another; the last release closes the searcher.
+type generation struct {
+	searcher  *index.Searcher
+	store     *index.Store
+	docsets   *index.DocSetCache
+	views     *core.ViewCache
+	pairs     *core.PairSimCache
+	refs      atomic.Int64
+	closeOnce sync.Once
+}
+
+// newGeneration wraps a searcher and its store with fresh caches, holding
+// the published pointer's one reference.
+func newGeneration(s *index.Searcher, st *index.Store) *generation {
+	g := &generation{searcher: s, store: st, docsets: index.NewDocSetCache(s, 0),
+		views: core.NewViewCache(), pairs: core.NewPairSimCache(0)}
+	g.refs.Store(1)
+	return g
+}
+
+// acquire pins the current generation for one call. The validate-retry
+// loop closes the race against a concurrent retire: incrementing after
+// the swap-and-release could resurrect a generation whose refcount
+// already hit zero, so the increment only counts if the generation is
+// still the published one afterwards.
+func (e *Engine) acquire() *generation {
+	for {
+		g := e.cur.Load()
+		g.refs.Add(1)
+		if e.cur.Load() == g {
+			return g
+		}
+		e.release(g)
+	}
+}
+
+// release drops one reference to g; the last one closes its searcher.
+func (e *Engine) release(g *generation) {
+	if g.refs.Add(-1) == 0 {
+		g.closeOnce.Do(func() {
+			g.searcher.Close()
+			e.reclaimed.Add(1)
+		})
+	}
 }
 
 // NewEngine indexes the given tables in memory and returns a ready engine
@@ -343,52 +416,69 @@ func NewEngine(tables []*wtable.Table, opts *Options) (*Engine, error) {
 // NewEngineFrom wraps a searcher — frozen in memory (index.NewSearcher),
 // opened from a flat index directory (index.OpenSharded) or from a live
 // index's manifest snapshot (index.OpenSnapshot) — and the table store
-// holding its documents. Corpus statistics, probes and PMI doc sets all
-// come from the searcher; when it was opened from disk its arrays alias
-// the file mappings, so the index directory must outlive the engine and
-// the searcher must not be Closed while the engine is in use. opts may be
-// nil for DefaultOptions.
+// holding its documents as generation 0 of an engine with no index
+// directory: IngestTables refuses, and WaitMerges returns at once.
+// Corpus statistics, probes and PMI doc sets all come from the searcher;
+// when it was opened from disk its arrays alias the file mappings, so the
+// index directory must outlive the engine, which owns the searcher and
+// closes it on Close. opts may be nil for DefaultOptions.
 func NewEngineFrom(s *index.Searcher, st *index.Store, opts *Options) *Engine {
 	o := DefaultOptions()
 	if opts != nil {
 		o = *opts
 	}
-	return &Engine{
-		Store:    st,
-		Opts:     o,
-		searcher: s,
-		docsets:  index.NewDocSetCache(s, 0),
-		views:    core.NewViewCache(),
-		pairs:    core.NewPairSimCache(0),
-		norm:     text.NewNormCache(0),
-		planner:  plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
+	e := &Engine{
+		Opts:    o,
+		norm:    text.NewNormCache(0),
+		planner: plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
 	}
+	e.cur.Store(newGeneration(s, st))
+	return e
 }
 
-// Searcher returns the engine's searcher: the probe surface, and the
-// corpus statistics (core.CorpusStats) the feature code reads.
-func (e *Engine) Searcher() *index.Searcher { return e.searcher }
+// Searcher returns the current generation's searcher: the probe surface,
+// and the corpus statistics (core.CorpusStats) the feature code reads.
+// Neither it nor Store pins the generation, so both are exact for an
+// engine that never ingests; on one that does, a later swap retires what
+// they returned.
+func (e *Engine) Searcher() *index.Searcher { return e.cur.Load().searcher }
 
-// Close releases the searcher's file mappings, if it was opened from disk.
-// The engine (and any strings or doc sets it returned) must not be used
-// afterwards. Close is a no-op for in-memory engines.
-func (e *Engine) Close() error { return e.searcher.Close() }
+// Store returns the current generation's table store (see Searcher).
+func (e *Engine) Store() *index.Store { return e.cur.Load().store }
+
+// Close stops accepting ingests, waits for background merges, and
+// releases the published generation — its file mappings, if it was
+// opened from disk, close once the last in-flight query releases its
+// pin. The engine (and any strings or doc sets it returned) must not be
+// used afterwards. A second Close is a no-op.
+func (e *Engine) Close() error {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil
+	}
+	e.closed = true
+	e.mu.Unlock()
+	e.merges.Wait()
+	e.release(e.cur.Load())
+	return nil
+}
 
 // search runs one index probe. Its skip/prune counters are folded into the
 // engine totals and returned for the planner's scanned-postings feature.
-func (e *Engine) search(tokens []string, k int) ([]index.Hit, index.ProbeStats) {
-	hits, st := e.searcher.SearchStats(tokens, k)
+func (e *Engine) search(s *index.Searcher, tokens []string, k int) ([]index.Hit, index.ProbeStats) {
+	hits, st := s.SearchStats(tokens, k)
 	e.probeBlocksTotal.Add(st.BlocksTotal)
 	e.probeBlocksSkipped.Add(st.BlocksSkipped)
 	e.probeShardsPruned.Add(uint64(st.ShardsPruned))
 	return hits, st
 }
 
-// builder returns a model builder wired to the engine's corpus statistics,
-// cached PMI doc sets, shared table-view cache and cross-query pair-
-// similarity cache.
-func (e *Engine) builder() *core.Builder {
-	return &core.Builder{Params: e.Opts.Params, Stats: e.searcher, PMI: e.PMISource(), Views: e.views, Pairs: e.pairs}
+// builder returns a model builder wired to the generation's corpus
+// statistics, cached PMI doc sets, table-view cache and cross-query
+// pair-similarity cache.
+func (g *generation) builder(p core.Params) *core.Builder {
+	return &core.Builder{Params: p, Stats: g.searcher, PMI: pmiSource{g.docsets}, Views: g.views, Pairs: g.pairs}
 }
 
 // CacheStats is a point-in-time snapshot of one cache's cumulative
@@ -406,10 +496,11 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// EngineCacheStats snapshots the four cross-query caches an engine owns:
+// EngineCacheStats snapshots the four cross-query caches an engine uses:
 // analyzed table views, per-pair column similarities, PMI doc sets, and
 // normalized cell strings. The serving daemon's /metrics endpoint exports
-// these; counters are cumulative since engine construction.
+// these. NormCells is engine-lifetime; the other three caches belong to
+// the current generation, so their counters restart at every swap.
 type EngineCacheStats struct {
 	Views     CacheStats
 	PairSims  CacheStats
@@ -420,16 +511,20 @@ type EngineCacheStats struct {
 // CacheStats snapshots the engine's cross-query cache counters. Safe for
 // concurrent use.
 func (e *Engine) CacheStats() EngineCacheStats {
+	g := e.cur.Load()
 	var st EngineCacheStats
-	st.Views.Hits, st.Views.Misses = e.views.Stats()
-	st.PairSims.Hits, st.PairSims.Misses = e.pairs.Stats()
-	st.DocSets.Hits, st.DocSets.Misses = e.docsets.Stats()
+	st.Views.Hits, st.Views.Misses = g.views.Stats()
+	st.PairSims.Hits, st.PairSims.Misses = g.pairs.Stats()
+	st.DocSets.Hits, st.DocSets.Misses = g.docsets.Stats()
 	st.NormCells.Hits, st.NormCells.Misses = e.norm.Stats()
 	return st
 }
 
 // PlanStats is a point-in-time snapshot of the adaptive planner: how many
-// queries each lever touched, and how well the cost model predicts.
+// queries each lever touched, and how well the cost model predicts. Every
+// counter is cumulative over the engine's lifetime except ShardPrunes,
+// which belongs to the current generation's searcher and restarts at
+// every swap.
 type PlanStats struct {
 	// Probe2Elided counts queries whose second probe the planner skipped.
 	Probe2Elided uint64
@@ -464,7 +559,7 @@ func (e *Engine) PlanStats() PlanStats {
 		ProbeBlocksSkipped: uint64(e.probeBlocksSkipped.Load()),
 		ProbeBlocksTotal:   uint64(e.probeBlocksTotal.Load()),
 		ProbeShardsPruned:  e.probeShardsPruned.Load(),
-		ShardPrunes:        e.searcher.ShardPruneCounts(),
+		ShardPrunes:        e.cur.Load().searcher.ShardPruneCounts(),
 	}
 }
 
@@ -479,6 +574,13 @@ func (e *Engine) Planner() *plan.Estimator { return e.planner }
 // scheduling degenerates to FIFO. The estimate is what SJF batch
 // scheduling sorts by; it is never used to change an answer.
 func (e *Engine) EstimateCost(q Query) time.Duration {
+	g := e.acquire()
+	defer e.release(g)
+	return e.estimateCost(g, q)
+}
+
+// estimateCost is EstimateCost on an already pinned generation.
+func (e *Engine) estimateCost(g *generation, q Query) time.Duration {
 	seen := make(map[string]bool, 8)
 	f := plan.Features{}
 	dfSum := 0
@@ -488,7 +590,7 @@ func (e *Engine) EstimateCost(q Query) time.Duration {
 				continue
 			}
 			seen[tok] = true
-			df, postings, ok := e.searcher.TermStats(tok)
+			df, postings, ok := g.searcher.TermStats(tok)
 			if !ok {
 				continue
 			}
@@ -505,13 +607,14 @@ func (e *Engine) EstimateCost(q Query) time.Duration {
 	return e.planner.EstimateQuery(f, int(e.Opts.Algorithm), e.Opts.SecondProbe)
 }
 
-// PMISource exposes the engine's index as the co-occurrence source for the
-// PMI² feature. Doc-set probes go through the engine's LRU cache, so
-// repeated H(Qℓ) and B(cell) intersections within and across queries are
-// served from memory. The returned doc sets are the cache's backing
-// slices: callers must treat them as read-only (mutating one corrupts the
-// cache for every later query).
-func (e *Engine) PMISource() core.PMISource { return pmiSource{e.docsets} }
+// PMISource exposes the current generation's index as the co-occurrence
+// source for the PMI² feature (unpinned, like Searcher). Doc-set probes
+// go through the generation's LRU cache, so repeated H(Qℓ) and B(cell)
+// intersections within and across queries are served from memory. The
+// returned doc sets are the cache's backing slices: callers must treat
+// them as read-only (mutating one corrupts the cache for every later
+// query).
+func (e *Engine) PMISource() core.PMISource { return pmiSource{e.cur.Load().docsets} }
 
 type pmiSource struct {
 	src *index.DocSetCache
@@ -551,10 +654,10 @@ func sampleRows(rng *rand.Rand, rows, take int) []int {
 	return out
 }
 
-func (e *Engine) readTables(hits []index.Hit) []*wtable.Table {
+func (g *generation) readTables(hits []index.Hit) []*wtable.Table {
 	out := make([]*wtable.Table, 0, len(hits))
 	for _, h := range hits {
-		if t, ok := e.Store.Get(h.ID); ok {
+		if t, ok := g.store.Get(h.ID); ok {
 			out = append(out, t)
 		}
 	}
@@ -564,11 +667,13 @@ func (e *Engine) readTables(hits []index.Hit) []*wtable.Table {
 // MapColumns runs only the column-mapping stage over caller-supplied
 // candidates — the §3 task in isolation, used by the experiments. The
 // model is built with a private arena (safe to retain indefinitely). The
-// engine's table-view cache retains every table passed here (and its
-// analyzed view) for the engine's lifetime; callers streaming an unbounded
+// generation's table-view cache retains every table passed here (and its
+// analyzed view) until the next swap; callers streaming an unbounded
 // sequence of fresh tables through a long-lived engine should construct a
 // fresh engine per batch.
 func (e *Engine) MapColumns(q Query, tables []*wtable.Table) (*core.Model, core.Labeling) {
-	m := e.builder().Build(q.Columns, tables)
+	g := e.acquire()
+	defer e.release(g)
+	m := g.builder(e.Opts.Params).Build(q.Columns, tables)
 	return m, inference.Solve(m, e.Opts.Algorithm)
 }

@@ -45,7 +45,7 @@ func TestEngineShardedFlatRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng2 := wwt.NewEngineFrom(s, eng.Store, nil)
+					eng2 := wwt.NewEngineFrom(s, eng.Store(), nil)
 					defer eng2.Close()
 					if eng2.Searcher().Segments() != k || eng2.Searcher().Shards() != k*n {
 						t.Fatalf("engine not wired to a %d-segment × %d-shard searcher", k, n)

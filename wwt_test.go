@@ -180,7 +180,7 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 	if err := built.Save(filepath.Join(dir, "ix.gob")); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Store.Save(filepath.Join(dir, "st.gob")); err != nil {
+	if err := eng.Store().Save(filepath.Join(dir, "st.gob")); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := index.Load(filepath.Join(dir, "ix.gob"))
