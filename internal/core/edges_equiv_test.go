@@ -88,6 +88,133 @@ func buildRawEdgesRef(m *Model) []rawEdge {
 	return rawEdges
 }
 
+func ones(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = 1
+	}
+	return out
+}
+
+// computePairSimsRef is the fresh-workspace port of computePairSims: the
+// same similarity grid, threshold, size-ratio early-out and blended
+// matching, but with a freshly allocated survivor list, weight grid and
+// assignment workspace on every call.
+func computePairSimsRef(a, b *TableView, p Params) []colPairSim {
+	n1, n2 := a.NumCols, b.NumCols
+	var out []colPairSim
+	for c1 := 0; c1 < n1; c1++ {
+		ids1 := a.ColCellIDs[c1]
+		for c2 := 0; c2 < n2; c2++ {
+			ids2 := b.ColCellIDs[c2]
+			var s float64
+			if len(ids1) > 0 && len(ids2) > 0 {
+				lo, hi := len(ids1), len(ids2)
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				if float64(lo)/float64(hi) < p.MinNeighborSim {
+					continue
+				}
+				s = jaccardSortedIDs(ids1, ids2)
+			}
+			if s < p.MinNeighborSim {
+				continue
+			}
+			out = append(out, colPairSim{c1: int32(c1), c2: int32(c2), sim: s})
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	w := make([][]float64, n1)
+	wBacking := make([]float64, n1*n2)
+	for i := range w {
+		w[i] = wBacking[i*n2 : (i+1)*n2]
+	}
+	for i := range out {
+		e := &out[i]
+		w[e.c1][e.c2] = p.MatchContentWeight*e.sim +
+			p.MatchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))
+	}
+	sol := graph.SolveAssignment(ones(n1), ones(n2), w)
+	for i := range out {
+		e := &out[i]
+		if sol.MatchL[e.c1] == int(e.c2) {
+			e.matched = true
+		}
+	}
+	return out
+}
+
+// pairSimViews returns views of random tables of widths cols..1 (widest
+// first), every one interned into one symbol table, with cells drawn from
+// a small vocabulary so columns overlap across tables.
+func pairSimViews(r *rand.Rand, cols int) []*TableView {
+	in := NewInterner()
+	var views []*TableView
+	for nc := cols; nc >= 1; nc-- {
+		tb := &wtable.Table{ID: fmt.Sprintf("w%d", nc)}
+		var hr wtable.Row
+		for c := 0; c < nc; c++ {
+			hr.Cells = append(hr.Cells, wtable.Cell{Text: phraseFrom(r, 1)})
+		}
+		tb.HeaderRows = append(tb.HeaderRows, hr)
+		for i := 0; i < 2+r.Intn(6); i++ {
+			var br wtable.Row
+			for c := 0; c < nc; c++ {
+				br.Cells = append(br.Cells, wtable.Cell{Text: phraseFrom(r, 1)})
+			}
+			tb.BodyRows = append(tb.BodyRows, br)
+		}
+		views = append(views, NewTableView(tb, DefaultParams(), constStats{}, in))
+	}
+	return views
+}
+
+// TestComputePairSimsReusedSlot runs pair misses through one reused worker
+// slot, wide pairs before narrow ones (so every solve sees the stale,
+// larger grids and workspace of an earlier one), and demands results
+// identical to the fresh-workspace port — survivors, order, similarities
+// and matched flags.
+func TestComputePairSimsReusedSlot(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	views := pairSimViews(r, 8)
+	var slot workerScratch
+	for _, minSim := range []float64{DefaultParams().MinNeighborSim, 0, 0.5} {
+		p := DefaultParams()
+		p.MinNeighborSim = minSim
+		for _, a := range views {
+			for _, b := range views {
+				got := computePairSims(a, b, p, &slot)
+				want := computePairSimsRef(a, b, p)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("MinNeighborSim %v, %d x %d cols: got %+v, want %+v",
+						minSim, a.NumCols, b.NumCols, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestComputePairSimsWarmSlotAllocs pins the miss path: through a warm
+// slot, a pair with surviving columns allocates exactly once — the
+// exact-size result handed to the caller (and from there to the cache).
+func TestComputePairSimsWarmSlotAllocs(t *testing.T) {
+	views := pairSimViews(rand.New(rand.NewSource(29)), 6)
+	p := DefaultParams()
+	p.MinNeighborSim = 0 // every column pair survives
+	var slot workerScratch
+	a, b := views[0], views[1]
+	computePairSims(a, b, p, &slot)
+	allocs := testing.AllocsPerRun(100, func() {
+		computePairSims(a, b, p, &slot)
+	})
+	if allocs != 1 {
+		t.Errorf("warm-slot pair miss allocates %.0f/op, want 1", allocs)
+	}
+}
+
 // checkEdgesEquiv rebuilds m's edges through the reference path and
 // demands identical rawEdges (order, endpoints, similarities, matched
 // flags) and identical final Edges.

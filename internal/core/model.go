@@ -276,21 +276,18 @@ func (m *Model) Cols() []int {
 // undistorted. Returns [col][label] with labels 0..q-1, na, nr; the
 // result is freshly allocated and safe to retain.
 func (m *Model) TableMaxMarginals(ti int) [][]float64 {
-	return m.tableMaxMarginals(ti, &stage1Scratch{})
+	return m.tableMaxMarginals(ti, &workerScratch{})
 }
 
 // tableMaxMarginals is TableMaxMarginals through one worker's scratch; the
 // returned grid aliases sc and is valid until its next use.
-func (m *Model) tableMaxMarginals(ti int, sc *stage1Scratch) [][]float64 {
+func (m *Model) tableMaxMarginals(ti int, sc *workerScratch) [][]float64 {
 	q := m.NumQ
 	nt := m.Views[ti].NumCols
 	node := m.Node[ti]
 
-	sc.capL = slicex.Grow(sc.capL, nt)
+	sc.capL = fillOnes(sc.capL, nt)
 	capL := sc.capL
-	for i := range capL {
-		capL[i] = 1
-	}
 	// Rights: q query labels (capacity 1) plus na with capacity nt.
 	sc.capR = slicex.Grow(sc.capR, q+1)
 	capR := sc.capR
@@ -349,7 +346,7 @@ func (m *Model) computeStage1(s *BuildScratch) {
 	var confB []float64
 	var confTab [][]float64
 	workers := numWorkers(len(m.Views))
-	var st1 []stage1Scratch
+	var slots []workerScratch
 	if s != nil {
 		s.dist = slicex.Grow(s.dist, totalCols*labels)
 		s.distRows = slicex.Grow(s.distRows, totalCols)
@@ -358,15 +355,15 @@ func (m *Model) computeStage1(s *BuildScratch) {
 		s.confTab = slicex.Grow(s.confTab, len(m.Views))
 		distB, distRows, distTab = s.dist, s.distRows, s.distTab
 		confB, confTab = s.conf, s.confTab
-		s.st1 = slicex.GrowKeep(s.st1, workers)
-		st1 = s.st1
+		s.workers = slicex.GrowKeep(s.workers, workers)
+		slots = s.workers
 	} else {
 		distB = make([]float64, totalCols*labels)
 		distRows = make([][]float64, totalCols)
 		distTab = make([][][]float64, len(m.Views))
 		confB = make([]float64, totalCols)
 		confTab = make([][]float64, len(m.Views))
-		st1 = make([]stage1Scratch, workers)
+		slots = make([]workerScratch, workers)
 	}
 	gc := 0
 	for ti, v := range m.Views {
@@ -381,7 +378,7 @@ func (m *Model) computeStage1(s *BuildScratch) {
 	m.Dist = distTab
 	m.Conf = confTab
 	parallelForWorkers(len(m.Views), workers, func(w, ti int) {
-		mu := m.tableMaxMarginals(ti, &st1[w])
+		mu := m.tableMaxMarginals(ti, &slots[w])
 		nt := m.Views[ti].NumCols
 		dist := m.Dist[ti]
 		conf := m.Conf[ti]
@@ -405,7 +402,8 @@ func (m *Model) computeStage1(s *BuildScratch) {
 // The per-pair work — the Jaccard grid and the blended max-matching — is
 // independent across table pairs, so it fans out over the worker pool
 // (served from cache when one is wired), each pair writing only its own
-// slot. The query-dependent part — summing each column's neighborhood
+// slot; a miss solves in its worker's slot of the scratch, so the only
+// allocation it makes is the exact-size result. The query-dependent part — summing each column's neighborhood
 // denominator and normalizing — runs as a deterministic serial merge over
 // the slots in (t1, t2, c1, c2) order, the exact accumulation order of the
 // old serial map-based path, so float sums stay bit-identical. The denom /
@@ -430,12 +428,15 @@ func (m *Model) buildRawEdges(cache *PairSimCache, s *BuildScratch, colOff []int
 	s.pairs = pairs
 	s.slots = slicex.Grow(s.slots, len(pairs))
 	slots := s.slots
-	parallelFor(len(pairs), func(i int) {
+	workers := numWorkers(len(pairs))
+	s.workers = slicex.GrowKeep(s.workers, workers)
+	ws := s.workers
+	parallelForWorkers(len(pairs), workers, func(w, i int) {
 		pr := pairs[i]
 		if cache != nil {
-			slots[i] = cache.pairs(m.Views[pr.t1], m.Views[pr.t2], p)
+			slots[i] = cache.pairs(m.Views[pr.t1], m.Views[pr.t2], p, &ws[w])
 		} else {
-			slots[i] = computePairSims(m.Views[pr.t1], m.Views[pr.t2], p)
+			slots[i] = computePairSims(m.Views[pr.t1], m.Views[pr.t2], p, &ws[w])
 		}
 	})
 
@@ -617,12 +618,4 @@ func softmaxInto(out, xs []float64) {
 	for i := range out {
 		out[i] /= sum
 	}
-}
-
-func ones(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
 }

@@ -4,7 +4,7 @@ import "wwt/internal/graph"
 
 // BuildScratch is the reusable arena of one model build: every flat
 // backing array Build needs — the node/feature/distribution grids, the
-// stage-1 assignment solver state, and the edge-construction buffers —
+// per-worker assignment solver state, and the edge-construction buffers —
 // lives here, so a warm scratch builds a model with near-zero allocation.
 // The zero value is ready to use.
 //
@@ -17,6 +17,13 @@ import "wwt/internal/graph"
 // own allocations; the reverse (read-only cache-owned slices referenced
 // from scratch fields, e.g. pair-sim slots) is fine because the scratch
 // never writes through them.
+//
+// Each build worker owns one workerScratch slot at a time. Stage 1 uses it
+// for the per-table max-marginal solves; the edge pass, which never runs
+// concurrently with stage 1, uses the same slot for pair-similarity cache
+// misses: the surviving column pairs are staged in the slot and solved in
+// its workspace, and only an exact-size copy of the survivors leaves it —
+// that copy, not the slot, is what PairSimCache retains.
 type BuildScratch struct {
 	hDocs  [][]int32 // per query column: cache-owned H(Qℓ) doc sets (read-only)
 	colOff []int     // table -> global offset of its first column
@@ -42,8 +49,8 @@ type BuildScratch struct {
 
 	rel []float64
 
-	// Per-worker stage-1 solver scratch (workers run disjoint tables).
-	st1 []stage1Scratch
+	// Per-worker solver scratch (workers run disjoint tables or pairs).
+	workers []workerScratch
 
 	// Edge construction.
 	pairs    []tablePair
@@ -53,10 +60,11 @@ type BuildScratch struct {
 	edges    []Edge
 }
 
-// stage1Scratch is one worker's state for the per-table max-marginal
-// solves of §4.2: the assignment workspace plus the capacity/weight/output
-// grids, all fully overwritten per table.
-type stage1Scratch struct {
+// workerScratch is one worker's assignment-solver state: the workspace
+// plus the capacity/weight/output grids of the stage-1 max-marginal solves
+// of §4.2, and the staging buffer of a pair-similarity miss. Everything is
+// fully overwritten per table or per pair.
+type workerScratch struct {
 	ws   graph.Workspace
 	capL []int
 	capR []int
@@ -64,4 +72,5 @@ type stage1Scratch struct {
 	wB   []float64
 	out  [][]float64
 	outB []float64
+	sims []colPairSim
 }
