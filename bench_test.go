@@ -133,7 +133,27 @@ func BenchmarkFig6Consolidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
 		consolidate.Consolidate(w.queries[qi].Q(), w.cands[qi], labelings[qi],
-			w.models[qi].Conf, w.models[qi].Rel, consolidate.NewOptions())
+			w.models[qi].Rel, consolidate.NewOptions())
+	}
+}
+
+// BenchmarkConsolidate measures the consolidator the way the pipeline
+// runs it: through one reused Scratch, whose cell memo and key indexes
+// stay warm across calls. Compare with BenchmarkFig6Consolidation, which
+// gives every call a fresh scratch.
+func BenchmarkConsolidate(b *testing.B) {
+	w := getWorld(b)
+	labelings := make([]core.Labeling, len(w.queries))
+	for i := range w.queries {
+		labelings[i] = inference.SolveTableCentric(w.models[i])
+	}
+	var s consolidate.Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qi := i % len(w.queries)
+		consolidate.ConsolidateScratch(w.queries[qi].Q(), w.cands[qi], labelings[qi],
+			w.models[qi].Rel, consolidate.NewOptions(), &s)
 	}
 }
 

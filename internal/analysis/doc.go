@@ -26,9 +26,9 @@
 //
 //   - reflectsort — the PR 8 hot-sort standard. sort.Slice/SliceStable/
 //     SliceIsSorted go through reflect.Swapper; the hot packages (root,
-//     internal/index, internal/core, internal/inference) standardized
-//     on the monomorphized slices.SortFunc family. Test files are
-//     exempt.
+//     internal/index, internal/core, internal/inference,
+//     internal/consolidate) standardized on the monomorphized
+//     slices.SortFunc family. Test files are exempt.
 //
 //   - lockedcompute — the compute-outside-lock cache protocol. Every
 //     cross-query cache is an internal/lru.Cache whose Get runs the

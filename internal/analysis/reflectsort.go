@@ -14,6 +14,7 @@ var hotPackages = []string{
 	"internal/index",
 	"internal/core",
 	"internal/inference",
+	"internal/consolidate",
 }
 
 // reflectSortBanned maps each banned sort-package function to its
@@ -34,7 +35,8 @@ var ReflectSort = &Analyzer{
 	Name: "reflectsort",
 	Doc: "ban reflection-based sort.Slice in hot packages\n\n" +
 		"sort.Slice/SliceStable/SliceIsSorted go through reflect.Swapper; the " +
-		"hot packages (root, internal/index, internal/core, internal/inference) " +
+		"hot packages (root, internal/index, internal/core, internal/inference, " +
+		"internal/consolidate) " +
 		"standardized on the generic slices.SortFunc family. Use " +
 		"slices.SortFunc / slices.SortStableFunc / slices.IsSortedFunc.",
 	Run: runReflectSort,

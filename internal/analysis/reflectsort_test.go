@@ -8,8 +8,9 @@ import (
 )
 
 func TestReflectSort(t *testing.T) {
-	// The hot fixture's import path suffix-matches internal/index; the
-	// cold fixture matches no hot package and must stay silent.
+	// The hot fixtures' import paths suffix-match internal/index and
+	// internal/consolidate; the cold fixture matches no hot package and
+	// must stay silent.
 	analysistest.Run(t, analysistest.TestData(), analysis.ReflectSort,
-		"reflectsorthot/internal/index", "reflectsortcold")
+		"reflectsorthot/internal/index", "reflectsorthot/internal/consolidate", "reflectsortcold")
 }

@@ -6,11 +6,12 @@
 //
 // # Ownership and concurrency contracts
 //
-// Consolidate reads its inputs (tables, labeling, confidence and
-// relevance grids) without mutating them, and the returned Answer owns
-// all of its storage — rows, cells and source lists are freshly
-// allocated, so an Answer outlives any scratch or model it was derived
-// from. ConsolidateScratch reuses a caller-owned Scratch (key indexes)
-// across calls: one consolidation owns the arena at a time, and only the
-// arena is reused — the Answer it returns still owns its storage.
+// Consolidate reads its inputs (tables, labeling, relevance scores)
+// without mutating them, and the returned Answer owns all of its storage —
+// rows, cells and source lists are freshly allocated, so an Answer
+// outlives any scratch or model it was derived from. ConsolidateScratch
+// reuses a caller-owned Scratch (key indexes, the row being assembled, and
+// the per-call memo that normalizes each distinct cell once) across calls:
+// one consolidation owns the arena at a time, and only the arena is reused
+// — the Answer it returns still owns its storage.
 package consolidate

@@ -1,0 +1,239 @@
+package consolidate
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"testing/quick"
+
+	"wwt/internal/core"
+	"wwt/internal/text"
+	"wwt/internal/wtable"
+)
+
+// consolidateRef is the reference consolidator: the implementation as it
+// stood before cell analyses were memoized. Every row normalizes its key
+// from scratch, compatibility re-normalizes both sides of every merge
+// attempt, token-set similarity goes through text.JaccardTokens, and rows
+// are ranked with sort.SliceStable. ConsolidateScratch is pinned to it
+// row for row.
+func consolidateRef(q int, tables []*wtable.Table, l core.Labeling, relevance []float64, opts Options) *Answer {
+	type keyedRef struct {
+		keyTokens []string
+		row       int
+	}
+	ans := &Answer{NumCols: q}
+	exact := make(map[string]int)
+	var fuzzy []keyedRef
+	colFor := make([]int, q)
+	for ti, tb := range tables {
+		if ti >= len(l.Y) || !l.Relevant(ti) {
+			continue
+		}
+		for ell := 0; ell < q; ell++ {
+			colFor[ell] = l.ColumnOf(ti, ell)
+		}
+		if colFor[0] < 0 {
+			continue
+		}
+		ans.Sources = append(ans.Sources, tb.ID)
+		rel := 1.0
+		if relevance != nil && ti < len(relevance) {
+			rel = relevance[ti]
+		}
+		for r := 0; r < tb.NumBodyRows(); r++ {
+			key := strings.TrimSpace(tb.Body(r, colFor[0]))
+			if key == "" {
+				continue
+			}
+			cells := make([]string, q)
+			for ell := 0; ell < q; ell++ {
+				if colFor[ell] >= 0 {
+					cells[ell] = strings.TrimSpace(tb.Body(r, colFor[ell]))
+				}
+			}
+			keyToks := text.Normalize(key)
+			norm := strings.Join(keyToks, " ")
+			if norm == "" {
+				continue
+			}
+			target := -1
+			if idx, ok := exact[norm]; ok {
+				target = idx
+			} else if opts.KeyJaccard < 1 {
+				for _, kr := range fuzzy {
+					if text.JaccardTokens(keyToks, kr.keyTokens) >= opts.KeyJaccard {
+						target = kr.row
+						break
+					}
+				}
+			}
+			if target >= 0 && compatibleRef(ans.Rows[target].Cells, cells) {
+				mergeRef(&ans.Rows[target], cells, tb.ID, rel)
+			} else {
+				ans.Rows = append(ans.Rows, Row{Cells: cells, Support: 1, Sources: []string{tb.ID}, Score: rel})
+				idx := len(ans.Rows) - 1
+				exact[norm] = idx
+				fuzzy = append(fuzzy, keyedRef{keyTokens: keyToks, row: idx})
+			}
+		}
+	}
+	rankRowsRef(ans)
+	if opts.MaxRows > 0 && len(ans.Rows) > opts.MaxRows {
+		ans.Rows = ans.Rows[:opts.MaxRows]
+	}
+	return ans
+}
+
+func compatibleRef(a, b []string) bool {
+	for i := range a {
+		if a[i] == "" || b[i] == "" {
+			continue
+		}
+		ta, tb := text.Normalize(a[i]), text.Normalize(b[i])
+		if len(ta) == 0 || len(tb) == 0 {
+			continue
+		}
+		if text.JaccardTokens(ta, tb) < 0.5 {
+			return false
+		}
+	}
+	return true
+}
+
+func mergeRef(row *Row, cells []string, source string, rel float64) {
+	for i, c := range cells {
+		if row.Cells[i] == "" {
+			row.Cells[i] = c
+		}
+	}
+	for _, s := range row.Sources {
+		if s == source {
+			return
+		}
+	}
+	row.Sources = append(row.Sources, source)
+	row.Support++
+	row.Score += rel
+}
+
+func rankRowsRef(ans *Answer) {
+	filled := func(r Row) int {
+		n := 0
+		for _, c := range r.Cells {
+			if c != "" {
+				n++
+			}
+		}
+		return n
+	}
+	sort.SliceStable(ans.Rows, func(i, j int) bool {
+		a, b := ans.Rows[i], ans.Rows[j]
+		if a.Support != b.Support {
+			return a.Support > b.Support
+		}
+		if a.Score != b.Score {
+			return a.Score > b.Score
+		}
+		if fa, fb := filled(a), filled(b); fa != fb {
+			return fa > fb
+		}
+		return a.Cells[0] < b.Cells[0]
+	})
+}
+
+// oracleCells are the cell texts of the oracle worlds: plain and
+// multi-token entities, word-order and case variants, stemming variants,
+// duplicate tokens, stopword-only, punctuation-only, padded and empty
+// cells — every way two strings can normalize alike or to nothing.
+var oracleCells = []string{
+	"alpha", "Alpha", " alpha ", "alpha beta", "beta alpha", "alpha alpha",
+	"alpha alpha beta", "alpha beta gamma", "gamma", "gammas", "running",
+	"runs", "run", "delta epsilon", "Delta, Epsilon!", "the", "the of",
+	"of a", "--", "", "  ", "42", "42 alpha",
+}
+
+// randOracleWorld draws q, candidate tables, a labeling (sometimes shorter
+// than the table list), per-table relevance (nil or drawn from a few
+// values so score ties exercise the stable ranking) and options.
+func randOracleWorld(r *rand.Rand) (int, []*wtable.Table, core.Labeling, []float64, Options) {
+	q := 1 + r.Intn(3)
+	n := 1 + r.Intn(6)
+	tables := make([]*wtable.Table, n)
+	cols := make([]int, n)
+	for i := range tables {
+		nc := q + r.Intn(2)
+		t := &wtable.Table{ID: fmt.Sprintf("t%d", i%4)} // repeated IDs: one source, many tables
+		for ri := 0; ri < 1+r.Intn(6); ri++ {
+			var row wtable.Row
+			for c := 0; c < nc; c++ {
+				row.Cells = append(row.Cells, wtable.Cell{Text: oracleCells[r.Intn(len(oracleCells))]})
+			}
+			t.BodyRows = append(t.BodyRows, row)
+		}
+		tables[i] = t
+		cols[i] = nc
+	}
+	labeled := n
+	if r.Intn(5) == 0 {
+		labeled = n - 1
+	}
+	l := core.NewLabeling(q, cols[:labeled])
+	for i := 0; i < labeled; i++ {
+		if r.Intn(4) == 0 {
+			continue // stays irrelevant
+		}
+		perm := r.Perm(cols[i])
+		for c := range l.Y[i] {
+			l.Y[i][c] = core.NA(q)
+		}
+		for ell := 0; ell < q; ell++ {
+			if ell > 0 && r.Intn(4) == 0 {
+				continue // query column left unmapped
+			}
+			if ell == 0 && r.Intn(8) == 0 {
+				continue // no key column: the table cannot anchor rows
+			}
+			l.Y[i][perm[ell]] = ell
+		}
+	}
+	var rel []float64
+	if r.Intn(2) == 0 {
+		rel = make([]float64, n-r.Intn(2))
+		for i := range rel {
+			rel[i] = []float64{0.25, 0.5, 1}[r.Intn(3)]
+		}
+	}
+	opts := NewOptions()
+	opts.KeyJaccard = []float64{0.8, 0.5, 0.3, 1, 0}[r.Intn(5)]
+	if r.Intn(4) == 0 {
+		opts.MaxRows = 1 + r.Intn(4)
+	}
+	return q, tables, l, rel, opts
+}
+
+// TestConsolidateMatchesOracleQuick compares ConsolidateScratch — through
+// one scratch reused across every case and through a fresh one — with
+// the reference consolidator: same rows in the same order, with the same
+// cells, support, sources and scores, and the same source list.
+func TestConsolidateMatchesOracleQuick(t *testing.T) {
+	var reused Scratch
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		q, tables, l, rel, opts := randOracleWorld(r)
+		want := consolidateRef(q, tables, l, rel, opts)
+		for _, s := range []*Scratch{&reused, nil} {
+			if got := ConsolidateScratch(q, tables, l, rel, opts, s); !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d: got %+v\nwant %+v", seed, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -391,7 +391,7 @@ func (e *Engine) overDeadline(st *queryState, includeBuild bool) bool {
 // stageConsolidate merges and ranks the relevant tables' rows (§2.2.3).
 func (e *Engine) stageConsolidate(st *queryState, s *QueryScratch) (bool, error) {
 	st.answer = consolidate.ConsolidateScratch(len(st.query.Columns), st.tables,
-		st.labeling, st.model.Conf, st.model.Rel, e.Opts.Consolidate, &s.cons)
+		st.labeling, st.model.Rel, e.Opts.Consolidate, &s.cons)
 	return true, nil
 }
 
