@@ -19,10 +19,10 @@ type corpusCase struct {
 }
 
 // corpusCases generates the seed-2012 corpus at the given scale, indexes
-// it, and returns its corpus statistics plus, for every workload query,
-// the top-k first-probe candidates: the model-build inputs the engine's
-// pipeline sees.
-func corpusCases(tb testing.TB, scale float64, k int) (CorpusStats, []corpusCase) {
+// it, and returns its searcher (the corpus statistics) plus, for every
+// workload query, the top-k first-probe candidates: the model-build
+// inputs the engine's pipeline sees.
+func corpusCases(tb testing.TB, scale float64, k int) (*index.Searcher, []corpusCase) {
 	tb.Helper()
 	corpus := corpusgen.Generate(corpusgen.Config{Seed: 2012, Scale: scale})
 	tables := corpus.ExtractAll(extract.NewOptions())

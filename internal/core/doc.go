@@ -31,7 +31,11 @@
 // Build allocates a private arena; BuildWith carves every model grid from
 // a caller-owned BuildScratch, and the resulting Model aliases that
 // arena. The caller must not reuse the scratch while the Model is live.
-// Scratch buffers must never be inserted into the cross-query caches;
-// referencing cache-owned slices from scratch fields is fine because
-// build code never writes through them.
+// A build can also run in two halves: BuildTables computes the per-table
+// state (features, Rel, node potentials, stage-1 Dist/Conf), and
+// Model.Extend adds more tables through the same scratch and builds the
+// edges over all of them — identical to one BuildWith over the whole
+// list. Scratch buffers must never be inserted into the cross-query
+// caches; referencing cache-owned slices from scratch fields is fine
+// because build code never writes through them.
 package core

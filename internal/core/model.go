@@ -110,84 +110,64 @@ func (b *Builder) Build(queryCols []string, tables []*wtable.Table) *Model {
 // clone is live either). A nil s uses a fresh private arena, which is what
 // makes Build safe for retention.
 //
-// The per-table work — view analysis plus the SegSim/Cover/PMI² feature
-// grid — is independent across tables and runs on a GOMAXPROCS-wide worker
-// pool; every worker writes only its own table's slots, so the result is
-// identical to the serial build.
+// A build is its two halves back to back: BuildTables for the per-table
+// state, then Extend with no added tables for the edge set.
 func (b *Builder) BuildWith(queryCols []string, tables []*wtable.Table, s *BuildScratch) *Model {
 	if s == nil {
 		s = &BuildScratch{}
 	}
-	p := b.Params
+	m := b.BuildTables(queryCols, tables, s)
+	m.Extend(b, nil, s)
+	return m
+}
+
+// BuildTables assembles the per-table half of the model through the
+// non-nil arena s: views, the SegSim/Cover/PMI² feature grid, Rel, node
+// potentials and the stage-1 Dist/Conf. Each is a pure function of the
+// query and one table, so a table's state does not depend on which other
+// tables the model holds. The model has no edges yet (enough for
+// Independent inference, which never reads them); Extend, through the same
+// s, adds tables and builds the edge set. The model aliases s exactly as
+// BuildWith's does.
+//
+// The per-table work is independent across tables and runs on a
+// GOMAXPROCS-wide worker pool; every worker writes only its own table's
+// slots and solves in its own slot of s, so the result is identical to
+// the serial build.
+func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *BuildScratch) *Model {
 	m := &Model{
-		Params: p,
+		Params: b.Params,
 		Q:      AnalyzeQuery(queryCols, b.Stats),
 		NumQ:   len(queryCols),
 	}
-
 	// Precompute H(Qℓ) doc sets once per query column for PMI². The sets
 	// are cache-owned and read-only; the scratch only holds the headers.
-	var hDocs [][]int32
-	if p.UsePMI && b.PMI != nil {
+	if m.Params.UsePMI && b.PMI != nil {
 		s.hDocs = slicex.Grow(s.hDocs, m.NumQ)
-		hDocs = s.hDocs
 		for ell, qc := range m.Q {
-			hDocs[ell] = b.PMI.HeaderContextDocs(qc.Tokens)
+			s.hDocs[ell] = b.PMI.HeaderContextDocs(qc.Tokens)
 		}
 	}
-
-	q := m.NumQ
 	// Cacheless builds still need one interner shared by every view in the
-	// model, or cross-view similarities would compare unrelated IDs.
-	in := b.Interner
-	if b.Views == nil && in == nil {
-		in = NewInterner()
+	// model, Extend's included, or cross-view similarities would compare
+	// unrelated IDs.
+	s.in = b.Interner
+	if b.Views == nil && s.in == nil {
+		s.in = NewInterner()
 	}
+	m.addTables(b, tables, s)
+	return m
+}
 
-	// Column offsets and the flat feature grid: one backing array for the
-	// whole model instead of a slice per column.
-	s.colOff = slicex.Grow(s.colOff, len(tables)+1)
-	colOff := s.colOff
-	colOff[0] = 0
-	for ti, t := range tables {
-		colOff[ti+1] = colOff[ti] + t.NumCols()
-	}
-	totalCols := colOff[len(tables)]
-
-	s.views = slicex.Grow(s.views, len(tables))
-	m.Views = s.views
-	s.rel = slicex.Grow(s.rel, len(tables))
-	m.Rel = s.rel
-	s.feats = slicex.Grow(s.feats, totalCols*q)
-	s.featRows = slicex.Grow(s.featRows, totalCols)
-	s.featsTab = slicex.Grow(s.featsTab, len(tables))
-	for gc := 0; gc < totalCols; gc++ {
-		s.featRows[gc] = s.feats[gc*q : (gc+1)*q : (gc+1)*q]
-	}
-	for ti := range tables {
-		s.featsTab[ti] = s.featRows[colOff[ti]:colOff[ti+1]:colOff[ti+1]]
-	}
-	m.Feats = s.featsTab
-
-	parallelFor(len(tables), func(ti int) {
-		v := b.viewFor(tables[ti], in)
-		m.Views[ti] = v
-		nt := v.NumCols
-		feats := m.Feats[ti]
-		for c := 0; c < nt; c++ {
-			for ell := 0; ell < q; ell++ {
-				seg, cov := segScores(&m.Q[ell], v, c, p)
-				f := Features{SegSim: seg, Cover: cov}
-				if p.UsePMI && b.PMI != nil {
-					f.PMI2 = pmi2(hDocs[ell], v, c, b.PMI, p)
-				}
-				feats[c][ell] = f
-			}
-		}
-		m.Rel[ti] = tableRelevance(feats, q)
-	})
-	m.computeNodes(s)
-	m.computeStage1(s)
+// Extend appends added to a model that BuildTables (or an earlier Extend)
+// built through s, computing per-table state for the added tables only,
+// then builds the edge set of §3.3 once over all of them. Per-table state
+// is positional and independent of the other tables, and only the edges
+// depend on the whole set, so the result is identical to BuildWith over
+// the concatenated table list. The grids grow in place, so the model keeps
+// aliasing s.
+func (m *Model) Extend(b *Builder, added []*wtable.Table, s *BuildScratch) {
+	m.addTables(b, added, s)
 	// Without a view cache every build mints fresh view IDs, so a pair
 	// cache could never hit — bypass it instead of polluting it with
 	// permanently dead entries.
@@ -195,52 +175,120 @@ func (b *Builder) BuildWith(queryCols []string, tables []*wtable.Table, s *Build
 	if b.Views == nil {
 		pairs = nil
 	}
-	m.buildRawEdges(pairs, s, colOff)
+	m.buildRawEdges(pairs, s)
 	m.finalizeEdges(s)
-	return m
 }
 
-// computeNodes assembles node potentials from the cached features under
-// the current Params, into the scratch grids when s is non-nil (fresh
-// arrays otherwise, for Reweight clones).
-func (m *Model) computeNodes(s *BuildScratch) {
+// Truncate keeps the first n tables of the model and drops the rest, with
+// the edge set; per-table state is positional, so the kept tables keep
+// theirs. Extend rebuilds the edges.
+func (m *Model) Truncate(n int) {
+	m.Views, m.Rel, m.Feats = m.Views[:n], m.Rel[:n], m.Feats[:n]
+	m.Node, m.Dist, m.Conf = m.Node[:n], m.Dist[:n], m.Conf[:n]
+	m.rawEdges, m.Edges = nil, nil
+}
+
+// addTables appends the per-table state of added to m through s. The flat
+// grids grow with GrowKeep and every header is re-carved over the whole
+// table list, so the tables already built keep their values and only the
+// added ones are computed.
+func (m *Model) addTables(b *Builder, added []*wtable.Table, s *BuildScratch) {
+	n0 := len(m.Views)
+	if n0 > 0 && &m.Rel[0] != &s.rel[0] {
+		panic("core: model extended through an arena it was not built in")
+	}
+	n := n0 + len(added)
+	p := m.Params
 	q := m.NumQ
 	labels := NumLabels(q)
-	totalCols := 0
-	for _, v := range m.Views {
-		totalCols += v.NumCols
-	}
-	var backing []float64
-	var rows [][]float64
-	var tab [][][]float64
-	if s != nil {
-		s.node = slicex.Grow(s.node, totalCols*labels)
-		s.nodeRows = slicex.Grow(s.nodeRows, totalCols)
-		s.nodeTab = slicex.Grow(s.nodeTab, len(m.Views))
-		backing, rows, tab = s.node, s.nodeRows, s.nodeTab
-	} else {
-		backing = make([]float64, totalCols*labels)
-		rows = make([][]float64, totalCols)
-		tab = make([][][]float64, len(m.Views))
-	}
-	gc := 0
+
+	s.colOff = slicex.Grow(s.colOff, n+1)
+	colOff := s.colOff
+	colOff[0] = 0
 	for ti, v := range m.Views {
-		nt := v.NumCols
-		tab[ti] = rows[gc : gc+nt : gc+nt]
-		for c := 0; c < nt; c++ {
-			row := backing[(gc+c)*labels : (gc+c+1)*labels : (gc+c+1)*labels]
-			rows[gc+c] = row
-			for label := 0; label < labels; label++ {
-				var f Features
-				if label < q {
-					f = m.Feats[ti][c][label]
+		colOff[ti+1] = colOff[ti] + v.NumCols
+	}
+	for i, t := range added {
+		colOff[n0+i+1] = colOff[n0+i] + t.NumCols()
+	}
+	total := colOff[n]
+
+	s.views = slicex.GrowKeep(s.views, n)
+	s.rel = slicex.GrowKeep(s.rel, n)
+	s.feats = slicex.GrowKeep(s.feats, total*q)
+	s.node = slicex.GrowKeep(s.node, total*labels)
+	s.dist = slicex.GrowKeep(s.dist, total*labels)
+	s.conf = slicex.GrowKeep(s.conf, total)
+	s.featRows, s.featsTab = slicex.Grow(s.featRows, total), slicex.Grow(s.featsTab, n)
+	s.nodeRows, s.nodeTab = slicex.Grow(s.nodeRows, total), slicex.Grow(s.nodeTab, n)
+	s.distRows, s.distTab = slicex.Grow(s.distRows, total), slicex.Grow(s.distTab, n)
+	s.confTab = slicex.Grow(s.confTab, n)
+	m.Views, m.Rel = s.views, s.rel
+	m.Feats = carveGrid(s.feats, s.featRows, s.featsTab, colOff, q)
+	m.Node = carveGrid(s.node, s.nodeRows, s.nodeTab, colOff, labels)
+	m.Dist = carveGrid(s.dist, s.distRows, s.distTab, colOff, labels)
+	m.Conf = carveCols(s.conf, s.confTab, colOff)
+
+	workers := numWorkers(len(added))
+	s.workers = slicex.GrowKeep(s.workers, workers)
+	slots := s.workers
+	parallelForWorkers(len(added), workers, func(w, i int) {
+		ti := n0 + i
+		v := b.viewFor(added[i], s.in)
+		m.Views[ti] = v
+		feats := m.Feats[ti]
+		for c := 0; c < v.NumCols; c++ {
+			for ell := 0; ell < q; ell++ {
+				seg, cov := segScores(&m.Q[ell], v, c, p)
+				f := Features{SegSim: seg, Cover: cov}
+				if p.UsePMI && b.PMI != nil {
+					f.PMI2 = pmi2(s.hDocs[ell], v, c, b.PMI, p)
 				}
-				row[label] = nodePotential(f, m.Rel[ti], q, nt, label, m.Params)
+				feats[c][ell] = f
 			}
 		}
-		gc += nt
+		m.Rel[ti] = tableRelevance(feats, q)
+		m.tableNodes(ti)
+		m.tableStage1(ti, &slots[w])
+	})
+}
+
+// carveGrid points the row and per-table headers of one flat
+// (global column × width) grid into its backing array — rows[gc] is the
+// gc-th width-long run, tab[t] the rows of table t's columns under the
+// colOff prefix sums — and returns tab.
+func carveGrid[T any](backing []T, rows [][]T, tab [][][]T, colOff []int, width int) [][][]T {
+	for gc := range rows {
+		rows[gc] = backing[gc*width : (gc+1)*width : (gc+1)*width]
 	}
-	m.Node = tab
+	for t := range tab {
+		tab[t] = rows[colOff[t]:colOff[t+1]:colOff[t+1]]
+	}
+	return tab
+}
+
+// carveCols is carveGrid for a grid of one value per column.
+func carveCols[T any](backing []T, tab [][]T, colOff []int) [][]T {
+	for t := range tab {
+		tab[t] = backing[colOff[t]:colOff[t+1]:colOff[t+1]]
+	}
+	return tab
+}
+
+// tableNodes fills table ti's node potentials from its cached features
+// under the current Params.
+func (m *Model) tableNodes(ti int) {
+	q := m.NumQ
+	nt := m.Views[ti].NumCols
+	for c, row := range m.Node[ti] {
+		for label := range row {
+			var f Features
+			if label < q {
+				f = m.Feats[ti][c][label]
+			}
+			row[label] = nodePotential(f, m.Rel[ti], q, nt, label, m.Params)
+		}
+	}
 }
 
 // Reweight returns a model identical to m except for the trainable
@@ -255,8 +303,21 @@ func (m *Model) computeNodes(s *BuildScratch) {
 func (m *Model) Reweight(p Params) *Model {
 	clone := *m
 	clone.Params = p
-	clone.computeNodes(nil)
-	clone.computeStage1(nil)
+	n := len(m.Views)
+	colOff := make([]int, n+1)
+	for ti, v := range m.Views {
+		colOff[ti+1] = colOff[ti] + v.NumCols
+	}
+	total, labels := colOff[n], NumLabels(m.NumQ)
+	clone.Node = carveGrid(make([]float64, total*labels), make([][]float64, total), make([][][]float64, n), colOff, labels)
+	clone.Dist = carveGrid(make([]float64, total*labels), make([][]float64, total), make([][][]float64, n), colOff, labels)
+	clone.Conf = carveCols(make([]float64, total), make([][]float64, n), colOff)
+	workers := numWorkers(n)
+	slots := make([]workerScratch, workers)
+	parallelForWorkers(n, workers, func(w, ti int) {
+		clone.tableNodes(ti)
+		clone.tableStage1(ti, &slots[w])
+	})
 	clone.finalizeEdges(nil)
 	return &clone
 }
@@ -329,70 +390,23 @@ func (m *Model) tableMaxMarginals(ti int, sc *workerScratch) [][]float64 {
 	return out
 }
 
-// computeStage1 fills Dist and Conf from per-table max-marginals. Each
-// table's assignment solve is independent, so the loop runs on the shared
-// worker pool with per-index writes; every worker reuses its own slot of
-// the stage-1 solver scratch.
-func (m *Model) computeStage1(s *BuildScratch) {
+// tableStage1 fills table ti's stage-1 Dist and Conf from its
+// max-marginals, solving in the worker slot sc.
+func (m *Model) tableStage1(ti int, sc *workerScratch) {
 	q := m.NumQ
-	labels := NumLabels(q)
-	totalCols := 0
-	for _, v := range m.Views {
-		totalCols += v.NumCols
-	}
-	var distB []float64
-	var distRows [][]float64
-	var distTab [][][]float64
-	var confB []float64
-	var confTab [][]float64
-	workers := numWorkers(len(m.Views))
-	var slots []workerScratch
-	if s != nil {
-		s.dist = slicex.Grow(s.dist, totalCols*labels)
-		s.distRows = slicex.Grow(s.distRows, totalCols)
-		s.distTab = slicex.Grow(s.distTab, len(m.Views))
-		s.conf = slicex.Grow(s.conf, totalCols)
-		s.confTab = slicex.Grow(s.confTab, len(m.Views))
-		distB, distRows, distTab = s.dist, s.distRows, s.distTab
-		confB, confTab = s.conf, s.confTab
-		s.workers = slicex.GrowKeep(s.workers, workers)
-		slots = s.workers
-	} else {
-		distB = make([]float64, totalCols*labels)
-		distRows = make([][]float64, totalCols)
-		distTab = make([][][]float64, len(m.Views))
-		confB = make([]float64, totalCols)
-		confTab = make([][]float64, len(m.Views))
-		slots = make([]workerScratch, workers)
-	}
-	gc := 0
-	for ti, v := range m.Views {
-		nt := v.NumCols
-		distTab[ti] = distRows[gc : gc+nt : gc+nt]
-		for c := 0; c < nt; c++ {
-			distRows[gc+c] = distB[(gc+c)*labels : (gc+c+1)*labels : (gc+c+1)*labels]
-		}
-		confTab[ti] = confB[gc : gc+nt : gc+nt]
-		gc += nt
-	}
-	m.Dist = distTab
-	m.Conf = confTab
-	parallelForWorkers(len(m.Views), workers, func(w, ti int) {
-		mu := m.tableMaxMarginals(ti, &slots[w])
-		nt := m.Views[ti].NumCols
-		dist := m.Dist[ti]
-		conf := m.Conf[ti]
-		for c := 0; c < nt; c++ {
-			softmaxInto(dist[c], mu[c])
-			best := 0.0
-			for label := 0; label < q; label++ {
-				if dist[c][label] > best {
-					best = dist[c][label]
-				}
+	mu := m.tableMaxMarginals(ti, sc)
+	dist := m.Dist[ti]
+	conf := m.Conf[ti]
+	for c := range dist {
+		softmaxInto(dist[c], mu[c])
+		best := 0.0
+		for label := 0; label < q; label++ {
+			if dist[c][label] > best {
+				best = dist[c][label]
 			}
-			conf[c] = best
 		}
-	})
+		conf[c] = best
+	}
 }
 
 // buildRawEdges realizes the weight-independent part of §3.3: content
@@ -403,18 +417,21 @@ func (m *Model) computeStage1(s *BuildScratch) {
 // independent across table pairs, so it fans out over the worker pool
 // (served from cache when one is wired), each pair writing only its own
 // slot; a miss solves in its worker's slot of the scratch, so the only
-// allocation it makes is the exact-size result. The query-dependent part — summing each column's neighborhood
-// denominator and normalizing — runs as a deterministic serial merge over
-// the slots in (t1, t2, c1, c2) order, the exact accumulation order of the
-// old serial map-based path, so float sums stay bit-identical. The denom /
+// allocation it makes is the exact-size result. The query-dependent part
+// — summing each column's neighborhood denominator and normalizing — runs
+// as a deterministic serial merge over the slots in (t1, t2, c1, c2)
+// order, the exact accumulation order of the old serial map-based path,
+// so float sums stay bit-identical. The denom /
 // edge-index maps of that path are replaced by flat arrays indexed by
-// global column offsets, all scratch-backed. colOff is the prefix sum
-// BuildWith already computed — colOff[t] is the global offset of table
-// t's first column — passed through so the feature grid and the edge
-// offsets share one source of truth.
-func (m *Model) buildRawEdges(cache *PairSimCache, s *BuildScratch, colOff []int) {
+// global column offsets, all scratch-backed: s.colOff is the prefix sum
+// addTables computed — colOff[t] is the global offset of table t's first
+// column — so the feature grid and the edge offsets share one source of
+// truth.
+func (m *Model) buildRawEdges(cache *PairSimCache, s *BuildScratch) {
 	p := m.Params
 	n := len(m.Views)
+	colOff := s.colOff
+	m.rawEdges = nil
 	if n < 2 {
 		return
 	}

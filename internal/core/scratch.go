@@ -8,11 +8,13 @@ import "wwt/internal/graph"
 // lives here, so a warm scratch builds a model with near-zero allocation.
 // The zero value is ready to use.
 //
-// Ownership contract: a Model built through BuildWith aliases the scratch
-// (its Node/Feats/Dist/Conf/Rel/Views/Edges storage IS the scratch), so the
-// scratch may only be reused once that model is dead. The engine's query
-// pipeline relies on this: the arena is handed to the Result and recycled
-// only on Release. Scratch buffers must never be handed to a cross-query
+// Ownership contract: a Model built through BuildWith or BuildTables
+// aliases the scratch (its Node/Feats/Dist/Conf/Rel/Views/Edges storage IS
+// the scratch), so the scratch may only be reused once that model is dead.
+// Extend is no exception: it grows that same model in place, so it takes
+// the scratch the model was built through. The engine's query pipeline
+// relies on this: the arena is handed to the Result and recycled only on
+// Release. Scratch buffers must never be handed to a cross-query
 // cache (ViewCache/PairSimCache/DocSetCache) — caches may only hold their
 // own allocations; the reverse (read-only cache-owned slices referenced
 // from scratch fields, e.g. pair-sim slots) is fine because the scratch
@@ -27,6 +29,7 @@ import "wwt/internal/graph"
 type BuildScratch struct {
 	hDocs  [][]int32 // per query column: cache-owned H(Qℓ) doc sets (read-only)
 	colOff []int     // table -> global offset of its first column
+	in     *Interner // symbol table of the model's views when no ViewCache owns one
 
 	views []*TableView
 

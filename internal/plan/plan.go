@@ -81,10 +81,11 @@ type Features struct {
 }
 
 // Sample is one answered query's observed work sizes and per-stage wall
-// times, as fed to Estimator.Observe. Probe2 covers the re-probe plus the
-// second read (they fire together); a query whose second probe did not
-// fire reports Probe2Ran=false and those stages are not calibrated from
-// it.
+// times, as fed to Estimator.Observe. Probe2 covers the stage-1 mapping
+// that seeds the re-probe (timed whenever the second probe is enabled)
+// plus the re-probe itself; Read2 is the second read. Probe2Ran reports
+// whether the re-probe fired; a query whose re-probe did not fire is not
+// used to calibrate the probe-2 coefficient.
 type Sample struct {
 	Postings int // posting entries under the probe-1 terms
 	// PostingsScanned is how many posting entries the probe actually

@@ -79,7 +79,7 @@ type queryState struct {
 	tables      []*wtable.Table // deduplicated candidates, probe-1 order first
 	probe2Fired bool
 
-	model    *core.Model
+	model    *core.Model // per-table state after probe2, the full model after colmap
 	labeling core.Labeling
 	answer   *consolidate.Answer
 
@@ -194,14 +194,18 @@ func (e *Engine) stageRead1(st *queryState, _ *QueryScratch) (bool, error) {
 
 // stageProbe2 runs the content-overlap re-probe of §2.2.1: a stage-1
 // column mapping finds confident tables, rows sampled from them extend the
-// keyword set, and the index is probed again. The stage-1 model is built
-// in the query's arena and dead before the stage returns, so ColumnMap
-// can reuse the same grids.
+// keyword set, and the index is probed again. The stage-1 mapping needs
+// only per-table state — Independent inference never reads edges — so the
+// model is built without them, in the query's arena, and handed on in
+// st.model for ColumnMap to extend with the second probe's tables. The
+// stage reports that it ran whenever it built that model, whether or not
+// the re-probe then fires (st.probe2Fired), so its cost is always timed.
 func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	if !e.Opts.SecondProbe || len(st.tables) == 0 {
 		return false, nil
 	}
-	m := st.g.builder(e.Opts.Params).BuildWith(st.query.Columns, st.tables, &s.build)
+	m := st.g.builder(e.Opts.Params).BuildTables(st.query.Columns, st.tables, &s.build)
+	st.model = m
 	l := inference.SolveScratch(m, inference.Independent, &s.infer)
 	type scored struct {
 		ti  int
@@ -234,10 +238,8 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 		}
 	}
 	if nConf == 0 {
-		// No confident seed table: the second probe never fires. Report the
-		// stage as skipped so Timings.Probe2 stays zero (the stage-1 mapping
-		// cost stays untimed, as it always was), consistent with UsedProbe2.
-		return false, nil
+		// No confident seed table: the second probe never fires.
+		return true, nil
 	}
 	// Planner lever (a): when the stage-1 mapping is already confident
 	// enough — some relevant, confidently-seeded table maps EVERY query
@@ -249,7 +251,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 		stage1Confidence(m, l, e.Opts.MinConfidentRelevance) >= st.popts.elideConfidence() {
 		st.elided = true
 		e.planElided.Add(1)
-		return false, nil
+		return true, nil
 	}
 	// Sample rows deterministically per query.
 	h := fnv.New64a()
@@ -337,11 +339,15 @@ func (e *Engine) stageRead2(st *queryState, s *QueryScratch) (bool, error) {
 	return true, nil
 }
 
-// stageColumnMap assembles the §3 graphical model over the candidate set,
-// reusing the arena grids the stage-1 build warmed. Planner lever (b)
-// fires here first: a query whose estimated build+infer+consolidate cost
-// overruns its deadline is degraded — candidates capped, inference
-// downgraded at stageInfer — instead of aborting with DeadlineExceeded.
+// stageColumnMap assembles the §3 graphical model over the candidate set.
+// When stageProbe2 built per-table state over the first-probe tables, the
+// model is extended with the tables only the second probe found and the
+// edges are built once over the union — identical to a full build, with
+// no table analyzed twice. Planner lever (b) fires here first: a query
+// whose estimated build+infer+consolidate cost overruns its deadline is
+// degraded — candidates capped, inference downgraded at stageInfer —
+// instead of aborting with DeadlineExceeded; a cap below the built prefix
+// truncates the model, since per-table state is positional.
 func (e *Engine) stageColumnMap(st *queryState, s *QueryScratch) (bool, error) {
 	if e.overDeadline(st, true) {
 		st.degraded = true
@@ -350,7 +356,17 @@ func (e *Engine) stageColumnMap(st *queryState, s *QueryScratch) (bool, error) {
 			st.tables = st.tables[:limit]
 		}
 	}
-	st.model = st.g.builder(e.Opts.Params).BuildWith(st.query.Columns, st.tables, &s.build)
+	b := st.g.builder(e.Opts.Params)
+	if st.model == nil {
+		st.model = b.BuildWith(st.query.Columns, st.tables, &s.build)
+		return true, nil
+	}
+	built := len(st.model.Views)
+	if built > len(st.tables) {
+		st.model.Truncate(len(st.tables))
+		built = len(st.tables)
+	}
+	st.model.Extend(b, st.tables[built:], &s.build)
 	return true, nil
 }
 

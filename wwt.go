@@ -186,8 +186,12 @@ func DefaultOptions() Options {
 }
 
 // Timings is the per-stage running time split of Fig. 7: one field per
-// pipeline stage. ColumnMap covers only the model build; Infer is the
-// collective inference solve, reported separately.
+// pipeline stage. Probe2 covers the stage-1 mapping over the first-probe
+// tables (their per-table model state) whenever the second probe is
+// enabled, plus the re-probe when it fires (Result.UsedProbe2);
+// ColumnMap covers the rest of the model build — the second probe's
+// tables and the edges; Infer is the collective inference solve, reported
+// separately.
 //
 // A stage added here must also be added to fields (and timingsStageNames)
 // below — that list is the single enumeration Add, Total and Stages

@@ -219,7 +219,10 @@ func TestAnswerWarmPoolAllocs(t *testing.T) {
 		}
 		res.Release()
 	})
-	const ceiling = 280 // measured ~189 warm with the norm cache
+	// Measured 93 warm (slot-solved pair misses, memoized consolidation
+	// cells, one model build per query) and 121–138 under -race, whose
+	// sync.Pool randomly drops arenas; ~30% headroom over the race count.
+	const ceiling = 170
 	if allocs > ceiling {
 		t.Errorf("warm-pool Answer allocates %.0f/op, ceiling %d", allocs, ceiling)
 	}

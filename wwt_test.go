@@ -166,6 +166,30 @@ func TestEngineSecondProbeToggle(t *testing.T) {
 	}
 }
 
+// TestEngineProbe2TimedWhenNotFired: with no stage-1 table relevant
+// enough to seed the re-probe, the second probe never fires, but the
+// stage still built and solved the stage-1 mapping — that time is charged
+// to Timings.Probe2 while UsedProbe2 stays false.
+func TestEngineProbe2TimedWhenNotFired(t *testing.T) {
+	opts := wwt.DefaultOptions()
+	opts.MinConfidentRelevance = 2 // above every R(Q,t), which lies in [0, 1]
+	eng, err := wwt.NewEngine(smallCorpus(t), &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Answer(wwt.Query{Columns: []string{"country", "currency"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	if res.UsedProbe2 {
+		t.Error("probe2 fired without a confident seed table")
+	}
+	if res.Timings.Probe2 <= 0 {
+		t.Error("stage-1 mapping of probe2 not timed")
+	}
+}
+
 func TestEnginePersistenceRoundTrip(t *testing.T) {
 	tables := smallCorpus(t)
 	eng, err := wwt.NewEngine(tables, nil)
