@@ -137,6 +137,9 @@ func BenchmarkFig6Consolidation(b *testing.B) {
 	}
 }
 
+// consolidateSink keeps the benchmarked answer live.
+var consolidateSink *consolidate.Answer
+
 // BenchmarkConsolidate measures the consolidator the way the pipeline
 // runs it: through one reused Scratch, whose cell memo and key indexes
 // stay warm across calls. Compare with BenchmarkFig6Consolidation, which
@@ -152,7 +155,7 @@ func BenchmarkConsolidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
-		consolidate.ConsolidateScratch(w.queries[qi].Q(), w.cands[qi], labelings[qi],
+		consolidateSink = consolidate.ConsolidateScratch(w.queries[qi].Q(), w.cands[qi], labelings[qi],
 			w.models[qi].Rel, consolidate.NewOptions(), &s)
 	}
 }

@@ -120,10 +120,9 @@ type PairSimCache struct {
 type pairSimKey struct{ a, b uint64 }
 
 // DefaultPairSimCacheSize bounds the cache when NewPairSimCache is given a
-// non-positive capacity. At the default probe width (≈54 candidate tables
-// after the second probe, ≈1 430 pairs per query, measured on the
-// benchmark corpus) it holds the working set of about twenty distinct
-// queries.
+// non-positive capacity. At the default probe width — ≈54 candidate tables
+// after the second probe, ≈1 490 table pairs per query on the benchmark
+// corpus — it holds the working set of about twenty distinct queries.
 const DefaultPairSimCacheSize = 1 << 15
 
 // NewPairSimCache returns an LRU of at most capacity view pairs.

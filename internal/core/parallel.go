@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// numWorkers returns the worker count parallelFor uses for n iterations —
-// the size callers must give any per-worker scratch array.
+// numWorkers returns the worker count for n iterations: GOMAXPROCS, capped
+// at n — the size callers give their per-worker scratch array.
 func numWorkers(n int) int {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -19,20 +19,15 @@ func numWorkers(n int) int {
 	return workers
 }
 
-// parallelFor runs fn(i) for every i in [0, n) across a worker pool sized
-// to GOMAXPROCS. Iterations must be independent and write only to disjoint
+// parallelForWorkers runs fn(w, i) for every i in [0, n) across a pool of
+// workers. Iterations must be independent and write only to disjoint
 // indices of any shared output, which keeps results deterministic
-// regardless of scheduling. Small n falls through to a plain loop.
-func parallelFor(n int, fn func(int)) {
-	parallelForWorkers(n, numWorkers(n), func(_, i int) { fn(i) })
-}
-
-// parallelForWorkers is parallelFor with the worker index exposed:
-// fn(w, i), w < workers, may freely use the w-th slot of per-worker
-// scratch, since each worker runs its iterations sequentially. The caller
-// passes workers (normally numWorkers(n)) explicitly so its scratch array
-// and the pool size cannot disagree, even if GOMAXPROCS changes mid-call.
-// Iteration results must not depend on which worker runs them.
+// regardless of scheduling; a result must not depend on which worker ran
+// it. fn may freely use the w-th slot of per-worker scratch, since each
+// worker runs its iterations sequentially. The caller passes workers
+// (normally numWorkers(n)) explicitly so its scratch array and the pool
+// size cannot disagree, even if GOMAXPROCS changes mid-call. One worker
+// or n < 2 falls through to a plain loop.
 func parallelForWorkers(n, workers int, fn func(worker, i int)) {
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {

@@ -8,12 +8,14 @@ import (
 // TestParallelForCoversAllIndices: every index runs exactly once regardless
 // of worker count.
 func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100} {
-		counts := make([]atomic.Int32, n)
-		parallelFor(n, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("n=%d: index %d ran %d times", n, i, c)
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 2, 7, 100} {
+			counts := make([]atomic.Int32, n)
+			parallelForWorkers(n, workers, func(_, i int) { counts[i].Add(1) })
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Fatalf("%d workers, n=%d: index %d ran %d times", workers, n, i, c)
+				}
 			}
 		}
 	}
@@ -28,10 +30,10 @@ func TestParallelForPropagatesPanic(t *testing.T) {
 			t.Fatalf("recovered %v, want \"boom\"", r)
 		}
 	}()
-	parallelFor(64, func(i int) {
+	parallelForWorkers(64, 4, func(_, i int) {
 		if i == 13 {
 			panic("boom")
 		}
 	})
-	t.Fatal("parallelFor returned instead of panicking")
+	t.Fatal("parallelForWorkers returned instead of panicking")
 }

@@ -339,11 +339,11 @@ func (e *Engine) stageRead2(st *queryState, s *QueryScratch) (bool, error) {
 	return true, nil
 }
 
-// stageColumnMap assembles the §3 graphical model over the candidate set.
-// When stageProbe2 built per-table state over the first-probe tables, the
-// model is extended with the tables only the second probe found and the
-// edges are built once over the union — identical to a full build, with
-// no table analyzed twice. Planner lever (b) fires here first: a query
+// stageColumnMap assembles the §3 graphical model over the candidate set:
+// it extends the per-table state stageProbe2 built over the first-probe
+// tables (an empty model when that stage did not run) with the remaining
+// candidates and builds the edges once over all of them — identical to a
+// full build, with no table analyzed twice. Planner lever (b) fires here first: a query
 // whose estimated build+infer+consolidate cost overruns its deadline is
 // degraded — candidates capped, inference downgraded at stageInfer —
 // instead of aborting with DeadlineExceeded; a cap below the built prefix
@@ -358,15 +358,12 @@ func (e *Engine) stageColumnMap(st *queryState, s *QueryScratch) (bool, error) {
 	}
 	b := st.g.builder(e.Opts.Params)
 	if st.model == nil {
-		st.model = b.BuildWith(st.query.Columns, st.tables, &s.build)
-		return true, nil
+		st.model = b.BuildTables(st.query.Columns, nil, &s.build)
 	}
-	built := len(st.model.Views)
-	if built > len(st.tables) {
-		st.model.Truncate(len(st.tables))
-		built = len(st.tables)
+	if n := len(st.tables); len(st.model.Views) > n {
+		st.model.Truncate(n)
 	}
-	st.model.Extend(b, st.tables[built:], &s.build)
+	st.model.Extend(b, st.tables[len(st.model.Views):], &s.build)
 	return true, nil
 }
 

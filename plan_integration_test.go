@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"wwt"
+	"wwt/internal/core"
 	"wwt/internal/corpusgen"
 	"wwt/internal/extract"
 	"wwt/internal/inference"
@@ -316,5 +317,52 @@ func TestDeadlineDegradation(t *testing.T) {
 	}
 	if ps := eng.PlanStats(); ps.Degraded != uint64(degraded) {
 		t.Fatalf("PlanStats.Degraded = %d, want %d", ps.Degraded, degraded)
+	}
+}
+
+// TestDeadlineDegradationTruncatesModel pins the degrade cap below the
+// first-probe tables the second probe already built per-table state for:
+// the capped model is truncated in place, and must be bit-identical —
+// nodes, stage-1 state, edges — to a fresh build over the kept tables.
+func TestDeadlineDegradationTruncatesModel(t *testing.T) {
+	wqs, corpus := evalQueries(t)
+	opts := wwt.DefaultOptions()
+	opts.Planner.DeadlineDegrade = true
+	opts.Planner.DegradeMaxTables = 2
+	eng, err := wwt.NewEngine(corpus.ExtractAll(extract.NewOptions()), &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Planner().Observe(plan.Sample{
+		Postings: 1, Tables1: 1, Tables: 1, Alg: int(opts.Algorithm), Probe2Ran: true,
+		Probe1: time.Hour, Read1: time.Hour, Probe2: time.Hour, Read2: time.Hour,
+		Build: time.Hour, Infer: time.Hour, Cons: time.Hour,
+	})
+	capped := 0
+	for i, q := range wqs {
+		cands, _, err := eng.Candidates(q, nil)
+		if err != nil {
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		res, err := eng.AnswerCtx(ctx, q)
+		cancel()
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if res.Degraded && len(cands) > len(res.Tables) {
+			capped++
+			b := &core.Builder{Params: opts.Params, Stats: eng.Searcher()}
+			want := b.Build(q.Columns, res.Tables)
+			if !reflect.DeepEqual(res.Model.Node, want.Node) || !reflect.DeepEqual(res.Model.Rel, want.Rel) ||
+				!reflect.DeepEqual(res.Model.Dist, want.Dist) || !reflect.DeepEqual(res.Model.Conf, want.Conf) ||
+				!reflect.DeepEqual(res.Model.Edges, want.Edges) {
+				t.Fatalf("query %d: truncated model != fresh build over the %d kept tables", i, len(res.Tables))
+			}
+		}
+		res.Release()
+	}
+	if capped == 0 {
+		t.Fatal("no degraded query was capped below its built tables")
 	}
 }
