@@ -10,12 +10,10 @@ package wwt
 // member is isolated to its own slot; the rest of the batch completes.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,11 +75,6 @@ type BatchResult struct {
 	Results []*Result
 	Errs    []error
 	Timings BatchTimings
-	// Latency[i] is member i's completion latency measured from the start
-	// of the batch — queue wait included, which is what batch scheduling
-	// reorders. Indexed like Results; failed and panicked members record
-	// their latency too.
-	Latency []time.Duration
 }
 
 // FirstErr returns the error of the lowest-indexed failed member, or nil
@@ -128,16 +121,14 @@ func batchWorkers(workers, n int) int {
 	return workers
 }
 
-// forEachQuery fans indices 0..n-1 out over a bounded worker pool, in
-// dispatch order `order` (nil means submission order; otherwise a
-// permutation of 0..n-1 — workers pull order[0], order[1], ... but fn
-// still receives the original index, so output slots never move). Each
-// worker draws one arena from the engine pool and hands it to fn query by
-// query; fn reports whether it retained the arena (gave it to a Result),
-// in which case the worker draws a fresh one. A panicking fn is recovered
-// into onPanic and its arena is discarded — a half-written arena never
-// re-enters the pool. Returns the worker count actually used.
-func (e *Engine) forEachQuery(n, workers int, order []int, fn func(i int, s *QueryScratch) (retained bool), onPanic func(i int, v any)) int {
+// forEachQuery fans indices 0..n-1 out over a bounded worker pool in
+// submission order. Each worker draws one arena from the engine pool and
+// hands it to fn query by query; fn reports whether it retained the arena
+// (gave it to a Result), in which case the worker draws a fresh one. A
+// panicking fn is recovered into onPanic and its arena is discarded — a
+// half-written arena never re-enters the pool. Returns the worker count
+// actually used.
+func (e *Engine) forEachQuery(n, workers int, fn func(i int, s *QueryScratch) (retained bool), onPanic func(i int, v any)) int {
 	workers = batchWorkers(workers, n)
 	if workers == 0 {
 		return 0
@@ -162,9 +153,6 @@ func (e *Engine) forEachQuery(n, workers int, order []int, fn func(i int, s *Que
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					break
-				}
-				if order != nil {
-					i = order[i]
 				}
 				retained, poisoned := runOne(i, s)
 				if poisoned {
@@ -209,50 +197,22 @@ func (e *Engine) AnswerBatch(queries []Query, workers int) *BatchResult {
 // failed member's (stages are never interrupted mid-flight, so the arena
 // is reusable, not poisoned). Cancellation latency is bounded by the
 // longest single stage.
-func (e *Engine) AnswerBatchCtx(ctx context.Context, queries []Query, workers int, perQuery time.Duration) *BatchResult {
-	return e.AnswerBatchPlan(ctx, queries, workers, perQuery, BatchPlan{})
-}
-
-// BatchPlan carries per-batch planner overrides for AnswerBatchPlan. The
-// zero value reproduces AnswerBatchCtx exactly: FIFO dispatch, the
-// engine's default planner levers.
-type BatchPlan struct {
-	// Schedule selects the member dispatch order (FIFO, SJF, deadline).
-	Schedule Schedule
-	// Planner, when non-nil, replaces the engine's default planner levers
-	// for every member of this batch (nil keeps Options.Planner).
-	Planner *PlannerOptions
-}
-
-// AnswerBatchPlan is AnswerBatchCtx with a per-batch plan: a member
-// dispatch order (planner lever (c)) and optional per-batch planner lever
-// overrides. Scheduling only reorders *when* members run — every member
-// still lands in its submission-order output slot with a result
-// bit-identical to its solo call (pinned by
-// TestAnswerBatchSchedulingEquivalence); BatchResult.Latency records what
-// the reordering did to each member's completion time.
 //
 // The whole batch runs on the generation current at call time, pinned
 // until every member finishes: concurrent ingests swap later calls to
 // newer generations without disturbing this one. Results stay valid after
 // that generation is closed, because answers are backed by the
 // heap-resident table store, not the index mappings.
-func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers int, perQuery time.Duration, bp BatchPlan) *BatchResult {
+func (e *Engine) AnswerBatchCtx(ctx context.Context, queries []Query, workers int, perQuery time.Duration) *BatchResult {
 	start := time.Now()
 	g := e.acquire()
 	defer e.release(g)
-	popts := e.Opts.Planner
-	if bp.Planner != nil {
-		popts = *bp.Planner
-	}
-	order := e.dispatchOrder(g, queries, bp.Schedule, perQuery)
 	br := &BatchResult{
 		Results: make([]*Result, len(queries)),
 		Errs:    make([]error, len(queries)),
-		Latency: make([]time.Duration, len(queries)),
 	}
 	br.Timings.Queries = len(queries)
-	br.Timings.Workers = e.forEachQuery(len(queries), workers, order, func(i int, s *QueryScratch) bool {
+	br.Timings.Workers = e.forEachQuery(len(queries), workers, func(i int, s *QueryScratch) bool {
 		// The deadline context lives in its own frame so the deferred
 		// cancel releases the timer even when the member panics (the
 		// recover sits in forEachQuery, above this frame).
@@ -263,9 +223,8 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 				qctx, cancel = context.WithTimeout(ctx, perQuery)
 				defer cancel()
 			}
-			return e.answerPlan(qctx, g, queries[i], s, popts)
+			return e.answerOn(qctx, g, queries[i], s)
 		}()
-		br.Latency[i] = time.Since(start)
 		if err != nil {
 			br.Errs[i] = err
 			return false
@@ -273,7 +232,6 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 		br.Results[i] = res
 		return true
 	}, func(i int, v any) {
-		br.Latency[i] = time.Since(start)
 		br.Errs[i] = fmt.Errorf("wwt: batch member %d %w: %v", i, ErrPanic, v)
 	})
 	for i, r := range br.Results {
@@ -287,34 +245,16 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 	return br
 }
 
-// dispatchOrder computes the member dispatch permutation for a schedule:
-// nil for FIFO (and for any batch too small to reorder), otherwise a
-// stable sort of the member indices by estimated cost (SJF ascending;
-// deadline by ascending slack = perQuery − estimate, which under the
-// uniform per-member budget is descending cost — the members closest to
-// blowing the deadline run first). Stability makes ties keep submission
-// order, so a cold estimator (all estimates 0) degenerates to FIFO.
-func (e *Engine) dispatchOrder(g *generation, queries []Query, sched Schedule, perQuery time.Duration) []int {
-	if sched == ScheduleFIFO || len(queries) < 2 {
-		return nil
-	}
-	est := make([]time.Duration, len(queries))
-	for i := range queries {
-		est[i] = e.estimateCost(g, queries[i])
-	}
-	order := make([]int, len(queries))
-	for i := range order {
-		order[i] = i
-	}
-	switch sched {
-	case ScheduleSJF:
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(est[a], est[b]) })
-	case ScheduleDeadline:
-		slices.SortStableFunc(order, func(a, b int) int {
-			return cmp.Compare(perQuery-est[a], perQuery-est[b])
-		})
-	}
-	return order
+// BatchPlan is the batch-plan argument of AnswerBatchPlan. It has no
+// fields: the engine answers every batch one way. It stays so that
+// serve.Backend implementations and callers written against
+// AnswerBatchPlan keep compiling, as LiveEngine stays an alias of Engine.
+type BatchPlan struct{}
+
+// AnswerBatchPlan is AnswerBatchCtx; the BatchPlan argument carries
+// nothing. It is the method serve.Backend names.
+func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers int, perQuery time.Duration, _ BatchPlan) *BatchResult {
+	return e.AnswerBatchCtx(ctx, queries, workers, perQuery)
 }
 
 // CandidatesBatch runs the candidate-retrieval prefix of the pipeline for
@@ -331,8 +271,8 @@ func (e *Engine) CandidatesBatch(queries []Query, workers int) (sets []Candidate
 	sets = make([]CandidateSet, len(queries))
 	errs = make([]error, len(queries))
 	bt.Queries = len(queries)
-	bt.Workers = e.forEachQuery(len(queries), workers, nil, func(i int, s *QueryScratch) bool {
-		st := &queryState{g: g, query: queries[i], popts: e.Opts.Planner}
+	bt.Workers = e.forEachQuery(len(queries), workers, func(i int, s *QueryScratch) bool {
+		st := &queryState{g: g, query: queries[i]}
 		if err := e.runStages(nil, probePipeline, st, s, &sets[i].Timings); err != nil {
 			errs[i] = err
 			return false

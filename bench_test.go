@@ -10,12 +10,9 @@ package wwt_test
 // full-scale numbers.
 
 import (
-	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wwt"
 	"wwt/internal/baseline"
@@ -431,153 +428,6 @@ func BenchmarkAnswerBatchSerial(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "qps")
-}
-
-// mixedWorld is the scheduling benchmark's world: a TRWS engine (the
-// slowest inference, maximizing heavy-query cost) over the bench corpus
-// plus one tiny synthetic table that only the light queries can reach.
-// The query list is adversarial for FIFO: the heavy queries sit at the
-// front of the submission order, so FIFO worker slots are head-of-line
-// blocked while hundreds of sub-millisecond light queries wait.
-type mixedWorld struct {
-	engine  *wwt.Engine
-	queries []wwt.Query
-	nHeavy  int
-}
-
-var (
-	mixedOnce sync.Once
-	mixed     *mixedWorld
-)
-
-const mixedLightHTML = `<html><head><title>Zzlight reference</title></head><body>
-<p>Synthetic light-query table.</p>
-<table><tr><th>Zzlighta</th><th>Zzlightb</th></tr>
-<tr><td>zzrowone</td><td>zzvalone</td></tr>
-<tr><td>zzrowtwo</td><td>zzvaltwo</td></tr>
-<tr><td>zzrowthree</td><td>zzvalthree</td></tr></table>
-</body></html>`
-
-func getMixedWorld(b *testing.B) *mixedWorld {
-	b.Helper()
-	mixedOnce.Do(func() {
-		w := getWorld(b)
-		tables := append(append([]*wtable.Table(nil), w.tables...),
-			extract.Page("http://light.example/zz", mixedLightHTML, extract.NewOptions())...)
-		opts := wwt.DefaultOptions()
-		opts.Algorithm = inference.TRWS
-		eng, err := wwt.NewEngine(tables, &opts)
-		if err != nil {
-			panic(err)
-		}
-		// Heavy = the workload queries with the widest candidate sets.
-		type sized struct {
-			q wwt.Query
-			n int
-		}
-		var pool []sized
-		for _, q := range w.queries {
-			wq := wwt.Query{Columns: q.Columns}
-			cands, _, err := eng.Candidates(wq, nil)
-			if err != nil {
-				continue
-			}
-			pool = append(pool, sized{wq, len(cands)})
-		}
-		sort.Slice(pool, func(i, j int) bool { return pool[i].n > pool[j].n })
-		// Each heavy member merges the columns of three wide queries: the
-		// label space triples, which is where TRW-S hurts most, so one heavy
-		// costs hundreds of light queries.
-		const nHeavy, nLight = 4, 400
-		queries := make([]wwt.Query, 0, nHeavy+nLight)
-		for i := 0; i < nHeavy && 3*i+2 < len(pool); i++ {
-			var cols []string
-			for j := 3 * i; j < 3*i+3; j++ {
-				cols = append(cols, pool[j].q.Columns...)
-			}
-			queries = append(queries, wwt.Query{Columns: cols})
-		}
-		light := wwt.Query{Columns: []string{"zzlighta"}}
-		for i := 0; i < nLight; i++ {
-			queries = append(queries, light)
-		}
-		// One warmup pass: warms the engine caches AND calibrates the cost
-		// estimator, so SJF has real estimates to sort by.
-		br := eng.AnswerBatchPlan(context.Background(), queries, 2, 0, wwt.BatchPlan{})
-		if err := br.FirstErr(); err != nil {
-			panic(err)
-		}
-		br.Release()
-		mixed = &mixedWorld{engine: eng, queries: queries, nHeavy: len(queries) - nLight}
-	})
-	return mixed
-}
-
-// latPercentile returns the p-th percentile of a sorted latency slice.
-func latPercentile(sorted []time.Duration, p float64) time.Duration {
-	return sorted[int(p*float64(len(sorted)-1)+0.5)]
-}
-
-// benchMixedBatch runs the adversarial mixed workload under one schedule,
-// pooling per-member latencies across iterations and reporting p50/p99.
-func benchMixedBatch(b *testing.B, sched wwt.Schedule) {
-	w := getMixedWorld(b)
-	var lat []time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br := w.engine.AnswerBatchPlan(context.Background(), w.queries, 2, 0, wwt.BatchPlan{Schedule: sched})
-		if err := br.FirstErr(); err != nil {
-			b.Fatal(err)
-		}
-		lat = append(lat, br.Latency...)
-		br.Release()
-	}
-	b.StopTimer()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	b.ReportMetric(float64(latPercentile(lat, 0.50)), "p50-ns")
-	b.ReportMetric(float64(latPercentile(lat, 0.99)), "p99-ns")
-	b.ReportMetric(float64(len(w.queries)*b.N)/b.Elapsed().Seconds(), "qps")
-}
-
-// BenchmarkAnswerBatchMixedFIFO is the before side of planner lever (c):
-// heavy-first submission order dispatched as submitted, so light members
-// queue behind the heavy head of line.
-func BenchmarkAnswerBatchMixedFIFO(b *testing.B) { benchMixedBatch(b, wwt.ScheduleFIFO) }
-
-// BenchmarkAnswerBatchMixedSJF dispatches the same members
-// shortest-job-first by estimated cost: light members drain immediately
-// and only the heavy tail pays the heavy cost. Compare p99-ns against
-// BenchmarkAnswerBatchMixedFIFO.
-func BenchmarkAnswerBatchMixedSJF(b *testing.B) { benchMixedBatch(b, wwt.ScheduleSJF) }
-
-// BenchmarkPlannerElision measures the full pipeline with probe-2 elision
-// enabled at a threshold low enough to fire on the eval workload, and
-// reports the realized elision rate alongside latency.
-func BenchmarkPlannerElision(b *testing.B) {
-	w := getWorld(b)
-	opts := wwt.DefaultOptions()
-	opts.Planner.ElideProbe2 = true
-	opts.Planner.ElideConfidence = 0.9
-	eng, err := wwt.NewEngine(w.tables, &opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := batchQueries(w)
-	answered := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		res, err := eng.Answer(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Release()
-		answered++
-	}
-	b.StopTimer()
-	if answered > 0 {
-		b.ReportMetric(float64(eng.PlanStats().Probe2Elided)/float64(answered), "elide-rate")
-	}
 }
 
 // BenchmarkIndexBuild measures building the boosted 3-field index.

@@ -28,9 +28,9 @@ type benchLine struct {
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 	MBPerSec    *float64 `json:"mb_per_sec,omitempty"`
 
-	// Extra carries custom b.ReportMetric units (p99-ns, elide-rate, ...)
-	// keyed by unit name, so scheduler/planner benchmarks survive the
-	// conversion without the parser learning each new unit.
+	// Extra carries custom b.ReportMetric units (qps, p99-ns, ...) keyed
+	// by unit name, so custom-metric benchmarks survive the conversion
+	// without the parser learning each new unit.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 

@@ -42,11 +42,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", time.Minute, "ceiling on client-requested timeout_ms")
 	maxBatch := flag.Int("max-batch", 256, "members per batch request")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-	schedule := flag.String("schedule", "fifo", "default batch dispatch order: fifo|sjf|deadline")
-	planElide := flag.Bool("plan-elide", false, "planner: skip the second probe when stage-1 mapping confidence clears -plan-elide-conf")
-	planElideConf := flag.Float64("plan-elide-conf", wwt.DefaultElideConfidence, "planner: stage-1 confidence threshold for probe-2 elision")
-	planDegrade := flag.Bool("plan-degrade", false, "planner: degrade (cap tables, downgrade inference) instead of missing deadlines")
-	planDegradeTables := flag.Int("plan-degrade-tables", wwt.DefaultDegradeMaxTables, "planner: candidate-table cap under deadline degradation")
 	planCoeffs := flag.String("plan-coeffs", "", "planner: calibrated-coefficient sidecar path, loaded at startup and written on drain (default <idx>/plan-coeffs.json; empty string after an explicit -plan-coeffs= disables)")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -68,16 +63,6 @@ func main() {
 		opts.Algorithm = inference.TableCentric
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *alg))
-	}
-	opts.Planner = wwt.PlannerOptions{
-		ElideProbe2:      *planElide,
-		ElideConfidence:  *planElideConf,
-		DeadlineDegrade:  *planDegrade,
-		DegradeMaxTables: *planDegradeTables,
-	}
-	sched, err := wwt.ParseSchedule(*schedule)
-	if err != nil {
-		fatal(err)
 	}
 
 	coeffsPath := *planCoeffs
@@ -110,13 +95,12 @@ func main() {
 	}
 
 	srv := serve.New(eng, serve.Config{
-		Workers:         *workers,
-		MaxInFlight:     *maxInFlight,
-		QueueDepth:      *queueDepth,
-		DefaultTimeout:  *timeout,
-		MaxTimeout:      *maxTimeout,
-		MaxBatchSize:    *maxBatch,
-		DefaultSchedule: sched,
+		Workers:        *workers,
+		MaxInFlight:    *maxInFlight,
+		QueueDepth:     *queueDepth,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		MaxBatchSize:   *maxBatch,
 	})
 	// Header/read/idle timeouts bound the layer below admission control:
 	// without them a slow-header (slowloris) client pins a goroutine and

@@ -14,7 +14,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -32,9 +31,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print per-table mapping rationale")
 	batchFile := flag.String("batch", "", "file of queries, one per line ('-' = stdin); answers them as one batch")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	schedule := flag.String("schedule", "fifo", "batch dispatch order: fifo|sjf|deadline")
-	planElide := flag.Bool("plan-elide", false, "planner: skip the second probe when stage-1 mapping confidence clears -plan-elide-conf")
-	planElideConf := flag.Float64("plan-elide-conf", wwt.DefaultElideConfidence, "planner: stage-1 confidence threshold for probe-2 elision")
 	flag.Parse()
 
 	single := *batchFile == ""
@@ -68,11 +64,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *alg))
 	}
-	opts.Planner = wwt.PlannerOptions{ElideProbe2: *planElide, ElideConfidence: *planElideConf}
-	sched, err := wwt.ParseSchedule(*schedule)
-	if err != nil {
-		fatal(err)
-	}
 	eng, err := wwt.OpenLive(*idxDir, &opts)
 	if err != nil {
 		fatal(err)
@@ -80,7 +71,7 @@ func main() {
 	defer eng.Close()
 
 	if !single {
-		runBatch(eng, *batchFile, *workers, sched)
+		runBatch(eng, *batchFile, *workers)
 		return
 	}
 
@@ -141,7 +132,7 @@ func parseColumns(line string) []string {
 
 // runBatch answers every query in the file as one AnswerBatch and prints
 // per-query summaries plus the aggregate stage split and throughput.
-func runBatch(eng *wwt.Engine, path string, workers int, sched wwt.Schedule) {
+func runBatch(eng *wwt.Engine, path string, workers int) {
 	f := os.Stdin
 	if path != "-" {
 		var err error
@@ -169,7 +160,7 @@ func runBatch(eng *wwt.Engine, path string, workers int, sched wwt.Schedule) {
 		fatal(fmt.Errorf("no queries in %s", path))
 	}
 
-	br := eng.AnswerBatchPlan(context.Background(), queries, workers, 0, wwt.BatchPlan{Schedule: sched})
+	br := eng.AnswerBatch(queries, workers)
 	fmt.Printf("%-50s %10s %8s %7s %9s\n", "query", "candidates", "relevant", "rows", "total(ms)")
 	for i, res := range br.Results {
 		name := clip(lines[i], 50)

@@ -24,7 +24,7 @@
 // index.Searcher, however it was constructed) or OpenLive (open an index
 // directory, the one way to serve one). It holds engine-lifetime state
 // set once by its constructor — options, the normalization cache, the
-// planner, the arena pool, the probe and lever counters, and for OpenLive
+// cost model, the arena pool, the probe counters, and for OpenLive
 // the directory, manifest and merge state — plus one immutable,
 // refcounted generation (searcher, store and the caches keyed to them)
 // behind an atomic pointer. Every query entry point pins one generation

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"wwt/internal/index"
-	"wwt/internal/wtable"
 )
 
 // searcherPMI serves PMI² doc sets straight from a searcher.
@@ -98,39 +97,6 @@ func TestExtendMatchesBuild(t *testing.T) {
 					if d := modelDiff(got, want, v.name != "cacheless"); d != "" {
 						t.Fatalf("%s, query %v, split %d of %d: %s diverged", v.name, c.cols, k, len(all), d)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestTruncateThenExtendMatchesBuild pins the degraded path: per-table
-// state built over a candidate list, truncated below the built prefix and
-// then extended — with nothing, as deadline degradation does, or with
-// other tables — is bit-identical to one Build over the kept prefix plus
-// the added tables.
-func TestTruncateThenExtendMatchesBuild(t *testing.T) {
-	searcher, cases := corpusCases(t, 0.25, 40)
-	views := NewViewCache()
-	newBuilder := func() *Builder {
-		return &Builder{Params: DefaultParams(), Stats: searcher, Views: views, Pairs: NewPairSimCache(0)}
-	}
-	var s BuildScratch
-	for qi, c := range cases {
-		other := cases[(qi+1)%len(cases)].tables
-		for _, k := range []int{0, 1, len(c.tables) / 2} {
-			if k > len(c.tables) {
-				continue
-			}
-			for _, added := range [][]*wtable.Table{nil, other} {
-				kept := append(append([]*wtable.Table(nil), c.tables[:k]...), added...)
-				want := newBuilder().Build(c.cols, kept)
-				b := newBuilder()
-				got := b.BuildTables(c.cols, c.tables, &s)
-				got.Truncate(k)
-				got.Extend(b, added, &s)
-				if d := modelDiff(got, want, true); d != "" {
-					t.Fatalf("query %v, truncate to %d, add %d: %s diverged", c.cols, k, len(added), d)
 				}
 			}
 		}

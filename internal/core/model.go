@@ -179,15 +179,6 @@ func (m *Model) Extend(b *Builder, added []*wtable.Table, s *BuildScratch) {
 	m.finalizeEdges(s)
 }
 
-// Truncate keeps the first n tables of the model and drops the rest, with
-// the edge set; per-table state is positional, so the kept tables keep
-// theirs. Extend rebuilds the edges.
-func (m *Model) Truncate(n int) {
-	m.Views, m.Rel, m.Feats = m.Views[:n], m.Rel[:n], m.Feats[:n]
-	m.Node, m.Dist, m.Conf = m.Node[:n], m.Dist[:n], m.Conf[:n]
-	m.rawEdges, m.Edges = nil, nil
-}
-
 // addTables appends the per-table state of added to m through s. The flat
 // grids grow with GrowKeep and every header is re-carved over the whole
 // table list, so the tables already built keep their values and only the

@@ -1,7 +1,7 @@
-// Package plan is the cost model behind the engine's adaptive query
-// planner: per-query cost estimates computed from index statistics, with
-// per-stage cost coefficients calibrated online from observed stage
-// timings.
+// Package plan is the engine's cost model, kept as a gauge: per-stage cost
+// coefficients calibrated online from observed stage timings, scored
+// against the estimator's own per-query predictions. No estimate reaches
+// an answer, a table cap or a dispatch order.
 //
 // # Cost model
 //
@@ -17,13 +17,11 @@
 //	infer       ≈ c_infer[alg] · tables    (one coefficient per algorithm)
 //	consolidate ≈ c_cons   · tables
 //
-// The features come from statistics the index already holds: posting-list
-// lengths and document frequencies are direct reads from the CSR term
-// blobs (index.Searcher.TermStats), and the candidate-table count is
-// bounded by min(ProbeK, Σ df). Linear-in-tables is deliberately
-// crude for the quadratic edge build, but scheduling and degradation only
-// need costs to be *ordered* correctly, and the decaying average tracks
-// the workload's realized mix.
+// The postings feature is a direct read from the CSR term blobs
+// (index.Searcher.TermStats); the table counts are the ones the query
+// actually materialized. Linear-in-tables is deliberately crude for the
+// quadratic edge build; the decaying average tracks the workload's
+// realized mix, and the error gauge says how crude it is.
 //
 // # Calibration contract
 //
@@ -31,14 +29,15 @@
 // the coefficients via an exponentially decaying average (default memory
 // ≈ 1/alpha ≈ 20 queries), so the model self-corrects as the workload or
 // hardware changes. Before the first observation every coefficient is
-// zero: estimates are zero, every query ties, and consumers degrade to
-// their non-adaptive behavior (FIFO dispatch, no degradation) — a cold
-// estimator is safe by construction. Observe also tracks the decayed
-// relative error |estimated−actual|/actual of its own predictions, which
-// the serving layer exports as the estimated-vs-actual cost error gauge.
+// zero and Calibrated reports false. Once calibrated, Observe first
+// predicts each query's cost from the coefficients it has, then folds the
+// decayed relative error |estimated−actual|/actual into ErrorRate, which
+// the serving layer exports as the cost error gauge. Snapshot, Restore,
+// SaveFile and LoadFile carry the coefficients across restarts in a JSON
+// sidecar.
 //
-// Estimator is safe for concurrent Observe/Estimate calls (one mutex; the
-// critical sections are a few dozen arithmetic operations).
+// Estimator is safe for concurrent use (one mutex; the critical sections
+// are a few dozen arithmetic operations).
 //
 // DrainEstimate is the admission-queue companion: given the admission
 // snapshot (occupied and requested worker slots, capacity) and a decayed

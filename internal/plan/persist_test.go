@@ -36,8 +36,7 @@ func calibrated(t *testing.T) *Estimator {
 // exactly — same estimates, same calibration state, same error gauge.
 func TestSnapshotRoundTrip(t *testing.T) {
 	e := calibrated(t)
-	f := Features{Postings: 5000, Tables: 40}
-	want := e.EstimateQuery(f, 1, true)
+	want := estimate(e, 5000, 40, 1, true)
 	if want == 0 {
 		t.Fatal("calibrated estimator returned a zero estimate")
 	}
@@ -46,7 +45,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := e2.Restore(e.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if got := e2.EstimateQuery(f, 1, true); got != want {
+	if got := estimate(e2, 5000, 40, 1, true); got != want {
 		t.Fatalf("restored estimate %v != %v", got, want)
 	}
 	if !e2.Calibrated(1) {
@@ -106,8 +105,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil || !loaded {
 		t.Fatalf("LoadFile = %v, %v", loaded, err)
 	}
-	f := Features{Postings: 5000, Tables: 40}
-	if got, want := e2.EstimateQuery(f, 1, true), e.EstimateQuery(f, 1, true); got != want {
+	if got, want := estimate(e2, 5000, 40, 1, true), estimate(e, 5000, 40, 1, true); got != want {
 		t.Fatalf("estimate after file round-trip %v != %v", got, want)
 	}
 
@@ -149,9 +147,8 @@ func TestSkipRatioScalesEstimate(t *testing.T) {
 	// cost to 400 scanned postings and predicts 0.4x survival, so both
 	// must agree on the whole-query estimate (coef x ratio cancels) —
 	// while the per-scanned-posting coefficient itself is 2.5x larger.
-	f := Features{Postings: 1000, Tables: 30}
-	a := withSkips.EstimateQuery(f, 1, true)
-	b := noStats.EstimateQuery(f, 1, true)
+	a := estimate(withSkips, 1000, 30, 1, true)
+	b := estimate(noStats, 1000, 30, 1, true)
 	diff := a - b
 	if diff < 0 {
 		diff = -diff

@@ -72,14 +72,6 @@ func (c *coef) observe(x, alpha float64) {
 	c.n++
 }
 
-// Features are the pre-execution work sizes of one query, read from index
-// statistics: the posting entries under the query's terms and the
-// predicted candidate-table count (min(ProbeK, Σ df)).
-type Features struct {
-	Postings int
-	Tables   int
-}
-
 // Sample is one answered query's observed work sizes and per-stage wall
 // times, as fed to Estimator.Observe. Probe2 covers the stage-1 mapping
 // that seeds the re-probe (timed whenever the second probe is enabled)
@@ -113,7 +105,7 @@ type Estimator struct {
 	build  coef // ns per final table
 	infer  []coef
 	cons   coef // ns per final table
-	errRel coef // decayed |est-actual|/actual of EstimateQuery
+	errRel coef // decayed |est-actual|/actual of estimateQueryLocked
 }
 
 // NewEstimator returns a cold estimator with nAlgs inference-algorithm
@@ -195,16 +187,10 @@ func (e *Estimator) Observe(s Sample) {
 	}
 }
 
-// EstimateQuery predicts the full-pipeline wall time of a query with the
-// given features under the given algorithm. secondProbe mirrors
-// Options.SecondProbe: when false the re-probe term is dropped. A cold
-// estimator returns 0.
-func (e *Estimator) EstimateQuery(f Features, alg int, secondProbe bool) time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.estimateQueryLocked(f.Postings, f.Tables, e.algIndex(alg), secondProbe)
-}
-
+// estimateQueryLocked predicts the full-pipeline wall time of a query
+// with the given work sizes under algorithm slot ai — the prediction
+// Observe scores itself with. secondProbe drops the re-probe term when
+// false. A cold estimator returns 0. Callers hold e.mu.
 func (e *Estimator) estimateQueryLocked(postings, tables, ai int, secondProbe bool) time.Duration {
 	work := float64(postings)
 	if e.skip.n > 0 {
@@ -215,28 +201,8 @@ func (e *Estimator) estimateQueryLocked(postings, tables, ai int, secondProbe bo
 	if secondProbe {
 		ns += e.probe2.v * float64(tables)
 	}
-	ns += e.tailLocked(tables, ai, true)
+	ns += (e.build.v + e.infer[ai].v + e.cons.v) * float64(tables)
 	return time.Duration(ns)
-}
-
-// EstimateTail predicts the cost of the pipeline stages still ahead of a
-// query that holds the given final candidate-table count: model build
-// (when includeBuild), inference under alg, and consolidation. A cold
-// estimator returns 0.
-func (e *Estimator) EstimateTail(tables, alg int, includeBuild bool) time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return time.Duration(e.tailLocked(tables, e.algIndex(alg), includeBuild))
-}
-
-func (e *Estimator) tailLocked(tables, ai int, includeBuild bool) float64 {
-	ns := 0.0
-	if includeBuild {
-		ns += e.build.v * float64(tables)
-	}
-	ns += e.infer[ai].v * float64(tables)
-	ns += e.cons.v * float64(tables)
-	return ns
 }
 
 // Calibrated reports whether the estimator has observed at least one

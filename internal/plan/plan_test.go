@@ -33,13 +33,18 @@ func TestEWMABadAlphaFallsBack(t *testing.T) {
 	}
 }
 
+// estimate is the query estimate Observe scores itself with, taken under
+// the estimator's lock.
+func estimate(e *Estimator, postings, tables, alg int, secondProbe bool) time.Duration {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.estimateQueryLocked(postings, tables, e.algIndex(alg), secondProbe)
+}
+
 func TestEstimatorColdIsZero(t *testing.T) {
 	e := NewEstimator(5, DefaultAlpha)
-	if got := e.EstimateQuery(Features{Postings: 1000, Tables: 40}, 4, true); got != 0 {
+	if got := estimate(e, 1000, 40, 4, true); got != 0 {
 		t.Fatalf("cold estimate: got %v, want 0", got)
-	}
-	if got := e.EstimateTail(40, 4, true); got != 0 {
-		t.Fatalf("cold tail: got %v, want 0", got)
 	}
 	if e.Calibrated(0) {
 		t.Fatal("cold estimator reports calibrated")
@@ -67,28 +72,21 @@ func TestEstimatorCalibratesAndScales(t *testing.T) {
 		t.Fatal("estimator not calibrated after a full sample")
 	}
 	// Same shape back: 100·1 + 10·1 + 10·2 + 20·(2+1+1) = 210µs... but
-	// EstimateQuery charges read and probe2 per predicted table, so with
+	// the estimate charges read and probe2 per final table, so with
 	// Tables=20 the exact value is 100 + 20·1 + 20·2 + 20·4 = 240µs.
-	got := e.EstimateQuery(Features{Postings: 100, Tables: 20}, 1, true)
+	got := estimate(e, 100, 20, 1, true)
 	want := 240 * time.Microsecond
 	if got != want {
 		t.Fatalf("estimate: got %v, want %v", got, want)
 	}
 	// Doubling every feature doubles the estimate.
-	if got2 := e.EstimateQuery(Features{Postings: 200, Tables: 40}, 1, true); got2 != 2*want {
+	if got2 := estimate(e, 200, 40, 1, true); got2 != 2*want {
 		t.Fatalf("doubled features: got %v, want %v", got2, 2*want)
 	}
 	// Dropping the second probe drops its term.
-	noP2 := e.EstimateQuery(Features{Postings: 100, Tables: 20}, 1, false)
+	noP2 := estimate(e, 100, 20, 1, false)
 	if noP2 != want-40*time.Microsecond {
 		t.Fatalf("no-second-probe estimate: got %v, want %v", noP2, want-40*time.Microsecond)
-	}
-	// Tail-only estimate covers build+infer+cons.
-	if tail := e.EstimateTail(20, 1, true); tail != 80*time.Microsecond {
-		t.Fatalf("tail: got %v, want 80µs", tail)
-	}
-	if tail := e.EstimateTail(20, 1, false); tail != 40*time.Microsecond {
-		t.Fatalf("tail sans build: got %v, want 40µs", tail)
 	}
 }
 
@@ -128,7 +126,7 @@ func TestEstimatorAlgIndexClamps(t *testing.T) {
 	if !e.Calibrated(-3) {
 		t.Fatal("clamped algorithm slot not calibrated")
 	}
-	if e.EstimateQuery(Features{Postings: 1, Tables: 1}, 42, false) == 0 {
+	if estimate(e, 1, 1, 42, false) == 0 {
 		t.Fatal("clamped algorithm estimate is cold")
 	}
 }
@@ -144,8 +142,7 @@ func TestEstimatorConcurrentAccess(t *testing.T) {
 				e.Observe(Sample{Postings: 10 + i, Tables1: 5, Tables: 10, Alg: w % 5,
 					Probe1: time.Microsecond, Read1: time.Microsecond,
 					Build: time.Microsecond, Infer: time.Microsecond, Cons: time.Microsecond})
-				e.EstimateQuery(Features{Postings: 100, Tables: 10}, w%5, true)
-				e.EstimateTail(10, w%5, true)
+				estimate(e, 100, 10, w%5, true)
 				e.ErrorRate()
 			}
 		}(w)

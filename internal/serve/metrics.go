@@ -120,12 +120,9 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 	put("wwt_inflight_capacity", capacity)
 	put("wwt_queued_workers", queued)
 	put("wwt_batch_wall_seconds_total", fmt.Sprintf("%.6f", m.wall.Seconds()))
-	// Adaptive-planner lever counters and cost-model quality: elision and
-	// degradation totals, the estimator's decayed |est−actual|/actual
+	// Cost-model quality: the estimator's decayed |est−actual|/actual
 	// relative error, whether estimates are calibrated at all, and the
 	// current estimated queue-drain time (the 429 Retry-After signal).
-	put("wwt_plan_probe2_elided_total", ps.Probe2Elided)
-	put("wwt_plan_degraded_total", ps.Degraded)
 	put("wwt_plan_cost_error", fmt.Sprintf("%.4f", ps.CostError))
 	put("wwt_plan_calibrated", boolGauge(ps.Calibrated))
 	put("wwt_plan_queue_drain_seconds", fmt.Sprintf("%.3f", drain.Seconds()))

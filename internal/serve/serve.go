@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -20,14 +22,13 @@ import (
 // calls; ingests may serialize internally but must never block in-flight
 // queries.
 type Backend interface {
-	// AnswerBatchPlan answers queries under ctx with a per-member deadline
-	// and a batch plan (member schedule + planner lever overrides); see
-	// wwt.Engine.AnswerBatchPlan for the slot/error contract.
+	// AnswerBatchPlan answers queries under ctx with a per-member deadline;
+	// see wwt.Engine.AnswerBatchCtx for the slot/error contract. The server
+	// always passes the zero BatchPlan.
 	AnswerBatchPlan(ctx context.Context, queries []wwt.Query, workers int, perQuery time.Duration, bp wwt.BatchPlan) *wwt.BatchResult
 	// CacheStats snapshots the engine's cross-query cache counters.
 	CacheStats() wwt.EngineCacheStats
-	// PlanStats snapshots the adaptive planner's lever counters and
-	// cost-model error.
+	// PlanStats snapshots the cost-model error and probe counters.
 	PlanStats() wwt.PlanStats
 	// IngestTables freezes the batch into a new index segment and
 	// atomically publishes the new generation, or reports why it cannot
@@ -59,9 +60,6 @@ type Config struct {
 	// MaxBatchSize bounds members per request (<= 0: 256); larger
 	// requests are rejected with 413.
 	MaxBatchSize int
-	// DefaultSchedule is the batch member dispatch order used when a
-	// request doesn't set "schedule" (zero value: FIFO).
-	DefaultSchedule wwt.Schedule
 }
 
 func (c Config) withDefaults() Config {
@@ -128,26 +126,12 @@ func New(backend Backend, cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // answerRequest is the POST /v1/answer body. Exactly one of Columns
-// (single query) or Queries (batch) must be set. Schedule and Planner are
-// per-request planner knobs: schedule picks the batch dispatch order
-// ("fifo", "sjf", "deadline"; empty = server default) and planner
-// overrides the engine's planner levers for this request only.
+// (single query) or Queries (batch) must be set. Any other field, or
+// anything after the object, is rejected (decodeRequest).
 type answerRequest struct {
-	Columns   []string    `json:"columns,omitempty"`
-	Queries   []queryDTO  `json:"queries,omitempty"`
-	TimeoutMS int64       `json:"timeout_ms,omitempty"`
-	Schedule  string      `json:"schedule,omitempty"`
-	Planner   *plannerDTO `json:"planner,omitempty"`
-}
-
-// plannerDTO mirrors wwt.PlannerOptions on the wire. A present planner
-// object replaces the engine's levers wholesale for the request (absent
-// fields fall back to the lever defaults, not the engine's settings).
-type plannerDTO struct {
-	ElideProbe2      bool    `json:"elide_probe2,omitempty"`
-	ElideConfidence  float64 `json:"elide_confidence,omitempty"`
-	DeadlineDegrade  bool    `json:"deadline_degrade,omitempty"`
-	DegradeMaxTables int     `json:"degrade_max_tables,omitempty"`
+	Columns   []string   `json:"columns,omitempty"`
+	Queries   []queryDTO `json:"queries,omitempty"`
+	TimeoutMS int64      `json:"timeout_ms,omitempty"`
 }
 
 type queryDTO struct {
@@ -166,11 +150,8 @@ type memberDTO struct {
 	Tables     int      `json:"tables"`
 	Relevant   int      `json:"relevant"`
 	UsedProbe2 bool     `json:"used_probe2"`
-	// Degraded reports the planner degraded this member (capped tables,
-	// independent inference) to beat its deadline.
-	Degraded bool   `json:"degraded,omitempty"`
-	TotalUS  int64  `json:"total_us"`
-	Error    string `json:"error,omitempty"`
+	TotalUS    int64    `json:"total_us"`
+	Error      string   `json:"error,omitempty"`
 }
 
 // batchDTO is the batch response: Results is index-aligned with the
@@ -197,7 +178,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var req answerRequest
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorDTO{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -222,24 +203,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		queries = make([]wwt.Query, len(req.Queries))
 		for i, q := range req.Queries {
 			queries[i] = wwt.Query{Columns: q.Columns}
-		}
-	}
-
-	sched := s.cfg.DefaultSchedule
-	if req.Schedule != "" {
-		var err error
-		if sched, err = wwt.ParseSchedule(req.Schedule); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDTO{Error: err.Error()})
-			return
-		}
-	}
-	bp := wwt.BatchPlan{Schedule: sched}
-	if req.Planner != nil {
-		bp.Planner = &wwt.PlannerOptions{
-			ElideProbe2:      req.Planner.ElideProbe2,
-			ElideConfidence:  req.Planner.ElideConfidence,
-			DeadlineDegrade:  req.Planner.DeadlineDegrade,
-			DegradeMaxTables: req.Planner.DegradeMaxTables,
 		}
 	}
 
@@ -276,7 +239,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release(weight)
 
-	br := s.backend.AnswerBatchPlan(r.Context(), queries, s.cfg.Workers, timeout, bp)
+	br := s.backend.AnswerBatchPlan(r.Context(), queries, s.cfg.Workers, timeout, wwt.BatchPlan{})
 	s.met.recordBatch(br.Timings, time.Now())
 	// Serialize, then hand every member's pooled arena straight back to
 	// the engine: the serving tier never pins arenas across requests.
@@ -309,6 +272,25 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// decodeRequest decodes exactly one JSON object from r into v. A field v
+// does not declare fails with the decoder's message naming it, and so
+// does anything but whitespace after the object: a client sending a field
+// the server does not support learns so instead of being ignored.
+func decodeRequest(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("unexpected %v after the request object", tok)
+	}
+	return nil
+}
+
 func toMemberDTO(res *wwt.Result) memberDTO {
 	rows := make([]rowDTO, len(res.Answer.Rows))
 	for i, row := range res.Answer.Rows {
@@ -325,7 +307,6 @@ func toMemberDTO(res *wwt.Result) memberDTO {
 		Tables:     len(res.Tables),
 		Relevant:   relevant,
 		UsedProbe2: res.UsedProbe2,
-		Degraded:   res.Degraded,
 		TotalUS:    res.Timings.Total().Microseconds(),
 	}
 }
@@ -345,14 +326,14 @@ func errStatus(err error) int {
 	}
 }
 
-// retryAfter derives the 429 backoff from the planner's estimated queue
+// retryAfter derives the 429 backoff from the cost model's estimated queue
 // drain: the occupancy at shed time divided into capacity-sized waves,
 // each lasting the decayed average slot-hold time of recent requests
 // (plan.DrainEstimate). The estimate is clamped to [1s, MaxTimeout]; a
 // cold server (no holds observed yet) falls back to the 1s floor.
 func (s *Server) retryAfter(occupied, need, capacity int) string {
 	est := plan.DrainEstimate(occupied, need, capacity, s.met.holdAvg())
-	secs := int64(est.Seconds() + 0.999) // ceil: never advise retrying early
+	secs := int64(math.Ceil(est.Seconds())) // never advise retrying early
 	if secs < 1 {
 		secs = 1
 	}

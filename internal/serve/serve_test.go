@@ -134,44 +134,9 @@ func TestBatchAnswer(t *testing.T) {
 	}
 }
 
-// TestBatchScheduleSJF: a batch carrying "schedule": "sjf" and per-request
-// planner knobs answers exactly like the default FIFO batch — scheduling
-// reorders dispatch, never output slots.
-func TestBatchScheduleSJF(t *testing.T) {
-	ts := httptest.NewServer(New(testEngine(t), Config{}))
-	defer ts.Close()
-
-	body := `{"queries": [{"columns": ["country", "currency"]}, {"columns": ["country", "capital"]}]}`
-	resp, fifo := postJSON(t, ts, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fifo status = %d (%s)", resp.StatusCode, fifo)
-	}
-	sjfBody := `{"queries": [{"columns": ["country", "currency"]}, {"columns": ["country", "capital"]}], "schedule": "sjf", "planner": {"elide_probe2": false}}`
-	resp, sjf := postJSON(t, ts, sjfBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sjf status = %d (%s)", resp.StatusCode, sjf)
-	}
-	var bf, bs batchDTO
-	if err := json.Unmarshal(fifo, &bf); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(sjf, &bs); err != nil {
-		t.Fatal(err)
-	}
-	if len(bs.Results) != 2 || bs.Failed != 0 {
-		t.Fatalf("sjf batch summary: %+v", bs)
-	}
-	for i := range bf.Results {
-		a, _ := json.Marshal(bf.Results[i].Rows)
-		b, _ := json.Marshal(bs.Results[i].Rows)
-		if string(a) != string(b) {
-			t.Fatalf("member %d rows diverge under sjf:\n%s\n%s", i, a, b)
-		}
-	}
-}
-
 // TestRetryAfterDerivation pins the drain-estimate clamp: cold hold
-// average floors at 1s, long drains cap at MaxTimeout.
+// average floors at 1s, long drains cap at MaxTimeout, and a fractional
+// drain rounds up, never down.
 func TestRetryAfterDerivation(t *testing.T) {
 	s := New(testEngine(t), Config{MaxTimeout: 10 * time.Second})
 	if got := s.retryAfter(5, 1, 4); got != "1" {
@@ -184,10 +149,16 @@ func TestRetryAfterDerivation(t *testing.T) {
 	if got := s.retryAfter(400, 1, 4); got != "10" { // clamped to MaxTimeout
 		t.Errorf("long drain: Retry-After = %s, want 10", got)
 	}
+	s = New(testEngine(t), Config{MaxTimeout: 10 * time.Second})
+	s.met.hold.Observe(float64(1000500 * time.Microsecond)) // one 1000.5ms wave
+	if got := s.retryAfter(0, 1, 4); got != "2" {
+		t.Errorf("fractional drain: Retry-After = %s, want 2", got)
+	}
 }
 
-// TestRequestValidation: malformed bodies, empty requests, mixed forms
-// and oversized batches are rejected without reaching the engine.
+// TestRequestValidation: malformed bodies, empty requests, mixed forms,
+// unknown fields, trailing data and oversized batches are rejected
+// without reaching the engine.
 func TestRequestValidation(t *testing.T) {
 	ts := httptest.NewServer(New(testEngine(t), Config{MaxBatchSize: 2}))
 	defer ts.Close()
@@ -195,13 +166,17 @@ func TestRequestValidation(t *testing.T) {
 	for _, tc := range []struct {
 		body string
 		want int
+		say  string // substring the error must contain, when set
 	}{
-		{`not json`, http.StatusBadRequest},
-		{`{}`, http.StatusBadRequest},
-		{`{"columns": ["a"], "queries": [{"columns": ["b"]}]}`, http.StatusBadRequest},
-		{`{"queries": [{"columns":["a"]},{"columns":["b"]},{"columns":["c"]}]}`, http.StatusRequestEntityTooLarge},
-		{`{"columns": ["the of a"]}`, http.StatusBadRequest}, // engine: no content words
-		{`{"queries": [{"columns":["a"]}], "schedule": "bogus"}`, http.StatusBadRequest},
+		{`not json`, http.StatusBadRequest, ""},
+		{`{}`, http.StatusBadRequest, ""},
+		{`{"columns": ["a"], "queries": [{"columns": ["b"]}]}`, http.StatusBadRequest, ""},
+		{`{"queries": [{"columns":["a"]},{"columns":["b"]},{"columns":["c"]}]}`, http.StatusRequestEntityTooLarge, ""},
+		{`{"columns": ["the of a"]}`, http.StatusBadRequest, ""}, // engine: no content words
+		{`{"queries": [{"columns":["a"]}], "schedule": "bogus"}`, http.StatusBadRequest, `"schedule"`},
+		{`{"columns": ["country"], "schedule": "sjf"}`, http.StatusBadRequest, `"schedule"`},
+		{`{"columns": ["country"], "planner": {}}`, http.StatusBadRequest, `"planner"`},
+		{`{"columns": ["a"]} {}`, http.StatusBadRequest, "after the request object"},
 	} {
 		resp, body := postJSON(t, ts, tc.body)
 		if resp.StatusCode != tc.want {
@@ -210,6 +185,9 @@ func TestRequestValidation(t *testing.T) {
 		var e errorDTO
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("body %q: error response not well-formed JSON: %s", tc.body, body)
+		}
+		if !strings.Contains(e.Error, tc.say) {
+			t.Errorf("body %q: error %q does not mention %s", tc.body, e.Error, tc.say)
 		}
 	}
 }
@@ -404,8 +382,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`wwt_cache_hit_rate{cache="doc_sets"}`,
 		`wwt_cache_misses_total{cache="pair_sims"}`,
 		`wwt_cache_hits_total{cache="norm_cells"}`,
-		"wwt_plan_probe2_elided_total ",
-		"wwt_plan_degraded_total ",
 		"wwt_plan_cost_error ",
 		"wwt_plan_calibrated ",
 		"wwt_plan_queue_drain_seconds ",

@@ -24,8 +24,8 @@ import (
 // pair similarities bake corpus IDF and start fresh, while the doc-set
 // cache adopts the previous generation's entries and evicts exactly the
 // keys the new segment staled. Everything engine-lifetime — the
-// normalization cache, the planner's cost calibration, the arena pool and
-// the probe and lever counters — carries across swaps untouched.
+// normalization cache, the cost model's calibration, the arena pool and
+// the probe counters — carries across swaps untouched.
 
 // LiveEngine is the name of the live wrapper Engine absorbed. It survives
 // as an alias only because the benchmark's traced pass (bench/layers.go)

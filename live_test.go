@@ -148,39 +148,39 @@ func TestLiveEngineIngestRoundTrip(t *testing.T) {
 // background merge; the compacted index answers identically and the
 // segment count drops.
 func TestLiveEngineMerge(t *testing.T) {
-	// The probe counters behind the wwt_*_total series are engine-lifetime:
-	// no swap, ingest or merge, may send them backwards (that would break
+	// The counters behind the wwt_*_total series are engine-lifetime: no
+	// swap, ingest or merge may send them backwards (that would break
 	// Prometheus rate()), and a query after the swaps must move them. On
 	// this 3-table corpus the top-k floor never arms, so the block counters
-	// stay 0; an elision threshold every confident query clears makes the
-	// probe-2 counter move instead. Probe 1 alone finds every table the row
-	// checks below need.
-	opts := wwt.DefaultOptions()
-	opts.Planner = wwt.PlannerOptions{ElideProbe2: true, ElideConfidence: 1e-9}
-	le, err := wwt.OpenLive(liveDir(t), &opts)
+	// stay 0; the normalized-cell cache, which probe 2 looks every sampled
+	// cell up in, carries the "a query moves it" check instead.
+	le, err := wwt.OpenLive(liveDir(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer le.Close()
+	normLookups := func() uint64 {
+		n := le.CacheStats().NormCells
+		return n.Hits + n.Misses
+	}
 	q := wwt.Query{Columns: []string{"country", "currency"}}
 	res, err := le.Answer(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Release()
-	prev := le.PlanStats()
-	if prev.Probe2Elided == 0 {
-		t.Fatal("the query on generation 0 moved no probe counter")
+	prev, prevNorm := le.PlanStats(), normLookups()
+	if prevNorm == 0 {
+		t.Fatal("the query on generation 0 made no normalized-cell lookup")
 	}
-	monotone := func(when string) wwt.PlanStats {
+	monotone := func(when string) {
 		t.Helper()
-		ps := le.PlanStats()
-		if ps.Probe2Elided < prev.Probe2Elided || ps.Degraded < prev.Degraded ||
-			ps.ProbeBlocksTotal < prev.ProbeBlocksTotal || ps.ProbeBlocksSkipped < prev.ProbeBlocksSkipped ||
-			ps.ProbeShardsPruned < prev.ProbeShardsPruned {
-			t.Fatalf("%s: probe counters went backwards: %+v -> %+v", when, prev, ps)
+		ps, norm := le.PlanStats(), normLookups()
+		if ps.ProbeBlocksTotal < prev.ProbeBlocksTotal || ps.ProbeBlocksSkipped < prev.ProbeBlocksSkipped ||
+			ps.ProbeShardsPruned < prev.ProbeShardsPruned || norm < prevNorm {
+			t.Fatalf("%s: counters went backwards: %+v, %d lookups -> %+v, %d lookups", when, prev, prevNorm, ps, norm)
 		}
-		return ps
+		prev, prevNorm = ps, norm
 	}
 
 	const n = 5
@@ -192,7 +192,7 @@ func TestLiveEngineMerge(t *testing.T) {
 		// deterministic: the tier-0 quartet compacts right after the
 		// fourth ingest, before the fifth arrives.
 		le.WaitMerges()
-		prev = monotone(fmt.Sprintf("after ingest %d", i))
+		monotone(fmt.Sprintf("after ingest %d", i))
 	}
 	info := le.Info()
 	// 5 one-doc segments: the first full tier-0 quartet merges into one
@@ -215,8 +215,10 @@ func TestLiveEngineMerge(t *testing.T) {
 			t.Fatalf("row Atlantis%d lost after merge", i)
 		}
 	}
-	if ps := monotone("query after the swaps"); ps.Probe2Elided <= prev.Probe2Elided {
-		t.Fatalf("query after the swaps left Probe2Elided at %d", ps.Probe2Elided)
+	before := prevNorm
+	monotone("query after the swaps")
+	if prevNorm <= before {
+		t.Fatalf("query after the swaps left the normalized-cell lookups at %d", prevNorm)
 	}
 }
 

@@ -46,130 +46,6 @@ type Options struct {
 	MinConfidentRelevance float64
 	// Consolidate options.
 	Consolidate consolidate.Options
-	// Planner configures the adaptive query planner's levers. The zero
-	// value disables every lever: the pipeline runs exactly as if the
-	// planner did not exist (pinned by TestPlannerOffBitIdentical). Cost
-	// calibration itself always runs — it is observability-only and never
-	// changes an answer.
-	Planner PlannerOptions
-}
-
-// PlannerOptions are the adaptive planner's levers (see internal/plan for
-// the cost model). Each lever is individually togglable and off by
-// default; with all levers off the query path is bit-identical to a
-// planner-less engine.
-type PlannerOptions struct {
-	// ElideProbe2 skips the second content-overlap probe (and its read)
-	// when the stage-1 mapping confidence clears ElideConfidence: every
-	// query column is mapped by some confident relevant table with a
-	// stage-1 max-marginal of at least the threshold. Elision is recorded
-	// in Result.Probe2Elided.
-	ElideProbe2 bool
-	// ElideConfidence is the stage-1 confidence threshold for ElideProbe2
-	// (0 means DefaultElideConfidence). Raising it makes elision rarer and
-	// safer. Stage-1 confidences are softmaxed max-marginals, so their
-	// ceiling depends on the query width and potential scale; the default
-	// sits above the ceiling observed on the evaluation corpus, making
-	// elision answer-preserving there by construction. Lowering the
-	// threshold trades recall for latency: an elided answer can lose rows
-	// that only second-probe tables contribute, but never gains rows the
-	// full pipeline would not produce.
-	ElideConfidence float64
-	// DeadlineDegrade degrades a query that is about to overrun its
-	// context deadline — capping candidate tables at DegradeMaxTables and
-	// falling back to independent inference — instead of letting it abort
-	// with DeadlineExceeded. Degradation is recorded in Result.Degraded.
-	// It requires a calibrated estimator; cold engines never degrade.
-	DeadlineDegrade bool
-	// DegradeMaxTables caps the candidate-table count of a degraded query
-	// (0 means DefaultDegradeMaxTables).
-	DegradeMaxTables int
-	// DegradeHeadroom scales the estimated remaining cost before
-	// comparing it to the remaining deadline budget (0 means
-	// DefaultDegradeHeadroom; larger degrades earlier).
-	DegradeHeadroom float64
-}
-
-// Planner lever defaults (used when the corresponding PlannerOptions
-// field is zero).
-const (
-	DefaultElideConfidence  = 0.98
-	DefaultDegradeMaxTables = 8
-	DefaultDegradeHeadroom  = 1.5
-)
-
-// elideConfidence resolves the effective elision threshold.
-func (p PlannerOptions) elideConfidence() float64 {
-	if p.ElideConfidence > 0 {
-		return p.ElideConfidence
-	}
-	return DefaultElideConfidence
-}
-
-// degradeMaxTables resolves the effective degraded-table cap.
-func (p PlannerOptions) degradeMaxTables() int {
-	if p.DegradeMaxTables > 0 {
-		return p.DegradeMaxTables
-	}
-	return DefaultDegradeMaxTables
-}
-
-// degradeHeadroom resolves the effective degradation headroom factor.
-func (p PlannerOptions) degradeHeadroom() float64 {
-	if p.DegradeHeadroom > 0 {
-		return p.DegradeHeadroom
-	}
-	return DefaultDegradeHeadroom
-}
-
-// Schedule selects the dispatch order of batch members on the worker
-// pool. Every schedule fills the same output slots with the same
-// bit-identical per-member results — ordering only changes *when* each
-// member runs, never what it computes (pinned by
-// TestAnswerBatchSchedulingEquivalence).
-type Schedule int
-
-const (
-	// ScheduleFIFO dispatches members in submission order (the default).
-	ScheduleFIFO Schedule = iota
-	// ScheduleSJF dispatches members in ascending estimated cost
-	// (shortest job first), stable tie-break on submission index, so one
-	// posting-heavy member cannot inflate every co-batched member's
-	// latency. On a cold estimator all estimates are 0 and SJF degenerates
-	// to FIFO.
-	ScheduleSJF
-	// ScheduleDeadline dispatches members in ascending slack (per-member
-	// deadline budget minus estimated cost), promoting the members
-	// closest to blowing their deadline. With a uniform budget this is
-	// descending estimated cost (longest first).
-	ScheduleDeadline
-)
-
-// String names the schedule as accepted by ParseSchedule.
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleFIFO:
-		return "fifo"
-	case ScheduleSJF:
-		return "sjf"
-	case ScheduleDeadline:
-		return "deadline"
-	}
-	return fmt.Sprintf("Schedule(%d)", int(s))
-}
-
-// ParseSchedule parses a schedule name ("fifo", "sjf", "deadline"; ""
-// means FIFO).
-func ParseSchedule(s string) (Schedule, error) {
-	switch s {
-	case "", "fifo":
-		return ScheduleFIFO, nil
-	case "sjf":
-		return ScheduleSJF, nil
-	case "deadline":
-		return ScheduleDeadline, nil
-	}
-	return ScheduleFIFO, fmt.Errorf("wwt: unknown schedule %q (want fifo, sjf or deadline)", s)
 }
 
 // DefaultOptions returns the paper-faithful configuration.
@@ -264,15 +140,7 @@ type Result struct {
 	Tables     []*wtable.Table // candidate tables, in model order
 	Model      *core.Model
 	UsedProbe2 bool
-	// Probe2Elided reports that the planner skipped the second probe
-	// because the stage-1 mapping already cleared the confidence
-	// threshold (UsedProbe2 is then false).
-	Probe2Elided bool
-	// Degraded reports that the planner degraded this query (capped
-	// candidate tables, independent inference) to beat its deadline
-	// instead of aborting with DeadlineExceeded.
-	Degraded bool
-	Timings  Timings
+	Timings    Timings
 
 	// The pooled arena backing Model, owned by this result until Release.
 	engine  *Engine
@@ -300,8 +168,8 @@ func (r *Result) Release() {
 // safe for concurrent use. Its state has two layers:
 //
 //   - Engine-lifetime state, set once by the constructor: Opts, the
-//     normalization cache, the planner, the scratch-arena pool, the probe
-//     and lever counters, and the directory, manifest, merge and ingest
+//     normalization cache, the cost model, the scratch-arena pool, the
+//     probe counters, and the directory, manifest, merge and ingest
 //     state of live.go (unset unless the engine came from OpenLive).
 //   - The current generation: an immutable, refcounted corpus snapshot
 //     (searcher, store and the caches that bake its statistics in) behind
@@ -314,11 +182,9 @@ type Engine struct {
 	norm    *text.NormCache
 	scratch sync.Pool // *QueryScratch
 
-	// Adaptive-planner state: the online-calibrated cost estimator (see
-	// internal/plan) plus cumulative lever counters.
-	planner      *plan.Estimator
-	planElided   atomic.Uint64
-	planDegraded atomic.Uint64
+	// The online-calibrated cost estimator (see internal/plan): a gauge
+	// that never changes an answer.
+	planner *plan.Estimator
 
 	// Probe-pruning counters: cumulative block-max and shard-pruning
 	// outcomes across every index probe this engine ran (both pipeline
@@ -524,16 +390,11 @@ func (e *Engine) CacheStats() EngineCacheStats {
 	return st
 }
 
-// PlanStats is a point-in-time snapshot of the adaptive planner: how many
-// queries each lever touched, and how well the cost model predicts. Every
-// counter is cumulative over the engine's lifetime except ShardPrunes,
-// which belongs to the current generation's searcher and restarts at
-// every swap.
+// PlanStats is a point-in-time snapshot of how well the cost model
+// predicts and of the probe-pruning counters. Every counter is cumulative
+// over the engine's lifetime except ShardPrunes, which belongs to the
+// current generation's searcher and restarts at every swap.
 type PlanStats struct {
-	// Probe2Elided counts queries whose second probe the planner skipped.
-	Probe2Elided uint64
-	// Degraded counts queries the planner degraded to beat a deadline.
-	Degraded uint64
 	// CostError is the decayed mean relative error of the cost model's
 	// own predictions (|estimated−actual|/actual; 0 until calibrated).
 	CostError float64
@@ -552,12 +413,10 @@ type PlanStats struct {
 	ShardPrunes       []uint64
 }
 
-// PlanStats snapshots the planner counters and cost-model quality. Safe
-// for concurrent use.
+// PlanStats snapshots the cost-model quality and probe counters. Safe for
+// concurrent use.
 func (e *Engine) PlanStats() PlanStats {
 	return PlanStats{
-		Probe2Elided:       e.planElided.Load(),
-		Degraded:           e.planDegraded.Load(),
 		CostError:          e.planner.ErrorRate(),
 		Calibrated:         e.planner.Calibrated(int(e.Opts.Algorithm)),
 		ProbeBlocksSkipped: uint64(e.probeBlocksSkipped.Load()),
@@ -567,49 +426,10 @@ func (e *Engine) PlanStats() PlanStats {
 	}
 }
 
-// Planner returns the engine's cost estimator. Exposed so benchmarks and
-// schedulers outside the package can pre-warm or inspect calibration;
-// normal serving never needs it.
+// Planner returns the engine's cost estimator. Exposed so the serving
+// daemon can load and save its coefficient sidecar and benchmarks can
+// inspect calibration; answering a query never reads it.
 func (e *Engine) Planner() *plan.Estimator { return e.planner }
-
-// EstimateCost predicts the wall time of answering q from the calibrated
-// cost model and the index's term statistics — without running anything.
-// A cold engine returns 0: every query looks equal, and cost-ordered
-// scheduling degenerates to FIFO. The estimate is what SJF batch
-// scheduling sorts by; it is never used to change an answer.
-func (e *Engine) EstimateCost(q Query) time.Duration {
-	g := e.acquire()
-	defer e.release(g)
-	return e.estimateCost(g, q)
-}
-
-// estimateCost is EstimateCost on an already pinned generation.
-func (e *Engine) estimateCost(g *generation, q Query) time.Duration {
-	seen := make(map[string]bool, 8)
-	f := plan.Features{}
-	dfSum := 0
-	for _, col := range q.Columns {
-		for _, tok := range text.Normalize(col) {
-			if seen[tok] {
-				continue
-			}
-			seen[tok] = true
-			df, postings, ok := g.searcher.TermStats(tok)
-			if !ok {
-				continue
-			}
-			f.Postings += postings
-			dfSum += int(df)
-		}
-	}
-	// Predicted candidate-table count: the probe returns at most ProbeK
-	// tables, and no more than the number of documents matching any term.
-	f.Tables = dfSum
-	if k := e.Opts.ProbeK; k > 0 && f.Tables > k {
-		f.Tables = k
-	}
-	return e.planner.EstimateQuery(f, int(e.Opts.Algorithm), e.Opts.SecondProbe)
-}
 
 // PMISource exposes the current generation's index as the co-occurrence
 // source for the PMI² feature (unpinned, like Searcher). Doc-set probes
