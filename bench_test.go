@@ -1,7 +1,8 @@
 package wwt_test
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§5), plus the ablations DESIGN.md calls out. Run with
+// evaluation (§5), plus the ablations of internal/eval/ablations.go. Run
+// with
 //
 //	go test -bench=. -benchmem
 //

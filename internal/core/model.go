@@ -338,28 +338,6 @@ func (m *Model) tableMaxMarginals(ti int, sc *workerScratch) [][]float64 {
 	nt := m.Views[ti].NumCols
 	node := m.Node[ti]
 
-	sc.capL = fillOnes(sc.capL, nt)
-	capL := sc.capL
-	// Rights: q query labels (capacity 1) plus na with capacity nt.
-	sc.capR = slicex.Grow(sc.capR, q+1)
-	capR := sc.capR
-	for j := 0; j < q; j++ {
-		capR[j] = 1
-	}
-	capR[q] = nt
-	sc.wB = slicex.Grow(sc.wB, nt*(q+1))
-	sc.w = slicex.Grow(sc.w, nt)
-	w := sc.w
-	for c := 0; c < nt; c++ {
-		w[c] = sc.wB[c*(q+1) : (c+1)*(q+1)]
-		for j := 0; j < q; j++ {
-			w[c][j] = node[c][j]
-		}
-		w[c][q] = node[c][NA(q)]
-	}
-	sol := graph.SolveAssignmentWS(capL, capR, w, &sc.ws)
-	mm := sol.MaxMarginals()
-
 	var nrScore float64
 	for c := 0; c < nt; c++ {
 		nrScore += node[c][NR(q)]
@@ -369,15 +347,11 @@ func (m *Model) tableMaxMarginals(ti int, sc *workerScratch) [][]float64 {
 	out := sc.out
 	for c := 0; c < nt; c++ {
 		out[c] = sc.outB[c*NumLabels(q) : (c+1)*NumLabels(q)]
-		for j := 0; j <= q; j++ { // q is the na right node
-			label := j
-			if j == q {
-				label = NA(q)
-			}
-			out[c][label] = mm[c][j]
-		}
 		out[c][NR(q)] = nrScore
 	}
+	// The node rows already lay out labels 0..q-1 then na (= q), the
+	// kernel's order; it reads no further, so nr is left alone.
+	graph.LabelMaxMarginals(node, q, out, &sc.ws)
 	return out
 }
 

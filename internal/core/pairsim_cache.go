@@ -3,7 +3,6 @@ package core
 import (
 	"wwt/internal/graph"
 	"wwt/internal/lru"
-	"wwt/internal/slicex"
 )
 
 // colPairSim is one cross-view column pair whose content similarity
@@ -63,39 +62,18 @@ func computePairSims(a, b *TableView, p Params, sc *workerScratch) []colPairSim 
 	// One-one matching over blended content+header similarity; pairs below
 	// the neighbor threshold stay zero-weight cells, exactly like the
 	// query-time path always built them.
-	sc.capL = fillOnes(sc.capL, n1)
-	sc.capR = fillOnes(sc.capR, n2)
-	sc.wB = slicex.GrowClear(sc.wB, n1*n2)
-	sc.w = slicex.Grow(sc.w, n1)
-	w := sc.w
-	for i := range w {
-		w[i] = sc.wB[i*n2 : (i+1)*n2 : (i+1)*n2]
+	cells := sc.cells[:0]
+	for _, e := range out {
+		cells = append(cells, graph.Cell{L: e.c1, R: e.c2, W: p.MatchContentWeight*e.sim +
+			p.MatchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))})
 	}
-	for i := range out {
-		e := &out[i]
-		w[e.c1][e.c2] = p.MatchContentWeight*e.sim +
-			p.MatchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))
-	}
-	sol := graph.SolveAssignmentWS(sc.capL, sc.capR, w, &sc.ws)
-	for i := range out {
-		e := &out[i]
-		if sol.MatchL[e.c1] == int(e.c2) {
-			e.matched = true
-		}
+	sc.cells = cells
+	for i, m := range graph.MatchCells(n1, n2, cells, &sc.ws) {
+		out[i].matched = m
 	}
 	kept := make([]colPairSim, len(out))
 	copy(kept, out)
 	return kept
-}
-
-// fillOnes returns buf resliced to n with every entry 1: unit capacities
-// of a one-one matching.
-func fillOnes(buf []int, n int) []int {
-	buf = slicex.Grow(buf, n)
-	for i := range buf {
-		buf[i] = 1
-	}
-	return buf
 }
 
 // PairSimCache is a bounded, concurrency-safe LRU over the per-table-pair

@@ -64,16 +64,13 @@ type BuildScratch struct {
 }
 
 // workerScratch is one worker's assignment-solver state: the workspace
-// plus the capacity/weight/output grids of the stage-1 max-marginal solves
-// of §4.2, and the staging buffer of a pair-similarity miss. Everything is
-// fully overwritten per table or per pair.
+// plus the output grid of the stage-1 max-marginal solves of §4.2, and the
+// staging buffers (survivors, matching cells) of a pair-similarity miss.
+// Everything is fully overwritten per table or per pair.
 type workerScratch struct {
-	ws   graph.Workspace
-	capL []int
-	capR []int
-	w    [][]float64
-	wB   []float64
-	out  [][]float64
-	outB []float64
-	sims []colPairSim
+	ws    graph.Workspace
+	out   [][]float64
+	outB  []float64
+	sims  []colPairSim
+	cells []graph.Cell
 }

@@ -1,5 +1,5 @@
 // Package corpusgen synthesizes the web crawl that stands in for the
-// paper's 500M-page corpus (DESIGN.md §2). It generates HTML pages
+// paper's 500M-page corpus (§2.1, §5). It generates HTML pages
 // containing relational data tables for 59 query domains — with the noise
 // phenomena the column mapper must survive (headerless tables, multi-row
 // and split headers, uninformative header text, keyword split between

@@ -9,9 +9,10 @@ import (
 	"wwt/internal/inference"
 )
 
-// This file implements the ablation experiments DESIGN.md calls out beyond
-// the paper's own figures: edge-potential variants, the second index
-// probe, and the constrained-cut handling of mutex inside α-expansion.
+// This file implements the ablation experiments beyond the paper's own
+// figures: edge-potential variants, the second index probe, the
+// constrained-cut handling of mutex inside α-expansion, and the
+// co-occurrence measure.
 
 // ExperimentAblationEdges compares the three edge-potential constructions
 // of §3.3 (plain Potts, Potts without the nr reward, and the paper's

@@ -5,6 +5,17 @@
 // queries (§4.2.3, Fig. 3), a Dinic max-flow/min-cut solver for expansion
 // moves, and the constrained minimum s-t cut of Fig. 4.
 //
+// The column-mapping hot path does not call the reduction directly. Its
+// three assignment problems are tiny, and LabelMAP (§4.1's table-local
+// MAP), LabelMaxMarginals (§4.2.3's stage-1 max-marginals) and MatchCells
+// (§3.3's one-one column matching of a table pair) solve them exactly by
+// dynamic programming over a bitmask of used labels or columns. They fall
+// back to the reduction when a problem is too wide for the mask, has a
+// non-finite weight, or has optimal solutions within the reduction's
+// float tolerance of each other. Their results are therefore exactly the
+// reduction's, and SolveAssignment is their test oracle
+// (FuzzSmallAssignment).
+//
 // # Ownership and concurrency contracts
 //
 // Solvers here are single-threaded by design: thousands of small solves
@@ -13,10 +24,11 @@
 // each with its own state.
 //
 // Workspace is the reusable assignment-solve state (MCMF network + SPFA
-// scratch + matching/max-marginal buffers) behind SolveAssignmentWS. A
-// workspace serves one solve at a time, and results alias the workspace —
-// they are valid only until its next solve. SolveAssignment remains the
-// fresh-workspace, safe-to-retain form.
+// scratch + the kernel's DP tables + matching/max-marginal buffers) behind
+// SolveAssignmentWS and the three kernel entry points. A workspace serves
+// one solve at a time, and results alias the workspace — they are valid
+// only until its next solve. SolveAssignment remains the fresh-workspace,
+// safe-to-retain form.
 //
 // MCMF adjacency lists keep insertion order (forward-star head+tail
 // pointers): shortest-path searches break cost ties by the first edge

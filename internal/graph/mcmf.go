@@ -172,18 +172,10 @@ func (g *MCMF) Run(s, t int) (int, float64) {
 	}
 }
 
-// ResidualShortestFrom runs Bellman-Ford from src over the residual graph
-// (edges with positive remaining capacity) and returns the distance to
-// every node (+Inf when unreachable). This is the Fig. 3 primitive for
-// max-marginals.
-func (g *MCMF) ResidualShortestFrom(src int) []float64 {
-	dist := make([]float64, g.n)
-	g.residualShortestInto(src, dist)
-	return dist
-}
-
-// residualShortestInto is ResidualShortestFrom into a caller-owned buffer
-// of length g.n (fully overwritten).
+// residualShortestInto runs Bellman-Ford from src over the residual graph
+// (edges with positive remaining capacity) and writes the distance to
+// every node (+Inf when unreachable) into dist, of length g.n. This is
+// the Fig. 3 primitive for max-marginals.
 func (g *MCMF) residualShortestInto(src int, dist []float64) {
 	for i := range dist {
 		dist[i] = math.Inf(1)

@@ -32,8 +32,9 @@ func solveIndependent(m *core.Model, s *Scratch) core.Labeling {
 // modified) node potentials, writing the optimal labels into dst (length
 // nt, fully overwritten): a generalized bipartite matching with capacity-1
 // label nodes, an na node of capacity nt-m, the M1 boost on the first
-// query column, and a final comparison against the all-nr labeling. All
-// solver state comes from s.
+// query column, and a final comparison against the all-nr labeling. The
+// matching is graph.LabelMAP's exact kernel, which hands near-ties to the
+// MCMF reduction. All solver state comes from s.
 func solveTableMAPInto(m *core.Model, ti int, node [][]float64, dst []int, s *Scratch) {
 	q := m.NumQ
 	nt := m.Views[ti].NumCols
@@ -54,17 +55,6 @@ func solveTableMAPInto(m *core.Model, ti int, node [][]float64, dst []int, s *Sc
 		return
 	}
 
-	s.capL = slicex.Grow(s.capL, nt)
-	capL := s.capL
-	for i := range capL {
-		capL[i] = 1
-	}
-	s.capR = slicex.Grow(s.capR, q+1)
-	capR := s.capR
-	for j := 0; j < q; j++ {
-		capR[j] = 1
-	}
-	capR[q] = nt - mm
 	s.wB = slicex.Grow(s.wB, nt*(q+1))
 	s.w = slicex.Grow(s.w, nt)
 	w := s.w
@@ -78,15 +68,15 @@ func solveTableMAPInto(m *core.Model, ti int, node [][]float64, dst []int, s *Sc
 		}
 		w[c][q] = node[c][core.NA(q)]
 	}
-	sol := graph.SolveAssignmentWS(capL, capR, w, &s.ws)
-	relevantScore := sol.Total - mustMatchBoost
+	match, total := graph.LabelMAP(w, q, mm, nrScore+mustMatchBoost, &s.ws)
+	relevantScore := total - mustMatchBoost
 
 	if relevantScore <= nrScore {
 		allNR()
 		return
 	}
 	for c := 0; c < nt; c++ {
-		j := sol.MatchL[c]
+		j := match[c]
 		if j < 0 || j == q {
 			dst[c] = core.NA(q)
 		} else {

@@ -15,10 +15,9 @@ import "wwt/internal/graph"
 type Scratch struct {
 	ws graph.Workspace
 
-	// Per-table §4.1 matching reduction (solveTableMAPInto).
-	capL, capR []int
-	w          [][]float64
-	wB         []float64
+	// Per-table §4.1 labeling weights (solveTableMAPInto).
+	w  [][]float64
+	wB []float64
 
 	// Table-centric neighbor messages and boosted node grid.
 	msgB    []float64

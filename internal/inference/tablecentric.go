@@ -9,8 +9,8 @@ import (
 // on top of the paper's max(msg, θ): max() alone cannot break exact node
 // ties (two query columns sharing their dominant keyword), whereas content
 // overlap can. The term is an order of magnitude below typical potentials,
-// so non-tied decisions are unaffected. This is a documented deviation
-// from the literal §4.2 formula (see DESIGN.md).
+// so non-tied decisions are unaffected. This is a deliberate deviation
+// from the literal §4.2 formula, and this comment is its documentation.
 const tieBreakMsg = 0.1
 
 // SolveTableCentric implements the paper's table-centric collective
