@@ -4,9 +4,9 @@
 // header/context detection, and persist the boosted 3-field index and the
 // table store.
 //
-// Alongside the gob snapshot it writes the sharded flat index
-// (docs.wwt + postings-NNN.wwt) that wwt-serve memory-maps for O(1)
-// startup; -shards controls how many postings shards the terms are
+// The output directory holds the flat index (docs.wwt + postings-NNN.wwt)
+// that wwt-serve and wwt memory-map for O(1) startup, plus the table store
+// (store.gob); -shards controls how many postings shards the terms are
 // hashed across.
 //
 //	wwt-index -crawl ./crawl -out ./idx -shards 4
@@ -32,18 +32,13 @@ type manifestEntry struct {
 
 func main() {
 	crawl := flag.String("crawl", "crawl", "crawl directory (from wwt-corpus)")
-	out := flag.String("out", "idx", "output directory for index.gob, store.gob and the flat shard files")
-	shards := flag.Int("shards", 1, "postings shards for the flat index (terms are hashed across shards)")
-	flatVersion := flag.Int("flat-version", 2, "flat index format version: 2 (WWTFLT02, block-max postings) or 1 (WWTFLT01, for older readers)")
-	blockSize := flag.Int("block-size", index.DefaultBlockSize, "postings per block-max block (v2 only; must be > 0)")
+	out := flag.String("out", "idx", "output directory for the flat index (docs.wwt, postings-NNN.wwt) and the table store (store.gob)")
+	shards := flag.Int("shards", 1, fmt.Sprintf("postings shards for the flat index, 1 to %d (terms are hashed across shards)", index.MaxShards))
 	flag.Parse()
-	// Validate the flat-format options before the (long) extract+build run,
-	// with the same versioned precision the writer itself enforces.
-	if *flatVersion != 1 && *flatVersion != 2 {
-		fatal(fmt.Errorf("flat format version %d not supported, this build writes 1 (WWTFLT01) and 2 (WWTFLT02)", *flatVersion))
-	}
-	if *flatVersion == 2 && *blockSize <= 0 {
-		fatal(fmt.Errorf("flat format v2 (WWTFLT02) requires a positive -block-size, got %d", *blockSize))
+	// Validate before the (long) extract+build run, against the limit the
+	// writer itself enforces.
+	if *shards < 1 || *shards > index.MaxShards {
+		fatal(fmt.Errorf("-shards %d out of range, want 1 to %d", *shards, index.MaxShards))
 	}
 
 	start := time.Now()
@@ -81,15 +76,11 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	if err := ix.Save(filepath.Join(*out, "index.gob")); err != nil {
-		fatal(err)
-	}
-	if err := st.Save(filepath.Join(*out, "store.gob")); err != nil {
+	if err := st.Save(filepath.Join(*out, index.StoreFileName)); err != nil {
 		fatal(err)
 	}
 	flatStart := time.Now()
-	wopts := index.WriteShardedOptions{FormatVersion: *flatVersion, BlockSize: *blockSize}
-	if err := index.WriteSharded(*out, index.NewSearcher(ix), *shards, wopts); err != nil {
+	if err := index.WriteSharded(*out, index.NewSearcher(ix), *shards); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("indexed %d tables from %d pages in %.1fs -> %s (flat index: %d shard(s), %.2fs)\n",

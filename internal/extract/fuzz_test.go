@@ -53,7 +53,7 @@ func FuzzExtractHTML(f *testing.F) {
 			}
 		}
 		dir := t.TempDir()
-		if err := w.Flush(dir, index.WriteShardedOptions{}); err != nil {
+		if err := w.Flush(dir); err != nil {
 			t.Fatalf("SegmentWriter.Flush: %v", err)
 		}
 		ms, err := index.OpenSharded(dir)

@@ -78,19 +78,6 @@ func benchSkewedSearcher(b *testing.B) *Searcher {
 	return NewSearcher(ix)
 }
 
-// stripBlocks drops a searcher's block summaries, turning it into the
-// exact v1 probe path (term-level max-score skip only) for baselines.
-func stripBlocks(s *Searcher) {
-	sh := s.segs[0].shards[0]
-	sh.blockSize = 0
-	for f := 0; f < int(numFields); f++ {
-		sh.blkOff[f] = nil
-		sh.blkMax[f] = nil
-		sh.blkDoc[f] = nil
-		sh.fieldMaxW[f] = nil
-	}
-}
-
 // reportProbeMetrics turns cumulative probe stats into per-op and rate
 // metrics on the benchmark (picked up by wwt-benchjson).
 func reportProbeMetrics(b *testing.B, st ProbeStats, ops int) {
@@ -107,61 +94,49 @@ func reportProbeMetrics(b *testing.B, st ProbeStats, ops int) {
 }
 
 // BenchmarkSearchBlockMax: skewed top-10 probes on the single-shard
-// searcher, block-max v2 against the stripped v1 baseline.
+// in-memory searcher (block-max skipping, no shard fan-out).
 func BenchmarkSearchBlockMax(b *testing.B) {
 	queries := benchSkewedQueries(64)
-	for _, mode := range []string{"v2", "v1"} {
-		b.Run(mode, func(b *testing.B) {
-			s := benchSkewedSearcher(b)
-			if mode == "v1" {
-				stripBlocks(s)
-			}
-			var total ProbeStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st := s.SearchStats(queries[i%len(queries)], 10)
-				total.BlocksTotal += st.BlocksTotal
-				total.BlocksSkipped += st.BlocksSkipped
-				total.Postings += st.Postings
-				total.Scanned += st.Scanned
-			}
-			b.StopTimer()
-			reportProbeMetrics(b, total, b.N)
-		})
+	s := benchSkewedSearcher(b)
+	var total ProbeStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st := s.SearchStats(queries[i%len(queries)], 10)
+		total.BlocksTotal += st.BlocksTotal
+		total.BlocksSkipped += st.BlocksSkipped
+		total.Postings += st.Postings
+		total.Scanned += st.Scanned
 	}
+	b.StopTimer()
+	reportProbeMetrics(b, total, b.N)
 }
 
 // BenchmarkShardedPruned: the acceptance benchmark — skewed multi-term
-// top-10 probes over the 1500-table fixture at 8 shards, the mmap-opened
-// v2 index (block-max + shard pruning) against the same index written as
-// v1 (term-level skip only).
+// top-10 probes over the 1500-table fixture at 8 shards, mmap-opened
+// (block-max skipping plus shard pruning).
 func BenchmarkShardedPruned(b *testing.B) {
 	s := benchSkewedSearcher(b)
 	queries := benchSkewedQueries(64)
-	for _, mode := range []int{2, 1} {
-		b.Run(fmt.Sprintf("v%d", mode), func(b *testing.B) {
-			dir := b.TempDir()
-			if err := WriteSharded(dir, s, 8, WriteShardedOptions{FormatVersion: mode}); err != nil {
-				b.Fatal(err)
-			}
-			ss, err := OpenSharded(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ss.Close()
-			ss.Search(queries[0], 10) // fault in before timing
-			var total ProbeStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st := ss.SearchStats(queries[i%len(queries)], 10)
-				total.BlocksTotal += st.BlocksTotal
-				total.BlocksSkipped += st.BlocksSkipped
-				total.Postings += st.Postings
-				total.Scanned += st.Scanned
-				total.ShardsPruned += st.ShardsPruned
-			}
-			b.StopTimer()
-			reportProbeMetrics(b, total, b.N)
-		})
+	dir := b.TempDir()
+	if err := WriteSharded(dir, s, 8); err != nil {
+		b.Fatal(err)
 	}
+	ss, err := OpenSharded(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ss.Close()
+	ss.Search(queries[0], 10) // fault in before timing
+	var total ProbeStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st := ss.SearchStats(queries[i%len(queries)], 10)
+		total.BlocksTotal += st.BlocksTotal
+		total.BlocksSkipped += st.BlocksSkipped
+		total.Postings += st.Postings
+		total.Scanned += st.Scanned
+		total.ShardsPruned += st.ShardsPruned
+	}
+	b.StopTimer()
+	reportProbeMetrics(b, total, b.N)
 }

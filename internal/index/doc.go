@@ -37,8 +37,8 @@
 // tie-breaks — bit-identical between the reference scorer and every
 // construction of the Searcher (TestSearcherEquivalence,
 // TestShardedSearcherEquivalence, TestMultiSearcherEquivalence: one grid,
-// K ∈ {1, 2, 3, 8} × N ∈ {1, 2, 3, 8}, in memory and mmap-opened, format
-// v1 and v2; FuzzSearchPruningEquivalence walks the same space).
+// K ∈ {1, 2, 3, 8} × N ∈ {1, 2, 3, 8}, in memory, mmap-opened and read
+// whole; FuzzSearchPruningEquivalence walks the same space).
 // Rarest-first is not cosmetic: the selective terms establish the top-k
 // score floor before the long common lists are walked, which is what arms
 // the block and shard pruning below. Keep the order in sync with the
@@ -59,9 +59,9 @@
 //     only the dense summaries (~1/blockSize of the postings) are read.
 //     Live candidates are tracked in a lazily built per-probe bitmap, so
 //     probes that never close a block pay nothing for it.
-//  3. Shard pruning. When a segment's probe involves several shards and
-//     all of them have block summaries, a floor-seeding pre-pass scores the
-//     highest-bound shard(s) into a throwaway accumulator generation;
+//  3. Shard pruning. When a segment's probe involves several shards, a
+//     floor-seeding pre-pass scores the highest-bound shard(s) into a
+//     throwaway accumulator generation;
 //     shards whose score upper bound cannot beat the resulting floor are
 //     pruned — their posting pages are never prefaulted — and the main
 //     gather opens with the floor preseeded, so pruned shards' lists begin
@@ -75,15 +75,9 @@
 // SearchStats exposes per-probe counters (ProbeStats) for the
 // wwt_probe_* metrics and the planner's scanned-fraction feature.
 //
-// # Persistence: gob snapshots and the flat sharded index
+// # Persistence: the flat sharded index and the table store
 //
-// Two on-disk forms exist side by side:
-//
-//   - index.gob / store.gob — encoding/gob snapshots of the build-time
-//     Index and the table Store, each prefixed with an 8-byte magic
-//     ("WWTIXG01" / "WWTSTG01") and a uint32 little-endian format version
-//     so stale or mixed-up files fail fast with a precise error. Loading
-//     the index gob decodes every posting map into memory (O(corpus)).
+// An index directory holds one form of each:
 //
 //   - docs.wwt + postings-NNN.wwt — the flat sharded index written by
 //     WriteSharded and opened by OpenSharded. Opening is O(1) in corpus
@@ -91,20 +85,29 @@
 //     searcher's arrays alias the mapping directly; no maps are built and
 //     no bytes are copied on the fast path.
 //
-// # Flat file layout (format versions 1 and 2)
+//   - store.gob — an encoding/gob snapshot of the table Store, prefixed
+//     with an 8-byte magic ("WWTSTG01") and a uint32 little-endian format
+//     version so stale or mixed-up files fail fast with a precise error.
+//
+// Older layouts are retired, not read: a version-1 flat file (WWTFLT01),
+// a gob index snapshot (index.gob, WWTIXG01) where a flat file belongs,
+// and a postings file without the best-weight section all fail at open
+// with an error naming wwt-index, which rebuilds the directory.
+//
+// # Flat file layout (format version 2)
 //
 // Every .wwt file is little-endian and starts with a 48-byte header:
 //
 //	offset  size  field
-//	     0     8  magic "WWTFLT01" (version 1) / "WWTFLT02" (version 2)
-//	     8     4  format version (1 or 2, matching the magic)
+//	     0     8  magic "WWTFLT02"
+//	     8     4  format version (2)
 //	    12     4  kind: 1 = docs file, 2 = postings shard
 //	    16     4  shardIndex (0 for docs)
 //	    20     4  shardCount
 //	    24     8  numDocs
 //	    32     8  numTerms (this shard's; 0 for docs)
 //	    40     4  sectionCount
-//	    44     4  version 1: reserved (0); version 2: blockSize (> 0)
+//	    44     4  blockSize (postings shards, > 0; 0 for docs)
 //
 // A section table of sectionCount 24-byte entries {id u32, reserved u32,
 // offset u64, len u64} follows, then the section payloads. Every payload
@@ -114,9 +117,9 @@
 // lookup is a binary search over the blob — building a map at open time
 // would make open O(terms).
 //
-// Version 2 postings shards append four block-summary sections per field f
-// (IDs secFieldBlkBase + 4f + k), derived deterministically from the
-// postings with the header's blockSize:
+// Postings shards carry four block-summary sections per field f (IDs
+// secFieldBlkBase + 4f + k), derived deterministically from the postings
+// with the header's blockSize:
 //
 //	k  section      type     contents
 //	0  blkOff[f]    int32    per term: first block index; numTerms+1
@@ -128,16 +131,14 @@
 // Blocks are aligned to each (term, field) list's start — block b of term
 // t covers postings [t.off + b·blockSize, t.off + (b+1)·blockSize) of the
 // list — so the summaries are exactly reproducible from the postings.
-// Version 1 files open with no block summaries: probes fall back to the
-// term-level skip alone, bit-identical hits, no pruning counters.
+// Every build writes blockSize 128; the reader accepts any positive width
+// the header declares.
 //
-// Postings shards may also carry section secBestWeight (id 24, float64,
+// Postings shards must also carry section secBestWeight (id 24, float64,
 // numTerms entries): each term's best per-document cross-field weight sum
 // — the idf-free factor of the maxScore bound. Probes use it to restate
 // a term's score bound under the corpus-global idf (bound = global idf ·
-// bestWeight). Files written before the section derive a safe overshoot
-// from maxScore/idf at open; readers that predate it skip the unknown
-// section id — both directions stay compatible.
+// bestWeight).
 //
 // On little-endian hosts with an aligned mapping the typed views are
 // zero-copy (unsafe.Slice over the mapped bytes); on big-endian hosts or

@@ -1,11 +1,6 @@
 package index
 
-// On-disk formats. Two families exist:
-//
-//   - The gob snapshots (index.gob / store.gob) keep the full mutable Index
-//     and the table Store. They are decode-on-load and now carry an 8-byte
-//     magic plus a uint32 format version so a stale or foreign file fails
-//     with a clear error instead of a decoder error deep in the stack.
+// On-disk formats. An index directory holds exactly two kinds of file:
 //
 //   - The flat sharded index (docs.wwt + postings-NNN.wwt) is the serving
 //     form: a versioned, mmap-friendly layout of the frozen Searcher's CSR
@@ -13,24 +8,32 @@ package index
 //     decode — with a portable read-into-memory fallback where mmap is
 //     unavailable.
 //
+//   - The table store (store.gob) is a decode-on-load gob snapshot of the
+//     Store, prefixed with an 8-byte magic plus a uint32 format version so
+//     a stale or foreign file fails with a clear error instead of a decoder
+//     error deep in the stack.
+//
 // Flat file layout (all integers little-endian, sections 8-byte aligned):
 //
 //	offset  size  field
-//	0       8     magic "WWTFLT01" (version 1) or "WWTFLT02" (version 2)
-//	8       4     format version (1 or 2, matching the magic)
+//	0       8     magic "WWTFLT02"
+//	8       4     format version (2)
 //	12      4     kind (1 = doc table, 2 = postings shard)
 //	16      4     shard index (postings files; 0 for the doc table)
 //	20      4     shard count
 //	24      8     numDocs
 //	32      8     numTerms (0 for the doc table)
 //	40      4     section count
-//	44      4     block size (v2 postings files; reserved 0 in v1)
+//	44      4     block size (postings files, > 0; 0 for the doc table)
 //	48      24×n  section table: {id u32, reserved u32, offset u64, bytes u64}
 //	...           section payloads, each 8-byte aligned, zero padded between
 //
-// Version 2 postings files add four block-summary sections per field
-// (secFieldBlkBase); everything else is identical to version 1, and a v1
-// file keeps opening unchanged (it simply carries no block summaries).
+// Postings files carry the best-weight section (secBestWeight) and four
+// block-summary sections per field (secFieldBlkBase); a file without them
+// fails at open. Retired layouts — version-1 WWTFLT01 files, WWTIXG01 gob
+// index snapshots, postings files from before the best-weight section —
+// fail at open with an error that names wwt-index, the tool that rebuilds
+// the directory.
 //
 // Numeric sections are raw little-endian arrays ([]int32, []int64,
 // []float32, []float64 bit patterns); on little-endian hosts they are
@@ -47,19 +50,17 @@ import (
 	"unsafe"
 )
 
-// Magic numbers and versions. The gob magics differ per file kind so that
-// handing a store to Load (or vice versa) is diagnosed precisely. Flat
-// version 2 (WWTFLT02) extends version 1 with block-max posting summaries;
-// both open through the same reader.
+// Magic numbers and versions. The retired magics are never written; they
+// are recognized only so that a directory from an older build fails with
+// a precise error instead of "bad magic".
 const (
-	flatMagic     = "WWTFLT01"
-	flatMagicV2   = "WWTFLT02"
-	gobIndexMagic = "WWTIXG01"
-	gobStoreMagic = "WWTSTG01"
+	flatMagic    = "WWTFLT02"
+	flatVersion  = 2
+	storeMagic   = "WWTSTG01"
+	storeVersion = 1
 
-	flatFormatVersion  = 1
-	flatFormatVersion2 = 2
-	gobFormatVersion   = 1
+	retiredFlatMagic  = "WWTFLT01" // flat layout v1: no block summaries
+	retiredIndexMagic = "WWTIXG01" // gob snapshot of the build-time Index
 )
 
 // Flat file kinds.
@@ -81,10 +82,8 @@ const (
 	secFieldBase = 8 // + 3*f + {0: off, 1: docs, 2: wts}
 	// secBestWeight is the idf-free counterpart of secMaxScore: per term,
 	// the maximum per-document cross-field weight sum. A multi-segment
-	// probe rescales it by the corpus-global idf to get a valid bound;
-	// files written before this section existed derive it from
-	// maxScore/idf at open time, and readers that predate it ignore the
-	// unknown ID.
+	// probe rescales it by the corpus-global idf to get a valid bound.
+	// Every postings file must carry it.
 	secBestWeight = 24 // []float64, per term
 )
 
@@ -92,10 +91,10 @@ func secFieldOff(f int) uint32  { return uint32(secFieldBase + 3*f) }
 func secFieldDocs(f int) uint32 { return uint32(secFieldBase + 3*f + 1) }
 func secFieldWts(f int) uint32  { return uint32(secFieldBase + 3*f + 2) }
 
-// Format-v2 block-summary sections, per field f. Posting lists are cut into
-// fixed-width blocks (the width lives in the header's blockSize field, byte
-// 44, which version 1 wrote as reserved 0); the summaries let a probe bound
-// and skip whole blocks without touching their posting pages.
+// Block-summary sections, per field f. Posting lists are cut into
+// fixed-width blocks (the width lives in the header's block size field,
+// byte 44); the summaries let a probe bound and skip whole blocks without
+// touching their posting pages.
 const secFieldBlkBase = 32 // + 4*f + {0: blkOff, 1: blkMax, 2: blkDoc, 3: fieldMaxW}
 
 func secFieldBlkOff(f int) uint32   { return uint32(secFieldBlkBase + 4*f) }
@@ -286,18 +285,13 @@ type section struct {
 }
 
 // writeFlatFile lays out header + section table + 8-aligned payloads.
-// version selects the magic/version pair; blockSize lands in header byte 44
-// (v2 postings files; 0 everywhere else, matching v1's reserved field).
-func writeFlatFile(path string, version, blockSize, kind, shardIndex, shardCount uint32, numDocs, numTerms uint64, secs []section) (err error) {
+// blockSize lands in header byte 44 (postings files; 0 for the doc table).
+func writeFlatFile(path string, blockSize, kind, shardIndex, shardCount uint32, numDocs, numTerms uint64, secs []section) (err error) {
 	headerSize := flatHeaderSize + 24*len(secs)
 	hdr := make([]byte, align8(headerSize))
-	magic := flatMagic
-	if version == flatFormatVersion2 {
-		magic = flatMagicV2
-	}
-	copy(hdr[0:8], magic)
+	copy(hdr[0:8], flatMagic)
 	le := binary.LittleEndian
-	le.PutUint32(hdr[8:], version)
+	le.PutUint32(hdr[8:], flatVersion)
 	le.PutUint32(hdr[12:], kind)
 	le.PutUint32(hdr[16:], shardIndex)
 	le.PutUint32(hdr[20:], shardCount)
@@ -352,7 +346,6 @@ type flatFile struct {
 	path       string
 	data       []byte
 	closer     func() error
-	version    uint32
 	blockSize  int
 	kind       uint32
 	shardIndex uint32
@@ -390,29 +383,24 @@ func openFlatFile(path string, noMmap bool) (*flatFile, error) {
 	if len(data) < flatHeaderSize {
 		return fail(ff.corrupt("file is %d bytes, smaller than the %d-byte header", len(data), flatHeaderSize))
 	}
-	got := string(data[0:8])
-	if got != flatMagic && got != flatMagicV2 {
-		switch got {
-		case gobIndexMagic:
-			return fail(fmt.Errorf("index open %s: this is a gob index snapshot (use index.Load), not a flat index file", path))
-		case gobStoreMagic:
-			return fail(fmt.Errorf("index open %s: this is a gob table store (use index.LoadStore), not a flat index file", path))
-		}
+	switch got := string(data[0:8]); got {
+	case flatMagic:
+	case retiredFlatMagic:
+		return fail(fmt.Errorf("index open %s: flat format version 1 (%s) is retired, this build reads only version %d (%s); rebuild the directory with wwt-index",
+			path, got, flatVersion, flatMagic))
+	case retiredIndexMagic:
+		return fail(fmt.Errorf("index open %s: this is a gob index snapshot (%s), a retired format, not a flat index file; rebuild the directory with wwt-index", path, got))
+	case storeMagic:
+		return fail(fmt.Errorf("index open %s: this is a gob table store (use index.LoadStore), not a flat index file", path))
+	default:
 		return fail(fmt.Errorf("index open %s: bad magic %q — not a wwt flat index file (foreign data, or written by an incompatible build); rebuild with wwt-index", path, got))
 	}
 	le := binary.LittleEndian
-	ff.version = le.Uint32(data[8:])
-	wantVersion := uint32(flatFormatVersion)
-	if got == flatMagicV2 {
-		wantVersion = flatFormatVersion2
+	if v := le.Uint32(data[8:]); v != flatVersion {
+		return fail(fmt.Errorf("index open %s: flat format version %d, this build supports %d (%s); rebuild with wwt-index",
+			path, v, flatVersion, flatMagic))
 	}
-	if ff.version != wantVersion {
-		return fail(fmt.Errorf("index open %s: flat format version %d, this build supports %d (%s) and %d (%s); rebuild with wwt-index",
-			path, ff.version, flatFormatVersion, flatMagic, flatFormatVersion2, flatMagicV2))
-	}
-	if ff.version >= flatFormatVersion2 {
-		ff.blockSize = int(le.Uint32(data[44:]))
-	}
+	ff.blockSize = int(le.Uint32(data[44:]))
 	ff.kind = le.Uint32(data[12:])
 	ff.shardIndex = le.Uint32(data[16:])
 	ff.shardCount = le.Uint32(data[20:])
@@ -448,13 +436,6 @@ func (ff *flatFile) Close() error {
 	c := ff.closer
 	ff.closer = nil
 	return c()
-}
-
-// hasSec reports whether a section is present — optional sections added
-// after version freeze are probed with this before reading.
-func (ff *flatFile) hasSec(id uint32) bool {
-	_, ok := ff.secs[id]
-	return ok
 }
 
 // sec returns a section payload, failing clearly when it is absent.

@@ -12,7 +12,7 @@ import "math"
 // pruning mechanisms, all of which only ever discard work that provably
 // cannot change the top k:
 //
-//  1. Block closure. With format-v2 block summaries, a posting block whose
+//  1. Block closure. Using the per-block summaries, a posting block whose
 //     best reachable score — idf·blkMax for the block, plus the term's
 //     other-field maxima, plus the suffix bound of all later terms — sits
 //     strictly below the current threshold cannot introduce a new top-k
@@ -34,10 +34,11 @@ import "math"
 // max-score skip, absorbing summation-order rounding in the bounds; the
 // winners' scores themselves are always the exact canonical-order sums.
 
-// defaultBlockSize is the posting-block width NewSearcher and the v2 writer
-// use unless told otherwise: 128 postings ≈ 1KiB of doc+weight data per
-// block, giving summaries 1/128 the size of the postings they bound.
-const DefaultBlockSize = 128
+// postingBlockSize is the posting-block width NewSearcher and the writer
+// use: 128 postings ≈ 1KiB of doc+weight data per block, giving summaries
+// 1/128 the size of the postings they bound. The reader accepts any
+// positive width a file header declares.
+const postingBlockSize = 128
 
 // laneWidth is the fixed group width of the lane-grouped accumulation loop.
 const laneWidth = 8
@@ -59,7 +60,7 @@ type ProbeStats struct {
 // posting weight and first doc ID of each, plus the per-term per-field
 // maximum weight used in cross-field bounds. Blocks are aligned to each
 // list's start, so the summaries are exactly reproducible from the
-// postings (the v2 writer persists these arrays verbatim).
+// postings (the writer persists these arrays verbatim).
 func (sh *shard) computeBlocks(blockSize int) {
 	sh.blockSize = blockSize
 	for f := 0; f < int(numFields); f++ {
@@ -97,10 +98,6 @@ func (sh *shard) computeBlocks(blockSize int) {
 		}
 	}
 }
-
-// hasBlocks reports whether block summaries are available (always for
-// in-memory shards; only for format-v2 files when opened from disk).
-func (sh *shard) hasBlocks() bool { return sh.blockSize > 0 }
 
 // nextGen advances the accumulator to a fresh generation: previously
 // touched scores become stale without clearing the dense arrays.
@@ -305,12 +302,6 @@ func gather(acc *accumulator, refs []termRef, k int, floor float64, st *ProbeSta
 			if !active && !updateOnly {
 				// No threshold yet: every block is open, scan flat.
 				acc.scanList(idf, sh.docs[f][lo:hi], sh.wts[f][lo:hi], false)
-				st.Scanned += int64(hi - lo)
-				continue
-			}
-			if !sh.hasBlocks() {
-				// v1 shard: only the term-level skip is available.
-				acc.scanList(idf, sh.docs[f][lo:hi], sh.wts[f][lo:hi], updateOnly)
 				st.Scanned += int64(hi - lo)
 				continue
 			}

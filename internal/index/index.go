@@ -36,8 +36,8 @@ func (f Field) String() string {
 	return fmt.Sprintf("field(%d)", int(f))
 }
 
-// Posting is one (document, term-frequency) pair. Exported for gob.
-type Posting struct {
+// posting is one (document, term-frequency) pair of the build-time index.
+type posting struct {
 	Doc int32
 	TF  float32
 }
@@ -48,7 +48,7 @@ type Posting struct {
 type Index struct {
 	ids      []string
 	byID     map[string]int32
-	postings [numFields]map[string][]Posting
+	postings [numFields]map[string][]posting
 	fieldLen [numFields][]float32 // per-doc analyzed token counts
 	df       map[string]int       // union document frequency (any field)
 }
@@ -60,7 +60,7 @@ func New() *Index {
 		df:   make(map[string]int),
 	}
 	for f := range ix.postings {
-		ix.postings[f] = make(map[string][]Posting)
+		ix.postings[f] = make(map[string][]posting)
 	}
 	return ix
 }
@@ -108,7 +108,7 @@ func (ix *Index) Add(t *wtable.Table) error {
 		}
 		ix.fieldLen[f] = append(ix.fieldLen[f], float32(len(fields[f])))
 		for tok, n := range tf {
-			ix.postings[f][tok] = append(ix.postings[f][tok], Posting{Doc: doc, TF: float32(n)})
+			ix.postings[f][tok] = append(ix.postings[f][tok], posting{Doc: doc, TF: float32(n)})
 		}
 	}
 	for tok := range seenAnywhere {

@@ -176,28 +176,8 @@ func TestIntersectSize(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	ix := corpus(t)
-	p := filepath.Join(dir, "idx.gob")
-	if err := ix.Save(p); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(p)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if loaded.Len() != ix.Len() {
-		t.Fatalf("Len mismatch: %d vs %d", loaded.Len(), ix.Len())
-	}
-	q := text.Normalize("country currency")
-	if !reflect.DeepEqual(ix.Search(q, 5), loaded.Search(q, 5)) {
-		t.Error("search results differ after reload")
-	}
-}
-
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
+	if _, err := LoadStore(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
 		t.Error("loading missing file should fail")
 	}
 }

@@ -447,10 +447,8 @@ const passASkewFactor = 4
 // scatter readies one segment's involved shards for the gather and returns
 // the admission floor to preseed it with. Shards are ranked by their score
 // upper bound (the sum of their resolved terms' max-scores). With a single
-// involved shard, an unbounded probe, or a shard without block summaries
-// (a v1 file — the main gather would rescan pruned shards' postings in
-// full, so a pre-pass would be pure overhead) every involved shard is
-// simply prefaulted. Otherwise the floor-seeding pre-pass scores the top
+// involved shard or an unbounded probe every involved shard is simply
+// prefaulted. Otherwise the floor-seeding pre-pass scores the top
 // shard(s) into a throwaway accumulator generation and prunes the scatter
 // of every shard whose bound cannot beat the established floor: pruned
 // shards are never prefaulted, and under the preseeded floor the main
@@ -462,19 +460,17 @@ const passASkewFactor = 4
 // kth-largest sum of real (partial) contributions, or the carried one.
 func (seg *segment) scatter(sc *scratch, refs []termRef, k int, floor float64, st *ProbeStats) float64 {
 	order, bounds := sc.order[:0], sc.bounds[:0]
-	pruning := k > 0
 	for _, r := range refs {
 		i := slices.Index(order, r.shard)
 		if i < 0 {
 			i = len(order)
 			order, bounds = append(order, r.shard), append(bounds, 0)
-			pruning = pruning && r.sh.hasBlocks()
 		}
 		bounds[i] += r.maxS
 	}
 	sc.order, sc.bounds = order, bounds
 	n := len(order)
-	if n == 1 || !pruning {
+	if n == 1 || k <= 0 {
 		st.ShardsProbed += n
 		prefaultShards(refs, order)
 		return floor

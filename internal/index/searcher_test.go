@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -107,20 +106,14 @@ var gridDims = []int{1, 2, 3, 8}
 
 // gridCase is one construction of the Searcher over a corpus: k segments ×
 // n shards, built along one path — "memory" (frozen chunks resharded and
-// concatenated on the heap), "mmap" / "nommap" (flat format v2 files,
-// mapped or read whole) and "mmap-v1" / "nommap-v1" (the summary-less v1
-// format).
+// concatenated on the heap), "mmap" / "nommap" (flat files, mapped or read
+// whole).
 type gridCase struct {
 	name string
 	k, n int
 	path string
 	s    *Searcher
 }
-
-// blocks reports whether the case's shards carry block summaries: v2
-// paths exercise block-max skipping and shard pruning, v1 paths pin the
-// term-level-only fallback.
-func (c gridCase) blocks() bool { return c.path != "mmap-v1" && c.path != "nommap-v1" }
 
 // gridOf builds the chunks as one segment each at every shard count in ns
 // and along every construction path, with cleanup registered on t.
@@ -144,41 +137,27 @@ func gridOf(t testing.TB, chunks [][]*wtable.Table, ns []int) []gridCase {
 			mem.add(f.segs[0].reshard(n))
 		}
 		add(n, "memory", mem)
-		for _, v := range []int{2, 1} {
-			dirs := make([]string, len(frozen))
-			for i, f := range frozen {
-				dirs[i] = t.TempDir()
-				if err := WriteSharded(dirs[i], f, n, WriteShardedOptions{FormatVersion: v}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			mm, err := OpenSharded(dirs...)
-			if err != nil {
+		dirs := make([]string, len(frozen))
+		for i, f := range frozen {
+			dirs[i] = t.TempDir()
+			if err := WriteSharded(dirs[i], f, n); err != nil {
 				t.Fatal(err)
-			}
-			if !mm.Mmapped() {
-				t.Fatalf("OpenSharded did not map the files")
-			}
-			rd, err := openSharded(true, dirs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { mm.Close(); rd.Close() })
-			for _, seg := range mm.segs {
-				for g, sh := range seg.shards {
-					if got := sh.hasBlocks(); got != (v == 2) {
-						t.Fatalf("v%d shard %d: hasBlocks() = %v", v, g, got)
-					}
-				}
-			}
-			if v == 2 {
-				add(n, "mmap", mm)
-				add(n, "nommap", rd)
-			} else {
-				add(n, "mmap-v1", mm)
-				add(n, "nommap-v1", rd)
 			}
 		}
+		mm, err := OpenSharded(dirs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mm.Mmapped() {
+			t.Fatalf("OpenSharded did not map the files")
+		}
+		rd, err := openSharded(true, dirs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mm.Close(); rd.Close() })
+		add(n, "mmap", mm)
+		add(n, "nommap", rd)
 	}
 	return out
 }
@@ -246,9 +225,9 @@ func TestShardedSearcherEquivalence(t *testing.T) {
 
 // TestMultiSearcherEquivalence: top-k over K segments must be bit-identical
 // (IDs, float64 score bits, order) to a single index rebuilt over the whole
-// corpus, for every segment count, shard count, format version and open
-// path. The per-term stats a probe carries (corpus-global df/idf/bound) are
-// what makes a partitioned corpus score exactly like an unpartitioned one.
+// corpus, for every segment count, shard count and open path. The
+// per-term stats a probe carries (corpus-global df/idf/bound) are what
+// makes a partitioned corpus score exactly like an unpartitioned one.
 func TestMultiSearcherEquivalence(t *testing.T) {
 	for _, seed := range []int64{5, 77} {
 		ix, tables := buildRandCorpus(t, seed, 24+rand.New(rand.NewSource(seed)).Intn(40))
@@ -506,26 +485,6 @@ func TestTermStatsEquivalence(t *testing.T) {
 	}
 	if _, _, ok := s.TermStats("zzz-no-such-token"); ok {
 		t.Fatal("Searcher: unknown token reported ok")
-	}
-}
-
-// TestSearcherAfterGobRoundTrip: a searcher frozen from a loaded index must
-// behave like one frozen from the original.
-func TestSearcherAfterGobRoundTrip(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 321, 25)
-	path := filepath.Join(t.TempDir(), "index.gob")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSearcher(loaded)
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 30; i++ {
-		q := randQuery(r)
-		sameHits(t, ix.Search(q, 10), s.Search(q, 10), "post-gob search")
 	}
 }
 

@@ -32,8 +32,8 @@ const ManifestFileName = "MANIFEST.json"
 // SegmentsDirName is the subdirectory holding ingested segments.
 const SegmentsDirName = "segments"
 
-// manifestFormatVersion is the manifest schema version.
-const manifestFormatVersion = 1
+// manifestVersion is the manifest schema version.
+const manifestVersion = 1
 
 // Manifest is the committed state of a live index: an ordered list of
 // segment directories (relative to the index root; "." is the base index
@@ -67,8 +67,8 @@ func ReadManifest(dir string) (Manifest, bool, error) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		return m, false, fmt.Errorf("manifest read %s: %w", dir, err)
 	}
-	if m.Version != manifestFormatVersion {
-		return m, false, fmt.Errorf("manifest read %s: version %d, this build supports %d", dir, m.Version, manifestFormatVersion)
+	if m.Version != manifestVersion {
+		return m, false, fmt.Errorf("manifest read %s: version %d, this build supports %d", dir, m.Version, manifestVersion)
 	}
 	for _, s := range m.Segments {
 		if s != "." && (s == "" || filepath.IsAbs(s) || strings.Contains(s, "..")) {
@@ -83,7 +83,7 @@ func ReadManifest(dir string) (Manifest, bool, error) {
 // the live name. A crash leaves either the previous manifest or the new
 // one, never a torn file.
 func WriteManifest(dir string, m Manifest) error {
-	m.Version = manifestFormatVersion
+	m.Version = manifestVersion
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("manifest write: %w", err)
@@ -131,7 +131,7 @@ func SnapshotManifest(dir string) (Manifest, error) {
 	if _, err := os.Stat(filepath.Join(dir, DocsFileName)); err != nil {
 		return m, fmt.Errorf("index open %s: no manifest and no flat index: %w", dir, err)
 	}
-	return Manifest{Version: manifestFormatVersion, Segments: []string{"."}}, nil
+	return Manifest{Version: manifestVersion, Segments: []string{"."}}, nil
 }
 
 // SegmentDirName names the seq-th ingested segment, relative to the index
@@ -181,7 +181,7 @@ func (w *SegmentWriter) Tables() []*wtable.Table { return w.tables }
 // Flush freezes the queued tables into dir as an immutable one-shard
 // segment: builds the index, writes the flat files and the table store.
 // An empty writer is an error — the manifest never lists empty segments.
-func (w *SegmentWriter) Flush(dir string, opts WriteShardedOptions) error {
+func (w *SegmentWriter) Flush(dir string) error {
 	if len(w.tables) == 0 {
 		return fmt.Errorf("segment: flush of an empty segment")
 	}
@@ -189,7 +189,7 @@ func (w *SegmentWriter) Flush(dir string, opts WriteShardedOptions) error {
 	if err != nil {
 		return fmt.Errorf("segment: %w", err)
 	}
-	if err := WriteSharded(dir, NewSearcher(ix), 1, opts); err != nil {
+	if err := WriteSharded(dir, NewSearcher(ix), 1); err != nil {
 		return fmt.Errorf("segment: %w", err)
 	}
 	st := NewStore()
@@ -263,7 +263,7 @@ func PlanMerge(docCounts []int, p MergePolicy) []int {
 // segment at dst. The inputs are only read — deleting them after the
 // manifest no longer lists them is the caller's job. Returns the merged
 // doc count.
-func MergeSegments(dst string, srcDirs []string, opts WriteShardedOptions) (int, error) {
+func MergeSegments(dst string, srcDirs []string) (int, error) {
 	w := NewSegmentWriter()
 	for _, d := range srcDirs {
 		st, err := LoadStore(filepath.Join(d, StoreFileName))
@@ -276,7 +276,7 @@ func MergeSegments(dst string, srcDirs []string, opts WriteShardedOptions) (int,
 			}
 		}
 	}
-	if err := w.Flush(dst, opts); err != nil {
+	if err := w.Flush(dst); err != nil {
 		return 0, fmt.Errorf("segment merge: %w", err)
 	}
 	return w.Len(), nil

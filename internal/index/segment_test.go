@@ -22,7 +22,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 	// A bare flat index gets the implicit base-only manifest.
 	ix, _ := buildRandCorpus(t, 1, 8)
-	if err := WriteSharded(dir, NewSearcher(ix), 2, WriteShardedOptions{}); err != nil {
+	if err := WriteSharded(dir, NewSearcher(ix), 2); err != nil {
 		t.Fatal(err)
 	}
 	m, err := SnapshotManifest(dir)
@@ -96,7 +96,7 @@ func TestMergeSegments(t *testing.T) {
 			}
 		}
 		dirs[i] = filepath.Join(t.TempDir(), "seg")
-		if err := w.Flush(dirs[i], WriteShardedOptions{}); err != nil {
+		if err := w.Flush(dirs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestMergeSegments(t *testing.T) {
 	defer before.Close()
 
 	merged := filepath.Join(t.TempDir(), "merged")
-	n, err := MergeSegments(merged, dirs, WriteShardedOptions{})
+	n, err := MergeSegments(merged, dirs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMergeSegments(t *testing.T) {
 func TestOpenSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	ix, tables := buildRandCorpus(t, 11, 20)
-	if err := WriteSharded(dir, NewSearcher(ix), 2, WriteShardedOptions{}); err != nil {
+	if err := WriteSharded(dir, NewSearcher(ix), 2); err != nil {
 		t.Fatal(err)
 	}
 	extra := mkTable("live-1", []string{"Planet", "Moons"},
@@ -150,7 +150,7 @@ func TestOpenSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := SegmentDirName(0)
-	if err := w.Flush(filepath.Join(dir, seg), WriteShardedOptions{}); err != nil {
+	if err := w.Flush(filepath.Join(dir, seg)); err != nil {
 		t.Fatal(err)
 	}
 	// An orphan directory (crash between flush and commit) must be ignored.

@@ -40,9 +40,9 @@ type shard struct {
 	docs [numFields][]int32
 	wts  [numFields][]float32
 
-	// Block-max summaries (gather.go). blockSize == 0 (a v1 file) means no
-	// summaries: the gather falls back to the term-level skip alone, with
-	// identical results.
+	// Block-max summaries (gather.go). blockSize is postingBlockSize for
+	// a freshly frozen shard, or whatever positive width the opened
+	// file's header declares.
 	blockSize int
 	blkOff    [numFields][]int32   // per term: cumulative block counts (numTerms+1)
 	blkMax    [numFields][]float32 // per block: max posting weight
@@ -190,7 +190,7 @@ func freezeShard(ix *Index) *shard {
 		sh.bestW[ti] = best
 		sh.maxScore[ti] = sh.idf[ti] * best
 	}
-	sh.computeBlocks(DefaultBlockSize)
+	sh.computeBlocks(postingBlockSize)
 	return sh
 }
 
@@ -245,57 +245,27 @@ func shardFileName(g int) string { return fmt.Sprintf("postings-%03d.wwt", g) }
 // presence marks a directory as holding one.
 const DocsFileName = "docs.wwt"
 
-// maxShards bounds the builder: beyond this, per-shard overhead dwarfs any
+// MaxShards bounds the builder: beyond this, per-shard overhead dwarfs any
 // fan-out win and the file-per-shard layout stops making sense.
-const maxShards = 4096
-
-// WriteShardedOptions configures WriteSharded.
-type WriteShardedOptions struct {
-	// FormatVersion selects the flat layout: 1 writes WWTFLT01 (no block
-	// summaries, readable by older builds), 2 writes WWTFLT02 (block-max
-	// postings). 0 means 2.
-	FormatVersion int
-	// BlockSize is the v2 posting-block width. 0 means DefaultBlockSize;
-	// an explicit non-positive value is rejected. Ignored for version 1.
-	BlockSize int
-}
+const MaxShards = 4096
 
 // maxSectionInt32 bounds per-field posting counts: the CSR offsets (and
-// the v2 block counts derived from them) are int32 section arrays. A var
+// the block counts derived from them) are int32 section arrays. A var
 // so tests can exercise the bound without a 2^31-posting corpus.
 var maxSectionInt32 = math.MaxInt32
 
 // WriteSharded persists a freshly frozen Searcher (NewSearcher) as a flat
 // sharded index under dir: one shared doc-table file plus nShards postings
 // files, each in the versioned mmap-friendly layout described in the
-// package documentation. Invalid options fail before any file is written.
-func WriteSharded(dir string, s *Searcher, nShards int, opts WriteShardedOptions) error {
+// package documentation. A shard count outside [1, MaxShards] fails
+// before any file is written.
+func WriteSharded(dir string, s *Searcher, nShards int) error {
 	if len(s.segs) != 1 || len(s.segs[0].shards) != 1 {
 		return fmt.Errorf("index write: want a freshly frozen searcher (one segment, one shard), got %d segment(s), %d shard(s)",
 			len(s.segs), s.Shards())
 	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	if nShards > maxShards {
-		return fmt.Errorf("index write: %d shards exceeds the %d-shard limit", nShards, maxShards)
-	}
-	version := opts.FormatVersion
-	if version == 0 {
-		version = flatFormatVersion2
-	}
-	if version != flatFormatVersion && version != flatFormatVersion2 {
-		return fmt.Errorf("index write: flat format version %d not supported, this build writes %d (%s) and %d (%s)",
-			version, flatFormatVersion, flatMagic, flatFormatVersion2, flatMagicV2)
-	}
-	blockSize := opts.BlockSize
-	if version == flatFormatVersion2 {
-		if blockSize == 0 {
-			blockSize = DefaultBlockSize
-		}
-		if blockSize <= 0 {
-			return fmt.Errorf("index write: flat format v2 (%s) requires a positive block size, got %d", flatMagicV2, opts.BlockSize)
-		}
+	if nShards < 1 || nShards > MaxShards {
+		return fmt.Errorf("index write: shard count %d out of range, want 1 to %d", nShards, MaxShards)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("index write: %w", err)
@@ -304,13 +274,13 @@ func WriteSharded(dir string, s *Searcher, nShards int, opts WriteShardedOptions
 	for g, sh := range seg.shards {
 		for f := 0; f < int(numFields); f++ {
 			if n := len(sh.docs[f]); n > maxSectionInt32 {
-				return fmt.Errorf("index write: flat format v%d: shard %d field %s has %d postings, over the int32 section-offset bound (%d); rebuild with more shards",
-					version, g, Field(f), n, maxSectionInt32)
+				return fmt.Errorf("index write: shard %d field %s has %d postings, over the int32 section-offset bound (%d); rebuild with more shards",
+					g, Field(f), n, maxSectionInt32)
 			}
 		}
 	}
 	idOffs, idBlob := packStrings(seg.ids)
-	err := writeFlatFile(filepath.Join(dir, DocsFileName), uint32(version), 0, kindDocs, 0, uint32(nShards),
+	err := writeFlatFile(filepath.Join(dir, DocsFileName), 0, kindDocs, 0, uint32(nShards),
 		uint64(seg.numDocs), 0, []section{
 			{secIDOffs, int64Bytes(idOffs)},
 			{secIDBlob, idBlob},
@@ -326,8 +296,7 @@ func WriteSharded(dir string, s *Searcher, nShards int, opts WriteShardedOptions
 			{secIDF, float64Bytes(sh.idf)},
 			{secMaxScore, float64Bytes(sh.maxScore)},
 			{secDF, int32Bytes(sh.df)},
-			// The idf-free best weight backs the corpus-global bounds; old
-			// readers ignore the unknown section ID.
+			// The idf-free best weight backs the corpus-global bounds.
 			{secBestWeight, float64Bytes(sh.bestW)},
 		}
 		for f := 0; f < int(numFields); f++ {
@@ -337,22 +306,15 @@ func WriteSharded(dir string, s *Searcher, nShards int, opts WriteShardedOptions
 				section{secFieldWts(f), float32Bytes(sh.wts[f])},
 			)
 		}
-		shardBlockSize := 0
-		if version == flatFormatVersion2 {
-			shardBlockSize = blockSize
-			if sh.blockSize != blockSize {
-				sh.computeBlocks(blockSize)
-			}
-			for f := 0; f < int(numFields); f++ {
-				secs = append(secs,
-					section{secFieldBlkOff(f), int32Bytes(sh.blkOff[f])},
-					section{secFieldBlkMax(f), float32Bytes(sh.blkMax[f])},
-					section{secFieldBlkDoc(f), int32Bytes(sh.blkDoc[f])},
-					section{secFieldFieldMax(f), float32Bytes(sh.fieldMaxW[f])},
-				)
-			}
+		for f := 0; f < int(numFields); f++ {
+			secs = append(secs,
+				section{secFieldBlkOff(f), int32Bytes(sh.blkOff[f])},
+				section{secFieldBlkMax(f), float32Bytes(sh.blkMax[f])},
+				section{secFieldBlkDoc(f), int32Bytes(sh.blkDoc[f])},
+				section{secFieldFieldMax(f), float32Bytes(sh.fieldMaxW[f])},
+			)
 		}
-		err := writeFlatFile(filepath.Join(dir, shardFileName(g)), uint32(version), uint32(shardBlockSize), kindPostings,
+		err := writeFlatFile(filepath.Join(dir, shardFileName(g)), uint32(sh.blockSize), kindPostings,
 			uint32(g), uint32(nShards), uint64(seg.numDocs), uint64(sh.numTerms), secs)
 		if err != nil {
 			return fmt.Errorf("index write: %w", err)
@@ -379,7 +341,7 @@ func openSegment(dir string, noMmap bool) (*segment, error) {
 	if df.kind != kindDocs {
 		return fail(df.corrupt("file kind %d, want doc table (%d)", df.kind, kindDocs))
 	}
-	if df.shardCount < 1 || df.shardCount > maxShards {
+	if df.shardCount < 1 || df.shardCount > MaxShards {
 		return fail(df.corrupt("shard count %d out of range", df.shardCount))
 	}
 	seg.numDocs = int(df.numDocs)
@@ -448,21 +410,12 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 	if sh.df, err = pf.int32Sec(secDF, sh.numTerms); err != nil {
 		return nil, err
 	}
-	if pf.hasSec(secBestWeight) {
-		if sh.bestW, err = pf.float64Sec(secBestWeight, sh.numTerms); err != nil {
-			return nil, err
-		}
-	} else {
-		// Files written before the best-weight section carry only
-		// maxScore = idf·bestW. Dividing the rounding back out can land a
-		// hair below the true bestW, so pad by one ulp-scale factor — the
-		// value is only ever used as an upper bound, never in scores.
-		sh.bestW = make([]float64, sh.numTerms)
-		for t := 0; t < sh.numTerms; t++ {
-			if sh.idf[t] > 0 {
-				sh.bestW[t] = sh.maxScore[t] / sh.idf[t] * (1 + 1e-12)
-			}
-		}
+	if _, ok := pf.secs[secBestWeight]; !ok {
+		return nil, fmt.Errorf("index open %s: postings file without the best-weight section (%d) predates this build's format; rebuild the directory with wwt-index",
+			pf.path, secBestWeight)
+	}
+	if sh.bestW, err = pf.float64Sec(secBestWeight, sh.numTerms); err != nil {
+		return nil, err
 	}
 	for f := 0; f < int(numFields); f++ {
 		if sh.off[f], err = pf.int32Sec(secFieldOff(f), sh.numTerms+1); err != nil {
@@ -476,34 +429,32 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 			return nil, err
 		}
 	}
-	if pf.version >= flatFormatVersion2 {
-		// v2: block-max summaries. Validation stays O(1) in corpus size —
-		// section byte counts are cross-checked against the block counts
-		// declared by the last blkOff entry.
-		if pf.blockSize <= 0 {
-			return nil, pf.corrupt("flat v2 header declares block size %d, want > 0", pf.blockSize)
+	// Block-max summaries. Validation stays O(1) in corpus size — section
+	// byte counts are cross-checked against the block counts declared by
+	// the last blkOff entry.
+	if pf.blockSize <= 0 {
+		return nil, pf.corrupt("header declares block size %d, want > 0", pf.blockSize)
+	}
+	sh.blockSize = pf.blockSize
+	for f := 0; f < int(numFields); f++ {
+		if sh.blkOff[f], err = pf.int32Sec(secFieldBlkOff(f), sh.numTerms+1); err != nil {
+			return nil, err
 		}
-		sh.blockSize = pf.blockSize
-		for f := 0; f < int(numFields); f++ {
-			if sh.blkOff[f], err = pf.int32Sec(secFieldBlkOff(f), sh.numTerms+1); err != nil {
-				return nil, err
-			}
-			nb := 0
-			if sh.numTerms > 0 {
-				nb = int(sh.blkOff[f][sh.numTerms])
-			}
-			if nb < 0 {
-				return nil, pf.corrupt("field %s declares %d posting blocks", Field(f), nb)
-			}
-			if sh.blkMax[f], err = pf.float32Sec(secFieldBlkMax(f), nb); err != nil {
-				return nil, err
-			}
-			if sh.blkDoc[f], err = pf.int32Sec(secFieldBlkDoc(f), nb); err != nil {
-				return nil, err
-			}
-			if sh.fieldMaxW[f], err = pf.float32Sec(secFieldFieldMax(f), sh.numTerms); err != nil {
-				return nil, err
-			}
+		nb := 0
+		if sh.numTerms > 0 {
+			nb = int(sh.blkOff[f][sh.numTerms])
+		}
+		if nb < 0 {
+			return nil, pf.corrupt("field %s declares %d posting blocks", Field(f), nb)
+		}
+		if sh.blkMax[f], err = pf.float32Sec(secFieldBlkMax(f), nb); err != nil {
+			return nil, err
+		}
+		if sh.blkDoc[f], err = pf.int32Sec(secFieldBlkDoc(f), nb); err != nil {
+			return nil, err
+		}
+		if sh.fieldMaxW[f], err = pf.float32Sec(secFieldFieldMax(f), sh.numTerms); err != nil {
+			return nil, err
 		}
 	}
 	return sh, nil

@@ -38,48 +38,12 @@ func benchQueries() [][]string {
 	return queries
 }
 
-func benchGobPath(b *testing.B, s *Searcher) string {
-	b.Helper()
-	r := rand.New(rand.NewSource(2012))
-	tables := make([]*wtable.Table, benchCorpusSize)
-	for i := range tables {
-		tables[i] = randDocTable(r, i)
-	}
-	ix, err := Build(tables)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "index.gob")
-	if err := ix.Save(path); err != nil {
-		b.Fatal(err)
-	}
-	return path
-}
-
-// BenchmarkOpenIndexGob measures the legacy decode-on-load path: gob
-// decode plus freezing the searcher, both O(corpus).
-func BenchmarkOpenIndexGob(b *testing.B) {
-	s := benchSearcher(b)
-	path := benchGobPath(b, s)
-	if st, err := os.Stat(path); err == nil {
-		b.SetBytes(st.Size())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix, err := Load(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = NewSearcher(ix)
-	}
-}
-
 // BenchmarkOpenIndexMmap measures the flat path: page-map the files and
 // validate headers, O(1) in corpus size.
 func BenchmarkOpenIndexMmap(b *testing.B) {
 	s := benchSearcher(b)
 	dir := b.TempDir()
-	if err := WriteSharded(dir, s, 2, WriteShardedOptions{}); err != nil {
+	if err := WriteSharded(dir, s, 2); err != nil {
 		b.Fatal(err)
 	}
 	if st, err := os.Stat(filepath.Join(dir, DocsFileName)); err == nil {
@@ -102,7 +66,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			if err := WriteSharded(dir, s, n, WriteShardedOptions{}); err != nil {
+			if err := WriteSharded(dir, s, n); err != nil {
 				b.Fatal(err)
 			}
 			ss, err := OpenSharded(dir)
@@ -137,7 +101,7 @@ func BenchmarkSegmentedSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 		dirs = append(dirs, b.TempDir())
-		if err := WriteSharded(dirs[len(dirs)-1], NewSearcher(ix), 1, WriteShardedOptions{}); err != nil {
+		if err := WriteSharded(dirs[len(dirs)-1], NewSearcher(ix), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,7 +18,7 @@ func writeShardedDir(t *testing.T, n int) (string, *Searcher) {
 	ix, _ := buildRandCorpus(t, 99, 12)
 	s := NewSearcher(ix)
 	dir := t.TempDir()
-	if err := WriteSharded(dir, s, n, WriteShardedOptions{}); err != nil {
+	if err := WriteSharded(dir, s, n); err != nil {
 		t.Fatal(err)
 	}
 	return dir, s
@@ -35,133 +37,171 @@ func expectOpenError(t *testing.T, dir, want string) {
 	}
 }
 
-// TestOpenShardedErrors: every corruption mode must fail with a precise,
-// actionable message — and a directory without a flat index must wrap
-// fs.ErrNotExist so callers can tell a missing index from a corrupt one.
-func TestOpenShardedErrors(t *testing.T) {
-	t.Run("missing", func(t *testing.T) {
-		_, err := OpenSharded(t.TempDir())
-		if !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("error %v does not wrap fs.ErrNotExist", err)
-		}
-	})
-	t.Run("missing shard file", func(t *testing.T) {
-		dir, _ := writeShardedDir(t, 2)
-		if err := os.Remove(filepath.Join(dir, shardFileName(1))); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "shard file postings-001.wwt missing")
-		if _, err := OpenSharded(dir); !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("missing shard error %v does not wrap fs.ErrNotExist", err)
-		}
-	})
-	t.Run("truncated", func(t *testing.T) {
-		dir, _ := writeShardedDir(t, 1)
-		if err := os.Truncate(filepath.Join(dir, DocsFileName), 10); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "smaller than")
-	})
-	t.Run("bad magic", func(t *testing.T) {
-		dir, _ := writeShardedDir(t, 1)
-		if err := os.WriteFile(filepath.Join(dir, DocsFileName), []byte("PNG-DATA-and-then-some-more-bytes-padding-it-out-past-the-header"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "bad magic")
-	})
-	t.Run("newer version", func(t *testing.T) {
-		dir, _ := writeShardedDir(t, 1)
-		path := filepath.Join(dir, DocsFileName)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[8] = 99 // version field
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "version 99")
-	})
-	t.Run("gob file as flat index", func(t *testing.T) {
-		dir, _ := writeShardedDir(t, 1)
-		ix, _ := buildRandCorpus(t, 1, 3)
-		if err := ix.Save(filepath.Join(dir, DocsFileName)); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "gob index snapshot")
-	})
-	t.Run("kind mix-up", func(t *testing.T) {
-		dir, _ := writeShardedDir(t, 1)
-		postings, err := os.ReadFile(filepath.Join(dir, shardFileName(0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, DocsFileName), postings, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "want doc table")
-	})
-	t.Run("mixed builds", func(t *testing.T) {
-		// A shard file from a 3-shard build dropped into a 2-shard
-		// directory must be rejected by the header cross-check.
-		dir, s := writeShardedDir(t, 2)
-		other := t.TempDir()
-		if err := WriteSharded(other, s, 3, WriteShardedOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(filepath.Join(other, shardFileName(1)), filepath.Join(dir, shardFileName(1))); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "different builds")
-	})
-	t.Run("v2 zero block size", func(t *testing.T) {
-		// A v2 postings file whose header declares block size 0 is corrupt:
-		// the block geometry would be undefined.
-		dir, _ := writeShardedDir(t, 1)
-		path := filepath.Join(dir, shardFileName(0))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[44], data[45], data[46], data[47] = 0, 0, 0, 0 // block-size field
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "block size 0")
-	})
-	t.Run("v2 missing block sections", func(t *testing.T) {
-		// A v1-bodied postings file whose header claims v2 must fail on the
-		// absent block-summary sections, not open with silent misbehavior.
-		ix, _ := buildRandCorpus(t, 99, 12)
-		s := NewSearcher(ix)
-		dir := t.TempDir()
-		if err := WriteSharded(dir, s, 1, WriteShardedOptions{FormatVersion: 1}); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, shardFileName(0))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(data[:8], flatMagicV2)
-		data[8] = flatFormatVersion2 // version field (little-endian u32)
-		data[44] = DefaultBlockSize  // block-size field
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectOpenError(t, dir, "missing section 32")
-	})
+// patchFile applies edit to the bytes of path in place.
+func patchFile(t *testing.T, path string, edit func([]byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestWriteShardedWithErrors: invalid write options and over-limit corpora
-// must fail with precise versioned errors before any file is written.
+// asV1 rewrites a flat file's magic and version field to the retired
+// WWTFLT01 layout's.
+func asV1(data []byte) []byte {
+	copy(data[:8], retiredFlatMagic)
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	return data
+}
+
+// dropSection removes section id from a flat file's section table: the
+// later entries move up one slot and the count shrinks. Payload offsets
+// are absolute, so every other section stays readable.
+func dropSection(t *testing.T, id uint32) func([]byte) []byte {
+	return func(data []byte) []byte {
+		le := binary.LittleEndian
+		n := int(le.Uint32(data[40:]))
+		for i := 0; i < n; i++ {
+			e := flatHeaderSize + 24*i
+			if le.Uint32(data[e:]) != id {
+				continue
+			}
+			end := flatHeaderSize + 24*n
+			copy(data[e:end], data[e+24:end])
+			clear(data[end-24 : end])
+			le.PutUint32(data[40:], uint32(n-1))
+			return data
+		}
+		t.Fatalf("section %d not in the section table", id)
+		return nil
+	}
+}
+
+// TestOpenShardedErrors: every corruption mode and every retired layout
+// must fail with a precise, actionable message — and a directory without a
+// flat index must wrap fs.ErrNotExist so callers can tell a missing index
+// from a corrupt one.
+func TestOpenShardedErrors(t *testing.T) {
+	docs := func(dir string) string { return filepath.Join(dir, DocsFileName) }
+	postings := func(dir string) string { return filepath.Join(dir, shardFileName(0)) }
+	cases := []struct {
+		name     string
+		shards   int
+		mutate   func(t *testing.T, dir string)
+		want     []string
+		notExist bool
+	}{
+		{name: "missing", shards: 1, notExist: true, want: []string{DocsFileName},
+			mutate: func(t *testing.T, dir string) {
+				for _, f := range []string{docs(dir), postings(dir)} {
+					if err := os.Remove(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}},
+		{name: "missing shard file", shards: 2, notExist: true, want: []string{"shard file postings-001.wwt missing"},
+			mutate: func(t *testing.T, dir string) {
+				if err := os.Remove(filepath.Join(dir, shardFileName(1))); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "truncated", shards: 1, want: []string{"smaller than"},
+			mutate: func(t *testing.T, dir string) {
+				if err := os.Truncate(docs(dir), 10); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "bad magic", shards: 1, want: []string{"bad magic"},
+			mutate: func(t *testing.T, dir string) {
+				if err := os.WriteFile(docs(dir), []byte("PNG-DATA-and-then-some-more-bytes-padding-it-out-past-the-header"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "newer version", shards: 1, want: []string{"version 99"},
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, docs(dir), func(d []byte) []byte { d[8] = 99; return d })
+			}},
+		{name: "retired v1 doc table", shards: 1, want: []string{"WWTFLT01", "wwt-index"},
+			mutate: func(t *testing.T, dir string) { patchFile(t, docs(dir), asV1) }},
+		{name: "retired v1 postings file", shards: 1, want: []string{"WWTFLT01", "wwt-index"},
+			mutate: func(t *testing.T, dir string) { patchFile(t, postings(dir), asV1) }},
+		{name: "gob file as flat index", shards: 1, want: []string{"gob index snapshot", "wwt-index"},
+			mutate: func(t *testing.T, dir string) {
+				// A retired index.gob header, padded past the flat header size.
+				gob := make([]byte, 64)
+				copy(gob, retiredIndexMagic)
+				binary.LittleEndian.PutUint32(gob[8:], 1)
+				if err := os.WriteFile(docs(dir), gob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "postings without best-weight section", shards: 1, want: []string{"best-weight section (24)", "wwt-index"},
+			mutate: func(t *testing.T, dir string) { patchFile(t, postings(dir), dropSection(t, secBestWeight)) }},
+		{name: "kind mix-up", shards: 1, want: []string{"want doc table"},
+			mutate: func(t *testing.T, dir string) {
+				data, err := os.ReadFile(postings(dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(docs(dir), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "mixed builds", shards: 2, want: []string{"different builds"},
+			// A shard file from a 3-shard build dropped into a 2-shard
+			// directory must be rejected by the header cross-check.
+			mutate: func(t *testing.T, dir string) {
+				other, _ := writeShardedDir(t, 3)
+				if err := os.Rename(filepath.Join(other, shardFileName(1)), filepath.Join(dir, shardFileName(1))); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "v2 zero block size", shards: 1, want: []string{"block size 0"},
+			// The block geometry of a postings file declaring width 0 is
+			// undefined.
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), func(d []byte) []byte { clear(d[44:48]); return d })
+			}},
+		{name: "v2 missing block sections", shards: 1, want: []string{"missing section 32"},
+			// A postings file without its block summaries must fail, not
+			// open with silent misbehavior.
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), dropSection(t, secFieldBlkOff(0)))
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir, _ := writeShardedDir(t, c.shards)
+			c.mutate(t, dir)
+			ss, err := OpenSharded(dir)
+			if err == nil {
+				ss.Close()
+				t.Fatalf("OpenSharded succeeded, want error mentioning %q", c.want)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("OpenSharded error %q does not mention %q", err, w)
+				}
+			}
+			if c.notExist != errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("error %v: wraps fs.ErrNotExist = %v, want %v", err, !c.notExist, c.notExist)
+			}
+		})
+	}
+}
+
+// TestWriteShardedWithErrors: an out-of-range shard count and over-limit
+// corpora must fail with precise errors before any file is written.
 func TestWriteShardedWithErrors(t *testing.T) {
 	ix, _ := buildRandCorpus(t, 99, 12)
 	s := NewSearcher(ix)
-	expectWriteError := func(t *testing.T, opts WriteShardedOptions, want string) {
+	expectWriteError := func(t *testing.T, nShards int, want string) {
 		t.Helper()
 		dir := t.TempDir()
-		err := WriteSharded(dir, s, 1, opts)
+		err := WriteSharded(dir, s, nShards)
 		if err == nil {
 			t.Fatalf("WriteSharded succeeded, want error mentioning %q", want)
 		}
@@ -176,38 +216,47 @@ func TestWriteShardedWithErrors(t *testing.T) {
 			t.Fatalf("failed write left %d file(s) behind: %v", len(ents), ents)
 		}
 	}
-	t.Run("unsupported version", func(t *testing.T) {
-		expectWriteError(t, WriteShardedOptions{FormatVersion: 3}, "version 3 not supported")
+	t.Run("zero shards", func(t *testing.T) {
+		expectWriteError(t, 0, "shard count 0 out of range")
 	})
-	t.Run("negative block size", func(t *testing.T) {
-		expectWriteError(t, WriteShardedOptions{BlockSize: -4}, "requires a positive block size, got -4")
+	t.Run("over shard limit", func(t *testing.T) {
+		expectWriteError(t, MaxShards+1, fmt.Sprintf("shard count %d out of range, want 1 to %d", MaxShards+1, MaxShards))
 	})
 	t.Run("postings over section bound", func(t *testing.T) {
 		old := maxSectionInt32
 		maxSectionInt32 = 8 // force the int32 section-offset bound down
 		defer func() { maxSectionInt32 = old }()
-		expectWriteError(t, WriteShardedOptions{}, "over the int32 section-offset bound")
+		expectWriteError(t, 1, "over the int32 section-offset bound")
 	})
 }
 
-// TestGobHeaderErrors: the gob snapshots' magic/version headers must
+// TestGobHeaderErrors: the table store's magic/version header must
 // diagnose mix-ups and stale files precisely.
 func TestGobHeaderErrors(t *testing.T) {
 	dir := t.TempDir()
-	ix, tables := buildRandCorpus(t, 7, 5)
+	_, tables := buildRandCorpus(t, 7, 5)
 	st := NewStore()
 	for _, tb := range tables {
 		if err := st.Add(tb); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ixPath := filepath.Join(dir, "index.gob")
 	stPath := filepath.Join(dir, "store.gob")
-	if err := ix.Save(ixPath); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Save(stPath); err != nil {
 		t.Fatal(err)
+	}
+	// writeVariant writes stPath's bytes, edited, under a new name.
+	writeVariant := func(t *testing.T, name string, edit func([]byte) []byte) string {
+		t.Helper()
+		data, err := os.ReadFile(stPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, edit(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 
 	expect := func(t *testing.T, err error, want string) {
@@ -221,51 +270,30 @@ func TestGobHeaderErrors(t *testing.T) {
 	}
 
 	t.Run("round trip", func(t *testing.T) {
-		if _, err := Load(ixPath); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := LoadStore(stPath); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Run("store to Load", func(t *testing.T) {
-		_, err := Load(stPath)
-		expect(t, err, "wwt table store")
-	})
 	t.Run("index to LoadStore", func(t *testing.T) {
-		_, err := LoadStore(ixPath)
+		// The retired index.gob carried the same header shape.
+		p := writeVariant(t, "index.gob", func(d []byte) []byte { copy(d, retiredIndexMagic); return d })
+		_, err := LoadStore(p)
 		expect(t, err, "wwt index snapshot")
+		expect(t, err, "wwt-index")
 	})
-	t.Run("flat file to Load", func(t *testing.T) {
+	t.Run("flat file to LoadStore", func(t *testing.T) {
 		flatDir, _ := writeShardedDir(t, 1)
-		_, err := Load(filepath.Join(flatDir, DocsFileName))
+		_, err := LoadStore(filepath.Join(flatDir, DocsFileName))
 		expect(t, err, "flat sharded index")
 	})
 	t.Run("legacy headerless gob", func(t *testing.T) {
 		// A pre-versioning snapshot starts with gob's own framing, not our
 		// magic.
-		legacy := filepath.Join(dir, "legacy.gob")
-		data, err := os.ReadFile(ixPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacy, data[12:], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err = Load(legacy)
+		_, err := LoadStore(writeVariant(t, "legacy.gob", func(d []byte) []byte { return d[12:] }))
 		expect(t, err, "rebuild with wwt-index")
 	})
 	t.Run("newer gob version", func(t *testing.T) {
-		data, err := os.ReadFile(ixPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[8] = 42
-		newer := filepath.Join(dir, "newer.gob")
-		if err := os.WriteFile(newer, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err = Load(newer)
+		_, err := LoadStore(writeVariant(t, "newer.gob", func(d []byte) []byte { d[8] = 42; return d }))
 		expect(t, err, "format version 42")
 	})
 	t.Run("truncated", func(t *testing.T) {
@@ -273,7 +301,7 @@ func TestGobHeaderErrors(t *testing.T) {
 		if err := os.WriteFile(short, []byte("WWT"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(short)
+		_, err := LoadStore(short)
 		expect(t, err, "too short")
 	})
 }

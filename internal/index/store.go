@@ -11,38 +11,37 @@ import (
 	"wwt/internal/wtable"
 )
 
-// writeGobHeader prefixes a gob snapshot with its 8-byte magic and uint32
-// format version, so a later open of a stale or foreign file fails fast
-// with a clear error instead of a decoder error deep in the stack.
-func writeGobHeader(w io.Writer, magic string) error {
+// writeStoreHeader prefixes a store snapshot with its 8-byte magic and
+// uint32 format version, so a later open of a stale or foreign file fails
+// fast with a clear error instead of a decoder error deep in the stack.
+func writeStoreHeader(w io.Writer) error {
 	var hdr [12]byte
-	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:], gobFormatVersion)
+	copy(hdr[:8], storeMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], storeVersion)
 	_, err := w.Write(hdr[:])
 	return err
 }
 
-// checkGobHeader validates the magic+version header of a gob snapshot,
-// diagnosing the common mix-ups precisely: the sibling gob kind, a flat
-// index file, a pre-versioning legacy file, or foreign data.
-func checkGobHeader(r io.Reader, magic, what, path string) error {
+// checkStoreHeader validates the magic+version header of a store
+// snapshot, diagnosing the common mix-ups precisely: a flat index file, a
+// retired gob index snapshot, a pre-versioning legacy file, or foreign
+// data.
+func checkStoreHeader(r io.Reader, path string) error {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%s load %s: file too short for a format header (not a wwt %s file, or written before format versioning — rebuild with wwt-index)", what, path, what)
+		return fmt.Errorf("store load %s: file too short for a format header (not a wwt store file, or written before format versioning — rebuild with wwt-index)", path)
 	}
-	if got := string(hdr[:8]); got != magic {
-		switch got {
-		case flatMagic, flatMagicV2:
-			return fmt.Errorf("%s load %s: this is a flat sharded index file; open its directory with index.OpenSharded instead", what, path)
-		case gobIndexMagic:
-			return fmt.Errorf("%s load %s: this is a wwt index snapshot, not a %s; open it with index.Load", what, path, what)
-		case gobStoreMagic:
-			return fmt.Errorf("%s load %s: this is a wwt table store, not a %s; open it with index.LoadStore", what, path, what)
-		}
-		return fmt.Errorf("%s load %s: bad magic %q — not a wwt %s file, or written before format versioning; rebuild with wwt-index", what, path, got, what)
+	switch got := string(hdr[:8]); got {
+	case storeMagic:
+	case flatMagic:
+		return fmt.Errorf("store load %s: this is a flat sharded index file; open its directory with index.OpenSharded instead", path)
+	case retiredIndexMagic:
+		return fmt.Errorf("store load %s: this is a wwt index snapshot (%s), a retired format, not a store; rebuild the directory with wwt-index", path, got)
+	default:
+		return fmt.Errorf("store load %s: bad magic %q — not a wwt store file, or written before format versioning; rebuild with wwt-index", path, got)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != gobFormatVersion {
-		return fmt.Errorf("%s load %s: format version %d, this build supports %d; rebuild with wwt-index", what, path, v, gobFormatVersion)
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != storeVersion {
+		return fmt.Errorf("store load %s: format version %d, this build supports %d; rebuild with wwt-index", path, v, storeVersion)
 	}
 	return nil
 }
@@ -104,7 +103,7 @@ func (s *Store) Save(path string) error {
 	}
 	defer f.Close()
 	w := bufio.NewWriterSize(f, 1<<20)
-	if err := writeGobHeader(w, gobStoreMagic); err != nil {
+	if err := writeStoreHeader(w); err != nil {
 		return fmt.Errorf("store save: %w", err)
 	}
 	if err := gob.NewEncoder(w).Encode(storeSnapshot{Tables: s.All()}); err != nil {
@@ -125,7 +124,7 @@ func LoadStore(path string) (*Store, error) {
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
-	if err := checkGobHeader(r, gobStoreMagic, "store", path); err != nil {
+	if err := checkStoreHeader(r, path); err != nil {
 		return nil, err
 	}
 	var snap storeSnapshot
@@ -139,71 +138,4 @@ func LoadStore(path string) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-// indexSnapshot is the gob wire form of an Index.
-type indexSnapshot struct {
-	IDs      []string
-	Postings [numFields]map[string][]Posting
-	FieldLen [numFields][]float32
-	DF       map[string]int
-}
-
-// Save writes the index to path, prefixed with its magic and format
-// version.
-func (ix *Index) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("index save: %w", err)
-	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := writeGobHeader(w, gobIndexMagic); err != nil {
-		return fmt.Errorf("index save: %w", err)
-	}
-	snap := indexSnapshot{IDs: ix.ids, Postings: ix.postings, FieldLen: ix.fieldLen, DF: ix.df}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("index save: %w", err)
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("index save: %w", err)
-	}
-	return f.Close()
-}
-
-// Load reads an index previously written by Save, validating the format
-// header first.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index load: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	if err := checkGobHeader(r, gobIndexMagic, "index", path); err != nil {
-		return nil, err
-	}
-	var snap indexSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("index load: %w", err)
-	}
-	ix := &Index{
-		ids:      snap.IDs,
-		byID:     make(map[string]int32, len(snap.IDs)),
-		postings: snap.Postings,
-		fieldLen: snap.FieldLen,
-		df:       snap.DF,
-	}
-	for i, id := range snap.IDs {
-		ix.byID[id] = int32(i)
-	}
-	for fi := range ix.postings {
-		if ix.postings[fi] == nil {
-			ix.postings[fi] = make(map[string][]Posting)
-		}
-	}
-	if ix.df == nil {
-		ix.df = make(map[string]int)
-	}
-	return ix, nil
 }

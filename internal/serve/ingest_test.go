@@ -19,7 +19,7 @@ func liveEngine(t *testing.T) *wwt.Engine {
 	t.Helper()
 	eng := testEngine(t)
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, eng.Searcher(), 2, index.WriteShardedOptions{}); err != nil {
+	if err := index.WriteSharded(dir, eng.Searcher(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {

@@ -170,7 +170,7 @@ func (e *Engine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 		}
 	}
 	entry := index.SegmentDirName(e.nextSeq)
-	if err := w.Flush(filepath.Join(e.dir, entry), e.writeOpts); err != nil {
+	if err := w.Flush(filepath.Join(e.dir, entry)); err != nil {
 		return LiveInfo{}, err
 	}
 	e.nextSeq++
@@ -303,7 +303,7 @@ func (e *Engine) mergeLocked() (bool, error) {
 		srcDirs = append(srcDirs, filepath.Join(e.dir, names[i]))
 	}
 	entry := index.SegmentDirName(e.nextSeq)
-	if _, err := index.MergeSegments(filepath.Join(e.dir, entry), srcDirs, e.writeOpts); err != nil {
+	if _, err := index.MergeSegments(filepath.Join(e.dir, entry), srcDirs); err != nil {
 		return false, err
 	}
 	e.nextSeq++

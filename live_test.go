@@ -27,7 +27,7 @@ func liveDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, eng.Searcher(), 2, index.WriteShardedOptions{}); err != nil {
+	if err := index.WriteSharded(dir, eng.Searcher(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {

@@ -198,14 +198,13 @@ type Engine struct {
 	// Directory state (live.go). dir is empty unless the engine was
 	// opened by OpenLive. mu serializes ingest, merge, generation
 	// publication and Close; queries never take it.
-	dir       string
-	mu        sync.Mutex
-	closed    bool
-	manifest  index.Manifest
-	nextSeq   uint64
-	writeOpts index.WriteShardedOptions
-	policy    index.MergePolicy
-	merges    sync.WaitGroup
+	dir      string
+	mu       sync.Mutex
+	closed   bool
+	manifest index.Manifest
+	nextSeq  uint64
+	policy   index.MergePolicy
+	merges   sync.WaitGroup
 
 	ingests        atomic.Uint64
 	ingestedTables atomic.Uint64

@@ -1,7 +1,11 @@
 package wwt_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"wwt"
@@ -9,9 +13,11 @@ import (
 )
 
 // TestEngineShardedFlatRoundTrip: an engine opened from the flat on-disk
-// index — at every segment count K and shard count N, in both flat format
-// versions — must answer identically to the in-memory engine over the same
-// tables, and must route PMI doc-set probes through its cache.
+// index — at every segment count K and shard count N — must answer
+// identically to the in-memory engine over the same tables, and must route
+// PMI doc-set probes through its cache. At each grid point the retired
+// version-1 layout must instead fail the whole open with an error naming
+// wwt-index: one v1 postings file in the last segment is enough.
 func TestEngineShardedFlatRoundTrip(t *testing.T) {
 	tables := smallCorpus(t)
 	eng, err := wwt.NewEngine(tables, nil)
@@ -37,9 +43,30 @@ func TestEngineShardedFlatRoundTrip(t *testing.T) {
 							t.Fatal(err)
 						}
 						dirs = append(dirs, t.TempDir())
-						if err := index.WriteSharded(dirs[i], index.NewSearcher(ix), n, index.WriteShardedOptions{FormatVersion: fv}); err != nil {
+						if err := index.WriteSharded(dirs[i], index.NewSearcher(ix), n); err != nil {
 							t.Fatal(err)
 						}
+					}
+					if fv == 1 {
+						path := filepath.Join(dirs[k-1], "postings-000.wwt")
+						data, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						copy(data, "WWTFLT01")
+						binary.LittleEndian.PutUint32(data[8:], 1)
+						if err := os.WriteFile(path, data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						s, err := index.OpenSharded(dirs...)
+						if err == nil {
+							s.Close()
+							t.Fatal("OpenSharded served a version-1 postings file")
+						}
+						if !strings.Contains(err.Error(), "wwt-index") {
+							t.Fatalf("v1 open error %q does not name wwt-index", err)
+						}
+						return
 					}
 					s, err := index.OpenSharded(dirs...)
 					if err != nil {

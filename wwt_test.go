@@ -200,22 +200,19 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The directory layout wwt-index writes: flat files plus the store.
 	dir := t.TempDir()
-	if err := built.Save(filepath.Join(dir, "ix.gob")); err != nil {
+	if err := index.WriteSharded(dir, index.NewSearcher(built), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Store().Save(filepath.Join(dir, "st.gob")); err != nil {
+	if err := eng.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.Load(filepath.Join(dir, "ix.gob"))
+	eng2, err := wwt.OpenLive(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := index.LoadStore(filepath.Join(dir, "st.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := wwt.NewEngineFrom(index.NewSearcher(ix), st, nil)
+	defer eng2.Close()
 	a, err := eng.Answer(wwt.Query{Columns: []string{"country", "currency"}})
 	if err != nil {
 		t.Fatal(err)
