@@ -324,38 +324,23 @@ func BenchmarkBuildParallel(b *testing.B) {
 	}
 }
 
-// edgeBenchBuilder returns a builder with a pre-warmed view cache (views
-// are the tentpole of PR 1; these benches isolate edge construction) and
-// the given pair cache.
-func edgeBenchBuilder(w *benchWorld, pairs *core.PairSimCache) *core.Builder {
+// edgeBenchBuilder returns a builder with a pre-warmed view cache, so the
+// bench it serves isolates edge construction.
+func edgeBenchBuilder(w *benchWorld) *core.Builder {
 	views := core.NewViewCache()
-	b := &core.Builder{Params: w.engine.Opts.Params, Stats: w.engine.Searcher(), PMI: w.engine.PMISource(), Views: views, Pairs: pairs}
+	b := &core.Builder{Params: w.engine.Opts.Params, Stats: w.engine.Searcher(), PMI: w.engine.PMISource(), Views: views}
 	for i, q := range w.queries {
 		b.Build(q.Columns, w.cands[i])
 	}
 	return b
 }
 
-// BenchmarkBuildModelEdges measures a model build whose pair-similarity
-// cache is cold on every iteration: the full Jaccard grid plus the
-// per-table-pair max-matching runs each time (views stay warm).
+// BenchmarkBuildModelEdges measures a model build over warm views: the
+// full Jaccard grid plus the per-table-pair max-matching runs each time,
+// as it does for every query.
 func BenchmarkBuildModelEdges(b *testing.B) {
 	w := getWorld(b)
-	builder := edgeBenchBuilder(w, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qi := i % len(w.queries)
-		builder.Pairs = core.NewPairSimCache(0)
-		builder.Build(w.queries[qi].Columns, w.cands[qi])
-	}
-}
-
-// BenchmarkBuildModelEdgesCached is the warm-cache counterpart: repeated
-// queries over the same candidate tables serve every pair from the
-// PairSimCache, skipping both the similarity grid and the matching solve.
-func BenchmarkBuildModelEdgesCached(b *testing.B) {
-	w := getWorld(b)
-	builder := edgeBenchBuilder(w, core.NewPairSimCache(0))
+	builder := edgeBenchBuilder(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)

@@ -53,11 +53,11 @@ func corpusCases(tb testing.TB, scale float64, k int) (*index.Searcher, []corpus
 // pairSimSink keeps the benchmarked result live.
 var pairSimSink []colPairSim
 
-// BenchmarkComputePairSims measures one pair-similarity miss — the
+// BenchmarkComputePairSims measures one pair-similarity compute — the
 // Jaccard grid plus the blended max-matching — cycling over every
-// candidate pair of the corpus workload. cold gives each miss a fresh
-// worker slot, the cost before misses ran in the build scratch; warm
-// reuses one slot, leaving the exact-size result as the only allocation.
+// candidate pair of the corpus workload. cold gives each compute a fresh
+// worker slot; warm reuses one slot, resetting its arena per pair as an
+// edge pass does per build, and allocates nothing.
 func BenchmarkComputePairSims(b *testing.B) {
 	stats, cases := corpusCases(b, 0.25, 40)
 	p := DefaultParams()
@@ -86,6 +86,7 @@ func BenchmarkComputePairSims(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			pr := pairs[i%len(pairs)]
+			slot.sims = slot.sims[:0]
 			pairSimSink = computePairSims(pr.a, pr.b, p, &slot)
 		}
 	})

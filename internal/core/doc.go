@@ -11,10 +11,10 @@
 // # Ownership and concurrency contracts
 //
 // Builder.Build is safe to call concurrently when the Builder's caches
-// are shared: ViewCache, PairSimCache and the PMISource are all
-// concurrency-safe, and per-table feature extraction fans out over an
-// internal worker pool with per-index writes, so output is deterministic
-// and bit-identical across runs.
+// are shared: ViewCache and the PMISource are both concurrency-safe, and
+// per-table feature extraction fans out over an internal worker pool with
+// per-index writes, so output is deterministic and bit-identical across
+// runs.
 //
 // ViewCache owns the per-engine Interner; every cached TableView interns
 // its cell and header strings there, and interned IDs are comparable only
@@ -22,11 +22,9 @@
 // Views are immutable once built, and the cache retains every table it
 // has analyzed for its lifetime.
 //
-// PairSimCache entries are pure functions of (view pair, pair-affecting
-// params: MinNeighborSim, MatchContentWeight, MatchHeaderWeight); sharing
-// one cache across builders that differ in those is a caller bug. Cached
-// slices — pair-sim lists, PMI doc sets, view cell sets — are shared and
-// read-only.
+// The content-overlap edges are computed per build, in the build's own
+// arena: no pair similarity outlives the query that computed it. Cached
+// slices — PMI doc sets, view cell sets — are shared and read-only.
 //
 // Build allocates a private arena; BuildWith carves every model grid from
 // a caller-owned BuildScratch, and the resulting Model aliases that

@@ -197,9 +197,9 @@ func TestComputePairSimsReusedSlot(t *testing.T) {
 	}
 }
 
-// TestComputePairSimsWarmSlotAllocs pins the miss path: through a warm
-// slot, a pair with surviving columns allocates exactly once — the
-// exact-size result handed to the caller (and from there to the cache).
+// TestComputePairSimsWarmSlotAllocs pins the pair compute: through a warm
+// slot whose arena is reset, as each edge pass resets it, a pair with
+// surviving columns allocates nothing.
 func TestComputePairSimsWarmSlotAllocs(t *testing.T) {
 	views := pairSimViews(rand.New(rand.NewSource(29)), 6)
 	p := DefaultParams()
@@ -208,10 +208,11 @@ func TestComputePairSimsWarmSlotAllocs(t *testing.T) {
 	a, b := views[0], views[1]
 	computePairSims(a, b, p, &slot)
 	allocs := testing.AllocsPerRun(100, func() {
+		slot.sims = slot.sims[:0]
 		computePairSims(a, b, p, &slot)
 	})
-	if allocs != 1 {
-		t.Errorf("warm-slot pair miss allocates %.0f/op, want 1", allocs)
+	if allocs != 0 {
+		t.Errorf("warm-slot pair compute allocates %.0f/op, want 0", allocs)
 	}
 }
 
@@ -238,9 +239,12 @@ func checkEdgesEquiv(t *testing.T, m *Model, label string) {
 	}
 }
 
-// TestBuildRawEdgesEquivalence fuzzes the flat/parallel/cached edge path
-// against the serial map-based reference on randomized corpora, with and
-// without a warm PairSimCache, across edge variants.
+// TestBuildRawEdgesEquivalence fuzzes the flat/parallel edge path against
+// the serial map-based reference on randomized corpora, across edge
+// variants. A second leg builds another corpus and then this one through
+// one scratch, so this build's pair ranges land in worker arenas left
+// dirty (and possibly larger) by the first; its edges must equal the
+// fresh-arena build's.
 func TestBuildRawEdgesEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -268,17 +272,19 @@ func TestBuildRawEdgesEquivalence(t *testing.T) {
 		m := plain.Build(cols, tables)
 		checkEdgesEquiv(t, m, fmt.Sprintf("seed %d cacheless", seed))
 
-		// Cold caches, then warm (second build served from PairSimCache).
-		cached := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache(), Pairs: NewPairSimCache(0)}
-		mCold := cached.Build(cols, tables)
-		checkEdgesEquiv(t, mCold, fmt.Sprintf("seed %d cold cache", seed))
-		mWarm := cached.Build(cols, tables)
-		checkEdgesEquiv(t, mWarm, fmt.Sprintf("seed %d warm cache", seed))
-		if hits, _ := cached.Pairs.Stats(); hits == 0 && numTables >= 2 {
-			t.Fatalf("seed %d: warm build never hit the pair cache", seed)
+		// Another corpus first, then this one, through one scratch.
+		other := make([]*wtable.Table, 2+r.Intn(7))
+		for i := range other {
+			other[i] = randTable(r)
+			other[i].ID = fmt.Sprintf("o%d", i)
 		}
-		if !reflect.DeepEqual(mCold.Edges, mWarm.Edges) {
-			t.Fatalf("seed %d: cold/warm Edges diverged", seed)
+		engine := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache()}
+		var dirty BuildScratch
+		engine.BuildWith(cols, other, &dirty)
+		mDirty := engine.BuildWith(cols, tables, &dirty)
+		checkEdgesEquiv(t, mDirty, fmt.Sprintf("seed %d dirty scratch", seed))
+		if !reflect.DeepEqual(mDirty.rawEdges, m.rawEdges) || !reflect.DeepEqual(mDirty.Edges, m.Edges) {
+			t.Fatalf("seed %d: dirty-scratch edges diverged from the fresh build's", seed)
 		}
 	}
 }
@@ -304,7 +310,7 @@ func TestBuildRawEdgesMinNeighborSimBoundary(t *testing.T) {
 
 	p := DefaultParams()
 	p.MinNeighborSim = 0.1
-	builder := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache(), Pairs: NewPairSimCache(0)}
+	builder := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache()}
 	m := builder.Build([]string{"alpha", "beta"}, []*wtable.Table{a, b, c})
 	checkEdgesEquiv(t, m, "boundary")
 
@@ -335,7 +341,7 @@ func TestBuildRawEdgesDummyMatchedColumns(t *testing.T) {
 	t2.HeaderRows = append(t2.HeaderRows, row("name", "different"))
 	t2.BodyRows = append(t2.BodyRows, row("shared", "v1"), row("also", "v2"))
 
-	builder := &Builder{Params: DefaultParams(), Stats: constStats{}, Views: NewViewCache(), Pairs: NewPairSimCache(0)}
+	builder := &Builder{Params: DefaultParams(), Stats: constStats{}, Views: NewViewCache()}
 	m := builder.Build([]string{"name"}, []*wtable.Table{t1, t2})
 	checkEdgesEquiv(t, m, "dummy-matched")
 

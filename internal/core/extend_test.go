@@ -57,9 +57,8 @@ func modelDiff(got, want *Model, sameViews bool) string {
 // edges alike. Splits are the empty prefix, one table, half and all of
 // the list. Every split runs through one scratch reused (dirty) across
 // all queries and through a fresh one, whose grids must grow with the
-// prefix in place. The engine's configuration (shared ViewCache, a fresh
-// PairSimCache per build, so each build computes its own misses) runs on
-// every query; cacheless and PMI² builders on every fourth.
+// prefix in place. The engine's configuration (a shared ViewCache) runs
+// on every query; cacheless and PMI² builders on every fourth.
 func TestExtendMatchesBuild(t *testing.T) {
 	searcher, cases := corpusCases(t, 0.25, 40)
 	pmiParams := DefaultParams()
@@ -70,12 +69,12 @@ func TestExtendMatchesBuild(t *testing.T) {
 		every int
 		build func() *Builder
 	}{
-		{"cached", 1, func() *Builder {
-			return &Builder{Params: DefaultParams(), Stats: searcher, Views: views, Pairs: NewPairSimCache(0)}
+		{"engine", 1, func() *Builder {
+			return &Builder{Params: DefaultParams(), Stats: searcher, Views: views}
 		}},
 		{"cacheless", 4, func() *Builder { return &Builder{Params: DefaultParams(), Stats: searcher} }},
 		{"pmi", 4, func() *Builder {
-			return &Builder{Params: pmiParams, Stats: searcher, PMI: searcherPMI{searcher}, Views: views, Pairs: NewPairSimCache(0)}
+			return &Builder{Params: pmiParams, Stats: searcher, PMI: searcherPMI{searcher}, Views: views}
 		}},
 	}
 	var dirty BuildScratch

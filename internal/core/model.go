@@ -64,20 +64,20 @@ type rawEdge struct {
 // tablePair identifies one unordered candidate-table pair of the edge grid.
 type tablePair struct{ t1, t2 int }
 
+// pairRange locates one table pair's surviving column pairs in the build
+// scratch: workers[w].sims[lo:hi].
+type pairRange struct{ w, lo, hi int }
+
 // Builder constructs Models. Stats is required; PMI may be nil when
 // Params.UsePMI is false — when set, it is probed from Build's worker pool
 // and must be safe for concurrent calls. Views, when set, memoizes
 // TableView construction across builds (see ViewCache for the sharing
-// rules). Pairs, when set, memoizes per-table-pair column similarities and
-// matching survivors across builds; it requires Views (pair keys are view
-// identities, so uncached fresh views would miss forever) and the same
-// pair-affecting params on every sharing builder (see PairSimCache).
+// rules).
 type Builder struct {
 	Params Params
 	Stats  CorpusStats
 	PMI    PMISource
 	Views  *ViewCache
-	Pairs  *PairSimCache
 	// Interner, when set and Views is nil, is the symbol table cacheless
 	// builds intern into, letting parameter sweeps that rebuild the same
 	// tables under many configurations pay the vocabulary cost once
@@ -168,14 +168,7 @@ func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *Bui
 // aliasing s.
 func (m *Model) Extend(b *Builder, added []*wtable.Table, s *BuildScratch) {
 	m.addTables(b, added, s)
-	// Without a view cache every build mints fresh view IDs, so a pair
-	// cache could never hit — bypass it instead of polluting it with
-	// permanently dead entries.
-	pairs := b.Pairs
-	if b.Views == nil {
-		pairs = nil
-	}
-	m.buildRawEdges(pairs, s)
+	m.buildRawEdges(s)
 	m.finalizeEdges(s)
 }
 
@@ -379,20 +372,20 @@ func (m *Model) tableStage1(ti int, sc *workerScratch) {
 // column's neighborhood, and the one-one max-matching per table pair.
 //
 // The per-pair work — the Jaccard grid and the blended max-matching — is
-// independent across table pairs, so it fans out over the worker pool
-// (served from cache when one is wired), each pair writing only its own
-// slot; a miss solves in its worker's slot of the scratch, so the only
-// allocation it makes is the exact-size result. The query-dependent part
-// — summing each column's neighborhood denominator and normalizing — runs
-// as a deterministic serial merge over the slots in (t1, t2, c1, c2)
-// order, the exact accumulation order of the old serial map-based path,
-// so float sums stay bit-identical. The denom /
+// independent across table pairs, so it fans out over the worker pool.
+// Each pair runs in its worker's slot of the scratch, appending its
+// survivors to that slot's arena and recording their range there, so a
+// warm scratch computes every pair without allocating. The
+// query-dependent part — summing each column's neighborhood denominator
+// and normalizing — runs as a deterministic serial merge over the pairs
+// in (t1, t2, c1, c2) order, the exact accumulation order of the old
+// serial map-based path, so float sums stay bit-identical. The denom /
 // edge-index maps of that path are replaced by flat arrays indexed by
 // global column offsets, all scratch-backed: s.colOff is the prefix sum
 // addTables computed — colOff[t] is the global offset of table t's first
 // column — so the feature grid and the edge offsets share one source of
 // truth.
-func (m *Model) buildRawEdges(cache *PairSimCache, s *BuildScratch) {
+func (m *Model) buildRawEdges(s *BuildScratch) {
 	p := m.Params
 	n := len(m.Views)
 	colOff := s.colOff
@@ -408,23 +401,25 @@ func (m *Model) buildRawEdges(cache *PairSimCache, s *BuildScratch) {
 		}
 	}
 	s.pairs = pairs
-	s.slots = slicex.Grow(s.slots, len(pairs))
-	slots := s.slots
+	s.ranges = slicex.Grow(s.ranges, len(pairs))
+	ranges := s.ranges
 	workers := numWorkers(len(pairs))
 	s.workers = slicex.GrowKeep(s.workers, workers)
 	ws := s.workers
+	for w := range ws {
+		ws[w].sims = ws[w].sims[:0]
+	}
 	parallelForWorkers(len(pairs), workers, func(w, i int) {
 		pr := pairs[i]
-		if cache != nil {
-			slots[i] = cache.pairs(m.Views[pr.t1], m.Views[pr.t2], p, &ws[w])
-		} else {
-			slots[i] = computePairSims(m.Views[pr.t1], m.Views[pr.t2], p, &ws[w])
-		}
+		sc := &ws[w]
+		lo := len(sc.sims)
+		computePairSims(m.Views[pr.t1], m.Views[pr.t2], p, sc)
+		ranges[i] = pairRange{w: w, lo: lo, hi: len(sc.sims)}
 	})
 
 	total := 0
-	for _, sl := range slots {
-		total += len(sl)
+	for w := range ws {
+		total += len(ws[w].sims)
 	}
 	if total == 0 {
 		return
@@ -434,10 +429,10 @@ func (m *Model) buildRawEdges(cache *PairSimCache, s *BuildScratch) {
 	// normalize.
 	s.denom = slicex.GrowClear(s.denom, colOff[n])
 	denom := s.denom
-	for i, sl := range slots {
+	for i, r := range ranges {
 		pr := pairs[i]
 		off1, off2 := colOff[pr.t1], colOff[pr.t2]
-		for _, e := range sl {
+		for _, e := range ws[r.w].sims[r.lo:r.hi] {
 			denom[off1+int(e.c1)] += e.sim
 			denom[off2+int(e.c2)] += e.sim
 		}
@@ -446,10 +441,10 @@ func (m *Model) buildRawEdges(cache *PairSimCache, s *BuildScratch) {
 	// them all); matched marks the max-matching survivors the custom
 	// potential keeps.
 	raw := s.rawEdges[:0]
-	for i, sl := range slots {
+	for i, r := range ranges {
 		pr := pairs[i]
 		off1, off2 := colOff[pr.t1], colOff[pr.t2]
-		for _, e := range sl {
+		for _, e := range ws[r.w].sims[r.lo:r.hi] {
 			raw = append(raw, rawEdge{
 				t1: pr.t1, c1: int(e.c1), t2: pr.t2, c2: int(e.c2),
 				nsimAB:  e.sim / (p.Lambda + denom[off1+int(e.c1)]),

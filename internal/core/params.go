@@ -33,9 +33,6 @@ type Params struct {
 
 	// Lambda is the smoothing constant of the nsim normalization (§3.3);
 	// MinNeighborSim drops weakly similar neighbor columns (0.1).
-	// MinNeighborSim is a pair-affecting param: PairSimCache entries bake
-	// it in, so changing it requires a fresh cache (Lambda does not — the
-	// normalization stays query-side).
 	Lambda         float64
 	MinNeighborSim float64
 	// ConfidenceThreshold gates edge potentials on Pr(y|tc) (0.6).
@@ -56,9 +53,7 @@ type Params struct {
 
 	// MatchContentWeight/MatchHeaderWeight blend content and header
 	// similarity when computing the one-one max-matching between the
-	// columns of two tables (§3.3, "Max-matching Edges"). Both are
-	// pair-affecting params: PairSimCache memoizes the matching
-	// survivors under them, so changing either requires a fresh cache.
+	// columns of two tables (§3.3, "Max-matching Edges").
 	MatchContentWeight, MatchHeaderWeight float64
 }
 

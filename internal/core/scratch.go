@@ -15,17 +15,18 @@ import "wwt/internal/graph"
 // the scratch the model was built through. The engine's query pipeline
 // relies on this: the arena is handed to the Result and recycled only on
 // Release. Scratch buffers must never be handed to a cross-query
-// cache (ViewCache/PairSimCache/DocSetCache) — caches may only hold their
-// own allocations; the reverse (read-only cache-owned slices referenced
-// from scratch fields, e.g. pair-sim slots) is fine because the scratch
+// cache (ViewCache/DocSetCache) — caches may only hold their own
+// allocations; the reverse (read-only cache-owned slices referenced from
+// scratch fields, e.g. the H(Qℓ) doc sets) is fine because the scratch
 // never writes through them.
 //
 // Each build worker owns one workerScratch slot at a time. Stage 1 uses it
 // for the per-table max-marginal solves; the edge pass, which never runs
-// concurrently with stage 1, uses the same slot for pair-similarity cache
-// misses: the surviving column pairs are staged in the slot and solved in
-// its workspace, and only an exact-size copy of the survivors leaves it —
-// that copy, not the slot, is what PairSimCache retains.
+// concurrently with stage 1, uses the same slot for the pair similarities:
+// each table pair the worker computes appends its surviving column pairs
+// to the slot's sims arena and solves its matching in the slot's
+// workspace, and the build records the pair's range in that arena. The
+// survivors never leave the scratch.
 type BuildScratch struct {
 	hDocs  [][]int32 // per query column: cache-owned H(Qℓ) doc sets (read-only)
 	colOff []int     // table -> global offset of its first column
@@ -57,16 +58,18 @@ type BuildScratch struct {
 
 	// Edge construction.
 	pairs    []tablePair
-	slots    [][]colPairSim // cache- or compute-owned per-pair lists (read-only)
+	ranges   []pairRange // per table pair: its survivors in a worker's sims
 	denom    []float64
 	rawEdges []rawEdge
 	edges    []Edge
 }
 
 // workerScratch is one worker's assignment-solver state: the workspace
-// plus the output grid of the stage-1 max-marginal solves of §4.2, and the
-// staging buffers (survivors, matching cells) of a pair-similarity miss.
-// Everything is fully overwritten per table or per pair.
+// plus the output grid of the stage-1 max-marginal solves of §4.2, the
+// arena of the surviving column pairs of every table pair the worker
+// computes in one edge pass (reset per pass), and the matching cells of
+// the current pair. Everything else is fully overwritten per table or per
+// pair.
 type workerScratch struct {
 	ws    graph.Workspace
 	out   [][]float64

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"wwt/internal/text"
 	"wwt/internal/wtable"
@@ -46,10 +45,6 @@ type TableView struct {
 	Table   *wtable.Table
 	NumCols int
 
-	// id is process-unique, assigned at view build; PairSimCache keys
-	// view pairs by it.
-	id uint64
-
 	// HeaderTokens[r][c]: normalized tokens of header row r, column c.
 	HeaderTokens [][][]string
 	// headerSet[r][c]: membership set of HeaderTokens[r][c].
@@ -80,9 +75,6 @@ type TableView struct {
 	HeaderIDs [][]uint32
 }
 
-// viewIDs issues the process-unique TableView IDs.
-var viewIDs atomic.Uint64
-
 // NewTableView analyzes a table once against the corpus statistics,
 // interning cell strings and header tokens into in. A nil interner gets a
 // private one — safe only when the view is never compared against another
@@ -91,7 +83,7 @@ func NewTableView(t *wtable.Table, p Params, stats CorpusStats, in *Interner) *T
 	if in == nil {
 		in = NewInterner()
 	}
-	v := &TableView{Table: t, NumCols: t.NumCols(), id: viewIDs.Add(1)}
+	v := &TableView{Table: t, NumCols: t.NumCols()}
 	h := len(t.HeaderRows)
 	v.HeaderTokens = make([][][]string, h)
 	v.headerSet = make([][]map[string]bool, h)

@@ -1,8 +1,7 @@
 // Package lru provides the one bounded, concurrency-safe LRU memoization
-// primitive behind the engine's cross-query caches (PMI doc sets, pair
-// similarities, normalized cells). Values are computed outside the cache
-// lock and shared across callers read-only; see Cache.Get for the exact
-// protocol.
+// primitive behind the engine's bounded cross-query caches (PMI doc sets,
+// normalized cells). Values are computed outside the cache lock and shared
+// across callers read-only; see Cache.Get for the exact protocol.
 package lru
 
 import (

@@ -14,11 +14,17 @@
 //     or CSV verbatim) to the index as a new segment and generation. The
 //     Backend's IngestTables decides: an engine opened from an index
 //     directory ingests, one built in memory refuses with its own error.
+//     A table ID the corpus already holds is a 409 (wwt.ErrTableExists);
+//     an ID repeated inside one request is a 400.
+//
+// Both POST bodies decode strictly: an unknown field or trailing data is
+// a 400 naming it, and a body over the endpoint's limit (1 MiB for
+// answers, 8 MiB for ingests) is a 413.
 //   - GET /healthz — liveness: status, uptime, in-flight occupancy.
 //   - GET /metrics — Prometheus-style text: request/query counters, a
 //     live QPS window, cumulative per-stage latency, worker occupancy,
-//     hit/miss counters for the engine's four cross-query caches (table
-//     views, pair similarities, PMI doc sets, normalized cells), and the
+//     hit/miss counters for the engine's three cross-query caches (table
+//     views, PMI doc sets, normalized cells), and the
 //     wwt_index_* / wwt_ingest_* gauges from the Backend's Info.
 //
 // # Deadlines

@@ -2,11 +2,12 @@ package serve
 
 import (
 	"encoding/csv"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 
+	"wwt"
 	"wwt/internal/extract"
 	"wwt/internal/wtable"
 )
@@ -14,7 +15,8 @@ import (
 // ingestRequest is the POST /v1/ingest body. At least one of HTML or CSV
 // must yield a table. HTML goes through the paper's extractor (data-table
 // filter, header/title classification, context snippets); CSV tables are
-// taken as-is with the first record as the header row.
+// taken as-is with the first record as the header row. Any other field,
+// or anything after the object, is rejected (decodeRequest).
 type ingestRequest struct {
 	// HTML is a page source; every extracted data table is ingested. URL
 	// mints the tables' IDs ("url#k") and must be set with HTML.
@@ -44,9 +46,9 @@ type ingestDTO struct {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
 	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		s.ingestErrs.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorDTO{Error: "bad request body: " + err.Error()})
+		writeBodyError(w, err)
 		return
 	}
 	tables, err := ingestTables(req)
@@ -58,8 +60,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	info, err := s.backend.IngestTables(tables)
 	if err != nil {
 		s.ingestErrs.Add(1)
+		// Only an ID the corpus already holds conflicts with the index;
+		// an ID repeated inside this request is the request's own fault.
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already indexed") {
+		if errors.Is(err, wwt.ErrTableExists) {
 			status = http.StatusConflict
 		}
 		writeJSON(w, status, errorDTO{Error: err.Error()})

@@ -164,30 +164,93 @@ func TestIngestCSV(t *testing.T) {
 }
 
 // TestIngestBadRequests: malformed bodies and empty batches are rejected
-// without touching the index.
+// without touching the index. The body decodes strictly: an unknown
+// field or trailing data is a 400 whose error names it.
 func TestIngestBadRequests(t *testing.T) {
 	le := liveEngine(t)
 	ts := httptest.NewServer(New(le, Config{}))
 	defer ts.Close()
 
-	for _, body := range []string{
-		`not json`,
-		`{}`, // neither html nor csv
-		`{"html": "<table><tr><td>a</td></tr></table>"}`,    // html without url
-		`{"csv": [{"data": "A,B\n1,2\n"}]}`,                 // csv without id
-		`{"csv": [{"id": "x", "data": "A,B\n"}]}`,           // header only
-		`{"html": "<p>tableless</p>", "url": "http://x/y"}`, // nothing extracted
+	for _, c := range []struct{ body, names string }{
+		{`not json`, ""},
+		{`{}`, ""}, // neither html nor csv
+		{`{"html": "<table><tr><td>a</td></tr></table>"}`, ""},    // html without url
+		{`{"csv": [{"data": "A,B\n1,2\n"}]}`, ""},                 // csv without id
+		{`{"csv": [{"id": "x", "data": "A,B\n"}]}`, ""},           // header only
+		{`{"html": "<p>tableless</p>", "url": "http://x/y"}`, ""}, // nothing extracted
+		{`{"htm": "` + strings.ReplaceAll(metalsPage, "\n", "") + `", "url": "http://m.example/metals"}`, `"htm"`},
+		{`{"csv": [{"id": "t1", "data": "A,B\n1,2\n", "titel": "x"}]}`, `"titel"`},
+		{`{"csv": [{"id": "t2", "data": "A,B\n1,2\n"}]} {"csv": []}`, "after the request object"},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e errorDTO
+		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+			t.Fatalf("body %q: status %d, want 400", c.body, resp.StatusCode)
+		}
+		if err != nil || !strings.Contains(e.Error, c.names) {
+			t.Fatalf("body %q: error %q (%v), want it to name %s", c.body, e.Error, err, c.names)
 		}
 	}
 	if info := le.Info(); info.Generation != 0 || info.Segments != 1 {
 		t.Fatalf("bad requests moved the index: %+v", info)
+	}
+}
+
+// TestIngestOversizedBody: a body past the 8 MiB ingest limit is a 413,
+// not a 400, and touches nothing.
+func TestIngestOversizedBody(t *testing.T) {
+	le := liveEngine(t)
+	ts := httptest.NewServer(New(le, Config{}))
+	defer ts.Close()
+
+	body := `{"csv": [{"id": "big", "data": "A\n` + strings.Repeat("a", 8<<20) + `\n"}]}`
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ingest: status %d, want 413", resp.StatusCode)
+	}
+	if info := le.Info(); info.Generation != 0 {
+		t.Fatalf("oversized ingest moved the index: %+v", info)
+	}
+}
+
+// TestIngestDuplicateIDs: an ID the corpus already holds is a conflict
+// with the index (409, wwt.ErrTableExists), while an ID repeated inside
+// one request is the request's own fault (400). Neither touches the index.
+func TestIngestDuplicateIDs(t *testing.T) {
+	le := liveEngine(t)
+	ts := httptest.NewServer(New(le, Config{}))
+	defer ts.Close()
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, readAll(t, resp)
+	}
+
+	if code, body := post(`{"csv": [{"id": "rates-1", "data": "Country,Rate\nOz,7\n"}]}`); code != http.StatusOK {
+		t.Fatalf("first ingest: status %d: %s", code, body)
+	}
+	code, body := post(`{"csv": [{"id": "rates-1", "data": "Country,Rate\nOz,8\n"}]}`)
+	if code != http.StatusConflict || !strings.Contains(body, `rates-1`) {
+		t.Fatalf("re-ingested ID: status %d: %s, want 409 naming it", code, body)
+	}
+	code, body = post(`{"csv": [{"id": "twin", "data": "A,B\n1,2\n"}, {"id": "twin", "data": "C,D\n3,4\n"}]}`)
+	if code != http.StatusBadRequest || !strings.Contains(body, `twin`) {
+		t.Fatalf("ID repeated in one request: status %d: %s, want 400 naming it", code, body)
+	}
+	if info := le.Info(); info.Generation != 1 || info.Docs != 3 {
+		t.Fatalf("refused ingests moved the index: %+v", info)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -139,22 +138,13 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 	for _, s := range (wwt.Timings{}).Stages() {
 		fmt.Fprintf(&b, "wwt_stage_seconds_total{stage=%q} %.6f\n", s.Name, m.stage[s.Name].Seconds())
 	}
-	caches := map[string]wwt.CacheStats{
-		"views":      cache.Views,
-		"pair_sims":  cache.PairSims,
-		"doc_sets":   cache.DocSets,
-		"norm_cells": cache.NormCells,
-	}
-	names := make([]string, 0, len(caches))
-	for name := range caches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st := caches[name]
-		fmt.Fprintf(&b, "wwt_cache_hits_total{cache=%q} %d\n", name, st.Hits)
-		fmt.Fprintf(&b, "wwt_cache_misses_total{cache=%q} %d\n", name, st.Misses)
-		fmt.Fprintf(&b, "wwt_cache_hit_rate{cache=%q} %.4f\n", name, st.HitRate())
+	for _, c := range []struct {
+		name string
+		st   wwt.CacheStats
+	}{{"doc_sets", cache.DocSets}, {"norm_cells", cache.NormCells}, {"views", cache.Views}} {
+		fmt.Fprintf(&b, "wwt_cache_hits_total{cache=%q} %d\n", c.name, c.st.Hits)
+		fmt.Fprintf(&b, "wwt_cache_misses_total{cache=%q} %d\n", c.name, c.st.Misses)
+		fmt.Fprintf(&b, "wwt_cache_hit_rate{cache=%q} %.4f\n", c.name, c.st.HitRate())
 	}
 	return b.String()
 }

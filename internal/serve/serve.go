@@ -179,7 +179,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var req answerRequest
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 	if err := decodeRequest(r.Body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{Error: "bad request body: " + err.Error()})
+		writeBodyError(w, err)
 		return
 	}
 	single := len(req.Queries) == 0
@@ -289,6 +289,16 @@ func decodeRequest(r io.Reader, v any) error {
 		return fmt.Errorf("unexpected %v after the request object", tok)
 	}
 	return nil
+}
+
+// writeBodyError answers a body decodeRequest refused: 413 when it ran
+// past the endpoint's size limit, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorDTO{Error: "bad request body: " + err.Error()})
 }
 
 func toMemberDTO(res *wwt.Result) memberDTO {

@@ -192,6 +192,26 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestAnswerOversizedBody: a body past the 1 MiB answer limit is a 413,
+// not a 400, and never reaches the engine.
+func TestAnswerOversizedBody(t *testing.T) {
+	stub := newStubBackend()
+	ts := httptest.NewServer(New(stub, Config{}))
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts, `{"columns": ["`+strings.Repeat("x", 1<<20)+`"]}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized answer: status %d, want 413 (%s)", resp.StatusCode, body)
+	}
+	var e errorDTO
+	if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "too large") {
+		t.Fatalf("oversized answer: error response %s", body)
+	}
+	if n := len(stub.started); n != 0 {
+		t.Fatalf("oversized answer reached the engine %d times", n)
+	}
+}
+
 // stubBackend is a controllable Backend: it signals when a batch starts
 // and holds every member until release is closed or the member's context
 // expires.
@@ -380,7 +400,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`wwt_stage_seconds_total{stage="consolidate"}`,
 		`wwt_cache_hits_total{cache="views"}`,
 		`wwt_cache_hit_rate{cache="doc_sets"}`,
-		`wwt_cache_misses_total{cache="pair_sims"}`,
+		`wwt_cache_misses_total{cache="norm_cells"}`,
 		`wwt_cache_hits_total{cache="norm_cells"}`,
 		"wwt_plan_cost_error ",
 		"wwt_plan_calibrated ",
@@ -389,6 +409,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(met, want) {
 			t.Errorf("metrics missing %q:\n%s", want, met)
 		}
+	}
+	if strings.Contains(met, `cache="pair_sims"`) {
+		t.Errorf("metrics still export the retired pair-similarity cache:\n%s", met)
 	}
 }
 

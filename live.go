@@ -20,12 +20,12 @@ import (
 // in-flight query — the retired generation's mappings close only when its
 // last query releases it.
 //
-// Per-generation state is rebuilt or migrated at each swap: views and
-// pair similarities bake corpus IDF and start fresh, while the doc-set
-// cache adopts the previous generation's entries and evicts exactly the
-// keys the new segment staled. Everything engine-lifetime — the
-// normalization cache, the cost model's calibration, the arena pool and
-// the probe counters — carries across swaps untouched.
+// Per-generation state is rebuilt or migrated at each swap: views bake
+// corpus IDF and start fresh, while the doc-set cache adopts the previous
+// generation's entries and evicts exactly the keys the new segment
+// staled. Everything engine-lifetime — the normalization cache, the cost
+// model's calibration, the arena pool and the probe counters — carries
+// across swaps untouched.
 
 // LiveEngine is the name of the live wrapper Engine absorbed. It survives
 // as an alias only because the benchmark's traced pass (bench/layers.go)
@@ -130,11 +130,17 @@ func (e *Engine) IngestCounts() (ingests, tables, errs, merges uint64) {
 	return e.ingests.Load(), e.ingestedTables.Load(), e.ingestErrors.Load(), e.mergesDone.Load()
 }
 
+// ErrTableExists is wrapped by the error IngestTables returns when a
+// table ID of the batch is already in the corpus. An ID repeated inside
+// one batch is a different error: the batch itself is malformed.
+var ErrTableExists = errors.New("wwt: ingest: table ID already indexed")
+
 // IngestTables freezes the batch into a new immutable segment, commits
 // the manifest, and atomically publishes the new generation — queries
 // started before the swap drain on the old one. Table IDs must be new to
-// the corpus. Ingests serialize with each other and with merges; queries
-// are never blocked. Returns the published generation's snapshot info.
+// the corpus (ErrTableExists) and unique within the batch. Ingests
+// serialize with each other and with merges; queries are never blocked.
+// Returns the published generation's snapshot info.
 // An engine not opened by OpenLive has no directory to write segments to
 // and refuses every ingest.
 func (e *Engine) IngestTables(tables []*wtable.Table) (LiveInfo, error) {
@@ -162,7 +168,7 @@ func (e *Engine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 	for _, t := range tables {
 		if t != nil {
 			if _, dup := cur.store.Get(t.ID); dup {
-				return LiveInfo{}, fmt.Errorf("wwt: ingest: table ID %q already indexed", t.ID)
+				return LiveInfo{}, fmt.Errorf("%w: %q", ErrTableExists, t.ID)
 			}
 		}
 		if err := w.Add(t); err != nil {

@@ -120,8 +120,7 @@ func TestLiveEngineIngestRoundTrip(t *testing.T) {
 
 	// Duplicate IDs are rejected — against the base corpus and the
 	// just-ingested segment alike.
-	if _, err := le.IngestTables([]*wtable.Table{currencyTable(0)}); err == nil ||
-		!strings.Contains(err.Error(), "already indexed") {
+	if _, err := le.IngestTables([]*wtable.Table{currencyTable(0)}); !errors.Is(err, wwt.ErrTableExists) {
 		t.Fatalf("duplicate ingest: %v", err)
 	}
 
@@ -380,7 +379,7 @@ func TestHotSwapConcurrent(t *testing.T) {
 		if info.Docs != 3+i+1 {
 			t.Fatalf("ingest %d: docs = %d, want %d", i, info.Docs, 3+i+1)
 		}
-		// The swap is immediately visible — a stale view/pair-sim/doc-set
+		// The swap is immediately visible — a stale view/doc-set
 		// cache would keep answering without the new table.
 		res, err := le.Answer(wwt.Query{Columns: []string{"country", "currency"}})
 		if err != nil {

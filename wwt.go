@@ -26,10 +26,10 @@ type Query struct {
 // DefaultOptions.
 type Options struct {
 	// Params are the column-mapper parameters (weights, reliabilities...).
-	// They are fixed at engine construction: the engine's cross-query
-	// caches (table views, pair similarities) bake the view- and
-	// pair-affecting fields in, so mutating Opts.Params on a live engine
-	// yields stale results — build a new engine to change params.
+	// They are fixed at engine construction: the engine's table-view
+	// cache bakes the view-affecting fields in, so mutating Opts.Params
+	// on a live engine yields stale results — build a new engine to
+	// change params.
 	Params core.Params
 	// Algorithm selects the collective inference method (§4). The paper's
 	// recommendation — and the default — is the table-centric algorithm.
@@ -216,16 +216,15 @@ type Engine struct {
 }
 
 // generation is one published corpus snapshot: the searcher, the store
-// holding its tables, and the caches keyed to it — views and pair
-// similarities bake its IDF, doc sets its global doc numbers. It is
-// immutable once published. The published pointer holds one reference
-// and every pinned call another; the last release closes the searcher.
+// holding its tables, and the caches keyed to it — views bake its IDF,
+// doc sets its global doc numbers. It is immutable once published. The
+// published pointer holds one reference and every pinned call another;
+// the last release closes the searcher.
 type generation struct {
 	searcher  *index.Searcher
 	store     *index.Store
 	docsets   *index.DocSetCache
 	views     *core.ViewCache
-	pairs     *core.PairSimCache
 	refs      atomic.Int64
 	closeOnce sync.Once
 }
@@ -234,7 +233,7 @@ type generation struct {
 // the published pointer's one reference.
 func newGeneration(s *index.Searcher, st *index.Store) *generation {
 	g := &generation{searcher: s, store: st, docsets: index.NewDocSetCache(s, 0),
-		views: core.NewViewCache(), pairs: core.NewPairSimCache(0)}
+		views: core.NewViewCache()}
 	g.refs.Store(1)
 	return g
 }
@@ -344,10 +343,9 @@ func (e *Engine) search(s *index.Searcher, tokens []string, k int) ([]index.Hit,
 }
 
 // builder returns a model builder wired to the generation's corpus
-// statistics, cached PMI doc sets, table-view cache and cross-query
-// pair-similarity cache.
+// statistics, cached PMI doc sets and table-view cache.
 func (g *generation) builder(p core.Params) *core.Builder {
-	return &core.Builder{Params: p, Stats: g.searcher, PMI: pmiSource{g.docsets}, Views: g.views, Pairs: g.pairs}
+	return &core.Builder{Params: p, Stats: g.searcher, PMI: pmiSource{g.docsets}, Views: g.views}
 }
 
 // CacheStats is a point-in-time snapshot of one cache's cumulative
@@ -365,13 +363,17 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// EngineCacheStats snapshots the four cross-query caches an engine uses:
-// analyzed table views, per-pair column similarities, PMI doc sets, and
-// normalized cell strings. The serving daemon's /metrics endpoint exports
-// these. NormCells is engine-lifetime; the other three caches belong to
-// the current generation, so their counters restart at every swap.
+// EngineCacheStats snapshots the three cross-query caches an engine uses:
+// analyzed table views, PMI doc sets, and normalized cell strings. The
+// serving daemon's /metrics endpoint exports these. NormCells is
+// engine-lifetime; the other two caches belong to the current generation,
+// so their counters restart at every swap.
 type EngineCacheStats struct {
-	Views     CacheStats
+	Views CacheStats
+	// PairSims is always zero: pair similarities are computed per query
+	// and no cache serves them. The field survives only because the
+	// benchmark's traced pass (bench/layers.go) reads it, and the
+	// benchmark is edited only in PRs of its own.
 	PairSims  CacheStats
 	DocSets   CacheStats
 	NormCells CacheStats
@@ -383,7 +385,6 @@ func (e *Engine) CacheStats() EngineCacheStats {
 	g := e.cur.Load()
 	var st EngineCacheStats
 	st.Views.Hits, st.Views.Misses = g.views.Stats()
-	st.PairSims.Hits, st.PairSims.Misses = g.pairs.Stats()
 	st.DocSets.Hits, st.DocSets.Misses = g.docsets.Stats()
 	st.NormCells.Hits, st.NormCells.Misses = e.norm.Stats()
 	return st

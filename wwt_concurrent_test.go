@@ -78,11 +78,12 @@ func TestAnswerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAnswerConcurrentPairSimCache hammers the cross-query pair-similarity
-// cache (run under -race): the queries share candidate tables, so many
-// goroutines look up — and race to populate — the same view-pair entries,
-// and every goroutine must still see the exact same model edges.
-func TestAnswerConcurrentPairSimCache(t *testing.T) {
+// TestAnswerConcurrentEdges hammers the edge construction (run under
+// -race): the queries share candidate tables, so many goroutines compute
+// the same table pairs at once — each in its own build arena, over views
+// shared through the view cache — and every goroutine must still see the
+// exact same model edges.
+func TestAnswerConcurrentEdges(t *testing.T) {
 	eng, err := wwt.NewEngine(smallCorpus(t), nil)
 	if err != nil {
 		t.Fatal(err)
