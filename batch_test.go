@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -146,10 +147,11 @@ func TestAnswerBatchEquivalence(t *testing.T) {
 }
 
 // TestAnswerBatchConcurrent runs overlapping batches from many goroutines
-// on one engine (run under -race). Every batch contains two members that
-// must error — an empty query and a stopword-only query — and those
-// errors must stay isolated to their slots while every other member stays
-// bit-identical to its solo reference.
+// on one engine (run under -race). Every batch contains members that must
+// error — an empty query, a stopword-only query, a query wider than the
+// column limit and one whose column is longer than the word limit — and
+// those errors must stay isolated to their slots while every other member
+// stays bit-identical to its solo reference.
 func TestAnswerBatchConcurrent(t *testing.T) {
 	eng, err := wwt.NewEngine(smallCorpus(t), nil)
 	if err != nil {
@@ -162,8 +164,10 @@ func TestAnswerBatchConcurrent(t *testing.T) {
 		{Columns: []string{"the of a"}}, // must error: no content words
 		{Columns: []string{"name", "area"}},
 		{Columns: []string{"currency"}},
+		{Columns: slices.Repeat([]string{"country"}, 17)},    // must error: 17 columns
+		{Columns: []string{strings.Repeat("currency ", 33)}}, // must error: 33 words
 	}
-	bad := map[int]bool{1: true, 3: true}
+	bad := map[int]bool{1: true, 3: true, 6: true, 7: true}
 	refs := make([]*wwt.Result, len(queries))
 	for i, q := range queries {
 		if bad[i] {

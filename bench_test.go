@@ -63,7 +63,7 @@ func getWorld(b *testing.B) *benchWorld {
 			if err != nil {
 				cands = nil
 			}
-			builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.PMISource()}
+			builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.Searcher()}
 			w.cands = append(w.cands, cands)
 			w.models = append(w.models, builder.Build(q.Columns, cands))
 		}
@@ -115,7 +115,7 @@ func BenchmarkFig5PMI2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
-		baseline.Solve(baseline.PMI2, cfg, w.queries[qi].Columns, w.cands[qi], w.engine.Searcher(), w.engine.PMISource())
+		baseline.Solve(baseline.PMI2, cfg, w.queries[qi].Columns, w.cands[qi], w.engine.Searcher(), w.engine.Searcher())
 	}
 }
 
@@ -220,7 +220,7 @@ func benchModelBuild(b *testing.B, unsegmented bool) {
 	// Fig 8 deliberately builds cacheless (a params sweep can't share view
 	// caches), but a sweep CAN share one interner across configurations —
 	// the symbol table is pure content addressing.
-	builder := &core.Builder{Params: params, Stats: w.engine.Searcher(), PMI: w.engine.PMISource(), Interner: core.NewInterner()}
+	builder := &core.Builder{Params: params, Stats: w.engine.Searcher(), PMI: w.engine.Searcher(), Interner: core.NewInterner()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
@@ -328,7 +328,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 // bench it serves isolates edge construction.
 func edgeBenchBuilder(w *benchWorld) *core.Builder {
 	views := core.NewViewCache()
-	b := &core.Builder{Params: w.engine.Opts.Params, Stats: w.engine.Searcher(), PMI: w.engine.PMISource(), Views: views}
+	b := &core.Builder{Params: w.engine.Opts.Params, Stats: w.engine.Searcher(), PMI: w.engine.Searcher(), Views: views}
 	for i, q := range w.queries {
 		b.Build(q.Columns, w.cands[i])
 	}

@@ -32,8 +32,8 @@
 // AnswerBatch, Candidates, CandidatesBatch and MapColumns while
 // IngestTables and background merges publish new generations. An engine
 // not opened from a directory is generation 0 forever: its IngestTables
-// refuses. The cross-query caches (table views, PMI doc sets, normalized
-// cells) are concurrency-safe and hand out shared read-only slices.
+// refuses. The cross-query caches (table views, normalized cells) are
+// concurrency-safe and hand out shared read-only slices.
 //
 // Exactly one query owns a scratch arena at a time. Candidates returns
 // its arena to the pool on exit; Answer hands it to the Result — whose

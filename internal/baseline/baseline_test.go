@@ -3,7 +3,6 @@ package baseline
 import (
 	"testing"
 
-	"wwt/internal/core"
 	"wwt/internal/index"
 	"wwt/internal/wtable"
 )
@@ -156,14 +155,13 @@ func TestPMI2AddsCorpusSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := index.NewSearcher(ix)
-	src := indexPMI{s}
 	// Use permissive thresholds: this test isolates the PMI² signal, not
 	// the trained relevance gate.
 	cfg := Config{RelevanceThreshold: 0.05, ColumnThreshold: 0.3, PMIWeight: 1.0, NbrMinSim: 0.5}
 	lBasic := Solve(Basic, cfg, []string{"black metal bands"},
 		[]*wtable.Table{cand}, s, nil)
 	lPMI := Solve(PMI2, cfg, []string{"black metal bands"},
-		[]*wtable.Table{cand}, s, src)
+		[]*wtable.Table{cand}, s, s)
 	if lBasic.Y[0][0] == 0 {
 		t.Fatalf("Basic should not clear the column threshold without PMI: %v", lBasic.Y[0])
 	}
@@ -173,15 +171,3 @@ func TestPMI2AddsCorpusSignal(t *testing.T) {
 }
 
 func idf(p string, i int) string { return p + string(rune('a'+i)) }
-
-// indexPMI adapts index.Searcher to core.PMISource.
-type indexPMI struct{ ix *index.Searcher }
-
-func (s indexPMI) HeaderContextDocs(tokens []string) []int32 {
-	return s.ix.DocSet(tokens, index.FieldHeader, index.FieldContext)
-}
-func (s indexPMI) ContentDocs(tokens []string) []int32 {
-	return s.ix.DocSet(tokens, index.FieldContent)
-}
-
-var _ core.PMISource = indexPMI{}

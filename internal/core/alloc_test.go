@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Allocation regression guards for the zero-alloc claims the ROADMAP
 // makes: the interned sorted-set similarities must stay allocation-free —
@@ -37,4 +40,40 @@ func TestHeaderSimZeroAlloc(t *testing.T) {
 		t.Errorf("HeaderSim allocates %.0f/op, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestWarmBuildAllocsParallel bounds the allocations of a warm two-half
+// build (BuildTables over half of each corpus query's candidates, Extend
+// with the rest) on the parallel path. testing.AllocsPerRun sets
+// GOMAXPROCS to 1 while it measures, so under it parallelForWorkers
+// always takes its serial loop and the worker fan-out's own allocations
+// go unseen. This test runs at GOMAXPROCS 2 and counts
+// runtime.MemStats.Mallocs over repeated warm builds instead.
+func TestWarmBuildAllocsParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	searcher, cases := corpusCases(t, 0.25, 40)
+	b := &Builder{Params: DefaultParams(), Stats: searcher, Views: NewViewCache()}
+	var s BuildScratch
+	buildAll := func() {
+		for _, c := range cases {
+			k := len(c.tables) / 2
+			m := b.BuildTables(c.cols, c.tables[:k], &s)
+			m.Extend(b, c.tables[k:], &s)
+		}
+	}
+	buildAll() // warm the view cache and grow the scratch
+	const rounds = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		buildAll()
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := float64(after.Mallocs-before.Mallocs) / float64(rounds*len(cases))
+	// Measured 44.8 per build, and the same under -race; one worker makes
+	// about half that. The ceiling leaves a third of headroom.
+	const ceiling = 60
+	if perBuild > ceiling {
+		t.Errorf("warm parallel build allocates %.1f/build, ceiling %d", perBuild, ceiling)
+	}
 }

@@ -23,8 +23,8 @@
 // has analyzed for its lifetime.
 //
 // The content-overlap edges are computed per build, in the build's own
-// arena: no pair similarity outlives the query that computed it. Cached
-// slices — PMI doc sets, view cell sets — are shared and read-only.
+// arena: no pair similarity outlives the query that computed it. PMI doc
+// sets and cached view cell sets are read-only to the builder.
 //
 // Build allocates a private arena; BuildWith carves every model grid from
 // a caller-owned BuildScratch, and the resulting Model aliases that

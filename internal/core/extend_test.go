@@ -4,20 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"wwt/internal/index"
 )
-
-// searcherPMI serves PMI² doc sets straight from a searcher.
-type searcherPMI struct{ s *index.Searcher }
-
-func (p searcherPMI) HeaderContextDocs(tokens []string) []int32 {
-	return p.s.DocSet(tokens, index.FieldHeader, index.FieldContext)
-}
-
-func (p searcherPMI) ContentDocs(tokens []string) []int32 {
-	return p.s.DocSet(tokens, index.FieldContent)
-}
 
 // modelDiff names the first per-table grid or edge list on which got and
 // want differ, or returns "" when they are bit-identical. Views are
@@ -74,7 +61,7 @@ func TestExtendMatchesBuild(t *testing.T) {
 		}},
 		{"cacheless", 4, func() *Builder { return &Builder{Params: DefaultParams(), Stats: searcher} }},
 		{"pmi", 4, func() *Builder {
-			return &Builder{Params: pmiParams, Stats: searcher, PMI: searcherPMI{searcher}, Views: views}
+			return &Builder{Params: pmiParams, Stats: searcher, PMI: searcher, Views: views}
 		}},
 	}
 	var dirty BuildScratch

@@ -141,7 +141,8 @@ func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *Bui
 		NumQ:   len(queryCols),
 	}
 	// Precompute H(Qℓ) doc sets once per query column for PMI². The sets
-	// are cache-owned and read-only; the scratch only holds the headers.
+	// belong to the PMISource and are read-only; the scratch only holds
+	// the headers.
 	if m.Params.UsePMI && b.PMI != nil {
 		s.hDocs = slicex.Grow(s.hDocs, m.NumQ)
 		for ell, qc := range m.Q {

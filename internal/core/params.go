@@ -166,9 +166,9 @@ type CorpusStats interface {
 // and B(cell) — documents carrying all of a cell's tokens in content.
 //
 // Builder.Build probes the source from a pool of worker goroutines, so
-// implementations must be safe for concurrent calls. Returned doc sets may
-// be shared (e.g. cache-backed) and must be treated as read-only by
-// consumers.
+// implementations must be safe for concurrent calls. Consumers treat the
+// returned doc sets as read-only, so an implementation may share them.
+// *index.Searcher is the one implementation.
 type PMISource interface {
 	HeaderContextDocs(tokens []string) []int32
 	ContentDocs(tokens []string) []int32

@@ -15,10 +15,10 @@ import "wwt/internal/graph"
 // the scratch the model was built through. The engine's query pipeline
 // relies on this: the arena is handed to the Result and recycled only on
 // Release. Scratch buffers must never be handed to a cross-query
-// cache (ViewCache/DocSetCache) — caches may only hold their own
-// allocations; the reverse (read-only cache-owned slices referenced from
-// scratch fields, e.g. the H(Qℓ) doc sets) is fine because the scratch
-// never writes through them.
+// cache (ViewCache) — caches may only hold their own allocations; the
+// reverse (read-only slices owned elsewhere referenced from scratch
+// fields, e.g. the PMISource's H(Qℓ) doc sets) is fine because the
+// scratch never writes through them.
 //
 // Each build worker owns one workerScratch slot at a time. Stage 1 uses it
 // for the per-table max-marginal solves; the edge pass, which never runs
@@ -28,7 +28,7 @@ import "wwt/internal/graph"
 // workspace, and the build records the pair's range in that arena. The
 // survivors never leave the scratch.
 type BuildScratch struct {
-	hDocs  [][]int32 // per query column: cache-owned H(Qℓ) doc sets (read-only)
+	hDocs  [][]int32 // per query column: the PMISource's H(Qℓ) doc sets (read-only)
 	colOff []int     // table -> global offset of its first column
 	in     *Interner // symbol table of the model's views when no ViewCache owns one
 

@@ -116,7 +116,7 @@ func ExperimentAblationCooccur(w io.Writer, r *Runner) {
 	}
 	sums := make([]float64, len(variants))
 	n := 0
-	pmi := r.Engine.PMISource()
+	searcher := r.Engine.Searcher()
 	for _, q := range r.Queries {
 		res := r.Run(q)
 		n++
@@ -125,7 +125,7 @@ func ExperimentAblationCooccur(w io.Writer, r *Runner) {
 			v.mod(&p)
 			// The feature enters node potentials, so a full rebuild is
 			// needed (Reweight caches features).
-			b := &core.Builder{Params: p, Stats: r.Engine.Searcher(), PMI: pmi}
+			b := &core.Builder{Params: p, Stats: searcher, PMI: searcher}
 			m := b.Build(q.Columns, res.Tables)
 			l := inference.SolveTableCentric(m)
 			sums[vi] += F1Error(l, res.Tables, res.GT)

@@ -79,7 +79,7 @@ func benchSkewedSearcher(b *testing.B) *Searcher {
 }
 
 // reportProbeMetrics turns cumulative probe stats into per-op and rate
-// metrics on the benchmark (picked up by wwt-benchjson).
+// metrics on the benchmark (reported beside ns/op in the bench output).
 func reportProbeMetrics(b *testing.B, st ProbeStats, ops int) {
 	if ops == 0 {
 		return

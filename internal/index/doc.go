@@ -24,10 +24,11 @@
 // oracle_test.go: it ships in no binary and exists as the reference the
 // equivalence tests and the fuzzer compare the Searcher against.
 //
-// DocSetCache is a concurrency-safe LRU over Searcher.DocSet, keyed by the
-// canonicalized token set plus field mask. Cached doc-set slices are shared
-// and read-only: callers only intersect them, never mutate. Store is
-// append-only at build time and read-only afterwards.
+// The PMI² feature reads doc sets straight from the Searcher:
+// HeaderContextDocs and ContentDocs are DocSet over the header+context and
+// content fields, so a *Searcher is a core.PMISource. Nothing caches them;
+// every call returns a freshly allocated slice. Store is append-only at
+// build time and read-only afterwards.
 //
 // # The canonical term order and bit-identity
 //

@@ -263,14 +263,6 @@ func (s *Searcher) HasTerm(tok string) bool {
 	return ok
 }
 
-// SegmentHasTerm reports whether segment i contains the token. Generation
-// swaps use it to evict exactly the cached doc sets the new segment
-// staled.
-func (s *Searcher) SegmentHasTerm(i int, tok string) bool {
-	_, _, ok := s.segs[i].find(tok)
-	return ok
-}
-
 // termRef is one query term resolved in one segment: its home shard there
 // and local term ID, plus the token for canonical ordering at gather time.
 // The statistics are carried on the ref rather than read from the shard
@@ -683,4 +675,16 @@ func (s *Searcher) DocSet(tokens []string, fields ...Field) []int32 {
 		out = appendGlobal(out, set, seg.base)
 	}
 	return out
+}
+
+// HeaderContextDocs returns H(Qℓ) for the PMI² feature: the documents whose
+// header or context holds every token.
+func (s *Searcher) HeaderContextDocs(tokens []string) []int32 {
+	return s.DocSet(tokens, FieldHeader, FieldContext)
+}
+
+// ContentDocs returns B(cell) for the PMI² feature: the documents whose
+// content holds every token.
+func (s *Searcher) ContentDocs(tokens []string) []int32 {
+	return s.DocSet(tokens, FieldContent)
 }

@@ -535,57 +535,3 @@ func TestShardedSearcherConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// TestDocSetCache: cached results equal uncached ones, repeats hit, and the
-// LRU respects its capacity.
-func TestDocSetCache(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 11, 30)
-	s := NewSearcher(ix)
-	c := NewDocSetCache(s, 4)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		toks := randQuery(r)
-		want := ix.DocSet(toks, FieldHeader, FieldContext)
-		got := c.DocSet(toks, FieldHeader, FieldContext)
-		if len(want) != 0 || len(got) != 0 {
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("cached DocSet(%v) = %v, want %v", toks, got, want)
-			}
-		}
-		if c.Len() > 4 {
-			t.Fatalf("cache exceeded capacity: %d", c.Len())
-		}
-	}
-	c2 := NewDocSetCache(s, 0) // default capacity
-	toks := []string{propWords[0], propWords[1]}
-	first := c2.DocSet(toks, FieldContent)
-	second := c2.DocSet(toks, FieldContent)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("repeat lookup differs")
-	}
-	hits, misses := c2.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-	// Token order and duplicates must not change the key.
-	c2.DocSet([]string{propWords[1], propWords[0], propWords[0]}, FieldContent)
-	if h, _ := c2.Stats(); h != 2 {
-		t.Fatalf("canonicalized key missed the cache (hits=%d)", h)
-	}
-}
-
-// TestDocSetCacheWarmHitAllocs pins the docSetKey rewrite: a warm cache
-// hit's only allocation is the key string itself.
-func TestDocSetCacheWarmHitAllocs(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 5, 20)
-	s := NewSearcher(ix)
-	c := NewDocSetCache(s, 0)
-	toks := []string{propWords[3], propWords[1], propWords[1], propWords[0]}
-	c.DocSet(toks, FieldHeader, FieldContext) // warm
-	allocs := testing.AllocsPerRun(200, func() {
-		c.DocSet(toks, FieldHeader, FieldContext)
-	})
-	if allocs > 1 {
-		t.Fatalf("warm hit does %.1f allocs/op, want <= 1 (the key string)", allocs)
-	}
-}

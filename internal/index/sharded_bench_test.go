@@ -143,18 +143,3 @@ func BenchmarkSearchMap(b *testing.B) {
 		ix.Search(queries[i%len(queries)], 10)
 	}
 }
-
-// BenchmarkDocSetCacheWarmHit pins the warm-hit path at one alloc/op (the
-// canonical key string); the assertion lives in
-// TestDocSetCacheWarmHitAllocs, this reports the trajectory numbers.
-func BenchmarkDocSetCacheWarmHit(b *testing.B) {
-	s := benchSearcher(b)
-	c := NewDocSetCache(s, 0)
-	toks := []string{propWords[3], propWords[1], propWords[1], propWords[0]}
-	c.DocSet(toks, FieldHeader, FieldContext)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.DocSet(toks, FieldHeader, FieldContext)
-	}
-}

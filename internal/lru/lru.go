@@ -1,7 +1,8 @@
-// Package lru provides the one bounded, concurrency-safe LRU memoization
-// primitive behind the engine's bounded cross-query caches (PMI doc sets,
-// normalized cells). Values are computed outside the cache lock and shared
-// across callers read-only; see Cache.Get for the exact protocol.
+// Package lru provides the bounded, concurrency-safe LRU memoization
+// primitive behind the engine's one bounded cross-query cache, the
+// normalized cells of text.NormCache. Values are computed outside the
+// cache lock and shared across callers read-only; see Cache.Get for the
+// exact protocol.
 package lru
 
 import (
@@ -83,79 +84,6 @@ func (c *Cache[K, V]) Get(key K, compute func() V) V {
 	}
 	c.mu.Unlock()
 	return v
-}
-
-// Cached returns the value for key if present, refreshing its recency and
-// counting a hit. A lookup miss counts nothing — pair Cached with Get,
-// which counts the miss on the compute path. The point of the split is
-// allocation-free warm hits: Get's compute closure captures its inputs and
-// so heap-allocates even when never called, while Cached takes no closure.
-func (c *Cache[K, V]) Cached(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		return el.Value.(*entry[K, V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Put inserts (or refreshes) an entry without touching the hit/miss
-// counters — the bulk-load primitive behind cross-generation cache
-// migration, where adopted entries are neither hits nor misses of the new
-// cache. An existing key keeps its value object only if the new one is
-// passed again; recency is refreshed either way.
-func (c *Cache[K, V]) Put(key K, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*entry[K, V]).val = val
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.lru.PushFront(&entry[K, V]{key: key, val: val})
-	if c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.m, oldest.Value.(*entry[K, V]).key)
-	}
-}
-
-// EvictIf removes every entry whose key matches pred and returns how many
-// were dropped. This is the selective-invalidation primitive: a corpus
-// generation swap evicts exactly the keys the new generation staled
-// instead of flushing the whole cache, so unaffected warm entries keep
-// their recency. pred runs under the cache lock and must not call back
-// into the cache.
-func (c *Cache[K, V]) EvictIf(pred func(K) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*entry[K, V]); pred(e.key) {
-			c.lru.Remove(el)
-			delete(c.m, e.key)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// Each visits every entry from least to most recently used, without
-// changing recency or counters. Re-inserting the visited entries into a
-// fresh cache with Put in this order reproduces the LRU order. fn runs
-// under the cache lock and must not call back into the cache.
-func (c *Cache[K, V]) Each(fn func(K, V)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry[K, V])
-		fn(e.key, e.val)
-	}
 }
 
 // Stats reports cumulative hit/miss counts.

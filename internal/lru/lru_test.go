@@ -105,63 +105,3 @@ func TestRacingDuplicateInsert(t *testing.T) {
 		t.Errorf("stats = %d/%d, want 3 hits / 4 misses", hits, misses)
 	}
 }
-
-// TestPutEvictIfEach covers the generation-migration surface: Put inserts
-// without counters, Each walks least→most recent (so Put-ing in that
-// order reproduces the LRU order in a new cache), and EvictIf removes
-// exactly the matching keys without touching the rest.
-func TestPutEvictIfEach(t *testing.T) {
-	c := New[string, int](4)
-	for i, k := range []string{"a", "b", "c", "d"} {
-		c.Put(k, i)
-	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
-		t.Fatalf("Put moved counters: %d/%d", hits, misses)
-	}
-	// Refresh "a" so the recency order is b c d a (least→most recent).
-	c.Put("a", 10)
-	var order []string
-	c.Each(func(k string, v int) { order = append(order, k) })
-	want := []string{"b", "c", "d", "a"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("Each order = %v, want %v", order, want)
-		}
-	}
-
-	// Replaying Each's order into a fresh cache preserves LRU behavior:
-	// the next eviction removes the same key either way.
-	fresh := New[string, int](4)
-	c.Each(func(k string, v int) { fresh.Put(k, v) })
-	fresh.Put("e", 5) // evicts "b", the least recent
-	if _, ok := fresh.Cached("b"); ok {
-		t.Fatal("migrated cache evicted the wrong key")
-	}
-	if _, ok := fresh.Cached("a"); !ok {
-		t.Fatal("migrated cache lost a recent key")
-	}
-
-	// EvictIf removes exactly the matching keys.
-	n := c.EvictIf(func(k string) bool { return k == "b" || k == "d" })
-	if n != 2 || c.Len() != 2 {
-		t.Fatalf("EvictIf removed %d (len %d), want 2 (len 2)", n, c.Len())
-	}
-	if _, ok := c.Cached("c"); !ok {
-		t.Fatal("EvictIf evicted a non-matching key")
-	}
-	if _, ok := c.Cached("d"); ok {
-		t.Fatal("EvictIf kept a matching key")
-	}
-
-	// Put over capacity evicts the oldest.
-	small := New[int, int](2)
-	small.Put(1, 1)
-	small.Put(2, 2)
-	small.Put(3, 3)
-	if small.Len() != 2 {
-		t.Fatalf("Put over capacity: len %d, want 2", small.Len())
-	}
-	if _, ok := small.Cached(1); ok {
-		t.Fatal("Put over capacity kept the oldest entry")
-	}
-}

@@ -141,7 +141,7 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 	for _, c := range []struct {
 		name string
 		st   wwt.CacheStats
-	}{{"doc_sets", cache.DocSets}, {"norm_cells", cache.NormCells}, {"views", cache.Views}} {
+	}{{"norm_cells", cache.NormCells}, {"views", cache.Views}} {
 		fmt.Fprintf(&b, "wwt_cache_hits_total{cache=%q} %d\n", c.name, c.st.Hits)
 		fmt.Fprintf(&b, "wwt_cache_misses_total{cache=%q} %d\n", c.name, c.st.Misses)
 		fmt.Fprintf(&b, "wwt_cache_hit_rate{cache=%q} %.4f\n", c.name, c.st.HitRate())

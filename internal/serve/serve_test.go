@@ -173,6 +173,8 @@ func TestRequestValidation(t *testing.T) {
 		{`{"columns": ["a"], "queries": [{"columns": ["b"]}]}`, http.StatusBadRequest, ""},
 		{`{"queries": [{"columns":["a"]},{"columns":["b"]},{"columns":["c"]}]}`, http.StatusRequestEntityTooLarge, ""},
 		{`{"columns": ["the of a"]}`, http.StatusBadRequest, ""}, // engine: no content words
+		{`{"columns": [` + strings.Repeat(`"country",`, 16) + `"country"]}`, http.StatusBadRequest, "limit of 16"},
+		{`{"columns": ["` + strings.Repeat("word ", 33) + `"]}`, http.StatusBadRequest, "limit of 32"},
 		{`{"queries": [{"columns":["a"]}], "schedule": "bogus"}`, http.StatusBadRequest, `"schedule"`},
 		{`{"columns": ["country"], "schedule": "sjf"}`, http.StatusBadRequest, `"schedule"`},
 		{`{"columns": ["country"], "planner": {}}`, http.StatusBadRequest, `"planner"`},
@@ -399,7 +401,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`wwt_stage_seconds_total{stage="probe1"}`,
 		`wwt_stage_seconds_total{stage="consolidate"}`,
 		`wwt_cache_hits_total{cache="views"}`,
-		`wwt_cache_hit_rate{cache="doc_sets"}`,
+		`wwt_cache_hit_rate{cache="views"}`,
 		`wwt_cache_misses_total{cache="norm_cells"}`,
 		`wwt_cache_hits_total{cache="norm_cells"}`,
 		"wwt_plan_cost_error ",
@@ -410,8 +412,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, met)
 		}
 	}
-	if strings.Contains(met, `cache="pair_sims"`) {
-		t.Errorf("metrics still export the retired pair-similarity cache:\n%s", met)
+	for _, retired := range []string{`cache="pair_sims"`, `cache="doc_sets"`} {
+		if strings.Contains(met, retired) {
+			t.Errorf("metrics still export the retired %s cache:\n%s", retired, met)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func prepare(r *eval.Runner, base core.Params) []queryCase {
 	in := core.NewInterner()
 	for _, q := range r.Queries {
 		tables, gt := r.CandidatesFor(q)
-		b := &core.Builder{Params: base, Stats: r.Engine.Searcher(), PMI: r.Engine.PMISource(), Interner: in}
+		b := &core.Builder{Params: base, Stats: r.Engine.Searcher(), PMI: r.Engine.Searcher(), Interner: in}
 		cases = append(cases, queryCase{
 			query: q, tables: tables, gt: gt,
 			model: b.Build(q.Columns, tables),

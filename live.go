@@ -20,10 +20,9 @@ import (
 // in-flight query — the retired generation's mappings close only when its
 // last query releases it.
 //
-// Per-generation state is rebuilt or migrated at each swap: views bake
-// corpus IDF and start fresh, while the doc-set cache adopts the previous
-// generation's entries and evicts exactly the keys the new segment
-// staled. Everything engine-lifetime — the normalization cache, the cost
+// Per-generation state is rebuilt at each swap: views bake corpus IDF and
+// start fresh, and PMI² doc sets are read from the new searcher directly.
+// Everything engine-lifetime — the normalization cache, the cost
 // model's calibration, the arena pool and the probe counters — carries
 // across swaps untouched.
 
@@ -187,7 +186,7 @@ func (e *Engine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 		return LiveInfo{}, err
 	}
 	e.manifest = m
-	if err := e.publishLocked(tables, true); err != nil {
+	if err := e.publishLocked(tables); err != nil {
 		return LiveInfo{}, err
 	}
 	e.ingests.Add(1)
@@ -199,11 +198,8 @@ func (e *Engine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 // publishLocked opens the just-committed manifest as a new generation
 // and swaps it in. added lists tables new in this generation (nil when
 // the table set is unchanged, e.g. a merge — the store is then shared
-// with the old generation). migrate adopts the old generation's warm
-// doc-set entries, evicting exactly the keys whose tokens occur in the
-// newest segment; valid only for append-only swaps, where prior global
-// doc numbers are stable — merges remap doc numbers and start cold.
-func (e *Engine) publishLocked(added []*wtable.Table, migrate bool) error {
+// with the old generation).
+func (e *Engine) publishLocked(added []*wtable.Table) error {
 	old := e.cur.Load()
 	s, _, err := index.OpenSnapshot(e.dir)
 	if err != nil {
@@ -225,19 +221,7 @@ func (e *Engine) publishLocked(added []*wtable.Table, migrate bool) error {
 			}
 		}
 	}
-	g := newGeneration(s, st)
-	if migrate {
-		last := s.Segments() - 1
-		g.docsets.AdoptFrom(old.docsets, func(tokens []string) bool {
-			for _, tok := range tokens {
-				if s.SegmentHasTerm(last, tok) {
-					return true
-				}
-			}
-			return false
-		})
-	}
-	e.cur.Store(g)
+	e.cur.Store(newGeneration(s, st))
 	e.retired.Add(1)
 	e.release(old)
 	return nil
@@ -331,7 +315,7 @@ func (e *Engine) mergeLocked() (bool, error) {
 		return false, err
 	}
 	e.manifest = m
-	if err := e.publishLocked(nil, false); err != nil {
+	if err := e.publishLocked(nil); err != nil {
 		return false, err
 	}
 	e.mergesDone.Add(1)

@@ -139,15 +139,31 @@ func (e *Engine) runStages(ctx context.Context, stages []pipelineStage, st *quer
 	return nil
 }
 
+// Query shape limits. A query's cost grows faster than linearly in its
+// width and in its column length, and the deadline is checked only
+// between stages, so an unbounded query could hold a worker inside one
+// stage for seconds. Real queries name a few columns of a few words each.
+const (
+	maxQueryColumns = 16 // columns per query
+	maxColumnTokens = 32 // normalized tokens per column
+)
+
 // stageProbe1 normalizes the query columns into one keyword set and runs
-// the first index probe.
+// the first index probe. It rejects a query outside the shape limits.
 func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 	if len(st.query.Columns) == 0 {
 		return false, fmt.Errorf("wwt: empty query")
 	}
+	if n := len(st.query.Columns); n > maxQueryColumns {
+		return false, fmt.Errorf("wwt: query has %d columns, over the limit of %d", n, maxQueryColumns)
+	}
 	tokens := s.tokens[:0]
-	for _, col := range st.query.Columns {
+	for i, col := range st.query.Columns {
+		start := len(tokens)
 		tokens = append(tokens, text.Normalize(col)...)
+		if n := len(tokens) - start; n > maxColumnTokens {
+			return false, fmt.Errorf("wwt: query column %d has %d words, over the limit of %d", i+1, n, maxColumnTokens)
+		}
 	}
 	s.tokens = tokens
 	st.tokens = tokens

@@ -216,24 +216,22 @@ type Engine struct {
 }
 
 // generation is one published corpus snapshot: the searcher, the store
-// holding its tables, and the caches keyed to it — views bake its IDF,
-// doc sets its global doc numbers. It is immutable once published. The
-// published pointer holds one reference and every pinned call another;
-// the last release closes the searcher.
+// holding its tables, and the view cache keyed to it (views bake its
+// IDF). It is immutable once published. The published pointer holds one
+// reference and every pinned call another; the last release closes the
+// searcher.
 type generation struct {
 	searcher  *index.Searcher
 	store     *index.Store
-	docsets   *index.DocSetCache
 	views     *core.ViewCache
 	refs      atomic.Int64
 	closeOnce sync.Once
 }
 
-// newGeneration wraps a searcher and its store with fresh caches, holding
-// the published pointer's one reference.
+// newGeneration wraps a searcher and its store with a fresh view cache,
+// holding the published pointer's one reference.
 func newGeneration(s *index.Searcher, st *index.Store) *generation {
-	g := &generation{searcher: s, store: st, docsets: index.NewDocSetCache(s, 0),
-		views: core.NewViewCache()}
+	g := &generation{searcher: s, store: st, views: core.NewViewCache()}
 	g.refs.Store(1)
 	return g
 }
@@ -342,10 +340,10 @@ func (e *Engine) search(s *index.Searcher, tokens []string, k int) ([]index.Hit,
 	return hits, st
 }
 
-// builder returns a model builder wired to the generation's corpus
-// statistics, cached PMI doc sets and table-view cache.
+// builder returns a model builder wired to the generation's searcher —
+// corpus statistics and PMI² doc sets — and its table-view cache.
 func (g *generation) builder(p core.Params) *core.Builder {
-	return &core.Builder{Params: p, Stats: g.searcher, PMI: pmiSource{g.docsets}, Views: g.views}
+	return &core.Builder{Params: p, Stats: g.searcher, PMI: g.searcher, Views: g.views}
 }
 
 // CacheStats is a point-in-time snapshot of one cache's cumulative
@@ -363,16 +361,17 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// EngineCacheStats snapshots the three cross-query caches an engine uses:
-// analyzed table views, PMI doc sets, and normalized cell strings. The
-// serving daemon's /metrics endpoint exports these. NormCells is
-// engine-lifetime; the other two caches belong to the current generation,
-// so their counters restart at every swap.
+// EngineCacheStats snapshots the two cross-query caches an engine uses:
+// analyzed table views and normalized cell strings. The serving daemon's
+// /metrics endpoint exports these. NormCells is engine-lifetime; Views
+// belongs to the current generation, so its counters restart at every
+// swap.
 type EngineCacheStats struct {
 	Views CacheStats
-	// PairSims is always zero: pair similarities are computed per query
-	// and no cache serves them. The field survives only because the
-	// benchmark's traced pass (bench/layers.go) reads it, and the
+	// PairSims and DocSets are always zero: pair similarities are
+	// computed per query and PMI² doc sets are read straight from the
+	// searcher, so no cache serves either. The fields survive only because
+	// the benchmark's traced pass (bench/layers.go) reads them, and the
 	// benchmark is edited only in PRs of its own.
 	PairSims  CacheStats
 	DocSets   CacheStats
@@ -385,7 +384,6 @@ func (e *Engine) CacheStats() EngineCacheStats {
 	g := e.cur.Load()
 	var st EngineCacheStats
 	st.Views.Hits, st.Views.Misses = g.views.Stats()
-	st.DocSets.Hits, st.DocSets.Misses = g.docsets.Stats()
 	st.NormCells.Hits, st.NormCells.Misses = e.norm.Stats()
 	return st
 }
@@ -402,8 +400,7 @@ type PlanStats struct {
 	// queries under the engine's algorithm for estimates to be meaningful.
 	Calibrated bool
 	// ProbeBlocksSkipped / ProbeBlocksTotal count posting blocks the
-	// block-max skip pruned vs considered across every index probe (zero
-	// on v1 indexes, which carry no block summaries).
+	// block-max skip pruned vs considered across every index probe.
 	ProbeBlocksSkipped uint64
 	ProbeBlocksTotal   uint64
 	// ProbeShardsPruned counts shard scatters the floor-seeding pre-pass
@@ -430,27 +427,6 @@ func (e *Engine) PlanStats() PlanStats {
 // daemon can load and save its coefficient sidecar and benchmarks can
 // inspect calibration; answering a query never reads it.
 func (e *Engine) Planner() *plan.Estimator { return e.planner }
-
-// PMISource exposes the current generation's index as the co-occurrence
-// source for the PMI² feature (unpinned, like Searcher). Doc-set probes
-// go through the generation's LRU cache, so repeated H(Qℓ) and B(cell)
-// intersections within and across queries are served from memory. The
-// returned doc sets are the cache's backing slices: callers must treat
-// them as read-only (mutating one corrupts the cache for every later
-// query).
-func (e *Engine) PMISource() core.PMISource { return pmiSource{e.cur.Load().docsets} }
-
-type pmiSource struct {
-	src *index.DocSetCache
-}
-
-func (s pmiSource) HeaderContextDocs(tokens []string) []int32 {
-	return s.src.DocSet(tokens, index.FieldHeader, index.FieldContext)
-}
-
-func (s pmiSource) ContentDocs(tokens []string) []int32 {
-	return s.src.DocSet(tokens, index.FieldContent)
-}
 
 // sampleRows draws take distinct row indices from [0, rows) with a sparse
 // partial Fisher–Yates: only the displaced slots of the virtual identity
