@@ -40,7 +40,18 @@ func table(id string, headerRows [][]string, body [][]string, context string) *w
 var testIntern = NewInterner()
 
 func view(t *wtable.Table) *TableView {
-	return NewTableView(t, DefaultParams(), constStats{}, testIntern)
+	return NewTableView(t, DefaultParams(), testIntern)
+}
+
+// scores runs segScores for qc against column c of v the way a build
+// does: header weights under constStats, query tokens looked up in v's
+// interner.
+func scores(qc *QueryColumn, v *TableView, c int, p Params) (segSim, cover float64) {
+	var hw headerWeights
+	hw.weigh(v, constStats{})
+	ids := make([]uint32, len(qc.Tokens))
+	v.lookupIDs(qc.Tokens, ids)
+	return segScores(qc, ids, v, &hw, c, p)
 }
 
 func qcol(s string) *QueryColumn {
@@ -51,7 +62,7 @@ func qcol(s string) *QueryColumn {
 func TestSegSimExactHeaderMatch(t *testing.T) {
 	tb := table("t", [][]string{{"Country", "Currency"}}, [][]string{{"France", "Euro"}}, "")
 	v := view(tb)
-	seg, cov := segScores(qcol("currency"), v, 1, DefaultParams())
+	seg, cov := scores(qcol("currency"), v, 1, DefaultParams())
 	if math.Abs(seg-1) > 1e-9 {
 		t.Errorf("SegSim = %f, want 1 for exact header match", seg)
 	}
@@ -59,7 +70,7 @@ func TestSegSimExactHeaderMatch(t *testing.T) {
 		t.Errorf("Cover = %f, want 1", cov)
 	}
 	// The other column must score 0 (no shared token).
-	seg0, _ := segScores(qcol("currency"), v, 0, DefaultParams())
+	seg0, _ := scores(qcol("currency"), v, 0, DefaultParams())
 	if seg0 != 0 {
 		t.Errorf("non-matching column SegSim = %f, want 0", seg0)
 	}
@@ -73,7 +84,7 @@ func TestSegSimSplitAcrossHeaderAndContext(t *testing.T) {
 		[][]string{{"Marie Curie", "1903"}}, "list of Nobel prize laureates by year")
 	v := view(tb)
 	p := DefaultParams()
-	seg, _ := segScores(qcol("nobel prize winner"), v, 0, p)
+	seg, _ := scores(qcol("nobel prize winner"), v, 0, p)
 	// Pin suffix [winner]: inSim vs header {winner} = 1 (both weight 1).
 	// Out part [nobel, prize] both in context: each scores 0.9.
 	want := (1.0/3)*1 + (2.0/3)*0.9
@@ -81,7 +92,7 @@ func TestSegSimSplitAcrossHeaderAndContext(t *testing.T) {
 		t.Errorf("SegSim = %f, want %f", seg, want)
 	}
 	// Column "year" shares no token with the query: 0.
-	if s, _ := segScores(qcol("nobel prize winner"), v, 1, p); s != 0 {
+	if s, _ := scores(qcol("nobel prize winner"), v, 1, p); s != 0 {
 		t.Errorf("year column = %f, want 0", s)
 	}
 }
@@ -92,7 +103,7 @@ func TestSegSimMultiRowHeaderConcatenation(t *testing.T) {
 	tb := table("t", [][]string{{"Name", "Main areas"}, {"", "explored"}},
 		[][]string{{"Tasman", "Oceania"}}, "")
 	v := view(tb)
-	seg, _ := segScores(qcol("main areas explored"), v, 1, DefaultParams())
+	seg, _ := scores(qcol("main areas explored"), v, 1, DefaultParams())
 	// Pin [main, area] row 0 (inSim=2/(sqrt2*sqrt2)=1), out [explor] in Hc: 0.5.
 	want := (2.0/3)*1 + (1.0/3)*0.5
 	if math.Abs(seg-want) > 1e-9 {
@@ -110,8 +121,8 @@ func TestSegSimSpuriousSecondHeaderRowHarmless(t *testing.T) {
 	noisy := table("b", [][]string{{"Exploration", "Who"}, {"chronological order", ""}},
 		[][]string{{"Oceania", "Tasman"}}, "")
 	q := qcol("exploration")
-	segClean, _ := segScores(q, view(clean), 0, DefaultParams())
-	segNoisy, _ := segScores(q, view(noisy), 0, DefaultParams())
+	segClean, _ := scores(q, view(clean), 0, DefaultParams())
+	segNoisy, _ := scores(q, view(noisy), 0, DefaultParams())
 	if segNoisy < segClean-1e-9 {
 		t.Errorf("spurious header row hurt SegSim: %f < %f", segNoisy, segClean)
 	}
@@ -127,7 +138,7 @@ func TestSegSimFrequentBodyContent(t *testing.T) {
 			{"Burzum", "Norway", "Black metal"},
 		}, "")
 	v := view(tb)
-	seg, _ := segScores(qcol("black metal bands"), v, 0, DefaultParams())
+	seg, _ := scores(qcol("black metal bands"), v, 0, DefaultParams())
 	// Pin suffix [band] (inSim with {band, name} = 1/sqrt2), out
 	// [black, metal] both frequent body tokens: 0.8 each.
 	want := (1.0/3)*(1/math.Sqrt2) + (2.0/3)*0.8
@@ -142,7 +153,7 @@ func TestSegSimCrossColumnHeader(t *testing.T) {
 	tb := table("t", [][]string{{"dog", "breed", "weight"}},
 		[][]string{{"Rex", "Beagle", "12"}}, "")
 	v := view(tb)
-	seg, _ := segScores(qcol("dog breeds"), v, 0, DefaultParams())
+	seg, _ := scores(qcol("dog breeds"), v, 0, DefaultParams())
 	want := (1.0/2)*1 + (1.0/2)*1.0
 	if math.Abs(seg-want) > 1e-9 {
 		t.Errorf("SegSim = %f, want %f", seg, want)
@@ -152,7 +163,7 @@ func TestSegSimCrossColumnHeader(t *testing.T) {
 func TestSegSimHeaderlessTableZero(t *testing.T) {
 	tb := table("t", nil, [][]string{{"France", "Euro"}, {"Japan", "Yen"}}, "currency of countries")
 	v := view(tb)
-	if seg, cov := segScores(qcol("currency"), v, 1, DefaultParams()); seg != 0 || cov != 0 {
+	if seg, cov := scores(qcol("currency"), v, 1, DefaultParams()); seg != 0 || cov != 0 {
 		t.Errorf("headerless SegSim/Cover = %f/%f, want 0", seg, cov)
 	}
 }
@@ -164,7 +175,7 @@ func TestSegSimMultipleMatchesDecay(t *testing.T) {
 		[][]string{{"Curie", "1903"}}, "nobel prize winners")
 	tb.TitleRows = []wtable.Row{row("Nobel prize")}
 	v := view(tb)
-	seg, _ := segScores(qcol("nobel prize winner"), v, 0, DefaultParams())
+	seg, _ := scores(qcol("nobel prize winner"), v, 0, DefaultParams())
 	// [nobel, prize] in both T (1.0) and C (0.9): 1-(0)(0.1) = 1.
 	want := (1.0/3)*1 + (2.0/3)*1.0
 	if math.Abs(seg-want) > 1e-9 {
@@ -179,7 +190,7 @@ func TestCoverPartialHeaderMatch(t *testing.T) {
 	tb := table("t", [][]string{{"exchange", "country"}},
 		[][]string{{"1.07", "France"}}, "")
 	v := view(tb)
-	_, cov := segScores(qcol("exchange rate"), v, 0, DefaultParams())
+	_, cov := scores(qcol("exchange rate"), v, 0, DefaultParams())
 	if math.Abs(cov-0.5) > 1e-9 {
 		t.Errorf("Cover = %f, want 0.5", cov)
 	}

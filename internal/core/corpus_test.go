@@ -59,7 +59,7 @@ var pairSimSink []colPairSim
 // worker slot; warm reuses one slot, resetting its arena per pair as an
 // edge pass does per build, and allocates nothing.
 func BenchmarkComputePairSims(b *testing.B) {
-	stats, cases := corpusCases(b, 0.25, 40)
+	_, cases := corpusCases(b, 0.25, 40)
 	p := DefaultParams()
 	vc := NewViewCache()
 	type pair struct{ a, b *TableView }
@@ -67,7 +67,7 @@ func BenchmarkComputePairSims(b *testing.B) {
 	for _, c := range cases {
 		for i, t1 := range c.tables {
 			for _, t2 := range c.tables[i+1:] {
-				pairs = append(pairs, pair{vc.view(t1, p, stats), vc.view(t2, p, stats)})
+				pairs = append(pairs, pair{vc.view(t1, p), vc.view(t2, p)})
 			}
 		}
 	}

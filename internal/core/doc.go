@@ -16,11 +16,14 @@
 // per-index writes, so output is deterministic and bit-identical across
 // runs.
 //
-// ViewCache owns the per-engine Interner; every cached TableView interns
-// its cell and header strings there, and interned IDs are comparable only
-// within one interner — never compare views from different interners.
-// Views are immutable once built, and the cache retains every table it
-// has analyzed for its lifetime.
+// ViewCache owns the engine-lifetime Interner; every cached TableView
+// interns its cell strings and tokens there, and interned IDs are
+// comparable only within one interner — never compare views from
+// different interners. Views are immutable once built and carry no corpus
+// statistics: each build weighs the header tokens of its tables under its
+// own CorpusStats, in its worker slots, so a cached view serves every
+// generation of a live engine. The cache retains every table it has
+// analyzed for its lifetime.
 //
 // The content-overlap edges are computed per build, in the build's own
 // arena: no pair similarity outlives the query that computed it. PMI doc

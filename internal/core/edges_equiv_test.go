@@ -167,7 +167,7 @@ func pairSimViews(r *rand.Rand, cols int) []*TableView {
 			}
 			tb.BodyRows = append(tb.BodyRows, br)
 		}
-		views = append(views, NewTableView(tb, DefaultParams(), constStats{}, in))
+		views = append(views, NewTableView(tb, DefaultParams(), in))
 	}
 	return views
 }

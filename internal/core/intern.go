@@ -10,12 +10,14 @@ import (
 // over sorted slices instead of map probes over strings. IDs are only
 // meaningful within one interner: two TableViews may be compared by
 // ContentSim/HeaderSim only when both were built against the same
-// interner. ViewCache owns one per engine; Builder.Build creates a
-// build-local one when it runs cacheless.
+// interner. ViewCache owns one for the engine's lifetime; Builder.Build
+// creates a build-local one when it runs cacheless.
 //
 // Interning is concurrency-safe (views are analyzed from a worker pool)
-// and append-only: the table grows with the vocabulary it sees and is
-// never evicted, which is bounded by the corpus for engine-driven use.
+// and append-only: the table grows with the vocabulary of every table it
+// has analyzed and is never evicted. Ingest and merge only ever add
+// tables, so for engine-driven use it is bounded by the corpus; once
+// tables can be deleted, the interner needs a bound of its own.
 type Interner struct {
 	mu  sync.RWMutex
 	ids map[string]uint32
@@ -42,6 +44,24 @@ func (in *Interner) Intern(s string) uint32 {
 		in.ids[s] = id
 	}
 	in.mu.Unlock()
+	return id
+}
+
+// noID is the ID Lookup reports for a string the interner has never
+// seen. Interning assigns IDs densely from zero, so no string ever gets
+// it, and a search for it in a view's sorted ID set always misses.
+const noID = ^uint32(0)
+
+// Lookup returns the ID of s without interning it: noID when s has never
+// been interned. Query tokens are resolved this way, so arbitrary query
+// text cannot grow the engine-lifetime symbol table.
+func (in *Interner) Lookup(s string) uint32 {
+	in.mu.RLock()
+	id, ok := in.ids[s]
+	in.mu.RUnlock()
+	if !ok {
+		return noID
+	}
 	return id
 }
 

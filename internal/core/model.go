@@ -92,9 +92,9 @@ type Builder struct {
 // interning into the cache's symbol table or the build-local one.
 func (b *Builder) viewFor(t *wtable.Table, in *Interner) *TableView {
 	if b.Views != nil {
-		return b.Views.view(t, b.Params, b.Stats)
+		return b.Views.view(t, b.Params)
 	}
-	return NewTableView(t, b.Params, b.Stats, in)
+	return NewTableView(t, b.Params, in)
 }
 
 // Build assembles the full graphical model with a private scratch arena:
@@ -219,12 +219,22 @@ func (m *Model) addTables(b *Builder, added []*wtable.Table, s *BuildScratch) {
 	slots := s.workers
 	parallelForWorkers(len(added), workers, func(w, i int) {
 		ti := n0 + i
+		sc := &slots[w]
 		v := b.viewFor(added[i], s.in)
 		m.Views[ti] = v
+		// The view carries no corpus statistics: weigh its header under
+		// this build's, and resolve the query tokens in its interner. The
+		// view is fully built, so every token it holds is interned already.
+		sc.hdr.weigh(v, b.Stats)
+		sc.qids = slicex.Grow(sc.qids, q)
+		for ell := range m.Q {
+			sc.qids[ell] = slicex.Grow(sc.qids[ell], len(m.Q[ell].Tokens))
+			v.lookupIDs(m.Q[ell].Tokens, sc.qids[ell])
+		}
 		feats := m.Feats[ti]
 		for c := 0; c < v.NumCols; c++ {
 			for ell := 0; ell < q; ell++ {
-				seg, cov := segScores(&m.Q[ell], v, c, p)
+				seg, cov := segScores(&m.Q[ell], sc.qids[ell], v, &sc.hdr, c, p)
 				f := Features{SegSim: seg, Cover: cov}
 				if p.UsePMI && b.PMI != nil {
 					f.PMI2 = pmi2(s.hDocs[ell], v, c, b.PMI, p)

@@ -30,10 +30,11 @@ func PartMatches(qc *QueryColumn, v *TableView, c int) PartMatchReport {
 		return rep
 	}
 	for _, w := range qc.Tokens {
-		if v.TitleSet[w] {
+		id := v.in.Lookup(w)
+		if v.inTitle(id) {
 			rep.Parts[0] = true
 		}
-		if v.ContextScore[w] > 0 {
+		if v.contextScore(id) > 0 {
 			rep.Parts[1] = true
 		}
 		for r := 0; r < v.HeaderRowCount(); r++ {
@@ -44,7 +45,7 @@ func PartMatches(qc *QueryColumn, v *TableView, c int) PartMatchReport {
 				rep.Parts[3] = true
 			}
 		}
-		if v.FreqBody[w] {
+		if v.inFreqBody(id) {
 			rep.Parts[4] = true
 		}
 	}

@@ -55,10 +55,10 @@ func TestSegScoresBoundedQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tb := randTable(r)
-		v := NewTableView(tb, p, constStats{}, nil)
+		v := NewTableView(tb, p, nil)
 		qc := AnalyzeQuery([]string{phraseFrom(r, 1+r.Intn(3))}, constStats{})
 		for c := 0; c < v.NumCols; c++ {
-			seg, cov := segScores(&qc[0], v, c, p)
+			seg, cov := scores(&qc[0], v, c, p)
 			if seg < 0 || seg > 1+1e-9 || cov < 0 || cov > 1+1e-9 {
 				return false
 			}
@@ -86,14 +86,14 @@ func TestCoverMonotoneInHeaderQuick(t *testing.T) {
 			return true
 		}
 		c := r.Intn(tb.NumCols())
-		v1 := NewTableView(tb, p, constStats{}, nil)
-		_, cov1 := segScores(&qc[0], v1, c, p)
+		v1 := NewTableView(tb, p, nil)
+		_, cov1 := scores(&qc[0], v1, c, p)
 
 		// Append a query word to the header of column c.
 		queryWord := strings.Fields(query)[0]
 		tb.HeaderRows[0].Cells[c].Text += " " + queryWord
-		v2 := NewTableView(tb, p, constStats{}, nil)
-		_, cov2 := segScores(&qc[0], v2, c, p)
+		v2 := NewTableView(tb, p, nil)
+		_, cov2 := scores(&qc[0], v2, c, p)
 		return cov2 >= cov1-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -108,10 +108,10 @@ func TestUnsegmentedNeverExceedsOneQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tb := randTable(r)
-		v := NewTableView(tb, p, constStats{}, nil)
+		v := NewTableView(tb, p, nil)
 		qc := AnalyzeQuery([]string{phraseFrom(r, 1+r.Intn(3))}, constStats{})
 		for c := 0; c < v.NumCols; c++ {
-			seg, cov := segScores(&qc[0], v, c, p)
+			seg, cov := scores(&qc[0], v, c, p)
 			if seg < 0 || seg > 1+1e-9 || cov < 0 || cov > 1+1e-9 {
 				return false
 			}
@@ -213,11 +213,11 @@ func TestPartMatchesConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tb := randTable(r)
-		v := NewTableView(tb, p, constStats{}, nil)
+		v := NewTableView(tb, p, nil)
 		qc := AnalyzeQuery([]string{phraseFrom(r, 2)}, constStats{})
 		for c := 0; c < v.NumCols; c++ {
 			rep := PartMatches(&qc[0], v, c)
-			seg, _ := segScores(&qc[0], v, c, p)
+			seg, _ := scores(&qc[0], v, c, p)
 			if !rep.AnyInSim && seg > 0 {
 				return false // SegSim requires a header pin
 			}

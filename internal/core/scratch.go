@@ -64,13 +64,17 @@ type BuildScratch struct {
 	edges    []Edge
 }
 
-// workerScratch is one worker's assignment-solver state: the workspace
-// plus the output grid of the stage-1 max-marginal solves of §4.2, the
-// arena of the surviving column pairs of every table pair the worker
-// computes in one edge pass (reset per pass), and the matching cells of
-// the current pair. Everything else is fully overwritten per table or per
-// pair.
+// workerScratch is one worker's build state: the header weights of its
+// current table under the build's statistics and the query tokens' IDs in
+// that table's interner (the per-build inputs of segScores), the
+// assignment-solver workspace plus the output grid of the stage-1
+// max-marginal solves of §4.2, the arena of the surviving column pairs of
+// every table pair the worker computes in one edge pass (reset per pass),
+// and the matching cells of the current pair. Everything else is fully
+// overwritten per table or per pair.
 type workerScratch struct {
+	hdr   headerWeights
+	qids  [][]uint32 // per query column: its tokens' IDs
 	ws    graph.Workspace
 	out   [][]float64
 	outB  []float64

@@ -1,6 +1,11 @@
 package core
 
-import "math"
+import (
+	"math"
+	"slices"
+
+	"wwt/internal/slicex"
+)
 
 // This file implements the paper's central similarity machinery (§3.2.1,
 // §3.2.2): the two-part segmented similarity SegSim of Eq. 1 and the
@@ -12,27 +17,83 @@ import "math"
 // B — each with its own reliability p_i. A token matching several parts
 // scores the soft-max 1 - Π(1 - p_i).
 
+// headerWeights is the per-build half of a view's header analysis: the
+// TF-IDF weight of every header token within its cell and every header
+// cell's L2 norm, under the build's corpus statistics — the only corpus
+// statistics a table's analysis reads (inSim's cosine, §3.2.1). Keeping
+// them out of the view is what lets one cached view serve every
+// generation. A build computes them per table into its worker slot, so a
+// warm slot weighs a table without allocating.
+type headerWeights struct {
+	w    []float64 // w[i]: the weight of hdrToks[i]'s token in its cell
+	norm []float64 // norm[r*NumCols+c]: L2 norm of header cell (r, c)
+}
+
+// weigh fills hw for view v under stats. A token's weight is its IDF
+// added once per occurrence in the cell, and a cell's norm sums the
+// squared weights in first-occurrence order: the same additions in the
+// same order as a per-cell TF-IDF map built token by token, so every
+// float is bit-identical to it (FuzzHeaderWeights keeps that map as the
+// oracle).
+func (hw *headerWeights) weigh(v *TableView, stats CorpusStats) {
+	hw.w = slicex.Grow(hw.w, len(v.hdrToks))
+	hw.norm = slicex.Grow(hw.norm, len(v.hdrOff)-1)
+	for cell := range hw.norm {
+		lo, hi := int(v.hdrOff[cell]), int(v.hdrOff[cell+1])
+		toks := v.hdrToks[lo:hi]
+		var n2 float64
+		for i, w := range toks {
+			if j := slices.Index(toks[:i], w); j >= 0 {
+				hw.w[lo+i] = hw.w[lo+j]
+				continue
+			}
+			idf := stats.IDF(w)
+			var x float64
+			for _, u := range toks[i:] {
+				if u == w {
+					x += idf
+				}
+			}
+			hw.w[lo+i] = x
+			n2 += x * x
+		}
+		hw.norm[cell] = sqrt(n2)
+	}
+}
+
+// weight returns the weight of token w in header cell (r, c), and
+// whether the cell holds w.
+func (hw *headerWeights) weight(v *TableView, r, c int, w string) (float64, bool) {
+	lo, hi := v.headerSpan(r, c)
+	if i := slices.Index(v.hdrToks[lo:hi], w); i >= 0 {
+		return hw.w[lo+i], true
+	}
+	return 0, false
+}
+
 // segScores returns SegSim and Cover for query column qc against column c
-// of view v. Both maximize over header rows and over all prefix/suffix
-// segmentations with either part pinned to the header (the pinned part
-// must share a token with the header row). Headerless tables score zero —
-// table-level matches must not count for unspecific columns.
-func segScores(qc *QueryColumn, v *TableView, c int, p Params) (segSim, cover float64) {
+// of view v. ids are qc's token IDs in v's interner (lookupIDs) and hw
+// the view's header weights under the build's statistics. Both maximize
+// over header rows and over all prefix/suffix segmentations with either
+// part pinned to the header (the pinned part must share a token with the
+// header row). Headerless tables score zero — table-level matches must
+// not count for unspecific columns.
+func segScores(qc *QueryColumn, ids []uint32, v *TableView, hw *headerWeights, c int, p Params) (segSim, cover float64) {
 	m := len(qc.Tokens)
 	if m == 0 || qc.NormSq == 0 || v.HeaderRowCount() == 0 || c >= v.NumCols {
 		return 0, 0
 	}
 	if p.Unsegmented {
-		return unsegScores(qc, v, c)
+		return unsegScores(qc, v, hw, c)
 	}
 	for r := 0; r < v.HeaderRowCount(); r++ {
 		// prefix sums of TI² let every split be O(1) plus the part scans.
 		for k := 0; k <= m; k++ {
 			// Orientation A: P = tokens[0:k] pinned to header, S = rest out.
 			if k > 0 && intersectsHeader(qc.Tokens[:k], v, r, c) {
-				in := inSimCosine(qc, 0, k, v, r, c)
+				in := inSimCosine(qc, 0, k, v, hw, r, c)
 				inCov := inSimCover(qc, 0, k, v, r, c)
-				out := outSim(qc, k, m, v, r, c, p)
+				out := outSim(qc, ids, k, m, v, r, c, p)
 				wIn := mass(qc, 0, k) / qc.NormSq
 				wOut := mass(qc, k, m) / qc.NormSq
 				if s := wIn*in + wOut*out; s > segSim {
@@ -44,9 +105,9 @@ func segScores(qc *QueryColumn, v *TableView, c int, p Params) (segSim, cover fl
 			}
 			// Orientation B: S = tokens[k:m] pinned to header, P = rest out.
 			if k < m && intersectsHeader(qc.Tokens[k:], v, r, c) {
-				in := inSimCosine(qc, k, m, v, r, c)
+				in := inSimCosine(qc, k, m, v, hw, r, c)
 				inCov := inSimCover(qc, k, m, v, r, c)
-				out := outSim(qc, 0, k, v, r, c, p)
+				out := outSim(qc, ids, 0, k, v, r, c, p)
 				wIn := mass(qc, k, m) / qc.NormSq
 				wOut := mass(qc, 0, k) / qc.NormSq
 				if s := wIn*in + wOut*out; s > segSim {
@@ -64,58 +125,48 @@ func segScores(qc *QueryColumn, v *TableView, c int, p Params) (segSim, cover fl
 // unsegScores is the §5.2 unsegmented comparison model: the whole query is
 // matched against the column's concatenated header rows with a plain
 // TF-IDF cosine (and coverage fraction); no segmentation, no outSim.
-func unsegScores(qc *QueryColumn, v *TableView, c int) (float64, float64) {
-	// All sums below run in deterministic first-occurrence order (header
-	// rows ascending, tokens in cell order; query tokens in query order),
-	// never map order, so repeated builds are bit-identical.
-	vec := make(map[string]float64)
-	var order []string
+//
+// The header vector of the concatenation gives each distinct token the
+// sum of its per-row cell weights (unsegWeight). Every sum runs in
+// deterministic first-occurrence order (header rows ascending, tokens in
+// cell order; query tokens in query order), so repeated builds are
+// bit-identical; the linear scans over the few header tokens keep the
+// comparison allocation-free.
+func unsegScores(qc *QueryColumn, v *TableView, hw *headerWeights, c int) (float64, float64) {
+	var hn2, dot, covered float64
+	empty := true
 	for r := 0; r < v.HeaderRowCount(); r++ {
-		hv := v.headerVec[r][c]
-		toks := v.HeaderTokens[r][c]
+		toks := v.headerCell(r, c)
 		for i, w := range toks {
-			first := true
-			for j := 0; j < i; j++ {
-				if toks[j] == w {
-					first = false
-					break
-				}
-			}
-			if !first {
+			if slices.Contains(toks[:i], w) || inEarlierRow(v, r, c, w) {
 				continue
 			}
-			if _, seen := vec[w]; !seen {
-				order = append(order, w)
-			}
-			vec[w] += hv[w]
+			empty = false
+			x, _ := unsegWeight(v, hw, c, w)
+			hn2 += x * x
 		}
 	}
-	if len(vec) == 0 {
+	if empty {
 		return 0, 0
 	}
-	var hn2, dot, covered float64
-	for _, w := range order {
-		x := vec[w]
-		hn2 += x * x
-	}
-	qvec := make(map[string]float64, len(qc.Tokens))
-	for i, w := range qc.Tokens {
-		qvec[w] += mathSqrt(qc.TI2[i])
-	}
 	var qn2 float64
-	for _, w := range qc.Tokens {
-		x, ok := qvec[w]
-		if !ok {
+	for i, w := range qc.Tokens {
+		if slices.Contains(qc.Tokens[:i], w) {
 			continue
 		}
-		delete(qvec, w)
+		var x float64
+		for j := i; j < len(qc.Tokens); j++ {
+			if qc.Tokens[j] == w {
+				x += mathSqrt(qc.TI2[j])
+			}
+		}
 		qn2 += x * x
-		if y, ok := vec[w]; ok {
+		if y, ok := unsegWeight(v, hw, c, w); ok {
 			dot += x * y
 		}
 	}
 	for i, w := range qc.Tokens {
-		if _, ok := vec[w]; ok {
+		if _, ok := unsegWeight(v, hw, c, w); ok {
 			covered += qc.TI2[i]
 		}
 	}
@@ -123,6 +174,30 @@ func unsegScores(qc *QueryColumn, v *TableView, c int) (float64, float64) {
 		return 0, 0
 	}
 	return dot / (mathSqrt(qn2) * mathSqrt(hn2)), covered / qc.NormSq
+}
+
+// unsegWeight returns the weight of w in the concatenated header rows of
+// column c — its cell weights summed in row order — and whether any row
+// holds it.
+func unsegWeight(v *TableView, hw *headerWeights, c int, w string) (x float64, ok bool) {
+	for r := 0; r < v.HeaderRowCount(); r++ {
+		if y, in := hw.weight(v, r, c, w); in {
+			x += y
+			ok = true
+		}
+	}
+	return x, ok
+}
+
+// inEarlierRow reports whether w occurs in column c of a header row
+// above r.
+func inEarlierRow(v *TableView, r, c int, w string) bool {
+	for rr := 0; rr < r; rr++ {
+		if slices.Contains(v.headerCell(rr, c), w) {
+			return true
+		}
+	}
+	return false
 }
 
 func mathSqrt(x float64) float64 { return math.Sqrt(x) }
@@ -146,33 +221,32 @@ func intersectsHeader(tokens []string, v *TableView, r, c int) bool {
 }
 
 // inSimCosine is the TF-IDF cosine between the pinned query part
-// tokens[a:b] and header row r of column c, using the header vectors
-// precomputed in the view.
-func inSimCosine(qc *QueryColumn, a, b int, v *TableView, r, c int) float64 {
-	hvec := v.headerVec[r][c]
-	hnorm := v.headerNorm[r][c]
-	if len(hvec) == 0 || hnorm == 0 || a >= b {
+// tokens[a:b] and header row r of column c, under the build's header
+// weights hw.
+func inSimCosine(qc *QueryColumn, a, b int, v *TableView, hw *headerWeights, r, c int) float64 {
+	lo, hi := v.headerSpan(r, c)
+	hnorm := hw.norm[r*v.NumCols+c]
+	if lo == hi || hnorm == 0 || a >= b {
 		return 0
 	}
-	// Query-part vector: TI(w) per occurrence.
-	qvec := make(map[string]float64, b-a)
-	for i := a; i < b; i++ {
-		qvec[qc.Tokens[i]] += math.Sqrt(qc.TI2[i])
-	}
-	// Accumulate in first-occurrence token order (consuming qvec entries as
-	// they are visited), NOT map order: feature extraction must be
-	// bit-deterministic so repeated builds — pooled-arena vs fresh — sum
-	// identically.
+	// Query-part vector: TI(w) per occurrence, summed in occurrence order.
+	// Accumulate in first-occurrence token order, never map order: feature
+	// extraction must be bit-deterministic so repeated builds — pooled
+	// arena vs fresh — sum identically.
 	var dot, qn2 float64
 	for i := a; i < b; i++ {
 		w := qc.Tokens[i]
-		x, ok := qvec[w]
-		if !ok {
+		if slices.Contains(qc.Tokens[a:i], w) {
 			continue
 		}
-		delete(qvec, w)
+		var x float64
+		for j := i; j < b; j++ {
+			if qc.Tokens[j] == w {
+				x += math.Sqrt(qc.TI2[j])
+			}
+		}
 		qn2 += x * x
-		if y, ok := hvec[w]; ok {
+		if y, ok := hw.weight(v, r, c, w); ok {
 			dot += x * y
 		}
 	}
@@ -199,20 +273,21 @@ func inSimCover(qc *QueryColumn, a, b int, v *TableView, r, c int) float64 {
 }
 
 // outSim scores the unpinned query part tokens[a:b] against the five
-// outside parts with soft-maxed reliabilities (§3.2.1).
-func outSim(qc *QueryColumn, a, b int, v *TableView, r, c int, p Params) float64 {
+// outside parts with soft-maxed reliabilities (§3.2.1). ids are the query
+// tokens' IDs in the view's interner.
+func outSim(qc *QueryColumn, ids []uint32, a, b int, v *TableView, r, c int, p Params) float64 {
 	norm := mass(qc, a, b)
 	if norm == 0 {
 		return 0
 	}
 	var sum float64
 	for i := a; i < b; i++ {
-		w := qc.Tokens[i]
+		w, id := qc.Tokens[i], ids[i]
 		miss := 1.0
-		if v.TitleSet[w] {
+		if v.inTitle(id) {
 			miss *= 1 - p.RelTitle
 		}
-		if cs := v.ContextScore[w]; cs > 0 {
+		if cs := v.contextScore(id); cs > 0 {
 			// Snippet scores modulate the context reliability (§2.1.2).
 			miss *= 1 - p.RelContext*cs
 		}
@@ -222,7 +297,7 @@ func outSim(qc *QueryColumn, a, b int, v *TableView, r, c int, p Params) float64
 		if v.otherHeaderColsHave(r, c, w) {
 			miss *= 1 - p.RelOtherHeaderCol
 		}
-		if v.FreqBody[w] {
+		if v.inFreqBody(id) {
 			miss *= 1 - p.RelBody
 		}
 		sum += qc.TI2[i] / norm * (1 - miss)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"strings"
 
 	"wwt/internal/text"
@@ -37,92 +39,79 @@ func AnalyzeQuery(cols []string, stats CorpusStats) []QueryColumn {
 // TableView caches every piece of analyzed text the features touch, so
 // that feature computation stays pure and allocation-light.
 //
-// The ID-based column sets (ColCellIDs, HeaderIDs) are interned: two views
-// may be compared by ContentSim/HeaderSim only when both were built
-// against the same Interner (ViewCache and Builder.Build guarantee this
-// for every view inside one model).
+// A view is a pure function of the table text and the view-affecting
+// params (FreqTokenMinFrac/FreqTokenMinCount): it holds no corpus
+// statistics. The one place they enter a table's analysis, the TF-IDF
+// cosine of inSim, reads header weights each build computes under its own
+// statistics (headerWeights), so a cached view stays valid across every
+// generation of a live engine.
+//
+// Every ID-based set (ColCellIDs, HeaderIDs and the title, context and
+// frequent-body token sets) is interned: two views may be compared by
+// ContentSim/HeaderSim only when both were built against the same
+// Interner (ViewCache and Builder.Build guarantee this for every view
+// inside one model), and a query token is looked up in the view's
+// interner before it is matched against the token sets.
 type TableView struct {
 	Table   *wtable.Table
 	NumCols int
 
-	// HeaderTokens[r][c]: normalized tokens of header row r, column c.
-	HeaderTokens [][][]string
-	// headerSet[r][c]: membership set of HeaderTokens[r][c].
-	headerSet [][]map[string]bool
-	// headerVec[r][c]: TF-IDF vector of the header cell; headerNorm its L2
-	// norm (for inSim cosines).
-	headerVec  [][]map[string]float64
-	headerNorm [][]float64
+	// in is the symbol table every ID of the view belongs to.
+	in *Interner
 
-	TitleSet map[string]bool // title rows + caption
-	// ContextScore maps each context token to the best score of a snippet
-	// containing it (§2.1.2 attaches snippet scores exactly for this use):
-	// page titles carry 1.0; buried or trailing snippets carry less, so a
-	// stray mention far from the table cannot ride outSim at full
-	// reliability.
-	ContextScore map[string]float64
-	FreqBody     map[string]bool // tokens frequent in some column (B part)
+	// hdrToks holds the normalized tokens of every header cell, flat in
+	// (header row, column, token) order: cell (r, c) is
+	// hdrToks[hdrOff[r*NumCols+c]:hdrOff[r*NumCols+c+1]].
+	hdrToks []string
+	hdrOff  []int32
+
+	// titleIDs: sorted IDs of the title-row and caption tokens.
+	titleIDs []uint32
+	// ctxIDs: sorted IDs of the context tokens; ctxScore, aligned with
+	// it, the best score of a snippet containing each (§2.1.2 attaches
+	// snippet scores exactly for this use): page titles carry 1.0; buried
+	// or trailing snippets carry less, so a stray mention far from the
+	// table cannot ride outSim at full reliability.
+	ctxIDs   []uint32
+	ctxScore []float64
+	// freqIDs: sorted IDs of the tokens frequent in some column (the B
+	// part of outSim).
+	freqIDs []uint32
 
 	// ColCellIDs[c]: sorted interned IDs of the normalized whole-cell
 	// strings of column c (drives content-overlap similarity).
 	ColCellIDs [][]uint32
-	// ColTokens[c]: all normalized body tokens of column c.
-	ColTokens [][]string
-	// HeaderConcat[c]: all header tokens of column c, rows concatenated.
-	HeaderConcat [][]string
-	// HeaderIDs[c]: sorted interned IDs of the unique tokens of
-	// HeaderConcat[c] (drives header similarity).
+	// HeaderIDs[c]: sorted interned IDs of the unique header tokens of
+	// column c over all header rows (drives header similarity).
 	HeaderIDs [][]uint32
 }
 
-// NewTableView analyzes a table once against the corpus statistics,
-// interning cell strings and header tokens into in. A nil interner gets a
-// private one — safe only when the view is never compared against another
-// view (cross-view similarities require a shared interner).
-func NewTableView(t *wtable.Table, p Params, stats CorpusStats, in *Interner) *TableView {
+// NewTableView analyzes a table once, interning cell strings and tokens
+// into in. A nil interner gets a private one — safe only when the view is
+// never compared against another view (cross-view similarities require a
+// shared interner).
+func NewTableView(t *wtable.Table, p Params, in *Interner) *TableView {
 	if in == nil {
 		in = NewInterner()
 	}
-	v := &TableView{Table: t, NumCols: t.NumCols()}
-	h := len(t.HeaderRows)
-	v.HeaderTokens = make([][][]string, h)
-	v.headerSet = make([][]map[string]bool, h)
-	v.headerVec = make([][]map[string]float64, h)
-	v.headerNorm = make([][]float64, h)
-	for r := 0; r < h; r++ {
-		v.HeaderTokens[r] = make([][]string, v.NumCols)
-		v.headerSet[r] = make([]map[string]bool, v.NumCols)
-		v.headerVec[r] = make([]map[string]float64, v.NumCols)
-		v.headerNorm[r] = make([]float64, v.NumCols)
-		for c := 0; c < v.NumCols; c++ {
-			toks := text.Normalize(t.Header(r, c))
-			v.HeaderTokens[r][c] = toks
-			v.headerSet[r][c] = toSet(toks)
-			vec := make(map[string]float64, len(toks))
-			for _, w := range toks {
-				vec[w] += stats.IDF(w)
-			}
-			// Sum the norm in first-occurrence token order, not map order:
-			// float addition is order-sensitive and header norms feed the
-			// bit-deterministic model build.
-			var n2 float64
-			seen := make(map[string]bool, len(vec))
-			for _, w := range toks {
-				if seen[w] {
-					continue
-				}
-				seen[w] = true
-				x := vec[w]
-				n2 += x * x
-			}
-			v.headerVec[r][c] = vec
-			v.headerNorm[r][c] = sqrt(n2)
-		}
+	v := &TableView{Table: t, NumCols: t.NumCols(), in: in}
+	cells := make([][]string, len(t.HeaderRows)*v.NumCols)
+	n := 0
+	for i := range cells {
+		cells[i] = text.Normalize(t.Header(i/v.NumCols, i%v.NumCols))
+		n += len(cells[i])
 	}
-	v.TitleSet = toSet(text.Normalize(t.TitleText()))
-	v.ContextScore = make(map[string]float64)
+	v.hdrToks = make([]string, 0, n)
+	v.hdrOff = make([]int32, len(cells)+1)
+	for i, toks := range cells {
+		v.hdrToks = append(v.hdrToks, toks...)
+		v.hdrOff[i+1] = int32(len(v.hdrToks))
+	}
+	v.titleIDs = internSet(in, text.Normalize(t.TitleText()))
+
+	ctx := make(map[string]float64)
 	for _, w := range text.Normalize(t.PageTitle) {
-		v.ContextScore[w] = 1.0
+		ctx[w] = 1.0
 	}
 	for _, s := range t.Context {
 		score := s.Score
@@ -133,29 +122,39 @@ func NewTableView(t *wtable.Table, p Params, stats CorpusStats, in *Interner) *T
 			score = 0
 		}
 		for _, w := range text.Normalize(s.Text) {
-			if score > v.ContextScore[w] {
-				v.ContextScore[w] = score
+			if score > ctx[w] {
+				ctx[w] = score
 			}
 		}
 	}
+	type scored struct {
+		id    uint32
+		score float64
+	}
+	byID := make([]scored, 0, len(ctx))
+	for w, score := range ctx {
+		byID = append(byID, scored{in.Intern(w), score})
+	}
+	slices.SortFunc(byID, func(a, b scored) int { return cmp.Compare(a.id, b.id) })
+	v.ctxIDs = make([]uint32, len(byID))
+	v.ctxScore = make([]float64, len(byID))
+	for i, e := range byID {
+		v.ctxIDs[i], v.ctxScore[i] = e.id, e.score
+	}
 
 	v.ColCellIDs = make([][]uint32, v.NumCols)
-	v.ColTokens = make([][]string, v.NumCols)
-	v.HeaderConcat = make([][]string, v.NumCols)
 	v.HeaderIDs = make([][]uint32, v.NumCols)
-	v.FreqBody = make(map[string]bool)
+	var freq []uint32
 	rows := len(t.BodyRows)
 	for c := 0; c < v.NumCols; c++ {
 		cellIDs := make([]uint32, 0, rows)
 		counts := make(map[string]int)
-		var colToks []string
 		for r := 0; r < rows; r++ {
 			cell := t.Body(r, c)
 			if cell == "" {
 				continue
 			}
 			toks := text.Normalize(cell)
-			colToks = append(colToks, toks...)
 			if key := strings.Join(toks, " "); key != "" {
 				cellIDs = append(cellIDs, in.Intern(key))
 			}
@@ -168,43 +167,63 @@ func NewTableView(t *wtable.Table, p Params, stats CorpusStats, in *Interner) *T
 			}
 		}
 		v.ColCellIDs[c] = sortedIDSet(cellIDs)
-		v.ColTokens[c] = colToks
-		for r := 0; r < len(v.HeaderTokens); r++ {
-			v.HeaderConcat[c] = append(v.HeaderConcat[c], v.HeaderTokens[r][c]...)
-		}
-		hids := make([]uint32, 0, len(v.HeaderConcat[c]))
-		for _, w := range v.HeaderConcat[c] {
-			hids = append(hids, in.Intern(w))
+		var hids []uint32
+		for r := range t.HeaderRows {
+			for _, w := range v.headerCell(r, c) {
+				hids = append(hids, in.Intern(w))
+			}
 		}
 		v.HeaderIDs[c] = sortedIDSet(hids)
 		// Frequent tokens of this column feed the B part of outSim.
 		if rows > 0 {
 			for w, n := range counts {
 				if n >= p.FreqTokenMinCount && float64(n) >= p.FreqTokenMinFrac*float64(rows) {
-					v.FreqBody[w] = true
+					freq = append(freq, in.Intern(w))
 				}
 			}
 		}
 	}
+	v.freqIDs = sortedIDSet(freq)
 	return v
 }
 
+// internSet interns every token and returns the sorted ID set.
+func internSet(in *Interner, toks []string) []uint32 {
+	ids := make([]uint32, len(toks))
+	for i, w := range toks {
+		ids[i] = in.Intern(w)
+	}
+	return sortedIDSet(ids)
+}
+
 // HeaderRowCount returns the number of header rows.
-func (v *TableView) HeaderRowCount() int { return len(v.HeaderTokens) }
+func (v *TableView) HeaderRowCount() int { return len(v.Table.HeaderRows) }
+
+// headerSpan returns the bounds of header cell (r, c) in hdrToks.
+func (v *TableView) headerSpan(r, c int) (lo, hi int) {
+	i := r*v.NumCols + c
+	return int(v.hdrOff[i]), int(v.hdrOff[i+1])
+}
+
+// headerCell returns the normalized tokens of header row r, column c.
+func (v *TableView) headerCell(r, c int) []string {
+	lo, hi := v.headerSpan(r, c)
+	return v.hdrToks[lo:hi:hi]
+}
 
 // headerHas reports whether token w occurs in header row r, column c.
 func (v *TableView) headerHas(r, c int, w string) bool {
-	if r < 0 || r >= len(v.headerSet) || c < 0 || c >= len(v.headerSet[r]) {
+	if r < 0 || r >= v.HeaderRowCount() || c < 0 || c >= v.NumCols {
 		return false
 	}
-	return v.headerSet[r][c][w]
+	return slices.Contains(v.headerCell(r, c), w)
 }
 
 // otherHeaderRowsHave reports whether w appears in column c in a header
 // row other than r (the Hc part of outSim).
 func (v *TableView) otherHeaderRowsHave(r, c int, w string) bool {
-	for rr := 0; rr < len(v.headerSet); rr++ {
-		if rr != r && v.headerSet[rr][c][w] {
+	for rr := 0; rr < v.HeaderRowCount(); rr++ {
+		if rr != r && slices.Contains(v.headerCell(rr, c), w) {
 			return true
 		}
 	}
@@ -214,15 +233,45 @@ func (v *TableView) otherHeaderRowsHave(r, c int, w string) bool {
 // otherHeaderColsHave reports whether w appears in header row r in a
 // column other than c (the Hr part of outSim).
 func (v *TableView) otherHeaderColsHave(r, c int, w string) bool {
-	if r < 0 || r >= len(v.headerSet) {
+	if r < 0 || r >= v.HeaderRowCount() {
 		return false
 	}
-	for cc := 0; cc < len(v.headerSet[r]); cc++ {
-		if cc != c && v.headerSet[r][cc][w] {
+	for cc := 0; cc < v.NumCols; cc++ {
+		if cc != c && slices.Contains(v.headerCell(r, cc), w) {
 			return true
 		}
 	}
 	return false
+}
+
+// inTitle reports whether the token with ID id occurs in the title part.
+func (v *TableView) inTitle(id uint32) bool {
+	_, ok := slices.BinarySearch(v.titleIDs, id)
+	return ok
+}
+
+// contextScore returns the context score of the token with ID id, 0 when
+// no snippet contains it.
+func (v *TableView) contextScore(id uint32) float64 {
+	if i, ok := slices.BinarySearch(v.ctxIDs, id); ok {
+		return v.ctxScore[i]
+	}
+	return 0
+}
+
+// inFreqBody reports whether the token with ID id is frequent in some
+// column.
+func (v *TableView) inFreqBody(id uint32) bool {
+	_, ok := slices.BinarySearch(v.freqIDs, id)
+	return ok
+}
+
+// lookupIDs writes the IDs of toks in the view's interner into ids (same
+// length), noID for a token no view has interned.
+func (v *TableView) lookupIDs(toks []string, ids []uint32) {
+	for i, w := range toks {
+		ids[i] = v.in.Lookup(w)
+	}
 }
 
 // ContentSim is the content-overlap similarity between two columns: the
@@ -238,14 +287,6 @@ func ContentSim(a, b *TableView, ca, cb int) float64 {
 // one Interner.
 func HeaderSim(a, b *TableView, ca, cb int) float64 {
 	return jaccardSortedIDs(a.HeaderIDs[ca], b.HeaderIDs[cb])
-}
-
-func toSet(toks []string) map[string]bool {
-	s := make(map[string]bool, len(toks))
-	for _, t := range toks {
-		s[t] = true
-	}
-	return s
 }
 
 func sqrt(x float64) float64 {

@@ -9,18 +9,21 @@ import (
 
 // ViewCache memoizes TableView construction across queries, keyed by table
 // identity (pointer). Candidate sets overlap heavily between queries, and
-// a TableView only depends on the table text, the corpus statistics, and
-// the view-affecting params (FreqTokenMinFrac/FreqTokenMinCount) — all
-// fixed for the lifetime of an engine. Sharing a cache between builders
-// whose view-affecting params or stats differ is a caller bug. Keying by
+// a TableView depends only on the table text and the view-affecting params
+// (FreqTokenMinFrac/FreqTokenMinCount) — never on corpus statistics — so
+// one cache serves an engine for its whole lifetime, across every
+// generation swap: a table keeps its pointer from one generation's store
+// to the next, so its view is analyzed once. Sharing a cache between
+// builders whose view-affecting params differ is a caller bug. Keying by
 // pointer means a distinct table that merely reuses an ID can never be
 // served a stale view; it misses and is analyzed fresh.
 //
 // Cached views are immutable after construction and safe to share between
 // concurrent model builds. The cache is unbounded and pins its tables:
 // engine-driven queries bound it by the corpus (the store already holds
-// those tables), but callers streaming endless fresh tables through
-// Engine.MapColumns grow it with them.
+// those tables, and ingest and merge only add to it), but callers
+// streaming endless fresh tables through Engine.MapColumns grow it with
+// them.
 type ViewCache struct {
 	// in is the cache's symbol table: every view built through the cache
 	// interns into it, so any two cached views are mutually comparable by
@@ -56,7 +59,7 @@ func (vc *ViewCache) Len() int {
 }
 
 // view returns the cached view for t, building and storing it on a miss.
-func (vc *ViewCache) view(t *wtable.Table, p Params, stats CorpusStats) *TableView {
+func (vc *ViewCache) view(t *wtable.Table, p Params) *TableView {
 	vc.mu.RLock()
 	v, ok := vc.m[t]
 	vc.mu.RUnlock()
@@ -65,7 +68,7 @@ func (vc *ViewCache) view(t *wtable.Table, p Params, stats CorpusStats) *TableVi
 		return v
 	}
 	vc.misses.Add(1)
-	v = NewTableView(t, p, stats, vc.in)
+	v = NewTableView(t, p, vc.in)
 	vc.mu.Lock()
 	// A racing builder may have inserted first; keep one winner so every
 	// model in flight shares the same view instance.

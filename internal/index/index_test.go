@@ -229,3 +229,39 @@ func TestStoreOrderPreserved(t *testing.T) {
 		t.Errorf("order = %v", ids)
 	}
 }
+
+// TestStoreWith: With returns a new store holding the old tables (same
+// pointers, same order) followed by the added ones, leaves the source
+// untouched, and rejects an ID already stored or repeated in the batch.
+func TestStoreWith(t *testing.T) {
+	s := NewStore()
+	for _, id := range []string{"c", "a"} {
+		if err := s.Add(mkTable(id, nil, [][]string{{"x"}}, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := mkTable("b", nil, [][]string{{"y"}}, "")
+	s2, err := s.With([]*wtable.Table{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, tb := range s2.All() {
+		ids = append(ids, tb.ID)
+	}
+	if !reflect.DeepEqual(ids, []string{"c", "a", "b"}) {
+		t.Errorf("order = %v", ids)
+	}
+	if old, _ := s.Get("c"); old != s2.All()[0] {
+		t.Error("With copied a table instead of sharing its pointer")
+	}
+	if _, ok := s.Get("b"); ok || s.Len() != 2 {
+		t.Error("With modified its source store")
+	}
+	if _, err := s.With([]*wtable.Table{mkTable("a", nil, nil, "")}); err == nil {
+		t.Error("With accepted an ID already stored")
+	}
+	if _, err := s.With([]*wtable.Table{b, b}); err == nil {
+		t.Error("With accepted an ID repeated in the batch")
+	}
+}

@@ -6,7 +6,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"wwt/internal/wtable"
 )
@@ -68,6 +70,24 @@ func (s *Store) Add(t *wtable.Table) error {
 	s.byID[t.ID] = t
 	s.order = append(s.order, t.ID)
 	return nil
+}
+
+// With returns a new store holding s's tables followed by added, leaving
+// s untouched. The ID map is cloned wholesale and the order cloned once,
+// so the cost is a copy of s plus the adds — not a re-add of every table.
+// Errors are Add's: a table without an ID, or an ID already in s or
+// repeated inside added.
+func (s *Store) With(added []*wtable.Table) (*Store, error) {
+	out := &Store{
+		byID:  maps.Clone(s.byID),
+		order: slices.Grow(slices.Clone(s.order), len(added)),
+	}
+	for _, t := range added {
+		if err := out.Add(t); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Get returns the table with the given ID.

@@ -24,8 +24,9 @@
 //   - GET /metrics — Prometheus-style text: request/query counters, a
 //     live QPS window, cumulative per-stage latency, worker occupancy,
 //     hit/miss counters for the engine's two cross-query caches (table
-//     views, normalized cells), and the
-//     wwt_index_* / wwt_ingest_* gauges from the Backend's Info.
+//     views, normalized cells), the sizes of the view cache and its
+//     interner, and the wwt_index_* / wwt_ingest_* gauges from the
+//     Backend's Info.
 //
 // # Deadlines
 //

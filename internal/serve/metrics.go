@@ -146,6 +146,10 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 		fmt.Fprintf(&b, "wwt_cache_misses_total{cache=%q} %d\n", c.name, c.st.Misses)
 		fmt.Fprintf(&b, "wwt_cache_hit_rate{cache=%q} %.4f\n", c.name, c.st.HitRate())
 	}
+	// Sizes of the engine-lifetime view cache and its symbol table. Nothing
+	// evicts either, so both gauges only grow.
+	put("wwt_view_cache_entries", cache.ViewEntries)
+	put("wwt_interner_strings", cache.InternedStrings)
 	return b.String()
 }
 

@@ -404,6 +404,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`wwt_cache_hit_rate{cache="views"}`,
 		`wwt_cache_misses_total{cache="norm_cells"}`,
 		`wwt_cache_hits_total{cache="norm_cells"}`,
+		"wwt_view_cache_entries ",
+		"wwt_interner_strings ",
 		"wwt_plan_cost_error ",
 		"wwt_plan_calibrated ",
 		"wwt_plan_queue_drain_seconds ",

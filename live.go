@@ -20,11 +20,15 @@ import (
 // in-flight query — the retired generation's mappings close only when its
 // last query releases it.
 //
-// Per-generation state is rebuilt at each swap: views bake corpus IDF and
-// start fresh, and PMI² doc sets are read from the new searcher directly.
-// Everything engine-lifetime — the normalization cache, the cost
-// model's calibration, the arena pool and the probe counters — carries
-// across swaps untouched.
+// A swap migrates nothing: a generation is only its searcher and store,
+// and the new store holds the very table pointers the old one did.
+// Corpus statistics enter a table's analysis only through the header
+// weights each model build computes under its pinned generation, and PMI²
+// doc sets are read from that generation's searcher directly. Everything
+// engine-lifetime — the table-view cache and its interner, the
+// normalization cache, the cost model's calibration, the arena pool and
+// the probe counters — carries across swaps untouched, so only the
+// ingested tables are analyzed after a swap.
 
 // LiveEngine is the name of the live wrapper Engine absorbed. It survives
 // as an alias only because the benchmark's traced pass (bench/layers.go)
@@ -207,18 +211,9 @@ func (e *Engine) publishLocked(added []*wtable.Table) error {
 	}
 	st := old.store
 	if added != nil {
-		st = index.NewStore()
-		for _, t := range old.store.All() {
-			if err := st.Add(t); err != nil {
-				s.Close()
-				return err
-			}
-		}
-		for _, t := range added {
-			if err := st.Add(t); err != nil {
-				s.Close()
-				return err
-			}
+		if st, err = old.store.With(added); err != nil {
+			s.Close()
+			return err
 		}
 	}
 	e.cur.Store(newGeneration(s, st))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,7 +15,12 @@ import (
 	"time"
 
 	"wwt"
+	"wwt/internal/consolidate"
+	"wwt/internal/core"
+	"wwt/internal/corpusgen"
+	"wwt/internal/extract"
 	"wwt/internal/index"
+	"wwt/internal/workload"
 	"wwt/internal/wtable"
 )
 
@@ -446,4 +452,142 @@ func TestHotSwapConcurrent(t *testing.T) {
 	if reclaimed != retired+1 {
 		t.Fatalf("reclaimed = %d, want retired+1 = %d", reclaimed, retired+1)
 	}
+}
+
+// TestCarriedViewsMatchFreshOpen: table views are engine-lifetime and
+// carry no corpus statistics, so views built on early generations keep
+// serving after ingests and merges have moved the IDF under them. The
+// engine opens on 80% of the corpus, answers the workload, ingests the
+// rest in 8 batches answering the workload after each, and then — once
+// the merges settle — must answer exactly as a fresh engine over the same
+// directory: answer rows to the score bit, and every feature and stage-1
+// distribution of the model.
+func TestCarriedViewsMatchFreshOpen(t *testing.T) {
+	corpus := corpusgen.Generate(corpusgen.Config{Seed: 2012, Scale: 0.25})
+	tables := corpus.ExtractAll(extract.NewOptions())
+	var queries []wwt.Query
+	for _, q := range workload.FromCorpus(corpus) {
+		queries = append(queries, wwt.Query{Columns: q.Columns})
+	}
+	split := len(tables) * 8 / 10
+	base, err := wwt.NewEngine(tables[:split], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := index.WriteSharded(dir, base.Searcher(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {
+		t.Fatal(err)
+	}
+	base.Close()
+
+	le, err := wwt.OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer le.Close()
+	answerAll := func(e *wwt.Engine) []*wwt.Result {
+		out := make([]*wwt.Result, len(queries))
+		for i, q := range queries {
+			res, err := e.Answer(q)
+			if err != nil {
+				t.Fatalf("%v: %v", q.Columns, err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+	warm := func() {
+		for _, res := range answerAll(le) {
+			res.Release()
+		}
+	}
+	warm()
+	const batches = 8
+	rest := tables[split:]
+	for b := 0; b < batches; b++ {
+		if _, err := le.IngestTables(rest[b*len(rest)/batches : (b+1)*len(rest)/batches]); err != nil {
+			t.Fatal(err)
+		}
+		warm()
+	}
+	le.WaitMerges()
+	if _, _, _, merges := le.IngestCounts(); merges == 0 {
+		t.Fatal("no merge ran; the test must cover a merge swap")
+	}
+	if views := le.CacheStats().Views; views.Hits == 0 {
+		t.Fatal("no view was served from the cache")
+	}
+	got := answerAll(le)
+
+	fresh, err := wwt.OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want := answerAll(fresh)
+	for i, q := range queries {
+		g, w := got[i], want[i]
+		if !reflect.DeepEqual(tableIDs(g), tableIDs(w)) {
+			t.Fatalf("%v: candidate tables differ", q.Columns)
+		}
+		if !sameRows(g.Answer.Rows, w.Answer.Rows) {
+			t.Errorf("%v: answer rows differ", q.Columns)
+		}
+		if !sameBits(g.Model.Feats, w.Model.Feats, func(fs []core.Features) []float64 {
+			var out []float64
+			for _, f := range fs {
+				out = append(out, f.SegSim, f.Cover, f.PMI2)
+			}
+			return out
+		}) {
+			t.Errorf("%v: feats differ", q.Columns)
+		}
+		if !sameBits(g.Model.Dist, w.Model.Dist, func(d []float64) []float64 { return d }) {
+			t.Errorf("%v: dist differs", q.Columns)
+		}
+	}
+}
+
+// sameRows compares answer rows exactly, scores by bit pattern.
+func sameRows(a, b []consolidate.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) ||
+			a[i].Support != b[i].Support ||
+			!reflect.DeepEqual(a[i].Cells, b[i].Cells) ||
+			!reflect.DeepEqual(a[i].Sources, b[i].Sources) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits compares two [table][column] grids cell by cell, each cell
+// flattened to floats and compared by bit pattern.
+func sameBits[T any](a, b [][]T, bits func(T) []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for ti := range a {
+		if len(a[ti]) != len(b[ti]) {
+			return false
+		}
+		for c := range a[ti] {
+			x, y := bits(a[ti][c]), bits(b[ti][c])
+			if len(x) != len(y) {
+				return false
+			}
+			for k := range x {
+				if math.Float64bits(x[k]) != math.Float64bits(y[k]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }

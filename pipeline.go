@@ -211,7 +211,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	if !e.Opts.SecondProbe || len(st.tables) == 0 {
 		return false, nil
 	}
-	m := st.g.builder(e.Opts.Params).BuildTables(st.query.Columns, st.tables, &s.build)
+	m := e.builder(st.g).BuildTables(st.query.Columns, st.tables, &s.build)
 	st.model = m
 	l := inference.SolveScratch(m, inference.Independent, &s.infer)
 	type scored struct {
@@ -310,7 +310,7 @@ func (e *Engine) stageRead2(st *queryState, s *QueryScratch) (bool, error) {
 // candidates and builds the edges once over all of them — identical to a
 // full build, with no table analyzed twice.
 func (e *Engine) stageColumnMap(st *queryState, s *QueryScratch) (bool, error) {
-	b := st.g.builder(e.Opts.Params)
+	b := e.builder(st.g)
 	if st.model == nil {
 		st.model = b.BuildTables(st.query.Columns, nil, &s.build)
 	}

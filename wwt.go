@@ -27,9 +27,9 @@ type Query struct {
 type Options struct {
 	// Params are the column-mapper parameters (weights, reliabilities...).
 	// They are fixed at engine construction: the engine's table-view
-	// cache bakes the view-affecting fields in, so mutating Opts.Params
-	// on a live engine yields stale results — build a new engine to
-	// change params.
+	// cache bakes the view-affecting fields in for the engine's lifetime,
+	// so mutating Opts.Params on a live engine yields stale results —
+	// build a new engine to change params.
 	Params core.Params
 	// Algorithm selects the collective inference method (§4). The paper's
 	// recommendation — and the default — is the table-centric algorithm.
@@ -168,17 +168,23 @@ func (r *Result) Release() {
 // safe for concurrent use. Its state has two layers:
 //
 //   - Engine-lifetime state, set once by the constructor: Opts, the
-//     normalization cache, the cost model, the scratch-arena pool, the
-//     probe counters, and the directory, manifest, merge and ingest
-//     state of live.go (unset unless the engine came from OpenLive).
+//     table-view cache and its interner, the normalization cache, the
+//     cost model, the scratch-arena pool, the probe counters, and the
+//     directory, manifest, merge and ingest state of live.go (unset
+//     unless the engine came from OpenLive).
 //   - The current generation: an immutable, refcounted corpus snapshot
-//     (searcher, store and the caches that bake its statistics in) behind
-//     an atomic pointer. Every query entry point pins one generation for
-//     its whole call, so IngestTables and background merges swap
-//     generations under running queries without disturbing them.
+//     (searcher and store) behind an atomic pointer. Every query entry
+//     point pins one generation for its whole call, so IngestTables and
+//     background merges swap generations under running queries without
+//     disturbing them.
 type Engine struct {
 	Opts Options
 
+	// views holds every analyzed table view, keyed by table pointer. A
+	// view carries no corpus statistics and a swap keeps the table
+	// pointers it carries over, so views built on one generation serve
+	// every later one.
+	views   *core.ViewCache
 	norm    *text.NormCache
 	scratch sync.Pool // *QueryScratch
 
@@ -215,23 +221,21 @@ type Engine struct {
 	reclaimed      atomic.Uint64 // retired generations whose last ref released
 }
 
-// generation is one published corpus snapshot: the searcher, the store
-// holding its tables, and the view cache keyed to it (views bake its
-// IDF). It is immutable once published. The published pointer holds one
-// reference and every pinned call another; the last release closes the
-// searcher.
+// generation is one published corpus snapshot: the searcher and the
+// store holding its tables. It is immutable once published. The published
+// pointer holds one reference and every pinned call another; the last
+// release closes the searcher.
 type generation struct {
 	searcher  *index.Searcher
 	store     *index.Store
-	views     *core.ViewCache
 	refs      atomic.Int64
 	closeOnce sync.Once
 }
 
-// newGeneration wraps a searcher and its store with a fresh view cache,
-// holding the published pointer's one reference.
+// newGeneration wraps a searcher and its store, holding the published
+// pointer's one reference.
 func newGeneration(s *index.Searcher, st *index.Store) *generation {
-	g := &generation{searcher: s, store: st, views: core.NewViewCache()}
+	g := &generation{searcher: s, store: st}
 	g.refs.Store(1)
 	return g
 }
@@ -295,6 +299,7 @@ func NewEngineFrom(s *index.Searcher, st *index.Store, opts *Options) *Engine {
 	}
 	e := &Engine{
 		Opts:    o,
+		views:   core.NewViewCache(),
 		norm:    text.NewNormCache(0),
 		planner: plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
 	}
@@ -340,10 +345,10 @@ func (e *Engine) search(s *index.Searcher, tokens []string, k int) ([]index.Hit,
 	return hits, st
 }
 
-// builder returns a model builder wired to the generation's searcher —
-// corpus statistics and PMI² doc sets — and its table-view cache.
-func (g *generation) builder(p core.Params) *core.Builder {
-	return &core.Builder{Params: p, Stats: g.searcher, PMI: g.searcher, Views: g.views}
+// builder returns a model builder wired to g's searcher — corpus
+// statistics and PMI² doc sets — and the engine's table-view cache.
+func (e *Engine) builder(g *generation) *core.Builder {
+	return &core.Builder{Params: e.Opts.Params, Stats: g.searcher, PMI: g.searcher, Views: e.views}
 }
 
 // CacheStats is a point-in-time snapshot of one cache's cumulative
@@ -363,11 +368,17 @@ func (s CacheStats) HitRate() float64 {
 
 // EngineCacheStats snapshots the two cross-query caches an engine uses:
 // analyzed table views and normalized cell strings. The serving daemon's
-// /metrics endpoint exports these. NormCells is engine-lifetime; Views
-// belongs to the current generation, so its counters restart at every
-// swap.
+// /metrics endpoint exports these. Both are engine-lifetime: views are
+// retained across every ingest and merge swap, so their counters are
+// totals since the engine opened.
 type EngineCacheStats struct {
 	Views CacheStats
+	// ViewEntries is the number of cached table views and InternedStrings
+	// the size of the symbol table they share. Nothing evicts either, so
+	// both only grow: by the tables and the vocabulary the engine has
+	// analyzed.
+	ViewEntries     int
+	InternedStrings int
 	// PairSims and DocSets are always zero: pair similarities are
 	// computed per query and PMI² doc sets are read straight from the
 	// searcher, so no cache serves either. The fields survive only because
@@ -381,9 +392,9 @@ type EngineCacheStats struct {
 // CacheStats snapshots the engine's cross-query cache counters. Safe for
 // concurrent use.
 func (e *Engine) CacheStats() EngineCacheStats {
-	g := e.cur.Load()
 	var st EngineCacheStats
-	st.Views.Hits, st.Views.Misses = g.views.Stats()
+	st.Views.Hits, st.Views.Misses = e.views.Stats()
+	st.ViewEntries, st.InternedStrings = e.views.Len(), e.views.Interner().Len()
 	st.NormCells.Hits, st.NormCells.Misses = e.norm.Stats()
 	return st
 }
@@ -467,13 +478,13 @@ func (g *generation) readTables(hits []index.Hit) []*wtable.Table {
 // MapColumns runs only the column-mapping stage over caller-supplied
 // candidates — the §3 task in isolation, used by the experiments. The
 // model is built with a private arena (safe to retain indefinitely). The
-// generation's table-view cache retains every table passed here (and its
-// analyzed view) until the next swap; callers streaming an unbounded
-// sequence of fresh tables through a long-lived engine should construct a
-// fresh engine per batch.
+// engine's table-view cache retains every table passed here (and its
+// analyzed view) for the engine's lifetime; callers streaming an
+// unbounded sequence of fresh tables through a long-lived engine should
+// construct a fresh engine per batch.
 func (e *Engine) MapColumns(q Query, tables []*wtable.Table) (*core.Model, core.Labeling) {
 	g := e.acquire()
 	defer e.release(g)
-	m := g.builder(e.Opts.Params).Build(q.Columns, tables)
+	m := e.builder(g).Build(q.Columns, tables)
 	return m, inference.Solve(m, e.Opts.Algorithm)
 }
