@@ -10,8 +10,8 @@ import (
 
 // Allocation regression guards for the zero-alloc claims the ROADMAP
 // makes: the interned sorted-set similarities must stay allocation-free —
-// they run inside the O(T²·C²) pair grid, where a single allocation per
-// call would dominate the edge-construction cost.
+// HeaderSim runs once per surviving column pair of the edge pass, where a
+// single allocation per call would dominate the edge-construction cost.
 
 func TestContentSimZeroAlloc(t *testing.T) {
 	a := view(table("a", [][]string{{"Country", "Currency"}},

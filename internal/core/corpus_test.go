@@ -50,44 +50,24 @@ func corpusCases(tb testing.TB, scale float64, k int) (*index.Searcher, []corpus
 	return s, out
 }
 
-// pairSimSink keeps the benchmarked result live.
-var pairSimSink []colPairSim
-
-// BenchmarkComputePairSims measures one pair-similarity compute — the
-// Jaccard grid plus the blended max-matching — cycling over every
-// candidate pair of the corpus workload. cold gives each compute a fresh
-// worker slot; warm reuses one slot, resetting its arena per pair as an
-// edge pass does per build, and allocates nothing.
-func BenchmarkComputePairSims(b *testing.B) {
-	_, cases := corpusCases(b, 0.25, 40)
-	p := DefaultParams()
-	vc := NewViewCache()
-	type pair struct{ a, b *TableView }
-	var pairs []pair
-	for _, c := range cases {
-		for i, t1 := range c.tables {
-			for _, t2 := range c.tables[i+1:] {
-				pairs = append(pairs, pair{vc.view(t1, p), vc.view(t2, p)})
-			}
+// BenchmarkBuildRawEdges measures the whole §3.3 edge pass — the
+// shared-cell count, every table pair's Jaccard grid and blended
+// max-matching, and the neighborhood normalization — over each corpus
+// query's candidates, each model's edges rebuilt through the warm scratch
+// it was built in. One op is one pass over every query.
+func BenchmarkBuildRawEdges(b *testing.B) {
+	searcher, cases := corpusCases(b, 0.25, 40)
+	builder := &Builder{Params: DefaultParams(), Stats: searcher, Views: NewViewCache()}
+	models := make([]*Model, len(cases))
+	scratch := make([]BuildScratch, len(cases))
+	for i, c := range cases {
+		models[i] = builder.BuildWith(c.cols, c.tables, &scratch[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, m := range models {
+			m.buildRawEdges(&scratch[j])
 		}
 	}
-	if len(pairs) == 0 {
-		b.Fatal("no candidate pairs")
-	}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pr := pairs[i%len(pairs)]
-			pairSimSink = computePairSims(pr.a, pr.b, p, &workerScratch{})
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		var slot workerScratch
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pr := pairs[i%len(pairs)]
-			slot.sims = slot.sims[:0]
-			pairSimSink = computePairSims(pr.a, pr.b, p, &slot)
-		}
-	})
 }

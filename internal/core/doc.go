@@ -26,8 +26,12 @@
 // analyzed for its lifetime.
 //
 // The content-overlap edges are computed per build, in the build's own
-// arena: no pair similarity outlives the query that computed it. PMI doc
-// sets and cached view cell sets are read-only to the builder.
+// arena: no pair similarity outlives the query that computed it. One pass
+// sorts a (cell ID, column) entry per cell of every view and counts the
+// shared cells of each cross-table column pair into a buffer of Σ n₁·n₂
+// counts; each table pair's Jaccard grid reads its overlaps from there
+// instead of merging the two columns' cell sets. PMI doc sets and cached
+// view cell sets are read-only to the builder.
 //
 // Build allocates a private arena; BuildWith carves every model grid from
 // a caller-owned BuildScratch, and the resulting Model aliases that

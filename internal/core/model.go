@@ -61,8 +61,9 @@ type rawEdge struct {
 	matched        bool    // survived the one-one max-matching
 }
 
-// tablePair identifies one unordered candidate-table pair of the edge grid.
-type tablePair struct{ t1, t2 int }
+// tablePair identifies one unordered candidate-table pair of the edge grid;
+// off is where its shared-cell count grid starts in BuildScratch.counts.
+type tablePair struct{ t1, t2, off int }
 
 // pairRange locates one table pair's surviving column pairs in the build
 // scratch: workers[w].sims[lo:hi].
@@ -382,20 +383,22 @@ func (m *Model) tableStage1(ti int, sc *workerScratch) {
 // similarity between cross-table column pairs, normalization against each
 // column's neighborhood, and the one-one max-matching per table pair.
 //
-// The per-pair work — the Jaccard grid and the blended max-matching — is
-// independent across table pairs, so it fans out over the worker pool.
-// Each pair runs in its worker's slot of the scratch, appending its
-// survivors to that slot's arena and recording their range there, so a
-// warm scratch computes every pair without allocating. The
-// query-dependent part — summing each column's neighborhood denominator
-// and normalizing — runs as a deterministic serial merge over the pairs
-// in (t1, t2, c1, c2) order, the exact accumulation order of the old
-// serial map-based path, so float sums stay bit-identical. The denom /
-// edge-index maps of that path are replaced by flat arrays indexed by
-// global column offsets, all scratch-backed: s.colOff is the prefix sum
-// addTables computed — colOff[t] is the global offset of table t's first
-// column — so the feature grid and the edge offsets share one source of
-// truth.
+// The shared cells of every cross-table column pair are counted once per
+// pass (countSharedCells), serially, into one scratch buffer. The per-pair
+// work — the Jaccard grid read from those counts and the blended
+// max-matching — is independent across table pairs, so it fans out over
+// the worker pool, partitioned by first table. Each pair runs in its
+// worker's slot of the scratch, appending its survivors to that slot's
+// arena and recording their range there, so a warm scratch runs the whole
+// pass without allocating. The query-dependent part — summing each
+// column's neighborhood denominator and normalizing — runs as a
+// deterministic serial merge over the pairs in (t1, t2, c1, c2) order, the
+// exact accumulation order of the old serial map-based path, so float sums
+// stay bit-identical. The denom / edge-index maps of that path are
+// replaced by flat arrays indexed by global column offsets, all
+// scratch-backed: s.colOff is the prefix sum addTables computed —
+// colOff[t] is the global offset of table t's first column — so the
+// feature grid and the edge offsets share one source of truth.
 func (m *Model) buildRawEdges(s *BuildScratch) {
 	p := m.Params
 	n := len(m.Views)
@@ -406,27 +409,34 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	}
 
 	pairs := s.pairs[:0]
+	size := 0
 	for t1 := 0; t1 < n; t1++ {
 		for t2 := t1 + 1; t2 < n; t2++ {
-			pairs = append(pairs, tablePair{t1, t2})
+			pairs = append(pairs, tablePair{t1, t2, size})
+			size += m.Views[t1].NumCols * m.Views[t2].NumCols
 		}
 	}
 	s.pairs = pairs
+	m.countSharedCells(s, size)
 	s.ranges = slicex.Grow(s.ranges, len(pairs))
 	ranges := s.ranges
-	workers := numWorkers(len(pairs))
+	// The pool hands out first tables, not pairs: a pair's compute is too
+	// small to pay for a dispatch of its own.
+	workers := numWorkers(n - 1)
 	s.workers = slicex.GrowKeep(s.workers, workers)
 	ws := s.workers
 	for w := range ws {
 		ws[w].sims = ws[w].sims[:0]
 	}
-	parallelForWorkers(len(pairs), workers, func(w, i int) {
-		pr := pairs[i]
-		sc := &ws[w]
-		lo := len(sc.sims)
-		computePairSims(m.Views[pr.t1], m.Views[pr.t2], p, sc)
-		ranges[i] = pairRange{w: w, lo: lo, hi: len(sc.sims)}
-	})
+	// One worker runs inline: a closure handed to the pool escapes to the
+	// heap, and would be the warm pass's only allocation.
+	if workers == 1 {
+		for t1 := 0; t1 < n-1; t1++ {
+			m.firstTablePairSims(s, 0, t1)
+		}
+	} else {
+		parallelForWorkers(n-1, workers, func(w, t1 int) { m.firstTablePairSims(s, w, t1) })
+	}
 
 	total := 0
 	for w := range ws {
@@ -467,6 +477,28 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	}
 	s.rawEdges = raw
 	m.rawEdges = raw
+}
+
+// firstTablePairSims computes every table pair (t1, t2 > t1) of the edge
+// pass in worker w's slot, recording where each pair's survivors landed in
+// that slot's arena.
+func (m *Model) firstTablePairSims(s *BuildScratch, w, t1 int) {
+	n := len(m.Views)
+	sc := &s.workers[w]
+	a := m.Views[t1]
+	for i := pairIndex(n, t1, t1+1); i <= pairIndex(n, t1, n-1); i++ {
+		pr := s.pairs[i]
+		b := m.Views[pr.t2]
+		lo := len(sc.sims)
+		computePairSims(a, b, s.counts[pr.off:pr.off+a.NumCols*b.NumCols], m.Params, sc)
+		s.ranges[i] = pairRange{w: w, lo: lo, hi: len(sc.sims)}
+	}
+}
+
+// pairIndex is the position of table pair (t1, t2), t1 < t2, in the edge
+// pass's pairs: all pairs of first table 0, then of 1, and so on.
+func pairIndex(n, t1, t2 int) int {
+	return t1*(n-1) - t1*(t1-1)/2 + t2 - t1 - 1
 }
 
 // finalizeEdges applies the weight- and confidence-dependent part of

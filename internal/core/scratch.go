@@ -20,13 +20,18 @@ import "wwt/internal/graph"
 // fields, e.g. the PMISource's H(Qℓ) doc sets) is fine because the
 // scratch never writes through them.
 //
+// The edge pass first counts the shared cells of every cross-table column
+// pair once, serially: it sorts one (cell ID, column) entry per cell into
+// cells and increments counts, one int32 per column pair, laid out per
+// table pair in pairs order (Σ n₁·n₂ entries, no same-table cells).
+//
 // Each build worker owns one workerScratch slot at a time. Stage 1 uses it
 // for the per-table max-marginal solves; the edge pass, which never runs
 // concurrently with stage 1, uses the same slot for the pair similarities:
-// each table pair the worker computes appends its surviving column pairs
-// to the slot's sims arena and solves its matching in the slot's
-// workspace, and the build records the pair's range in that arena. The
-// survivors never leave the scratch.
+// each table pair the worker computes reads its count grid, appends its
+// surviving column pairs to the slot's sims arena and solves its matching
+// in the slot's workspace, and the build records the pair's range in that
+// arena. The counts and the survivors never leave the scratch.
 type BuildScratch struct {
 	hDocs  [][]int32 // per query column: the PMISource's H(Qℓ) doc sets (read-only)
 	colOff []int     // table -> global offset of its first column
@@ -58,6 +63,9 @@ type BuildScratch struct {
 
 	// Edge construction.
 	pairs    []tablePair
+	cells    []uint64    // cellID<<32 | global column, sorted
+	colTab   []int32     // global column -> table
+	counts   []int32     // shared cells per cross-table column pair
 	ranges   []pairRange // per table pair: its survivors in a worker's sims
 	denom    []float64
 	rawEdges []rawEdge
@@ -69,8 +77,9 @@ type BuildScratch struct {
 // that table's interner (the per-build inputs of segScores), the
 // assignment-solver workspace plus the output grid of the stage-1
 // max-marginal solves of §4.2, the arena of the surviving column pairs of
-// every table pair the worker computes in one edge pass (reset per pass),
-// and the matching cells of the current pair. Everything else is fully
+// every table pair the worker computes in one edge pass (reset per pass;
+// their similarities come from the pass's shared-cell counts), and the
+// matching cells of the current pair. Everything else is fully
 // overwritten per table or per pair.
 type workerScratch struct {
 	hdr   headerWeights
