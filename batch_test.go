@@ -258,8 +258,8 @@ func TestCandidatesBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestAnswerBatchPanicIsolation wrecks the engine's table store so every
-// member's Read1 stage panics, and demands that each panic is recovered
+// TestAnswerBatchPanicIsolation runs a batch on an engine whose generation
+// holds no tables, so every member's Read1 stage panics, and demands that each panic is recovered
 // into its member's error slot instead of killing the process — and that a
 // poisoned arena never re-enters the pool (a later Answer on a healthy
 // engine still works).
@@ -269,7 +269,7 @@ func TestAnswerBatchPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := wwt.NewEngineFrom(eng.Searcher(), nil, &eng.Opts) // nil store: Read1 panics
+	broken := wwt.WithoutTables(eng) // no tables: Read1 panics
 	queries := []wwt.Query{
 		{Columns: []string{"country", "currency"}},
 		{Columns: []string{"currency"}},

@@ -63,28 +63,12 @@ func main() {
 		pages++
 	}
 
-	ix, err := index.Build(tables)
-	if err != nil {
-		fatal(err)
-	}
-	st := index.NewStore()
-	for _, t := range tables {
-		if err := st.Add(t); err != nil {
-			fatal(err)
-		}
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	if err := st.Save(filepath.Join(*out, index.StoreFileName)); err != nil {
-		fatal(err)
-	}
-	flatStart := time.Now()
-	if err := index.WriteSharded(*out, index.NewSearcher(ix), *shards); err != nil {
+	writeStart := time.Now()
+	if err := index.WriteDir(*out, tables, *shards); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("indexed %d tables from %d pages in %.1fs -> %s (flat index: %d shard(s), %.2fs)\n",
-		len(tables), pages, time.Since(start).Seconds(), *out, *shards, time.Since(flatStart).Seconds())
+		len(tables), pages, time.Since(start).Seconds(), *out, *shards, time.Since(writeStart).Seconds())
 }
 
 func fatal(err error) {

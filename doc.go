@@ -20,13 +20,13 @@
 // # Ownership and concurrency
 //
 // There is one engine type. An Engine is only ever obtained from
-// NewEngine (build and freeze in memory), NewEngineFrom (wrap an
-// index.Searcher, however it was constructed) or OpenLive (open an index
+// NewEngine (build and freeze in memory) or OpenLive (open an index
 // directory, the one way to serve one). It holds engine-lifetime state
-// set once by its constructor — options, the normalization cache, the
-// cost model, the arena pool, the probe counters, and for OpenLive
-// the directory, manifest and merge state — plus one immutable,
-// refcounted generation (searcher, store and the caches keyed to them)
+// set once by its constructor — options, the table-view and
+// normalization caches, the cost model, the arena pool, the probe
+// counters, and for OpenLive the directory, manifest, table-ID and merge
+// state — plus one immutable, refcounted generation (a searcher and its
+// tables by doc number: a probe hit's Doc indexes the table it names)
 // behind an atomic pointer. Every query entry point pins one generation
 // for its whole call, so any number of goroutines may call Answer,
 // AnswerBatch, Candidates, CandidatesBatch and MapColumns while
@@ -66,7 +66,7 @@
 // # Typical use
 //
 //	tables := extract.Page(url, html, extract.NewOptions())   // offline
-//	eng, err := wwt.NewEngine(tables, nil)                    // index + store
+//	eng, err := wwt.NewEngine(tables, nil)                    // index + tables
 //	res, err := eng.Answer(wwt.Query{Columns: []string{
 //	    "name of explorers", "nationality", "areas explored"}})
 //	for _, row := range res.Answer.Rows { ... }

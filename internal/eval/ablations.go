@@ -60,7 +60,12 @@ func ExperimentAblationProbe2(w io.Writer, r *Runner) {
 	n := 0
 	opts := r.Engine.Opts
 	opts.SecondProbe = false
-	single := wwt.NewEngineFrom(r.Engine.Searcher(), r.Engine.Store(), &opts)
+	single, err := wwt.NewEngine(r.Tables, &opts)
+	if err != nil {
+		fmt.Fprintln(w, "error:", err)
+		return
+	}
+	defer single.Close()
 	for _, q := range r.Queries {
 		res := r.Run(q) // full two-probe pipeline
 		withErr += res.Errors[MethodWWT]

@@ -85,7 +85,12 @@ func ExperimentProbe2(w io.Writer, r *Runner) {
 	var rel1, tot1, rel2, tot2, stage2RelSum, relSum int
 	opts := r.Engine.Opts
 	opts.SecondProbe = false
-	single := wwt.NewEngineFrom(r.Engine.Searcher(), r.Engine.Store(), &opts)
+	single, err := wwt.NewEngine(r.Tables, &opts)
+	if err != nil {
+		fmt.Fprintln(w, "error:", err)
+		return
+	}
+	defer single.Close()
 	// One batched first-stage-only sweep over the probe2 queries.
 	var probe2 []*QueryResult
 	var wqs []wwt.Query

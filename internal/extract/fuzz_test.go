@@ -2,7 +2,6 @@ package extract
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"wwt/internal/index"
@@ -11,9 +10,9 @@ import (
 // FuzzExtractHTML drives the whole ingest front half with hostile markup:
 // extraction must never panic, every extracted table must satisfy the
 // invariants the index layer relies on (non-empty unique IDs, at least
-// one body row), and the batch must round-trip through SegmentWriter —
-// freeze to a flat segment, reopen, same doc count and IDs, table store
-// intact. This is exactly the path POST /v1/ingest runs on untrusted
+// one body row), and the batch must round-trip through WriteDir — freeze
+// to a one-shard segment, reopen, same doc count and IDs, table store
+// intact and in doc order. This is exactly the path POST /v1/ingest runs on untrusted
 // input.
 func FuzzExtractHTML(f *testing.F) {
 	f.Add("<html><body><table><tr><th>Country</th><th>Currency</th></tr>" +
@@ -46,15 +45,9 @@ func FuzzExtractHTML(f *testing.F) {
 			}
 		}
 
-		w := index.NewSegmentWriter()
-		for _, tb := range tables {
-			if err := w.Add(tb); err != nil {
-				t.Fatalf("SegmentWriter.Add: %v", err)
-			}
-		}
 		dir := t.TempDir()
-		if err := w.Flush(dir); err != nil {
-			t.Fatalf("SegmentWriter.Flush: %v", err)
+		if err := index.WriteDir(dir, tables, 1); err != nil {
+			t.Fatalf("WriteDir: %v", err)
 		}
 		ms, err := index.OpenSharded(dir)
 		if err != nil {
@@ -69,19 +62,18 @@ func FuzzExtractHTML(f *testing.F) {
 				t.Fatalf("doc %d reopened as %q, want %q", i, id, tb.ID)
 			}
 		}
-		st, err := index.LoadStore(filepath.Join(dir, index.StoreFileName))
+		got, err := index.ReadTables(dir)
 		if err != nil {
 			t.Fatalf("store reopen: %v", err)
 		}
-		if st.Len() != len(tables) {
-			t.Fatalf("store holds %d tables, want %d", st.Len(), len(tables))
+		if len(got) != len(tables) {
+			t.Fatalf("store holds %d tables, want %d", len(got), len(tables))
 		}
-		for _, tb := range tables {
-			got, ok := st.Get(tb.ID)
-			if !ok || got.ID != tb.ID {
-				t.Fatalf("table %q lost in store round trip", tb.ID)
+		for i, tb := range tables {
+			if got[i].ID != tb.ID {
+				t.Fatalf("store table %d is %q, want %q", i, got[i].ID, tb.ID)
 			}
-			if fmt.Sprint(got.BodyRows) != fmt.Sprint(tb.BodyRows) {
+			if fmt.Sprint(got[i].BodyRows) != fmt.Sprint(tb.BodyRows) {
 				t.Fatalf("table %q body rows mutated in round trip", tb.ID)
 			}
 		}

@@ -193,7 +193,7 @@ func hitsEqual(want, got []Hit) bool {
 		return false
 	}
 	for i := range want {
-		if want[i].ID != got[i].ID || want[i].Score != got[i].Score {
+		if want[i].ID != got[i].ID || want[i].Doc != got[i].Doc || want[i].Score != got[i].Score {
 			return false
 		}
 	}

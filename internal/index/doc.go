@@ -27,8 +27,7 @@
 // The PMI² feature reads doc sets straight from the Searcher:
 // HeaderContextDocs and ContentDocs are DocSet over the header+context and
 // content fields, so a *Searcher is a core.PMISource. Nothing caches them;
-// every call returns a freshly allocated slice. Store is append-only at
-// build time and read-only afterwards.
+// every call returns a freshly allocated slice.
 //
 // # The canonical term order and bit-identity
 //
@@ -78,7 +77,8 @@
 //
 // # Persistence: the flat sharded index and the table store
 //
-// An index directory holds one form of each:
+// An index directory holds one form of each, and WriteDir is the one
+// writer of both — wwt-index, every ingest and every merge go through it:
 //
 //   - docs.wwt + postings-NNN.wwt — the flat sharded index written by
 //     WriteSharded and opened by OpenSharded. Opening is O(1) in corpus
@@ -86,9 +86,14 @@
 //     searcher's arrays alias the mapping directly; no maps are built and
 //     no bytes are copied on the fast path.
 //
-//   - store.gob — an encoding/gob snapshot of the table Store, prefixed
-//     with an 8-byte magic ("WWTSTG01") and a uint32 little-endian format
-//     version so stale or mixed-up files fail fast with a precise error.
+//   - store.gob — an encoding/gob snapshot of the directory's tables in
+//     doc order, prefixed with an 8-byte magic ("WWTSTG01") and a uint32
+//     little-endian format version so stale or mixed-up files fail fast
+//     with a precise error. ReadTables is its one reader. Because the
+//     order is the doc table's, a hit's global doc number (Hit.Doc)
+//     indexes the concatenation of a snapshot's segment stores in
+//     manifest order; the live engine resolves hits that way and refuses
+//     a segment whose store disagrees with its doc table.
 //
 // Older layouts are retired, not read: a version-1 flat file (WWTFLT01),
 // a gob index snapshot (index.gob, WWTIXG01) where a flat file belongs,
@@ -204,8 +209,8 @@
 // goes to a CreateTemp file in the index directory, is fsynced, closed,
 // and renamed over MANIFEST.json. A reader therefore sees either the old
 // generation or the new one, never a torn file. Every other file in the
-// lifecycle is immutable once written: segment writes (SegmentWriter),
-// merges (MergeSegments) and the base index are create-only, so the
+// lifecycle is immutable once written: segment writes and merges (both
+// WriteDir) and the base index are create-only, so the
 // crash-recovery rule is simply "trust the manifest": a segment
 // directory not (or not yet) listed is an orphan from a crash between
 // flush and commit — ignored by OpenSnapshot, its sequence number

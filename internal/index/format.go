@@ -9,9 +9,10 @@ package index
 //     unavailable.
 //
 //   - The table store (store.gob) is a decode-on-load gob snapshot of the
-//     Store, prefixed with an 8-byte magic plus a uint32 format version so
-//     a stale or foreign file fails with a clear error instead of a decoder
-//     error deep in the stack.
+//     directory's tables in doc order, prefixed with an 8-byte magic plus a
+//     uint32 format version so a stale or foreign file fails with a clear
+//     error instead of a decoder error deep in the stack. WriteDir is its
+//     only writer and ReadTables its only reader.
 //
 // Flat file layout (all integers little-endian, sections 8-byte aligned):
 //
@@ -391,7 +392,7 @@ func openFlatFile(path string, noMmap bool) (*flatFile, error) {
 	case retiredIndexMagic:
 		return fail(fmt.Errorf("index open %s: this is a gob index snapshot (%s), a retired format, not a flat index file; rebuild the directory with wwt-index", path, got))
 	case storeMagic:
-		return fail(fmt.Errorf("index open %s: this is a gob table store (use index.LoadStore), not a flat index file", path))
+		return fail(fmt.Errorf("index open %s: this is a gob table store (%s), not a flat index file; rebuild the directory with wwt-index", path, TablesFileName))
 	default:
 		return fail(fmt.Errorf("index open %s: bad magic %q — not a wwt flat index file (foreign data, or written by an incompatible build); rebuild with wwt-index", path, got))
 	}

@@ -89,8 +89,12 @@ func FieldTokens(t *wtable.Table) [numFields][]string {
 	return out
 }
 
-// Add indexes one table. Adding a duplicate ID is an error.
+// Add indexes one table. A nil table, an empty ID or a duplicate ID is an
+// error.
 func (ix *Index) Add(t *wtable.Table) error {
+	if t == nil || t.ID == "" {
+		return fmt.Errorf("index: table without ID")
+	}
 	if _, dup := ix.byID[t.ID]; dup {
 		return fmt.Errorf("index: duplicate table ID %q", t.ID)
 	}
@@ -117,7 +121,8 @@ func (ix *Index) Add(t *wtable.Table) error {
 	return nil
 }
 
-// Build constructs an index over tables; it fails on duplicate IDs.
+// Build constructs an index over tables, numbering documents in slice
+// order; it fails on a nil table, an empty ID or a duplicate ID.
 func Build(tables []*wtable.Table) (*Index, error) {
 	ix := New()
 	for _, t := range tables {
@@ -134,15 +139,11 @@ func (ix *Index) Len() int { return len(ix.ids) }
 // IDOf returns the table ID of an internal doc number.
 func (ix *Index) IDOf(doc int32) string { return ix.ids[doc] }
 
-// DocOf returns the internal doc number of a table ID.
-func (ix *Index) DocOf(id string) (int32, bool) {
-	d, ok := ix.byID[id]
-	return d, ok
-}
-
-// Hit is one search result.
+// Hit is one search result: the table's ID and its global doc number —
+// its position in the tables the searcher was built or opened over.
 type Hit struct {
 	ID    string
+	Doc   int32
 	Score float64
 }
 

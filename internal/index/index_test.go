@@ -1,8 +1,10 @@
 package index
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wwt/internal/text"
@@ -177,91 +179,81 @@ func TestIntersectSize(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := LoadStore(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Error("loading missing file should fail")
+	if _, err := ReadTables(t.TempDir()); err == nil {
+		t.Error("reading a directory without a store should fail")
 	}
 }
 
+// TestIDlessTableRejected: Build — and so WriteDir, which every writer of
+// an index directory goes through — refuses a nil table and an empty ID
+// without writing anything.
+func TestIDlessTableRejected(t *testing.T) {
+	for name, tables := range map[string][]*wtable.Table{
+		"nil table": {mkTable("a", nil, [][]string{{"x"}}, ""), nil},
+		"empty ID":  {mkTable("", nil, [][]string{{"x"}}, "")},
+	} {
+		if _, err := Build(tables); err == nil || !strings.Contains(err.Error(), "table without ID") {
+			t.Errorf("%s: Build err = %v, want table without ID", name, err)
+		}
+		dir := filepath.Join(t.TempDir(), "idx")
+		if err := WriteDir(dir, tables, 1); err == nil || !strings.Contains(err.Error(), "table without ID") {
+			t.Errorf("%s: WriteDir err = %v, want table without ID", name, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: failed WriteDir created %s (stat err %v)", name, dir, err)
+		}
+	}
+}
+
+// TestStoreRoundTrip: ReadTables returns what WriteDir wrote, and the
+// store lists the tables in the doc table's order.
 func TestStoreRoundTrip(t *testing.T) {
-	s := NewStore()
+	dir := t.TempDir()
 	tb := mkTable("s1", []string{"A"}, [][]string{{"x"}}, "ctx")
-	if err := s.Add(tb); err != nil {
+	if err := WriteDir(dir, []*wtable.Table{tb, tb}, 1); err == nil {
+		t.Error("duplicate ID accepted")
+	}
+	if err := WriteDir(dir, []*wtable.Table{tb}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(tb); err == nil {
-		t.Error("duplicate store add accepted")
-	}
-	if got, ok := s.Get("s1"); !ok || got.ID != "s1" {
-		t.Error("Get failed")
-	}
-	if _, ok := s.Get("missing"); ok {
-		t.Error("phantom table")
-	}
-	p := filepath.Join(t.TempDir(), "store.gob")
-	if err := s.Save(p); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadStore(p)
+	got, err := ReadTables(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("loaded store len = %d", s2.Len())
+	if len(got) != 1 || got[0].ID != "s1" {
+		t.Fatalf("read back %d tables", len(got))
 	}
-	got, _ := s2.Get("s1")
-	if got.Header(0, 0) != "A" || got.Body(0, 0) != "x" {
+	if got[0].Header(0, 0) != "A" || got[0].Body(0, 0) != "x" {
 		t.Error("table content lost in round trip")
+	}
+	s, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 1 || s.IDOf(0) != "s1" {
+		t.Errorf("flat index holds %d docs, doc 0 = %q", s.Len(), s.IDOf(0))
 	}
 }
 
 func TestStoreOrderPreserved(t *testing.T) {
-	s := NewStore()
+	dir := t.TempDir()
+	var tables []*wtable.Table
 	for _, id := range []string{"c", "a", "b"} {
-		if err := s.Add(mkTable(id, nil, [][]string{{"x"}}, "")); err != nil {
-			t.Fatal(err)
-		}
+		tables = append(tables, mkTable(id, nil, [][]string{{"x"}}, ""))
 	}
-	var ids []string
-	for _, tb := range s.All() {
-		ids = append(ids, tb.ID)
+	if err := WriteDir(dir, tables, 2); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ids, []string{"c", "a", "b"}) {
-		t.Errorf("order = %v", ids)
-	}
-}
-
-// TestStoreWith: With returns a new store holding the old tables (same
-// pointers, same order) followed by the added ones, leaves the source
-// untouched, and rejects an ID already stored or repeated in the batch.
-func TestStoreWith(t *testing.T) {
-	s := NewStore()
-	for _, id := range []string{"c", "a"} {
-		if err := s.Add(mkTable(id, nil, [][]string{{"x"}}, "")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b := mkTable("b", nil, [][]string{{"y"}}, "")
-	s2, err := s.With([]*wtable.Table{b})
+	got, err := ReadTables(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []string
-	for _, tb := range s2.All() {
+	for _, tb := range got {
 		ids = append(ids, tb.ID)
 	}
 	if !reflect.DeepEqual(ids, []string{"c", "a", "b"}) {
 		t.Errorf("order = %v", ids)
-	}
-	if old, _ := s.Get("c"); old != s2.All()[0] {
-		t.Error("With copied a table instead of sharing its pointer")
-	}
-	if _, ok := s.Get("b"); ok || s.Len() != 2 {
-		t.Error("With modified its source store")
-	}
-	if _, err := s.With([]*wtable.Table{mkTable("a", nil, nil, "")}); err == nil {
-		t.Error("With accepted an ID already stored")
-	}
-	if _, err := s.With([]*wtable.Table{b, b}); err == nil {
-		t.Error("With accepted an ID repeated in the batch")
 	}
 }

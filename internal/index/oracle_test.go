@@ -68,7 +68,7 @@ func (ix *Index) Search(tokens []string, k int) []Hit {
 	}
 	cands := make([]Hit, 0, len(scores))
 	for d, s := range scores {
-		cands = append(cands, Hit{ID: ix.ids[d], Score: s})
+		cands = append(cands, Hit{ID: ix.ids[d], Doc: d, Score: s})
 	}
 	return selectTopHits(cands, k)
 }

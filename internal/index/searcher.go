@@ -257,12 +257,6 @@ func (s *Searcher) IDF(tok string) float64 {
 	return smoothedIDF(s.numDocs, int64(df))
 }
 
-// HasTerm reports whether any segment contains the token.
-func (s *Searcher) HasTerm(tok string) bool {
-	_, _, ok := s.TermStats(tok)
-	return ok
-}
-
 // termRef is one query term resolved in one segment: its home shard there
 // and local term ID, plus the token for canonical ordering at gather time.
 // The statistics are carried on the ref rather than read from the shard
@@ -610,7 +604,7 @@ func (seg *segment) collect(acc *accumulator, k int, out []Hit) []Hit {
 		winners = topKSelect(acc.touched, k, func(a, b int32) bool { return seg.worseDoc(acc, a, b) })
 	}
 	for _, d := range winners {
-		out = append(out, Hit{ID: seg.idOf(d), Score: acc.score[d]})
+		out = append(out, Hit{ID: seg.idOf(d), Doc: seg.base + d, Score: acc.score[d]})
 	}
 	return out
 }

@@ -50,14 +50,17 @@ func sameHits(t testing.TB, want, got []Hit, ctx string) {
 		if want[i].ID != got[i].ID {
 			t.Fatalf("%s: hit %d ID %q != %q", ctx, i, got[i].ID, want[i].ID)
 		}
+		if want[i].Doc != got[i].Doc {
+			t.Fatalf("%s: hit %d (%q) doc %d != %d", ctx, i, got[i].ID, got[i].Doc, want[i].Doc)
+		}
 		if math.Abs(want[i].Score-got[i].Score) > 1e-9 {
 			t.Fatalf("%s: hit %d score %v != %v", ctx, i, got[i].Score, want[i].Score)
 		}
 	}
 }
 
-// sameHitsBitIdentical is the strict form of sameHits: IDs, order AND exact
-// float64 score bits must match — every construction of the Searcher
+// sameHitsBitIdentical is the strict form of sameHits: IDs, global doc
+// numbers, order AND exact float64 score bits must match — every construction of the Searcher
 // accumulates in the same operation order, so == (not a tolerance) is the
 // contract.
 func sameHitsBitIdentical(t testing.TB, want, got []Hit, ctx string) {
@@ -68,6 +71,9 @@ func sameHitsBitIdentical(t testing.TB, want, got []Hit, ctx string) {
 	for i := range want {
 		if want[i].ID != got[i].ID {
 			t.Fatalf("%s: hit %d ID %q != %q", ctx, i, got[i].ID, want[i].ID)
+		}
+		if want[i].Doc != got[i].Doc {
+			t.Fatalf("%s: hit %d (%q) doc %d != %d", ctx, i, got[i].ID, got[i].Doc, want[i].Doc)
 		}
 		if want[i].Score != got[i].Score {
 			t.Fatalf("%s: hit %d score %v != %v (bit-identity violated)", ctx, i, got[i].Score, want[i].Score)

@@ -6,21 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"wwt/internal/wtable"
 )
 
 // This file is the segment layer of the live index: small frozen flat
 // indexes (segments) listed by an atomically committed manifest. A
-// segment is just a one-shard flat index directory plus its table store,
-// so the existing writer, reader and gather are reused verbatim; what is
-// new here is the lifecycle — build (SegmentWriter), list (Manifest),
-// and compact (PlanMerge / MergeSegments). A Searcher opened over the
-// listed segments (OpenSnapshot) unions searches across them.
-
-// StoreFileName is the gob table store each index directory and segment
-// carries alongside its flat files.
-const StoreFileName = "store.gob"
+// segment is just a one-shard index directory (WriteDir), so the existing
+// writer, reader and gather are reused verbatim; what is new here is the
+// lifecycle — list (Manifest) and plan compactions (PlanMerge). A
+// Searcher opened over the listed segments (OpenSnapshot) unions searches
+// across them.
 
 // ManifestFileName is the segment list of a live index directory. It is
 // committed atomically (write temp file, fsync, rename), so readers see
@@ -141,69 +135,6 @@ func SegmentDirName(seq uint64) string {
 	return filepath.Join(SegmentsDirName, fmt.Sprintf("seg-%010d", seq))
 }
 
-// SegmentWriter accumulates a batch of extracted tables and freezes them
-// into one immutable segment: a single-shard flat index plus its table
-// store. Segments are small by design — one ingest batch each — and the
-// background merge policy compacts them later.
-type SegmentWriter struct {
-	tables []*wtable.Table
-	seen   map[string]bool
-}
-
-// NewSegmentWriter returns an empty segment writer.
-func NewSegmentWriter() *SegmentWriter {
-	return &SegmentWriter{seen: make(map[string]bool)}
-}
-
-// Add queues one table. Duplicate IDs within the batch are an error —
-// every table ID must be unique across the whole live index, and the
-// cross-segment half of that invariant is checked by the ingest path
-// against the current generation's store.
-func (w *SegmentWriter) Add(t *wtable.Table) error {
-	if t == nil || t.ID == "" {
-		return fmt.Errorf("segment: table without ID")
-	}
-	if w.seen[t.ID] {
-		return fmt.Errorf("segment: duplicate table ID %q", t.ID)
-	}
-	w.seen[t.ID] = true
-	w.tables = append(w.tables, t)
-	return nil
-}
-
-// Len returns the number of queued tables.
-func (w *SegmentWriter) Len() int { return len(w.tables) }
-
-// Tables returns the queued tables in insertion order (shared, not
-// copied).
-func (w *SegmentWriter) Tables() []*wtable.Table { return w.tables }
-
-// Flush freezes the queued tables into dir as an immutable one-shard
-// segment: builds the index, writes the flat files and the table store.
-// An empty writer is an error — the manifest never lists empty segments.
-func (w *SegmentWriter) Flush(dir string) error {
-	if len(w.tables) == 0 {
-		return fmt.Errorf("segment: flush of an empty segment")
-	}
-	ix, err := Build(w.tables)
-	if err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	if err := WriteSharded(dir, NewSearcher(ix), 1); err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	st := NewStore()
-	for _, t := range w.tables {
-		if err := st.Add(t); err != nil {
-			return fmt.Errorf("segment: %w", err)
-		}
-	}
-	if err := st.Save(filepath.Join(dir, StoreFileName)); err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	return nil
-}
-
 // MergePolicy parameterizes the size-tiered background merge: segments
 // are bucketed into doc-count tiers of ratio TierBase, and any tier that
 // accumulates TierFanIn segments is compacted into one. Inputs are
@@ -257,27 +188,4 @@ func PlanMerge(docCounts []int, p MergePolicy) []int {
 		return nil
 	}
 	return byTier[best]
-}
-
-// MergeSegments compacts the tables of srcDirs (in order) into one new
-// segment at dst. The inputs are only read — deleting them after the
-// manifest no longer lists them is the caller's job. Returns the merged
-// doc count.
-func MergeSegments(dst string, srcDirs []string) (int, error) {
-	w := NewSegmentWriter()
-	for _, d := range srcDirs {
-		st, err := LoadStore(filepath.Join(d, StoreFileName))
-		if err != nil {
-			return 0, fmt.Errorf("segment merge: %w", err)
-		}
-		for _, t := range st.All() {
-			if err := w.Add(t); err != nil {
-				return 0, fmt.Errorf("segment merge: %w", err)
-			}
-		}
-	}
-	if err := w.Flush(dst); err != nil {
-		return 0, fmt.Errorf("segment merge: %w", err)
-	}
-	return w.Len(), nil
 }

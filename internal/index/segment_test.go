@@ -7,7 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"wwt/internal/wtable"
 )
 
 // TestManifestRoundTrip: commit, read back, and the implicit manifest of a
@@ -81,22 +84,18 @@ func TestPlanMerge(t *testing.T) {
 	}
 }
 
-// TestMergeSegments: merging segments yields a segment whose search
-// results are bit-identical to the pre-merge segment list (same docs, same order,
-// same global stats) and whose store holds every table.
-func TestMergeSegments(t *testing.T) {
+// TestMergedSegmentEquivalence: a merge writes the concatenation of its
+// input segments' tables as one new segment (WriteDir). Its search results
+// must be bit-identical — IDs, global doc numbers, scores — to the
+// pre-merge segment list, and its store must list every table in doc
+// order.
+func TestMergedSegmentEquivalence(t *testing.T) {
 	_, tables := buildRandCorpus(t, 9, 30)
 	chunks := splitTables(tables, 3, 9)
 	dirs := make([]string, len(chunks))
 	for i, chunk := range chunks {
-		w := NewSegmentWriter()
-		for _, tb := range chunk {
-			if err := w.Add(tb); err != nil {
-				t.Fatal(err)
-			}
-		}
 		dirs[i] = filepath.Join(t.TempDir(), "seg")
-		if err := w.Flush(dirs[i]); err != nil {
+		if err := WriteDir(dirs[i], chunk, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,12 +106,8 @@ func TestMergeSegments(t *testing.T) {
 	defer before.Close()
 
 	merged := filepath.Join(t.TempDir(), "merged")
-	n, err := MergeSegments(merged, dirs)
-	if err != nil {
+	if err := WriteDir(merged, slices.Concat(chunks...), 1); err != nil {
 		t.Fatal(err)
-	}
-	if n != len(tables) {
-		t.Fatalf("merged %d docs, want %d", n, len(tables))
 	}
 	after, err := OpenSharded(merged)
 	if err != nil {
@@ -125,12 +120,17 @@ func TestMergeSegments(t *testing.T) {
 		q := randQuery(r)
 		sameHitsBitIdentical(t, before.Search(q, 10), after.Search(q, 10), "merge")
 	}
-	st, err := LoadStore(filepath.Join(merged, StoreFileName))
+	got, err := ReadTables(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != len(tables) {
-		t.Fatalf("merged store holds %d tables, want %d", st.Len(), len(tables))
+	if len(got) != len(tables) {
+		t.Fatalf("merged store holds %d tables, want %d", len(got), len(tables))
+	}
+	for i, tb := range got {
+		if tb.ID != after.IDOf(int32(i)) {
+			t.Fatalf("store table %d is %q, doc table says %q", i, tb.ID, after.IDOf(int32(i)))
+		}
 	}
 }
 
@@ -145,12 +145,8 @@ func TestOpenSnapshot(t *testing.T) {
 	}
 	extra := mkTable("live-1", []string{"Planet", "Moons"},
 		[][]string{{"Jupiter", "95"}, {"Saturn", "146"}}, "moon counts")
-	w := NewSegmentWriter()
-	if err := w.Add(extra); err != nil {
-		t.Fatal(err)
-	}
 	seg := SegmentDirName(0)
-	if err := w.Flush(filepath.Join(dir, seg)); err != nil {
+	if err := WriteDir(filepath.Join(dir, seg), []*wtable.Table{extra}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// An orphan directory (crash between flush and commit) must be ignored.
@@ -175,7 +171,7 @@ func TestOpenSnapshot(t *testing.T) {
 	}
 	// The ingested doc is searchable and globally numbered after the base.
 	hits := ms.Search([]string{"saturn"}, 1)
-	if len(hits) != 1 || hits[0].ID != "live-1" {
+	if len(hits) != 1 || hits[0].ID != "live-1" || hits[0].Doc != int32(len(tables)) {
 		t.Fatalf("search for ingested table = %v", hits)
 	}
 	if id := ms.IDOf(int32(len(tables))); id != "live-1" {

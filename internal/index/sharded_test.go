@@ -138,6 +138,15 @@ func TestOpenShardedErrors(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
+		{name: "table store as flat index", shards: 1, want: []string{"gob table store", "wwt-index"},
+			mutate: func(t *testing.T, dir string) {
+				store := make([]byte, 64)
+				copy(store, storeMagic)
+				binary.LittleEndian.PutUint32(store[8:], storeVersion)
+				if err := os.WriteFile(docs(dir), store, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
 		{name: "postings without best-weight section", shards: 1, want: []string{"best-weight section (24)", "wwt-index"},
 			mutate: func(t *testing.T, dir string) { patchFile(t, postings(dir), dropSection(t, secBestWeight)) }},
 		{name: "kind mix-up", shards: 1, want: []string{"want doc table"},
@@ -235,28 +244,23 @@ func TestWriteShardedWithErrors(t *testing.T) {
 func TestGobHeaderErrors(t *testing.T) {
 	dir := t.TempDir()
 	_, tables := buildRandCorpus(t, 7, 5)
-	st := NewStore()
-	for _, tb := range tables {
-		if err := st.Add(tb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stPath := filepath.Join(dir, "store.gob")
-	if err := st.Save(stPath); err != nil {
+	if err := WriteDir(dir, tables, 1); err != nil {
 		t.Fatal(err)
 	}
-	// writeVariant writes stPath's bytes, edited, under a new name.
-	writeVariant := func(t *testing.T, name string, edit func([]byte) []byte) string {
+	stPath := filepath.Join(dir, TablesFileName)
+	// writeVariant writes stPath's bytes, edited, as the store of a new
+	// directory and returns that directory.
+	writeVariant := func(t *testing.T, edit func([]byte) []byte) string {
 		t.Helper()
 		data, err := os.ReadFile(stPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, edit(data), 0o644); err != nil {
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, TablesFileName), edit(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return p
+		return d
 	}
 
 	expect := func(t *testing.T, err error, want string) {
@@ -270,38 +274,38 @@ func TestGobHeaderErrors(t *testing.T) {
 	}
 
 	t.Run("round trip", func(t *testing.T) {
-		if _, err := LoadStore(stPath); err != nil {
+		if _, err := ReadTables(dir); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Run("index to LoadStore", func(t *testing.T) {
+	t.Run("index to ReadTables", func(t *testing.T) {
 		// The retired index.gob carried the same header shape.
-		p := writeVariant(t, "index.gob", func(d []byte) []byte { copy(d, retiredIndexMagic); return d })
-		_, err := LoadStore(p)
+		_, err := ReadTables(writeVariant(t, func(d []byte) []byte { copy(d, retiredIndexMagic); return d }))
 		expect(t, err, "wwt index snapshot")
 		expect(t, err, "wwt-index")
 	})
-	t.Run("flat file to LoadStore", func(t *testing.T) {
+	t.Run("flat file to ReadTables", func(t *testing.T) {
 		flatDir, _ := writeShardedDir(t, 1)
-		_, err := LoadStore(filepath.Join(flatDir, DocsFileName))
+		flat, err := os.ReadFile(filepath.Join(flatDir, DocsFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadTables(writeVariant(t, func([]byte) []byte { return flat }))
 		expect(t, err, "flat sharded index")
+		expect(t, err, "wwt-index")
 	})
 	t.Run("legacy headerless gob", func(t *testing.T) {
 		// A pre-versioning snapshot starts with gob's own framing, not our
 		// magic.
-		_, err := LoadStore(writeVariant(t, "legacy.gob", func(d []byte) []byte { return d[12:] }))
+		_, err := ReadTables(writeVariant(t, func(d []byte) []byte { return d[12:] }))
 		expect(t, err, "rebuild with wwt-index")
 	})
 	t.Run("newer gob version", func(t *testing.T) {
-		_, err := LoadStore(writeVariant(t, "newer.gob", func(d []byte) []byte { d[8] = 42; return d }))
+		_, err := ReadTables(writeVariant(t, func(d []byte) []byte { d[8] = 42; return d }))
 		expect(t, err, "format version 42")
 	})
 	t.Run("truncated", func(t *testing.T) {
-		short := filepath.Join(dir, "short.gob")
-		if err := os.WriteFile(short, []byte("WWT"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := LoadStore(short)
+		_, err := ReadTables(writeVariant(t, func([]byte) []byte { return []byte("WWT") }))
 		expect(t, err, "too short")
 	})
 }

@@ -6,9 +6,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"maps"
 	"os"
-	"slices"
+	"path/filepath"
 
 	"wwt/internal/wtable"
 )
@@ -36,7 +35,7 @@ func checkStoreHeader(r io.Reader, path string) error {
 	switch got := string(hdr[:8]); got {
 	case storeMagic:
 	case flatMagic:
-		return fmt.Errorf("store load %s: this is a flat sharded index file; open its directory with index.OpenSharded instead", path)
+		return fmt.Errorf("store load %s: this is a flat sharded index file, not a table store; rebuild the directory with wwt-index", path)
 	case retiredIndexMagic:
 		return fmt.Errorf("store load %s: this is a wwt index snapshot (%s), a retired format, not a store; rebuild the directory with wwt-index", path, got)
 	default:
@@ -48,75 +47,34 @@ func checkStoreHeader(r io.Reader, path string) error {
 	return nil
 }
 
-// Store is the table store of Figure 2: it keeps the raw extracted tables
-// addressable by ID so that the online pipeline can read the candidates a
-// probe returns. Insertion order is preserved for deterministic iteration.
-type Store struct {
-	byID  map[string]*wtable.Table
-	order []string
+// TablesFileName is the gob table store each index directory and segment
+// carries beside its flat files: the directory's tables in doc order.
+const TablesFileName = "store.gob"
+
+// WriteDir freezes tables into dir as an index directory: the flat index
+// (WriteSharded, nShards postings shards) plus the table store. Doc
+// numbers follow slice order, so the store lists the tables in the order
+// the doc table does. It fails before writing anything on a nil table, an
+// empty or duplicate ID (Build) or a shard count outside [1, MaxShards].
+func WriteDir(dir string, tables []*wtable.Table, nShards int) error {
+	ix, err := Build(tables)
+	if err != nil {
+		return fmt.Errorf("index write: %w", err)
+	}
+	if err := WriteSharded(dir, NewSearcher(ix), nShards); err != nil {
+		return err
+	}
+	return writeStore(filepath.Join(dir, TablesFileName), tables)
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store { return &Store{byID: make(map[string]*wtable.Table)} }
-
-// Add inserts a table; duplicate IDs are an error.
-func (s *Store) Add(t *wtable.Table) error {
-	if t == nil || t.ID == "" {
-		return fmt.Errorf("store: table without ID")
-	}
-	if _, dup := s.byID[t.ID]; dup {
-		return fmt.Errorf("store: duplicate table ID %q", t.ID)
-	}
-	s.byID[t.ID] = t
-	s.order = append(s.order, t.ID)
-	return nil
-}
-
-// With returns a new store holding s's tables followed by added, leaving
-// s untouched. The ID map is cloned wholesale and the order cloned once,
-// so the cost is a copy of s plus the adds — not a re-add of every table.
-// Errors are Add's: a table without an ID, or an ID already in s or
-// repeated inside added.
-func (s *Store) With(added []*wtable.Table) (*Store, error) {
-	out := &Store{
-		byID:  maps.Clone(s.byID),
-		order: slices.Grow(slices.Clone(s.order), len(added)),
-	}
-	for _, t := range added {
-		if err := out.Add(t); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Get returns the table with the given ID.
-func (s *Store) Get(id string) (*wtable.Table, bool) {
-	t, ok := s.byID[id]
-	return t, ok
-}
-
-// Len returns the number of stored tables.
-func (s *Store) Len() int { return len(s.order) }
-
-// All returns all tables in insertion order. The slice is fresh; the tables
-// are shared.
-func (s *Store) All() []*wtable.Table {
-	out := make([]*wtable.Table, len(s.order))
-	for i, id := range s.order {
-		out[i] = s.byID[id]
-	}
-	return out
-}
-
-// storeSnapshot is the gob wire form of a Store.
+// storeSnapshot is the gob wire form of a directory's tables.
 type storeSnapshot struct {
 	Tables []*wtable.Table
 }
 
-// Save writes the store to path, prefixed with its magic and format
-// version.
-func (s *Store) Save(path string) error {
+// writeStore writes tables to path, prefixed with the store magic and
+// format version.
+func writeStore(path string, tables []*wtable.Table) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("store save: %w", err)
@@ -126,7 +84,7 @@ func (s *Store) Save(path string) error {
 	if err := writeStoreHeader(w); err != nil {
 		return fmt.Errorf("store save: %w", err)
 	}
-	if err := gob.NewEncoder(w).Encode(storeSnapshot{Tables: s.All()}); err != nil {
+	if err := gob.NewEncoder(w).Encode(storeSnapshot{Tables: tables}); err != nil {
 		return fmt.Errorf("store save: %w", err)
 	}
 	if err := w.Flush(); err != nil {
@@ -135,9 +93,11 @@ func (s *Store) Save(path string) error {
 	return f.Close()
 }
 
-// LoadStore reads a store previously written by Save, validating the
-// format header first.
-func LoadStore(path string) (*Store, error) {
+// ReadTables reads the tables of an index directory written by WriteDir,
+// in doc order, validating the store's format header first. A nil table,
+// an empty ID or an ID listed twice is an error.
+func ReadTables(dir string) ([]*wtable.Table, error) {
+	path := filepath.Join(dir, TablesFileName)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store load: %w", err)
@@ -151,11 +111,15 @@ func LoadStore(path string) (*Store, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("store load: %w", err)
 	}
-	s := NewStore()
+	seen := make(map[string]bool, len(snap.Tables))
 	for _, t := range snap.Tables {
-		if err := s.Add(t); err != nil {
-			return nil, fmt.Errorf("store load: %w", err)
+		if t == nil || t.ID == "" {
+			return nil, fmt.Errorf("store load %s: table without ID", path)
 		}
+		if seen[t.ID] {
+			return nil, fmt.Errorf("store load %s: duplicate table ID %q", path, t.ID)
+		}
+		seen[t.ID] = true
 	}
-	return s, nil
+	return snap.Tables, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -17,12 +16,8 @@ import (
 // live, so the ingest endpoint runs against the real segment machinery.
 func liveEngine(t *testing.T) *wwt.Engine {
 	t.Helper()
-	eng := testEngine(t)
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, eng.Searcher(), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {
+	if err := index.WriteDir(dir, testTables(t), 2); err != nil {
 		t.Fatal(err)
 	}
 	le, err := wwt.OpenLive(dir, nil)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestTokenize(t *testing.T) {
@@ -141,89 +140,6 @@ func TestNormalizeDropsStopwords(t *testing.T) {
 	}
 }
 
-func TestVocabIDFMonotone(t *testing.T) {
-	v := NewVocab()
-	v.AddDoc([]string{"common", "rare"})
-	v.AddDoc([]string{"common"})
-	v.AddDoc([]string{"common"})
-	if v.IDF("rare") <= v.IDF("common") {
-		t.Errorf("IDF(rare)=%f should exceed IDF(common)=%f", v.IDF("rare"), v.IDF("common"))
-	}
-	if v.IDF("unseen") < v.IDF("rare") {
-		t.Errorf("unseen token should have max IDF")
-	}
-}
-
-func TestVocabAddDocDedup(t *testing.T) {
-	v := NewVocab()
-	v.AddDoc([]string{"x", "x", "x"})
-	if v.DF("x") != 1 {
-		t.Errorf("DF should count documents, not occurrences: got %d", v.DF("x"))
-	}
-}
-
-func TestCosineProperties(t *testing.T) {
-	v := NewVocab()
-	v.AddDoc([]string{"a", "b"})
-	v.AddDoc([]string{"b", "c"})
-	a := v.VectorOf([]string{"a", "b"})
-	if c := Cosine(a, a); math.Abs(c-1) > 1e-9 {
-		t.Errorf("self cosine = %f, want 1", c)
-	}
-	empty := Vector{}
-	if c := Cosine(a, empty); c != 0 {
-		t.Errorf("cosine with empty = %f, want 0", c)
-	}
-	b := v.VectorOf([]string{"c"})
-	if c := Cosine(a, b); c != 0 {
-		t.Errorf("disjoint cosine = %f, want 0", c)
-	}
-}
-
-func TestCosineSymmetricQuick(t *testing.T) {
-	v := NewVocab()
-	v.AddDoc([]string{"a", "b", "c", "d"})
-	mk := func(bits uint8) Vector {
-		toks := []string{}
-		for i, s := range []string{"a", "b", "c", "d"} {
-			if bits&(1<<i) != 0 {
-				toks = append(toks, s)
-			}
-		}
-		return v.VectorOf(toks)
-	}
-	f := func(x, y uint8) bool {
-		a, b := mk(x%16), mk(y%16)
-		return math.Abs(Cosine(a, b)-Cosine(b, a)) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCosineRangeQuick(t *testing.T) {
-	v := NewVocab()
-	words := []string{"w0", "w1", "w2", "w3", "w4", "w5"}
-	v.AddDoc(words)
-	v.AddDoc(words[:3])
-	mk := func(bits uint8) Vector {
-		toks := []string{}
-		for i, s := range words {
-			if bits&(1<<i) != 0 {
-				toks = append(toks, s)
-			}
-		}
-		return v.VectorOf(toks)
-	}
-	f := func(x, y uint8) bool {
-		c := Cosine(mk(x%64), mk(y%64))
-		return c >= -1e-12 && c <= 1+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestJaccardTokens(t *testing.T) {
 	if j := JaccardTokens([]string{"a", "b"}, []string{"b", "c"}); math.Abs(j-1.0/3) > 1e-9 {
 		t.Errorf("Jaccard = %f, want 1/3", j)
@@ -233,29 +149,5 @@ func TestJaccardTokens(t *testing.T) {
 	}
 	if j := JaccardTokens([]string{"a", "a"}, []string{"a"}); math.Abs(j-1) > 1e-9 {
 		t.Errorf("Jaccard should use sets: got %f", j)
-	}
-}
-
-func TestVectorTopTerms(t *testing.T) {
-	v := NewVocab()
-	v.AddDoc([]string{"common"})
-	v.AddDoc([]string{"common"})
-	v.AddDoc([]string{"common", "rare"})
-	vec := v.VectorOf([]string{"common", "rare"})
-	top := vec.TopTerms(1)
-	if len(top) != 1 || top[0] != "rare" {
-		t.Errorf("TopTerms = %v, want [rare]", top)
-	}
-	if got := vec.TopTerms(10); len(got) != 2 {
-		t.Errorf("TopTerms over-ask = %v", got)
-	}
-}
-
-func TestNormSqMatchesNorm(t *testing.T) {
-	v := NewVocab()
-	v.AddDoc([]string{"a", "b", "c"})
-	vec := v.VectorOf([]string{"a", "b", "b"})
-	if d := math.Abs(vec.NormSq() - vec.Norm()*vec.Norm()); d > 1e-9 {
-		t.Errorf("NormSq inconsistent with Norm: diff %g", d)
 	}
 }

@@ -1,6 +1,7 @@
 // Package text provides the low-level IR primitives used throughout WWT:
-// tokenization, stopword filtering, Porter stemming, TF-IDF vocabularies and
-// sparse vectors, and similarity measures over token bags.
+// tokenization, stopword filtering, Porter stemming, a normalization cache,
+// and Jaccard similarity over token bags. Corpus statistics (IDF) live in
+// the index package.
 //
 // All functions are deterministic and allocation-conscious; the package has
 // no dependencies outside the standard library.
@@ -70,12 +71,28 @@ func Normalize(s string) []string {
 	return out
 }
 
-// NormalizeKeep is Normalize without stopword removal; useful for phrase
-// fields (titles) where function words still disambiguate.
-func NormalizeKeep(s string) []string {
-	raw := Tokenize(s)
-	for i, t := range raw {
-		raw[i] = Stem(t)
+// JaccardTokens returns the Jaccard similarity of two token sets.
+func JaccardTokens(a, b []string) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
 	}
-	return raw
+	sa := make(map[string]bool, len(a))
+	for _, t := range a {
+		sa[t] = true
+	}
+	sb := make(map[string]bool, len(b))
+	for _, t := range b {
+		sb[t] = true
+	}
+	inter := 0
+	for t := range sa {
+		if sb[t] {
+			inter++
+		}
+	}
+	union := len(sa) + len(sb) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
 }

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"wwt/internal/index"
 	"wwt/internal/wtable"
@@ -20,8 +21,11 @@ import (
 // in-flight query — the retired generation's mappings close only when its
 // last query releases it.
 //
-// A swap migrates nothing: a generation is only its searcher and store,
-// and the new store holds the very table pointers the old one did.
+// A swap migrates nothing: a generation is only its searcher and its
+// tables by doc number, and the new generation's slice holds the very
+// table pointers the old one did — an ingest appends the batch it just
+// wrote, a merge concatenates the in-memory tables of the segments it
+// replaced, in the order it wrote them.
 // Corpus statistics enter a table's analysis only through the header
 // weights each model build computes under its pinned generation, and PMI²
 // doc sets are read from that generation's searcher directly. Everything
@@ -52,7 +56,10 @@ type LiveInfo struct {
 // OpenLive opens dir — a flat index directory, with or without a
 // committed manifest — for live serving. A directory without a flat
 // index fails with an error wrapping fs.ErrNotExist that says to build
-// one with wwt-index. opts may be nil for DefaultOptions.
+// one with wwt-index. Each segment's tables are read once; a segment
+// whose table store disagrees with its doc table in count or ID order,
+// or a table ID held by two segments, fails the open. opts may be nil for
+// DefaultOptions.
 func OpenLive(dir string, opts *Options) (*Engine, error) {
 	s, m, err := index.OpenSnapshot(dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -61,32 +68,47 @@ func OpenLive(dir string, opts *Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := unionStore(dir, m)
+	segs, ids, err := readSegments(dir, m, s)
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
-	e := NewEngineFrom(s, st, opts)
+	e := newEngine(newGeneration(s, slices.Concat(segs...)), opts)
 	e.dir, e.manifest, e.nextSeq = dir, m, nextSegmentSeq(dir, m)
+	e.segTables, e.ids = segs, ids
 	return e, nil
 }
 
-// unionStore loads and unions the table stores of every manifest
-// segment, in canonical order.
-func unionStore(dir string, m index.Manifest) (*index.Store, error) {
-	st := index.NewStore()
-	for _, entry := range m.Segments {
-		seg, err := index.LoadStore(filepath.Join(dir, entry, index.StoreFileName))
+// readSegments reads the tables of every manifest segment in canonical
+// order, checking each segment's store against the doc table s opened
+// for it, and returns them per segment with the set of their IDs.
+func readSegments(dir string, m index.Manifest, s *index.Searcher) ([][]*wtable.Table, map[string]bool, error) {
+	segs := make([][]*wtable.Table, len(m.Segments))
+	ids := make(map[string]bool, s.Len())
+	lens, doc := s.SegmentLens(), int32(0)
+	for i, entry := range m.Segments {
+		seg, err := index.ReadTables(filepath.Join(dir, entry))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for _, t := range seg.All() {
-			if err := st.Add(t); err != nil {
-				return nil, fmt.Errorf("wwt: segment %s: %w", entry, err)
+		if n := lens[i]; len(seg) != n {
+			return nil, nil, fmt.Errorf("wwt: segment %s: %s holds %d tables, %s %d; rebuild the directory with wwt-index",
+				entry, index.TablesFileName, len(seg), index.DocsFileName, n)
+		}
+		for _, t := range seg {
+			if id := s.IDOf(doc); id != t.ID {
+				return nil, nil, fmt.Errorf("wwt: segment %s: %s lists table %q where %s lists %q; rebuild the directory with wwt-index",
+					entry, index.TablesFileName, t.ID, index.DocsFileName, id)
 			}
+			if ids[t.ID] {
+				return nil, nil, fmt.Errorf("wwt: segment %s: duplicate table ID %q", entry, t.ID)
+			}
+			ids[t.ID] = true
+			doc++
 		}
+		segs[i] = seg
 	}
-	return st, nil
+	return segs, ids, nil
 }
 
 // nextSegmentSeq picks the next unused segment sequence number: past the
@@ -166,20 +188,13 @@ func (e *Engine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 	if len(tables) == 0 {
 		return LiveInfo{}, errors.New("wwt: ingest of an empty table batch")
 	}
-	cur := e.cur.Load()
-	w := index.NewSegmentWriter()
 	for _, t := range tables {
-		if t != nil {
-			if _, dup := cur.store.Get(t.ID); dup {
-				return LiveInfo{}, fmt.Errorf("%w: %q", ErrTableExists, t.ID)
-			}
-		}
-		if err := w.Add(t); err != nil {
-			return LiveInfo{}, err
+		if t != nil && e.ids[t.ID] {
+			return LiveInfo{}, fmt.Errorf("%w: %q", ErrTableExists, t.ID)
 		}
 	}
 	entry := index.SegmentDirName(e.nextSeq)
-	if err := w.Flush(filepath.Join(e.dir, entry)); err != nil {
+	if err := index.WriteDir(filepath.Join(e.dir, entry), tables, 1); err != nil {
 		return LiveInfo{}, err
 	}
 	e.nextSeq++
@@ -190,7 +205,11 @@ func (e *Engine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 		return LiveInfo{}, err
 	}
 	e.manifest = m
-	if err := e.publishLocked(tables); err != nil {
+	e.segTables = append(e.segTables, slices.Clone(tables))
+	for _, t := range tables {
+		e.ids[t.ID] = true
+	}
+	if err := e.publishLocked(); err != nil {
 		return LiveInfo{}, err
 	}
 	e.ingests.Add(1)
@@ -200,23 +219,16 @@ func (e *Engine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 }
 
 // publishLocked opens the just-committed manifest as a new generation
-// and swaps it in. added lists tables new in this generation (nil when
-// the table set is unchanged, e.g. a merge — the store is then shared
-// with the old generation).
-func (e *Engine) publishLocked(added []*wtable.Table) error {
-	old := e.cur.Load()
+// over the committed segments' tables and swaps it in. The tables are
+// the very pointers earlier generations held, so every cached view
+// carries over.
+func (e *Engine) publishLocked() error {
 	s, _, err := index.OpenSnapshot(e.dir)
 	if err != nil {
 		return err
 	}
-	st := old.store
-	if added != nil {
-		if st, err = old.store.With(added); err != nil {
-			s.Close()
-			return err
-		}
-	}
-	e.cur.Store(newGeneration(s, st))
+	old := e.cur.Load()
+	e.cur.Store(newGeneration(s, slices.Concat(e.segTables...)))
 	e.retired.Add(1)
 	e.release(old)
 	return nil
@@ -238,19 +250,18 @@ func (e *Engine) maybeMergeLocked() {
 }
 
 // mergeableLocked lists the merge-eligible segments (every manifest
-// entry except the base index) with their doc counts.
-func (e *Engine) mergeableLocked() ([]string, []int) {
-	lens := e.cur.Load().searcher.SegmentLens()
-	var names []string
-	var docs []int
+// entry except the base index) by manifest position, with their doc
+// counts.
+func (e *Engine) mergeableLocked() ([]int, []int) {
+	var segs, docs []int
 	for i, entry := range e.manifest.Segments {
 		if entry == "." {
 			continue
 		}
-		names = append(names, entry)
-		docs = append(docs, lens[i])
+		segs = append(segs, i)
+		docs = append(docs, len(e.segTables[i]))
 	}
-	return names, docs
+	return segs, docs
 }
 
 // mergeOnce runs one merge step under the lock and reports whether it
@@ -276,46 +287,47 @@ func (e *Engine) mergeLocked() (bool, error) {
 	if e.closed {
 		return false, nil
 	}
-	names, docs := e.mergeableLocked()
+	segs, docs := e.mergeableLocked()
 	picks := index.PlanMerge(docs, e.policy)
 	if picks == nil {
 		return false, nil
 	}
-	picked := make(map[string]bool, len(picks))
-	srcDirs := make([]string, 0, len(picks))
+	// The merged segment is the picked segments' tables in manifest
+	// order, written from memory.
+	picked := make(map[int]bool, len(picks))
+	var merged []*wtable.Table
 	for _, i := range picks {
-		picked[names[i]] = true
-		srcDirs = append(srcDirs, filepath.Join(e.dir, names[i]))
+		picked[segs[i]] = true
+		merged = append(merged, e.segTables[segs[i]]...)
 	}
 	entry := index.SegmentDirName(e.nextSeq)
-	if _, err := index.MergeSegments(filepath.Join(e.dir, entry), srcDirs); err != nil {
+	if err := index.WriteDir(filepath.Join(e.dir, entry), merged, 1); err != nil {
 		return false, err
 	}
 	e.nextSeq++
 	m := e.manifest
 	m.Segments = nil
-	inserted := false
-	for _, s := range e.manifest.Segments {
-		if picked[s] {
-			if !inserted {
-				m.Segments = append(m.Segments, entry)
-				inserted = true
-			}
-			continue
+	var segTables [][]*wtable.Table
+	for i, name := range e.manifest.Segments {
+		switch {
+		case !picked[i]:
+			m.Segments, segTables = append(m.Segments, name), append(segTables, e.segTables[i])
+		case segs[picks[0]] == i:
+			m.Segments, segTables = append(m.Segments, entry), append(segTables, merged)
 		}
-		m.Segments = append(m.Segments, s)
 	}
 	m.Generation++
 	if err := index.WriteManifest(e.dir, m); err != nil {
 		return false, err
 	}
-	e.manifest = m
-	if err := e.publishLocked(nil); err != nil {
+	inputs := e.manifest.Segments
+	e.manifest, e.segTables = m, segTables
+	if err := e.publishLocked(); err != nil {
 		return false, err
 	}
 	e.mergesDone.Add(1)
-	for n := range picked {
-		os.RemoveAll(filepath.Join(e.dir, n))
+	for i := range picked {
+		os.RemoveAll(filepath.Join(e.dir, inputs[i]))
 	}
 	return true, nil
 }

@@ -28,15 +28,8 @@ import (
 // live engine can open (flat files + table store, no manifest yet).
 func liveDir(t *testing.T) string {
 	t.Helper()
-	eng, err := wwt.NewEngine(smallCorpus(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, eng.Searcher(), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {
+	if err := index.WriteDir(dir, smallCorpus(t), 2); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -225,6 +218,82 @@ func TestLiveEngineMerge(t *testing.T) {
 	if prevNorm <= before {
 		t.Fatalf("query after the swaps left the normalized-cell lookups at %d", prevNorm)
 	}
+}
+
+// TestOpenLiveRefusesMismatchedStore: OpenLive resolves hits to tables by
+// doc number, so a segment whose table store lists its tables in another
+// order than its doc table, or one table fewer, must fail the open with an
+// error naming the segment and wwt-index. A table ID held by two segments
+// fails the open too.
+func TestOpenLiveRefusesMismatchedStore(t *testing.T) {
+	batch := []*wtable.Table{currencyTable(1), currencyTable(2), currencyTable(3)}
+	seg := index.SegmentDirName(0)
+	// ingested returns a live directory holding batch as segment seg.
+	ingested := func(t *testing.T) string {
+		t.Helper()
+		dir := liveDir(t)
+		le, err := wwt.OpenLive(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := le.IngestTables(batch); err != nil {
+			t.Fatal(err)
+		}
+		le.Close()
+		return dir
+	}
+	openFails := func(t *testing.T, dir string, want ...string) {
+		t.Helper()
+		le, err := wwt.OpenLive(dir, nil)
+		if err == nil {
+			le.Close()
+			t.Fatal("OpenLive accepted the directory")
+		}
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("open error %q does not mention %q", err, w)
+			}
+		}
+	}
+	for name, c := range map[string]struct {
+		tables []*wtable.Table
+		want   string
+	}{
+		"reordered": {[]*wtable.Table{batch[1], batch[0], batch[2]}, `lists table "live-2"`},
+		"one fewer": {batch[:2], "holds 2 tables"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := ingested(t)
+			other := t.TempDir()
+			if err := index.WriteDir(other, c.tables, 1); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(other, index.TablesFileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, seg, index.TablesFileName), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			openFails(t, dir, seg, "wwt-index", c.want)
+		})
+	}
+	t.Run("ID in two segments", func(t *testing.T) {
+		dir := ingested(t)
+		twin := index.SegmentDirName(1)
+		if err := index.WriteDir(filepath.Join(dir, twin), batch[2:], 1); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := index.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Segments = append(m.Segments, twin)
+		if err := index.WriteManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		openFails(t, dir, twin, `duplicate table ID "live-3"`)
+	})
 }
 
 // TestInMemoryEngineRefusesIngest: an engine built in memory has no index
@@ -470,18 +539,10 @@ func TestCarriedViewsMatchFreshOpen(t *testing.T) {
 		queries = append(queries, wwt.Query{Columns: q.Columns})
 	}
 	split := len(tables) * 8 / 10
-	base, err := wwt.NewEngine(tables[:split], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, base.Searcher(), 2); err != nil {
+	if err := index.WriteDir(dir, tables[:split], 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {
-		t.Fatal(err)
-	}
-	base.Close()
 
 	le, err := wwt.OpenLive(dir, nil)
 	if err != nil {
@@ -517,10 +578,35 @@ func TestCarriedViewsMatchFreshOpen(t *testing.T) {
 	if _, _, _, merges := le.IngestCounts(); merges == 0 {
 		t.Fatal("no merge ran; the test must cover a merge swap")
 	}
-	if views := le.CacheStats().Views; views.Hits == 0 {
+	views := le.CacheStats().Views
+	if views.Hits == 0 {
 		t.Fatal("no view was served from the cache")
 	}
+	// Every table was analyzed by a pass after its ingest, and a merge
+	// keeps the table pointers it compacts, so this pass misses nothing.
 	got := answerAll(le)
+	if added := le.CacheStats().Views.Misses - views.Misses; added != 0 {
+		t.Errorf("the pass after the merges added %d view misses, want 0: a merge must keep its tables' pointers", added)
+	}
+	// The candidates are the very tables the test ingested, merged or not.
+	ingested := make(map[string]*wtable.Table, len(rest))
+	for _, tb := range rest {
+		ingested[tb.ID] = tb
+	}
+	checked := 0
+	for _, res := range got {
+		for _, tb := range res.Tables {
+			if want, ok := ingested[tb.ID]; ok {
+				if tb != want {
+					t.Fatalf("table %q is a copy of the ingested one: a merge must keep table pointers", tb.ID)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no ingested table among the candidates")
+	}
 
 	fresh, err := wwt.OpenLive(dir, nil)
 	if err != nil {

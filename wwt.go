@@ -3,6 +3,7 @@ package wwt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,19 +165,19 @@ func (r *Result) Release() {
 }
 
 // Engine answers column-keyword queries over an indexed table corpus. It
-// is only ever obtained from NewEngine, NewEngineFrom or OpenLive, and is
-// safe for concurrent use. Its state has two layers:
+// is only ever obtained from NewEngine or OpenLive, and is safe for
+// concurrent use. Its state has two layers:
 //
 //   - Engine-lifetime state, set once by the constructor: Opts, the
 //     table-view cache and its interner, the normalization cache, the
 //     cost model, the scratch-arena pool, the probe counters, and the
-//     directory, manifest, merge and ingest state of live.go (unset
-//     unless the engine came from OpenLive).
+//     directory, manifest, table-ID, merge and ingest state of live.go
+//     (unset unless the engine came from OpenLive).
 //   - The current generation: an immutable, refcounted corpus snapshot
-//     (searcher and store) behind an atomic pointer. Every query entry
-//     point pins one generation for its whole call, so IngestTables and
-//     background merges swap generations under running queries without
-//     disturbing them.
+//     (a searcher and its tables by doc number) behind an atomic pointer.
+//     Every query entry point pins one generation for its whole call, so
+//     IngestTables and background merges swap generations under running
+//     queries without disturbing them.
 type Engine struct {
 	Opts Options
 
@@ -203,14 +204,18 @@ type Engine struct {
 
 	// Directory state (live.go). dir is empty unless the engine was
 	// opened by OpenLive. mu serializes ingest, merge, generation
-	// publication and Close; queries never take it.
-	dir      string
-	mu       sync.Mutex
-	closed   bool
-	manifest index.Manifest
-	nextSeq  uint64
-	policy   index.MergePolicy
-	merges   sync.WaitGroup
+	// publication and Close; queries never take it. Under mu, segTables
+	// holds each committed manifest segment's tables in doc order, and
+	// ids the set of every table ID in the corpus.
+	dir       string
+	mu        sync.Mutex
+	closed    bool
+	manifest  index.Manifest
+	segTables [][]*wtable.Table
+	ids       map[string]bool
+	nextSeq   uint64
+	policy    index.MergePolicy
+	merges    sync.WaitGroup
 
 	ingests        atomic.Uint64
 	ingestedTables atomic.Uint64
@@ -221,21 +226,22 @@ type Engine struct {
 	reclaimed      atomic.Uint64 // retired generations whose last ref released
 }
 
-// generation is one published corpus snapshot: the searcher and the
-// store holding its tables. It is immutable once published. The published
-// pointer holds one reference and every pinned call another; the last
-// release closes the searcher.
+// generation is one published corpus snapshot: the searcher and its
+// tables, indexed by global doc number, so a probe hit names its table.
+// It is immutable once published. The published pointer holds one
+// reference and every pinned call another; the last release closes the
+// searcher.
 type generation struct {
 	searcher  *index.Searcher
-	store     *index.Store
+	tables    []*wtable.Table
 	refs      atomic.Int64
 	closeOnce sync.Once
 }
 
-// newGeneration wraps a searcher and its store, holding the published
-// pointer's one reference.
-func newGeneration(s *index.Searcher, st *index.Store) *generation {
-	g := &generation{searcher: s, store: st}
+// newGeneration wraps a searcher and its tables (tables[d] is doc d),
+// holding the published pointer's one reference.
+func newGeneration(s *index.Searcher, tables []*wtable.Table) *generation {
+	g := &generation{searcher: s, tables: tables}
 	g.refs.Store(1)
 	return g
 }
@@ -267,32 +273,19 @@ func (e *Engine) release(g *generation) {
 }
 
 // NewEngine indexes the given tables in memory and returns a ready engine
-// — the build-and-freeze convenience over NewEngineFrom. opts may be nil
-// for DefaultOptions.
+// whose one generation never changes: IngestTables refuses, and
+// WaitMerges returns at once. A nil table, an empty ID or a duplicate ID
+// is an error. opts may be nil for DefaultOptions.
 func NewEngine(tables []*wtable.Table, opts *Options) (*Engine, error) {
 	ix, err := index.Build(tables)
 	if err != nil {
 		return nil, fmt.Errorf("wwt: %w", err)
 	}
-	st := index.NewStore()
-	for _, t := range tables {
-		if err := st.Add(t); err != nil {
-			return nil, fmt.Errorf("wwt: %w", err)
-		}
-	}
-	return NewEngineFrom(index.NewSearcher(ix), st, opts), nil
+	return newEngine(newGeneration(index.NewSearcher(ix), slices.Clone(tables)), opts), nil
 }
 
-// NewEngineFrom wraps a searcher — frozen in memory (index.NewSearcher),
-// opened from a flat index directory (index.OpenSharded) or from a live
-// index's manifest snapshot (index.OpenSnapshot) — and the table store
-// holding its documents as generation 0 of an engine with no index
-// directory: IngestTables refuses, and WaitMerges returns at once.
-// Corpus statistics, probes and PMI doc sets all come from the searcher;
-// when it was opened from disk its arrays alias the file mappings, so the
-// index directory must outlive the engine, which owns the searcher and
-// closes it on Close. opts may be nil for DefaultOptions.
-func NewEngineFrom(s *index.Searcher, st *index.Store, opts *Options) *Engine {
+// newEngine sets up the engine-lifetime state around generation g.
+func newEngine(g *generation, opts *Options) *Engine {
 	o := DefaultOptions()
 	if opts != nil {
 		o = *opts
@@ -303,19 +296,15 @@ func NewEngineFrom(s *index.Searcher, st *index.Store, opts *Options) *Engine {
 		norm:    text.NewNormCache(0),
 		planner: plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
 	}
-	e.cur.Store(newGeneration(s, st))
+	e.cur.Store(g)
 	return e
 }
 
 // Searcher returns the current generation's searcher: the probe surface,
-// and the corpus statistics (core.CorpusStats) the feature code reads.
-// Neither it nor Store pins the generation, so both are exact for an
-// engine that never ingests; on one that does, a later swap retires what
-// they returned.
+// and the corpus statistics (core.CorpusStats) the feature code reads. It
+// does not pin the generation, so it is exact for an engine that never
+// ingests; on one that does, a later swap retires what it returned.
 func (e *Engine) Searcher() *index.Searcher { return e.cur.Load().searcher }
-
-// Store returns the current generation's table store (see Searcher).
-func (e *Engine) Store() *index.Store { return e.cur.Load().store }
 
 // Close stops accepting ingests, waits for background merges, and
 // releases the published generation — its file mappings, if it was
@@ -465,12 +454,11 @@ func sampleRows(rng *rand.Rand, rows, take int) []int {
 	return out
 }
 
+// readTables resolves probe hits to their tables by doc number.
 func (g *generation) readTables(hits []index.Hit) []*wtable.Table {
-	out := make([]*wtable.Table, 0, len(hits))
-	for _, h := range hits {
-		if t, ok := g.store.Get(h.ID); ok {
-			out = append(out, t)
-		}
+	out := make([]*wtable.Table, len(hits))
+	for i, h := range hits {
+		out[i] = g.tables[h.Doc]
 	}
 	return out
 }

@@ -14,10 +14,10 @@ import (
 
 // TestEngineShardedFlatRoundTrip: an engine opened from the flat on-disk
 // index — at every segment count K and shard count N — must answer
-// identically to the in-memory engine over the same tables, and must route
-// PMI doc-set probes through its cache. At each grid point the retired
-// version-1 layout must instead fail the whole open with an error naming
-// wwt-index: one v1 postings file in the last segment is enough.
+// identically to the in-memory engine over the same tables. At each grid
+// point the retired version-1 layout must instead fail the whole open
+// with an error naming wwt-index: one v1 postings file in the last
+// segment is enough.
 func TestEngineShardedFlatRoundTrip(t *testing.T) {
 	tables := smallCorpus(t)
 	eng, err := wwt.NewEngine(tables, nil)
@@ -36,19 +36,27 @@ func TestEngineShardedFlatRoundTrip(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 8} {
 			for _, fv := range []int{2, 1} {
 				t.Run(fmt.Sprintf("K=%d,N=%d,v%d", k, n, fv), func(t *testing.T) {
-					var dirs []string
+					// Segment 0 is the index root; the rest are listed
+					// segments, as ingests and merges leave them.
+					root := t.TempDir()
+					m := index.Manifest{Generation: 1}
+					var last string
 					for i := 0; i < k; i++ {
-						ix, err := index.Build(tables[i*len(tables)/k : (i+1)*len(tables)/k])
-						if err != nil {
+						entry := "."
+						if i > 0 {
+							entry = index.SegmentDirName(uint64(i))
+						}
+						last = filepath.Join(root, entry)
+						if err := index.WriteDir(last, tables[i*len(tables)/k:(i+1)*len(tables)/k], n); err != nil {
 							t.Fatal(err)
 						}
-						dirs = append(dirs, t.TempDir())
-						if err := index.WriteSharded(dirs[i], index.NewSearcher(ix), n); err != nil {
-							t.Fatal(err)
-						}
+						m.Segments = append(m.Segments, entry)
+					}
+					if err := index.WriteManifest(root, m); err != nil {
+						t.Fatal(err)
 					}
 					if fv == 1 {
-						path := filepath.Join(dirs[k-1], "postings-000.wwt")
+						path := filepath.Join(last, "postings-000.wwt")
 						data, err := os.ReadFile(path)
 						if err != nil {
 							t.Fatal(err)
@@ -58,21 +66,20 @@ func TestEngineShardedFlatRoundTrip(t *testing.T) {
 						if err := os.WriteFile(path, data, 0o644); err != nil {
 							t.Fatal(err)
 						}
-						s, err := index.OpenSharded(dirs...)
+						eng2, err := wwt.OpenLive(root, nil)
 						if err == nil {
-							s.Close()
-							t.Fatal("OpenSharded served a version-1 postings file")
+							eng2.Close()
+							t.Fatal("OpenLive served a version-1 postings file")
 						}
 						if !strings.Contains(err.Error(), "wwt-index") {
 							t.Fatalf("v1 open error %q does not name wwt-index", err)
 						}
 						return
 					}
-					s, err := index.OpenSharded(dirs...)
+					eng2, err := wwt.OpenLive(root, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng2 := wwt.NewEngineFrom(s, eng.Store(), nil)
 					defer eng2.Close()
 					if eng2.Searcher().Segments() != k || eng2.Searcher().Shards() != k*n {
 						t.Fatalf("engine not wired to a %d-segment × %d-shard searcher", k, n)

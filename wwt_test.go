@@ -1,7 +1,6 @@
 package wwt_test
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -190,22 +189,33 @@ func TestEngineProbe2TimedWhenNotFired(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsIDlessTables: a nil table or a table without an ID
+// is an error from NewEngine, not a panic inside the index build.
+func TestNewEngineRejectsIDlessTables(t *testing.T) {
+	for name, bad := range map[string]*wtable.Table{
+		"nil table": nil,
+		"empty ID":  {BodyRows: []wtable.Row{{Cells: []wtable.Cell{{Text: "x"}}}}},
+	} {
+		eng, err := wwt.NewEngine(append(smallCorpus(t), bad), nil)
+		if err == nil {
+			eng.Close()
+			t.Fatalf("%s: NewEngine accepted it", name)
+		}
+		if !strings.Contains(err.Error(), "table without ID") {
+			t.Errorf("%s: err = %v, want table without ID", name, err)
+		}
+	}
+}
+
 func TestEnginePersistenceRoundTrip(t *testing.T) {
 	tables := smallCorpus(t)
 	eng, err := wwt.NewEngine(tables, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := index.Build(tables)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The directory layout wwt-index writes: flat files plus the store.
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, index.NewSearcher(built), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Store().Save(filepath.Join(dir, index.StoreFileName)); err != nil {
+	if err := index.WriteDir(dir, tables, 1); err != nil {
 		t.Fatal(err)
 	}
 	eng2, err := wwt.OpenLive(dir, nil)
