@@ -202,7 +202,7 @@ func (e *Engine) AnswerBatch(queries []Query, workers int) *BatchResult {
 // until every member finishes: concurrent ingests swap later calls to
 // newer generations without disturbing this one. Results stay valid after
 // that generation is closed, because answers are backed by the
-// heap-resident table store, not the index mappings.
+// generation's heap-resident table slice, not the index mappings.
 func (e *Engine) AnswerBatchCtx(ctx context.Context, queries []Query, workers int, perQuery time.Duration) *BatchResult {
 	start := time.Now()
 	g := e.acquire()

@@ -49,7 +49,7 @@ func FuzzExtractHTML(f *testing.F) {
 		if err := index.WriteDir(dir, tables, 1); err != nil {
 			t.Fatalf("WriteDir: %v", err)
 		}
-		ms, err := index.OpenSharded(dir)
+		ms, _, err := index.OpenSnapshot(dir)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}

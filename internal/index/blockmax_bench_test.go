@@ -115,13 +115,12 @@ func BenchmarkSearchBlockMax(b *testing.B) {
 // top-10 probes over the 1500-table fixture at 8 shards, mmap-opened
 // (block-max skipping plus shard pruning).
 func BenchmarkShardedPruned(b *testing.B) {
-	s := benchSkewedSearcher(b)
 	queries := benchSkewedQueries(64)
 	dir := b.TempDir()
-	if err := WriteSharded(dir, s, 8); err != nil {
+	if err := WriteDir(dir, benchSkewedTables(), 8); err != nil {
 		b.Fatal(err)
 	}
-	ss, err := OpenSharded(dir)
+	ss, err := openSharded(false, dir)
 	if err != nil {
 		b.Fatal(err)
 	}

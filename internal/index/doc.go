@@ -7,17 +7,22 @@
 //
 // # Ownership and concurrency contracts
 //
-// Index is the mutable, map-based build-time structure; it must not be
-// mutated once a Searcher has been frozen from it. Searcher is the
+// Index is the mutable, map-based build-time structure. Searcher is the
 // query-time form, and the only one: an ordered list of K immutable
 // segments × N term-hash shards over a global doc space, each shard a
 // frozen CSR layout with precomputed (1+ln tf)·boost/√len weights, probed
 // through a pooled dense accumulator with generation-tagged reset, bounded
-// top-k heap selection and the layered pruning described below. The
-// in-memory freeze of an Index (NewSearcher) is K=1, N=1; a flat index
-// directory (OpenSharded) is K=1; a live index's manifest snapshot
-// (OpenSnapshot) is the general case — one type, one SearchStats, one each
-// of IDF, TermStats, DocSet and DocsWithToken. A Searcher is immutable and
+// top-k heap selection and the layered pruning described below.
+//
+// The package has three entry points: NewSearcher freezes an Index in
+// memory (K=1, N=1), WriteDir writes tables as an index directory, and
+// OpenSnapshot opens a directory's committed manifest (K=1 for a plain
+// frozen directory) — one type, one SearchStats, one each of IDF,
+// TermStats and DocSet. One freeze (freezeSegment) builds every segment:
+// it buckets the sorted terms by shard and builds each shard's arrays in
+// exactly the form its postings file holds, so NewSearcher's segment and
+// a flat-opened one differ only in where the arrays live, and a frozen
+// searcher shares nothing with its Index. A Searcher is immutable and
 // safe for concurrent calls.
 //
 // The map-based scorer over Index (Index.Search and friends) lives in
@@ -80,11 +85,12 @@
 // An index directory holds one form of each, and WriteDir is the one
 // writer of both — wwt-index, every ingest and every merge go through it:
 //
-//   - docs.wwt + postings-NNN.wwt — the flat sharded index written by
-//     WriteSharded and opened by OpenSharded. Opening is O(1) in corpus
-//     size: the files are memory-mapped (page-cache backed) and the
-//     searcher's arrays alias the mapping directly; no maps are built and
-//     no bytes are copied on the fast path.
+//   - docs.wwt + postings-NNN.wwt — the flat sharded index: a frozen
+//     segment's arrays written out verbatim, opened by OpenSnapshot.
+//     Opening is O(1) in corpus size: the files are memory-mapped
+//     (page-cache backed) and the searcher's arrays alias the mapping
+//     directly; no maps are built and no bytes are copied on the fast
+//     path.
 //
 //   - store.gob — an encoding/gob snapshot of the directory's tables in
 //     doc order, prefixed with an 8-byte magic ("WWTSTG01") and a uint32
@@ -94,6 +100,10 @@
 //     indexes the concatenation of a snapshot's segment stores in
 //     manifest order; the live engine resolves hits that way and refuses
 //     a segment whose store disagrees with its doc table.
+//
+// Every file WriteDir writes is synced before it is closed, and then the
+// directory and the parent entry naming it are synced, so a manifest
+// committed afterwards never names a segment a crash could lose.
 //
 // Older layouts are retired, not read: a version-1 flat file (WWTFLT01),
 // a gob index snapshot (index.gob, WWTIXG01) where a flat file belongs,
@@ -142,9 +152,11 @@
 //
 // Postings shards must also carry section secBestWeight (id 24, float64,
 // numTerms entries): each term's best per-document cross-field weight sum
-// — the idf-free factor of the maxScore bound. Probes use it to restate
-// a term's score bound under the corpus-global idf (bound = global idf ·
-// bestWeight).
+// — the idf-free factor of a term's score bound. Probes use it to restate
+// the bound under the corpus-global idf (bound = global idf ·
+// bestWeight). Section IDs 5 and 6 — a shard-local idf and max score that
+// earlier builds wrote and no probe read — are retired: a reader ignores
+// them when present, and no build writes or reuses them.
 //
 // On little-endian hosts with an aligned mapping the typed views are
 // zero-copy (unsafe.Slice over the mapped bytes); on big-endian hosts or
@@ -170,7 +182,7 @@
 // query tokens. (2) Resolve every token in its home shard of every
 // segment, sum its df across segments — exact, since a document lives in
 // one segment — and stamp the corpus-global df, idf (smoothedIDF, the same
-// float64 operation a rebuilt index runs at freeze time) and rescaled
+// float64 operation a rebuilt index runs) and rescaled
 // max-score bound on each termRef; sort the refs segment-major into the
 // canonical order. (3) For each segment in order: scatter — prefault the
 // involved shards' posting pages concurrently, or run the floor-seeding pre-pass above when
@@ -180,8 +192,8 @@
 // top k. (4) The global top k is a subset of the per-segment top k's, so
 // merging the candidates by the shared hit order (score descending, ID
 // ascending) reproduces exactly what one index rebuilt over the union
-// would return. DocSet and DocsWithToken intersect per segment and
-// concatenate the rebased results; TermStats and IDF sum over segments.
+// would return. DocSet intersects per segment and concatenates the
+// rebased results; TermStats and IDF sum over segments.
 //
 // # Segments and the manifest: the live-index lifecycle
 //
@@ -207,8 +219,11 @@
 //
 // The manifest is the single commit point, written atomically: the JSON
 // goes to a CreateTemp file in the index directory, is fsynced, closed,
-// and renamed over MANIFEST.json. A reader therefore sees either the old
-// generation or the new one, never a torn file. Every other file in the
+// and renamed over MANIFEST.json, and the index directory is fsynced
+// after the rename. A reader therefore sees either the old generation or
+// the new one, never a torn file, and a crash after WriteManifest returns
+// keeps the new one — every segment it names was synced by WriteDir
+// before the commit. Every other file in the
 // lifecycle is immutable once written: segment writes and merges (both
 // WriteDir) and the base index are create-only, so the
 // crash-recovery rule is simply "trust the manifest": a segment
@@ -223,9 +238,9 @@
 // write the union of a full tier as a new segment, commit with the
 // picked entries replaced (at the first picked position) by the merged
 // one, then unlink the inputs — readers still mapping them keep the
-// inodes alive. PlanMerge picks the lowest size tier (TierBase-ratio
-// buckets over doc counts) holding at least TierFanIn segments; the base
-// "." is never an input.
+// inodes alive; the unlink runs only after the commit's directory sync.
+// PlanMerge picks the lowest size tier (ratio-4 buckets over doc counts)
+// holding at least 4 segments; the base "." is never an input.
 //
 // OpenSnapshot opens the listed segments as one Searcher (above), so a
 // partitioned corpus scores bit-identically to the same corpus rebuilt as

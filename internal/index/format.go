@@ -31,10 +31,11 @@ package index
 //
 // Postings files carry the best-weight section (secBestWeight) and four
 // block-summary sections per field (secFieldBlkBase); a file without them
-// fails at open. Retired layouts — version-1 WWTFLT01 files, WWTIXG01 gob
-// index snapshots, postings files from before the best-weight section —
-// fail at open with an error that names wwt-index, the tool that rebuilds
-// the directory.
+// fails at open. Section IDs 5 and 6 are retired: ignored when present,
+// never written, never reused. Retired layouts — version-1 WWTFLT01
+// files, WWTIXG01 gob index snapshots, postings files from before the
+// best-weight section — fail at open with an error that names wwt-index,
+// the tool that rebuilds the directory.
 //
 // Numeric sections are raw little-endian arrays ([]int32, []int64,
 // []float32, []float64 bit patterns); on little-endian hosts they are
@@ -76,15 +77,17 @@ const (
 	secIDBlob   = 2 // concatenated table-ID bytes
 	secTermOffs = 3 // []int64, numTerms+1 offsets into secTermBlob
 	secTermBlob = 4 // concatenated term bytes, lexicographic order
-	secIDF      = 5 // []float64, per term
-	secMaxScore = 6 // []float64, per term
-	secDF       = 7 // []int32, per term
+	// IDs 5 and 6 are retired: earlier builds wrote each shard's local idf
+	// and max score there. No build reads them — probes restate both from
+	// the corpus-global df — so a file carrying them still opens, and the
+	// IDs are never reused.
+	secDF = 7 // []int32, per term
 	// Per-field CSR sections: off / docs / wts for field f.
 	secFieldBase = 8 // + 3*f + {0: off, 1: docs, 2: wts}
-	// secBestWeight is the idf-free counterpart of secMaxScore: per term,
-	// the maximum per-document cross-field weight sum. A multi-segment
-	// probe rescales it by the corpus-global idf to get a valid bound.
-	// Every postings file must carry it.
+	// secBestWeight is per term the maximum per-document cross-field
+	// weight sum — the idf-free factor of a term's score bound. A probe
+	// rescales it by the corpus-global idf. Every postings file must carry
+	// it.
 	secBestWeight = 24 // []float64, per term
 )
 
@@ -285,9 +288,26 @@ type section struct {
 	data []byte
 }
 
-// writeFlatFile lays out header + section table + 8-aligned payloads.
-// blockSize lands in header byte 44 (postings files; 0 for the doc table).
-func writeFlatFile(path string, blockSize, kind, shardIndex, shardCount uint32, numDocs, numTerms uint64, secs []section) (err error) {
+// fsync is the one durability point of the writers: every flat file and
+// table store is synced before it is closed, and every directory whose
+// entries a commit depends on is synced after they are made (syncDir). A
+// var so tests can record the order of the calls.
+var fsync = (*os.File).Sync
+
+// syncDir makes the entries created or renamed in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return fsync(d)
+}
+
+// writeFlatFile lays out header + section table + 8-aligned payloads and
+// syncs the file. blockSize lands in header byte 44 (postings files; 0 for
+// the doc table).
+func writeFlatFile(path string, blockSize, kind, shardIndex, shardCount uint32, numDocs, numTerms uint64, secs []section) error {
 	headerSize := flatHeaderSize + 24*len(secs)
 	hdr := make([]byte, align8(headerSize))
 	copy(hdr[0:8], flatMagic)
@@ -314,11 +334,7 @@ func writeFlatFile(path string, blockSize, kind, shardIndex, shardCount uint32, 
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
+	defer f.Close()
 	if _, err := f.Write(hdr); err != nil {
 		return err
 	}
@@ -336,7 +352,10 @@ func writeFlatFile(path string, blockSize, kind, shardIndex, shardCount uint32, 
 			pos += p
 		}
 	}
-	return nil
+	if err := fsync(f); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // ---- flat file reader ---------------------------------------------------

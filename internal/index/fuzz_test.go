@@ -43,7 +43,7 @@ func FuzzSearchPruningEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			split.add(NewSearcher(cix).segs[0].reshard(1 + int(shards)%4))
+			split.add(freezeSegment(cix, 1+int(shards)%4))
 		}
 
 		qr := rand.New(rand.NewSource(qseed))

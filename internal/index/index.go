@@ -229,24 +229,6 @@ func selectTopHits(cands []Hit, k int) []Hit {
 	return out
 }
 
-// IntersectSize returns |a ∩ b| for two sorted doc sets.
-func IntersectSize(a, b []int32) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
 func intersectSorted(a, b []int32) []int32 {
 	out := a[:0]
 	i, j := 0, 0

@@ -161,6 +161,24 @@ func TestDocSetEmptyToken(t *testing.T) {
 	}
 }
 
+// IntersectSize returns |a ∩ b| for two sorted doc sets.
+func IntersectSize(a, b []int32) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
 func TestIntersectSize(t *testing.T) {
 	cases := []struct {
 		a, b []int32
@@ -226,7 +244,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if got[0].Header(0, 0) != "A" || got[0].Body(0, 0) != "x" {
 		t.Error("table content lost in round trip")
 	}
-	s, err := OpenSharded(dir)
+	s, _, err := OpenSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 // shards of CSR postings, presented as one index over a global doc space
 // (segment i's documents occupy the contiguous range starting at its doc
 // base, in list order). Freezing an Index in memory (NewSearcher) is
-// K=1, N=1; a flat index directory (OpenSharded) is K=1; a live index's
-// manifest snapshot (OpenSnapshot) is the general case.
+// K=1, N=1; an index directory's manifest snapshot (OpenSnapshot) is the
+// general case, K=1 for a directory without ingested segments.
 //
 // Scoring is bit-identical — IDs, float64 scores, order, tie-breaks — at
 // every K and N to one index built over the union of the documents:
@@ -26,8 +26,8 @@ import (
 //   - The one corpus-wide quantity in a score is idf. Every probe sums a
 //     term's df across segments (documents live in exactly one segment, so
 //     the sum is exact) and restates idf from the global doc count with
-//     smoothedIDF — the identical float64 operation a rebuilt index runs at
-//     freeze time — and carries both on the termRef.
+//     smoothedIDF — the identical float64 operation a rebuilt index runs —
+//     and carries both on the termRef.
 //   - Each segment is gathered independently (gather.go) in the canonical
 //     term order, df ascending then token ascending, so every document
 //     accumulates the identical operation sequence it would in the rebuilt
@@ -45,17 +45,16 @@ type Searcher struct {
 	pool    sync.Pool // *scratch
 }
 
-// segment is one immutable slice of the corpus: a doc table — materialized
-// strings (in-memory construction) or an offsets+blob view into the docs
-// file (flat construction) — and its term-hash shards. Views alias the
-// file mappings the Searcher's Close releases.
+// segment is one immutable slice of the corpus: a doc table (table IDs as
+// offsets plus one blob, the docs file's sections) and its term-hash
+// shards. A flat-opened segment's arrays alias the file mappings the
+// Searcher's Close releases.
 //
 //wwt:mmap-owner
 type segment struct {
 	base    int32 // global doc number of local doc 0
 	numDocs int
 
-	ids    []string
 	idOffs []int64
 	idBlob []byte
 
@@ -66,11 +65,11 @@ type segment struct {
 }
 
 // NewSearcher freezes an index into its search form: one segment, one
-// shard. The index must not be mutated afterwards (the searcher shares its
-// ids slice).
+// shard, holding the arrays a one-shard index directory would. The
+// searcher shares nothing with the index.
 func NewSearcher(ix *Index) *Searcher {
 	s := &Searcher{}
-	s.add(&segment{numDocs: len(ix.ids), ids: ix.ids, shards: []*shard{freezeShard(ix)}, pruned: make([]atomic.Uint64, 1)})
+	s.add(freezeSegment(ix, 1))
 	return s
 }
 
@@ -82,18 +81,14 @@ func (s *Searcher) add(seg *segment) {
 	s.maxSeg = max(s.maxSeg, seg.numDocs)
 }
 
-// OpenSharded opens the given flat index directories (each written by
-// WriteSharded) as the segments of one searcher, in the given canonical
+// openSharded opens the given flat index directories (each written by
+// WriteDir) as the segments of one searcher, in the given canonical
 // order. Opening is O(1) in corpus size: the files are page-mapped (or
-// read whole where mmap is unavailable) and only headers are validated.
-// The returned searcher's strings and arrays alias the mappings; results
-// must not outlive Close. A directory without a flat index fails with an
-// error wrapping fs.ErrNotExist, so callers can tell a missing index from
-// a corrupt one.
-func OpenSharded(dirs ...string) (*Searcher, error) {
-	return openSharded(false, dirs...)
-}
-
+// read whole when noMmap is set or mmap is unavailable) and only headers
+// are validated. The returned searcher's strings and arrays alias the
+// mappings; results must not outlive Close. A directory without a flat
+// index fails with an error wrapping fs.ErrNotExist, so callers can tell
+// a missing index from a corrupt one.
 func openSharded(noMmap bool, dirs ...string) (*Searcher, error) {
 	s := &Searcher{}
 	for _, d := range dirs {
@@ -108,10 +103,13 @@ func openSharded(noMmap bool, dirs ...string) (*Searcher, error) {
 }
 
 // OpenSnapshot opens dir's committed manifest (or the implicit base-only
-// manifest of a plain frozen index directory) and returns the manifest it
-// opened. A directory holding neither a manifest nor a flat index fails
-// with an error wrapping fs.ErrNotExist, so callers can tell a missing
-// index from a corrupt one.
+// manifest of a plain frozen index directory) as one searcher over the
+// listed segments, and returns the manifest it opened. Opening is O(1) in
+// corpus size: the flat files are page-mapped and only headers are
+// validated, so the searcher's strings and arrays alias the mappings and
+// results must not outlive Close. A directory holding neither a manifest
+// nor a flat index fails with an error wrapping fs.ErrNotExist, so
+// callers can tell a missing index from a corrupt one.
 func OpenSnapshot(dir string) (*Searcher, Manifest, error) {
 	return openSnapshot(dir, false)
 }
@@ -212,9 +210,6 @@ func (s *Searcher) ShardPruneCounts() []uint64 {
 // idOf returns the table ID of a segment-local doc number. For disk-opened
 // segments the string aliases the mapping (zero-copy).
 func (seg *segment) idOf(doc int32) string {
-	if seg.ids != nil {
-		return seg.ids[doc]
-	}
 	return unsafeString(seg.idBlob[seg.idOffs[doc]:seg.idOffs[doc+1]])
 }
 
@@ -619,19 +614,6 @@ func appendGlobal(out, set []int32, base int32) []int32 {
 		return set
 	}
 	return append(out, set...)
-}
-
-// DocsWithToken returns the sorted global doc set containing tok in any of
-// the given fields. The slice is freshly allocated and safe to retain
-// across Close.
-func (s *Searcher) DocsWithToken(tok string, fields ...Field) []int32 {
-	var out []int32
-	for _, seg := range s.segs {
-		if sh, tid, ok := seg.find(tok); ok {
-			out = appendGlobal(out, sh.termDocs(tid, fields), seg.base)
-		}
-	}
-	return out
 }
 
 // DocSet returns the sorted global set of documents containing *all*

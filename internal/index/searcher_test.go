@@ -111,9 +111,9 @@ func splitTables(tables []*wtable.Table, nSeg int, seed int64) [][]*wtable.Table
 var gridDims = []int{1, 2, 3, 8}
 
 // gridCase is one construction of the Searcher over a corpus: k segments ×
-// n shards, built along one path — "memory" (frozen chunks resharded and
-// concatenated on the heap), "mmap" / "nommap" (flat files, mapped or read
-// whole).
+// n shards, built along one path — "memory" (chunks frozen at n shards
+// and concatenated on the heap), "mmap" / "nommap" (those frozen segments
+// written as flat files, mapped or read whole).
 type gridCase struct {
 	name string
 	k, n int
@@ -125,13 +125,13 @@ type gridCase struct {
 // and along every construction path, with cleanup registered on t.
 func gridOf(t testing.TB, chunks [][]*wtable.Table, ns []int) []gridCase {
 	t.Helper()
-	frozen := make([]*Searcher, len(chunks))
+	ixs := make([]*Index, len(chunks))
 	for i, chunk := range chunks {
 		ix, err := Build(chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frozen[i] = NewSearcher(ix)
+		ixs[i] = ix
 	}
 	var out []gridCase
 	add := func(n int, path string, s *Searcher) {
@@ -139,23 +139,22 @@ func gridOf(t testing.TB, chunks [][]*wtable.Table, ns []int) []gridCase {
 	}
 	for _, n := range ns {
 		mem := &Searcher{}
-		for _, f := range frozen {
-			mem.add(f.segs[0].reshard(n))
-		}
-		add(n, "memory", mem)
-		dirs := make([]string, len(frozen))
-		for i, f := range frozen {
+		dirs := make([]string, len(ixs))
+		for i, ix := range ixs {
+			seg := freezeSegment(ix, n)
+			mem.add(seg)
 			dirs[i] = t.TempDir()
-			if err := WriteSharded(dirs[i], f, n); err != nil {
+			if err := writeSegment(dirs[i], seg); err != nil {
 				t.Fatal(err)
 			}
 		}
-		mm, err := OpenSharded(dirs...)
+		add(n, "memory", mem)
+		mm, err := openSharded(false, dirs...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !mm.Mmapped() {
-			t.Fatalf("OpenSharded did not map the files")
+			t.Fatalf("openSharded did not map the files")
 		}
 		rd, err := openSharded(true, dirs...)
 		if err != nil {
@@ -389,8 +388,9 @@ func sameDocs(t *testing.T, want, got []int32, ctx string) {
 	}
 }
 
-// TestSearcherDocSetEquivalence: DocsWithToken and DocSet must match the
-// map-based reference across field combinations, on every construction.
+// TestSearcherDocSetEquivalence: DocSet, over several tokens and over one,
+// must match the map-based reference across field combinations, on every
+// construction.
 func TestSearcherDocSetEquivalence(t *testing.T) {
 	ix, tables := buildRandCorpus(t, 4242, 40)
 	grid := searcherGrid(t, tables, 4242)
@@ -402,15 +402,15 @@ func TestSearcherDocSetEquivalence(t *testing.T) {
 			wantSet, wantTok := ix.DocSet(toks, fs...), ix.DocsWithToken(tok, fs...)
 			for _, c := range grid {
 				sameDocs(t, wantSet, c.s.DocSet(toks, fs...), fmt.Sprintf("%s: DocSet(%v, %v)", c.name, toks, fs))
-				sameDocs(t, wantTok, c.s.DocsWithToken(tok, fs...), fmt.Sprintf("%s: DocsWithToken(%q, %v)", c.name, tok, fs))
+				sameDocs(t, wantTok, c.s.DocSet([]string{tok}, fs...), fmt.Sprintf("%s: DocSet(%q, %v)", c.name, tok, fs))
 			}
 		}
 	}
 }
 
-// TestShardedDocSetEquivalence: DocsWithToken, DocSet and IDF must match
-// the one-segment one-shard freeze at every shard count and construction
-// path.
+// TestShardedDocSetEquivalence: DocSet (over several tokens and over one)
+// and IDF must match the one-segment one-shard freeze at every shard count
+// and construction path.
 func TestShardedDocSetEquivalence(t *testing.T) {
 	ix, tables := buildRandCorpus(t, 4242, 40)
 	s := NewSearcher(ix)
@@ -422,7 +422,8 @@ func TestShardedDocSetEquivalence(t *testing.T) {
 		for _, c := range grid {
 			for _, fs := range docSetFieldSets {
 				sameDocs(t, s.DocSet(toks, fs...), c.s.DocSet(toks, fs...), fmt.Sprintf("%s: DocSet(%v, %v)", c.name, toks, fs))
-				sameDocs(t, s.DocsWithToken(tok, fs...), c.s.DocsWithToken(tok, fs...), fmt.Sprintf("%s: DocsWithToken(%q, %v)", c.name, tok, fs))
+				one := []string{tok}
+				sameDocs(t, s.DocSet(one, fs...), c.s.DocSet(one, fs...), fmt.Sprintf("%s: DocSet(%q, %v)", c.name, tok, fs))
 			}
 			if got, want := c.s.IDF(tok), s.IDF(tok); got != want {
 				t.Fatalf("%s: IDF(%q) = %v, want %v", c.name, tok, got, want)
@@ -434,7 +435,7 @@ func TestShardedDocSetEquivalence(t *testing.T) {
 	}
 }
 
-// TestMultiSearcherDocSets: DocsWithToken/DocSet/IDF/TermStats must match
+// TestMultiSearcherDocSets: DocSet/IDF/TermStats must match
 // the unpartitioned searcher — doc numbers remap through the segment
 // bases, and df sums across segments.
 func TestMultiSearcherDocSets(t *testing.T) {
@@ -467,7 +468,9 @@ func TestTermStatsEquivalence(t *testing.T) {
 	ix, tables := buildRandCorpus(t, 2012, 40)
 	s := NewSearcher(ix)
 	for _, c := range searcherGrid(t, tables, 2012) {
-		for _, tok := range s.segs[0].shards[0].names {
+		sh := s.segs[0].shards[0]
+		for ti := int32(0); ti < int32(sh.numTerms); ti++ {
+			tok := sh.termName(ti)
 			wdf, wpost, wok := ix.TermStats(tok)
 			sdf, spost, sok := s.TermStats(tok)
 			gdf, gpost, gok := c.s.TermStats(tok)

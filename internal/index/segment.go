@@ -74,8 +74,10 @@ func ReadManifest(dir string) (Manifest, bool, error) {
 
 // WriteManifest atomically commits m as dir's manifest: the JSON is
 // written to a temp file in the same directory, synced, and renamed over
-// the live name. A crash leaves either the previous manifest or the new
-// one, never a torn file.
+// the live name, and dir is synced after the rename. A crash leaves either
+// the previous manifest or the new one, never a torn file, and once it
+// returns the new one survives a crash — so a caller may unlink what only
+// the previous manifest listed.
 func WriteManifest(dir string, m Manifest) error {
 	m.Version = manifestVersion
 	b, err := json.MarshalIndent(m, "", "  ")
@@ -93,7 +95,7 @@ func WriteManifest(dir string, m Manifest) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("manifest write: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := fsync(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("manifest write: %w", err)
@@ -104,6 +106,9 @@ func WriteManifest(dir string, m Manifest) error {
 	}
 	if err := os.Rename(tmpName, filepath.Join(dir, ManifestFileName)); err != nil {
 		os.Remove(tmpName)
+		return fmt.Errorf("manifest write: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("manifest write: %w", err)
 	}
 	return nil
@@ -135,32 +140,22 @@ func SegmentDirName(seq uint64) string {
 	return filepath.Join(SegmentsDirName, fmt.Sprintf("seg-%010d", seq))
 }
 
-// MergePolicy parameterizes the size-tiered background merge: segments
-// are bucketed into doc-count tiers of ratio TierBase, and any tier that
-// accumulates TierFanIn segments is compacted into one. Inputs are
-// immutable — a merge writes a brand-new segment and the manifest commit
-// swaps it in — so queries running on the old generation are unaffected.
-type MergePolicy struct {
-	TierFanIn int // segments per tier that trigger a merge (default 4)
-	TierBase  int // doc-count ratio between adjacent tiers (default 4)
-}
+// The size-tiered background merge: segments are bucketed into doc-count
+// tiers of ratio tierBase, and any tier that accumulates tierFanIn
+// segments is compacted into one. Inputs are immutable — a merge writes a
+// brand-new segment and the manifest commit swaps it in — so queries
+// running on the old generation are unaffected.
+const (
+	tierFanIn = 4 // segments per tier that trigger a merge
+	tierBase  = 4 // doc-count ratio between adjacent tiers
+)
 
-func (p MergePolicy) withDefaults() MergePolicy {
-	if p.TierFanIn <= 1 {
-		p.TierFanIn = 4
-	}
-	if p.TierBase <= 1 {
-		p.TierBase = 4
-	}
-	return p
-}
-
-// tier buckets a doc count: 0 for < TierBase docs, 1 for < TierBase²,
+// tier buckets a doc count: 0 for < tierBase docs, 1 for < tierBase²,
 // and so on.
-func (p MergePolicy) tier(docs int) int {
+func tier(docs int) int {
 	t := 0
-	for docs >= p.TierBase {
-		docs /= p.TierBase
+	for docs >= tierBase {
+		docs /= tierBase
 		t++
 	}
 	return t
@@ -168,19 +163,18 @@ func (p MergePolicy) tier(docs int) int {
 
 // PlanMerge picks one merge from the given per-segment doc counts: the
 // indices (ascending) of the segments in the lowest tier holding at least
-// TierFanIn members, or nil when no tier is full. Pure function — the
+// tierFanIn members, or nil when no tier is full. Pure function — the
 // caller owns locking and the decision of which segments are eligible
 // (the base index, typically the largest tier, is usually excluded).
-func PlanMerge(docCounts []int, p MergePolicy) []int {
-	p = p.withDefaults()
+func PlanMerge(docCounts []int) []int {
 	byTier := make(map[int][]int)
 	for i, n := range docCounts {
-		t := p.tier(n)
+		t := tier(n)
 		byTier[t] = append(byTier[t], i)
 	}
 	best := -1
 	for t, members := range byTier {
-		if len(members) >= p.TierFanIn && (best < 0 || t < best) {
+		if len(members) >= tierFanIn && (best < 0 || t < best) {
 			best = t
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"wwt/internal/wtable"
@@ -24,8 +25,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 
 	// A bare flat index gets the implicit base-only manifest.
-	ix, _ := buildRandCorpus(t, 1, 8)
-	if err := WriteSharded(dir, NewSearcher(ix), 2); err != nil {
+	_, tables := buildRandCorpus(t, 1, 8)
+	if err := WriteDir(dir, tables, 2); err != nil {
 		t.Fatal(err)
 	}
 	m, err := SnapshotManifest(dir)
@@ -65,7 +66,6 @@ func TestManifestRoundTrip(t *testing.T) {
 // TestPlanMerge pins the size-tiered policy: the lowest full tier merges,
 // partial tiers wait.
 func TestPlanMerge(t *testing.T) {
-	p := MergePolicy{TierFanIn: 4, TierBase: 4}
 	cases := []struct {
 		docs []int
 		want []int
@@ -78,7 +78,7 @@ func TestPlanMerge(t *testing.T) {
 		{[]int{1, 1, 1, 1, 20, 30, 21, 22}, []int{0, 1, 2, 3}}, // lowest full tier wins
 	}
 	for i, c := range cases {
-		if got := PlanMerge(c.docs, p); !reflect.DeepEqual(got, c.want) {
+		if got := PlanMerge(c.docs); !reflect.DeepEqual(got, c.want) {
 			t.Fatalf("case %d: PlanMerge(%v) = %v, want %v", i, c.docs, got, c.want)
 		}
 	}
@@ -99,7 +99,7 @@ func TestMergedSegmentEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := OpenSharded(dirs...)
+	before, err := openSharded(false, dirs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMergedSegmentEquivalence(t *testing.T) {
 	if err := WriteDir(merged, slices.Concat(chunks...), 1); err != nil {
 		t.Fatal(err)
 	}
-	after, err := OpenSharded(merged)
+	after, err := openSharded(false, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestMergedSegmentEquivalence(t *testing.T) {
 // not in the manifest is ignored.
 func TestOpenSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	ix, tables := buildRandCorpus(t, 11, 20)
-	if err := WriteSharded(dir, NewSearcher(ix), 2); err != nil {
+	_, tables := buildRandCorpus(t, 11, 20)
+	if err := WriteDir(dir, tables, 2); err != nil {
 		t.Fatal(err)
 	}
 	extra := mkTable("live-1", []string{"Planet", "Moons"},
@@ -176,5 +176,74 @@ func TestOpenSnapshot(t *testing.T) {
 	}
 	if id := ms.IDOf(int32(len(tables))); id != "live-1" {
 		t.Fatalf("IDOf(base len) = %q, want live-1", id)
+	}
+}
+
+// TestCommitSyncOrder pins the durability order of a commit through the
+// one sync helper: WriteDir syncs every file it writes after its last
+// byte, then the segment directory, then the directory naming it; the
+// manifest commit syncs its temp file, renames it, and only then syncs the
+// index directory — so once WriteManifest returns, the caller may unlink
+// what only the previous manifest listed.
+func TestCommitSyncOrder(t *testing.T) {
+	type call struct {
+		name string
+		size int64
+	}
+	var calls []call
+	dir := t.TempDir()
+	orig := fsync
+	fsync = func(f *os.File) error {
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatalf("sync of %s: %v", f.Name(), err)
+		}
+		c := call{f.Name(), st.Size()}
+		if f.Name() == dir { // the manifest is already renamed into place
+			m, ok, err := ReadManifest(dir)
+			if err != nil || !ok || m.Generation != 1 {
+				t.Fatalf("index directory synced before the rename: manifest %+v ok=%v err=%v", m, ok, err)
+			}
+		}
+		calls = append(calls, c)
+		return orig(f)
+	}
+	defer func() { fsync = orig }()
+
+	_, tables := buildRandCorpus(t, 5, 10)
+	seg := filepath.Join(dir, SegmentDirName(0))
+	if err := WriteDir(seg, tables, 2); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, name := range []string{DocsFileName, shardFileName(0), shardFileName(1), TablesFileName} {
+		want = append(want, filepath.Join(seg, name))
+	}
+	want = append(want, seg, filepath.Dir(seg))
+	if len(calls) != len(want) {
+		t.Fatalf("WriteDir synced %v, want %v", calls, want)
+	}
+	for i, c := range calls {
+		if c.name != want[i] {
+			t.Fatalf("sync %d is %s, want %s", i, c.name, want[i])
+		}
+		if i < 4 {
+			st, err := os.Stat(c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != c.size {
+				t.Fatalf("%s synced at %d bytes, closed at %d", c.name, c.size, st.Size())
+			}
+		}
+	}
+
+	calls = nil
+	if err := WriteManifest(dir, Manifest{Generation: 1, Segments: []string{SegmentDirName(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2 || filepath.Dir(calls[0].name) != dir ||
+		!strings.HasPrefix(filepath.Base(calls[0].name), ManifestFileName+".tmp-") || calls[1].name != dir {
+		t.Fatalf("WriteManifest synced %v, want its temp file then %s", calls, dir)
 	}
 }

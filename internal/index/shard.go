@@ -15,26 +15,20 @@ import (
 // lexicographic order plus the per-field CSR arrays over the segment's
 // doc space, with the length-normalized boosted weight
 // (1+ln tf)·boost_f/√len_f(d) precomputed at freeze time so a probe is a
-// pure gather-multiply-accumulate over idf.
-//
-// A flat-opened shard's arrays are zero-copy views over its postings
-// file's mapping; the Searcher that opened it owns the mapping and its
-// Close is the unmap point (mmapalias invariant).
+// pure gather-multiply-accumulate over idf. Its arrays are exactly the
+// sections of one postings file: a frozen shard holds them on the heap,
+// a flat-opened one as zero-copy views over the file's mapping (the
+// Searcher that opened it owns the mapping and its Close is the unmap
+// point — mmapalias invariant).
 //
 //wwt:mmap-owner
 type shard struct {
 	numTerms int
-
-	names    []string // in-memory construction
-	termOffs []int64  // flat construction
+	termOffs []int64
 	termBlob []byte
 
-	// idf and maxScore are the segment-local values the flat format
-	// persists; probes restate both from the corpus-global df (termRef).
-	idf      []float64
-	maxScore []float64
-	bestW    []float64 // per term: max per-doc cross-field weight sum (idf-free)
-	df       []int32
+	bestW []float64 // per term: max per-doc cross-field weight sum (idf-free)
+	df    []int32
 
 	off  [numFields][]int32
 	docs [numFields][]int32
@@ -61,9 +55,9 @@ func postingWeight(f int, tf, fieldLen float32) float32 {
 	return float32(Boosts[f] * (1 + math.Log(float64(tf))) / math.Sqrt(l))
 }
 
-// smoothedIDF is the one idf formula: log(1 + N/(1+df)). Freeze and probe
-// both call it, so a segmented corpus restates exactly the float64 a
-// rebuilt index would have stored.
+// smoothedIDF is the one idf formula: log(1 + N/(1+df)). Probes call it
+// with the corpus-global df and doc count, so a segmented corpus scores
+// under exactly the float64 a rebuilt index would.
 func smoothedIDF(numDocs int, df int64) float64 {
 	return math.Log(1 + float64(numDocs)/float64(1+df))
 }
@@ -85,9 +79,6 @@ func shardOfToken(tok string, n int) int {
 
 // termName returns term i's token.
 func (sh *shard) termName(i int32) string {
-	if sh.names != nil {
-		return sh.names[i]
-	}
 	return unsafeString(sh.termBlob[sh.termOffs[i]:sh.termOffs[i+1]])
 }
 
@@ -109,42 +100,49 @@ func (sh *shard) lookup(tok string) (int32, bool) {
 	return 0, false
 }
 
-// newShard allocates the per-term and per-field arrays of an in-memory
-// shard over the given sorted term names.
-func newShard(names []string, postings [numFields]int) *shard {
-	sh := &shard{
-		numTerms: len(names),
-		names:    names,
-		idf:      make([]float64, len(names)),
-		maxScore: make([]float64, len(names)),
-		bestW:    make([]float64, len(names)),
-		df:       make([]int32, len(names)),
-	}
-	for f := 0; f < int(numFields); f++ {
-		sh.off[f] = make([]int32, len(names)+1)
-		sh.docs[f] = make([]int32, 0, postings[f])
-		sh.wts[f] = make([]float32, 0, postings[f])
-	}
-	return sh
-}
-
-// freezeShard lays an index out as one shard holding every term.
-func freezeShard(ix *Index) *shard {
+// freezeSegment lays an index out as one segment of n term-hash shards,
+// building each shard's arrays directly in the form its postings file
+// holds, and the doc table as the docs file does — so a frozen segment and
+// a flat-opened one differ only in where their arrays live. Nothing in the
+// segment aliases the index.
+func freezeSegment(ix *Index, n int) *segment {
 	terms := make([]string, 0, len(ix.df))
 	for tok := range ix.df {
 		terms = append(terms, tok)
 	}
 	sort.Strings(terms)
-	var total [numFields]int
-	for f := 0; f < int(numFields); f++ {
-		for _, ps := range ix.postings[f] {
-			total[f] += len(ps)
-		}
+	byShard := make([][]string, n)
+	for _, tok := range terms { // each bucket stays in lexicographic order
+		g := shardOfToken(tok, n)
+		byShard[g] = append(byShard[g], tok)
 	}
-	sh := newShard(terms, total)
-	for ti, tok := range terms {
+	seg := &segment{numDocs: len(ix.ids), shards: make([]*shard, n), pruned: make([]atomic.Uint64, n)}
+	seg.idOffs, seg.idBlob = packStrings(ix.ids)
+	for g, names := range byShard {
+		seg.shards[g] = newShard(ix, names)
+	}
+	return seg
+}
+
+// newShard freezes the given sorted terms of an index into one shard.
+func newShard(ix *Index, names []string) *shard {
+	sh := &shard{
+		numTerms: len(names),
+		bestW:    make([]float64, len(names)),
+		df:       make([]int32, len(names)),
+	}
+	sh.termOffs, sh.termBlob = packStrings(names)
+	for f := 0; f < int(numFields); f++ {
+		total := 0
+		for _, tok := range names {
+			total += len(ix.postings[f][tok])
+		}
+		sh.off[f] = make([]int32, len(names)+1)
+		sh.docs[f] = make([]int32, 0, total)
+		sh.wts[f] = make([]float32, 0, total)
+	}
+	for ti, tok := range names {
 		sh.df[ti] = int32(ix.df[tok])
-		sh.idf[ti] = smoothedIDF(len(ix.ids), int64(ix.df[tok]))
 		for f := 0; f < int(numFields); f++ {
 			sh.off[f][ti] = int32(len(sh.docs[f]))
 			for _, p := range ix.postings[f][tok] {
@@ -154,13 +152,13 @@ func freezeShard(ix *Index) *shard {
 		}
 	}
 	for f := 0; f < int(numFields); f++ {
-		sh.off[f][len(terms)] = int32(len(sh.docs[f]))
+		sh.off[f][len(names)] = int32(len(sh.docs[f]))
 	}
 	// bestW[t] bounds the contribution of term t to any single document: a
 	// doc matching t in several fields accumulates the SUM of its per-field
 	// weights, so the bound is the max per-doc cross-field sum, found with a
 	// 3-way merge over the term's doc-sorted ranges.
-	for ti := range terms {
+	for ti := range names {
 		var pos, hi [numFields]int32
 		for f := 0; f < int(numFields); f++ {
 			pos[f], hi[f] = sh.off[f][ti], sh.off[f][ti+1]
@@ -188,54 +186,9 @@ func freezeShard(ix *Index) *shard {
 			}
 		}
 		sh.bestW[ti] = best
-		sh.maxScore[ti] = sh.idf[ti] * best
 	}
 	sh.computeBlocks(postingBlockSize)
 	return sh
-}
-
-// reshard partitions a single-shard segment's terms by hash into n shards,
-// copying each term's CSR ranges into its home shard. Per-term statistics
-// carry over unchanged — term-hash sharding does not alter them — and the
-// doc table is shared with seg.
-func (seg *segment) reshard(n int) *segment {
-	src := seg.shards[0]
-	perShard := make([][]int32, n)
-	for ti := int32(0); ti < int32(src.numTerms); ti++ {
-		g := shardOfToken(src.termName(ti), n)
-		perShard[g] = append(perShard[g], ti)
-	}
-	out := &segment{numDocs: seg.numDocs, ids: seg.ids, idOffs: seg.idOffs, idBlob: seg.idBlob,
-		shards: make([]*shard, n), pruned: make([]atomic.Uint64, n)}
-	for g, tids := range perShard { // ascending source term IDs = lexicographic order
-		names := make([]string, len(tids))
-		var total [numFields]int
-		for li, ti := range tids {
-			names[li] = src.termName(ti)
-			for f := 0; f < int(numFields); f++ {
-				total[f] += int(src.off[f][ti+1] - src.off[f][ti])
-			}
-		}
-		sh := newShard(names, total)
-		for li, ti := range tids {
-			sh.idf[li] = src.idf[ti]
-			sh.maxScore[li] = src.maxScore[ti]
-			sh.bestW[li] = src.bestW[ti]
-			sh.df[li] = src.df[ti]
-			for f := 0; f < int(numFields); f++ {
-				lo, hi := src.off[f][ti], src.off[f][ti+1]
-				sh.off[f][li] = int32(len(sh.docs[f]))
-				sh.docs[f] = append(sh.docs[f], src.docs[f][lo:hi]...)
-				sh.wts[f] = append(sh.wts[f], src.wts[f][lo:hi]...)
-			}
-		}
-		for f := 0; f < int(numFields); f++ {
-			sh.off[f][len(tids)] = int32(len(sh.docs[f]))
-		}
-		sh.computeBlocks(src.blockSize)
-		out.shards[g] = sh
-	}
-	return out
 }
 
 // shardFileName names shard g's postings file inside an index directory.
@@ -254,23 +207,12 @@ const MaxShards = 4096
 // so tests can exercise the bound without a 2^31-posting corpus.
 var maxSectionInt32 = math.MaxInt32
 
-// WriteSharded persists a freshly frozen Searcher (NewSearcher) as a flat
-// sharded index under dir: one shared doc-table file plus nShards postings
-// files, each in the versioned mmap-friendly layout described in the
-// package documentation. A shard count outside [1, MaxShards] fails
-// before any file is written.
-func WriteSharded(dir string, s *Searcher, nShards int) error {
-	if len(s.segs) != 1 || len(s.segs[0].shards) != 1 {
-		return fmt.Errorf("index write: want a freshly frozen searcher (one segment, one shard), got %d segment(s), %d shard(s)",
-			len(s.segs), s.Shards())
-	}
-	if nShards < 1 || nShards > MaxShards {
-		return fmt.Errorf("index write: shard count %d out of range, want 1 to %d", nShards, MaxShards)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("index write: %w", err)
-	}
-	seg := s.segs[0].reshard(nShards)
+// writeSegment persists a frozen segment as a flat index under dir: the
+// shared doc-table file plus one postings file per shard, each in the
+// versioned mmap-friendly layout described in the package documentation
+// and synced before it is closed. A shard over the int32 section bound
+// fails before any file is written.
+func writeSegment(dir string, seg *segment) error {
 	for g, sh := range seg.shards {
 		for f := 0; f < int(numFields); f++ {
 			if n := len(sh.docs[f]); n > maxSectionInt32 {
@@ -279,22 +221,22 @@ func WriteSharded(dir string, s *Searcher, nShards int) error {
 			}
 		}
 	}
-	idOffs, idBlob := packStrings(seg.ids)
-	err := writeFlatFile(filepath.Join(dir, DocsFileName), 0, kindDocs, 0, uint32(nShards),
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("index write: %w", err)
+	}
+	nShards := uint32(len(seg.shards))
+	err := writeFlatFile(filepath.Join(dir, DocsFileName), 0, kindDocs, 0, nShards,
 		uint64(seg.numDocs), 0, []section{
-			{secIDOffs, int64Bytes(idOffs)},
-			{secIDBlob, idBlob},
+			{secIDOffs, int64Bytes(seg.idOffs)},
+			{secIDBlob, seg.idBlob},
 		})
 	if err != nil {
 		return fmt.Errorf("index write: %w", err)
 	}
 	for g, sh := range seg.shards {
-		termOffs, termBlob := packStrings(sh.names)
 		secs := []section{
-			{secTermOffs, int64Bytes(termOffs)},
-			{secTermBlob, termBlob},
-			{secIDF, float64Bytes(sh.idf)},
-			{secMaxScore, float64Bytes(sh.maxScore)},
+			{secTermOffs, int64Bytes(sh.termOffs)},
+			{secTermBlob, sh.termBlob},
 			{secDF, int32Bytes(sh.df)},
 			// The idf-free best weight backs the corpus-global bounds.
 			{secBestWeight, float64Bytes(sh.bestW)},
@@ -315,7 +257,7 @@ func WriteSharded(dir string, s *Searcher, nShards int) error {
 			)
 		}
 		err := writeFlatFile(filepath.Join(dir, shardFileName(g)), uint32(sh.blockSize), kindPostings,
-			uint32(g), uint32(nShards), uint64(seg.numDocs), uint64(sh.numTerms), secs)
+			uint32(g), nShards, uint64(seg.numDocs), uint64(sh.numTerms), secs)
 		if err != nil {
 			return fmt.Errorf("index write: %w", err)
 		}
@@ -400,12 +342,6 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 	}
 	if sh.numTerms > 0 && int(sh.termOffs[sh.numTerms]) != len(sh.termBlob) {
 		return nil, pf.corrupt("term blob is %d bytes, offsets end at %d", len(sh.termBlob), sh.termOffs[sh.numTerms])
-	}
-	if sh.idf, err = pf.float64Sec(secIDF, sh.numTerms); err != nil {
-		return nil, err
-	}
-	if sh.maxScore, err = pf.float64Sec(secMaxScore, sh.numTerms); err != nil {
-		return nil, err
 	}
 	if sh.df, err = pf.int32Sec(secDF, sh.numTerms); err != nil {
 		return nil, err

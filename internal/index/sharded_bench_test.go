@@ -16,16 +16,21 @@ const benchCorpusSize = 1500
 
 func benchSearcher(b *testing.B) *Searcher {
 	b.Helper()
+	ix, err := Build(benchTables())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return NewSearcher(ix)
+}
+
+// benchTables is the corpus benchSearcher freezes.
+func benchTables() []*wtable.Table {
 	r := rand.New(rand.NewSource(2012))
 	tables := make([]*wtable.Table, benchCorpusSize)
 	for i := range tables {
 		tables[i] = randDocTable(r, i)
 	}
-	ix, err := Build(tables)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return NewSearcher(ix)
+	return tables
 }
 
 // benchQueries is the 64-query random mix the probe benchmarks share.
@@ -41,9 +46,8 @@ func benchQueries() [][]string {
 // BenchmarkOpenIndexMmap measures the flat path: page-map the files and
 // validate headers, O(1) in corpus size.
 func BenchmarkOpenIndexMmap(b *testing.B) {
-	s := benchSearcher(b)
 	dir := b.TempDir()
-	if err := WriteSharded(dir, s, 2); err != nil {
+	if err := WriteDir(dir, benchTables(), 2); err != nil {
 		b.Fatal(err)
 	}
 	if st, err := os.Stat(filepath.Join(dir, DocsFileName)); err == nil {
@@ -51,7 +55,7 @@ func BenchmarkOpenIndexMmap(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ss, err := OpenSharded(dir)
+		ss, err := openSharded(false, dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,14 +66,14 @@ func BenchmarkOpenIndexMmap(b *testing.B) {
 // BenchmarkShardedSearch probes an mmap-opened index at each shard count
 // of the CHANGES.md trajectory (1, 2, 4, 8).
 func BenchmarkShardedSearch(b *testing.B) {
-	s := benchSearcher(b)
+	tables := benchTables()
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			if err := WriteSharded(dir, s, n); err != nil {
+			if err := WriteDir(dir, tables, n); err != nil {
 				b.Fatal(err)
 			}
-			ss, err := OpenSharded(dir)
+			ss, err := openSharded(false, dir)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -96,16 +100,12 @@ func BenchmarkSegmentedSearch(b *testing.B) {
 	_, tables := buildRandCorpus(b, 2012, benchCorpusSize)
 	var dirs []string
 	for _, chunk := range splitTables(tables, 4, 2012) {
-		ix, err := Build(chunk)
-		if err != nil {
-			b.Fatal(err)
-		}
 		dirs = append(dirs, b.TempDir())
-		if err := WriteSharded(dirs[len(dirs)-1], NewSearcher(ix), 1); err != nil {
+		if err := WriteDir(dirs[len(dirs)-1], chunk, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
-	s, err := OpenSharded(dirs...)
+	s, err := openSharded(false, dirs...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,36 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// writeShardedDir builds a small corpus and writes an n-shard flat index,
-// returning the directory and the frozen searcher it came from.
-func writeShardedDir(t *testing.T, n int) (string, *Searcher) {
+// writeShardedDir builds a small corpus and writes it as an n-shard index
+// directory, returning the directory.
+func writeShardedDir(t *testing.T, n int) string {
 	t.Helper()
-	ix, _ := buildRandCorpus(t, 99, 12)
-	s := NewSearcher(ix)
+	_, tables := buildRandCorpus(t, 99, 12)
 	dir := t.TempDir()
-	if err := WriteSharded(dir, s, n); err != nil {
+	if err := WriteDir(dir, tables, n); err != nil {
 		t.Fatal(err)
 	}
-	return dir, s
-}
-
-// expectOpenError asserts OpenSharded fails mentioning want.
-func expectOpenError(t *testing.T, dir, want string) {
-	t.Helper()
-	ss, err := OpenSharded(dir)
-	if err == nil {
-		ss.Close()
-		t.Fatalf("OpenSharded succeeded, want error mentioning %q", want)
-	}
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("OpenSharded error %q does not mention %q", err, want)
-	}
+	return dir
 }
 
 // patchFile applies edit to the bytes of path in place.
@@ -163,7 +150,7 @@ func TestOpenShardedErrors(t *testing.T) {
 			// A shard file from a 3-shard build dropped into a 2-shard
 			// directory must be rejected by the header cross-check.
 			mutate: func(t *testing.T, dir string) {
-				other, _ := writeShardedDir(t, 3)
+				other := writeShardedDir(t, 3)
 				if err := os.Rename(filepath.Join(other, shardFileName(1)), filepath.Join(dir, shardFileName(1))); err != nil {
 					t.Fatal(err)
 				}
@@ -183,16 +170,16 @@ func TestOpenShardedErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dir, _ := writeShardedDir(t, c.shards)
+			dir := writeShardedDir(t, c.shards)
 			c.mutate(t, dir)
-			ss, err := OpenSharded(dir)
+			ss, _, err := OpenSnapshot(dir)
 			if err == nil {
 				ss.Close()
-				t.Fatalf("OpenSharded succeeded, want error mentioning %q", c.want)
+				t.Fatalf("OpenSnapshot succeeded, want error mentioning %q", c.want)
 			}
 			for _, w := range c.want {
 				if !strings.Contains(err.Error(), w) {
-					t.Fatalf("OpenSharded error %q does not mention %q", err, w)
+					t.Fatalf("OpenSnapshot error %q does not mention %q", err, w)
 				}
 			}
 			if c.notExist != errors.Is(err, fs.ErrNotExist) {
@@ -202,17 +189,17 @@ func TestOpenShardedErrors(t *testing.T) {
 	}
 }
 
-// TestWriteShardedWithErrors: an out-of-range shard count and over-limit
-// corpora must fail with precise errors before any file is written.
+// TestWriteShardedWithErrors: WriteDir with an out-of-range shard count or
+// an over-limit corpus must fail with a precise error before any file is
+// written.
 func TestWriteShardedWithErrors(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 99, 12)
-	s := NewSearcher(ix)
+	_, tables := buildRandCorpus(t, 99, 12)
 	expectWriteError := func(t *testing.T, nShards int, want string) {
 		t.Helper()
 		dir := t.TempDir()
-		err := WriteSharded(dir, s, nShards)
+		err := WriteDir(dir, tables, nShards)
 		if err == nil {
-			t.Fatalf("WriteSharded succeeded, want error mentioning %q", want)
+			t.Fatalf("WriteDir succeeded, want error mentioning %q", want)
 		}
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
@@ -285,7 +272,7 @@ func TestGobHeaderErrors(t *testing.T) {
 		expect(t, err, "wwt-index")
 	})
 	t.Run("flat file to ReadTables", func(t *testing.T) {
-		flatDir, _ := writeShardedDir(t, 1)
+		flatDir := writeShardedDir(t, 1)
 		flat, err := os.ReadFile(filepath.Join(flatDir, DocsFileName))
 		if err != nil {
 			t.Fatal(err)
@@ -308,4 +295,87 @@ func TestGobHeaderErrors(t *testing.T) {
 		_, err := ReadTables(writeVariant(t, func([]byte) []byte { return []byte("WWT") }))
 		expect(t, err, "too short")
 	})
+}
+
+// withRetiredSections rewrites a postings file in the layout earlier builds
+// wrote: sections 5 and 6 (the shard-local idf and max score, derived
+// from its df and best weight) right after the term blob.
+func withRetiredSections(t *testing.T, path string) {
+	t.Helper()
+	ff, err := openFlatFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ff.Close()
+	df, bestW := viewInt32(ff.secs[secDF]), viewFloat64(ff.secs[secBestWeight])
+	idf, maxScore := make([]float64, ff.numTerms), make([]float64, ff.numTerms)
+	for i := range idf {
+		idf[i] = smoothedIDF(int(ff.numDocs), int64(df[i]))
+		maxScore[i] = idf[i] * bestW[i]
+	}
+	var secs []section
+	for i := 0; i < len(ff.secs); i++ {
+		id := binary.LittleEndian.Uint32(ff.data[flatHeaderSize+24*i:])
+		secs = append(secs, section{id, ff.secs[id]})
+		if id == secTermBlob {
+			secs = append(secs, section{5, float64Bytes(idf)}, section{6, float64Bytes(maxScore)})
+		}
+	}
+	if err := writeFlatFile(path, uint32(ff.blockSize), ff.kind, ff.shardIndex, ff.shardCount, ff.numDocs, ff.numTerms, secs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetiredSectionsIgnored: WriteDir writes neither retired section, and
+// a directory whose postings files still carry them opens and answers
+// probes, DocSet and TermStats bit-identically to one without.
+func TestRetiredSectionsIgnored(t *testing.T) {
+	_, tables := buildRandCorpus(t, 2012, 40)
+	cur, old := t.TempDir(), t.TempDir()
+	for _, dir := range []string{cur, old} {
+		if err := WriteDir(dir, tables, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g := 0; g < 3; g++ {
+		path := filepath.Join(cur, shardFileName(g))
+		ff, err := openFlatFile(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []uint32{5, 6} {
+			if _, ok := ff.secs[id]; ok {
+				t.Fatalf("%s carries retired section %d", path, id)
+			}
+		}
+		ff.Close()
+		withRetiredSections(t, filepath.Join(old, shardFileName(g)))
+	}
+	want, _, err := OpenSnapshot(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	got, _, err := OpenSnapshot(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		q := randQuery(r)
+		for _, k := range []int{0, 1, 10} {
+			sameHitsBitIdentical(t, want.Search(q, k), got.Search(q, k), "retired sections")
+		}
+		for _, fs := range docSetFieldSets {
+			sameDocs(t, want.DocSet(q, fs...), got.DocSet(q, fs...), fmt.Sprintf("DocSet(%v, %v)", q, fs))
+		}
+		for _, tok := range q {
+			wdf, wpost, wok := want.TermStats(tok)
+			gdf, gpost, gok := got.TermStats(tok)
+			if wdf != gdf || wpost != gpost || wok != gok {
+				t.Fatalf("TermStats(%q) = (%d,%d,%v), want (%d,%d,%v)", tok, gdf, gpost, gok, wdf, wpost, wok)
+			}
+		}
+	}
 }

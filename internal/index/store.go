@@ -52,19 +52,33 @@ func checkStoreHeader(r io.Reader, path string) error {
 const TablesFileName = "store.gob"
 
 // WriteDir freezes tables into dir as an index directory: the flat index
-// (WriteSharded, nShards postings shards) plus the table store. Doc
-// numbers follow slice order, so the store lists the tables in the order
-// the doc table does. It fails before writing anything on a nil table, an
-// empty or duplicate ID (Build) or a shard count outside [1, MaxShards].
+// (nShards postings shards) plus the table store. Doc numbers follow slice
+// order, so the store lists the tables in the order the doc table does.
+// It fails before writing anything on a shard count outside
+// [1, MaxShards], a nil table, an empty or duplicate ID (Build), or a
+// shard over the int32 section bound. On success every file is synced,
+// and so are dir and the parent entry naming it, so a manifest committed
+// afterwards never names a segment a crash could lose.
 func WriteDir(dir string, tables []*wtable.Table, nShards int) error {
+	if nShards < 1 || nShards > MaxShards {
+		return fmt.Errorf("index write: shard count %d out of range, want 1 to %d", nShards, MaxShards)
+	}
 	ix, err := Build(tables)
 	if err != nil {
 		return fmt.Errorf("index write: %w", err)
 	}
-	if err := WriteSharded(dir, NewSearcher(ix), nShards); err != nil {
+	if err := writeSegment(dir, freezeSegment(ix, nShards)); err != nil {
 		return err
 	}
-	return writeStore(filepath.Join(dir, TablesFileName), tables)
+	if err := writeStore(filepath.Join(dir, TablesFileName), tables); err != nil {
+		return err
+	}
+	for _, d := range []string{dir, filepath.Dir(dir)} {
+		if err := syncDir(d); err != nil {
+			return fmt.Errorf("index write: %w", err)
+		}
+	}
+	return nil
 }
 
 // storeSnapshot is the gob wire form of a directory's tables.
@@ -73,7 +87,7 @@ type storeSnapshot struct {
 }
 
 // writeStore writes tables to path, prefixed with the store magic and
-// format version.
+// format version, and syncs the file.
 func writeStore(path string, tables []*wtable.Table) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -88,6 +102,9 @@ func writeStore(path string, tables []*wtable.Table) error {
 		return fmt.Errorf("store save: %w", err)
 	}
 	if err := w.Flush(); err != nil {
+		return fmt.Errorf("store save: %w", err)
+	}
+	if err := fsync(f); err != nil {
 		return fmt.Errorf("store save: %w", err)
 	}
 	return f.Close()

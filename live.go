@@ -238,7 +238,7 @@ func (e *Engine) publishLocked() error {
 // finds a full tier. The merge re-checks under the lock, so spurious
 // kicks are cheap.
 func (e *Engine) maybeMergeLocked() {
-	if _, docs := e.mergeableLocked(); index.PlanMerge(docs, e.policy) == nil {
+	if _, docs := e.mergeableLocked(); index.PlanMerge(docs) == nil {
 		return
 	}
 	e.merges.Add(1)
@@ -288,7 +288,7 @@ func (e *Engine) mergeLocked() (bool, error) {
 		return false, nil
 	}
 	segs, docs := e.mergeableLocked()
-	picks := index.PlanMerge(docs, e.policy)
+	picks := index.PlanMerge(docs)
 	if picks == nil {
 		return false, nil
 	}

@@ -192,7 +192,8 @@ func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 	return true, nil
 }
 
-// stageRead1 materializes the first-probe candidate tables from the store.
+// stageRead1 resolves the first-probe hits to their tables through the
+// pinned generation's table slice.
 func (e *Engine) stageRead1(st *queryState, _ *QueryScratch) (bool, error) {
 	st.tables = st.g.readTables(st.hits1)
 	st.tables1 = len(st.tables)

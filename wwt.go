@@ -214,7 +214,6 @@ type Engine struct {
 	segTables [][]*wtable.Table
 	ids       map[string]bool
 	nextSeq   uint64
-	policy    index.MergePolicy
 	merges    sync.WaitGroup
 
 	ingests        atomic.Uint64
