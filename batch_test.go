@@ -23,10 +23,9 @@ import (
 )
 
 // TestAnswerBatchEquivalence answers the evaluation workload solo and then
-// as one batch per inference algorithm, and demands bit-identical results
-// for every member: labeling, model edges and node potentials, candidate
-// tables, probe2 usage, and the consolidated answer rows with their
-// ranking.
+// as one batch, and demands bit-identical results for every member:
+// labeling, model edges and node potentials, candidate tables, probe2
+// usage, and the consolidated answer rows with their ranking.
 func TestAnswerBatchEquivalence(t *testing.T) {
 	corpus := corpusgen.Generate(corpusgen.Config{Seed: 2012, Scale: 0.25})
 	tables := corpus.ExtractAll(extract.NewOptions())
@@ -38,112 +37,106 @@ func TestAnswerBatchEquivalence(t *testing.T) {
 	for i, q := range queries {
 		wqs[i] = wwt.Query{Columns: q.Columns}
 	}
-	for _, alg := range inference.Algorithms {
-		t.Run(alg.String(), func(t *testing.T) {
-			opts := wwt.DefaultOptions()
-			opts.Algorithm = alg
-			eng, err := wwt.NewEngine(tables, &opts)
+	// The engine serves the paper's table-centric solve (§4.2).
+	t.Run(inference.TableCentric.String(), func(t *testing.T) {
+		eng, err := wwt.NewEngine(tables, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Solo references, serially. Retained (not Released), so their
+		// scratch-backed models cannot alias the batch's arenas.
+		refs := make([]*wwt.Result, len(wqs))
+		refErrs := make([]error, len(wqs))
+		for i, q := range wqs {
+			refs[i], refErrs[i] = eng.Answer(q)
+		}
+
+		br := eng.AnswerBatch(wqs, 4)
+		if br.Timings.Queries != len(wqs) {
+			t.Fatalf("Timings.Queries = %d, want %d", br.Timings.Queries, len(wqs))
+		}
+		for i, q := range queries {
+			if (br.Errs[i] == nil) != (refErrs[i] == nil) {
+				t.Fatalf("%v: batch err %v, solo err %v", q.Columns, br.Errs[i], refErrs[i])
+			}
+			if br.Errs[i] != nil {
+				continue
+			}
+			got, want := br.Results[i], refs[i]
+			if got.UsedProbe2 != want.UsedProbe2 {
+				t.Fatalf("%v: UsedProbe2 %v != %v", q.Columns, got.UsedProbe2, want.UsedProbe2)
+			}
+			if len(got.Tables) != len(want.Tables) {
+				t.Fatalf("%v: %d tables != %d", q.Columns, len(got.Tables), len(want.Tables))
+			}
+			for ti := range got.Tables {
+				if got.Tables[ti].ID != want.Tables[ti].ID {
+					t.Fatalf("%v: table %d = %s, want %s", q.Columns, ti, got.Tables[ti].ID, want.Tables[ti].ID)
+				}
+			}
+			if !reflect.DeepEqual(got.Labeling.Y, want.Labeling.Y) {
+				t.Fatalf("%v: labeling diverged", q.Columns)
+			}
+			if !reflect.DeepEqual(got.Model.Edges, want.Model.Edges) {
+				t.Fatalf("%v: model edges diverged", q.Columns)
+			}
+			if !reflect.DeepEqual(got.Model.Node, want.Model.Node) {
+				t.Fatalf("%v: node potentials diverged", q.Columns)
+			}
+			// Answer rows, including ranking, support, sources, scores.
+			if !reflect.DeepEqual(got.Answer, want.Answer) {
+				t.Fatalf("%v: consolidated answer diverged", q.Columns)
+			}
+		}
+		br.Release()
+		br.Release() // idempotent
+
+		// The ctx entry point with a generous per-member deadline must
+		// stay bit-identical too (deadline plumbing perturbs nothing).
+		dbr := eng.AnswerBatchCtx(context.Background(), wqs, 4, time.Hour)
+		for i := range wqs {
+			if (dbr.Errs[i] == nil) != (refErrs[i] == nil) {
+				t.Fatalf("deadline batch member %d: err %v, solo err %v", i, dbr.Errs[i], refErrs[i])
+			}
+			if dbr.Errs[i] != nil {
+				continue
+			}
+			if !reflect.DeepEqual(dbr.Results[i].Labeling.Y, refs[i].Labeling.Y) ||
+				!reflect.DeepEqual(dbr.Results[i].Answer, refs[i].Answer) {
+				t.Fatalf("deadline batch member %d diverged from solo", i)
+			}
+		}
+		dbr.Release()
+
+		// A pre-canceled parent context fails every member with ctx.Err()
+		// in its own slot — and leaves the arena pool healthy: the next
+		// solo answer still matches its reference.
+		cctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		cbr := eng.AnswerBatchCtx(cctx, wqs, 4, 0)
+		for i := range wqs {
+			if !errors.Is(cbr.Errs[i], context.Canceled) {
+				t.Fatalf("canceled batch member %d: err = %v, want context.Canceled", i, cbr.Errs[i])
+			}
+			if cbr.Results[i] != nil {
+				t.Fatalf("canceled batch member %d: non-nil result", i)
+			}
+		}
+		if cbr.Timings.Failed != len(wqs) || cbr.Timings.QPS() != 0 {
+			t.Fatalf("canceled batch: Failed = %d, QPS = %v, want all failed at 0 QPS",
+				cbr.Timings.Failed, cbr.Timings.QPS())
+		}
+		if refErrs[0] == nil {
+			again, err := eng.Answer(wqs[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Solo references, serially. Retained (not Released), so their
-			// scratch-backed models cannot alias the batch's arenas.
-			refs := make([]*wwt.Result, len(wqs))
-			refErrs := make([]error, len(wqs))
-			for i, q := range wqs {
-				refs[i], refErrs[i] = eng.Answer(q)
+			if !reflect.DeepEqual(again.Answer, refs[0].Answer) {
+				t.Fatal("post-cancel solo answer diverged: arena pool poisoned")
 			}
-
-			br := eng.AnswerBatch(wqs, 4)
-			if br.Timings.Queries != len(wqs) {
-				t.Fatalf("Timings.Queries = %d, want %d", br.Timings.Queries, len(wqs))
-			}
-			for i, q := range queries {
-				if (br.Errs[i] == nil) != (refErrs[i] == nil) {
-					t.Fatalf("%v: batch err %v, solo err %v", q.Columns, br.Errs[i], refErrs[i])
-				}
-				if br.Errs[i] != nil {
-					continue
-				}
-				got, want := br.Results[i], refs[i]
-				if got.UsedProbe2 != want.UsedProbe2 {
-					t.Fatalf("%v: UsedProbe2 %v != %v", q.Columns, got.UsedProbe2, want.UsedProbe2)
-				}
-				if len(got.Tables) != len(want.Tables) {
-					t.Fatalf("%v: %d tables != %d", q.Columns, len(got.Tables), len(want.Tables))
-				}
-				for ti := range got.Tables {
-					if got.Tables[ti].ID != want.Tables[ti].ID {
-						t.Fatalf("%v: table %d = %s, want %s", q.Columns, ti, got.Tables[ti].ID, want.Tables[ti].ID)
-					}
-				}
-				if !reflect.DeepEqual(got.Labeling.Y, want.Labeling.Y) {
-					t.Fatalf("%v: labeling diverged", q.Columns)
-				}
-				if !reflect.DeepEqual(got.Model.Edges, want.Model.Edges) {
-					t.Fatalf("%v: model edges diverged", q.Columns)
-				}
-				if !reflect.DeepEqual(got.Model.Node, want.Model.Node) {
-					t.Fatalf("%v: node potentials diverged", q.Columns)
-				}
-				// Answer rows, including ranking, support, sources, scores.
-				if !reflect.DeepEqual(got.Answer, want.Answer) {
-					t.Fatalf("%v: consolidated answer diverged", q.Columns)
-				}
-			}
-			br.Release()
-			br.Release() // idempotent
-
-			// The ctx entry point with a generous per-member deadline must
-			// stay bit-identical too (deadline plumbing perturbs nothing).
-			// Run it for the paper-default algorithm to bound test cost.
-			if alg == inference.TableCentric {
-				dbr := eng.AnswerBatchCtx(context.Background(), wqs, 4, time.Hour)
-				for i := range wqs {
-					if (dbr.Errs[i] == nil) != (refErrs[i] == nil) {
-						t.Fatalf("deadline batch member %d: err %v, solo err %v", i, dbr.Errs[i], refErrs[i])
-					}
-					if dbr.Errs[i] != nil {
-						continue
-					}
-					if !reflect.DeepEqual(dbr.Results[i].Labeling.Y, refs[i].Labeling.Y) ||
-						!reflect.DeepEqual(dbr.Results[i].Answer, refs[i].Answer) {
-						t.Fatalf("deadline batch member %d diverged from solo", i)
-					}
-				}
-				dbr.Release()
-			}
-
-			// A pre-canceled parent context fails every member with ctx.Err()
-			// in its own slot — and leaves the arena pool healthy: the next
-			// solo answer still matches its reference.
-			cctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			cbr := eng.AnswerBatchCtx(cctx, wqs, 4, 0)
-			for i := range wqs {
-				if !errors.Is(cbr.Errs[i], context.Canceled) {
-					t.Fatalf("canceled batch member %d: err = %v, want context.Canceled", i, cbr.Errs[i])
-				}
-				if cbr.Results[i] != nil {
-					t.Fatalf("canceled batch member %d: non-nil result", i)
-				}
-			}
-			if cbr.Timings.Failed != len(wqs) || cbr.Timings.QPS() != 0 {
-				t.Fatalf("canceled batch: Failed = %d, QPS = %v, want all failed at 0 QPS",
-					cbr.Timings.Failed, cbr.Timings.QPS())
-			}
-			if refErrs[0] == nil {
-				again, err := eng.Answer(wqs[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(again.Answer, refs[0].Answer) {
-					t.Fatal("post-cancel solo answer diverged: arena pool poisoned")
-				}
-				again.Release()
-			}
-		})
-	}
+			again.Release()
+		}
+	})
 }
 
 // TestAnswerBatchConcurrent runs overlapping batches from many goroutines

@@ -22,19 +22,16 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"wwt"
-	"wwt/internal/inference"
 	"wwt/internal/serve"
 )
 
 func main() {
 	idxDir := flag.String("idx", "idx", "index directory (from wwt-index)")
 	addr := flag.String("addr", ":8080", "listen address")
-	alg := flag.String("alg", "table-centric", "inference: none|table-centric|alpha|bp|trws")
 	workers := flag.Int("workers", 0, "engine workers per batch (0 = GOMAXPROCS)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent worker slots across requests (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 0, "worker slots' worth of requests that may wait before 429 (0 = 4x max-inflight, negative = no queue)")
@@ -49,22 +46,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := wwt.DefaultOptions()
-	switch strings.ToLower(*alg) {
-	case "none":
-		opts.Algorithm = inference.Independent
-	case "alpha", "alpha-exp":
-		opts.Algorithm = inference.AlphaExpansion
-	case "bp":
-		opts.Algorithm = inference.BP
-	case "trws":
-		opts.Algorithm = inference.TRWS
-	case "table-centric":
-		opts.Algorithm = inference.TableCentric
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *alg))
-	}
-
 	coeffsPath := *planCoeffs
 	coeffsSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -76,7 +57,7 @@ func main() {
 		coeffsPath = filepath.Join(*idxDir, "plan-coeffs.json")
 	}
 
-	eng, err := wwt.OpenLive(*idxDir, &opts)
+	eng, err := wwt.OpenLive(*idxDir, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -8,8 +8,8 @@
 // Column keyword sets are separated by '|'. In batch mode each
 // non-empty, non-comment line of the query file is one query; the batch
 // runs on a bounded worker pool and prints per-query summaries plus the
-// aggregate stage split and realized throughput. Flags select the
-// inference algorithm and control output size.
+// aggregate stage split and realized throughput. Answers use the paper's
+// table-centric inference (§4.2); flags control output size.
 package main
 
 import (
@@ -20,12 +20,10 @@ import (
 	"strings"
 
 	"wwt"
-	"wwt/internal/inference"
 )
 
 func main() {
 	idxDir := flag.String("idx", "idx", "index directory (from wwt-index)")
-	alg := flag.String("alg", "table-centric", "inference: none|table-centric|alpha|bp|trws")
 	maxRows := flag.Int("rows", 20, "max answer rows to print")
 	showSources := flag.Bool("sources", false, "print contributing source tables")
 	explain := flag.Bool("explain", false, "print per-table mapping rationale")
@@ -49,22 +47,7 @@ func main() {
 		}
 	}
 
-	opts := wwt.DefaultOptions()
-	switch strings.ToLower(*alg) {
-	case "none":
-		opts.Algorithm = inference.Independent
-	case "alpha", "alpha-exp":
-		opts.Algorithm = inference.AlphaExpansion
-	case "bp":
-		opts.Algorithm = inference.BP
-	case "trws":
-		opts.Algorithm = inference.TRWS
-	case "table-centric":
-		opts.Algorithm = inference.TableCentric
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *alg))
-	}
-	eng, err := wwt.OpenLive(*idxDir, &opts)
+	eng, err := wwt.OpenLive(*idxDir, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -14,18 +14,19 @@ import (
 // rides along as pairwise energies (Eq. 11); must-match and min-match are
 // repaired per table afterwards (§4.3).
 func SolveAlphaExpansion(m *core.Model) core.Labeling {
-	return solveAlphaExpansion(m, true, &Scratch{})
+	return solveAlphaExpansion(m, true)
 }
 
 // SolveAlphaExpansionPostHocMutex is the ablation variant that ignores the
 // mutex constraint during expansion moves (plain minimum cuts) and leaves
 // all mutex violations to the per-table post-processing repair.
 func SolveAlphaExpansionPostHocMutex(m *core.Model) core.Labeling {
-	return solveAlphaExpansion(m, false, &Scratch{})
+	return solveAlphaExpansion(m, false)
 }
 
-func solveAlphaExpansion(m *core.Model, constrainedMutex bool, s *Scratch) core.Labeling {
-	mrf := newPairwiseMRFS(m, false, s)
+func solveAlphaExpansion(m *core.Model, constrainedMutex bool) core.Labeling {
+	mrf := newPairwiseMRF(m, false)
+	var mb moveBuffers
 	y := mrf.allNA()
 	best := mrf.totalEnergy(y, true)
 
@@ -33,7 +34,7 @@ func solveAlphaExpansion(m *core.Model, constrainedMutex bool, s *Scratch) core.
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		for alpha := 0; alpha < mrf.labels; alpha++ {
-			cand := expansionMove(mrf, y, alpha, constrainedMutex, s)
+			cand := expansionMove(mrf, y, alpha, constrainedMutex, &mb)
 			if e := mrf.totalEnergy(cand, true); e < best-1e-9 {
 				y, best = cand, e
 				improved = true
@@ -43,7 +44,7 @@ func solveAlphaExpansion(m *core.Model, constrainedMutex bool, s *Scratch) core.
 			break
 		}
 	}
-	return repairTableConstraints(m, mrf.toLabeling(y), s)
+	return repairTableConstraints(m, mrf.toLabeling(y))
 }
 
 // cutEdge is one pairwise term of an expansion move's cut graph.
@@ -52,10 +53,18 @@ type cutEdge struct {
 	cap  float64
 }
 
+// moveBuffers hold the per-move arrays of one α-expansion solve, reused
+// across its moves.
+type moveBuffers struct {
+	cost0, cost1 []float64
+	cutEdges     []cutEdge
+	sEdge        map[int]int
+}
+
 // expansionMove computes the optimal (or, under the mutex constraint,
 // 2-approximate) α-move from labeling y via a graph cut. Variables on the
-// t side of the cut switch to α. Move-local buffers come from sc.
-func expansionMove(p *pairwiseMRF, y []int, alpha int, constrainedMutex bool, sc *Scratch) []int {
+// t side of the cut switch to α. Move-local arrays come from sc.
+func expansionMove(p *pairwiseMRF, y []int, alpha int, constrainedMutex bool, sc *moveBuffers) []int {
 	n := p.nVars
 	// Node ids: s=0, t=1, variable u -> 2+u.
 	const s, t = 0, 1

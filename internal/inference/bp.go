@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"wwt/internal/core"
-	"wwt/internal/slicex"
 )
 
 // bpIterations and bpDamping tune loopy belief propagation. BP on this
@@ -19,25 +18,11 @@ const (
 // mutex and all-Irr encoded as pairwise penalties, decodes beliefs
 // greedily, and repairs residual constraint violations per table.
 func SolveBP(m *core.Model) core.Labeling {
-	return solveBP(m, &Scratch{})
-}
-
-func solveBP(m *core.Model, s *Scratch) core.Labeling {
-	p := newPairwiseMRFS(m, true, s)
+	p := newPairwiseMRF(m, true)
 	L := p.labels
-	// msg[2*e]   : message u -> v of edge e
-	// msg[2*e+1] : message v -> u of edge e
-	// Messages start at zero, so the reused backing is cleared.
-	s.emsgB = slicex.GrowClear(s.emsgB, 2*len(p.edges)*L)
-	s.emsg = slicex.Grow(s.emsg, 2*len(p.edges))
-	msg := s.emsg
-	for i := range msg {
-		msg[i] = s.emsgB[i*L : (i+1)*L : (i+1)*L]
-	}
-	s.newMsg = slicex.Grow(s.newMsg, L)
-	newMsg := s.newMsg
-	s.h = slicex.Grow(s.h, L)
-	h := s.h
+	msg := newMessages(len(p.edges), L)
+	newMsg := make([]float64, L)
+	h := make([]float64, L)
 
 	for iter := 0; iter < bpIterations; iter++ {
 		var maxDelta float64
@@ -89,10 +74,8 @@ func solveBP(m *core.Model, s *Scratch) core.Labeling {
 		}
 	}
 
-	s.y = slicex.Grow(s.y, p.nVars)
-	y := s.y
+	y := make([]int, p.nVars)
 	for u := 0; u < p.nVars; u++ {
-		y[u] = 0
 		best := math.Inf(1)
 		for l := 0; l < L; l++ {
 			b := p.unary[u][l]
@@ -105,7 +88,19 @@ func solveBP(m *core.Model, s *Scratch) core.Labeling {
 			}
 		}
 	}
-	return repairTableConstraints(m, p.toLabeling(y), s)
+	return repairTableConstraints(m, p.toLabeling(y))
+}
+
+// newMessages allocates the zeroed messages of a pairwise MRF with the
+// given edge count and label count: msg[2*e] is edge e's message u -> v,
+// msg[2*e+1] its message v -> u.
+func newMessages(edges, L int) [][]float64 {
+	b := make([]float64, 2*edges*L)
+	msg := make([][]float64, 2*edges)
+	for i := range msg {
+		msg[i] = b[i*L : (i+1)*L : (i+1)*L]
+	}
+	return msg
 }
 
 // incoming returns the message arriving at variable 'at' along edge ei.

@@ -1,9 +1,6 @@
 package inference
 
-import (
-	"wwt/internal/core"
-	"wwt/internal/slicex"
-)
+import "wwt/internal/core"
 
 // The edge-centric algorithms (α-expansion, BP, TRWS) operate on a
 // pairwise MRF in energy form (minimization; energy = -potential).
@@ -46,57 +43,42 @@ type pairwiseMRF struct {
 	withMutex bool    // encode mutex as pairwise penalties
 }
 
-// newPairwiseMRF flattens a model into its pairwise energy form with a
-// private scratch; the result owns its storage.
+// newPairwiseMRF flattens a model into its pairwise energy form; the
+// result owns its storage. Variables, unaries, edges and adjacency each
+// live in one flat array, so a solve's sweeps walk contiguous memory.
 func newPairwiseMRF(m *core.Model, withMutex bool) *pairwiseMRF {
-	return newPairwiseMRFS(m, withMutex, &Scratch{})
-}
-
-// newPairwiseMRFS builds the MRF into s: variables, unaries, edge list and
-// adjacency all live in the scratch's flat arrays, so a warm scratch
-// rebuilds the MRF without allocating. The result aliases s and is valid
-// until the scratch's next MRF build.
-func newPairwiseMRFS(m *core.Model, withMutex bool, s *Scratch) *pairwiseMRF {
 	q := m.NumQ
-	p := &s.mrf
-	*p = pairwiseMRF{m: m, q: q, labels: core.NumLabels(q), withMutex: withMutex}
-	nVars := 0
+	p := &pairwiseMRF{m: m, q: q, labels: core.NumLabels(q), withMutex: withMutex}
+	nEdges := len(m.Edges)
 	for _, v := range m.Views {
-		nVars += v.NumCols
+		p.nVars += v.NumCols
+		nEdges += v.NumCols * (v.NumCols - 1) / 2
 	}
-	p.nVars = nVars
-	s.varOf = slicex.Grow(s.varOf, len(m.Views))
-	s.varOfB = slicex.Grow(s.varOfB, nVars)
-	s.tableOf = slicex.Grow(s.tableOf, nVars)
-	s.colOf = slicex.Grow(s.colOf, nVars)
-	p.varOf, p.tableOf, p.colOf = s.varOf, s.tableOf, s.colOf
+	varOfB := make([]int, p.nVars)
+	p.varOf = make([][]int, len(m.Views))
+	p.tableOf = make([]int, p.nVars)
+	p.colOf = make([]int, p.nVars)
+	unaryB := make([]float64, p.nVars*p.labels)
+	p.unary = make([][]float64, p.nVars)
 	u := 0
 	for ti, v := range m.Views {
-		nt := v.NumCols
-		p.varOf[ti] = s.varOfB[u : u+nt : u+nt]
-		for c := 0; c < nt; c++ {
+		p.varOf[ti] = varOfB[u : u+v.NumCols : u+v.NumCols]
+		for c := 0; c < v.NumCols; c++ {
 			p.varOf[ti][c] = u
-			p.tableOf[u] = ti
-			p.colOf[u] = c
+			p.tableOf[u], p.colOf[u] = ti, c
+			row := unaryB[u*p.labels : (u+1)*p.labels : (u+1)*p.labels]
+			for label := range row {
+				row[label] = -m.Node[ti][c][label]
+			}
+			p.unary[u] = row
 			u++
-		}
-	}
-	s.unaryB = slicex.Grow(s.unaryB, nVars*p.labels)
-	s.unary = slicex.Grow(s.unary, nVars)
-	p.unary = s.unary
-	for u := 0; u < nVars; u++ {
-		ti, c := p.tableOf[u], p.colOf[u]
-		row := s.unaryB[u*p.labels : (u+1)*p.labels : (u+1)*p.labels]
-		p.unary[u] = row
-		for label := 0; label < p.labels; label++ {
-			row[label] = -m.Node[ti][c][label]
 		}
 	}
 	// Edge list in the canonical order: cross-table edges first, then the
 	// within-table constraint pairs.
-	edges := s.edges[:0]
+	p.edges = make([]mrfEdge, 0, nEdges)
 	for _, e := range m.Edges {
-		edges = append(edges, mrfEdge{
+		p.edges = append(p.edges, mrfEdge{
 			u: p.varOf[e.T1][e.C1], v: p.varOf[e.T2][e.C2],
 			kind: crossEdge, coef: e.Coef(), includeNR: e.IncludeNR,
 		})
@@ -104,29 +86,26 @@ func newPairwiseMRFS(m *core.Model, withMutex bool, s *Scratch) *pairwiseMRF {
 	for ti, v := range m.Views {
 		for c1 := 0; c1 < v.NumCols; c1++ {
 			for c2 := c1 + 1; c2 < v.NumCols; c2++ {
-				edges = append(edges, mrfEdge{u: p.varOf[ti][c1], v: p.varOf[ti][c2], kind: intraEdge})
+				p.edges = append(p.edges, mrfEdge{u: p.varOf[ti][c1], v: p.varOf[ti][c2], kind: intraEdge})
 			}
 		}
 	}
-	s.edges = edges
-	p.edges = edges
 	// Adjacency: count degrees, carve per-variable windows of one flat
-	// array, then fill in edge order — the same per-variable order the old
-	// append-as-added construction produced.
-	s.deg = slicex.GrowClear(s.deg, nVars)
-	for _, e := range edges {
-		s.deg[e.u]++
-		s.deg[e.v]++
+	// array, then fill in edge order, so each variable lists its edges in
+	// edge order.
+	deg := make([]int, p.nVars)
+	for _, e := range p.edges {
+		deg[e.u]++
+		deg[e.v]++
 	}
-	s.nbrsB = slicex.Grow(s.nbrsB, 2*len(edges))
-	s.nbrs = slicex.Grow(s.nbrs, nVars)
-	p.nbrs = s.nbrs
+	nbrsB := make([]int, 2*len(p.edges))
+	p.nbrs = make([][]int, p.nVars)
 	off := 0
-	for u := 0; u < nVars; u++ {
-		p.nbrs[u] = s.nbrsB[off : off : off+s.deg[u]]
-		off += s.deg[u]
+	for u := range p.nbrs {
+		p.nbrs[u] = nbrsB[off : off : off+deg[u]]
+		off += deg[u]
 	}
-	for id, e := range edges {
+	for id, e := range p.edges {
 		p.nbrs[e.u] = append(p.nbrs[e.u], id)
 		p.nbrs[e.v] = append(p.nbrs[e.v], id)
 	}

@@ -158,7 +158,7 @@ func TestExpansionMoveNeverWorsensRelaxedEnergy(t *testing.T) {
 		}
 		before := p.totalEnergy(y, true)
 		alpha := r.Intn(p.labels)
-		cand := expansionMove(p, y, alpha, true, &Scratch{})
+		cand := expansionMove(p, y, alpha, true, &moveBuffers{})
 		after := p.totalEnergy(cand, true)
 		// The solver in SolveAlphaExpansion only accepts improving moves,
 		// but the move itself (unconstrained labels) should rarely worsen;

@@ -17,10 +17,12 @@ const mustMatchBoost = 1e4
 // SolveIndependent labels every table independently and optimally (§4.1),
 // ignoring cross-table edge potentials.
 func SolveIndependent(m *core.Model) core.Labeling {
-	return solveIndependent(m, &Scratch{})
+	return new(Scratch).Independent(m)
 }
 
-func solveIndependent(m *core.Model, s *Scratch) core.Labeling {
+// Independent is SolveIndependent out of the arena s: a warm arena runs
+// the per-table solves without reallocating their weights or workspace.
+func (s *Scratch) Independent(m *core.Model) core.Labeling {
 	l := core.NewLabeling(m.NumQ, m.Cols())
 	for ti := range m.Views {
 		solveTableMAPInto(m, ti, m.Node[ti], l.Y[ti], s)
@@ -89,11 +91,12 @@ func solveTableMAPInto(m *core.Model, ti int, node [][]float64, dst []int, s *Sc
 // hard constraint (used as post-processing by the edge-centric methods,
 // §4.3). The repaired labeling is the per-table optimum of the node
 // potentials.
-func repairTableConstraints(m *core.Model, l core.Labeling, s *Scratch) core.Labeling {
+func repairTableConstraints(m *core.Model, l core.Labeling) core.Labeling {
 	q := m.NumQ
+	var s Scratch
 	for ti := range m.Views {
 		if !tableFeasible(m, ti, l.Y[ti], q) {
-			solveTableMAPInto(m, ti, m.Node[ti], l.Y[ti], s)
+			solveTableMAPInto(m, ti, m.Node[ti], l.Y[ti], &s)
 		}
 	}
 	return l

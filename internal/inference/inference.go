@@ -39,30 +39,19 @@ func (a Algorithm) String() string {
 var Algorithms = []Algorithm{Independent, AlphaExpansion, BP, TRWS, TableCentric}
 
 // Solve runs the chosen algorithm on the model and returns a labeling that
-// satisfies all hard constraints.
+// satisfies all hard constraints. Each call owns its solver state, so
+// Solve is safe to run concurrently on one model.
 func Solve(m *core.Model, alg Algorithm) core.Labeling {
-	return SolveScratch(m, alg, nil)
-}
-
-// SolveScratch is Solve through a caller-owned scratch arena, so a warm
-// arena runs a solve without reallocating its message buffers or solver
-// state. The labeling is always freshly allocated and safe to retain; s
-// may be reused the moment the call returns. A nil s uses a fresh private
-// arena (identical to Solve).
-func SolveScratch(m *core.Model, alg Algorithm, s *Scratch) core.Labeling {
-	if s == nil {
-		s = &Scratch{}
-	}
 	switch alg {
 	case TableCentric:
-		return solveTableCentric(m, s)
+		return SolveTableCentric(m)
 	case AlphaExpansion:
-		return solveAlphaExpansion(m, true, s)
+		return SolveAlphaExpansion(m)
 	case BP:
-		return solveBP(m, s)
+		return SolveBP(m)
 	case TRWS:
-		return solveTRWS(m, s)
+		return SolveTRWS(m)
 	default:
-		return solveIndependent(m, s)
+		return SolveIndependent(m)
 	}
 }

@@ -173,27 +173,30 @@ func TestMustMatchFirstColumn(t *testing.T) {
 	}
 }
 
-// bruteForceTableMAP enumerates all labelings of a single table subject to
-// all four constraints and returns the best score.
-func bruteForceTableMAP(m *core.Model, ti int) float64 {
-	q := m.NumQ
-	nt := m.Views[ti].NumCols
-	labels := make([]int, nt)
+// bruteForceMAP enumerates every labeling of every column of the model
+// and returns the best Model.Score: the exact MAP of Eq. 9, with the
+// table constraints (Eq. 5-8) enforced by Score itself. Exponential in
+// the total column count, so only for models of a few columns.
+func bruteForceMAP(m *core.Model) float64 {
+	l := core.NewLabeling(m.NumQ, m.Cols())
+	var vars [][2]int // (table, column) of each variable
+	for ti, v := range m.Views {
+		for c := 0; c < v.NumCols; c++ {
+			vars = append(vars, [2]int{ti, c})
+		}
+	}
 	best := math.Inf(-1)
-	var rec func(c int)
-	rec = func(c int) {
-		if c == nt {
-			l := core.NewLabeling(q, m.Cols())
-			// Other tables all-nr; with one table there are none.
-			copy(l.Y[ti], labels)
+	var rec func(u int)
+	rec = func(u int) {
+		if u == len(vars) {
 			if s := m.Score(l); s > best {
 				best = s
 			}
 			return
 		}
-		for lab := 0; lab < core.NumLabels(q); lab++ {
-			labels[c] = lab
-			rec(c + 1)
+		for lab := 0; lab < core.NumLabels(m.NumQ); lab++ {
+			l.Y[vars[u][0]][vars[u][1]] = lab
+			rec(u + 1)
 		}
 	}
 	rec(0)
@@ -212,7 +215,7 @@ func TestIndependentOptimalVsBruteForce(t *testing.T) {
 		m := build(t, []string{"country", "currency"}, []*wtable.Table{tb})
 		l := SolveIndependent(m)
 		got := m.Score(l)
-		want := bruteForceTableMAP(m, 0)
+		want := bruteForceMAP(m)
 		if math.Abs(got-want) > 1e-6 {
 			t.Errorf("table %s: independent score %f != brute force %f (labels %v)",
 				tb.ID, got, want, l.Y[0])
@@ -240,7 +243,7 @@ func TestRepairTableConstraints(t *testing.T) {
 	l := core.NewLabeling(q, m.Cols())
 	l.Y[0][0] = 0
 	l.Y[0][1] = 0
-	fixed := repairTableConstraints(m, l, &Scratch{})
+	fixed := repairTableConstraints(m, l)
 	if s := m.Score(fixed); math.IsInf(s, -1) {
 		t.Fatalf("repair left infeasible labeling: %v", fixed.Y)
 	}

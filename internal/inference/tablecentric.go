@@ -27,10 +27,13 @@ const tieBreakMsg = 0.1
 // Stage 2 only strengthens real query-column labels: edges exist to
 // transfer column identities, never to spread irrelevance.
 func SolveTableCentric(m *core.Model) core.Labeling {
-	return solveTableCentric(m, &Scratch{})
+	return new(Scratch).TableCentric(m)
 }
 
-func solveTableCentric(m *core.Model, s *Scratch) core.Labeling {
+// TableCentric is SolveTableCentric out of the arena s: a warm arena runs
+// the solve without reallocating its message grid, node grid or per-table
+// solver state.
+func (s *Scratch) TableCentric(m *core.Model) core.Labeling {
 	q := m.NumQ
 	// Stage 2: messages, accumulated into one cleared flat grid over
 	// (global column, query label).

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"wwt/internal/core"
-	"wwt/internal/slicex"
 )
 
 // trwsIterations: each iteration is one forward plus one backward sweep.
@@ -17,18 +16,13 @@ const trwsIterations = 100
 // 2006) on the pairwise MRF (mutex + all-Irr as pairwise penalties) in
 // energy form, decodes sequentially, and repairs per-table violations.
 func SolveTRWS(m *core.Model) core.Labeling {
-	return solveTRWS(m, &Scratch{})
-}
-
-func solveTRWS(m *core.Model, s *Scratch) core.Labeling {
-	p := newPairwiseMRFS(m, true, s)
+	p := newPairwiseMRF(m, true)
 	L := p.labels
 	n := p.nVars
 
 	// Edge appearance coefficients: gamma_u = 1/max(#fwd, #bwd) over the
 	// monotonic chains induced by the variable order.
-	s.gamma = slicex.Grow(s.gamma, n)
-	gamma := s.gamma
+	gamma := make([]float64, n)
 	for u := 0; u < n; u++ {
 		fwd, bwd := 0, 0
 		for _, ei := range p.nbrs[u] {
@@ -52,16 +46,9 @@ func solveTRWS(m *core.Model, s *Scratch) core.Labeling {
 		gamma[u] = 1 / float64(d)
 	}
 
-	s.emsgB = slicex.GrowClear(s.emsgB, 2*len(p.edges)*L)
-	s.emsg = slicex.Grow(s.emsg, 2*len(p.edges))
-	msg := s.emsg
-	for i := range msg {
-		msg[i] = s.emsgB[i*L : (i+1)*L : (i+1)*L]
-	}
-	s.h = slicex.Grow(s.h, L)
-	hat := s.h
-	s.newMsg = slicex.Grow(s.newMsg, L)
-	newMsg := s.newMsg
+	msg := newMessages(len(p.edges), L)
+	hat := make([]float64, L)
+	newMsg := make([]float64, L)
 
 	sweep := func(forward bool) {
 		for step := 0; step < n; step++ {
@@ -118,12 +105,9 @@ func solveTRWS(m *core.Model, s *Scratch) core.Labeling {
 
 	// Sequential decode: condition each variable on already-decoded
 	// earlier neighbors.
-	s.y = slicex.Grow(s.y, n)
-	y := s.y
-	s.decided = slicex.GrowClear(s.decided, n)
-	decided := s.decided
+	y := make([]int, n)
+	decided := make([]bool, n)
 	for u := 0; u < n; u++ {
-		y[u] = 0
 		bestE := math.Inf(1)
 		for l := 0; l < L; l++ {
 			e := p.unary[u][l]
@@ -150,7 +134,7 @@ func solveTRWS(m *core.Model, s *Scratch) core.Labeling {
 		}
 		decided[u] = true
 	}
-	return repairTableConstraints(m, p.toLabeling(y), s)
+	return repairTableConstraints(m, p.toLabeling(y))
 }
 
 // outgoing returns the message slot leaving variable 'from' along edge ei.

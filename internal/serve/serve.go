@@ -347,7 +347,9 @@ func (s *Server) retryAfter(occupied, need, capacity int) string {
 	if secs < 1 {
 		secs = 1
 	}
-	if maxS := int64(s.cfg.MaxTimeout.Seconds()); secs > maxS {
+	// The ceiling rounds up too, so a sub-second MaxTimeout keeps the 1s
+	// floor instead of truncating to 0.
+	if maxS := int64(math.Ceil(s.cfg.MaxTimeout.Seconds())); secs > maxS {
 		secs = maxS
 	}
 	return fmt.Sprintf("%d", secs)

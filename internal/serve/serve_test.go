@@ -135,8 +135,9 @@ func TestBatchAnswer(t *testing.T) {
 }
 
 // TestRetryAfterDerivation pins the drain-estimate clamp: cold hold
-// average floors at 1s, long drains cap at MaxTimeout, and a fractional
-// drain rounds up, never down.
+// average floors at 1s, long drains cap at MaxTimeout, a fractional
+// drain rounds up, never down, and a sub-second MaxTimeout still
+// advises 1s.
 func TestRetryAfterDerivation(t *testing.T) {
 	s := New(testEngine(t), Config{MaxTimeout: 10 * time.Second})
 	if got := s.retryAfter(5, 1, 4); got != "1" {
@@ -153,6 +154,11 @@ func TestRetryAfterDerivation(t *testing.T) {
 	s.met.hold.Observe(float64(1000500 * time.Microsecond)) // one 1000.5ms wave
 	if got := s.retryAfter(0, 1, 4); got != "2" {
 		t.Errorf("fractional drain: Retry-After = %s, want 2", got)
+	}
+	s = New(testEngine(t), Config{MaxTimeout: 500 * time.Millisecond})
+	s.met.hold.Observe(float64(2 * time.Second))
+	if got := s.retryAfter(400, 1, 4); got != "1" { // sub-second ceiling rounds up to the floor
+		t.Errorf("sub-second MaxTimeout: Retry-After = %s, want 1", got)
 	}
 }
 

@@ -150,9 +150,9 @@ func (e *Engine) GenerationCounts() (retired, reclaimed uint64) {
 	return e.retired.Load(), e.reclaimed.Load()
 }
 
-// IngestCounts reports cumulative ingest/merge activity.
-func (e *Engine) IngestCounts() (ingests, tables, errs, merges uint64) {
-	return e.ingests.Load(), e.ingestedTables.Load(), e.ingestErrors.Load(), e.mergesDone.Load()
+// IngestCounts reports cumulative failed ingests and completed merges.
+func (e *Engine) IngestCounts() (errs, merges uint64) {
+	return e.ingestErrors.Load(), e.mergesDone.Load()
 }
 
 // ErrTableExists is wrapped by the error IngestTables returns when a
@@ -212,8 +212,6 @@ func (e *Engine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 	if err := e.publishLocked(); err != nil {
 		return LiveInfo{}, err
 	}
-	e.ingests.Add(1)
-	e.ingestedTables.Add(uint64(len(tables)))
 	e.maybeMergeLocked()
 	return e.Info(), nil
 }

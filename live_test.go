@@ -201,7 +201,7 @@ func TestLiveEngineMerge(t *testing.T) {
 	if info.Docs != 3+n {
 		t.Fatalf("post-merge docs = %d, want %d", info.Docs, 3+n)
 	}
-	_, _, _, merges := le.IngestCounts()
+	_, merges := le.IngestCounts()
 	if merges == 0 {
 		t.Fatal("no merge recorded")
 	}
@@ -348,7 +348,7 @@ func TestLiveEngineMergeErrorCounted(t *testing.T) {
 	if info.MergeErrors != 1 {
 		t.Fatalf("MergeErrors = %d after a blocked merge, want 1", info.MergeErrors)
 	}
-	if _, _, ingestErrs, merges := le.IngestCounts(); merges != 0 || ingestErrs != 0 {
+	if ingestErrs, merges := le.IngestCounts(); merges != 0 || ingestErrs != 0 {
 		t.Fatalf("blocked merge recorded %d merges / %d ingest errors, want 0/0", merges, ingestErrs)
 	}
 	if info.Segments != 5 || info.Docs != 3+4 {
@@ -377,7 +377,7 @@ func TestLiveEngineMergeErrorCounted(t *testing.T) {
 		t.Fatalf("ingest after a failed merge not served (err=%v)", err)
 	}
 	le.WaitMerges()
-	if _, _, _, merges := le.IngestCounts(); merges == 0 {
+	if _, merges := le.IngestCounts(); merges == 0 {
 		t.Fatal("merger did not recover once the destination was writable")
 	}
 	if got := le.Info(); got.MergeErrors != 1 || got.Docs != 3+5 {
@@ -575,7 +575,7 @@ func TestCarriedViewsMatchFreshOpen(t *testing.T) {
 		warm()
 	}
 	le.WaitMerges()
-	if _, _, _, merges := le.IngestCounts(); merges == 0 {
+	if _, merges := le.IngestCounts(); merges == 0 {
 		t.Fatal("no merge ran; the test must cover a merge swap")
 	}
 	views := le.CacheStats().Views

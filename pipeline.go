@@ -214,7 +214,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	}
 	m := e.builder(st.g).BuildTables(st.query.Columns, st.tables, &s.build)
 	st.model = m
-	l := inference.SolveScratch(m, inference.Independent, &s.infer)
+	l := s.infer.Independent(m)
 	type scored struct {
 		ti  int
 		rel float64
@@ -319,9 +319,9 @@ func (e *Engine) stageColumnMap(st *queryState, s *QueryScratch) (bool, error) {
 	return true, nil
 }
 
-// stageInfer runs the configured collective inference algorithm (§4).
+// stageInfer runs table-centric collective inference (§4.2).
 func (e *Engine) stageInfer(st *queryState, s *QueryScratch) (bool, error) {
-	st.labeling = inference.SolveScratch(st.model, e.Opts.Algorithm, &s.infer)
+	st.labeling = s.infer.TableCentric(st.model)
 	return true, nil
 }
 
@@ -349,8 +349,8 @@ func (e *Engine) Candidates(q Query, tm *Timings) ([]*wtable.Table, bool, error)
 	return st.tables, st.probe2Fired, nil
 }
 
-// Answer runs the full pipeline: probes, column mapping with the
-// configured inference algorithm, and consolidation. The per-query arena
+// Answer runs the full pipeline: probes, column mapping with
+// table-centric inference (§4.2), and consolidation. The per-query arena
 // is drawn from the engine pool and handed to the Result; call
 // Result.Release to recycle it (see QueryScratch for the contract).
 func (e *Engine) Answer(q Query) (*Result, error) {
@@ -408,7 +408,7 @@ func (e *Engine) observePlan(st *queryState, tm *Timings) {
 		PostingsScanned: st.scanned,
 		Tables1:         st.tables1,
 		Tables:          len(st.tables),
-		Alg:             int(e.Opts.Algorithm),
+		Alg:             int(inference.TableCentric),
 		Probe2Ran:       st.probe2Fired,
 		Probe1:          tm.Probe1,
 		Read1:           tm.Read1,

@@ -18,9 +18,9 @@ import (
 // TestAnswerScratchEquivalence answers the evaluation workload (the query
 // set behind Table 1 / Fig. 5 / Fig. 7) twice per query on one engine —
 // once through the warm engine pool (arena dirty from every earlier
-// query), once with a virgin arena — and demands bit-identical results for
-// every inference algorithm: labeling, model edges, node potentials,
-// stage-1 state, answer rows and their ranking.
+// query), once with a virgin arena — and demands bit-identical results:
+// labeling, model edges, node potentials, stage-1 state, answer rows and
+// their ranking.
 func TestAnswerScratchEquivalence(t *testing.T) {
 	corpus := corpusgen.Generate(corpusgen.Config{Seed: 2012, Scale: 0.25})
 	tables := corpus.ExtractAll(extract.NewOptions())
@@ -28,64 +28,61 @@ func TestAnswerScratchEquivalence(t *testing.T) {
 	if len(queries) == 0 {
 		t.Fatal("no workload queries")
 	}
-	for _, alg := range inference.Algorithms {
-		t.Run(alg.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Algorithm = alg
-			eng, err := NewEngine(tables, &opts)
-			if err != nil {
-				t.Fatal(err)
+	// The engine serves the paper's table-centric solve (§4.2).
+	t.Run(inference.TableCentric.String(), func(t *testing.T) {
+		eng, err := NewEngine(tables, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Dirty the pool: every query leaves its footprint in some arena, so
+		// the comparison runs see thoroughly stale buffers.
+		for _, q := range queries {
+			if res, err := eng.Answer(Query{Columns: q.Columns}); err == nil {
+				res.Release()
 			}
-			// Dirty the pool: every query leaves its footprint in some
-			// arena, so the comparison runs see thoroughly stale buffers.
-			for _, q := range queries {
-				if res, err := eng.Answer(Query{Columns: q.Columns}); err == nil {
-					res.Release()
+		}
+		for _, q := range queries {
+			wq := Query{Columns: q.Columns}
+			pooled, errP := eng.Answer(wq)
+			fresh, errF := eng.answer(nil, wq, &QueryScratch{})
+			if (errP == nil) != (errF == nil) {
+				t.Fatalf("%v: pooled err %v, fresh err %v", q.Columns, errP, errF)
+			}
+			if errP != nil {
+				continue
+			}
+			if pooled.UsedProbe2 != fresh.UsedProbe2 {
+				t.Fatalf("%v: UsedProbe2 %v != %v", q.Columns, pooled.UsedProbe2, fresh.UsedProbe2)
+			}
+			if len(pooled.Tables) != len(fresh.Tables) {
+				t.Fatalf("%v: %d tables != %d", q.Columns, len(pooled.Tables), len(fresh.Tables))
+			}
+			for i := range pooled.Tables {
+				if pooled.Tables[i].ID != fresh.Tables[i].ID {
+					t.Fatalf("%v: table %d = %s, want %s", q.Columns, i, pooled.Tables[i].ID, fresh.Tables[i].ID)
 				}
 			}
-			for _, q := range queries {
-				wq := Query{Columns: q.Columns}
-				pooled, errP := eng.Answer(wq)
-				fresh, errF := eng.answer(nil, wq, &QueryScratch{})
-				if (errP == nil) != (errF == nil) {
-					t.Fatalf("%v: pooled err %v, fresh err %v", q.Columns, errP, errF)
-				}
-				if errP != nil {
-					continue
-				}
-				if pooled.UsedProbe2 != fresh.UsedProbe2 {
-					t.Fatalf("%v: UsedProbe2 %v != %v", q.Columns, pooled.UsedProbe2, fresh.UsedProbe2)
-				}
-				if len(pooled.Tables) != len(fresh.Tables) {
-					t.Fatalf("%v: %d tables != %d", q.Columns, len(pooled.Tables), len(fresh.Tables))
-				}
-				for i := range pooled.Tables {
-					if pooled.Tables[i].ID != fresh.Tables[i].ID {
-						t.Fatalf("%v: table %d = %s, want %s", q.Columns, i, pooled.Tables[i].ID, fresh.Tables[i].ID)
-					}
-				}
-				if !reflect.DeepEqual(pooled.Labeling.Y, fresh.Labeling.Y) {
-					t.Fatalf("%v: labeling diverged", q.Columns)
-				}
-				if !reflect.DeepEqual(pooled.Model.Edges, fresh.Model.Edges) {
-					t.Fatalf("%v: edges diverged", q.Columns)
-				}
-				if !reflect.DeepEqual(pooled.Model.Node, fresh.Model.Node) {
-					t.Fatalf("%v: node potentials diverged", q.Columns)
-				}
-				if !reflect.DeepEqual(pooled.Model.Dist, fresh.Model.Dist) ||
-					!reflect.DeepEqual(pooled.Model.Conf, fresh.Model.Conf) ||
-					!reflect.DeepEqual(pooled.Model.Rel, fresh.Model.Rel) {
-					t.Fatalf("%v: stage-1 state diverged", q.Columns)
-				}
-				// Answer rows, including ranking, support, sources, scores.
-				if !reflect.DeepEqual(pooled.Answer, fresh.Answer) {
-					t.Fatalf("%v: consolidated answer diverged", q.Columns)
-				}
-				pooled.Release()
+			if !reflect.DeepEqual(pooled.Labeling.Y, fresh.Labeling.Y) {
+				t.Fatalf("%v: labeling diverged", q.Columns)
 			}
-		})
-	}
+			if !reflect.DeepEqual(pooled.Model.Edges, fresh.Model.Edges) {
+				t.Fatalf("%v: edges diverged", q.Columns)
+			}
+			if !reflect.DeepEqual(pooled.Model.Node, fresh.Model.Node) {
+				t.Fatalf("%v: node potentials diverged", q.Columns)
+			}
+			if !reflect.DeepEqual(pooled.Model.Dist, fresh.Model.Dist) ||
+				!reflect.DeepEqual(pooled.Model.Conf, fresh.Model.Conf) ||
+				!reflect.DeepEqual(pooled.Model.Rel, fresh.Model.Rel) {
+				t.Fatalf("%v: stage-1 state diverged", q.Columns)
+			}
+			// Answer rows, including ranking, support, sources, scores.
+			if !reflect.DeepEqual(pooled.Answer, fresh.Answer) {
+				t.Fatalf("%v: consolidated answer diverged", q.Columns)
+			}
+			pooled.Release()
+		}
+	})
 }
 
 // TestResultReleaseIdempotent: double Release must be a no-op, and Release

@@ -1,8 +1,8 @@
 package wwt_test
 
 // Cost-model integration test: calibrating the estimator on a full eval
-// workload must leave every answer bit-identical, for every inference
-// algorithm.
+// workload must leave every answer bit-identical under the table-centric
+// solve the engine serves.
 
 import (
 	"context"
@@ -63,39 +63,36 @@ func sameResult(t *testing.T, tag string, i int, got, want *wwt.Result) {
 }
 
 // TestCalibrationLeavesAnswersUnchanged pins the cost model as a gauge:
-// after a full eval workload of solo answers the estimator is calibrated
-// for every inference algorithm, and a batch answered on that calibrated
-// engine is bit-identical, member by member, to the solo references.
+// after a full eval workload of solo answers the estimator is calibrated,
+// and a batch answered on that calibrated engine is bit-identical, member
+// by member, to the solo references.
 func TestCalibrationLeavesAnswersUnchanged(t *testing.T) {
 	wqs, corpus := evalQueries(t)
 	tables := corpus.ExtractAll(extract.NewOptions())
-	for _, alg := range inference.Algorithms {
-		t.Run(alg.String(), func(t *testing.T) {
-			opts := wwt.DefaultOptions()
-			opts.Algorithm = alg
-			eng, err := wwt.NewEngine(tables, &opts)
-			if err != nil {
-				t.Fatal(err)
+	// The engine serves the paper's table-centric solve (§4.2).
+	t.Run(inference.TableCentric.String(), func(t *testing.T) {
+		eng, err := wwt.NewEngine(tables, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := make([]*wwt.Result, len(wqs))
+		refErrs := make([]error, len(wqs))
+		for i, q := range wqs {
+			refs[i], refErrs[i] = eng.Answer(q)
+		}
+		if !eng.PlanStats().Calibrated {
+			t.Fatal("estimator not calibrated after a full workload")
+		}
+		br := eng.AnswerBatchCtx(context.Background(), wqs, 4, time.Hour)
+		for i := range wqs {
+			if (br.Errs[i] == nil) != (refErrs[i] == nil) {
+				t.Fatalf("member %d: batch err %v, solo err %v", i, br.Errs[i], refErrs[i])
 			}
-			refs := make([]*wwt.Result, len(wqs))
-			refErrs := make([]error, len(wqs))
-			for i, q := range wqs {
-				refs[i], refErrs[i] = eng.Answer(q)
+			if br.Errs[i] != nil {
+				continue
 			}
-			if !eng.PlanStats().Calibrated {
-				t.Fatal("estimator not calibrated after a full workload")
-			}
-			br := eng.AnswerBatchCtx(context.Background(), wqs, 4, time.Hour)
-			for i := range wqs {
-				if (br.Errs[i] == nil) != (refErrs[i] == nil) {
-					t.Fatalf("member %d: batch err %v, solo err %v", i, br.Errs[i], refErrs[i])
-				}
-				if br.Errs[i] != nil {
-					continue
-				}
-				sameResult(t, "calibrated", i, br.Results[i], refs[i])
-			}
-			br.Release()
-		})
-	}
+			sameResult(t, "calibrated", i, br.Results[i], refs[i])
+		}
+		br.Release()
+	})
 }

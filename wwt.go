@@ -32,9 +32,6 @@ type Options struct {
 	// so mutating Opts.Params on a live engine yields stale results —
 	// build a new engine to change params.
 	Params core.Params
-	// Algorithm selects the collective inference method (§4). The paper's
-	// recommendation — and the default — is the table-centric algorithm.
-	Algorithm inference.Algorithm
 	// ProbeK is the number of candidates fetched per index probe.
 	ProbeK int
 	// SecondProbe enables the content-overlap re-probe of §2.2.1.
@@ -53,7 +50,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Params:                core.DefaultParams(),
-		Algorithm:             inference.TableCentric,
 		ProbeK:                40,
 		SecondProbe:           true,
 		SecondProbeRows:       10,
@@ -216,13 +212,11 @@ type Engine struct {
 	nextSeq   uint64
 	merges    sync.WaitGroup
 
-	ingests        atomic.Uint64
-	ingestedTables atomic.Uint64
-	ingestErrors   atomic.Uint64
-	mergesDone     atomic.Uint64
-	mergeErrors    atomic.Uint64 // background merges that failed (and were dropped)
-	retired        atomic.Uint64 // generations replaced by a swap
-	reclaimed      atomic.Uint64 // retired generations whose last ref released
+	ingestErrors atomic.Uint64
+	mergesDone   atomic.Uint64
+	mergeErrors  atomic.Uint64 // background merges that failed (and were dropped)
+	retired      atomic.Uint64 // generations replaced by a swap
+	reclaimed    atomic.Uint64 // retired generations whose last ref released
 }
 
 // generation is one published corpus snapshot: the searcher and its
@@ -396,7 +390,7 @@ type PlanStats struct {
 	// own predictions (|estimated−actual|/actual; 0 until calibrated).
 	CostError float64
 	// Calibrated reports whether the estimator has observed enough
-	// queries under the engine's algorithm for estimates to be meaningful.
+	// queries for estimates to be meaningful.
 	Calibrated bool
 	// ProbeBlocksSkipped / ProbeBlocksTotal count posting blocks the
 	// block-max skip pruned vs considered across every index probe.
@@ -414,7 +408,7 @@ type PlanStats struct {
 func (e *Engine) PlanStats() PlanStats {
 	return PlanStats{
 		CostError:          e.planner.ErrorRate(),
-		Calibrated:         e.planner.Calibrated(int(e.Opts.Algorithm)),
+		Calibrated:         e.planner.Calibrated(int(inference.TableCentric)),
 		ProbeBlocksSkipped: uint64(e.probeBlocksSkipped.Load()),
 		ProbeBlocksTotal:   uint64(e.probeBlocksTotal.Load()),
 		ProbeShardsPruned:  e.probeShardsPruned.Load(),
@@ -473,5 +467,5 @@ func (e *Engine) MapColumns(q Query, tables []*wtable.Table) (*core.Model, core.
 	g := e.acquire()
 	defer e.release(g)
 	m := e.builder(g).Build(q.Columns, tables)
-	return m, inference.Solve(m, e.Opts.Algorithm)
+	return m, inference.SolveTableCentric(m)
 }

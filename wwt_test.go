@@ -7,7 +7,6 @@ import (
 	"wwt"
 	"wwt/internal/extract"
 	"wwt/internal/index"
-	"wwt/internal/inference"
 	"wwt/internal/wtable"
 )
 
@@ -125,23 +124,6 @@ func TestEngineNoMatches(t *testing.T) {
 	defer res.Release()
 	if len(res.Tables) != 0 || len(res.Answer.Rows) != 0 {
 		t.Errorf("expected empty result, got %d tables %d rows", len(res.Tables), len(res.Answer.Rows))
-	}
-}
-
-func TestEngineAlgorithmOption(t *testing.T) {
-	for _, alg := range inference.Algorithms {
-		opts := wwt.DefaultOptions()
-		opts.Algorithm = alg
-		eng, err := wwt.NewEngine(smallCorpus(t), &opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Answer(wwt.Query{Columns: []string{"country", "currency"}})
-		if err != nil {
-			t.Errorf("%s: %v", alg, err)
-			continue
-		}
-		res.Release()
 	}
 }
 
