@@ -130,8 +130,8 @@ func BenchmarkFig6Consolidation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
-		consolidate.Consolidate(w.queries[qi].Q(), w.cands[qi], labelings[qi],
-			w.models[qi].Rel, consolidate.NewOptions())
+		consolidate.Consolidate(w.queries[qi].Q(), w.models[qi].Views, labelings[qi],
+			w.models[qi].Rel, consolidate.NewOptions(), nil)
 	}
 }
 
@@ -139,9 +139,10 @@ func BenchmarkFig6Consolidation(b *testing.B) {
 var consolidateSink *consolidate.Answer
 
 // BenchmarkConsolidate measures the consolidator the way the pipeline
-// runs it: through one reused Scratch, whose cell memo and key indexes
-// stay warm across calls. Compare with BenchmarkFig6Consolidation, which
-// gives every call a fresh scratch.
+// runs it: through one reused Scratch, whose key indexes and row buffers
+// stay warm across calls, so a call allocates only the Answer it returns.
+// Compare with BenchmarkFig6Consolidation, which gives every call a fresh
+// scratch.
 func BenchmarkConsolidate(b *testing.B) {
 	w := getWorld(b)
 	labelings := make([]core.Labeling, len(w.queries))
@@ -153,7 +154,7 @@ func BenchmarkConsolidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
-		consolidateSink = consolidate.ConsolidateScratch(w.queries[qi].Q(), w.cands[qi], labelings[qi],
+		consolidateSink = consolidate.Consolidate(w.queries[qi].Q(), w.models[qi].Views, labelings[qi],
 			w.models[qi].Rel, consolidate.NewOptions(), &s)
 	}
 }

@@ -6,8 +6,7 @@ import (
 	"strings"
 
 	"wwt/internal/core"
-	"wwt/internal/text"
-	"wwt/internal/wtable"
+	"wwt/internal/slicex"
 )
 
 // Options tunes consolidation.
@@ -38,123 +37,98 @@ type Answer struct {
 	Sources []string
 }
 
-// keyedRow pairs a row's key token set with its answer-row index for the
-// fuzzy key matching.
-type keyedRow struct {
-	keySet []string // sorted, deduplicated normalized key tokens
-	row    int      // index into ans.Rows
-}
-
-// cellNorm is the analysis of one cell string: its normalized tokens as a
-// sorted, deduplicated set, and — once the cell has served as a row key —
-// the exact key, those tokens joined in Normalize order.
-type cellNorm struct {
-	set   []string
-	key   string
-	keyed bool
-}
-
 // Scratch is the reusable working state of one consolidation: the exact
-// and fuzzy key indexes, the per-table column mapping, the row being
-// assembled, and the memo of normalized cells. Only the returned Answer
-// survives a call (it is always freshly allocated), so a Scratch may be
-// reused as soon as Consolidate returns. The zero value is ready to use.
+// and fuzzy key indexes, the per-table column mapping and the cell IDs of
+// the answer rows. Only the returned Answer survives a call (it is always
+// freshly allocated), so a Scratch may be reused as soon as Consolidate
+// returns. The zero value is ready to use.
 type Scratch struct {
-	exact  map[string]int
-	fuzzy  []keyedRow
+	exact  map[uint32]int // key cell ID -> answer row
+	keys   [][]uint32     // answer row -> its key's token set (interner-owned)
 	colFor []int
-	cells  []string
-	// norms memoizes cell string → analysis for one call, so each distinct
-	// cell is normalized once however many rows and merge attempts read it.
-	norms map[string]cellNorm
+	ids    []uint32 // the cell IDs of the row being read
+	rowIDs []uint32 // answer row i's cell IDs at [i*q, (i+1)*q)
 }
 
 // Consolidate merges the rows of all tables marked relevant by the
-// labeling. relevance[t] supplies table scores (may be nil: uniform 1).
-func Consolidate(q int, tables []*wtable.Table, l core.Labeling, relevance []float64, opts Options) *Answer {
-	return ConsolidateScratch(q, tables, l, relevance, opts, nil)
-}
-
-// ConsolidateScratch is Consolidate through a caller-owned scratch (nil
-// for a fresh private one).
-func ConsolidateScratch(q int, tables []*wtable.Table, l core.Labeling, relevance []float64, opts Options, s *Scratch) *Answer {
+// labeling. views are the model's views, one per labeled table, sharing
+// one interner; relevance[t] supplies table scores (may be nil: uniform
+// 1); s is a caller-owned scratch (nil for a fresh one). Keys match when
+// their cell IDs are equal or their token sets reach opts.KeyJaccard, and
+// two rows agree when each pair of their cells does on half its tokens.
+func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []float64, opts Options, s *Scratch) *Answer {
 	if s == nil {
 		s = &Scratch{}
 	}
-	ans := &Answer{NumCols: q}
 	if s.exact == nil {
-		s.exact = make(map[string]int)
-	}
-	if s.norms == nil {
-		s.norms = make(map[string]cellNorm)
+		s.exact = make(map[uint32]int)
 	}
 	clear(s.exact)
-	clear(s.norms)
-	exact := s.exact // normalized key -> row index
-	fuzzy := s.fuzzy[:0]
-	defer func() { s.fuzzy = fuzzy }()
+	ans := &Answer{NumCols: q}
+	exact, keys, rowIDs := s.exact, s.keys[:0], s.rowIDs[:0]
+	s.colFor, s.ids = slicex.Grow(s.colFor, q), slicex.Grow(s.ids, q)
+	colFor, ids := s.colFor, s.ids
+	defer func() { s.keys, s.rowIDs = keys, rowIDs }()
 
-	if cap(s.colFor) < q {
-		s.colFor = make([]int, q)
-		s.cells = make([]string, q)
-	}
-	colFor := s.colFor[:q]
-	cells := s.cells[:q]
-
-	for ti, tb := range tables {
+	for ti, v := range views {
 		if ti >= len(l.Y) || !l.Relevant(ti) {
 			continue
 		}
-		for ell := 0; ell < q; ell++ {
+		for ell := range colFor {
 			colFor[ell] = l.ColumnOf(ti, ell)
 		}
 		if colFor[0] < 0 {
 			continue // no key column mapped; nothing to anchor rows on
 		}
+		tb := v.Table
 		ans.Sources = append(ans.Sources, tb.ID)
 		rel := 1.0
 		if relevance != nil && ti < len(relevance) {
 			rel = relevance[ti]
 		}
 		for r := 0; r < tb.NumBodyRows(); r++ {
-			key := strings.TrimSpace(tb.Body(r, colFor[0]))
-			if key == "" {
+			key := v.Cell(r, colFor[0])
+			if key == core.NoID {
 				continue
 			}
-			kn := s.norm(key, true)
-			if kn.key == "" {
-				continue
-			}
-			for ell := 0; ell < q; ell++ {
-				cells[ell] = ""
-				if colFor[ell] >= 0 {
-					cells[ell] = strings.TrimSpace(tb.Body(r, colFor[ell]))
+			for ell, c := range colFor {
+				ids[ell] = core.NoID
+				if c >= 0 {
+					ids[ell] = v.Cell(r, c)
 				}
 			}
-			target := -1
-			if idx, ok := exact[kn.key]; ok {
-				target = idx
-			} else if opts.KeyJaccard < 1 {
-				for _, kr := range fuzzy {
-					if jaccardAtLeast(kn.set, kr.keySet, opts.KeyJaccard) {
-						target = kr.row
-						break
+			target, ok := exact[key]
+			if !ok {
+				target = -1
+			}
+			if !ok && opts.KeyJaccard < 1 {
+				set := v.CellTokens(key)
+				target = slices.IndexFunc(keys, func(k []uint32) bool { return jaccardAtLeast(set, k, opts.KeyJaccard) })
+			}
+			if target >= 0 && compatible(v, rowIDs[target*q:(target+1)*q], ids) {
+				row, known := &ans.Rows[target], rowIDs[target*q:(target+1)*q]
+				for ell, c := range colFor { // fill blanks
+					if row.Cells[ell] == "" && c >= 0 {
+						row.Cells[ell], known[ell] = tb.Body(r, c), ids[ell]
 					}
 				}
+				if !slices.Contains(row.Sources, tb.ID) { // support counts tables
+					row.Sources = append(row.Sources, tb.ID)
+					row.Support++
+					row.Score += rel
+				}
+				continue
 			}
-			if target >= 0 && s.compatible(ans.Rows[target].Cells, cells) {
-				merge(&ans.Rows[target], cells, tb.ID, rel)
-			} else {
-				ans.Rows = append(ans.Rows, Row{
-					Cells:   slices.Clone(cells),
-					Support: 1,
-					Sources: []string{tb.ID},
-					Score:   rel,
-				})
-				idx := len(ans.Rows) - 1
-				exact[kn.key] = idx
-				fuzzy = append(fuzzy, keyedRow{keySet: kn.set, row: idx})
+			cells := make([]string, q)
+			for ell, c := range colFor {
+				if c >= 0 {
+					cells[ell] = tb.Body(r, c)
+				}
 			}
+			ans.Rows = append(ans.Rows, Row{Cells: cells, Support: 1, Sources: []string{tb.ID}, Score: rel})
+			rowIDs = append(rowIDs, ids...)
+			exact[key] = len(ans.Rows) - 1
+			keys = append(keys, v.CellTokens(key))
 		}
 	}
 	rankRows(ans)
@@ -164,71 +138,24 @@ func ConsolidateScratch(q int, tables []*wtable.Table, l core.Labeling, relevanc
 	return ans
 }
 
-// norm returns the memoized analysis of cell, adding its exact key when
-// asKey. A cell is normalized once per call — twice at most, when it is
-// read as a plain cell before it first serves as a key.
-func (s *Scratch) norm(cell string, asKey bool) cellNorm {
-	if n, ok := s.norms[cell]; ok && (n.keyed || !asKey) {
-		return n
-	}
-	toks := text.Normalize(cell)
-	n := cellNorm{keyed: asKey}
-	if asKey {
-		n.key = strings.Join(toks, " ")
-	}
-	slices.Sort(toks)
-	n.set = slices.Compact(toks)
-	s.norms[cell] = n
-	return n
-}
-
-// compatible reports whether two projected rows can describe the same
-// entity: every pair of non-empty cells must agree on at least half of
-// their token sets.
-func (s *Scratch) compatible(a, b []string) bool {
+// compatible reports whether two rows, given by their cell IDs, can
+// describe the same entity: every pair of cells with content words must
+// agree on at least half of their token sets (equal IDs trivially do).
+func compatible(v *core.TableView, a, b []uint32) bool {
 	for i := range a {
-		if a[i] == "" || b[i] == "" {
-			continue
-		}
-		ta, tb := s.norm(a[i], false).set, s.norm(b[i], false).set
-		if len(ta) == 0 || len(tb) == 0 {
-			continue
-		}
-		if jaccard(ta, tb) < 0.5 {
+		if a[i] != core.NoID && b[i] != core.NoID && a[i] != b[i] &&
+			core.JaccardIDs(v.CellTokens(a[i]), v.CellTokens(b[i])) < 0.5 {
 			return false
 		}
 	}
 	return true
 }
 
-// jaccard is the Jaccard similarity of two sorted, deduplicated token
-// sets by an allocation-free merge. Its intersection and union counts are
-// text.JaccardTokens', so the result is the same float.
-func jaccard(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch c := strings.Compare(a[i], b[j]); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			inter++
-			i++
-			j++
-		}
-	}
-	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
-// jaccardAtLeast reports jaccard(a, b) >= threshold for two non-empty
+// jaccardAtLeast reports JaccardIDs(a, b) >= threshold for two non-empty
 // sorted sets, skipping the merge when even full containment
 // (|small|/|large|) could not reach it; division rounds monotonically, so
 // the bound is exact.
-func jaccardAtLeast(a, b []string, threshold float64) bool {
+func jaccardAtLeast(a, b []uint32, threshold float64) bool {
 	lo, hi := len(a), len(b)
 	if lo > hi {
 		lo, hi = hi, lo
@@ -236,25 +163,7 @@ func jaccardAtLeast(a, b []string, threshold float64) bool {
 	if float64(lo)/float64(hi) < threshold {
 		return false
 	}
-	return jaccard(a, b) >= threshold
-}
-
-// merge folds cells into row: fills blanks, bumps support once per new
-// source table.
-func merge(row *Row, cells []string, source string, rel float64) {
-	for i, c := range cells {
-		if row.Cells[i] == "" {
-			row.Cells[i] = c
-		}
-	}
-	for _, s := range row.Sources {
-		if s == source {
-			return
-		}
-	}
-	row.Sources = append(row.Sources, source)
-	row.Support++
-	row.Score += rel
+	return core.JaccardIDs(a, b) >= threshold
 }
 
 // rankRows implements the ranker: higher support first, then score, then

@@ -15,6 +15,20 @@ func row(texts ...string) wtable.Row {
 	return wtable.Row{Cells: cells}
 }
 
+// testIntern is shared by every view the tests build, as one engine's
+// interner is shared by every view it analyzes.
+var testIntern = core.NewInterner()
+
+// viewsOf analyzes tables into views against testIntern: the form
+// Consolidate reads a model's tables in.
+func viewsOf(tables ...*wtable.Table) []*core.TableView {
+	views := make([]*core.TableView, len(tables))
+	for i, t := range tables {
+		views[i] = core.NewTableView(t, core.DefaultParams(), testIntern)
+	}
+	return views
+}
+
 func table(id string, body [][]string) *wtable.Table {
 	t := &wtable.Table{ID: id}
 	for _, br := range body {
@@ -38,7 +52,7 @@ func TestConsolidateMergesDuplicates(t *testing.T) {
 		{0, 1, 2}, // a: name, nationality, area
 		{2, 0},    // b: area, name
 	}}
-	ans := Consolidate(q, []*wtable.Table{a, b}, l, nil, NewOptions())
+	ans := Consolidate(q, viewsOf(a, b), l, nil, NewOptions(), nil)
 	if len(ans.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (Vasco merged)", len(ans.Rows))
 	}
@@ -72,7 +86,7 @@ func TestConsolidateSkipsIrrelevantTables(t *testing.T) {
 		{0, 1},
 		{core.NR(q), core.NR(q)},
 	}}
-	ans := Consolidate(q, []*wtable.Table{a, junk}, l, nil, NewOptions())
+	ans := Consolidate(q, viewsOf(a, junk), l, nil, NewOptions(), nil)
 	if len(ans.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(ans.Rows))
 	}
@@ -86,7 +100,7 @@ func TestConsolidateConflictingRowsKeptSeparate(t *testing.T) {
 	b := table("b", [][]string{{"France", "Franc"}}) // conflicting value
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}, {0, 1}}}
-	ans := Consolidate(q, []*wtable.Table{a, b}, l, nil, NewOptions())
+	ans := Consolidate(q, viewsOf(a, b), l, nil, NewOptions(), nil)
 	if len(ans.Rows) != 2 {
 		t.Fatalf("conflicting rows merged: %v", ans.Rows)
 	}
@@ -97,7 +111,7 @@ func TestConsolidateMissingKeyColumn(t *testing.T) {
 	a := table("a", [][]string{{"Euro", "x"}})
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{1, core.NA(q)}}}
-	ans := Consolidate(q, []*wtable.Table{a}, l, nil, NewOptions())
+	ans := Consolidate(q, viewsOf(a), l, nil, NewOptions(), nil)
 	if len(ans.Rows) != 0 {
 		t.Errorf("rows without key column should be dropped: %v", ans.Rows)
 	}
@@ -107,7 +121,7 @@ func TestConsolidateEmptyKeyRowsDropped(t *testing.T) {
 	a := table("a", [][]string{{"", "Euro"}, {"Japan", "Yen"}})
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}}}
-	ans := Consolidate(q, []*wtable.Table{a}, l, nil, NewOptions())
+	ans := Consolidate(q, viewsOf(a), l, nil, NewOptions(), nil)
 	if len(ans.Rows) != 1 || ans.Rows[0].Cells[0] != "Japan" {
 		t.Errorf("rows = %v", ans.Rows)
 	}
@@ -120,7 +134,7 @@ func TestConsolidateFuzzyKeyMatch(t *testing.T) {
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}, {0, 1}}}
 	opts := NewOptions()
 	opts.KeyJaccard = 0.7
-	ans := Consolidate(q, []*wtable.Table{a, b}, l, nil, opts)
+	ans := Consolidate(q, viewsOf(a, b), l, nil, opts, nil)
 	if len(ans.Rows) != 1 {
 		t.Errorf("fuzzy keys not merged: %d rows", len(ans.Rows))
 	}
@@ -132,7 +146,7 @@ func TestConsolidateMaxRows(t *testing.T) {
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}}}
 	opts := NewOptions()
 	opts.MaxRows = 2
-	ans := Consolidate(q, []*wtable.Table{a}, l, nil, opts)
+	ans := Consolidate(q, viewsOf(a), l, nil, opts, nil)
 	if len(ans.Rows) != 2 {
 		t.Errorf("MaxRows not applied: %d", len(ans.Rows))
 	}
@@ -143,7 +157,7 @@ func TestConsolidateSupportCountsTablesNotRows(t *testing.T) {
 	a := table("a", [][]string{{"France", "Euro"}, {"France", "Euro"}})
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}}}
-	ans := Consolidate(q, []*wtable.Table{a}, l, nil, NewOptions())
+	ans := Consolidate(q, viewsOf(a), l, nil, NewOptions(), nil)
 	if len(ans.Rows) != 1 {
 		t.Fatalf("rows = %d", len(ans.Rows))
 	}
@@ -157,7 +171,7 @@ func TestRankingPrefersRelevanceOnTie(t *testing.T) {
 	b := table("b", [][]string{{"y", "2"}})
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}, {0, 1}}}
-	ans := Consolidate(q, []*wtable.Table{a, b}, l, []float64{0.2, 0.9}, NewOptions())
+	ans := Consolidate(q, viewsOf(a, b), l, []float64{0.2, 0.9}, NewOptions(), nil)
 	if len(ans.Rows) != 2 || ans.Rows[0].Cells[0] != "y" {
 		t.Errorf("higher-relevance source should rank first: %v", ans.Rows)
 	}

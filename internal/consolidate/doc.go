@@ -4,14 +4,21 @@
 // key matching on the first query column), and ranking rows so that highly
 // supported, high-confidence rows surface first.
 //
+// Consolidation reads the model's table views, not raw text: every body
+// cell was analyzed once, when its view was built, into an interned
+// whole-cell ID whose token set the interner holds. Exact key matching
+// compares those IDs, and fuzzy key matching and row compatibility take
+// the Jaccard of those token sets, so no cell is normalized per query.
+//
 // # Ownership and concurrency contracts
 //
-// Consolidate reads its inputs (tables, labeling, relevance scores)
+// Consolidate reads its inputs (views, labeling, relevance scores)
 // without mutating them, and the returned Answer owns all of its storage —
 // rows, cells and source lists are freshly allocated, so an Answer
-// outlives any scratch or model it was derived from. ConsolidateScratch
-// reuses a caller-owned Scratch (key indexes, the row being assembled, and
-// the per-call memo that normalizes each distinct cell once) across calls:
-// one consolidation owns the arena at a time, and only the arena is reused
-// — the Answer it returns still owns its storage.
+// outlives any scratch or model it was derived from. A caller-owned
+// Scratch (key indexes, the row being assembled and the answer rows' cell
+// IDs) is reused across calls: one consolidation owns the arena at a time,
+// and only the arena is reused — the Answer it returns still owns its
+// storage. The token sets the scratch refers to belong to the interner and
+// are never written.
 package consolidate

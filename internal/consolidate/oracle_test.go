@@ -18,8 +18,8 @@ import (
 // stood before cell analyses were memoized. Every row normalizes its key
 // from scratch, compatibility re-normalizes both sides of every merge
 // attempt, token-set similarity goes through text.JaccardTokens, and rows
-// are ranked with sort.SliceStable. ConsolidateScratch is pinned to it
-// row for row.
+// are ranked with sort.SliceStable. Consolidate, which matches cells on
+// the views' interned IDs instead, is pinned to it row for row.
 func consolidateRef(q int, tables []*wtable.Table, l core.Labeling, relevance []float64, opts Options) *Answer {
 	type keyedRef struct {
 		keyTokens []string
@@ -215,9 +215,9 @@ func randOracleWorld(r *rand.Rand) (int, []*wtable.Table, core.Labeling, []float
 	return q, tables, l, rel, opts
 }
 
-// TestConsolidateMatchesOracleQuick compares ConsolidateScratch — through
-// one scratch reused across every case and through a fresh one — with
-// the reference consolidator: same rows in the same order, with the same
+// TestConsolidateMatchesOracleQuick compares Consolidate — through one
+// scratch reused across every case and through a fresh one — with the
+// reference consolidator: same rows in the same order, with the same
 // cells, support, sources and scores, and the same source list.
 func TestConsolidateMatchesOracleQuick(t *testing.T) {
 	var reused Scratch
@@ -225,8 +225,9 @@ func TestConsolidateMatchesOracleQuick(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, tables, l, rel, opts := randOracleWorld(r)
 		want := consolidateRef(q, tables, l, rel, opts)
+		views := viewsOf(tables...)
 		for _, s := range []*Scratch{&reused, nil} {
-			if got := ConsolidateScratch(q, tables, l, rel, opts, s); !reflect.DeepEqual(got, want) {
+			if got := Consolidate(q, views, l, rel, opts, s); !reflect.DeepEqual(got, want) {
 				t.Logf("seed %d: got %+v\nwant %+v", seed, got, want)
 				return false
 			}
@@ -236,4 +237,43 @@ func TestConsolidateMatchesOracleQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzConsolidateOracle checks Consolidate, which matches cells on the
+// views' interned IDs, against consolidateRef, which analyzes their
+// strings. seed draws a world the way TestConsolidateMatchesOracleQuick
+// does; cells, split on "|", replaces about half of its cells with
+// arbitrary text, so the fuzzer reaches analyses (Unicode letters and
+// case, digits, stemming, stray bytes) the fixed cell list does not.
+// Every input's views go through testIntern, one interner shared by all
+// of them, and each world runs through a fresh scratch and through one
+// reused across inputs.
+func FuzzConsolidateOracle(f *testing.F) {
+	f.Add(int64(1), "")
+	f.Add(int64(7), "Straße|STRASSE|İstanbul|istanbul|42nd|running runner")
+	f.Add(int64(2012), "a|the a|  |x y x|y x|Y-X")
+	var reused Scratch
+	f.Fuzz(func(t *testing.T, seed int64, cells string) {
+		r := rand.New(rand.NewSource(seed))
+		q, tables, l, rel, opts := randOracleWorld(r)
+		if cells != "" {
+			texts := strings.Split(cells, "|")
+			for _, tb := range tables {
+				for _, row := range tb.BodyRows {
+					for c := range row.Cells {
+						if r.Intn(2) == 0 {
+							row.Cells[c].Text = texts[r.Intn(len(texts))]
+						}
+					}
+				}
+			}
+		}
+		want := consolidateRef(q, tables, l, rel, opts)
+		views := viewsOf(tables...)
+		for _, s := range []*Scratch{nil, &reused} {
+			if got := Consolidate(q, views, l, rel, opts, s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("got %+v\nwant %+v", got, want)
+			}
+		}
+	})
 }

@@ -10,21 +10,32 @@ import (
 
 // Allocation regression guards for the zero-alloc claims the ROADMAP
 // makes: the interned sorted-set similarities must stay allocation-free —
-// HeaderSim runs once per surviving column pair of the edge pass, where a
-// single allocation per call would dominate the edge-construction cost.
+// HeaderSim runs once per surviving column pair of the edge pass, and
+// consolidation compares cells' token sets once per merge attempt, where
+// a single allocation per call would dominate the cost.
 
+// TestContentSimZeroAlloc pins consolidation's cell comparison: a body
+// cell's ID, its token set in the interner and their Jaccard.
 func TestContentSimZeroAlloc(t *testing.T) {
 	a := view(table("a", [][]string{{"Country", "Currency"}},
-		[][]string{{"France", "Euro"}, {"Japan", "Yen"}, {"Brazil", "Real"}}, ""))
+		[][]string{{"Republic of France", "Euro"}, {"Japan", "Yen"}}, ""))
 	b := view(table("b", [][]string{{"Nation", "Currency"}},
-		[][]string{{"France", "Euro"}, {"India", "Rupee"}, {"Japan", "Yen"}}, ""))
+		[][]string{{"France", "Euro"}, {"Japan", "Japanese Yen"}}, ""))
+	sims := func() (sum float64) {
+		for r := 0; r < 2; r++ {
+			for c := 0; c < 2; c++ {
+				sum += JaccardIDs(a.CellTokens(a.Cell(r, c)), b.CellTokens(b.Cell(r, c)))
+			}
+		}
+		return sum
+	}
+	if s := sims(); s != 0.5+1+1+0.5 {
+		t.Fatalf("cell Jaccards sum to %v, want 3", s)
+	}
 	var sink float64
-	allocs := testing.AllocsPerRun(100, func() {
-		sink += ContentSim(a, b, 0, 0)
-		sink += ContentSim(a, b, 1, 1)
-	})
+	allocs := testing.AllocsPerRun(100, func() { sink += sims() })
 	if allocs != 0 {
-		t.Errorf("ContentSim allocates %.0f/op, want 0", allocs)
+		t.Errorf("cell Jaccard allocates %.0f/op, want 0", allocs)
 	}
 	_ = sink
 }

@@ -36,7 +36,7 @@ func table(id string, headerRows [][]string, body [][]string, context string) *w
 }
 
 // testIntern is shared by every view the tests build, so views from
-// separate view() calls stay comparable by ContentSim/HeaderSim.
+// separate view() calls stay comparable by their cell IDs and HeaderSim.
 var testIntern = NewInterner()
 
 func view(t *wtable.Table) *TableView {
@@ -406,16 +406,25 @@ func TestLabelString(t *testing.T) {
 	}
 }
 
+// TestContentSimOverlap pins the edge pass's content similarity: the
+// Jaccard of two columns' distinct normalized cells, so a repeated cell
+// counts once and a column without content words overlaps nothing.
 func TestContentSimOverlap(t *testing.T) {
-	a := view(table("a", nil, [][]string{{"France"}, {"Japan"}, {"India"}}, ""))
-	b := view(table("b", nil, [][]string{{"France"}, {"Japan"}, {"Brazil"}}, ""))
-	s := ContentSim(a, b, 0, 0)
-	if math.Abs(s-0.5) > 1e-9 { // 2 shared / 4 union
-		t.Errorf("ContentSim = %f, want 0.5", s)
+	a := table("a", nil, [][]string{{"France"}, {"Japan"}, {"India"}, {"india "}}, "")
+	b := table("b", nil, [][]string{{"France"}, {"Japan"}, {"Brazil"}}, "")
+	empty := table("e", nil, [][]string{{""}, {"the"}}, "")
+	p := DefaultParams()
+	p.MinNeighborSim = 0 // keep every pair, zero similarity included
+	m := (&Builder{Params: p, Stats: constStats{}}).Build([]string{"country"}, []*wtable.Table{a, b, empty})
+	sims := make(map[[2]int]float64)
+	for _, e := range m.rawEdges {
+		sims[[2]int{e.t1, e.t2}] = e.sim
 	}
-	empty := view(table("e", nil, [][]string{{""}}, ""))
-	if s := ContentSim(a, empty, 0, 0); s != 0 {
-		t.Errorf("ContentSim with empty column = %f", s)
+	if s := sims[[2]int{0, 1}]; s != 0.5 { // 2 shared / 4 union
+		t.Errorf("content sim = %f, want 0.5", s)
+	}
+	if s, ok := sims[[2]int{0, 2}]; !ok || s != 0 {
+		t.Errorf("content sim with an empty column = %f (present %v), want 0", s, ok)
 	}
 }
 

@@ -19,7 +19,10 @@
 // ViewCache owns the engine-lifetime Interner; every cached TableView
 // interns its cell strings and tokens there, and interned IDs are
 // comparable only within one interner — never compare views from
-// different interners. Views are immutable once built and carry no corpus
+// different interners. The interner also records every string's token-ID
+// set when it assigns the ID, so a body cell's analysis — its whole-cell
+// ID in the view's row-major cells and its token set — is computed once
+// per engine and serves both the edge pass and consolidation. Views are immutable once built and carry no corpus
 // statistics: each build weighs the header tokens of its tables under its
 // own CorpusStats, in its worker slots, so a cached view serves every
 // generation of a live engine. The cache retains every table it has
@@ -27,11 +30,13 @@
 //
 // The content-overlap edges are computed per build, in the build's own
 // arena: no pair similarity outlives the query that computed it. One pass
-// sorts a (cell ID, column) entry per cell of every view and counts the
-// shared cells of each cross-table column pair into a buffer of Σ n₁·n₂
-// counts; each table pair's Jaccard grid reads its overlaps from there
-// instead of merging the two columns' cell sets. PMI doc sets and cached
-// view cell sets are read-only to the builder.
+// sorts a (cell ID, column) entry per body cell of every view, drops the
+// repeats within a column, and counts each column's distinct cells and
+// the shared cells of each cross-table column pair into buffers of
+// Σ n columns and Σ n₁·n₂ counts; each table pair's Jaccard grid reads
+// its overlaps and set sizes from there instead of merging the two
+// columns' cell sets. PMI doc sets and cached view cells are read-only to
+// the builder.
 //
 // Build allocates a private arena; BuildWith carves every model grid from
 // a caller-owned BuildScratch, and the resulting Model aliases that

@@ -33,7 +33,7 @@ func buildRawEdgesRef(m *Model) []rawEdge {
 		for t2 := t1 + 1; t2 < n; t2++ {
 			for c1 := 0; c1 < m.Views[t1].NumCols; c1++ {
 				for c2 := 0; c2 < m.Views[t2].NumCols; c2++ {
-					s := ContentSim(m.Views[t1], m.Views[t2], c1, c2)
+					s := JaccardIDs(colCellSet(m.Views[t1], c1), colCellSet(m.Views[t2], c2))
 					if s < p.MinNeighborSim {
 						continue
 					}
@@ -106,9 +106,9 @@ func computePairSimsRef(a, b *TableView, p Params) []colPairSim {
 	n1, n2 := a.NumCols, b.NumCols
 	var out []colPairSim
 	for c1 := 0; c1 < n1; c1++ {
-		ids1 := a.ColCellIDs[c1]
+		ids1 := colCellSet(a, c1)
 		for c2 := 0; c2 < n2; c2++ {
-			ids2 := b.ColCellIDs[c2]
+			ids2 := colCellSet(b, c2)
 			var s float64
 			if len(ids1) > 0 && len(ids2) > 0 {
 				lo, hi := len(ids1), len(ids2)
@@ -118,7 +118,7 @@ func computePairSimsRef(a, b *TableView, p Params) []colPairSim {
 				if float64(lo)/float64(hi) < p.MinNeighborSim {
 					continue
 				}
-				s = jaccardSortedIDs(ids1, ids2)
+				s = JaccardIDs(ids1, ids2)
 			}
 			if s < p.MinNeighborSim {
 				continue
@@ -149,13 +149,38 @@ func computePairSimsRef(a, b *TableView, p Params) []colPairSim {
 	return out
 }
 
+// colCellSet is the sorted set of the distinct cell IDs of column c of v,
+// read off the view's row-major cells.
+func colCellSet(v *TableView, c int) []uint32 {
+	var ids []uint32
+	for r := 0; r*v.NumCols < len(v.cells); r++ {
+		if id := v.Cell(r, c); id != NoID {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// colCellSizesRef is the distinct-cell count of every column of v: the
+// input computePairSims reads from the edge pass's colCells.
+func colCellSizesRef(v *TableView) []int32 {
+	out := make([]int32, v.NumCols)
+	for c := range out {
+		out[c] = int32(len(colCellSet(v, c)))
+	}
+	return out
+}
+
 // sharedCellsRef is the row-major (c1, c2) grid of shared-cell counts of
 // views a and b, merged pair by pair: the input computePairSims reads from
 // the edge pass's count buffer.
 func sharedCellsRef(a, b *TableView) []int32 {
 	out := make([]int32, 0, a.NumCols*b.NumCols)
-	for _, ids1 := range a.ColCellIDs {
-		for _, ids2 := range b.ColCellIDs {
+	for c1 := 0; c1 < a.NumCols; c1++ {
+		ids1 := colCellSet(a, c1)
+		for c2 := 0; c2 < b.NumCols; c2++ {
+			ids2 := colCellSet(b, c2)
 			var k int32
 			for _, id := range ids1 {
 				if _, ok := slices.BinarySearch(ids2, id); ok {
@@ -207,7 +232,7 @@ func TestComputePairSimsReusedSlot(t *testing.T) {
 		p.MinNeighborSim = minSim
 		for _, a := range views {
 			for _, b := range views {
-				got := computePairSims(a, b, sharedCellsRef(a, b), p, &slot)
+				got := computePairSims(a, b, sharedCellsRef(a, b), colCellSizesRef(a), colCellSizesRef(b), p, &slot)
 				want := computePairSimsRef(a, b, p)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("MinNeighborSim %v, %d x %d cols: got %+v, want %+v",

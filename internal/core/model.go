@@ -490,7 +490,9 @@ func (m *Model) firstTablePairSims(s *BuildScratch, w, t1 int) {
 		pr := s.pairs[i]
 		b := m.Views[pr.t2]
 		lo := len(sc.sims)
-		computePairSims(a, b, s.counts[pr.off:pr.off+a.NumCols*b.NumCols], m.Params, sc)
+		off1, off2 := s.colOff[t1], s.colOff[pr.t2]
+		computePairSims(a, b, s.counts[pr.off:pr.off+a.NumCols*b.NumCols],
+			s.colCells[off1:off1+a.NumCols], s.colCells[off2:off2+b.NumCols], m.Params, sc)
 		s.ranges[i] = pairRange{w: w, lo: lo, hi: len(sc.sims)}
 	}
 }

@@ -19,13 +19,15 @@ type colPairSim struct {
 }
 
 // countSharedCells fills s.counts with the number of shared cells |A∩B|
-// of every cross-table column pair of the edge pass. The counts are laid
+// of every cross-table column pair of the edge pass, and s.colCells with
+// the number of distinct cells |A| of every column. The counts are laid
 // out per table pair in s.pairs order, each pair's grid row-major over
 // (c1, c2) from its off, so the buffer holds exactly Σ n₁·n₂ entries —
 // the grid the pass walks, never same-table cells.
 //
-// It lists one cellID<<32 | global column entry per cell of every view's
-// ColCellIDs and sorts them; each run of equal IDs is one cell, and it
+// It lists one cellID<<32 | global column entry per body cell of every
+// view and sorts them; compacting the sorted list leaves each column's
+// distinct cells once, so each run of equal IDs is one cell, and it
 // counts once for every cross-table column pair in the run. Sorting the
 // ~1 000 entries of a build and touching only the pairs that share a cell
 // costs less than merging the sets of every column pair. Everything lives
@@ -37,16 +39,23 @@ func (m *Model) countSharedCells(s *BuildScratch, size int) {
 	colTab := s.colTab
 	cells := s.cells[:0]
 	for t, v := range m.Views {
-		for c, ids := range v.ColCellIDs {
+		for c := 0; c < v.NumCols; c++ {
 			g := colOff[t] + c
 			colTab[g] = int32(t)
-			for _, id := range ids {
-				cells = append(cells, uint64(id)<<32|uint64(g))
+			for i := c; i < len(v.cells); i += v.NumCols {
+				if id := v.cells[i]; id != NoID {
+					cells = append(cells, uint64(id)<<32|uint64(g))
+				}
 			}
 		}
 	}
 	slices.Sort(cells)
+	cells = slices.Compact(cells)
 	s.cells = cells
+	s.colCells = slicex.GrowClear(s.colCells, colOff[n])
+	for _, e := range cells {
+		s.colCells[uint32(e)]++
+	}
 
 	s.counts = slicex.GrowClear(s.counts, size)
 	counts, pairs := s.counts, s.pairs
@@ -77,8 +86,9 @@ func (m *Model) countSharedCells(s *BuildScratch, size int) {
 
 // computePairSims evaluates the full column-similarity grid between views
 // a and b from inter, their row-major (c1, c2) grid of shared-cell counts,
-// keeps the pairs at or above p.MinNeighborSim in (c1, c2) order, and
-// solves the blended one-one max-matching that marks the surviving pairs.
+// and size1/size2, the distinct-cell counts of their columns; it keeps the
+// pairs at or above p.MinNeighborSim in (c1, c2) order, and solves the
+// blended one-one max-matching that marks the surviving pairs.
 // The Jaccard is inter / (|A|+|B|−inter), the same integers and expression
 // a merge of the two sorted sets computes, and 0 when they share nothing.
 // Orientation matters for tie-breaking inside the assignment solve, so
@@ -91,16 +101,16 @@ func (m *Model) countSharedCells(s *BuildScratch, size int) {
 // through a warm slot allocates nothing. The result is valid until the
 // arena is reset; a later append may move the arena, so callers that keep
 // several results record their ranges in it, not the slices.
-func computePairSims(a, b *TableView, inter []int32, p Params, sc *workerScratch) []colPairSim {
+func computePairSims(a, b *TableView, inter, size1, size2 []int32, p Params, sc *workerScratch) []colPairSim {
 	n1, n2 := a.NumCols, b.NumCols
 	start := len(sc.sims)
 	all := sc.sims
 	for c1 := 0; c1 < n1; c1++ {
-		len1 := len(a.ColCellIDs[c1])
+		len1 := int(size1[c1])
 		for c2, k := range inter[c1*n2 : (c1+1)*n2] {
 			var s float64
 			if k > 0 {
-				s = float64(k) / float64(len1+len(b.ColCellIDs[c2])-int(k))
+				s = float64(k) / float64(len1+int(size2[c2])-int(k))
 			}
 			if s < p.MinNeighborSim {
 				continue

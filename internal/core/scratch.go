@@ -21,9 +21,11 @@ import "wwt/internal/graph"
 // scratch never writes through them.
 //
 // The edge pass first counts the shared cells of every cross-table column
-// pair once, serially: it sorts one (cell ID, column) entry per cell into
-// cells and increments counts, one int32 per column pair, laid out per
-// table pair in pairs order (Σ n₁·n₂ entries, no same-table cells).
+// pair once, serially: it sorts one (cell ID, column) entry per body cell
+// into cells, drops the repeats within a column, counts each column's
+// distinct cells into colCells and increments counts, one int32 per
+// column pair, laid out per table pair in pairs order (Σ n₁·n₂ entries,
+// no same-table cells).
 //
 // Each build worker owns one workerScratch slot at a time. Stage 1 uses it
 // for the per-table max-marginal solves; the edge pass, which never runs
@@ -63,8 +65,9 @@ type BuildScratch struct {
 
 	// Edge construction.
 	pairs    []tablePair
-	cells    []uint64    // cellID<<32 | global column, sorted
+	cells    []uint64    // cellID<<32 | global column, sorted, distinct
 	colTab   []int32     // global column -> table
+	colCells []int32     // global column -> its distinct cells
 	counts   []int32     // shared cells per cross-table column pair
 	ranges   []pairRange // per table pair: its survivors in a worker's sims
 	denom    []float64

@@ -46,12 +46,13 @@ func AnalyzeQuery(cols []string, stats CorpusStats) []QueryColumn {
 // statistics (headerWeights), so a cached view stays valid across every
 // generation of a live engine.
 //
-// Every ID-based set (ColCellIDs, HeaderIDs and the title, context and
-// frequent-body token sets) is interned: two views may be compared by
-// ContentSim/HeaderSim only when both were built against the same
-// Interner (ViewCache and Builder.Build guarantee this for every view
-// inside one model), and a query token is looked up in the view's
-// interner before it is matched against the token sets.
+// Every ID (the body cells, HeaderIDs and the title, context and
+// frequent-body token sets) is interned: two views may be compared — by
+// the edge pass's shared cells, HeaderSim or consolidation's cell
+// matching — only when both were built against the same Interner
+// (ViewCache and Builder.Build guarantee this for every view inside one
+// model), and a query token is looked up in the view's interner before
+// it is matched against the token sets.
 type TableView struct {
 	Table   *wtable.Table
 	NumCols int
@@ -78,9 +79,12 @@ type TableView struct {
 	// part of outSim).
 	freqIDs []uint32
 
-	// ColCellIDs[c]: sorted interned IDs of the normalized whole-cell
-	// strings of column c (drives content-overlap similarity).
-	ColCellIDs [][]uint32
+	// cells: the interned whole-cell ID of every body cell, row-major
+	// (cell (r, c) at r*NumCols+c). A cell's key is its normalized tokens
+	// joined by spaces, so its token set in the interner is those tokens;
+	// a cell without content words gets NoID. The edge pass's content
+	// overlap and consolidation's row matching both read it.
+	cells []uint32
 	// HeaderIDs[c]: sorted interned IDs of the unique header tokens of
 	// column c over all header rows (drives header similarity).
 	HeaderIDs [][]uint32
@@ -142,21 +146,21 @@ func NewTableView(t *wtable.Table, p Params, in *Interner) *TableView {
 		v.ctxIDs[i], v.ctxScore[i] = e.id, e.score
 	}
 
-	v.ColCellIDs = make([][]uint32, v.NumCols)
 	v.HeaderIDs = make([][]uint32, v.NumCols)
 	var freq []uint32
 	rows := len(t.BodyRows)
+	v.cells = make([]uint32, rows*v.NumCols)
 	for c := 0; c < v.NumCols; c++ {
-		cellIDs := make([]uint32, 0, rows)
 		counts := make(map[string]int)
 		for r := 0; r < rows; r++ {
+			v.cells[r*v.NumCols+c] = NoID
 			cell := t.Body(r, c)
 			if cell == "" {
 				continue
 			}
 			toks := text.Normalize(cell)
 			if key := strings.Join(toks, " "); key != "" {
-				cellIDs = append(cellIDs, in.Intern(key))
+				v.cells[r*v.NumCols+c] = in.Intern(key)
 			}
 			seen := make(map[string]bool, len(toks))
 			for _, w := range toks {
@@ -166,7 +170,6 @@ func NewTableView(t *wtable.Table, p Params, in *Interner) *TableView {
 				}
 			}
 		}
-		v.ColCellIDs[c] = sortedIDSet(cellIDs)
 		var hids []uint32
 		for r := range t.HeaderRows {
 			for _, w := range v.headerCell(r, c) {
@@ -267,26 +270,27 @@ func (v *TableView) inFreqBody(id uint32) bool {
 }
 
 // lookupIDs writes the IDs of toks in the view's interner into ids (same
-// length), noID for a token no view has interned.
+// length), NoID for a token no view has interned.
 func (v *TableView) lookupIDs(toks []string, ids []uint32) {
 	for i, w := range toks {
 		ids[i] = v.in.Lookup(w)
 	}
 }
 
-// ContentSim is the content-overlap similarity between two columns: the
-// Jaccard similarity of their normalized whole-cell sets, computed as an
-// allocation-free merge over the views' sorted interned cell IDs. Both
-// views must share one Interner.
-func ContentSim(a, b *TableView, ca, cb int) float64 {
-	return jaccardSortedIDs(a.ColCellIDs[ca], b.ColCellIDs[cb])
-}
+// Cell returns the interned whole-cell ID of body cell (r, c): NoID when
+// the cell has no content words.
+func (v *TableView) Cell(r, c int) uint32 { return v.cells[r*v.NumCols+c] }
+
+// CellTokens returns the sorted token-ID set of a cell ID from Cell (nil
+// for NoID): the IDs of the cell's normalized tokens. The slice is shared
+// and read-only.
+func (v *TableView) CellTokens(id uint32) []uint32 { return v.in.tokens(id) }
 
 // HeaderSim is the token-set Jaccard of two columns' concatenated headers,
 // over the views' sorted interned header-token IDs. Both views must share
 // one Interner.
 func HeaderSim(a, b *TableView, ca, cb int) float64 {
-	return jaccardSortedIDs(a.HeaderIDs[ca], b.HeaderIDs[cb])
+	return JaccardIDs(a.HeaderIDs[ca], b.HeaderIDs[cb])
 }
 
 func sqrt(x float64) float64 {

@@ -26,8 +26,8 @@ import (
 // them.
 type ViewCache struct {
 	// in is the cache's symbol table: every view built through the cache
-	// interns into it, so any two cached views are mutually comparable by
-	// ContentSim/HeaderSim.
+	// interns into it, so any two cached views are mutually comparable:
+	// by their cell IDs, their token sets and HeaderSim.
 	in *Interner
 
 	mu sync.RWMutex

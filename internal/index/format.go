@@ -467,47 +467,49 @@ func (ff *flatFile) sec(id uint32) ([]byte, error) {
 	return b, nil
 }
 
-// int32Sec returns a section as []int32, validating the element count.
-func (ff *flatFile) int32Sec(id uint32, count int) ([]int32, error) {
+// countedSec returns section id when it holds exactly count elements of
+// w bytes each. The check divides instead of multiplying, so a hostile
+// header count cannot wrap the expected size around to the real one.
+func (ff *flatFile) countedSec(id uint32, count, w int, elem string) ([]byte, error) {
 	b, err := ff.sec(id)
 	if err != nil {
 		return nil, err
 	}
-	if len(b) != 4*count {
-		return nil, ff.corrupt("section %d is %d bytes, want %d int32s", id, len(b), count)
+	if count < 0 || len(b)%w != 0 || len(b)/w != count {
+		return nil, ff.corrupt("section %d is %d bytes, want %d %ss", id, len(b), count, elem)
+	}
+	return b, nil
+}
+
+// int32Sec returns a section as []int32, validating the element count.
+func (ff *flatFile) int32Sec(id uint32, count int) ([]int32, error) {
+	b, err := ff.countedSec(id, count, 4, "int32")
+	if err != nil {
+		return nil, err
 	}
 	return viewInt32(b), nil
 }
 
 func (ff *flatFile) int64Sec(id uint32, count int) ([]int64, error) {
-	b, err := ff.sec(id)
+	b, err := ff.countedSec(id, count, 8, "int64")
 	if err != nil {
 		return nil, err
-	}
-	if len(b) != 8*count {
-		return nil, ff.corrupt("section %d is %d bytes, want %d int64s", id, len(b), count)
 	}
 	return viewInt64(b), nil
 }
 
 func (ff *flatFile) float32Sec(id uint32, count int) ([]float32, error) {
-	b, err := ff.sec(id)
+	b, err := ff.countedSec(id, count, 4, "float32")
 	if err != nil {
 		return nil, err
-	}
-	if len(b) != 4*count {
-		return nil, ff.corrupt("section %d is %d bytes, want %d float32s", id, len(b), count)
 	}
 	return viewFloat32(b), nil
 }
 
 func (ff *flatFile) float64Sec(id uint32, count int) ([]float64, error) {
-	b, err := ff.sec(id)
+	b, err := ff.countedSec(id, count, 8, "float64")
 	if err != nil {
 		return nil, err
-	}
-	if len(b) != 8*count {
-		return nil, ff.corrupt("section %d is %d bytes, want %d float64s", id, len(b), count)
 	}
 	return viewFloat64(b), nil
 }

@@ -463,7 +463,8 @@ func TestMultiSearcherDocSets(t *testing.T) {
 // TestTermStatsEquivalence: the planner's cost features (df, total posting
 // entries) must read identically from the mutable Index, the
 // one-segment one-shard freeze, and every construction at every segment
-// and shard count.
+// and shard count; and a probe's ProbeStats.Postings must equal the
+// TermStats postings summed over its unique tokens.
 func TestTermStatsEquivalence(t *testing.T) {
 	ix, tables := buildRandCorpus(t, 2012, 40)
 	s := NewSearcher(ix)
@@ -487,6 +488,26 @@ func TestTermStatsEquivalence(t *testing.T) {
 		}
 		if _, _, ok := c.s.TermStats("zzz-no-such-token"); ok {
 			t.Fatalf("%s: unknown token reported ok", c.name)
+		}
+		// A probe's Postings is the TermStats postings of its unique
+		// tokens: the engine's cost feature reads it in place of a
+		// TermStats call per token.
+		r := rand.New(rand.NewSource(2013))
+		for qi := 0; qi < 20; qi++ {
+			q := randQuery(r)
+			want, seen := 0, make(map[string]bool)
+			for _, tok := range q {
+				if !seen[tok] {
+					seen[tok] = true
+					_, post, _ := c.s.TermStats(tok)
+					want += post
+				}
+			}
+			for _, k := range []int{0, 1, 5, 1000} {
+				if _, st := c.s.SearchStats(q, k); st.Postings != int64(want) {
+					t.Fatalf("%s: query %q k %d: probe Postings %d, TermStats sum %d", c.name, q, k, st.Postings, want)
+				}
+			}
 		}
 	}
 	if _, _, ok := ix.TermStats("zzz-no-such-token"); ok {

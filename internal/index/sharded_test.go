@@ -44,6 +44,15 @@ func asV1(data []byte) []byte {
 	return data
 }
 
+// addCount adds delta to the little-endian uint64 header count at off.
+func addCount(off int, delta uint64) func([]byte) []byte {
+	return func(data []byte) []byte {
+		le := binary.LittleEndian
+		le.PutUint64(data[off:], le.Uint64(data[off:])+delta)
+		return data
+	}
+}
+
 // dropSection removes section id from a flat file's section table: the
 // later entries move up one slot and the count shrinks. Payload offsets
 // are absolute, so every other section stays readable.
@@ -160,6 +169,16 @@ func TestOpenShardedErrors(t *testing.T) {
 			// undefined.
 			mutate: func(t *testing.T, dir string) {
 				patchFile(t, postings(dir), func(d []byte) []byte { clear(d[44:48]); return d })
+			}},
+		{name: "hostile doc count", shards: 1, want: []string{"corrupt flat index"},
+			// numDocs + 2^61: eight times the offsets' count wraps back to
+			// the real section size, so a multiplying size check passes.
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, docs(dir), addCount(24, 1<<61))
+			}},
+		{name: "hostile term count", shards: 1, want: []string{"corrupt flat index"},
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), addCount(32, 1<<61))
 			}},
 		{name: "v2 missing block sections", shards: 1, want: []string{"missing section 32"},
 			// A postings file without its block summaries must fail, not

@@ -3,6 +3,8 @@ package text
 import (
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -150,4 +152,27 @@ func TestJaccardTokens(t *testing.T) {
 	if j := JaccardTokens([]string{"a", "a"}, []string{"a"}); math.Abs(j-1) > 1e-9 {
 		t.Errorf("Jaccard should use sets: got %f", j)
 	}
+}
+
+// FuzzNormalizeTrimSpace pins two properties the interned cell keys rest
+// on. Surrounding whitespace never changes an analysis, so a cell
+// analyzed untrimmed and one analyzed trimmed get one key. And every
+// token is a non-empty string without a space, so splitting a key — the
+// tokens joined by single spaces — on spaces gives the tokens back, and
+// the interner's token set of a key is the set of its tokens.
+func FuzzNormalizeTrimSpace(f *testing.F) {
+	for _, s := range []string{"", "  ", " Vasco da Gama ", "\tRunning ", "Straße İstanbul", "the of", "42 x\n"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		toks := Normalize(s)
+		if trimmed := Normalize(strings.TrimSpace(s)); !slices.Equal(trimmed, toks) {
+			t.Fatalf("Normalize(%q) = %q, but trimmed %q", s, toks, trimmed)
+		}
+		for _, w := range toks {
+			if w == "" || strings.Contains(w, " ") {
+				t.Fatalf("Normalize(%q) has token %q", s, w)
+			}
+		}
+	})
 }

@@ -170,24 +170,11 @@ func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 	if len(tokens) == 0 {
 		return false, fmt.Errorf("wwt: query has no content words")
 	}
-	// Cost feature: total posting entries under the (unique) query terms.
-	// The read2 dedup map doubles as the token dedup here — it is cleared
-	// again before stageRead2 uses it.
-	if s.seen == nil {
-		s.seen = make(map[string]bool, 2*len(tokens))
-	}
-	clear(s.seen)
-	for _, tok := range tokens {
-		if s.seen[tok] {
-			continue
-		}
-		s.seen[tok] = true
-		if _, postings, ok := st.g.searcher.TermStats(tok); ok {
-			st.postings += postings
-		}
-	}
 	var pst index.ProbeStats
 	st.hits1, pst = e.search(st.g.searcher, tokens, e.Opts.ProbeK)
+	// Cost features: the posting entries under the unique query terms
+	// (the probe resolves every one), and those actually scored.
+	st.postings = int(pst.Postings)
 	st.scanned = pst.Scanned
 	return true, nil
 }
@@ -327,7 +314,7 @@ func (e *Engine) stageInfer(st *queryState, s *QueryScratch) (bool, error) {
 
 // stageConsolidate merges and ranks the relevant tables' rows (§2.2.3).
 func (e *Engine) stageConsolidate(st *queryState, s *QueryScratch) (bool, error) {
-	st.answer = consolidate.ConsolidateScratch(len(st.query.Columns), st.tables,
+	st.answer = consolidate.Consolidate(len(st.query.Columns), st.model.Views,
 		st.labeling, st.model.Rel, e.Opts.Consolidate, &s.cons)
 	return true, nil
 }
