@@ -314,8 +314,10 @@ func BenchmarkSearchDense(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildParallel measures the worker-pool model build (with the
-// engine's shared view cache) over the workload's candidate sets.
+// BenchmarkBuildParallel measures the model build (with the engine's
+// shared view cache) over the workload's candidate sets, one query at a
+// time; a build runs on its caller's goroutine, so concurrent queries are
+// what spread builds across CPUs.
 func BenchmarkBuildParallel(b *testing.B) {
 	w := getWorld(b)
 	b.ResetTimer()

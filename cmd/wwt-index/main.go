@@ -5,7 +5,7 @@
 // table store.
 //
 // The output directory holds the flat index (docs.wwt + postings-NNN.wwt)
-// that wwt-serve and wwt memory-map for O(1) startup, plus the table store
+// that wwt-serve and wwt memory-map without decoding, plus the table store
 // (store.gob); -shards controls how many postings shards the terms are
 // hashed across.
 //

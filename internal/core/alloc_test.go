@@ -58,13 +58,8 @@ func TestHeaderSimZeroAlloc(t *testing.T) {
 
 // TestWarmBuildAllocsParallel bounds the allocations of a warm two-half
 // build (BuildTables over half of each corpus query's candidates, Extend
-// with the rest) on the parallel path. testing.AllocsPerRun sets
-// GOMAXPROCS to 1 while it measures, so under it parallelForWorkers
-// always takes its serial loop and the worker fan-out's own allocations
-// go unseen. This test runs at GOMAXPROCS 2 and counts
-// runtime.MemStats.Mallocs over repeated warm builds instead.
+// with the rest) through one reused scratch.
 func TestWarmBuildAllocsParallel(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	searcher, cases := corpusCases(t, 0.25, 40)
 	b := &Builder{Params: DefaultParams(), Stats: searcher, Views: NewViewCache()}
 	var s BuildScratch
@@ -75,20 +70,12 @@ func TestWarmBuildAllocsParallel(t *testing.T) {
 			m.Extend(b, c.tables[k:], &s)
 		}
 	}
-	buildAll() // warm the view cache and grow the scratch
-	const rounds = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		buildAll()
-	}
-	runtime.ReadMemStats(&after)
-	perBuild := float64(after.Mallocs-before.Mallocs) / float64(rounds*len(cases))
-	// Measured 44.8 per build, and the same under -race; one worker makes
-	// about half that. The ceiling leaves a third of headroom.
-	const ceiling = 60
+	perBuild := testing.AllocsPerRun(5, buildAll) / float64(len(cases))
+	// Measured 16.1 per build, and the same under -race. The ceiling
+	// leaves a third of headroom.
+	const ceiling = 22
 	if perBuild > ceiling {
-		t.Errorf("warm parallel build allocates %.1f/build, ceiling %d", perBuild, ceiling)
+		t.Errorf("warm build allocates %.1f/build, ceiling %d", perBuild, ceiling)
 	}
 }
 

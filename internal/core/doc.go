@@ -10,11 +10,12 @@
 //
 // # Ownership and concurrency contracts
 //
-// Builder.Build is safe to call concurrently when the Builder's caches
-// are shared: ViewCache and the PMISource are both concurrency-safe, and
-// per-table feature extraction fans out over an internal worker pool with
-// per-index writes, so output is deterministic and bit-identical across
-// runs.
+// A build runs entirely on its caller's goroutine and starts none of its
+// own: concurrency lives where queries are independent, so one query is
+// one goroutine. Builder.Build is safe to call concurrently when the
+// Builder's caches are shared: ViewCache and the PMISource are both
+// concurrency-safe. Every float is summed in one fixed order, so output
+// is deterministic and bit-identical across runs.
 //
 // ViewCache owns the engine-lifetime Interner; every cached TableView
 // interns its cell strings and tokens there, and interned IDs are
@@ -24,7 +25,7 @@
 // ID in the view's row-major cells and its token set — is computed once
 // per engine and serves both the edge pass and consolidation. Views are immutable once built and carry no corpus
 // statistics: each build weighs the header tokens of its tables under its
-// own CorpusStats, in its worker slots, so a cached view serves every
+// own CorpusStats, in its scratch, so a cached view serves every
 // generation of a live engine. The cache retains every table it has
 // analyzed for its lifetime.
 //

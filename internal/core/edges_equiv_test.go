@@ -11,11 +11,11 @@ import (
 	"wwt/internal/wtable"
 )
 
-// buildRawEdgesRef is a faithful port of the pre-refactor serial map-based
-// buildRawEdges (the §3.3 edge construction before the flat/parallel
-// rewrite): per-query Jaccard grid over all cross-table column pairs, map
-// denominators, and a one-one max-matching per table pair marked through
-// an edge-index map. The new path is pinned hit-for-hit against it.
+// buildRawEdgesRef is a faithful port of the map-based buildRawEdges (the
+// §3.3 edge construction before the flat-array rewrite): per-query
+// Jaccard grid over all cross-table column pairs, map denominators, and a
+// one-one max-matching per table pair marked through an edge-index map.
+// The new path is pinned hit-for-hit against it.
 func buildRawEdgesRef(m *Model) []rawEdge {
 	type columnRef struct{ t, c int }
 	p := m.Params
@@ -219,14 +219,14 @@ func pairSimViews(r *rand.Rand, cols int) []*TableView {
 }
 
 // TestComputePairSimsReusedSlot runs pair computes through one reused
-// worker slot, wide pairs before narrow ones (so every solve sees the
+// scratch, wide pairs before narrow ones (so every solve sees the
 // stale, larger grids and workspace of an earlier one), and demands
 // results identical to the merge reference — survivors, order,
 // similarities and matched flags.
 func TestComputePairSimsReusedSlot(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	views := pairSimViews(r, 8)
-	var slot workerScratch
+	var slot BuildScratch
 	for _, minSim := range []float64{DefaultParams().MinNeighborSim, 0, 0.5} {
 		p := DefaultParams()
 		p.MinNeighborSim = minSim
@@ -266,10 +266,10 @@ func checkEdgesEquiv(t *testing.T, m *Model, label string) {
 	}
 }
 
-// TestBuildRawEdgesEquivalence fuzzes the flat/parallel edge path against
-// the serial map-based reference on randomized corpora, across edge
+// TestBuildRawEdgesEquivalence fuzzes the flat-array edge path against
+// the map-based reference on randomized corpora, across edge
 // variants. A second leg builds another corpus and then this one through
-// one scratch, so this build's pair ranges land in worker arenas left
+// one scratch, so this build's pair ranges land in a survivors' arena left
 // dirty (and possibly larger) by the first; its edges must equal the
 // fresh-arena build's.
 func TestBuildRawEdgesEquivalence(t *testing.T) {

@@ -21,12 +21,12 @@ import (
 // token's set is its own ID. The set is a pure function of the string,
 // written once and never changed.
 //
-// Interning is concurrency-safe (views are analyzed from a worker pool)
-// and append-only: the table — IDs and token sets alike — grows with the
-// vocabulary of every table it has analyzed and is never evicted. Ingest
-// and merge only ever add tables, so for engine-driven use it is bounded
-// by the corpus; once tables can be deleted, the interner needs a bound
-// of its own.
+// Interning is concurrency-safe (concurrent queries analyze views into
+// one cache's interner) and append-only: the table — IDs and token sets
+// alike — grows with the vocabulary of every table it has analyzed and is
+// never evicted. Ingest and merge only ever add tables, so for
+// engine-driven use it is bounded by the corpus; once tables can be
+// deleted, the interner needs a bound of its own.
 type Interner struct {
 	mu  sync.RWMutex
 	ids map[string]uint32

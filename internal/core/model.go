@@ -62,15 +62,12 @@ type rawEdge struct {
 }
 
 // tablePair identifies one unordered candidate-table pair of the edge grid;
-// off is where its shared-cell count grid starts in BuildScratch.counts.
-type tablePair struct{ t1, t2, off int }
-
-// pairRange locates one table pair's surviving column pairs in the build
-// scratch: workers[w].sims[lo:hi].
-type pairRange struct{ w, lo, hi int }
+// off is where its shared-cell count grid starts in BuildScratch.counts,
+// and its surviving column pairs are BuildScratch.sims[lo:hi].
+type tablePair struct{ t1, t2, off, lo, hi int }
 
 // Builder constructs Models. Stats is required; PMI may be nil when
-// Params.UsePMI is false — when set, it is probed from Build's worker pool
+// Params.UsePMI is false — when set, it is probed by every query's build
 // and must be safe for concurrent calls. Views, when set, memoizes
 // TableView construction across builds (see ViewCache for the sharing
 // rules).
@@ -130,11 +127,6 @@ func (b *Builder) BuildWith(queryCols []string, tables []*wtable.Table, s *Build
 // Independent inference, which never reads them); Extend, through the same
 // s, adds tables and builds the edge set. The model aliases s exactly as
 // BuildWith's does.
-//
-// The per-table work is independent across tables and runs on a
-// GOMAXPROCS-wide worker pool; every worker writes only its own table's
-// slots and solves in its own slot of s, so the result is identical to
-// the serial build.
 func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *BuildScratch) *Model {
 	m := &Model{
 		Params: b.Params,
@@ -215,27 +207,23 @@ func (m *Model) addTables(b *Builder, added []*wtable.Table, s *BuildScratch) {
 	m.Dist = carveGrid(s.dist, s.distRows, s.distTab, colOff, labels)
 	m.Conf = carveCols(s.conf, s.confTab, colOff)
 
-	workers := numWorkers(len(added))
-	s.workers = slicex.GrowKeep(s.workers, workers)
-	slots := s.workers
-	parallelForWorkers(len(added), workers, func(w, i int) {
+	for i, t := range added {
 		ti := n0 + i
-		sc := &slots[w]
-		v := b.viewFor(added[i], s.in)
+		v := b.viewFor(t, s.in)
 		m.Views[ti] = v
 		// The view carries no corpus statistics: weigh its header under
 		// this build's, and resolve the query tokens in its interner. The
 		// view is fully built, so every token it holds is interned already.
-		sc.hdr.weigh(v, b.Stats)
-		sc.qids = slicex.Grow(sc.qids, q)
+		s.hdr.weigh(v, b.Stats)
+		s.qids = slicex.Grow(s.qids, q)
 		for ell := range m.Q {
-			sc.qids[ell] = slicex.Grow(sc.qids[ell], len(m.Q[ell].Tokens))
-			v.lookupIDs(m.Q[ell].Tokens, sc.qids[ell])
+			s.qids[ell] = slicex.Grow(s.qids[ell], len(m.Q[ell].Tokens))
+			v.lookupIDs(m.Q[ell].Tokens, s.qids[ell])
 		}
 		feats := m.Feats[ti]
 		for c := 0; c < v.NumCols; c++ {
 			for ell := 0; ell < q; ell++ {
-				seg, cov := segScores(&m.Q[ell], sc.qids[ell], v, &sc.hdr, c, p)
+				seg, cov := segScores(&m.Q[ell], s.qids[ell], v, &s.hdr, c, p)
 				f := Features{SegSim: seg, Cover: cov}
 				if p.UsePMI && b.PMI != nil {
 					f.PMI2 = pmi2(s.hDocs[ell], v, c, b.PMI, p)
@@ -245,8 +233,8 @@ func (m *Model) addTables(b *Builder, added []*wtable.Table, s *BuildScratch) {
 		}
 		m.Rel[ti] = tableRelevance(feats, q)
 		m.tableNodes(ti)
-		m.tableStage1(ti, &slots[w])
-	})
+		m.tableStage1(ti, s)
+	}
 }
 
 // carveGrid points the row and per-table headers of one flat
@@ -308,12 +296,11 @@ func (m *Model) Reweight(p Params) *Model {
 	clone.Node = carveGrid(make([]float64, total*labels), make([][]float64, total), make([][][]float64, n), colOff, labels)
 	clone.Dist = carveGrid(make([]float64, total*labels), make([][]float64, total), make([][][]float64, n), colOff, labels)
 	clone.Conf = carveCols(make([]float64, total), make([][]float64, n), colOff)
-	workers := numWorkers(n)
-	slots := make([]workerScratch, workers)
-	parallelForWorkers(n, workers, func(w, ti int) {
+	var s BuildScratch
+	for ti := 0; ti < n; ti++ {
 		clone.tableNodes(ti)
-		clone.tableStage1(ti, &slots[w])
-	})
+		clone.tableStage1(ti, &s)
+	}
 	clone.finalizeEdges(nil)
 	return &clone
 }
@@ -333,12 +320,12 @@ func (m *Model) Cols() []int {
 // undistorted. Returns [col][label] with labels 0..q-1, na, nr; the
 // result is freshly allocated and safe to retain.
 func (m *Model) TableMaxMarginals(ti int) [][]float64 {
-	return m.tableMaxMarginals(ti, &workerScratch{})
+	return m.tableMaxMarginals(ti, &BuildScratch{})
 }
 
-// tableMaxMarginals is TableMaxMarginals through one worker's scratch; the
-// returned grid aliases sc and is valid until its next use.
-func (m *Model) tableMaxMarginals(ti int, sc *workerScratch) [][]float64 {
+// tableMaxMarginals is TableMaxMarginals through the solver state of s; the
+// returned grid aliases s and is valid until its next use.
+func (m *Model) tableMaxMarginals(ti int, s *BuildScratch) [][]float64 {
 	q := m.NumQ
 	nt := m.Views[ti].NumCols
 	node := m.Node[ti]
@@ -347,24 +334,24 @@ func (m *Model) tableMaxMarginals(ti int, sc *workerScratch) [][]float64 {
 	for c := 0; c < nt; c++ {
 		nrScore += node[c][NR(q)]
 	}
-	sc.outB = slicex.Grow(sc.outB, nt*NumLabels(q))
-	sc.out = slicex.Grow(sc.out, nt)
-	out := sc.out
+	s.outB = slicex.Grow(s.outB, nt*NumLabels(q))
+	s.out = slicex.Grow(s.out, nt)
+	out := s.out
 	for c := 0; c < nt; c++ {
-		out[c] = sc.outB[c*NumLabels(q) : (c+1)*NumLabels(q)]
+		out[c] = s.outB[c*NumLabels(q) : (c+1)*NumLabels(q)]
 		out[c][NR(q)] = nrScore
 	}
 	// The node rows already lay out labels 0..q-1 then na (= q), the
 	// kernel's order; it reads no further, so nr is left alone.
-	graph.LabelMaxMarginals(node, q, out, &sc.ws)
+	graph.LabelMaxMarginals(node, q, out, &s.ws)
 	return out
 }
 
 // tableStage1 fills table ti's stage-1 Dist and Conf from its
-// max-marginals, solving in the worker slot sc.
-func (m *Model) tableStage1(ti int, sc *workerScratch) {
+// max-marginals, solving in s.
+func (m *Model) tableStage1(ti int, s *BuildScratch) {
 	q := m.NumQ
-	mu := m.tableMaxMarginals(ti, sc)
+	mu := m.tableMaxMarginals(ti, s)
 	dist := m.Dist[ti]
 	conf := m.Conf[ti]
 	for c := range dist {
@@ -384,19 +371,17 @@ func (m *Model) tableStage1(ti int, sc *workerScratch) {
 // column's neighborhood, and the one-one max-matching per table pair.
 //
 // The shared cells of every cross-table column pair are counted once per
-// pass (countSharedCells), serially, into one scratch buffer. The per-pair
-// work — the Jaccard grid read from those counts and the blended
-// max-matching — is independent across table pairs, so it fans out over
-// the worker pool, partitioned by first table. Each pair runs in its
-// worker's slot of the scratch, appending its survivors to that slot's
-// arena and recording their range there, so a warm scratch runs the whole
-// pass without allocating. The query-dependent part — summing each
-// column's neighborhood denominator and normalizing — runs as a
-// deterministic serial merge over the pairs in (t1, t2, c1, c2) order, the
-// exact accumulation order of the old serial map-based path, so float sums
-// stay bit-identical. The denom / edge-index maps of that path are
-// replaced by flat arrays indexed by global column offsets, all
-// scratch-backed: s.colOff is the prefix sum addTables computed —
+// pass (countSharedCells) into one scratch buffer. Then each table pair,
+// in (t1, t2) order, reads its Jaccard grid from those counts and solves
+// its blended max-matching, appending its survivors to the scratch's
+// arena and recording their range in its tablePair, so a warm scratch
+// runs the whole pass without allocating. The query-dependent part —
+// summing each column's neighborhood denominator and normalizing — walks
+// the survivors in (t1, t2, c1, c2) order, the exact accumulation order
+// of the old map-based path, so float sums stay bit-identical. The
+// denom / edge-index maps of that path are replaced by flat arrays indexed
+// by global column offsets, all scratch-backed: s.colOff is the prefix sum
+// addTables computed —
 // colOff[t] is the global offset of table t's first column — so the
 // feature grid and the edge offsets share one source of truth.
 func (m *Model) buildRawEdges(s *BuildScratch) {
@@ -412,37 +397,23 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	size := 0
 	for t1 := 0; t1 < n; t1++ {
 		for t2 := t1 + 1; t2 < n; t2++ {
-			pairs = append(pairs, tablePair{t1, t2, size})
+			pairs = append(pairs, tablePair{t1: t1, t2: t2, off: size})
 			size += m.Views[t1].NumCols * m.Views[t2].NumCols
 		}
 	}
 	s.pairs = pairs
 	m.countSharedCells(s, size)
-	s.ranges = slicex.Grow(s.ranges, len(pairs))
-	ranges := s.ranges
-	// The pool hands out first tables, not pairs: a pair's compute is too
-	// small to pay for a dispatch of its own.
-	workers := numWorkers(n - 1)
-	s.workers = slicex.GrowKeep(s.workers, workers)
-	ws := s.workers
-	for w := range ws {
-		ws[w].sims = ws[w].sims[:0]
+	s.sims = s.sims[:0]
+	for i := range pairs {
+		pr := &pairs[i]
+		a, b := m.Views[pr.t1], m.Views[pr.t2]
+		off1, off2 := colOff[pr.t1], colOff[pr.t2]
+		pr.lo = len(s.sims)
+		computePairSims(a, b, s.counts[pr.off:pr.off+a.NumCols*b.NumCols],
+			s.colCells[off1:off1+a.NumCols], s.colCells[off2:off2+b.NumCols], p, s)
+		pr.hi = len(s.sims)
 	}
-	// One worker runs inline: a closure handed to the pool escapes to the
-	// heap, and would be the warm pass's only allocation.
-	if workers == 1 {
-		for t1 := 0; t1 < n-1; t1++ {
-			m.firstTablePairSims(s, 0, t1)
-		}
-	} else {
-		parallelForWorkers(n-1, workers, func(w, t1 int) { m.firstTablePairSims(s, w, t1) })
-	}
-
-	total := 0
-	for w := range ws {
-		total += len(ws[w].sims)
-	}
-	if total == 0 {
+	if len(s.sims) == 0 {
 		return
 	}
 	// Neighborhood denominators depend on the whole candidate set, so they
@@ -450,10 +421,9 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	// normalize.
 	s.denom = slicex.GrowClear(s.denom, colOff[n])
 	denom := s.denom
-	for i, r := range ranges {
-		pr := pairs[i]
+	for _, pr := range pairs {
 		off1, off2 := colOff[pr.t1], colOff[pr.t2]
-		for _, e := range ws[r.w].sims[r.lo:r.hi] {
+		for _, e := range s.sims[pr.lo:pr.hi] {
 			denom[off1+int(e.c1)] += e.sim
 			denom[off2+int(e.c2)] += e.sim
 		}
@@ -462,10 +432,9 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	// them all); matched marks the max-matching survivors the custom
 	// potential keeps.
 	raw := s.rawEdges[:0]
-	for i, r := range ranges {
-		pr := pairs[i]
+	for _, pr := range pairs {
 		off1, off2 := colOff[pr.t1], colOff[pr.t2]
-		for _, e := range ws[r.w].sims[r.lo:r.hi] {
+		for _, e := range s.sims[pr.lo:pr.hi] {
 			raw = append(raw, rawEdge{
 				t1: pr.t1, c1: int(e.c1), t2: pr.t2, c2: int(e.c2),
 				nsimAB:  e.sim / (p.Lambda + denom[off1+int(e.c1)]),
@@ -477,24 +446,6 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	}
 	s.rawEdges = raw
 	m.rawEdges = raw
-}
-
-// firstTablePairSims computes every table pair (t1, t2 > t1) of the edge
-// pass in worker w's slot, recording where each pair's survivors landed in
-// that slot's arena.
-func (m *Model) firstTablePairSims(s *BuildScratch, w, t1 int) {
-	n := len(m.Views)
-	sc := &s.workers[w]
-	a := m.Views[t1]
-	for i := pairIndex(n, t1, t1+1); i <= pairIndex(n, t1, n-1); i++ {
-		pr := s.pairs[i]
-		b := m.Views[pr.t2]
-		lo := len(sc.sims)
-		off1, off2 := s.colOff[t1], s.colOff[pr.t2]
-		computePairSims(a, b, s.counts[pr.off:pr.off+a.NumCols*b.NumCols],
-			s.colCells[off1:off1+a.NumCols], s.colCells[off2:off2+b.NumCols], m.Params, sc)
-		s.ranges[i] = pairRange{w: w, lo: lo, hi: len(sc.sims)}
-	}
 }
 
 // pairIndex is the position of table pair (t1, t2), t1 < t2, in the edge

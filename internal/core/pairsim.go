@@ -95,30 +95,30 @@ func (m *Model) countSharedCells(s *BuildScratch, size int) {
 // callers must present (a, b) in the orientation they will consume the
 // result in.
 //
-// Everything runs in one worker's slot sc: the survivors are appended to
-// its arena sc.sims and returned as that tail of it (nil when none
-// survive), and the matching is solved in its workspace, so a compute
-// through a warm slot allocates nothing. The result is valid until the
-// arena is reset; a later append may move the arena, so callers that keep
-// several results record their ranges in it, not the slices.
-func computePairSims(a, b *TableView, inter, size1, size2 []int32, p Params, sc *workerScratch) []colPairSim {
+// Everything runs in s: the survivors are appended to its arena s.sims
+// and returned as that tail of it (nil when none survive), and the
+// matching is solved in its workspace, so a compute through a warm scratch
+// allocates nothing. The result is valid until the arena is reset; a later
+// append may move the arena, so callers that keep several results record
+// their ranges in it, not the slices.
+func computePairSims(a, b *TableView, inter, size1, size2 []int32, p Params, s *BuildScratch) []colPairSim {
 	n1, n2 := a.NumCols, b.NumCols
-	start := len(sc.sims)
-	all := sc.sims
+	start := len(s.sims)
+	all := s.sims
 	for c1 := 0; c1 < n1; c1++ {
 		len1 := int(size1[c1])
 		for c2, k := range inter[c1*n2 : (c1+1)*n2] {
-			var s float64
+			var sim float64
 			if k > 0 {
-				s = float64(k) / float64(len1+int(size2[c2])-int(k))
+				sim = float64(k) / float64(len1+int(size2[c2])-int(k))
 			}
-			if s < p.MinNeighborSim {
+			if sim < p.MinNeighborSim {
 				continue
 			}
-			all = append(all, colPairSim{c1: int32(c1), c2: int32(c2), sim: s})
+			all = append(all, colPairSim{c1: int32(c1), c2: int32(c2), sim: sim})
 		}
 	}
-	sc.sims = all
+	s.sims = all
 	out := all[start:]
 	if len(out) == 0 {
 		return nil
@@ -126,13 +126,13 @@ func computePairSims(a, b *TableView, inter, size1, size2 []int32, p Params, sc 
 	// One-one matching over blended content+header similarity; pairs below
 	// the neighbor threshold stay zero-weight cells, exactly like the
 	// query-time path always built them.
-	cells := sc.cells[:0]
+	cells := s.match[:0]
 	for _, e := range out {
 		cells = append(cells, graph.Cell{L: e.c1, R: e.c2, W: p.MatchContentWeight*e.sim +
 			p.MatchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))})
 	}
-	sc.cells = cells
-	for i, m := range graph.MatchCells(n1, n2, cells, &sc.ws) {
+	s.match = cells
+	for i, m := range graph.MatchCells(n1, n2, cells, &s.ws) {
 		out[i].matched = m
 	}
 	return out

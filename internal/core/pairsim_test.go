@@ -66,7 +66,7 @@ func FuzzSharedCellCounts(f *testing.F) {
 
 // TestBuildRawEdgesWarmAllocs pins the edge pass's arena: a second pass
 // over the same views through the same scratch — the entry list, its
-// sort, the count buffer, the worker arenas, the denominators and the raw
+// sort, the count buffer, the survivors' arena, the denominators and the raw
 // edges — allocates nothing.
 func TestBuildRawEdgesWarmAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(29))

@@ -165,8 +165,8 @@ type CorpusStats interface {
 // H(Qℓ) — documents carrying all of Qℓ's tokens in header or context —
 // and B(cell) — documents carrying all of a cell's tokens in content.
 //
-// Builder.Build probes the source from a pool of worker goroutines, so
-// implementations must be safe for concurrent calls. Consumers treat the
+// Concurrent queries probe one engine's source from their own goroutines,
+// so implementations must be safe for concurrent calls. Consumers treat the
 // returned doc sets as read-only, so an implementation may share them.
 // *index.Searcher is the one implementation.
 type PMISource interface {

@@ -4,8 +4,8 @@ import "wwt/internal/graph"
 
 // BuildScratch is the reusable arena of one model build: every flat
 // backing array Build needs — the node/feature/distribution grids, the
-// per-worker assignment solver state, and the edge-construction buffers —
-// lives here, so a warm scratch builds a model with near-zero allocation.
+// assignment solver state, and the edge-construction buffers — lives
+// here, so a warm scratch builds a model with near-zero allocation.
 // The zero value is ready to use.
 //
 // Ownership contract: a Model built through BuildWith or BuildTables
@@ -21,19 +21,14 @@ import "wwt/internal/graph"
 // scratch never writes through them.
 //
 // The edge pass first counts the shared cells of every cross-table column
-// pair once, serially: it sorts one (cell ID, column) entry per body cell
-// into cells, drops the repeats within a column, counts each column's
-// distinct cells into colCells and increments counts, one int32 per
-// column pair, laid out per table pair in pairs order (Σ n₁·n₂ entries,
-// no same-table cells).
-//
-// Each build worker owns one workerScratch slot at a time. Stage 1 uses it
-// for the per-table max-marginal solves; the edge pass, which never runs
-// concurrently with stage 1, uses the same slot for the pair similarities:
-// each table pair the worker computes reads its count grid, appends its
-// surviving column pairs to the slot's sims arena and solves its matching
-// in the slot's workspace, and the build records the pair's range in that
-// arena. The counts and the survivors never leave the scratch.
+// pair once: it sorts one (cell ID, column) entry per body cell into
+// cells, drops the repeats within a column, counts each column's distinct
+// cells into colCells and increments counts, one int32 per column pair,
+// laid out per table pair in pairs order (Σ n₁·n₂ entries, no same-table
+// cells). Then each table pair, in pairs order, reads its count grid,
+// appends its surviving column pairs to sims, records their range in its
+// tablePair and solves its matching in ws. The counts and the survivors
+// never leave the scratch.
 type BuildScratch struct {
 	hDocs  [][]int32 // per query column: the PMISource's H(Qℓ) doc sets (read-only)
 	colOff []int     // table -> global offset of its first column
@@ -60,36 +55,27 @@ type BuildScratch struct {
 
 	rel []float64
 
-	// Per-worker solver scratch (workers run disjoint tables or pairs).
-	workers []workerScratch
+	// Per-table state, overwritten for each table: its header weights
+	// under the build's statistics and the query tokens' IDs in its
+	// interner (the per-build inputs of segScores), and the output grid
+	// of its stage-1 max-marginal solve (§4.2).
+	hdr  headerWeights
+	qids [][]uint32 // per query column: its tokens' IDs
+	out  [][]float64
+	outB []float64
+	// The assignment-solver workspace of the stage-1 solves and the edge
+	// pass's matchings, which never run at once.
+	ws graph.Workspace
 
 	// Edge construction.
 	pairs    []tablePair
-	cells    []uint64    // cellID<<32 | global column, sorted, distinct
-	colTab   []int32     // global column -> table
-	colCells []int32     // global column -> its distinct cells
-	counts   []int32     // shared cells per cross-table column pair
-	ranges   []pairRange // per table pair: its survivors in a worker's sims
+	cells    []uint64     // cellID<<32 | global column, sorted, distinct
+	colTab   []int32      // global column -> table
+	colCells []int32      // global column -> its distinct cells
+	counts   []int32      // shared cells per cross-table column pair
+	sims     []colPairSim // every pair's survivors, at its tablePair's lo:hi
+	match    []graph.Cell // the current pair's matching cells
 	denom    []float64
 	rawEdges []rawEdge
 	edges    []Edge
-}
-
-// workerScratch is one worker's build state: the header weights of its
-// current table under the build's statistics and the query tokens' IDs in
-// that table's interner (the per-build inputs of segScores), the
-// assignment-solver workspace plus the output grid of the stage-1
-// max-marginal solves of §4.2, the arena of the surviving column pairs of
-// every table pair the worker computes in one edge pass (reset per pass;
-// their similarities come from the pass's shared-cell counts), and the
-// matching cells of the current pair. Everything else is fully
-// overwritten per table or per pair.
-type workerScratch struct {
-	hdr   headerWeights
-	qids  [][]uint32 // per query column: its tokens' IDs
-	ws    graph.Workspace
-	out   [][]float64
-	outB  []float64
-	sims  []colPairSim
-	cells []graph.Cell
 }

@@ -22,8 +22,8 @@ import (
 // cell's L2 norm, under the build's corpus statistics — the only corpus
 // statistics a table's analysis reads (inSim's cosine, §3.2.1). Keeping
 // them out of the view is what lets one cached view serve every
-// generation. A build computes them per table into its worker slot, so a
-// warm slot weighs a table without allocating.
+// generation. A build computes them per table into its scratch, so a
+// warm scratch weighs a table without allocating.
 type headerWeights struct {
 	w    []float64 // w[i]: the weight of hdrToks[i]'s token in its cell
 	norm []float64 // norm[r*NumCols+c]: L2 norm of header cell (r, c)

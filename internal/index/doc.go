@@ -87,10 +87,10 @@
 //
 //   - docs.wwt + postings-NNN.wwt — the flat sharded index: a frozen
 //     segment's arrays written out verbatim, opened by OpenSnapshot.
-//     Opening is O(1) in corpus size: the files are memory-mapped
-//     (page-cache backed) and the searcher's arrays alias the mapping
-//     directly; no maps are built and no bytes are copied on the fast
-//     path.
+//     The files are memory-mapped (page-cache backed) and the
+//     searcher's arrays alias the mapping directly; opening reads only
+//     the headers and the doc-ID and term offsets, builds no maps and
+//     copies no bytes on the fast path.
 //
 //   - store.gob — an encoding/gob snapshot of the directory's tables in
 //     doc order, prefixed with an 8-byte magic ("WWTSTG01") and a uint32

@@ -4,9 +4,9 @@ package index
 //
 //   - The flat sharded index (docs.wwt + postings-NNN.wwt) is the serving
 //     form: a versioned, mmap-friendly layout of the frozen Searcher's CSR
-//     arrays. Opening it is O(1) page mapping plus header validation — no
-//     decode — with a portable read-into-memory fallback where mmap is
-//     unavailable.
+//     arrays. Opening it is page mapping plus validation of the headers
+//     and of the two string tables' offsets (O(docs + terms), no decode),
+//     with a portable read-into-memory fallback where mmap is unavailable.
 //
 //   - The table store (store.gob) is a decode-on-load gob snapshot of the
 //     directory's tables in doc order, prefixed with an 8-byte magic plus a
@@ -512,6 +512,33 @@ func (ff *flatFile) float64Sec(id uint32, count int) ([]float64, error) {
 		return nil, err
 	}
 	return viewFloat64(b), nil
+}
+
+// stringsSec returns the count-string table packStrings wrote into
+// sections offsID and blobID. The offsets must start at 0, never decrease
+// and end at the blob's length, so every string slices inside the blob;
+// the check reads each offset once, O(count).
+func (ff *flatFile) stringsSec(offsID, blobID uint32, count int, what string) ([]int64, []byte, error) {
+	offs, err := ff.int64Sec(offsID, count+1)
+	if err != nil {
+		return nil, nil, err
+	}
+	blob, err := ff.sec(blobID)
+	if err != nil {
+		return nil, nil, err
+	}
+	if offs[0] != 0 {
+		return nil, nil, ff.corrupt("%s offsets start at %d, want 0", what, offs[0])
+	}
+	for i := 1; i <= count; i++ {
+		if offs[i] < offs[i-1] {
+			return nil, nil, ff.corrupt("%s offset %d is %d, below the one before it (%d)", what, i, offs[i], offs[i-1])
+		}
+	}
+	if offs[count] != int64(len(blob)) {
+		return nil, nil, ff.corrupt("%s blob is %d bytes, offsets end at %d", what, len(blob), offs[count])
+	}
+	return offs, blob, nil
 }
 
 // packStrings flattens a string table into (offsets, blob) form.

@@ -7,8 +7,9 @@ import (
 	"syscall"
 )
 
-// mapFile memory-maps path read-only: opening a flat index is O(1) page
-// mapping, and postings pages fault in lazily as probes touch them.
+// mapFile memory-maps path read-only: opening a flat index maps its pages
+// without reading them, and postings pages fault in lazily as probes touch
+// them.
 func mapFile(path string) ([]byte, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -83,12 +83,12 @@ func (s *Searcher) add(seg *segment) {
 
 // openSharded opens the given flat index directories (each written by
 // WriteDir) as the segments of one searcher, in the given canonical
-// order. Opening is O(1) in corpus size: the files are page-mapped (or
-// read whole when noMmap is set or mmap is unavailable) and only headers
-// are validated. The returned searcher's strings and arrays alias the
-// mappings; results must not outlive Close. A directory without a flat
-// index fails with an error wrapping fs.ErrNotExist, so callers can tell
-// a missing index from a corrupt one.
+// order. The files are page-mapped (or read whole when noMmap is set or
+// mmap is unavailable), and opening validates their headers and their
+// doc-ID and term offsets, nothing more. The returned searcher's strings
+// and arrays alias the mappings; results must not outlive Close. A
+// directory without a flat index fails with an error wrapping
+// fs.ErrNotExist, so callers can tell a missing index from a corrupt one.
 func openSharded(noMmap bool, dirs ...string) (*Searcher, error) {
 	s := &Searcher{}
 	for _, d := range dirs {
@@ -104,12 +104,12 @@ func openSharded(noMmap bool, dirs ...string) (*Searcher, error) {
 
 // OpenSnapshot opens dir's committed manifest (or the implicit base-only
 // manifest of a plain frozen index directory) as one searcher over the
-// listed segments, and returns the manifest it opened. Opening is O(1) in
-// corpus size: the flat files are page-mapped and only headers are
-// validated, so the searcher's strings and arrays alias the mappings and
-// results must not outlive Close. A directory holding neither a manifest
-// nor a flat index fails with an error wrapping fs.ErrNotExist, so
-// callers can tell a missing index from a corrupt one.
+// listed segments, and returns the manifest it opened. The flat files are
+// page-mapped and opening validates only their headers and their doc-ID
+// and term offsets, so the searcher's strings and arrays alias the
+// mappings and results must not outlive Close. A directory holding
+// neither a manifest nor a flat index fails with an error wrapping
+// fs.ErrNotExist, so callers can tell a missing index from a corrupt one.
 func OpenSnapshot(dir string) (*Searcher, Manifest, error) {
 	return openSnapshot(dir, false)
 }

@@ -82,8 +82,8 @@ func (sh *shard) termName(i int32) string {
 	return unsafeString(sh.termBlob[sh.termOffs[i]:sh.termOffs[i+1]])
 }
 
-// lookup binary-searches the shard's lexicographic term table — no map to
-// build at open time, so opening stays O(1) in corpus size.
+// lookup binary-searches the shard's lexicographic term table, so opening
+// builds no map.
 func (sh *shard) lookup(tok string) (int32, bool) {
 	lo, hi := int32(0), int32(sh.numTerms)
 	for lo < hi {
@@ -265,10 +265,11 @@ func writeSegment(dir string, seg *segment) error {
 	return nil
 }
 
-// openSegment opens one flat index directory as a segment. Only headers
-// are validated — no decode, no map building — so opening is O(1) in
-// corpus size. noMmap forces the portable read-into-memory path (exercised
-// by tests; also the only path on platforms without mmap).
+// openSegment opens one flat index directory as a segment. It validates
+// the headers and the doc-ID and term offsets — no decode, no map
+// building — so opening costs O(docs + terms) reads of the mapping.
+// noMmap forces the portable read-into-memory path (exercised by tests;
+// also the only path on platforms without mmap).
 func openSegment(dir string, noMmap bool) (*segment, error) {
 	df, err := openFlatFile(filepath.Join(dir, DocsFileName), noMmap)
 	if err != nil {
@@ -288,14 +289,8 @@ func openSegment(dir string, noMmap bool) (*segment, error) {
 	}
 	seg.numDocs = int(df.numDocs)
 	nShards := int(df.shardCount)
-	if seg.idOffs, err = df.int64Sec(secIDOffs, seg.numDocs+1); err != nil {
+	if seg.idOffs, seg.idBlob, err = df.stringsSec(secIDOffs, secIDBlob, seg.numDocs, "doc-ID"); err != nil {
 		return fail(err)
-	}
-	if seg.idBlob, err = df.sec(secIDBlob); err != nil {
-		return fail(err)
-	}
-	if seg.numDocs > 0 && int(seg.idOffs[seg.numDocs]) != len(seg.idBlob) {
-		return fail(df.corrupt("doc-ID blob is %d bytes, offsets end at %d", len(seg.idBlob), seg.idOffs[seg.numDocs]))
 	}
 	seg.shards = make([]*shard, nShards)
 	seg.pruned = make([]atomic.Uint64, nShards)
@@ -334,14 +329,8 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 	}
 	sh := &shard{numTerms: int(pf.numTerms)}
 	var err error
-	if sh.termOffs, err = pf.int64Sec(secTermOffs, sh.numTerms+1); err != nil {
+	if sh.termOffs, sh.termBlob, err = pf.stringsSec(secTermOffs, secTermBlob, sh.numTerms, "term"); err != nil {
 		return nil, err
-	}
-	if sh.termBlob, err = pf.sec(secTermBlob); err != nil {
-		return nil, err
-	}
-	if sh.numTerms > 0 && int(sh.termOffs[sh.numTerms]) != len(sh.termBlob) {
-		return nil, pf.corrupt("term blob is %d bytes, offsets end at %d", len(sh.termBlob), sh.termOffs[sh.numTerms])
 	}
 	if sh.df, err = pf.int32Sec(secDF, sh.numTerms); err != nil {
 		return nil, err
@@ -365,9 +354,9 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 			return nil, err
 		}
 	}
-	// Block-max summaries. Validation stays O(1) in corpus size — section
-	// byte counts are cross-checked against the block counts declared by
-	// the last blkOff entry.
+	// Block-max summaries. Only their sizes are validated: section byte
+	// counts are cross-checked against the block counts declared by the
+	// last blkOff entry.
 	if pf.blockSize <= 0 {
 		return nil, pf.corrupt("header declares block size %d, want > 0", pf.blockSize)
 	}

@@ -76,6 +76,21 @@ func dropSection(t *testing.T, id uint32) func([]byte) []byte {
 	}
 }
 
+// setInt64 sets entry i of flat-file section id, an int64 section, to v.
+func setInt64(t *testing.T, id uint32, i int, v int64) func([]byte) []byte {
+	return func(data []byte) []byte {
+		le := binary.LittleEndian
+		for e := flatHeaderSize; e < flatHeaderSize+24*int(le.Uint32(data[40:])); e += 24 {
+			if le.Uint32(data[e:]) == id {
+				le.PutUint64(data[int(le.Uint64(data[e+8:]))+8*i:], uint64(v))
+				return data
+			}
+		}
+		t.Fatalf("section %d not in the section table", id)
+		return nil
+	}
+}
+
 // TestOpenShardedErrors: every corruption mode and every retired layout
 // must fail with a precise, actionable message — and a directory without a
 // flat index must wrap fs.ErrNotExist so callers can tell a missing index
@@ -179,6 +194,16 @@ func TestOpenShardedErrors(t *testing.T) {
 		{name: "hostile term count", shards: 1, want: []string{"corrupt flat index"},
 			mutate: func(t *testing.T, dir string) {
 				patchFile(t, postings(dir), addCount(32, 1<<61))
+			}},
+		{name: "hostile doc-ID offset", shards: 1, want: []string{"corrupt flat index", "doc-ID offset"},
+			// The last offset still matches the blob, so only a check of
+			// every offset catches doc 0's ID running 2^40 bytes.
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, docs(dir), setInt64(t, secIDOffs, 1, 1<<40))
+			}},
+		{name: "hostile term offset", shards: 1, want: []string{"corrupt flat index", "term offset"},
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), setInt64(t, secTermOffs, 1, 1<<40))
 			}},
 		{name: "v2 missing block sections", shards: 1, want: []string{"missing section 32"},
 			// A postings file without its block summaries must fail, not

@@ -42,10 +42,12 @@
 //
 // Admission is a bounded in-flight semaphore measured in engine worker
 // slots: a request occupies min(members, workers) slots while it runs.
-// When the server is saturated, up to Config.QueueDepth slots' worth of
-// requests wait for capacity; beyond that the server sheds load
-// immediately with 429 and a Retry-After header instead of queuing
-// unboundedly. Shed requests never reach the engine.
+// A slot is one executing goroutine, since the engine runs each query —
+// model build and inference included — on the worker that took it, so
+// the cap bounds the CPU work in flight. When the server is saturated, up
+// to Config.QueueDepth slots' worth of requests wait for capacity; beyond
+// that the server sheds load immediately with 429 and a Retry-After
+// header instead of queuing unboundedly. Shed requests never reach the engine.
 //
 // # Ownership and concurrency
 //

@@ -41,8 +41,10 @@ type Backend interface {
 // Config tunes the server. The zero value serves with sane defaults.
 type Config struct {
 	// Workers is the engine worker pool size per batch (<= 0: GOMAXPROCS).
-	// Clamped to MaxInFlight so the admission cap truly bounds executing
-	// goroutines: one admitted batch can never out-run the semaphore.
+	// Each worker runs its member's whole query on its own goroutine, so
+	// one slot is one executing goroutine. Clamped to MaxInFlight so the
+	// admission cap bounds executing goroutines: one admitted batch can
+	// never out-run the semaphore.
 	Workers int
 	// MaxInFlight bounds concurrently executing worker slots across all
 	// requests (<= 0: GOMAXPROCS). A request occupies min(members,
