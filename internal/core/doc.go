@@ -34,10 +34,14 @@
 // sorts a (cell ID, column) entry per body cell of every view, drops the
 // repeats within a column, and counts each column's distinct cells and
 // the shared cells of each cross-table column pair into buffers of
-// Σ n columns and Σ n₁·n₂ counts; each table pair's Jaccard grid reads
-// its overlaps and set sizes from there instead of merging the two
-// columns' cell sets. PMI doc sets and cached view cells are read-only to
-// the builder.
+// Σ n columns and Σ n₁·n₂ counts, one row per column over the columns of
+// the tables after its own. One sweep per table pair then reads its
+// Jaccards and set sizes from there instead of merging the two columns'
+// cell sets, appends its survivors straight to the raw edges, and marks
+// its max-matching: survivors that share no column are all matched
+// without a solve when graph.DisjointMatched, the kernel's own test,
+// holds. PMI doc sets and cached view cells are read-only to the
+// builder.
 //
 // Build allocates a private arena; BuildWith carves every model grid from
 // a caller-owned BuildScratch, and the resulting Model aliases that

@@ -97,11 +97,21 @@ func ones(n int) []int {
 	return out
 }
 
-// computePairSimsRef is the per-pair merge computePairSims replaced: the
-// same threshold and blended matching, but the Jaccard of every column
-// pair merged from the two sorted cell-ID sets (with the size-ratio
-// early-out that merge had), and a freshly allocated survivor list,
-// weight grid and assignment workspace on every call.
+// colPairSim is one cross-view column pair whose content similarity
+// cleared MinNeighborSim: c1 indexes the first view of the pair, c2 the
+// second, sim is the raw content Jaccard, and matched marks survival of
+// the blended content+header one-one max-matching between the two views.
+type colPairSim struct {
+	c1, c2  int32
+	sim     float64
+	matched bool
+}
+
+// computePairSimsRef is the per-pair merge the shared-cell counts
+// replaced: the same threshold and blended matching, but the Jaccard of
+// every column pair merged from the two sorted cell-ID sets (with the
+// size-ratio early-out that merge had), and a freshly allocated survivor
+// list, weight grid and assignment workspace on every call.
 func computePairSimsRef(a, b *TableView, p Params) []colPairSim {
 	n1, n2 := a.NumCols, b.NumCols
 	var out []colPairSim
@@ -162,37 +172,6 @@ func colCellSet(v *TableView, c int) []uint32 {
 	return slices.Compact(ids)
 }
 
-// colCellSizesRef is the distinct-cell count of every column of v: the
-// input computePairSims reads from the edge pass's colCells.
-func colCellSizesRef(v *TableView) []int32 {
-	out := make([]int32, v.NumCols)
-	for c := range out {
-		out[c] = int32(len(colCellSet(v, c)))
-	}
-	return out
-}
-
-// sharedCellsRef is the row-major (c1, c2) grid of shared-cell counts of
-// views a and b, merged pair by pair: the input computePairSims reads from
-// the edge pass's count buffer.
-func sharedCellsRef(a, b *TableView) []int32 {
-	out := make([]int32, 0, a.NumCols*b.NumCols)
-	for c1 := 0; c1 < a.NumCols; c1++ {
-		ids1 := colCellSet(a, c1)
-		for c2 := 0; c2 < b.NumCols; c2++ {
-			ids2 := colCellSet(b, c2)
-			var k int32
-			for _, id := range ids1 {
-				if _, ok := slices.BinarySearch(ids2, id); ok {
-					k++
-				}
-			}
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // pairSimViews returns views of random tables of widths cols..1 (widest
 // first), every one interned into one symbol table, with cells drawn from
 // a small vocabulary so columns overlap across tables.
@@ -218,11 +197,11 @@ func pairSimViews(r *rand.Rand, cols int) []*TableView {
 	return views
 }
 
-// TestComputePairSimsReusedSlot runs pair computes through one reused
-// scratch, wide pairs before narrow ones (so every solve sees the
-// stale, larger grids and workspace of an earlier one), and demands
-// results identical to the merge reference — survivors, order,
-// similarities and matched flags.
+// TestComputePairSimsReusedSlot runs the edge pass over one table pair at
+// a time through one reused scratch, wide pairs before narrow ones (so
+// every pass sees the stale, larger count rows, survivors and workspace of
+// an earlier one), and demands the pair's survivors identical to the merge
+// reference — survivors, order, similarities and matched flags.
 func TestComputePairSimsReusedSlot(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	views := pairSimViews(r, 8)
@@ -232,7 +211,16 @@ func TestComputePairSimsReusedSlot(t *testing.T) {
 		p.MinNeighborSim = minSim
 		for _, a := range views {
 			for _, b := range views {
-				got := computePairSims(a, b, sharedCellsRef(a, b), colCellSizesRef(a), colCellSizesRef(b), p, &slot)
+				m := &Model{Params: p, Views: []*TableView{a, b}}
+				slot.colOff = append(slot.colOff[:0], 0, a.NumCols, a.NumCols+b.NumCols)
+				m.buildRawEdges(&slot)
+				var got []colPairSim
+				for _, e := range m.rawEdges {
+					if e.t1 != 0 || e.t2 != 1 {
+						t.Fatalf("raw edge %+v outside the table pair (0, 1)", e)
+					}
+					got = append(got, colPairSim{c1: int32(e.c1), c2: int32(e.c2), sim: e.sim, matched: e.matched})
+				}
 				want := computePairSimsRef(a, b, p)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("MinNeighborSim %v, %d x %d cols: got %+v, want %+v",
@@ -269,8 +257,8 @@ func checkEdgesEquiv(t *testing.T, m *Model, label string) {
 // TestBuildRawEdgesEquivalence fuzzes the flat-array edge path against
 // the map-based reference on randomized corpora, across edge
 // variants. A second leg builds another corpus and then this one through
-// one scratch, so this build's pair ranges land in a survivors' arena left
-// dirty (and possibly larger) by the first; its edges must equal the
+// one scratch, so this build's count rows and raw edges land in buffers
+// left dirty (and possibly larger) by the first; its edges must equal the
 // fresh-arena build's.
 func TestBuildRawEdgesEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {

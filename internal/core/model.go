@@ -61,11 +61,6 @@ type rawEdge struct {
 	matched        bool    // survived the one-one max-matching
 }
 
-// tablePair identifies one unordered candidate-table pair of the edge grid;
-// off is where its shared-cell count grid starts in BuildScratch.counts,
-// and its surviving column pairs are BuildScratch.sims[lo:hi].
-type tablePair struct{ t1, t2, off, lo, hi int }
-
 // Builder constructs Models. Stats is required; PMI may be nil when
 // Params.UsePMI is false — when set, it is probed by every query's build
 // and must be safe for concurrent calls. Views, when set, memoizes
@@ -372,18 +367,18 @@ func (m *Model) tableStage1(ti int, s *BuildScratch) {
 //
 // The shared cells of every cross-table column pair are counted once per
 // pass (countSharedCells) into one scratch buffer. Then each table pair,
-// in (t1, t2) order, reads its Jaccard grid from those counts and solves
-// its blended max-matching, appending its survivors to the scratch's
-// arena and recording their range in its tablePair, so a warm scratch
-// runs the whole pass without allocating. The query-dependent part —
-// summing each column's neighborhood denominator and normalizing — walks
-// the survivors in (t1, t2, c1, c2) order, the exact accumulation order
-// of the old map-based path, so float sums stay bit-identical. The
-// denom / edge-index maps of that path are replaced by flat arrays indexed
-// by global column offsets, all scratch-backed: s.colOff is the prefix sum
-// addTables computed —
-// colOff[t] is the global offset of table t's first column — so the
-// feature grid and the edge offsets share one source of truth.
+// in (t1, t2) order, reads its Jaccards from those counts, appends the
+// column pairs at or above MinNeighborSim straight to the raw edges in
+// (c1, c2) order and marks its matching survivors (matchPair). The
+// Jaccard is inter / (|A|+|B|−inter), the same integers and expression a
+// merge of the two sorted sets computes, and 0 when they share nothing.
+// The query-dependent part — each column's neighborhood denominator, then
+// the normalized similarities — is two passes over the raw edges in that
+// (t1, t2, c1, c2) order, the accumulation order of the old map-based
+// path, so float sums stay bit-identical. Every buffer is scratch-backed
+// and indexed by global column offsets — s.colOff is the prefix sum
+// addTables computed, colOff[t] the global offset of table t's first
+// column — so a warm scratch runs the whole pass without allocating.
 func (m *Model) buildRawEdges(s *BuildScratch) {
 	p := m.Params
 	n := len(m.Views)
@@ -392,66 +387,52 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	if n < 2 {
 		return
 	}
-
-	pairs := s.pairs[:0]
-	size := 0
-	for t1 := 0; t1 < n; t1++ {
-		for t2 := t1 + 1; t2 < n; t2++ {
-			pairs = append(pairs, tablePair{t1: t1, t2: t2, off: size})
-			size += m.Views[t1].NumCols * m.Views[t2].NumCols
-		}
-	}
-	s.pairs = pairs
-	m.countSharedCells(s, size)
-	s.sims = s.sims[:0]
-	for i := range pairs {
-		pr := &pairs[i]
-		a, b := m.Views[pr.t1], m.Views[pr.t2]
-		off1, off2 := colOff[pr.t1], colOff[pr.t2]
-		pr.lo = len(s.sims)
-		computePairSims(a, b, s.counts[pr.off:pr.off+a.NumCols*b.NumCols],
-			s.colCells[off1:off1+a.NumCols], s.colCells[off2:off2+b.NumCols], p, s)
-		pr.hi = len(s.sims)
-	}
-	if len(s.sims) == 0 {
-		return
-	}
-	// Neighborhood denominators depend on the whole candidate set, so they
-	// stay query-side: accumulate over every surviving pair first, then
-	// normalize.
-	s.denom = slicex.GrowClear(s.denom, colOff[n])
-	denom := s.denom
-	for _, pr := range pairs {
-		off1, off2 := colOff[pr.t1], colOff[pr.t2]
-		for _, e := range s.sims[pr.lo:pr.hi] {
-			denom[off1+int(e.c1)] += e.sim
-			denom[off2+int(e.c2)] += e.sim
-		}
-	}
-	// Every similar pair becomes a raw edge (the naive Potts ablations use
-	// them all); matched marks the max-matching survivors the custom
-	// potential keeps.
+	m.countSharedCells(s)
 	raw := s.rawEdges[:0]
-	for _, pr := range pairs {
-		off1, off2 := colOff[pr.t1], colOff[pr.t2]
-		for _, e := range s.sims[pr.lo:pr.hi] {
-			raw = append(raw, rawEdge{
-				t1: pr.t1, c1: int(e.c1), t2: pr.t2, c2: int(e.c2),
-				nsimAB:  e.sim / (p.Lambda + denom[off1+int(e.c1)]),
-				nsimBA:  e.sim / (p.Lambda + denom[off2+int(e.c2)]),
-				sim:     e.sim,
-				matched: e.matched,
-			})
+	for t1, a := range m.Views {
+		for t2 := t1 + 1; t2 < n; t2++ {
+			b := m.Views[t2]
+			size2 := s.colCells[colOff[t2]:colOff[t2+1]]
+			start := len(raw)
+			for c1 := 0; c1 < a.NumCols; c1++ {
+				g1 := colOff[t1] + c1
+				len1 := int(s.colCells[g1])
+				for c2, k := range s.counts[s.rowOff[g1]+colOff[t2]:][:b.NumCols] {
+					var sim float64
+					if k > 0 {
+						sim = float64(k) / float64(len1+int(size2[c2])-int(k))
+					}
+					if sim >= p.MinNeighborSim {
+						raw = append(raw, rawEdge{t1: t1, c1: c1, t2: t2, c2: c2, sim: sim})
+					}
+				}
+			}
+			if len(raw) > start {
+				matchPair(a, b, raw[start:], p, s)
+			}
 		}
 	}
 	s.rawEdges = raw
+	if len(raw) == 0 {
+		return
+	}
+	// Neighborhood denominators depend on the whole candidate set, so they
+	// stay query-side: accumulate over every survivor first, then
+	// normalize. Every similar pair is a raw edge (the naive Potts
+	// ablations use them all); matched marks the ones the custom potential
+	// keeps.
+	s.denom = slicex.GrowClear(s.denom, colOff[n])
+	denom := s.denom
+	for _, e := range raw {
+		denom[colOff[e.t1]+e.c1] += e.sim
+		denom[colOff[e.t2]+e.c2] += e.sim
+	}
+	for i := range raw {
+		e := &raw[i]
+		e.nsimAB = e.sim / (p.Lambda + denom[colOff[e.t1]+e.c1])
+		e.nsimBA = e.sim / (p.Lambda + denom[colOff[e.t2]+e.c2])
+	}
 	m.rawEdges = raw
-}
-
-// pairIndex is the position of table pair (t1, t2), t1 < t2, in the edge
-// pass's pairs: all pairs of first table 0, then of 1, and so on.
-func pairIndex(n, t1, t2 int) int {
-	return t1*(n-1) - t1*(t1-1)/2 + t2 - t1 - 1
 }
 
 // finalizeEdges applies the weight- and confidence-dependent part of

@@ -7,23 +7,12 @@ import (
 	"wwt/internal/slicex"
 )
 
-// colPairSim is one cross-view column pair whose content similarity
-// cleared MinNeighborSim: c1 indexes the first view of the pair, c2 the
-// second, sim is the raw content Jaccard, and matched marks survival of
-// the blended content+header one-one max-matching between the two views
-// (§3.3, "Max-matching Edges").
-type colPairSim struct {
-	c1, c2  int32
-	sim     float64
-	matched bool
-}
-
 // countSharedCells fills s.counts with the number of shared cells |A∩B|
 // of every cross-table column pair of the edge pass, and s.colCells with
-// the number of distinct cells |A| of every column. The counts are laid
-// out per table pair in s.pairs order, each pair's grid row-major over
-// (c1, c2) from its off, so the buffer holds exactly Σ n₁·n₂ entries —
-// the grid the pass walks, never same-table cells.
+// the number of distinct cells |A| of every column. Global column g owns
+// one row over the columns of the tables after its own: the count of
+// (g, g2) is counts[rowOff[g]+g2] for every g2 >= colEnd[g], so the buffer
+// holds exactly Σ n₁·n₂ entries — never same-table cells.
 //
 // It lists one cellID<<32 | global column entry per body cell of every
 // view and sorts them; compacting the sorted list leaves each column's
@@ -32,16 +21,18 @@ type colPairSim struct {
 // ~1 000 entries of a build and touching only the pairs that share a cell
 // costs less than merging the sets of every column pair. Everything lives
 // in the scratch, so a warm pass allocates nothing.
-func (m *Model) countSharedCells(s *BuildScratch, size int) {
-	n := len(m.Views)
+func (m *Model) countSharedCells(s *BuildScratch) {
 	colOff := s.colOff
-	s.colTab = slicex.Grow(s.colTab, colOff[n])
-	colTab := s.colTab
-	cells := s.cells[:0]
+	total := colOff[len(m.Views)]
+	s.rowOff = slicex.Grow(s.rowOff, total)
+	s.colEnd = slicex.Grow(s.colEnd, total)
+	cells, size := s.cells[:0], 0
 	for t, v := range m.Views {
+		end := colOff[t+1]
 		for c := 0; c < v.NumCols; c++ {
 			g := colOff[t] + c
-			colTab[g] = int32(t)
+			s.colEnd[g], s.rowOff[g] = end, size-end
+			size += total - end
 			for i := c; i < len(v.cells); i += v.NumCols {
 				if id := v.cells[i]; id != NoID {
 					cells = append(cells, uint64(id)<<32|uint64(g))
@@ -52,88 +43,80 @@ func (m *Model) countSharedCells(s *BuildScratch, size int) {
 	slices.Sort(cells)
 	cells = slices.Compact(cells)
 	s.cells = cells
-	s.colCells = slicex.GrowClear(s.colCells, colOff[n])
+	s.colCells = slicex.GrowClear(s.colCells, total)
 	for _, e := range cells {
 		s.colCells[uint32(e)]++
 	}
 
 	s.counts = slicex.GrowClear(s.counts, size)
-	counts, pairs := s.counts, s.pairs
+	counts, rowOff, colEnd := s.counts, s.rowOff, s.colEnd
 	for i := 0; i < len(cells); {
 		j := i + 1
 		for j < len(cells) && cells[j]>>32 == cells[i]>>32 {
 			j++
 		}
-		// Within a run the columns ascend, so ta < tb for every
-		// cross-table pair.
+		// Within a run the columns ascend, so each cross-table pair is
+		// counted in the row of its first column.
 		for a := i; a < j-1; a++ {
-			ga := int(uint32(cells[a]))
-			ta := int(colTab[ga])
-			ca := ga - colOff[ta]
-			for b := a + 1; b < j; b++ {
-				gb := int(uint32(cells[b]))
-				tb := int(colTab[gb])
-				if tb == ta {
-					continue
+			ga := uint32(cells[a])
+			off, end := rowOff[ga], colEnd[ga]
+			for _, e := range cells[a+1 : j] {
+				if gb := int(uint32(e)); gb >= end {
+					counts[off+gb]++
 				}
-				n2 := colOff[tb+1] - colOff[tb]
-				counts[pairs[pairIndex(n, ta, tb)].off+ca*n2+gb-colOff[tb]]++
 			}
 		}
 		i = j
 	}
 }
 
-// computePairSims evaluates the full column-similarity grid between views
-// a and b from inter, their row-major (c1, c2) grid of shared-cell counts,
-// and size1/size2, the distinct-cell counts of their columns; it keeps the
-// pairs at or above p.MinNeighborSim in (c1, c2) order, and solves the
-// blended one-one max-matching that marks the surviving pairs.
-// The Jaccard is inter / (|A|+|B|−inter), the same integers and expression
-// a merge of the two sorted sets computes, and 0 when they share nothing.
-// Orientation matters for tie-breaking inside the assignment solve, so
-// callers must present (a, b) in the orientation they will consume the
-// result in.
-//
-// Everything runs in s: the survivors are appended to its arena s.sims
-// and returned as that tail of it (nil when none survive), and the
-// matching is solved in its workspace, so a compute through a warm scratch
-// allocates nothing. The result is valid until the arena is reset; a later
-// append may move the arena, so callers that keep several results record
-// their ranges in it, not the slices.
-func computePairSims(a, b *TableView, inter, size1, size2 []int32, p Params, s *BuildScratch) []colPairSim {
-	n1, n2 := a.NumCols, b.NumCols
-	start := len(s.sims)
-	all := s.sims
-	for c1 := 0; c1 < n1; c1++ {
-		len1 := int(size1[c1])
-		for c2, k := range inter[c1*n2 : (c1+1)*n2] {
-			var sim float64
-			if k > 0 {
-				sim = float64(k) / float64(len1+int(size2[c2])-int(k))
-			}
-			if sim < p.MinNeighborSim {
-				continue
-			}
-			all = append(all, colPairSim{c1: int32(c1), c2: int32(c2), sim: sim})
+// matchPair marks the survivors es of views a and b, in (c1, c2) order,
+// that the blended content+header one-one max-matching keeps (§3.3,
+// "Max-matching Edges"); column pairs below the neighbor threshold are
+// zero-weight cells of the grid. When no two survivors share a column and
+// graph.DisjointMatched holds for the bounds of their weights, every one
+// is matched with no HeaderSim and no solve; otherwise the matching is
+// solved in s's workspace.
+func matchPair(a, b *TableView, es []rawEdge, p Params, s *BuildScratch) {
+	if disjointMatched(a.NumCols, b.NumCols, es, p) {
+		for i := range es {
+			es[i].matched = true
 		}
+		return
 	}
-	s.sims = all
-	out := all[start:]
-	if len(out) == 0 {
-		return nil
-	}
-	// One-one matching over blended content+header similarity; pairs below
-	// the neighbor threshold stay zero-weight cells, exactly like the
-	// query-time path always built them.
 	cells := s.match[:0]
-	for _, e := range out {
-		cells = append(cells, graph.Cell{L: e.c1, R: e.c2, W: p.MatchContentWeight*e.sim +
-			p.MatchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))})
+	for _, e := range es {
+		cells = append(cells, graph.Cell{L: int32(e.c1), R: int32(e.c2), W: p.MatchContentWeight*e.sim +
+			p.MatchHeaderWeight*HeaderSim(a, b, e.c1, e.c2)})
 	}
 	s.match = cells
-	for i, m := range graph.MatchCells(n1, n2, cells, &s.ws) {
-		out[i].matched = m
+	for i, m := range graph.MatchCells(a.NumCols, b.NumCols, cells, &s.ws) {
+		es[i].matched = m
 	}
-	return out
+}
+
+// disjointMatched reports whether MatchCells would mark every survivor of
+// es without solving. A header weight of at least 0 only adds a term in
+// [0, MatchHeaderWeight] (HeaderSim is a Jaccard), so the content terms
+// bound every cell's weight from below and, plus that weight, from above.
+func disjointMatched(n1, n2 int, es []rawEdge, p Params) bool {
+	if !(p.MatchHeaderWeight >= 0) {
+		return false
+	}
+	minSim, maxSim := es[0].sim, es[0].sim
+	for _, e := range es[1:] {
+		minSim, maxSim = min(minSim, e.sim), max(maxSim, e.sim)
+	}
+	if !graph.DisjointMatched(n1, n2, len(es), p.MatchContentWeight*minSim,
+		p.MatchContentWeight*maxSim+p.MatchHeaderWeight) {
+		return false
+	}
+	for i, e := range es {
+		for _, f := range es[i+1:] {
+			if e.c1 == f.c1 || e.c2 == f.c2 {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -12,11 +12,14 @@ import (
 // FuzzSharedCellCounts checks the edge pass, which reads every column
 // pair's overlap from one shared-cell count per pass, against the
 // per-pair merge reference: raw edges (order, endpoints, similarity bits,
-// matched flags) and final Edges. It draws 2–8 tables whose cells come
-// from a small alphabet, so cells repeat heavily; a column may be empty or
-// hold a cell that every such column holds. The threshold is 0, 0.1, 0.5
-// or 1. Each draw is built fresh and then again, reversed and forward,
-// through the scratch the first build left dirty.
+// matched flags) and final Edges. It draws 2–8 tables of 1–10 columns
+// whose cells come from a small alphabet, so cells repeat heavily; a
+// column may be empty or hold a cell that every such column holds. The
+// threshold is 0, 0.1, 0.5 or 1 and the matching's header weight 0.3, 0 or
+// −0.3, so a table pair with disjoint survivors also takes the solve: with
+// a zero-similarity survivor, a negative header weight, or more survivors
+// than the kernel's mask. Each draw is built fresh and then again,
+// reversed and forward, through the scratch the first build left dirty.
 func FuzzSharedCellCounts(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 3, 2, 3, 0, 1, 2, 3, 4, 5, 0, 3, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7})
@@ -29,9 +32,10 @@ func FuzzSharedCellCounts(f *testing.F) {
 		if src.next(4) == 3 {
 			p.Edges = EdgePotts
 		}
+		p.MatchHeaderWeight = []float64{0.3, 0, -0.3}[src.next(3)]
 		tables := make([]*wtable.Table, 2+src.next(7))
 		for i := range tables {
-			cols, rows := 1+src.next(4), src.next(6)
+			cols, rows := 1+src.next(10), src.next(6)
 			hdr := make([]string, cols)
 			body := make([][]string, rows)
 			for r := range body {
@@ -66,8 +70,8 @@ func FuzzSharedCellCounts(f *testing.F) {
 
 // TestBuildRawEdgesWarmAllocs pins the edge pass's arena: a second pass
 // over the same views through the same scratch — the entry list, its
-// sort, the count buffer, the survivors' arena, the denominators and the raw
-// edges — allocates nothing.
+// sort, the count rows, the raw edges, the matching cells and the
+// denominators — allocates nothing.
 func TestBuildRawEdgesWarmAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	tables := make([]*wtable.Table, 8)

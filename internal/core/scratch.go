@@ -23,12 +23,13 @@ import "wwt/internal/graph"
 // The edge pass first counts the shared cells of every cross-table column
 // pair once: it sorts one (cell ID, column) entry per body cell into
 // cells, drops the repeats within a column, counts each column's distinct
-// cells into colCells and increments counts, one int32 per column pair,
-// laid out per table pair in pairs order (Σ n₁·n₂ entries, no same-table
-// cells). Then each table pair, in pairs order, reads its count grid,
-// appends its surviving column pairs to sims, records their range in its
-// tablePair and solves its matching in ws. The counts and the survivors
-// never leave the scratch.
+// cells into colCells and increments counts, one int32 per column pair:
+// column g's row over the columns of the later tables starts at
+// rowOff[g], indexed by global column from colEnd[g] on (Σ n₁·n₂ entries,
+// no same-table cells). Then each table pair, in (t1, t2) order, appends
+// its surviving column pairs straight to rawEdges and marks its matching,
+// solving in ws through match when its survivors share a column. The
+// counts never leave the scratch.
 type BuildScratch struct {
 	hDocs  [][]int32 // per query column: the PMISource's H(Qℓ) doc sets (read-only)
 	colOff []int     // table -> global offset of its first column
@@ -68,12 +69,11 @@ type BuildScratch struct {
 	ws graph.Workspace
 
 	// Edge construction.
-	pairs    []tablePair
 	cells    []uint64     // cellID<<32 | global column, sorted, distinct
-	colTab   []int32      // global column -> table
 	colCells []int32      // global column -> its distinct cells
+	rowOff   []int        // global column g -> its row: counts[rowOff[g]+g2], g2 >= colEnd[g]
+	colEnd   []int        // global column -> end of its table's columns
 	counts   []int32      // shared cells per cross-table column pair
-	sims     []colPairSim // every pair's survivors, at its tablePair's lo:hi
 	match    []graph.Cell // the current pair's matching cells
 	denom    []float64
 	rawEdges []rawEdge

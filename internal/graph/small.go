@@ -214,9 +214,9 @@ type Cell struct {
 //
 // With non-negative weights the matched cells form the maximum-weight
 // matching of the listed cells alone, because the zero cells only complete
-// it. Cells that share no row or column are therefore all matched. Other
-// grids run a dynamic program over rows whose state is the set of right
-// nodes used.
+// it. Cells that share no row or column are therefore all matched, without
+// a solve when DisjointMatched holds. Other grids run a dynamic program
+// over rows whose state is the set of right nodes used.
 func MatchCells(nL, nR int, cells []Cell, ws *Workspace) []bool {
 	ws.matched = slicex.GrowClear(ws.matched, len(cells))
 	if ws.matchCells(nL, nR, cells) {
@@ -239,6 +239,16 @@ func MatchCells(nL, nR int, cells []Cell, ws *Workspace) []bool {
 	return ws.matched
 }
 
+// DisjointMatched reports whether MatchCells marks all n cells of an
+// nL x nR grid without solving, when no two of them share a row or column
+// and every weight lies in [minW, maxW]: the cells fit the kernel's mask,
+// and each outweighs the tie tolerance, so the matching that takes them
+// all beats every other by more than it. Callers that can bound the
+// weights decide such a matching without computing them.
+func DisjointMatched(nL, nR, n int, minW, maxW float64) bool {
+	return n <= maxKernelBits && minW > tieTol(nL+nR+3) && maxW < math.Inf(1)
+}
+
 // matchCells is MatchCells' exact path. It fills ws.matched and reports
 // whether it could decide the matching.
 func (ws *Workspace) matchCells(nL, nR int, cells []Cell) bool {
@@ -249,12 +259,12 @@ func (ws *Workspace) matchCells(nL, nR int, cells []Cell) bool {
 	for i := range ws.bit {
 		ws.bit[i] = -1
 	}
-	k, disjoint, minW := 0, true, math.Inf(1)
+	k, disjoint, minW, maxW := 0, true, math.Inf(1), math.Inf(-1)
 	for i, e := range cells {
 		if !(e.W >= 0) || math.IsInf(e.W, 1) {
 			return false
 		}
-		minW = min(minW, e.W)
+		minW, maxW = min(minW, e.W), max(maxW, e.W)
 		if i > 0 && cells[i-1].L == e.L {
 			disjoint = false
 		}
@@ -268,7 +278,7 @@ func (ws *Workspace) matchCells(nL, nR int, cells []Cell) bool {
 		ws.bit[e.R] = int8(k)
 		k++
 	}
-	if disjoint && minW > tol {
+	if disjoint && DisjointMatched(nL, nR, len(cells), minW, maxW) {
 		for i := range ws.matched {
 			ws.matched[i] = true
 		}

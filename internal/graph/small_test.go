@@ -259,6 +259,8 @@ func TestSmallKernelWarmAllocs(t *testing.T) {
 // FuzzSmallAssignment drives all three kernel entry points against the
 // MCMF oracle on fuzzer-shaped problems. Weights come from nine values on a
 // 0.25 grid, zero among them, so ties and zero-weight cells are the norm.
+// A last leg keeps a disjoint subset of the matching's cells and pins
+// DisjointMatched: whenever it holds, MatchCells marks every cell.
 func FuzzSmallAssignment(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 0, 4, 4, 8, 2, 0, 0, 6, 1, 3})
 	f.Add([]byte{2, 3, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
@@ -304,6 +306,30 @@ func FuzzSmallAssignment(f *testing.F) {
 			}
 		}
 		checkMatchCells(t, nL, nR, cells, &ws)
+
+		// The first cell of each row whose column no earlier row took:
+		// disjoint cells, which MatchCells must all mark whenever
+		// DisjointMatched holds for their weights' range.
+		var disjoint []Cell
+		taken := make([]bool, nR)
+		for i, e := range cells {
+			if (i == 0 || cells[i-1].L != e.L) && !taken[e.R] {
+				taken[e.R] = true
+				disjoint = append(disjoint, e)
+			}
+		}
+		checkMatchCells(t, nL, nR, disjoint, &ws)
+		minW, maxW := math.Inf(1), math.Inf(-1)
+		for _, e := range disjoint {
+			minW, maxW = min(minW, e.W), max(maxW, e.W)
+		}
+		if DisjointMatched(nL, nR, len(disjoint), minW, maxW) {
+			for i, m := range MatchCells(nL, nR, disjoint, &ws) {
+				if !m {
+					t.Fatalf("%dx%d disjoint cells %v: DisjointMatched holds, cell %d unmatched", nL, nR, disjoint, i)
+				}
+			}
+		}
 	})
 }
 

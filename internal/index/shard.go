@@ -346,7 +346,19 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 		if sh.off[f], err = pf.int32Sec(secFieldOff(f), sh.numTerms+1); err != nil {
 			return nil, err
 		}
-		count := int(sh.off[f][sh.numTerms])
+		// Every term's postings must slice inside the field's lists: the
+		// offsets start at 0, never decrease, and end at the count the
+		// docs and weights sections are sized to.
+		off := sh.off[f]
+		if off[0] != 0 {
+			return nil, pf.corrupt("field %s postings offsets start at %d, want 0", Field(f), off[0])
+		}
+		for t := 1; t <= sh.numTerms; t++ {
+			if off[t] < off[t-1] {
+				return nil, pf.corrupt("field %s postings offset %d is %d, below the one before it (%d)", Field(f), t, off[t], off[t-1])
+			}
+		}
+		count := int(off[sh.numTerms])
 		if sh.docs[f], err = pf.int32Sec(secFieldDocs(f), count); err != nil {
 			return nil, err
 		}
@@ -354,9 +366,10 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 			return nil, err
 		}
 	}
-	// Block-max summaries. Only their sizes are validated: section byte
-	// counts are cross-checked against the block counts declared by the
-	// last blkOff entry.
+	// Block-max summaries. Their layout is validated, not their values:
+	// blkOff starts at 0 and gives every term exactly ceil(postings /
+	// blockSize) blocks, so each term's blocks slice inside the block
+	// sections, which are sized to the last entry.
 	if pf.blockSize <= 0 {
 		return nil, pf.corrupt("header declares block size %d, want > 0", pf.blockSize)
 	}
@@ -365,13 +378,16 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 		if sh.blkOff[f], err = pf.int32Sec(secFieldBlkOff(f), sh.numTerms+1); err != nil {
 			return nil, err
 		}
-		nb := 0
-		if sh.numTerms > 0 {
-			nb = int(sh.blkOff[f][sh.numTerms])
+		blk, off := sh.blkOff[f], sh.off[f]
+		if blk[0] != 0 {
+			return nil, pf.corrupt("field %s block offsets start at %d, want 0", Field(f), blk[0])
 		}
-		if nb < 0 {
-			return nil, pf.corrupt("field %s declares %d posting blocks", Field(f), nb)
+		for t := 0; t < sh.numTerms; t++ {
+			if got, want := int(blk[t+1])-int(blk[t]), (int(off[t+1]-off[t])+sh.blockSize-1)/sh.blockSize; got != want {
+				return nil, pf.corrupt("field %s term %d has %d posting blocks, want %d", Field(f), t, got, want)
+			}
 		}
+		nb := int(blk[sh.numTerms])
 		if sh.blkMax[f], err = pf.float32Sec(secFieldBlkMax(f), nb); err != nil {
 			return nil, err
 		}

@@ -78,13 +78,30 @@ func dropSection(t *testing.T, id uint32) func([]byte) []byte {
 
 // setInt64 sets entry i of flat-file section id, an int64 section, to v.
 func setInt64(t *testing.T, id uint32, i int, v int64) func([]byte) []byte {
+	return setInt(t, id, 8, i, v)
+}
+
+// setInt32 sets entry i of flat-file section id, an int32 section, to v.
+func setInt32(t *testing.T, id uint32, i int, v int32) func([]byte) []byte {
+	return setInt(t, id, 4, i, int64(v))
+}
+
+// setInt sets entry i of flat-file section id, whose entries are
+// width-byte little-endian integers, to v.
+func setInt(t *testing.T, id uint32, width, i int, v int64) func([]byte) []byte {
 	return func(data []byte) []byte {
 		le := binary.LittleEndian
 		for e := flatHeaderSize; e < flatHeaderSize+24*int(le.Uint32(data[40:])); e += 24 {
-			if le.Uint32(data[e:]) == id {
-				le.PutUint64(data[int(le.Uint64(data[e+8:]))+8*i:], uint64(v))
-				return data
+			if le.Uint32(data[e:]) != id {
+				continue
 			}
+			at := data[int(le.Uint64(data[e+8:]))+width*i:]
+			if width == 4 {
+				le.PutUint32(at, uint32(v))
+			} else {
+				le.PutUint64(at, uint64(v))
+			}
+			return data
 		}
 		t.Fatalf("section %d not in the section table", id)
 		return nil
@@ -204,6 +221,17 @@ func TestOpenShardedErrors(t *testing.T) {
 		{name: "hostile term offset", shards: 1, want: []string{"corrupt flat index", "term offset"},
 			mutate: func(t *testing.T, dir string) {
 				patchFile(t, postings(dir), setInt64(t, secTermOffs, 1, 1<<40))
+			}},
+		{name: "hostile postings offset", shards: 1, want: []string{"corrupt flat index", "postings offset"},
+			// The last offset still matches the docs section, so only a
+			// check of every offset catches term 0's list running 2^30
+			// postings.
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), setInt32(t, secFieldOff(0), 1, 1<<30))
+			}},
+		{name: "hostile block offset", shards: 1, want: []string{"corrupt flat index", "posting blocks"},
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), setInt32(t, secFieldBlkOff(0), 1, 1<<30))
 			}},
 		{name: "v2 missing block sections", shards: 1, want: []string{"missing section 32"},
 			// A postings file without its block summaries must fail, not

@@ -48,6 +48,12 @@ type QueryScratch struct {
 	sample []string        // probe-2 token buffer (distinct from tokens: never aliased)
 	seen   map[string]bool // read-2 table dedup
 
+	// Probe-2 row sampling: the generator, re-seeded per query, and
+	// sampleRows' output and displaced slots.
+	rng       *rand.Rand
+	rows      []int
+	displaced map[int]int
+
 	build core.BuildScratch
 	infer inference.Scratch
 	cons  consolidate.Scratch
@@ -241,7 +247,15 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	for _, c := range st.query.Columns {
 		h.Write([]byte(c))
 	}
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	// Seed restores exactly the state NewSource builds, so the sample is
+	// the one a fresh generator draws.
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(0))
+	}
+	s.rng.Seed(int64(h.Sum64()))
+	if s.displaced == nil {
+		s.displaced = make(map[int]int)
+	}
 	// Probe-2 tokens go into their own scratch buffer — never an alias of
 	// tokens, so appending can't grow into (and later clobber) its array.
 	sample := append(s.sample[:0], st.tokens...)
@@ -251,7 +265,8 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 		if rows := tb.NumBodyRows(); take > rows {
 			take = rows
 		}
-		for _, r := range sampleRows(rng, tb.NumBodyRows(), take) {
+		s.rows = sampleRows(s.rng, tb.NumBodyRows(), take, s.rows, s.displaced)
+		for _, r := range s.rows {
 			for c := 0; c < tb.NumCols(); c++ {
 				sample = append(sample, e.normalizeCell(tb.Body(r, c))...)
 			}

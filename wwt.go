@@ -13,6 +13,7 @@ import (
 	"wwt/internal/index"
 	"wwt/internal/inference"
 	"wwt/internal/plan"
+	"wwt/internal/slicex"
 	"wwt/internal/text"
 	"wwt/internal/wtable"
 )
@@ -427,10 +428,11 @@ func (e *Engine) Planner() *plan.Estimator { return e.planner }
 // instead of the O(rows) array a full rng.Perm would allocate. The draw
 // sequence deliberately differs from rng.Perm's (take Intn calls instead
 // of rows), so sampled rows changed once when this replaced Perm — the
-// sample stays deterministic per query seed.
-func sampleRows(rng *rand.Rand, rows, take int) []int {
-	out := make([]int, take)
-	displaced := make(map[int]int, 2*take)
+// sample stays deterministic per query seed. The indices are written over
+// out and the slots kept in displaced, both reused across calls.
+func sampleRows(rng *rand.Rand, rows, take int, out []int, displaced map[int]int) []int {
+	out = slicex.Grow(out, take)
+	clear(displaced)
 	for i := 0; i < take; i++ {
 		j := i + rng.Intn(rows-i)
 		vj, ok := displaced[j]
