@@ -7,7 +7,7 @@ import (
 
 // MmapAlias guards the flat-index aliasing contract: slices and strings
 // built over a flat-opened searcher's mmap'd sections (unsafe.Slice /
-// unsafe.String views, format.go's viewInt32 family) die with Close —
+// unsafe.String views, format.go's generic view) die with Close —
 // the mapping is unmapped and every surviving alias is a fault waiting
 // for a page access. Such views may live in the struct that owns the
 // mapping (it has the Close), but storing one into a package-level
@@ -27,7 +27,7 @@ var MmapAlias = &Analyzer{
 	Name: "mmapalias",
 	Doc: "flag mmap-aliased slices stored where they outlive Close\n\n" +
 		"Views over flat-index sections (unsafe.Slice/unsafe.String and the " +
-		"viewInt32 family) are invalidated by Close. Keep them in the type " +
+		"generic view) are invalidated by Close. Keep them in the type " +
 		"that owns the mapping: package-level variables and fields of types " +
 		"without a Close method (and without a //wwt:mmap-owner mark) are " +
 		"flagged.",
@@ -56,7 +56,7 @@ func runMmapAlias(pass *Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ValueSpec:
-				// Package-level `var x = viewInt32(...)`.
+				// Package-level `var x = view[int32](...)`.
 				for i, v := range n.Values {
 					if i < len(n.Names) && isAliasCall(v) {
 						pass.checkAliasStore(n.Names[i], v)

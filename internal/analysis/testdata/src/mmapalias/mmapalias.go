@@ -1,5 +1,5 @@
 // Package mmapalias exercises the mmap-alias lifetime checker: unsafe
-// views over mapped bytes (the flat index's viewInt32 family) must stay
+// views over mapped bytes (the flat index's generic view) must stay
 // inside the type that owns the mapping's Close; package-level variables
 // and fields of non-owning types are flagged.
 package mmapalias
@@ -10,6 +10,12 @@ import "unsafe"
 // a typed view over a parameter's bytes.
 func viewInt32(b []byte, n int) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
+}
+
+// view is the generic alias-producer shape from the flat index's
+// format.go: one typed view per element type.
+func view[T int32 | int64 | float32 | float64](b []byte) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(T(0))))
 }
 
 // viewAll is a transitive producer: it returns another producer's view.
@@ -32,6 +38,7 @@ var leaked []int32
 // fields can outlive the mapping.
 type holder struct {
 	offs []int32
+	wts  []float32
 	name string
 }
 
@@ -55,8 +62,10 @@ type viewStash struct {
 func store(b []byte, h *holder, m *mapping, vs *viewStash) {
 	leaked = viewInt32(b, 2) // want `mmap-aliased slice stored in package-level var leaked outlives the mapping's Close`
 	h.offs = viewAll(b)      // want `mmap-aliased slice stored in field offs of holder, which has no Close and no //wwt:mmap-owner mark`
+	h.wts = view[float32](b) // want `mmap-aliased slice stored in field wts of holder, which has no Close and no //wwt:mmap-owner mark`
 	h.name = viewString(b)   // want `mmap-aliased string stored in field name of holder, which has no Close and no //wwt:mmap-owner mark`
 	m.offs = viewInt32(b, 2)
+	m.offs = view[int32](b)
 	vs.offs = viewInt32(b, 2)
 	local := viewInt32(b, 2)
 	_ = local

@@ -9,12 +9,12 @@ import (
 )
 
 // benchSkewedTables builds the 1500-table skewed fixture corpus behind
-// the block-max/pruning benchmarks: every table carries a handful of
+// the block-max benchmarks: every table carries a handful of
 // zipf-picked common words (long posting lists, low idf), and each table
 // also carries one of 125 rare words (12 tables per word, repeated — high
 // idf, high tf). A rare+common query's top-10 is decided by the rare
-// term, which is exactly the shape where block-max skipping and shard
-// pruning pay: the common lists are long, cold and mostly hopeless.
+// term, which is exactly the shape where block-max skipping pays: the
+// common lists are long, cold and mostly hopeless.
 func benchSkewedTables() []*wtable.Table {
 	r := rand.New(rand.NewSource(2012))
 	common := make([]string, 30)
@@ -90,7 +90,6 @@ func reportProbeMetrics(b *testing.B, st ProbeStats, ops int) {
 	if st.Postings > 0 {
 		b.ReportMetric(float64(st.Scanned)/float64(st.Postings)*100, "scan%")
 	}
-	b.ReportMetric(float64(st.ShardsPruned)/float64(ops), "pruned/op")
 }
 
 // BenchmarkSearchBlockMax: skewed top-10 probes on the single-shard
@@ -111,10 +110,10 @@ func BenchmarkSearchBlockMax(b *testing.B) {
 	reportProbeMetrics(b, total, b.N)
 }
 
-// BenchmarkShardedPruned: the acceptance benchmark — skewed multi-term
-// top-10 probes over the 1500-table fixture at 8 shards, mmap-opened
-// (block-max skipping plus shard pruning).
-func BenchmarkShardedPruned(b *testing.B) {
+// BenchmarkShardedSkewed: skewed multi-term top-10 probes over the
+// 1500-table fixture at 8 shards, mmap-opened (block-max skipping across
+// shards).
+func BenchmarkShardedSkewed(b *testing.B) {
 	queries := benchSkewedQueries(64)
 	dir := b.TempDir()
 	if err := WriteDir(dir, benchSkewedTables(), 8); err != nil {
@@ -134,7 +133,6 @@ func BenchmarkShardedPruned(b *testing.B) {
 		total.BlocksSkipped += st.BlocksSkipped
 		total.Postings += st.Postings
 		total.Scanned += st.Scanned
-		total.ShardsPruned += st.ShardsPruned
 	}
 	b.StopTimer()
 	reportProbeMetrics(b, total, b.N)

@@ -46,14 +46,13 @@
 // whole; FuzzSearchPruningEquivalence walks the same space).
 // Rarest-first is not cosmetic: the selective terms establish the top-k
 // score floor before the long common lists are walked, which is what arms
-// the block and shard pruning below. Keep the order in sync with the
-// oracle.
+// the block pruning below. Keep the order in sync with the oracle.
 //
-// # The probe layer: three levels of exact pruning
+// # The probe layer: two levels of exact pruning
 //
-// On top of the PR 1 term-level max-score skip, probes prune work at three
-// granularities (gather.go); every level only ever discards work that
-// provably cannot change the top k, so results stay bit-identical:
+// On top of the term-level max-score skip, probes prune work at two
+// granularities (gather.go); each only ever discards work that provably
+// cannot change the top k, so results stay bit-identical:
 //
 //  1. Block closure. Posting lists carry fixed-width block summaries (max
 //     posting weight + first doc ID per block). A block whose best
@@ -64,15 +63,9 @@
 //     only the dense summaries (~1/blockSize of the postings) are read.
 //     Live candidates are tracked in a lazily built per-probe bitmap, so
 //     probes that never close a block pay nothing for it.
-//  3. Shard pruning. When a segment's probe involves several shards, a
-//     floor-seeding pre-pass scores the highest-bound shard(s) into a
-//     throwaway accumulator generation;
-//     shards whose score upper bound cannot beat the resulting floor are
-//     pruned — their posting pages are never prefaulted — and the main
-//     gather opens with the floor preseeded, so pruned shards' lists begin
-//     closed. The pre-pass only arms itself when the per-query bound
-//     profile is skewed (passASkewFactor); on flat profiles it would be
-//     pure double work.
+//
+// A probe runs on its caller's goroutine from resolution to merge: it
+// starts no goroutine, prefaults no page and scans no posting twice.
 //
 // Inner scoring loops are lane-grouped (laneWidth-wide groups with bounds
 // checks hoisted); every document sees the identical float64 operation
@@ -160,7 +153,7 @@
 //
 // On little-endian hosts with an aligned mapping the typed views are
 // zero-copy (unsafe.Slice over the mapped bytes); on big-endian hosts or
-// unaligned fallback reads each section is decoded element-wise into a
+// unaligned fallback reads each section is decoded (binary.Decode) into a
 // fresh slice. When mmap is unavailable (or refused by the kernel) the
 // same files are read whole through io.ReaderAt into aligned buffers —
 // same format, portable path, still one validation pass.
@@ -184,15 +177,13 @@
 // one segment — and stamp the corpus-global df, idf (smoothedIDF, the same
 // float64 operation a rebuilt index runs) and rescaled
 // max-score bound on each termRef; sort the refs segment-major into the
-// canonical order. (3) For each segment in order: scatter — prefault the
-// involved shards' posting pages concurrently, or run the floor-seeding pre-pass above when
-// several block-summarized shards are involved; gather (gather.go) with
-// the admission floor carried over from the segments already scored, so
-// later segments open with blocks already closed; collect the segment's
-// top k. (4) The global top k is a subset of the per-segment top k's, so
-// merging the candidates by the shared hit order (score descending, ID
-// ascending) reproduces exactly what one index rebuilt over the union
-// would return. DocSet intersects per segment and concatenates the
+// canonical order. (3) For each segment in order: gather (gather.go)
+// with the admission floor carried over from the segments already scored,
+// so later segments open with blocks already closed; collect the
+// segment's top k. (4) The global top k is a subset of the per-segment
+// top k's, so merging the candidates by the shared hit order (score
+// descending, ID ascending) reproduces exactly what one index rebuilt over
+// the union would return. DocSet intersects per segment and concatenates the
 // rebased results; TermStats and IDF sum over segments.
 //
 // # Segments and the manifest: the live-index lifecycle

@@ -40,14 +40,13 @@ package index
 // Numeric sections are raw little-endian arrays ([]int32, []int64,
 // []float32, []float64 bit patterns); on little-endian hosts they are
 // aliased straight out of the mapping with zero copies, on big-endian
-// hosts they are decoded element-wise into the heap. String tables
+// hosts they are decoded into the heap. String tables
 // (table IDs, term names) are an offsets array plus one concatenated
 // byte blob.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"unsafe"
 )
@@ -119,125 +118,39 @@ func align8(n int) int { return (n + 7) &^ 7 }
 
 // ---- raw array <-> byte views ------------------------------------------
 
-// int32Bytes returns the little-endian byte image of s: a zero-copy alias
+// word is the element type of a numeric section.
+type word interface {
+	int32 | int64 | float32 | float64
+}
+
+// rawBytes returns the little-endian byte image of s: a zero-copy alias
 // on little-endian hosts, an encoded copy otherwise.
-func int32Bytes(s []int32) []byte {
+func rawBytes[T word](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
 	if hostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
+		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 	}
-	out := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
-	}
+	out, _ := binary.Append(nil, binary.LittleEndian, s) // cannot fail: T is fixed-size
 	return out
 }
 
-func int64Bytes(s []int64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
-	}
-	out := make([]byte, 8*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
-	}
-	return out
-}
-
-func float32Bytes(s []float32) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
-	}
-	out := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
-	return out
-}
-
-func float64Bytes(s []float64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
-	}
-	out := make([]byte, 8*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
-}
-
-// viewInt32 interprets b as a little-endian []int32 — zero-copy when the
-// host is little-endian and b is 4-aligned (always true for section
-// payloads: the mapping base is page aligned and sections are 8-aligned),
-// a decoded heap copy otherwise.
-func viewInt32(b []byte) []int32 {
-	n := len(b) / 4
+// view interprets b as a little-endian []T — zero-copy when the host is
+// little-endian and b is aligned for T (always true for section payloads:
+// the mapping base is page aligned and sections are 8-aligned), a decoded
+// heap copy otherwise.
+func view[T word](b []byte) []T {
+	w := int(unsafe.Sizeof(T(0)))
+	n := len(b) / w
 	if n == 0 {
 		return nil
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%uintptr(w) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func viewInt64(b []byte) []int64 {
-	n := len(b) / 8
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func viewFloat32(b []byte) []float32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func viewFloat64(b []byte) []float64 {
-	n := len(b) / 8
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	out := make([]T, n)
+	binary.Decode(b, binary.LittleEndian, out) // cannot fail: b holds n·w bytes
 	return out
 }
 
@@ -467,51 +380,18 @@ func (ff *flatFile) sec(id uint32) ([]byte, error) {
 	return b, nil
 }
 
-// countedSec returns section id when it holds exactly count elements of
-// w bytes each. The check divides instead of multiplying, so a hostile
+// numSec returns section id of ff as a []T view when it holds exactly
+// count elements. The check divides instead of multiplying, so a hostile
 // header count cannot wrap the expected size around to the real one.
-func (ff *flatFile) countedSec(id uint32, count, w int, elem string) ([]byte, error) {
+func numSec[T word](ff *flatFile, id uint32, count int) ([]T, error) {
 	b, err := ff.sec(id)
 	if err != nil {
 		return nil, err
 	}
-	if count < 0 || len(b)%w != 0 || len(b)/w != count {
-		return nil, ff.corrupt("section %d is %d bytes, want %d %ss", id, len(b), count, elem)
+	if w := int(unsafe.Sizeof(T(0))); count < 0 || len(b)%w != 0 || len(b)/w != count {
+		return nil, ff.corrupt("section %d is %d bytes, want %d %Ts", id, len(b), count, T(0))
 	}
-	return b, nil
-}
-
-// int32Sec returns a section as []int32, validating the element count.
-func (ff *flatFile) int32Sec(id uint32, count int) ([]int32, error) {
-	b, err := ff.countedSec(id, count, 4, "int32")
-	if err != nil {
-		return nil, err
-	}
-	return viewInt32(b), nil
-}
-
-func (ff *flatFile) int64Sec(id uint32, count int) ([]int64, error) {
-	b, err := ff.countedSec(id, count, 8, "int64")
-	if err != nil {
-		return nil, err
-	}
-	return viewInt64(b), nil
-}
-
-func (ff *flatFile) float32Sec(id uint32, count int) ([]float32, error) {
-	b, err := ff.countedSec(id, count, 4, "float32")
-	if err != nil {
-		return nil, err
-	}
-	return viewFloat32(b), nil
-}
-
-func (ff *flatFile) float64Sec(id uint32, count int) ([]float64, error) {
-	b, err := ff.countedSec(id, count, 8, "float64")
-	if err != nil {
-		return nil, err
-	}
-	return viewFloat64(b), nil
+	return view[T](b), nil
 }
 
 // stringsSec returns the count-string table packStrings wrote into
@@ -519,7 +399,7 @@ func (ff *flatFile) float64Sec(id uint32, count int) ([]float64, error) {
 // and end at the blob's length, so every string slices inside the blob;
 // the check reads each offset once, O(count).
 func (ff *flatFile) stringsSec(offsID, blobID uint32, count int, what string) ([]int64, []byte, error) {
-	offs, err := ff.int64Sec(offsID, count+1)
+	offs, err := numSec[int64](ff, offsID, count+1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,13 +9,12 @@ import (
 )
 
 // FuzzSearchPruningEquivalence drives the layered score-bound pruning —
-// the term-level max-score skip, the block-max closures, the sharded
-// floor-seeding scatter prune and the floor carried across segments —
-// through fuzzer-chosen corpora, queries, k values, shard counts and
-// segment splits, and requires bit-identical hits (IDs, scores within
-// 1e-9, order) from the map-based reference scorer and the Searcher, both
-// as a one-segment one-shard freeze and as a segments × shards split of
-// the same corpus; DocSet, TermStats and IDF of the split must match the
+// the term-level max-score skip, the block-max closures and the floor
+// carried across segments — through fuzzer-chosen corpora, queries, k
+// values, shard counts and segment splits, and requires bit-identical
+// hits (IDs, scores within 1e-9, order) from the map-based reference
+// scorer and the Searcher, both as a one-segment one-shard freeze and as
+// a segments × shards split of the same corpus; DocSet, TermStats and IDF of the split must match the
 // reference too. The pruning boundaries (k equal to the touched-document
 // count, absent terms, duplicate terms, single-doc shards and segments)
 // are exactly where past regressions lived

@@ -51,8 +51,6 @@ type ProbeStats struct {
 	Scanned       int64 // posting entries actually visited by the accumulator
 	BlocksTotal   int64 // posting blocks considered on block-summarized lists
 	BlocksSkipped int64 // blocks skipped outright (closed, no live candidate in range)
-	ShardsProbed  int   // shards that received a scatter
-	ShardsPruned  int   // shards whose scatter was pruned by the score floor
 }
 
 // computeBlocks fills the shard's block-summary arrays from its CSR

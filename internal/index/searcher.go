@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Searcher is the query-time form of the index, and the only one: an
@@ -33,10 +32,10 @@ import (
 //     accumulates the identical operation sequence it would in the rebuilt
 //     index; per-segment top-k candidates merge by the shared hit order.
 //
-// A Searcher is immutable and safe for concurrent use (the pruning
-// counters are atomics; per-probe state lives in a sync.Pool). When opened
-// from disk its strings and arrays alias the file mappings: results must
-// not outlive Close.
+// A Searcher is immutable and safe for concurrent use (per-probe state
+// lives in a sync.Pool, and a probe runs on its caller's goroutine). When
+// opened from disk its strings and arrays alias the file mappings: results
+// must not outlive Close.
 type Searcher struct {
 	segs    []*segment
 	numDocs int
@@ -59,7 +58,6 @@ type segment struct {
 	idBlob []byte
 
 	shards  []*shard
-	pruned  []atomic.Uint64 // per shard: probes that pruned its scatter
 	closers []func() error
 	mmapped bool
 }
@@ -195,18 +193,6 @@ func (s *Searcher) Mmapped() bool {
 	return len(s.segs) > 0
 }
 
-// ShardPruneCounts returns, per shard in segment order, how many probes
-// pruned that shard's scatter since the searcher was opened.
-func (s *Searcher) ShardPruneCounts() []uint64 {
-	out := make([]uint64, 0, s.Shards())
-	for _, seg := range s.segs {
-		for i := range seg.pruned {
-			out = append(out, seg.pruned[i].Load())
-		}
-	}
-	return out
-}
-
 // idOf returns the table ID of a segment-local doc number. For disk-opened
 // segments the string aliases the mapping (zero-copy).
 func (seg *segment) idOf(doc int32) string {
@@ -261,14 +247,13 @@ func (s *Searcher) IDF(tok string) float64 {
 // segment-local best-weight bound rescaled by the global idf is still a
 // valid per-doc contribution bound within that segment.
 type termRef struct {
-	tok   string
-	sh    *shard
-	tid   int32
-	seg   int32   // segment index
-	shard int32   // home shard index within the segment
-	df    int32   // corpus-global document frequency
-	idf   float64 // smoothed IDF the gather multiplies by
-	maxS  float64 // per-doc contribution bound: idf · best cross-field weight sum
+	tok  string
+	sh   *shard
+	tid  int32
+	seg  int32   // segment index
+	df   int32   // corpus-global document frequency
+	idf  float64 // smoothed IDF the gather multiplies by
+	maxS float64 // per-doc contribution bound: idf · best cross-field weight sum
 }
 
 // cmpRefs orders refs segment-major and, within a segment, into the
@@ -306,16 +291,12 @@ type accumulator struct {
 }
 
 // scratch is the pooled per-probe state: the accumulator plus the
-// resolution-side buffers (token dedup, resolved refs, merged candidates,
-// and the pruning pre-pass's shard ordering).
+// resolution-side buffers (token dedup, resolved refs, merged candidates).
 type scratch struct {
-	acc    accumulator
-	seen   map[string]bool
-	refs   []termRef
-	sub    []termRef // one shard's refs, for the pre-pass
-	all    []Hit     // per-segment winners, merged at the end
-	order  []int32   // a segment's shards with refs, by descending bound
-	bounds []float64 // per entry of order: shard score upper bound
+	acc  accumulator
+	seen map[string]bool
+	refs []termRef
+	all  []Hit // per-segment winners, merged at the end
 }
 
 func (s *Searcher) getScratch() *scratch {
@@ -344,18 +325,18 @@ func (s *Searcher) Search(tokens []string, k int) []Hit {
 	return hits
 }
 
-// SearchStats is Search plus the probe's skip and shard-pruning counters,
-// summed across segments.
+// SearchStats is Search plus the probe's skip counters, summed across
+// segments.
 //
 // Every unique token is resolved in every segment's home shard and stamped
 // with the corpus-global statistics. Each segment then runs the same step
-// into one reused accumulator: scatter (prefault, or the floor-seeding
-// pre-pass when several shards are involved), gather in canonical order
-// with the floor carried over from already-scored segments' merged top k —
-// exact, since no document spans segments, so later segments open with
-// blocks already closed — and collect. The global top k is a subset of the
-// per-segment top k's, so merging the candidate lists with the shared hit
-// order reproduces the rebuilt index's result exactly.
+// into one reused accumulator on the caller's goroutine: gather in
+// canonical order with the floor carried over from already-scored
+// segments' merged top k — exact, since no document spans segments, so
+// later segments open with blocks already closed — and collect. The
+// global top k is a subset of the per-segment top k's, so merging the
+// candidate lists with the shared hit order reproduces the rebuilt index's
+// result exactly.
 func (s *Searcher) SearchStats(tokens []string, k int) ([]Hit, ProbeStats) {
 	var st ProbeStats
 	if len(tokens) == 0 || s.numDocs == 0 {
@@ -373,10 +354,9 @@ func (s *Searcher) SearchStats(tokens []string, k int) ([]Hit, ProbeStats) {
 		start := len(refs)
 		var df int64
 		for si, seg := range s.segs {
-			g := shardOfToken(tok, len(seg.shards))
-			if tid, ok := seg.shards[g].lookup(tok); ok {
-				df += int64(seg.shards[g].df[tid])
-				refs = append(refs, termRef{tok: tok, sh: seg.shards[g], tid: tid, seg: int32(si), shard: int32(g)})
+			if sh, tid, ok := seg.find(tok); ok {
+				df += int64(sh.df[tid])
+				refs = append(refs, termRef{tok: tok, sh: sh, tid: tid, seg: int32(si)})
 			}
 		}
 		idf := smoothedIDF(s.numDocs, df)
@@ -399,7 +379,6 @@ func (s *Searcher) SearchStats(tokens []string, k int) ([]Hit, ProbeStats) {
 		seg, segRefs := s.segs[refs[0].seg], refs[:n]
 		refs = refs[n:]
 		acc.nextGen()
-		floor = seg.scatter(sc, segRefs, k, floor, &st)
 		gather(acc, segRefs, k, floor, &st)
 		all = seg.collect(acc, k, all)
 		if k > 0 && len(all) >= k && len(refs) > 0 { // a floor is only worth computing for a later segment
@@ -411,141 +390,6 @@ func (s *Searcher) SearchStats(tokens []string, k int) ([]Hit, ProbeStats) {
 		return nil, st
 	}
 	return selectTopHits(all, k), st
-}
-
-// passAShardCap bounds how many shards the floor-seeding pre-pass scores:
-// on a skewed corpus the top-bound shard alone sets a floor that prunes
-// the rest, and on a uniform corpus scanning more shards twice would cost
-// more than the pruning saves.
-const passAShardCap = 2
-
-// passASkewFactor is the bound-skew threshold arming the pre-pass: the
-// top shard's score bound must exceed the weakest involved shard's by this
-// factor before the double scan of the top shards can plausibly pay for
-// itself in pruned prefaults and closed blocks.
-const passASkewFactor = 4
-
-// scatter readies one segment's involved shards for the gather and returns
-// the admission floor to preseed it with. Shards are ranked by their score
-// upper bound (the sum of their resolved terms' max-scores). With a single
-// involved shard or an unbounded probe every involved shard is simply
-// prefaulted. Otherwise the floor-seeding pre-pass scores the top
-// shard(s) into a throwaway accumulator generation and prunes the scatter
-// of every shard whose bound cannot beat the established floor: pruned
-// shards are never prefaulted, and under the preseeded floor the main
-// gather touches at most their block summaries. Pruning is a prefault
-// decision only — the main gather still sees every resolved term, since
-// pruned shards' terms contribute to documents shared with other shards —
-// so a too-aggressive floor can cost speed, never correctness. The
-// returned floor is a valid lower bound on the kth-best final score: the
-// kth-largest sum of real (partial) contributions, or the carried one.
-func (seg *segment) scatter(sc *scratch, refs []termRef, k int, floor float64, st *ProbeStats) float64 {
-	order, bounds := sc.order[:0], sc.bounds[:0]
-	for _, r := range refs {
-		i := slices.Index(order, r.shard)
-		if i < 0 {
-			i = len(order)
-			order, bounds = append(order, r.shard), append(bounds, 0)
-		}
-		bounds[i] += r.maxS
-	}
-	sc.order, sc.bounds = order, bounds
-	n := len(order)
-	if n == 1 || k <= 0 {
-		st.ShardsProbed += n
-		prefaultShards(refs, order)
-		return floor
-	}
-	sort.Sort(&shardsByBound{order, bounds})
-
-	acc := &sc.acc
-	scanned, prunedFrom := 0, n
-	// Bound-skew gate: the pre-pass rescans its top shards, so it only pays
-	// when the bound profile is skewed — a floor built from the top shard's
-	// real scores has to plausibly beat the weakest shard's bound. On a flat
-	// profile (every shard could reach comparable scores) no floor can prune
-	// anything, and the pre-pass would be pure double work: fall through to
-	// an ordinary prefault of every involved shard.
-	if bounds[0] > passASkewFactor*bounds[n-1] {
-		var sub ProbeStats // pre-pass work is not part of Postings totals
-		for idx, g := range order {
-			if floor > bounds[idx]+1e-9 {
-				// Neither this shard nor any lower-bound one can lift a new
-				// document into the top k on its own: skip their prefault.
-				prunedFrom = idx
-				break
-			}
-			if scanned >= passAShardCap {
-				continue // bound not beaten, but pre-pass budget spent
-			}
-			scanned++
-			rs := sc.sub[:0]
-			for _, r := range refs { // filtering keeps the canonical order
-				if r.shard == g {
-					rs = append(rs, r)
-				}
-			}
-			sc.sub = rs
-			gather(acc, rs, k, floor, &sub)
-			if len(acc.touched) >= k {
-				floor = max(floor, acc.kthLargest(k))
-			}
-		}
-		st.Scanned += sub.Scanned
-		st.BlocksTotal += sub.BlocksTotal
-		st.BlocksSkipped += sub.BlocksSkipped
-		// Fresh generation for the canonical main gather; the pre-pass floor
-		// carries over as the preseeded admission threshold.
-		acc.nextGen()
-	}
-	st.ShardsPruned += n - prunedFrom
-	st.ShardsProbed += prunedFrom
-	for _, g := range order[prunedFrom:] {
-		seg.pruned[g].Add(1)
-	}
-	// The pre-pass scan already faulted its shards' pages in.
-	prefaultShards(refs, order[scanned:prunedFrom])
-	return floor
-}
-
-// prefaultShards prefaults the given shards' resolved posting pages,
-// concurrently when there is more than one: faulting a single shard from
-// this goroutine is cheaper than spawning one.
-func prefaultShards(refs []termRef, shards []int32) {
-	switch len(shards) {
-	case 0:
-	case 1:
-		prefault(refs, shards[0])
-	default:
-		var wg sync.WaitGroup
-		for _, g := range shards {
-			wg.Add(1)
-			go func(g int32) {
-				defer wg.Done()
-				prefault(refs, g)
-			}(g)
-		}
-		wg.Wait()
-	}
-}
-
-// shardsByBound sorts shard indices by descending bound, shard index
-// ascending on ties — a deterministic pre-pass order.
-type shardsByBound struct {
-	order  []int32
-	bounds []float64
-}
-
-func (s *shardsByBound) Len() int { return len(s.order) }
-func (s *shardsByBound) Less(i, j int) bool {
-	if s.bounds[i] != s.bounds[j] {
-		return s.bounds[i] > s.bounds[j]
-	}
-	return s.order[i] < s.order[j]
-}
-func (s *shardsByBound) Swap(i, j int) {
-	s.order[i], s.order[j] = s.order[j], s.order[i]
-	s.bounds[i], s.bounds[j] = s.bounds[j], s.bounds[i]
 }
 
 // kthLargest returns the kth largest score among touched docs (k <=

@@ -352,7 +352,7 @@ func TestMultiSearcherSkipWithExactlyKTouched(t *testing.T) {
 	}
 }
 
-// TestMultiSearcherPruningBoundary drives the skewed shard-pruning corpus
+// TestMultiSearcherPruningBoundary drives the skewed-shard corpus
 // through segment splits: the winning docs need contributions from
 // low-bound filler terms, so a segment whose gather over-pruned would
 // corrupt scores. Bit-identity against the unpartitioned oracle is the
@@ -555,8 +555,8 @@ func TestSearcherConcurrent(t *testing.T) {
 
 // TestShardedSearcherConcurrent: one mmap-opened searcher over three
 // segments of four shards must serve goroutines concurrently with
-// bit-identical results (the prefault goroutines cross shard boundaries
-// here, and the pooled accumulator is reused across segments).
+// bit-identical results (the pooled accumulator is reused across
+// segments).
 func TestShardedSearcherConcurrent(t *testing.T) {
 	ix, tables := buildRandCorpus(t, 777, 50)
 	for _, c := range gridOf(t, splitTables(tables, 3, 777), []int{4}) {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // shard is one term-hash partition of a segment: a term table in
@@ -116,7 +115,7 @@ func freezeSegment(ix *Index, n int) *segment {
 		g := shardOfToken(tok, n)
 		byShard[g] = append(byShard[g], tok)
 	}
-	seg := &segment{numDocs: len(ix.ids), shards: make([]*shard, n), pruned: make([]atomic.Uint64, n)}
+	seg := &segment{numDocs: len(ix.ids), shards: make([]*shard, n)}
 	seg.idOffs, seg.idBlob = packStrings(ix.ids)
 	for g, names := range byShard {
 		seg.shards[g] = newShard(ix, names)
@@ -227,7 +226,7 @@ func writeSegment(dir string, seg *segment) error {
 	nShards := uint32(len(seg.shards))
 	err := writeFlatFile(filepath.Join(dir, DocsFileName), 0, kindDocs, 0, nShards,
 		uint64(seg.numDocs), 0, []section{
-			{secIDOffs, int64Bytes(seg.idOffs)},
+			{secIDOffs, rawBytes(seg.idOffs)},
 			{secIDBlob, seg.idBlob},
 		})
 	if err != nil {
@@ -235,25 +234,25 @@ func writeSegment(dir string, seg *segment) error {
 	}
 	for g, sh := range seg.shards {
 		secs := []section{
-			{secTermOffs, int64Bytes(sh.termOffs)},
+			{secTermOffs, rawBytes(sh.termOffs)},
 			{secTermBlob, sh.termBlob},
-			{secDF, int32Bytes(sh.df)},
+			{secDF, rawBytes(sh.df)},
 			// The idf-free best weight backs the corpus-global bounds.
-			{secBestWeight, float64Bytes(sh.bestW)},
+			{secBestWeight, rawBytes(sh.bestW)},
 		}
 		for f := 0; f < int(numFields); f++ {
 			secs = append(secs,
-				section{secFieldOff(f), int32Bytes(sh.off[f])},
-				section{secFieldDocs(f), int32Bytes(sh.docs[f])},
-				section{secFieldWts(f), float32Bytes(sh.wts[f])},
+				section{secFieldOff(f), rawBytes(sh.off[f])},
+				section{secFieldDocs(f), rawBytes(sh.docs[f])},
+				section{secFieldWts(f), rawBytes(sh.wts[f])},
 			)
 		}
 		for f := 0; f < int(numFields); f++ {
 			secs = append(secs,
-				section{secFieldBlkOff(f), int32Bytes(sh.blkOff[f])},
-				section{secFieldBlkMax(f), float32Bytes(sh.blkMax[f])},
-				section{secFieldBlkDoc(f), int32Bytes(sh.blkDoc[f])},
-				section{secFieldFieldMax(f), float32Bytes(sh.fieldMaxW[f])},
+				section{secFieldBlkOff(f), rawBytes(sh.blkOff[f])},
+				section{secFieldBlkMax(f), rawBytes(sh.blkMax[f])},
+				section{secFieldBlkDoc(f), rawBytes(sh.blkDoc[f])},
+				section{secFieldFieldMax(f), rawBytes(sh.fieldMaxW[f])},
 			)
 		}
 		err := writeFlatFile(filepath.Join(dir, shardFileName(g)), uint32(sh.blockSize), kindPostings,
@@ -293,7 +292,6 @@ func openSegment(dir string, noMmap bool) (*segment, error) {
 		return fail(err)
 	}
 	seg.shards = make([]*shard, nShards)
-	seg.pruned = make([]atomic.Uint64, nShards)
 	for g := 0; g < nShards; g++ {
 		pf, err := openFlatFile(filepath.Join(dir, shardFileName(g)), noMmap)
 		if err != nil {
@@ -332,18 +330,18 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 	if sh.termOffs, sh.termBlob, err = pf.stringsSec(secTermOffs, secTermBlob, sh.numTerms, "term"); err != nil {
 		return nil, err
 	}
-	if sh.df, err = pf.int32Sec(secDF, sh.numTerms); err != nil {
+	if sh.df, err = numSec[int32](pf, secDF, sh.numTerms); err != nil {
 		return nil, err
 	}
 	if _, ok := pf.secs[secBestWeight]; !ok {
 		return nil, fmt.Errorf("index open %s: postings file without the best-weight section (%d) predates this build's format; rebuild the directory with wwt-index",
 			pf.path, secBestWeight)
 	}
-	if sh.bestW, err = pf.float64Sec(secBestWeight, sh.numTerms); err != nil {
+	if sh.bestW, err = numSec[float64](pf, secBestWeight, sh.numTerms); err != nil {
 		return nil, err
 	}
 	for f := 0; f < int(numFields); f++ {
-		if sh.off[f], err = pf.int32Sec(secFieldOff(f), sh.numTerms+1); err != nil {
+		if sh.off[f], err = numSec[int32](pf, secFieldOff(f), sh.numTerms+1); err != nil {
 			return nil, err
 		}
 		// Every term's postings must slice inside the field's lists: the
@@ -359,10 +357,10 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 			}
 		}
 		count := int(off[sh.numTerms])
-		if sh.docs[f], err = pf.int32Sec(secFieldDocs(f), count); err != nil {
+		if sh.docs[f], err = numSec[int32](pf, secFieldDocs(f), count); err != nil {
 			return nil, err
 		}
-		if sh.wts[f], err = pf.float32Sec(secFieldWts(f), count); err != nil {
+		if sh.wts[f], err = numSec[float32](pf, secFieldWts(f), count); err != nil {
 			return nil, err
 		}
 	}
@@ -375,7 +373,7 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 	}
 	sh.blockSize = pf.blockSize
 	for f := 0; f < int(numFields); f++ {
-		if sh.blkOff[f], err = pf.int32Sec(secFieldBlkOff(f), sh.numTerms+1); err != nil {
+		if sh.blkOff[f], err = numSec[int32](pf, secFieldBlkOff(f), sh.numTerms+1); err != nil {
 			return nil, err
 		}
 		blk, off := sh.blkOff[f], sh.off[f]
@@ -388,44 +386,17 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 			}
 		}
 		nb := int(blk[sh.numTerms])
-		if sh.blkMax[f], err = pf.float32Sec(secFieldBlkMax(f), nb); err != nil {
+		if sh.blkMax[f], err = numSec[float32](pf, secFieldBlkMax(f), nb); err != nil {
 			return nil, err
 		}
-		if sh.blkDoc[f], err = pf.int32Sec(secFieldBlkDoc(f), nb); err != nil {
+		if sh.blkDoc[f], err = numSec[int32](pf, secFieldBlkDoc(f), nb); err != nil {
 			return nil, err
 		}
-		if sh.fieldMaxW[f], err = pf.float32Sec(secFieldFieldMax(f), sh.numTerms); err != nil {
+		if sh.fieldMaxW[f], err = numSec[float32](pf, secFieldFieldMax(f), sh.numTerms); err != nil {
 			return nil, err
 		}
 	}
 	return sh, nil
-}
-
-// prefetchSink defeats dead-code elimination of the page-prefault loads.
-var prefetchSink atomic.Uint64
-
-// prefault touches the posting pages (one load per 4KiB) of the refs homed
-// in the given shard of their segment, so cold pages of different shards
-// fault in concurrently instead of serially inside the gather loop.
-func prefault(refs []termRef, shard int32) {
-	var touch uint64
-	for _, r := range refs {
-		if r.shard != shard {
-			continue
-		}
-		for f := 0; f < int(numFields); f++ {
-			lo, hi := r.sh.off[f][r.tid], r.sh.off[f][r.tid+1]
-			for p := lo; p < hi; p += 1024 { // 1024 int32s per 4KiB page
-				touch += uint64(r.sh.docs[f][p]) + uint64(math.Float32bits(r.sh.wts[f][p]))
-			}
-			if hi > lo {
-				touch += uint64(r.sh.docs[f][hi-1])
-			}
-		}
-	}
-	if touch != 0 {
-		prefetchSink.Add(touch)
-	}
 }
 
 // termDocs returns the sorted, freshly allocated doc set (segment-local

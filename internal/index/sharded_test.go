@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -379,7 +380,7 @@ func withRetiredSections(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 	defer ff.Close()
-	df, bestW := viewInt32(ff.secs[secDF]), viewFloat64(ff.secs[secBestWeight])
+	df, bestW := view[int32](ff.secs[secDF]), view[float64](ff.secs[secBestWeight])
 	idf, maxScore := make([]float64, ff.numTerms), make([]float64, ff.numTerms)
 	for i := range idf {
 		idf[i] = smoothedIDF(int(ff.numDocs), int64(df[i]))
@@ -390,7 +391,7 @@ func withRetiredSections(t *testing.T, path string) {
 		id := binary.LittleEndian.Uint32(ff.data[flatHeaderSize+24*i:])
 		secs = append(secs, section{id, ff.secs[id]})
 		if id == secTermBlob {
-			secs = append(secs, section{5, float64Bytes(idf)}, section{6, float64Bytes(maxScore)})
+			secs = append(secs, section{5, rawBytes(idf)}, section{6, rawBytes(maxScore)})
 		}
 	}
 	if err := writeFlatFile(path, uint32(ff.blockSize), ff.kind, ff.shardIndex, ff.shardCount, ff.numDocs, ff.numTerms, secs); err != nil {
@@ -449,5 +450,46 @@ func TestRetiredSectionsIgnored(t *testing.T) {
 				t.Fatalf("TermStats(%q) = (%d,%d,%v), want (%d,%d,%v)", tok, gdf, gpost, gok, wdf, wpost, wok)
 			}
 		}
+	}
+}
+
+// TestBigEndianFallback runs the copy path big-endian hosts take, with
+// hostLittleEndian forced off: WriteDir must write byte-identical files
+// through rawBytes' encoder, and both open paths must decode them through
+// view into a searcher whose hits are bit-identical to the in-memory
+// freeze.
+func TestBigEndianFallback(t *testing.T) {
+	ix, tables := buildRandCorpus(t, 1729, 60)
+	le := t.TempDir()
+	if err := WriteDir(le, tables, 3); err != nil {
+		t.Fatal(err)
+	}
+	defer func(v bool) { hostLittleEndian = v }(hostLittleEndian)
+	hostLittleEndian = false
+	be := t.TempDir()
+	if err := WriteDir(be, tables, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{DocsFileName, shardFileName(0), shardFileName(1), shardFileName(2)} {
+		a, errA := os.ReadFile(filepath.Join(le, name))
+		b, errB := os.ReadFile(filepath.Join(be, name))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("%s: the encoded copy differs from the aliased bytes (%v, %v)", name, errA, errB)
+		}
+	}
+	want := NewSearcher(ix)
+	for _, noMmap := range []bool{false, true} {
+		s, err := openSharded(noMmap, be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(1730))
+		for qi := 0; qi < 25; qi++ {
+			q := randQuery(r)
+			for _, k := range []int{0, 1, 3, 17} {
+				sameHitsBitIdentical(t, want.Search(q, k), s.Search(q, k), fmt.Sprintf("noMmap=%v k=%d", noMmap, k))
+			}
+		}
+		s.Close()
 	}
 }

@@ -126,14 +126,9 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 	put("wwt_plan_calibrated", boolGauge(ps.Calibrated))
 	put("wwt_plan_queue_drain_seconds", fmt.Sprintf("%.3f", drain.Seconds()))
 	// Probe-pruning counters: blocks the block-max skip pruned vs
-	// considered, and shard scatters the floor-seeding pre-pass pruned —
-	// aggregate plus a per-shard breakdown.
+	// considered.
 	put("wwt_probe_blocks_skipped_total", ps.ProbeBlocksSkipped)
 	put("wwt_probe_blocks_total", ps.ProbeBlocksTotal)
-	put("wwt_probe_shards_pruned_total", ps.ProbeShardsPruned)
-	for i, n := range ps.ShardPrunes {
-		fmt.Fprintf(&b, "wwt_probe_shard_pruned_total{shard=\"%d\"} %d\n", i, n)
-	}
 	// Per-stage cumulative latency, in the pipeline's own stage order.
 	for _, s := range (wwt.Timings{}).Stages() {
 		fmt.Fprintf(&b, "wwt_stage_seconds_total{stage=%q} %.6f\n", s.Name, m.stage[s.Name].Seconds())

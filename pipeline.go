@@ -44,9 +44,8 @@ import (
 // on one generation serves the next after a swap; every stage resets what
 // it reuses, which keeps that bit-identical (TestHotSwapConcurrent).
 type QueryScratch struct {
-	tokens []string        // probe-1 query tokens
-	sample []string        // probe-2 token buffer (distinct from tokens: never aliased)
-	seen   map[string]bool // read-2 table dedup
+	tokens []string // probe-1 query tokens
+	sample []string // probe-2 token buffer (distinct from tokens: never aliased)
 
 	// Probe-2 row sampling: the generator, re-seeded per query, and
 	// sampleRows' output and displaced slots.
@@ -285,26 +284,30 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 func (e *Engine) normalizeCell(s string) []string { return e.norm.Normalize(s) }
 
 // stageRead2 merges the second-probe tables into the candidate list,
-// keeping first-probe order first and dropping duplicates.
-func (e *Engine) stageRead2(st *queryState, s *QueryScratch) (bool, error) {
+// keeping first-probe order first and dropping the tables probe 1 already
+// found. A generation's doc numbers and table IDs are both unique, so
+// matching doc numbers drops exactly the duplicate tables; each probe
+// returns at most ProbeK hits, so a linear scan does.
+func (e *Engine) stageRead2(st *queryState, _ *QueryScratch) (bool, error) {
 	if !st.probe2Fired {
 		return false, nil
 	}
-	if s.seen == nil {
-		s.seen = make(map[string]bool, 2*len(st.tables))
-	}
-	clear(s.seen)
-	seen := s.seen
-	for _, t := range st.tables {
-		seen[t.ID] = true
-	}
-	for _, t := range st.g.readTables(st.hits2) {
-		if !seen[t.ID] {
-			seen[t.ID] = true
-			st.tables = append(st.tables, t)
+	for _, h := range st.hits2 {
+		if !hasDoc(st.hits1, h.Doc) {
+			st.tables = append(st.tables, st.g.tables[h.Doc])
 		}
 	}
 	return true, nil
+}
+
+// hasDoc reports whether hits holds a hit on global doc number doc.
+func hasDoc(hits []index.Hit, doc int32) bool {
+	for _, h := range hits {
+		if h.Doc == doc {
+			return true
+		}
+	}
+	return false
 }
 
 // stageColumnMap assembles the §3 graphical model over the candidate set:

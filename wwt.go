@@ -190,12 +190,11 @@ type Engine struct {
 	// that never changes an answer.
 	planner *plan.Estimator
 
-	// Probe-pruning counters: cumulative block-max and shard-pruning
-	// outcomes across every index probe this engine ran (both pipeline
-	// probes; see index.ProbeStats). Exported through PlanStats.
+	// Probe-pruning counters: cumulative block-max outcomes across every
+	// index probe this engine ran (both pipeline probes; see
+	// index.ProbeStats). Exported through PlanStats.
 	probeBlocksTotal   atomic.Int64
 	probeBlocksSkipped atomic.Int64
-	probeShardsPruned  atomic.Uint64
 
 	cur atomic.Pointer[generation]
 
@@ -318,13 +317,12 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// search runs one index probe. Its skip/prune counters are folded into the
+// search runs one index probe. Its skip counters are folded into the
 // engine totals and returned for the planner's scanned-postings feature.
 func (e *Engine) search(s *index.Searcher, tokens []string, k int) ([]index.Hit, index.ProbeStats) {
 	hits, st := s.SearchStats(tokens, k)
 	e.probeBlocksTotal.Add(st.BlocksTotal)
 	e.probeBlocksSkipped.Add(st.BlocksSkipped)
-	e.probeShardsPruned.Add(uint64(st.ShardsPruned))
 	return hits, st
 }
 
@@ -384,8 +382,7 @@ func (e *Engine) CacheStats() EngineCacheStats {
 
 // PlanStats is a point-in-time snapshot of how well the cost model
 // predicts and of the probe-pruning counters. Every counter is cumulative
-// over the engine's lifetime except ShardPrunes, which belongs to the
-// current generation's searcher and restarts at every swap.
+// over the engine's lifetime.
 type PlanStats struct {
 	// CostError is the decayed mean relative error of the cost model's
 	// own predictions (|estimated−actual|/actual; 0 until calibrated).
@@ -397,11 +394,11 @@ type PlanStats struct {
 	// block-max skip pruned vs considered across every index probe.
 	ProbeBlocksSkipped uint64
 	ProbeBlocksTotal   uint64
-	// ProbeShardsPruned counts shard scatters the floor-seeding pre-pass
-	// pruned; ShardPrunes breaks the same counter down per index shard,
-	// in segment order.
+	// ProbeShardsPruned is always zero: a probe scores every involved
+	// shard, so no shard is ever pruned. The field survives only because
+	// the benchmark's traced pass (bench/layers.go) reads it, and the
+	// benchmark is edited only in PRs of its own.
 	ProbeShardsPruned uint64
-	ShardPrunes       []uint64
 }
 
 // PlanStats snapshots the cost-model quality and probe counters. Safe for
@@ -412,8 +409,6 @@ func (e *Engine) PlanStats() PlanStats {
 		Calibrated:         e.planner.Calibrated(int(inference.TableCentric)),
 		ProbeBlocksSkipped: uint64(e.probeBlocksSkipped.Load()),
 		ProbeBlocksTotal:   uint64(e.probeBlocksTotal.Load()),
-		ProbeShardsPruned:  e.probeShardsPruned.Load(),
-		ShardPrunes:        e.cur.Load().searcher.ShardPruneCounts(),
 	}
 }
 
