@@ -21,6 +21,7 @@ import (
 	"wwt/internal/core"
 	"wwt/internal/corpusgen"
 	"wwt/internal/extract"
+	"wwt/internal/index"
 	"wwt/internal/inference"
 	"wwt/internal/text"
 	"wwt/internal/workload"
@@ -200,6 +201,55 @@ func BenchmarkFig7QueryPipelinePooled(b *testing.B) {
 		}
 		res.Release()
 	}
+}
+
+// BenchmarkLiveQueryPipeline is BenchmarkFig7QueryPipelinePooled on a
+// live engine whose index is split into segments, as a daemon's is after
+// ingests: the corpus minus 15 tables is written as the base index, and
+// the 15 go in one table per ingest, each ingest drained of its merges.
+// The tier merges leave base + 3 merged + 3 one-table segments, so every
+// per-segment cost of a query (its probes, its IDF lookups) is paid 7
+// times where the in-memory engine pays it once.
+func BenchmarkLiveQueryPipeline(b *testing.B) {
+	w := getWorld(b)
+	const ingested = 15
+	base, held := w.tables[:len(w.tables)-ingested], w.tables[len(w.tables)-ingested:]
+	dir := b.TempDir()
+	if err := index.WriteDir(dir, base, 1); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := wwt.OpenLive(dir, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	for _, t := range held {
+		if _, err := eng.IngestTables([]*wtable.Table{t}); err != nil {
+			b.Fatal(err)
+		}
+		eng.WaitMerges()
+	}
+	segments := eng.Info().Segments
+	if segments < 4 {
+		b.Fatalf("%d segments after the ingests, want at least 4", segments)
+	}
+	for _, q := range w.queries {
+		res, err := eng.Answer(wwt.Query{Columns: q.Columns})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Release()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := w.queries[i%len(w.queries)]
+		res, err := eng.Answer(wwt.Query{Columns: q.Columns})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Release()
+	}
+	b.ReportMetric(float64(segments), "segments")
 }
 
 // BenchmarkFig8Segmentation and BenchmarkFig8Unsegmented compare the cost

@@ -38,13 +38,15 @@ type Answer struct {
 }
 
 // Scratch is the reusable working state of one consolidation: the exact
-// and fuzzy key indexes, the per-table column mapping and the cell IDs of
-// the answer rows. Only the returned Answer survives a call (it is always
-// freshly allocated), so a Scratch may be reused as soon as Consolidate
-// returns. The zero value is ready to use.
+// and fuzzy key indexes, the table IDs merged so far, the per-table
+// column mapping and the cell IDs of the answer rows. Only the returned
+// Answer survives a call (it is always freshly allocated), so a Scratch
+// may be reused as soon as Consolidate returns. The zero value is ready
+// to use.
 type Scratch struct {
-	exact  map[uint32]int // key cell ID -> answer row
-	keys   [][]uint32     // answer row -> its key's token set (interner-owned)
+	exact  map[uint32]int      // key cell ID -> answer row
+	merged map[string]struct{} // the IDs of the tables merged so far
+	keys   [][]uint32          // answer row -> its key's token set (interner-owned)
 	colFor []int
 	ids    []uint32 // the cell IDs of the row being read
 	rowIDs []uint32 // answer row i's cell IDs at [i*q, (i+1)*q)
@@ -61,9 +63,10 @@ func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []fl
 		s = &Scratch{}
 	}
 	if s.exact == nil {
-		s.exact = make(map[uint32]int)
+		s.exact, s.merged = make(map[uint32]int), make(map[string]struct{})
 	}
 	clear(s.exact)
+	clear(s.merged)
 	ans := &Answer{NumCols: q}
 	exact, keys, rowIDs := s.exact, s.keys[:0], s.rowIDs[:0]
 	s.colFor, s.ids = slicex.Grow(s.colFor, q), slicex.Grow(s.ids, q)
@@ -81,6 +84,10 @@ func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []fl
 			continue // no key column mapped; nothing to anchor rows on
 		}
 		tb := v.Table
+		// A row counts this table iff its last source is tb.ID, unless an
+		// earlier table had the same ID (see the package doc).
+		_, repeated := s.merged[tb.ID]
+		s.merged[tb.ID] = struct{}{}
 		ans.Sources = append(ans.Sources, tb.ID)
 		rel := 1.0
 		if relevance != nil && ti < len(relevance) {
@@ -112,7 +119,11 @@ func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []fl
 						row.Cells[ell], known[ell] = tb.Body(r, c), ids[ell]
 					}
 				}
-				if !slices.Contains(row.Sources, tb.ID) { // support counts tables
+				counted := row.Sources[len(row.Sources)-1] == tb.ID
+				if !counted && repeated {
+					counted = slices.Contains(row.Sources, tb.ID)
+				}
+				if !counted { // support counts distinct table IDs
 					row.Sources = append(row.Sources, tb.ID)
 					row.Support++
 					row.Score += rel

@@ -10,6 +10,15 @@
 // compares those IDs, and fuzzy key matching and row compatibility take
 // the Jaccard of those token sets, so no cell is normalized per query.
 //
+// A row's support counts the distinct table IDs among the tables merged
+// into it, in table order; its Sources list them in that order. Tables
+// are read one at a time and only the table being read appends to a
+// row's sources, so the row already counts that table exactly when its
+// last source is the table's ID. The one exception is a table whose ID
+// an earlier table also carried (one source extracted twice, as the
+// oracle's worlds draw): the scratch records the IDs merged so far, and
+// for such a table the whole source list is searched.
+//
 // # Ownership and concurrency contracts
 //
 // Consolidate reads its inputs (views, labeling, relevance scores)

@@ -239,6 +239,29 @@ func TestConsolidateMatchesOracleQuick(t *testing.T) {
 	}
 }
 
+// TestConsolidateRepeatedSourceIDs replays the oracle world of seed
+// 2101127179483521383: five relevant tables with IDs t0 t1 t3 t0 t1 and
+// KeyJaccard 0, so every key merges into the first row. Its support
+// counts the three distinct IDs; a check of only a row's last source
+// counts the second t0 and t1 again, for 5.
+func TestConsolidateRepeatedSourceIDs(t *testing.T) {
+	const seed = 2101127179483521383
+	q, tables, l, rel, opts := randOracleWorld(rand.New(rand.NewSource(seed)))
+	want := consolidateRef(q, tables, l, rel, opts)
+	if !reflect.DeepEqual(want.Sources, []string{"t0", "t1", "t3", "t0", "t1"}) {
+		t.Fatalf("seed %d draws sources %v, want t0 t1 t3 t0 t1: the world no longer repeats IDs", seed, want.Sources)
+	}
+	if top := want.Rows[0]; top.Support != 3 || !reflect.DeepEqual(top.Sources, []string{"t0", "t1", "t3"}) {
+		t.Fatalf("oracle's top row %+v, want support 3 from t0 t1 t3", top)
+	}
+	var reused Scratch
+	for _, s := range []*Scratch{nil, &reused, &reused} {
+		if got := Consolidate(q, viewsOf(tables...), l, rel, opts, s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("got %+v\nwant %+v", got, want)
+		}
+	}
+}
+
 // FuzzConsolidateOracle checks Consolidate, which matches cells on the
 // views' interned IDs, against consolidateRef, which analyzes their
 // strings. seed draws a world the way TestConsolidateMatchesOracleQuick
@@ -252,6 +275,7 @@ func FuzzConsolidateOracle(f *testing.F) {
 	f.Add(int64(1), "")
 	f.Add(int64(7), "Straße|STRASSE|İstanbul|istanbul|42nd|running runner")
 	f.Add(int64(2012), "a|the a|  |x y x|y x|Y-X")
+	f.Add(int64(2101127179483521383), "") // TestConsolidateRepeatedSourceIDs
 	var reused Scratch
 	f.Fuzz(func(t *testing.T, seed int64, cells string) {
 		r := rand.New(rand.NewSource(seed))

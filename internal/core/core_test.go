@@ -47,8 +47,10 @@ func view(t *wtable.Table) *TableView {
 // does: header weights under constStats, query tokens looked up in v's
 // interner.
 func scores(qc *QueryColumn, v *TableView, c int, p Params) (segSim, cover float64) {
+	var idf idfMemo
+	idf.reset(constStats{})
 	var hw headerWeights
-	hw.weigh(v, constStats{})
+	hw.weigh(v, &idf)
 	ids := make([]uint32, len(qc.Tokens))
 	v.lookupIDs(qc.Tokens, ids)
 	return segScores(qc, ids, v, &hw, c, p)

@@ -27,7 +27,13 @@
 // statistics: each build weighs the header tokens of its tables under its
 // own CorpusStats, in its scratch, so a cached view serves every
 // generation of a live engine. The cache retains every table it has
-// analyzed for its lifetime.
+// analyzed for its lifetime. Every IDF a build reads — its query's and
+// its tables' header tokens', the tables Extend adds included — goes
+// through a memo in its scratch that BuildTables empties and binds to the
+// build's CorpusStats, so each distinct token reaches the statistics
+// (one lookup per live segment, on the index) once per build. The memo
+// is per-build arena state, not a cross-query cache: no IDF outlives the
+// build whose pinned generation it was read under.
 //
 // The content-overlap edges are computed per build, in the build's own
 // arena: no pair similarity outlives the query that computed it. One pass

@@ -217,7 +217,10 @@ func headerView(cells [][][]string) *TableView {
 // FuzzHeaderWeights checks the per-build header weights, and segScores
 // over them with Unsegmented off and on, against the map-based header
 // vectors bit for bit, over random header token lists with repeats,
-// random IDF tables and random queries.
+// random IDF tables and random queries. Like a build, it analyzes the
+// query and weighs two views, one after the other, through one IDF memo
+// and one reused headerWeights, so the second view reads IDFs the query
+// and the first view resolved.
 func FuzzHeaderWeights(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 2, 3, 0, 0, 1, 4, 1, 1, 2, 0, 0, 9, 200, 31, 7, 3, 0, 1, 0, 2})
@@ -236,52 +239,56 @@ func FuzzHeaderWeights(f *testing.F) {
 				stats[w] = float64(1+src.next(256)) / float64(1+src.next(97)) * math.Pi
 			}
 		}
-		rows, cols := 1+src.next(3), 1+src.next(3)
-		cells := make([][][]string, rows)
-		for r := range cells {
-			cells[r] = make([][]string, cols)
-			for c := range cells[r] {
-				for k := src.next(5); k > 0; k-- {
-					cells[r][c] = append(cells[r][c], fuzzVocab[src.next(len(fuzzVocab))])
-				}
-			}
-		}
-		v := headerView(cells)
+		var memo idfMemo
+		memo.reset(stats)
 		qc := QueryColumn{}
 		for k := 1 + src.next(5); k > 0; k-- {
 			w := fuzzVocab[src.next(len(fuzzVocab))]
-			ti := stats.IDF(w)
+			ti := memo.IDF(w)
 			qc.Tokens = append(qc.Tokens, w)
 			qc.TI2 = append(qc.TI2, ti*ti)
 			qc.NormSq += ti * ti
 		}
-		ids := make([]uint32, len(qc.Tokens))
-		v.lookupIDs(qc.Tokens, ids)
-
 		var hw headerWeights
-		hw.weigh(v, stats)
-		vecs, norms := oracleHeaderVecs(v, stats)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if got, want := hw.norm[r*cols+c], norms[r][c]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("cell (%d,%d) %v: norm %v, oracle %v", r, c, cells[r][c], got, want)
-				}
-				for _, w := range cells[r][c] {
-					if got, _ := hw.weight(v, r, c, w); math.Float64bits(got) != math.Float64bits(vecs[r][c][w]) {
-						t.Fatalf("cell (%d,%d) %v: weight of %q %v, oracle %v", r, c, cells[r][c], w, got, vecs[r][c][w])
+		for view := 0; view < 2; view++ {
+			rows, cols := 1+src.next(3), 1+src.next(3)
+			cells := make([][][]string, rows)
+			for r := range cells {
+				cells[r] = make([][]string, cols)
+				for c := range cells[r] {
+					for k := src.next(5); k > 0; k-- {
+						cells[r][c] = append(cells[r][c], fuzzVocab[src.next(len(fuzzVocab))])
 					}
 				}
 			}
-		}
-		for _, unseg := range []bool{false, true} {
-			p := DefaultParams()
-			p.Unsegmented = unseg
-			for c := 0; c < cols; c++ {
-				seg, cov := segScores(&qc, ids, v, &hw, c, p)
-				wseg, wcov := oracleSegScores(&qc, ids, v, vecs, norms, c, p)
-				if math.Float64bits(seg) != math.Float64bits(wseg) || math.Float64bits(cov) != math.Float64bits(wcov) {
-					t.Fatalf("unsegmented=%v column %d, query %v, header %v: (%v, %v), oracle (%v, %v)",
-						unseg, c, qc.Tokens, cells, seg, cov, wseg, wcov)
+			v := headerView(cells)
+			ids := make([]uint32, len(qc.Tokens))
+			v.lookupIDs(qc.Tokens, ids)
+
+			hw.weigh(v, &memo)
+			vecs, norms := oracleHeaderVecs(v, stats)
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					if got, want := hw.norm[r*cols+c], norms[r][c]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("view %d cell (%d,%d) %v: norm %v, oracle %v", view, r, c, cells[r][c], got, want)
+					}
+					for _, w := range cells[r][c] {
+						if got, _ := hw.weight(v, r, c, w); math.Float64bits(got) != math.Float64bits(vecs[r][c][w]) {
+							t.Fatalf("view %d cell (%d,%d) %v: weight of %q %v, oracle %v", view, r, c, cells[r][c], w, got, vecs[r][c][w])
+						}
+					}
+				}
+			}
+			for _, unseg := range []bool{false, true} {
+				p := DefaultParams()
+				p.Unsegmented = unseg
+				for c := 0; c < cols; c++ {
+					seg, cov := segScores(&qc, ids, v, &hw, c, p)
+					wseg, wcov := oracleSegScores(&qc, ids, v, vecs, norms, c, p)
+					if math.Float64bits(seg) != math.Float64bits(wseg) || math.Float64bits(cov) != math.Float64bits(wcov) {
+						t.Fatalf("view %d unsegmented=%v column %d, query %v, header %v: (%v, %v), oracle (%v, %v)",
+							view, unseg, c, qc.Tokens, cells, seg, cov, wseg, wcov)
+					}
 				}
 			}
 		}

@@ -123,9 +123,12 @@ func (b *Builder) BuildWith(queryCols []string, tables []*wtable.Table, s *Build
 // s, adds tables and builds the edge set. The model aliases s exactly as
 // BuildWith's does.
 func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *BuildScratch) *Model {
+	// The query's IDFs and every header's, Extend's tables included, go
+	// through the memo: each distinct token reaches b.Stats once.
+	s.idf.reset(b.Stats)
 	m := &Model{
 		Params: b.Params,
-		Q:      AnalyzeQuery(queryCols, b.Stats),
+		Q:      AnalyzeQuery(queryCols, &s.idf),
 		NumQ:   len(queryCols),
 	}
 	// Precompute H(Qℓ) doc sets once per query column for PMI². The sets
@@ -154,7 +157,9 @@ func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *Bui
 // is positional and independent of the other tables, and only the edges
 // depend on the whole set, so the result is identical to BuildWith over
 // the concatenated table list. The grids grow in place, so the model keeps
-// aliasing s.
+// aliasing s, and the added tables' headers are weighed through the IDF
+// memo BuildTables bound to its builder's statistics: Extend does not
+// read b.Stats.
 func (m *Model) Extend(b *Builder, added []*wtable.Table, s *BuildScratch) {
 	m.addTables(b, added, s)
 	m.buildRawEdges(s)
@@ -209,7 +214,7 @@ func (m *Model) addTables(b *Builder, added []*wtable.Table, s *BuildScratch) {
 		// The view carries no corpus statistics: weigh its header under
 		// this build's, and resolve the query tokens in its interner. The
 		// view is fully built, so every token it holds is interned already.
-		s.hdr.weigh(v, b.Stats)
+		s.hdr.weigh(v, &s.idf)
 		s.qids = slicex.Grow(s.qids, q)
 		for ell := range m.Q {
 			s.qids[ell] = slicex.Grow(s.qids[ell], len(m.Q[ell].Tokens))

@@ -18,7 +18,10 @@ import "wwt/internal/graph"
 // cache (ViewCache) — caches may only hold their own allocations; the
 // reverse (read-only slices owned elsewhere referenced from scratch
 // fields, e.g. the PMISource's H(Qℓ) doc sets) is fine because the
-// scratch never writes through them.
+// scratch never writes through them. The IDF memo is arena state like
+// the rest: BuildTables empties it and binds it to the build's
+// CorpusStats, Extend reads through it under the same pinned statistics,
+// and no IDF it holds outlives the build.
 //
 // The edge pass first counts the shared cells of every cross-table column
 // pair once: it sorts one (cell ID, column) entry per body cell into
@@ -55,6 +58,8 @@ type BuildScratch struct {
 	confTab [][]float64
 
 	rel []float64
+
+	idf idfMemo // every IDF the build reads
 
 	// Per-table state, overwritten for each table: its header weights
 	// under the build's statistics and the query tokens' IDs in its

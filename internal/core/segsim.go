@@ -17,25 +17,62 @@ import (
 // B — each with its own reliability p_i. A token matching several parts
 // scores the soft-max 1 - Π(1 - p_i).
 
+// idfMemo is a build's view of its corpus statistics: it resolves each
+// distinct token through the bound CorpusStats once and answers every
+// later lookup of the token from its map. A token's IDF is one number
+// per generation, and the query analysis and every candidate table's
+// header cells ask for the same few tokens, so a build pays one
+// statistics lookup (one per live segment, on the index) per distinct
+// token instead of one per (table, header cell) occurrence. The memo is
+// arena state, not a cache: reset clears it at the start of every build,
+// so it never outlives the build's pinned statistics, and a warm arena
+// keeps its map's storage.
+type idfMemo struct {
+	stats CorpusStats
+	idf   map[string]float64
+}
+
+// reset empties the memo and binds it to stats.
+func (m *idfMemo) reset(stats CorpusStats) {
+	if m.idf == nil {
+		m.idf = make(map[string]float64)
+	}
+	clear(m.idf)
+	m.stats = stats
+}
+
+// IDF returns the bound statistics' IDF of tok, looking it up there only
+// on the token's first request since reset.
+func (m *idfMemo) IDF(tok string) float64 {
+	x, ok := m.idf[tok]
+	if !ok {
+		x = m.stats.IDF(tok)
+		m.idf[tok] = x
+	}
+	return x
+}
+
 // headerWeights is the per-build half of a view's header analysis: the
 // TF-IDF weight of every header token within its cell and every header
 // cell's L2 norm, under the build's corpus statistics — the only corpus
 // statistics a table's analysis reads (inSim's cosine, §3.2.1). Keeping
 // them out of the view is what lets one cached view serve every
-// generation. A build computes them per table into its scratch, so a
-// warm scratch weighs a table without allocating.
+// generation. A build computes them per table into its scratch, reading
+// every IDF through the build's memo, so a warm scratch weighs a table
+// without allocating and without a statistics lookup for a token an
+// earlier table or the query already resolved.
 type headerWeights struct {
 	w    []float64 // w[i]: the weight of hdrToks[i]'s token in its cell
 	norm []float64 // norm[r*NumCols+c]: L2 norm of header cell (r, c)
 }
 
-// weigh fills hw for view v under stats. A token's weight is its IDF
-// added once per occurrence in the cell, and a cell's norm sums the
-// squared weights in first-occurrence order: the same additions in the
-// same order as a per-cell TF-IDF map built token by token, so every
-// float is bit-identical to it (FuzzHeaderWeights keeps that map as the
-// oracle).
-func (hw *headerWeights) weigh(v *TableView, stats CorpusStats) {
+// weigh fills hw for view v under the statistics memo is bound to. A
+// token's weight is its IDF added once per occurrence in the cell, and a
+// cell's norm sums the squared weights in first-occurrence order: the
+// same additions in the same order as a per-cell TF-IDF map built token
+// by token, so every float is bit-identical to it (FuzzHeaderWeights
+// keeps that map as the oracle).
+func (hw *headerWeights) weigh(v *TableView, memo *idfMemo) {
 	hw.w = slicex.Grow(hw.w, len(v.hdrToks))
 	hw.norm = slicex.Grow(hw.norm, len(v.hdrOff)-1)
 	for cell := range hw.norm {
@@ -47,7 +84,7 @@ func (hw *headerWeights) weigh(v *TableView, stats CorpusStats) {
 				hw.w[lo+i] = hw.w[lo+j]
 				continue
 			}
-			idf := stats.IDF(w)
+			idf := memo.IDF(w)
 			var x float64
 			for _, u := range toks[i:] {
 				if u == w {

@@ -229,12 +229,18 @@ func (s *Searcher) TermStats(tok string) (df int32, postings int, ok bool) {
 }
 
 // IDF returns the smoothed corpus-global inverse document frequency of a
-// token (unknown tokens have df 0).
+// token (unknown tokens have df 0). It sums only the segments' dfs, not
+// the posting counts TermStats adds for the cost model.
 func (s *Searcher) IDF(tok string) float64 {
 	if s.numDocs == 0 {
 		return 1
 	}
-	df, _, _ := s.TermStats(tok)
+	var df int32
+	for _, seg := range s.segs {
+		if sh, tid, found := seg.find(tok); found {
+			df += sh.df[tid]
+		}
+	}
 	return smoothedIDF(s.numDocs, int64(df))
 }
 

@@ -265,8 +265,9 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 			take = rows
 		}
 		s.rows = sampleRows(s.rng, tb.NumBodyRows(), take, s.rows, s.displaced)
+		cols := tb.NumCols() // a scan of the table's rows
 		for _, r := range s.rows {
-			for c := 0; c < tb.NumCols(); c++ {
+			for c := 0; c < cols; c++ {
 				sample = append(sample, e.normalizeCell(tb.Body(r, c))...)
 			}
 		}
