@@ -39,10 +39,10 @@ type Answer struct {
 
 // Scratch is the reusable working state of one consolidation: the exact
 // and fuzzy key indexes, the table IDs merged so far, the per-table
-// column mapping and the cell IDs of the answer rows. Only the returned
-// Answer survives a call (it is always freshly allocated), so a Scratch
-// may be reused as soon as Consolidate returns. The zero value is ready
-// to use.
+// column mapping, the cell IDs of the answer rows and the chains of their
+// sources. Only the returned Answer survives a call (it is always freshly
+// allocated), so a Scratch may be reused as soon as Consolidate returns.
+// The zero value is ready to use.
 type Scratch struct {
 	exact  map[uint32]int      // key cell ID -> answer row
 	merged map[string]struct{} // the IDs of the tables merged so far
@@ -50,6 +50,12 @@ type Scratch struct {
 	colFor []int
 	ids    []uint32 // the cell IDs of the row being read
 	rowIDs []uint32 // answer row i's cell IDs at [i*q, (i+1)*q)
+
+	// Every answer row's sources, as chains through one list in joining
+	// order; the Answer's rows get them as cuts of one exact-size backing.
+	srcID   []string // table IDs
+	srcPrev []int32  // index of the same row's previous source, -1 for its first
+	srcLast []int32  // answer row -> index of its latest source
 }
 
 // Consolidate merges the rows of all tables marked relevant by the
@@ -69,9 +75,22 @@ func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []fl
 	clear(s.merged)
 	ans := &Answer{NumCols: q}
 	exact, keys, rowIDs := s.exact, s.keys[:0], s.rowIDs[:0]
+	srcID, srcPrev, srcLast := s.srcID[:0], s.srcPrev[:0], s.srcLast[:0]
 	s.colFor, s.ids = slicex.Grow(s.colFor, q), slicex.Grow(s.ids, q)
 	colFor, ids := s.colFor, s.ids
-	defer func() { s.keys, s.rowIDs = keys, rowIDs }()
+	defer func() {
+		s.keys, s.rowIDs = keys, rowIDs
+		s.srcID, s.srcPrev, s.srcLast = srcID, srcPrev, srcLast
+	}()
+	// hasSource reports whether answer row i already lists table id.
+	hasSource := func(i int, id string) bool {
+		for j := srcLast[i]; j >= 0; j = srcPrev[j] {
+			if srcID[j] == id {
+				return true
+			}
+		}
+		return false
+	}
 
 	for ti, v := range views {
 		if ti >= len(l.Y) || !l.Relevant(ti) {
@@ -119,12 +138,13 @@ func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []fl
 						row.Cells[ell], known[ell] = tb.Body(r, c), ids[ell]
 					}
 				}
-				counted := row.Sources[len(row.Sources)-1] == tb.ID
+				counted := srcID[srcLast[target]] == tb.ID
 				if !counted && repeated {
-					counted = slices.Contains(row.Sources, tb.ID)
+					counted = hasSource(target, tb.ID)
 				}
 				if !counted { // support counts distinct table IDs
-					row.Sources = append(row.Sources, tb.ID)
+					srcID, srcPrev = append(srcID, tb.ID), append(srcPrev, srcLast[target])
+					srcLast[target] = int32(len(srcID) - 1)
 					row.Support++
 					row.Score += rel
 				}
@@ -136,11 +156,25 @@ func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []fl
 					cells[ell] = tb.Body(r, c)
 				}
 			}
-			ans.Rows = append(ans.Rows, Row{Cells: cells, Support: 1, Sources: []string{tb.ID}, Score: rel})
+			ans.Rows = append(ans.Rows, Row{Cells: cells, Support: 1, Score: rel})
+			srcLast = append(srcLast, int32(len(srcID)))
+			srcID, srcPrev = append(srcID, tb.ID), append(srcPrev, -1)
 			rowIDs = append(rowIDs, ids...)
 			exact[key] = len(ans.Rows) - 1
 			keys = append(keys, v.CellTokens(key))
 		}
+	}
+	// Support counts a row's sources, so the chains fill the backing
+	// exactly; each row's cut is capped so nothing appends across rows.
+	back, off := make([]string, len(srcID)), 0
+	for i := range ans.Rows {
+		n := ans.Rows[i].Support
+		src := back[off : off+n : off+n]
+		for j, k := srcLast[i], n-1; j >= 0; j, k = srcPrev[j], k-1 {
+			src[k] = srcID[j]
+		}
+		ans.Rows[i].Sources = src
+		off += n
 	}
 	rankRows(ans)
 	if opts.MaxRows > 0 && len(ans.Rows) > opts.MaxRows {

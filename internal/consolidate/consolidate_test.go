@@ -176,3 +176,41 @@ func TestRankingPrefersRelevanceOnTie(t *testing.T) {
 		t.Errorf("higher-relevance source should rank first: %v", ans.Rows)
 	}
 }
+
+// TestSourcesExactSize: every row's Sources lists its tables in merge
+// order at exactly its support, and is capped so that an append to one
+// row's list can never write into another's.
+func TestSourcesExactSize(t *testing.T) {
+	a := table("a", [][]string{{"Oslo", "Norway"}, {"Lima", "Peru"}})
+	b := table("b", [][]string{{"Oslo", "Norway"}, {"Quito", "Ecuador"}})
+	c := table("c", [][]string{{"Lima", "Peru"}, {"Oslo", "Norway"}})
+	l := core.Labeling{Q: 2, Y: [][]int{{0, 1}, {0, 1}, {0, 1}}}
+	ans := Consolidate(2, viewsOf(a, b, c), l, nil, NewOptions(), &Scratch{})
+	want := map[string][]string{"Oslo": {"a", "b", "c"}, "Lima": {"a", "c"}, "Quito": {"b"}}
+	if len(ans.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(ans.Rows), len(want))
+	}
+	for _, r := range ans.Rows {
+		w := want[r.Cells[0]]
+		if len(r.Sources) != len(w) || r.Support != len(w) || cap(r.Sources) != len(r.Sources) {
+			t.Fatalf("row %q: sources %v (cap %d), support %d, want %v", r.Cells[0], r.Sources, cap(r.Sources), r.Support, w)
+		}
+		for i := range w {
+			if r.Sources[i] != w[i] {
+				t.Fatalf("row %q: sources %v, want %v", r.Cells[0], r.Sources, w)
+			}
+		}
+	}
+	before := make([][]string, len(ans.Rows))
+	for i, r := range ans.Rows {
+		before[i] = append([]string(nil), r.Sources...)
+	}
+	_ = append(ans.Rows[0].Sources, "x")
+	for i, r := range ans.Rows {
+		for j := range r.Sources {
+			if r.Sources[j] != before[i][j] {
+				t.Fatalf("an append to row 0's sources changed row %d: %v", i, r.Sources)
+			}
+		}
+	}
+}

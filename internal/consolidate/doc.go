@@ -17,17 +17,20 @@
 // last source is the table's ID. The one exception is a table whose ID
 // an earlier table also carried (one source extracted twice, as the
 // oracle's worlds draw): the scratch records the IDs merged so far, and
-// for such a table the whole source list is searched.
+// for such a table the whole source list is searched. While rows merge,
+// their sources are chains through one scratch list; once merging ends,
+// every row's Sources is cut, at its exact size, from one backing array
+// per Answer.
 //
 // # Ownership and concurrency contracts
 //
 // Consolidate reads its inputs (views, labeling, relevance scores)
 // without mutating them, and the returned Answer owns all of its storage —
-// rows, cells and source lists are freshly allocated, so an Answer
-// outlives any scratch or model it was derived from. A caller-owned
-// Scratch (key indexes, the row being assembled and the answer rows' cell
-// IDs) is reused across calls: one consolidation owns the arena at a time,
-// and only the arena is reused — the Answer it returns still owns its
-// storage. The token sets the scratch refers to belong to the interner and
+// rows, cells and the sources' backing are freshly allocated, so an
+// Answer outlives any scratch or model it was derived from. A
+// caller-owned Scratch (key indexes, the row being assembled, the answer
+// rows' cell IDs and source chains) is reused across calls: one
+// consolidation owns the arena at a time, and only the arena is reused —
+// the Answer it returns still owns its storage. The token sets the scratch refers to belong to the interner and
 // are never written.
 package consolidate

@@ -47,7 +47,7 @@ func Document(url string, doc *htmlx.Node, opts Options) []*wtable.Table {
 	}
 	var out []*wtable.Table
 	for i, tnode := range doc.Find("table") {
-		raw := rawRows(tnode)
+		raw, cues := rawRows(tnode)
 		if !isDataTable(raw, tnode, opts) {
 			continue
 		}
@@ -56,7 +56,7 @@ func Document(url string, doc *htmlx.Node, opts Options) []*wtable.Table {
 			URL:       url,
 			PageTitle: pageTitle,
 		}
-		classifyRows(raw, tb)
+		classifyRows(raw, cues, tb)
 		if len(tb.BodyRows) == 0 {
 			continue
 		}
@@ -69,23 +69,44 @@ func Document(url string, doc *htmlx.Node, opts Options) []*wtable.Table {
 	return out
 }
 
+// rowCue is one raw row's layout cue for the header detector (§2.1.1):
+// the first non-empty background colour and CSS class among its cells.
+// It lives beside the raw rows only while a table is classified.
+type rowCue struct {
+	bg, class string
+}
+
 // rawRows materializes the rows of a table element, skipping rows belonging
-// to nested tables, and capturing per-cell formatting markers.
-func rawRows(tnode *htmlx.Node) []wtable.Row {
-	var rows []wtable.Row
+// to nested tables, capturing per-cell formatting markers and, per row,
+// its layout cue.
+func rawRows(tnode *htmlx.Node) ([]wtable.Row, []rowCue) {
+	var (
+		rows []wtable.Row
+		cues []rowCue
+	)
 	for _, tr := range tnode.Find("tr") {
 		if nestedIn(tr, tnode) {
 			continue
 		}
-		var row wtable.Row
+		var (
+			row wtable.Row
+			cue rowCue
+		)
 		for _, cellNode := range cellsOf(tr) {
 			row.Cells = append(row.Cells, makeCell(cellNode))
+			if cue.bg == "" {
+				cue.bg = styleColor(cellNode)
+			}
+			if cue.class == "" {
+				cue.class = cellNode.Attr("class")
+			}
 		}
 		if len(row.Cells) > 0 {
 			rows = append(rows, row)
+			cues = append(cues, cue)
 		}
 	}
-	return rows
+	return rows, cues
 }
 
 // nestedIn reports whether n sits inside a table nested below root.
@@ -109,12 +130,7 @@ func cellsOf(tr *htmlx.Node) []*htmlx.Node {
 }
 
 func makeCell(n *htmlx.Node) wtable.Cell {
-	cell := wtable.Cell{
-		Text:     n.InnerText(),
-		IsTH:     n.Tag == "th",
-		BGColor:  styleColor(n),
-		CSSClass: n.Attr("class"),
-	}
+	cell := wtable.Cell{Text: n.InnerText(), IsTH: n.Tag == "th"}
 	n.Walk(func(d *htmlx.Node) {
 		if d.Type != htmlx.ElementNode {
 			return

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -274,3 +275,47 @@ func TestRaggedRowsTolerated(t *testing.T) {
 }
 
 var _ = wtable.Table{} // keep import if assertions change
+
+// TestHeaderByLayoutCuesOnly: a header row set apart from the body only by
+// a layout cue — a bgcolor attribute, an inline background style or a CSS
+// class, on any of its cells — is classified by that cue alone. Every
+// other signal (tags, bold, capitalisation, numerals, cell length) is the
+// same on every row, so each table's split below rests on the row cues
+// extraction keeps beside its raw rows.
+func TestHeaderByLayoutCuesOnly(t *testing.T) {
+	body := func(n int, attr string) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "<tr><td%s>tokyo</td><td%s>japan</td></tr>\n", attr, attr)
+		}
+		return b.String()
+	}
+	cases := []struct {
+		name                 string
+		rows                 string
+		title, header, bodyN int
+	}{
+		{"bgcolor", `<tr><td bgcolor="#ccc">city</td><td bgcolor="#ccc">land</td></tr>` + body(4, ""), 0, 1, 4},
+		{"style background", `<tr><td style="font-size:9px; background: #eee ;">city</td><td>land</td></tr>` + body(4, ""), 0, 1, 4},
+		{"class", `<tr><td class="hdr">city</td><td class="hdr">land</td></tr>` + body(4, ""), 0, 1, 4},
+		{"cue on a later cell", `<tr><td>city</td><td class="hdr">land</td></tr>` + body(4, ""), 0, 1, 4},
+		{"two header rows", `<tr><td bgcolor="red">city</td><td>land</td></tr><tr><td bgcolor="red">town</td><td>area</td></tr>` + body(4, ""), 0, 2, 4},
+		{"same cue everywhere", `<tr><td bgcolor="#ccc">city</td><td>land</td></tr>` + body(4, ` bgcolor="#ccc"`), 0, 0, 5},
+		{"different cue on the body", `<tr><td class="a">city</td><td>land</td></tr>` + body(4, ` class="b"`), 0, 1, 4},
+		{"bgcolor wins over style", `<tr><td bgcolor="red" style="background:blue">city</td><td>land</td></tr>` + body(4, ` style="background:red"`), 0, 0, 5},
+		{"title then header", `<tr><td class="t">cities</td><td></td></tr><tr><td bgcolor="#ccc">city</td><td>land</td></tr>` + body(4, ""), 1, 1, 4},
+		{"no cue", `<tr><td>city</td><td>land</td></tr>` + body(4, ""), 0, 0, 5},
+	}
+	for _, c := range cases {
+		page := "<html><body><table>\n" + c.rows + "</table></body></html>"
+		tables := Page("u", page, NewOptions())
+		if len(tables) != 1 {
+			t.Errorf("%s: %d tables, want 1", c.name, len(tables))
+			continue
+		}
+		tb := tables[0]
+		if got := [3]int{len(tb.TitleRows), len(tb.HeaderRows), len(tb.BodyRows)}; got != [3]int{c.title, c.header, c.bodyN} {
+			t.Errorf("%s: title/header/body rows = %v, want %v", c.name, got, [3]int{c.title, c.header, c.bodyN})
+		}
+	}
+}

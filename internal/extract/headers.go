@@ -18,12 +18,12 @@ import (
 // Figure 1 Table 3 title is a single-cell row). Otherwise it is a header.
 // Subsequent rows stay headers while they are similar to the first header
 // row and different from the rows below; the scan stops at the first
-// failure.
-func classifyRows(rows []wtable.Row, tb *wtable.Table) {
+// failure. cues[i] is row i's layout cue.
+func classifyRows(rows []wtable.Row, cues []rowCue, tb *wtable.Table) {
 	i := 0
 	// Title rows: leading "different" rows with content only in column 1.
 	for i < len(rows) && i < 3 {
-		if !rowDifferent(rows[i], rows[i+1:]) {
+		if !rowDifferent(rows[i], cues[i], rows[i+1:], cues[i+1:]) {
 			break
 		}
 		if !titleShaped(rows[i]) {
@@ -33,22 +33,21 @@ func classifyRows(rows []wtable.Row, tb *wtable.Table) {
 		i++
 	}
 	// Header rows.
-	var firstHeader *wtable.Row
+	first := -1 // the first header row
 	for i < len(rows) {
 		if len(rows[i:]) == 1 {
 			break // never classify the last row as header
 		}
-		if firstHeader == nil {
-			if !rowDifferent(rows[i], rows[i+1:]) {
+		if first < 0 {
+			if !rowDifferent(rows[i], cues[i], rows[i+1:], cues[i+1:]) {
 				break
 			}
-			h := rows[i]
-			firstHeader = &h
+			first = i
 			tb.HeaderRows = append(tb.HeaderRows, rows[i])
 			i++
 			continue
 		}
-		if rowsSimilar(rows[i], *firstHeader) && rowDifferent(rows[i], rows[i+1:]) {
+		if rowsSimilar(rows[i], cues[i], rows[first], cues[first]) && rowDifferent(rows[i], cues[i], rows[i+1:], cues[i+1:]) {
 			tb.HeaderRows = append(tb.HeaderRows, rows[i])
 			i++
 			continue
@@ -76,24 +75,25 @@ func titleShaped(r wtable.Row) bool {
 }
 
 // rowDifferent reports whether r differs from the majority of the rows
-// below it on at least one of the §2.1.1 signal families.
-func rowDifferent(r wtable.Row, below []wtable.Row) bool {
+// below it on at least one of the §2.1.1 signal families; c and
+// belowCues are their layout cues.
+func rowDifferent(r wtable.Row, c rowCue, below []wtable.Row, belowCues []rowCue) bool {
 	if len(below) == 0 {
 		return false
 	}
 	diff := 0
-	for _, b := range below {
-		if rowSignalsDiffer(r, b) {
+	for i, b := range below {
+		if rowSignalsDiffer(r, c, b, belowCues[i]) {
 			diff++
 		}
 	}
 	return diff*2 > len(below)
 }
 
-// rowSignalsDiffer compares two rows on formatting, layout and content
-// signals.
-func rowSignalsDiffer(a, b wtable.Row) bool {
-	fa, fb := rowFingerprint(a), rowFingerprint(b)
+// rowSignalsDiffer compares two rows, with their layout cues, on
+// formatting, layout and content signals.
+func rowSignalsDiffer(a wtable.Row, ca rowCue, b wtable.Row, cb rowCue) bool {
+	fa, fb := rowFingerprint(a, ca), rowFingerprint(b, cb)
 	if fa.th != fb.th || fa.bold != fb.bold || fa.italic != fb.italic ||
 		fa.underline != fb.underline || fa.bg != fb.bg || fa.class != fb.class {
 		return true
@@ -121,8 +121,8 @@ type rowPrint struct {
 	avgLen                      float64
 }
 
-func rowFingerprint(r wtable.Row) rowPrint {
-	var p rowPrint
+func rowFingerprint(r wtable.Row, cue rowCue) rowPrint {
+	p := rowPrint{bg: cue.bg, class: cue.class}
 	nonEmpty, caps, numeric, chars := 0, 0, 0, 0
 	for _, c := range r.Cells {
 		if c.IsTH {
@@ -136,12 +136,6 @@ func rowFingerprint(r wtable.Row) rowPrint {
 		}
 		if c.Underline {
 			p.underline = true
-		}
-		if c.BGColor != "" && p.bg == "" {
-			p.bg = c.BGColor
-		}
-		if c.CSSClass != "" && p.class == "" {
-			p.class = c.CSSClass
 		}
 		t := strings.TrimSpace(c.Text)
 		if t == "" {
@@ -166,8 +160,8 @@ func rowFingerprint(r wtable.Row) rowPrint {
 
 // rowsSimilar reports whether two rows share the formatting profile —
 // used to chain additional header rows onto the first one.
-func rowsSimilar(a, b wtable.Row) bool {
-	fa, fb := rowFingerprint(a), rowFingerprint(b)
+func rowsSimilar(a wtable.Row, ca rowCue, b wtable.Row, cb rowCue) bool {
+	fa, fb := rowFingerprint(a, ca), rowFingerprint(b, cb)
 	return fa.th == fb.th && fa.bold == fb.bold && fa.bg == fb.bg &&
 		fa.class == fb.class && fa.numeric == fb.numeric
 }

@@ -4,15 +4,38 @@ package index
 //
 //   - The flat sharded index (docs.wwt + postings-NNN.wwt) is the serving
 //     form: a versioned, mmap-friendly layout of the frozen Searcher's CSR
-//     arrays. Opening it is page mapping plus validation of the headers
-//     and of the two string tables' offsets (O(docs + terms), no decode),
-//     with a portable read-into-memory fallback where mmap is unavailable.
+//     arrays. Opening it is page mapping plus validation of the headers,
+//     of the two string tables' offsets and of every posting's doc number
+//     (O(docs + terms + postings), no decode), with a portable
+//     read-into-memory fallback where mmap is unavailable.
 //
-//   - The table store (store.gob) is a decode-on-load gob snapshot of the
+//   - The table store (store.gob) is a decode-on-load snapshot of the
 //     directory's tables in doc order, prefixed with an 8-byte magic plus a
 //     uint32 format version so a stale or foreign file fails with a clear
 //     error instead of a decoder error deep in the stack. WriteDir is its
 //     only writer and ReadTables its only reader.
+//
+// Table store layout (format version 2):
+//
+//	offset  size  field
+//	0       8     magic "WWTSTG01"
+//	8       4     format version (2), little-endian
+//	12      ...   one encoding/gob value, storeWire:
+//	                Strings []string   the segment's distinct texts, in
+//	                                   first-use order; Strings[0] == ""
+//	                Tables  []wireTable in doc order
+//
+// A wireTable holds its ID inline (IDs are unique) and every other text as
+// a uint32 index into Strings: URL, PageTitle, Cells (row-major) and
+// Snippets, beside the snippets' float64 Scores. TitleRows and HeaderRows
+// count the leading title and header rows of Rows, whose entries are
+// cellCount<<1 | styled. Styles carries one byte per cell of each styled
+// row (bit 0 bold, 1 italic, 2 underline, 3 <th>; the other bits are
+// zero); a row without any marker carries none. The reader rejects an
+// unresolved reference, a cell, style-byte or score count that disagrees
+// with the rows, unknown style bits, and an empty or repeated ID. Version
+// 1 (a gob of the tables themselves) is retired: it fails with an error
+// naming wwt-index, and no reader is kept.
 //
 // Flat file layout (all integers little-endian, sections 8-byte aligned):
 //
@@ -58,10 +81,11 @@ const (
 	flatMagic    = "WWTFLT02"
 	flatVersion  = 2
 	storeMagic   = "WWTSTG01"
-	storeVersion = 1
+	storeVersion = 2
 
-	retiredFlatMagic  = "WWTFLT01" // flat layout v1: no block summaries
-	retiredIndexMagic = "WWTIXG01" // gob snapshot of the build-time Index
+	retiredFlatMagic    = "WWTFLT01" // flat layout v1: no block summaries
+	retiredIndexMagic   = "WWTIXG01" // gob snapshot of the build-time Index
+	retiredStoreVersion = 1          // table store v1: gob of []*wtable.Table
 )
 
 // Flat file kinds.

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -224,7 +225,10 @@ func TestIDlessTableRejected(t *testing.T) {
 }
 
 // TestStoreRoundTrip: ReadTables returns what WriteDir wrote, and the
-// store lists the tables in the doc table's order.
+// store lists the tables in the doc table's order. Every field a table
+// carries — title, header and body rows, ragged and empty rows, each
+// style flag, context snippets and their score bits — comes back as
+// written.
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tb := mkTable("s1", []string{"A"}, [][]string{{"x"}}, "ctx")
@@ -251,6 +255,23 @@ func TestStoreRoundTrip(t *testing.T) {
 	defer s.Close()
 	if s.Len() != 1 || s.IDOf(0) != "s1" {
 		t.Errorf("flat index holds %d docs, doc 0 = %q", s.Len(), s.IDOf(0))
+	}
+
+	tables := randStoreTables(rand.New(rand.NewSource(5)), 60)
+	dir = t.TempDir()
+	if err := WriteDir(dir, tables, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ReadTables(dir); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(tables) {
+		t.Fatalf("read back %d of %d tables", len(got), len(tables))
+	}
+	for i := range tables {
+		if !reflect.DeepEqual(got[i], tables[i]) {
+			t.Fatalf("table %d read back as\n%+v\nwant\n%+v", i, got[i], tables[i])
+		}
 	}
 }
 

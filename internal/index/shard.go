@@ -265,8 +265,9 @@ func writeSegment(dir string, seg *segment) error {
 }
 
 // openSegment opens one flat index directory as a segment. It validates
-// the headers and the doc-ID and term offsets — no decode, no map
-// building — so opening costs O(docs + terms) reads of the mapping.
+// the headers, the doc-ID and term offsets and every posting's doc number
+// — no decode, no map building — so opening costs O(docs + terms +
+// postings) reads of the mapping.
 // noMmap forces the portable read-into-memory path (exercised by tests;
 // also the only path on platforms without mmap).
 func openSegment(dir string, noMmap bool) (*segment, error) {
@@ -364,10 +365,12 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 			return nil, err
 		}
 	}
-	// Block-max summaries. Their layout is validated, not their values:
-	// blkOff starts at 0 and gives every term exactly ceil(postings /
-	// blockSize) blocks, so each term's blocks slice inside the block
-	// sections, which are sized to the last entry.
+	// Block-max summaries. Their layout is validated: blkOff starts at 0
+	// and gives every term exactly ceil(postings / blockSize) blocks, so
+	// each term's blocks slice inside the block sections, which are sized
+	// to the last entry. Of their values only the first docs are checked
+	// (against the postings, below); a wrong weight bound can cost a
+	// probe its exactness, never its memory safety.
 	if pf.blockSize <= 0 {
 		return nil, pf.corrupt("header declares block size %d, want > 0", pf.blockSize)
 	}
@@ -394,6 +397,23 @@ func openShardFile(pf *flatFile, g, shardCount, numDocs int) (*shard, error) {
 		}
 		if sh.fieldMaxW[f], err = numSec[float32](pf, secFieldFieldMax(f), sh.numTerms); err != nil {
 			return nil, err
+		}
+		// Doc numbers index the probe's accumulator, so each must name a
+		// document of the segment, and each block's first-doc summary
+		// must be its first posting's: the skip test reads the summaries
+		// in place of the postings.
+		docs, bd := sh.docs[f], sh.blkDoc[f]
+		for p, d := range docs {
+			if uint32(d) >= uint32(numDocs) {
+				return nil, pf.corrupt("field %s posting %d names doc %d, the segment has %d docs", Field(f), p, d, numDocs)
+			}
+		}
+		for t := 0; t < sh.numTerms; t++ {
+			for b, p := int(blk[t]), int(off[t]); b < int(blk[t+1]); b, p = b+1, p+sh.blockSize {
+				if bd[b] != docs[p] {
+					return nil, pf.corrupt("field %s block %d starts at doc %d, its summary says %d", Field(f), b, docs[p], bd[b])
+				}
+			}
 		}
 	}
 	return sh, nil

@@ -234,6 +234,23 @@ func TestOpenShardedErrors(t *testing.T) {
 			mutate: func(t *testing.T, dir string) {
 				patchFile(t, postings(dir), setInt32(t, secFieldBlkOff(0), 1, 1<<30))
 			}},
+		{name: "hostile posting doc", shards: 1, want: []string{"corrupt flat index", "posting 0 names doc 1073741824"},
+			// Every offset and block count is intact; only a check of the
+			// doc numbers themselves stops the first probe that reaches
+			// the list from indexing its accumulator at 2^30.
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), setInt32(t, secFieldDocs(0), 0, 1<<30))
+			}},
+		{name: "negative posting doc", shards: 1, want: []string{"corrupt flat index", "posting 0 names doc -1"},
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), setInt32(t, secFieldDocs(0), 0, -1))
+			}},
+		{name: "block summary off its postings", shards: 1, want: []string{"corrupt flat index", "block 0 starts at doc"},
+			// The skip test reads a block's first doc from its summary, so
+			// a summary pointing outside the segment must not open.
+			mutate: func(t *testing.T, dir string) {
+				patchFile(t, postings(dir), setInt32(t, secFieldBlkDoc(0), 0, -1<<20))
+			}},
 		{name: "v2 missing block sections", shards: 1, want: []string{"missing section 32"},
 			// A postings file without its block summaries must fail, not
 			// open with silent misbehavior.
@@ -359,6 +376,12 @@ func TestGobHeaderErrors(t *testing.T) {
 		// magic.
 		_, err := ReadTables(writeVariant(t, func(d []byte) []byte { return d[12:] }))
 		expect(t, err, "rebuild with wwt-index")
+	})
+	t.Run("retired version-1 store", func(t *testing.T) {
+		// Version 1 was a gob of the tables themselves; no reader is kept.
+		_, err := ReadTables(writeVariant(t, func(d []byte) []byte { binary.LittleEndian.PutUint32(d[8:], 1); return d }))
+		expect(t, err, "table store version 1 is retired")
+		expect(t, err, "wwt-index")
 	})
 	t.Run("newer gob version", func(t *testing.T) {
 		_, err := ReadTables(writeVariant(t, func(d []byte) []byte { d[8] = 42; return d }))

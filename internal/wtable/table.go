@@ -9,16 +9,17 @@ import (
 	"strings"
 )
 
-// Cell is one table cell with the formatting markers the header detector
-// relies on (§2.1.1 of the paper).
+// Cell is one table cell: its text and the formatting markers of §2.1.1
+// that outlive extraction (24 bytes). The layout cues the header detector
+// also reads — a row's background colour and CSS class — are per-row
+// facts of the source HTML, so extraction keeps them beside its raw rows
+// (extract.rowCue) and they never reach a Cell.
 type Cell struct {
 	Text      string
 	Bold      bool
 	Italic    bool
 	Underline bool
-	IsTH      bool   // used the designated <th> tag
-	BGColor   string // background color, if styled
-	CSSClass  string
+	IsTH      bool // used the designated <th> tag
 }
 
 // IsEmpty reports whether the cell holds no visible text.

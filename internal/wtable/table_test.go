@@ -3,6 +3,7 @@ package wtable
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func row(texts ...string) Row {
@@ -108,6 +109,18 @@ func TestCellIsEmpty(t *testing.T) {
 	}
 	if (Cell{Text: "x"}).IsEmpty() {
 		t.Error("non-empty cell misreported")
+	}
+}
+
+// TestCellSize pins a resident cell at its text header plus four flag
+// bytes: most of a decoded table store is cells, so a field added here
+// costs every cell of the corpus.
+func TestCellSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the 24-byte figure is for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Cell{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Cell{}) = %d, want 24", got)
 	}
 }
 
