@@ -3,8 +3,8 @@ package wwt
 // Batched multi-query execution: AnswerBatch and CandidatesBatch run many
 // queries through the same stage list (pipeline.go) on a bounded worker
 // pool. Each worker holds exactly one pooled QueryScratch arena at a time,
-// every worker shares the engine's warm cross-query caches (table views,
-// normalized cells), and each member
+// every worker shares the engine's warm cross-query cache (table views
+// and their interner), and each member
 // query's output is bit-identical to a solo Answer/Candidates call —
 // pinned by TestAnswerBatchEquivalence. A failing (or even panicking)
 // member is isolated to its own slot; the rest of the batch completes.

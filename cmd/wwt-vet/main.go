@@ -1,6 +1,6 @@
 // Command wwt-vet is the repo's invariant multichecker: it runs the
-// internal/analysis suite (mapfloatsum, reflectsort, lockedcompute,
-// mmapalias, releaseresult) over module packages and fails when an
+// internal/analysis suite (mapfloatsum, reflectsort, mmapalias,
+// releaseresult) over module packages and fails when an
 // architecture invariant from ROADMAP "Architecture invariants" is
 // violated at the source level.
 //
@@ -39,7 +39,6 @@ import (
 var suite = []*analysis.Analyzer{
 	analysis.MapFloatSum,
 	analysis.ReflectSort,
-	analysis.LockedCompute,
 	analysis.MmapAlias,
 	analysis.ReleaseResult,
 }

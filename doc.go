@@ -22,8 +22,8 @@
 // There is one engine type. An Engine is only ever obtained from
 // NewEngine (build and freeze in memory) or OpenLive (open an index
 // directory, the one way to serve one). It holds engine-lifetime state
-// set once by its constructor — options, the table-view and
-// normalization caches, the cost model, the arena pool, the probe
+// set once by its constructor — options, the table-view cache and its
+// interner, the cost model, the arena pool, the probe
 // counters, and for OpenLive the directory, manifest, table-ID and merge
 // state — plus one immutable, refcounted generation (a searcher and its
 // tables by doc number: a probe hit's Doc indexes the table it names)
@@ -32,8 +32,8 @@
 // AnswerBatch, Candidates, CandidatesBatch and MapColumns while
 // IngestTables and background merges publish new generations. An engine
 // not opened from a directory is generation 0 forever: its IngestTables
-// refuses. The cross-query caches (table views, normalized cells) are
-// concurrency-safe and hand out shared read-only slices.
+// refuses. The one cross-query cache (table views and their interner) is
+// concurrency-safe and hands out shared read-only views.
 //
 // Exactly one query owns a scratch arena at a time. Candidates returns
 // its arena to the pool on exit; Answer hands it to the Result — whose

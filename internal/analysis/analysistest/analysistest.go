@@ -6,7 +6,7 @@
 // Fixtures live under internal/analysis/testdata/src/<name>. Each is a
 // real package of the wwt module (go list resolves explicit testdata
 // paths even though ./... wildcards prune them), so fixtures may import
-// real packages such as wwt or wwt/internal/lru and exercise analyzers
+// real packages such as wwt or wwt/internal/index and exercise analyzers
 // against the genuine types they match on.
 //
 // Expectation syntax, on the line the diagnostic is reported at:

@@ -1,4 +1,4 @@
-// Package analysis holds the repo's custom invariant checkers: five
+// Package analysis holds the repo's custom invariant checkers: four
 // go/analysis-style analyzers that turn the architecture contracts the
 // ROADMAP prose promises — and that code review has repeatedly had to
 // re-litigate — into machine-checked invariants. The cmd/wwt-vet
@@ -30,13 +30,6 @@
 //     internal/consolidate) standardized on the monomorphized
 //     slices.SortFunc family. Test files are exempt.
 //
-//   - lockedcompute — the compute-outside-lock cache protocol. Every
-//     cross-query cache is an internal/lru.Cache whose Get runs the
-//     compute callback outside the cache lock so misses don't
-//     serialize; calling Get while holding your own sync.Mutex/RWMutex
-//     moves the compute back inside a critical section and invites
-//     lock-order cycles.
-//
 //   - mmapalias — the flat-index aliasing contract. unsafe.Slice/
 //     unsafe.String views over a flat-opened index's sections die with
 //     Close; storing one in a package-level variable or a field of a
@@ -57,5 +50,5 @@
 // packages with the same loader and matches reported diagnostics
 // against `// want "regexp"` comments. Fixtures are real packages of
 // this module, so they exercise the analyzers against the genuine wwt
-// and internal/lru types they match on.
+// types they match on.
 package analysis

@@ -19,7 +19,9 @@ import (
 // assigned an ID: the sorted IDs of its space-separated words, so a
 // whole-cell key's set is the IDs of its normalized tokens and a lone
 // token's set is its own ID. The set is a pure function of the string,
-// written once and never changed.
+// written once and never changed. The interner also keeps each ID's
+// string, sharing the map key's bytes, so a view can hand back a cell's
+// normalized key without re-analyzing the cell.
 //
 // Interning is concurrency-safe (concurrent queries analyze views into
 // one cache's interner) and append-only: the table — IDs and token sets
@@ -35,6 +37,8 @@ type Interner struct {
 	// stays valid and unchanged after the lock is released.
 	sets   []uint32
 	setOff []uint32
+	// strs[i] is the string of ID i.
+	strs []string
 }
 
 // NewInterner returns an empty symbol table.
@@ -65,6 +69,7 @@ func (in *Interner) Intern(s string) uint32 {
 	if !ok {
 		id = uint32(len(in.ids))
 		in.ids[s] = id
+		in.strs = append(in.strs, s)
 		if set == nil {
 			in.sets = append(in.sets, id)
 		} else {
@@ -106,6 +111,17 @@ func (in *Interner) tokens(id uint32) []uint32 {
 	set := in.sets[lo:hi:hi]
 	in.mu.RUnlock()
 	return set
+}
+
+// str returns the string of an interned ID ("" for NoID).
+func (in *Interner) str(id uint32) string {
+	if id == NoID {
+		return ""
+	}
+	in.mu.RLock()
+	s := in.strs[id]
+	in.mu.RUnlock()
+	return s
 }
 
 // Len returns the number of interned strings.

@@ -1,8 +1,6 @@
 package core
 
-import (
-	"wwt/internal/text"
-)
+import "strings"
 
 // pmi2 computes the corpus co-occurrence feature of §3.2.3 as the
 // per-row average association between H(Qℓ) — corpus tables carrying
@@ -17,8 +15,7 @@ func pmi2(hDocs []int32, v *TableView, c int, src PMISource, p Params) float64 {
 	if len(hDocs) == 0 || src == nil {
 		return 0
 	}
-	t := v.Table
-	rows := t.NumBodyRows()
+	rows := v.Table.NumBodyRows()
 	if rows == 0 {
 		return 0
 	}
@@ -27,17 +24,18 @@ func pmi2(hDocs []int32, v *TableView, c int, src PMISource, p Params) float64 {
 		sample = p.PMIMaxRows
 	}
 	var sum float64
+	var buf [8]string
 	for r := 0; r < sample; r++ {
-		cell := t.Body(r, c)
-		if cell == "" {
-			continue
+		// The cell's first eight normalized tokens, read off its interned
+		// key.
+		toks := buf[:0]
+		for key := v.CellKey(r, c); key != "" && len(toks) < len(buf); {
+			var w string
+			w, key, _ = strings.Cut(key, " ")
+			toks = append(toks, w)
 		}
-		toks := text.Normalize(cell)
 		if len(toks) == 0 {
 			continue
-		}
-		if len(toks) > 8 {
-			toks = toks[:8]
 		}
 		bDocs := src.ContentDocs(toks)
 		if len(bDocs) == 0 {

@@ -281,6 +281,11 @@ func (v *TableView) lookupIDs(toks []string, ids []uint32) {
 // the cell has no content words.
 func (v *TableView) Cell(r, c int) uint32 { return v.cells[r*v.NumCols+c] }
 
+// CellKey returns the interned key of body cell (r, c): its normalized
+// tokens joined by single spaces, "" when the cell has no content words.
+// Splitting it on ' ' gives back exactly text.Normalize of the cell.
+func (v *TableView) CellKey(r, c int) string { return v.in.str(v.Cell(r, c)) }
+
 // CellTokens returns the sorted token-ID set of a cell ID from Cell (nil
 // for NoID): the IDs of the cell's normalized tokens. The slice is shared
 // and read-only.

@@ -133,14 +133,9 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 	for _, s := range (wwt.Timings{}).Stages() {
 		fmt.Fprintf(&b, "wwt_stage_seconds_total{stage=%q} %.6f\n", s.Name, m.stage[s.Name].Seconds())
 	}
-	for _, c := range []struct {
-		name string
-		st   wwt.CacheStats
-	}{{"norm_cells", cache.NormCells}, {"views", cache.Views}} {
-		fmt.Fprintf(&b, "wwt_cache_hits_total{cache=%q} %d\n", c.name, c.st.Hits)
-		fmt.Fprintf(&b, "wwt_cache_misses_total{cache=%q} %d\n", c.name, c.st.Misses)
-		fmt.Fprintf(&b, "wwt_cache_hit_rate{cache=%q} %.4f\n", c.name, c.st.HitRate())
-	}
+	put(`wwt_cache_hits_total{cache="views"}`, cache.Views.Hits)
+	put(`wwt_cache_misses_total{cache="views"}`, cache.Views.Misses)
+	put(`wwt_cache_hit_rate{cache="views"}`, fmt.Sprintf("%.4f", cache.Views.HitRate()))
 	// Sizes of the engine-lifetime view cache and its symbol table. Nothing
 	// evicts either, so both gauges only grow.
 	put("wwt_view_cache_entries", cache.ViewEntries)

@@ -408,8 +408,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`wwt_stage_seconds_total{stage="consolidate"}`,
 		`wwt_cache_hits_total{cache="views"}`,
 		`wwt_cache_hit_rate{cache="views"}`,
-		`wwt_cache_misses_total{cache="norm_cells"}`,
-		`wwt_cache_hits_total{cache="norm_cells"}`,
 		"wwt_view_cache_entries ",
 		"wwt_interner_strings ",
 		"wwt_plan_cost_error ",
@@ -420,7 +418,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, met)
 		}
 	}
-	for _, retired := range []string{`cache="pair_sims"`, `cache="doc_sets"`} {
+	for _, retired := range []string{`cache="pair_sims"`, `cache="doc_sets"`, `cache="norm_cells"`} {
 		if strings.Contains(met, retired) {
 			t.Errorf("metrics still export the retired %s cache:\n%s", retired, met)
 		}

@@ -1,7 +1,7 @@
 // Package text provides the low-level IR primitives used throughout WWT:
-// tokenization, stopword filtering, Porter stemming, a normalization cache,
-// and Jaccard similarity over token bags. Corpus statistics (IDF) live in
-// the index package.
+// tokenization, stopword filtering, Porter stemming, and Jaccard
+// similarity over token bags. Corpus statistics (IDF) live in the index
+// package.
 //
 // All functions are deterministic and allocation-conscious; the package has
 // no dependencies outside the standard library.

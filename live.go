@@ -29,8 +29,8 @@ import (
 // Corpus statistics enter a table's analysis only through the header
 // weights each model build computes under its pinned generation, and PMI²
 // doc sets are read from that generation's searcher directly. Everything
-// engine-lifetime — the table-view cache and its interner, the
-// normalization cache, the cost model's calibration, the arena pool and
+// engine-lifetime — the table-view cache and its interner, the cost
+// model's calibration, the arena pool and
 // the probe counters — carries across swaps untouched, so only the
 // ingested tables are analyzed after a swap.
 

@@ -150,16 +150,16 @@ func TestLiveEngineMerge(t *testing.T) {
 	// swap, ingest or merge may send them backwards (that would break
 	// Prometheus rate()), and a query after the swaps must move them. On
 	// this 3-table corpus the top-k floor never arms, so the block counters
-	// stay 0; the normalized-cell cache, which probe 2 looks every sampled
-	// cell up in, carries the "a query moves it" check instead.
+	// stay 0; the view cache, which every candidate table's view is looked
+	// up in, carries the "a query moves it" check instead.
 	le, err := wwt.OpenLive(liveDir(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer le.Close()
-	normLookups := func() uint64 {
-		n := le.CacheStats().NormCells
-		return n.Hits + n.Misses
+	viewLookups := func() uint64 {
+		v := le.CacheStats().Views
+		return v.Hits + v.Misses
 	}
 	q := wwt.Query{Columns: []string{"country", "currency"}}
 	res, err := le.Answer(q)
@@ -167,17 +167,17 @@ func TestLiveEngineMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Release()
-	prev, prevNorm := le.PlanStats(), normLookups()
-	if prevNorm == 0 {
-		t.Fatal("the query on generation 0 made no normalized-cell lookup")
+	prev, prevViews := le.PlanStats(), viewLookups()
+	if prevViews == 0 {
+		t.Fatal("the query on generation 0 made no view lookup")
 	}
 	monotone := func(when string) {
 		t.Helper()
-		ps, norm := le.PlanStats(), normLookups()
-		if ps.ProbeBlocksTotal < prev.ProbeBlocksTotal || ps.ProbeBlocksSkipped < prev.ProbeBlocksSkipped || norm < prevNorm {
-			t.Fatalf("%s: counters went backwards: %+v, %d lookups -> %+v, %d lookups", when, prev, prevNorm, ps, norm)
+		ps, views := le.PlanStats(), viewLookups()
+		if ps.ProbeBlocksTotal < prev.ProbeBlocksTotal || ps.ProbeBlocksSkipped < prev.ProbeBlocksSkipped || views < prevViews {
+			t.Fatalf("%s: counters went backwards: %+v, %d lookups -> %+v, %d lookups", when, prev, prevViews, ps, views)
 		}
-		prev, prevNorm = ps, norm
+		prev, prevViews = ps, views
 	}
 
 	const n = 5
@@ -212,10 +212,10 @@ func TestLiveEngineMerge(t *testing.T) {
 			t.Fatalf("row Atlantis%d lost after merge", i)
 		}
 	}
-	before := prevNorm
+	before := prevViews
 	monotone("query after the swaps")
-	if prevNorm <= before {
-		t.Fatalf("query after the swaps left the normalized-cell lookups at %d", prevNorm)
+	if prevViews <= before {
+		t.Fatalf("query after the swaps left the view lookups at %d", prevViews)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strings"
 	"time"
 
 	"wwt/internal/consolidate"
@@ -258,17 +259,20 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	// Probe-2 tokens go into their own scratch buffer — never an alias of
 	// tokens, so appending can't grow into (and later clobber) its array.
 	sample := append(s.sample[:0], st.tokens...)
+	// A sampled cell's tokens are its interned key split on spaces: the
+	// view built above already normalized every body cell.
 	for i := 0; i < nConf; i++ {
-		tb := st.tables[confident[i].ti]
-		take := e.Opts.SecondProbeRows
-		if rows := tb.NumBodyRows(); take > rows {
-			take = rows
-		}
-		s.rows = sampleRows(s.rng, tb.NumBodyRows(), take, s.rows, s.displaced)
-		cols := tb.NumCols() // a scan of the table's rows
+		v := m.Views[confident[i].ti]
+		rows := v.Table.NumBodyRows()
+		take := min(e.Opts.SecondProbeRows, rows)
+		s.rows = sampleRows(s.rng, rows, take, s.rows, s.displaced)
 		for _, r := range s.rows {
-			for c := 0; c < cols; c++ {
-				sample = append(sample, e.normalizeCell(tb.Body(r, c))...)
+			for c := 0; c < v.NumCols; c++ {
+				for key := v.CellKey(r, c); key != ""; {
+					var w string
+					w, key, _ = strings.Cut(key, " ")
+					sample = append(sample, w)
+				}
 			}
 		}
 	}
@@ -277,12 +281,6 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	st.probe2Fired = true
 	return true, nil
 }
-
-// normalizeCell analyzes one sampled body cell through the engine's
-// normalization cache: cell values repeat heavily across queries, so the
-// tokenize/stem chain runs once per distinct string. The returned tokens
-// are the cache's backing slice — read-only; callers append copies.
-func (e *Engine) normalizeCell(s string) []string { return e.norm.Normalize(s) }
 
 // stageRead2 merges the second-probe tables into the candidate list,
 // keeping first-probe order first and dropping the tables probe 1 already

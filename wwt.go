@@ -14,7 +14,6 @@ import (
 	"wwt/internal/inference"
 	"wwt/internal/plan"
 	"wwt/internal/slicex"
-	"wwt/internal/text"
 	"wwt/internal/wtable"
 )
 
@@ -166,10 +165,10 @@ func (r *Result) Release() {
 // concurrent use. Its state has two layers:
 //
 //   - Engine-lifetime state, set once by the constructor: Opts, the
-//     table-view cache and its interner, the normalization cache, the
-//     cost model, the scratch-arena pool, the probe counters, and the
-//     directory, manifest, table-ID, merge and ingest state of live.go
-//     (unset unless the engine came from OpenLive).
+//     table-view cache and its interner, the cost model, the
+//     scratch-arena pool, the probe counters, and the directory,
+//     manifest, table-ID, merge and ingest state of live.go (unset
+//     unless the engine came from OpenLive).
 //   - The current generation: an immutable, refcounted corpus snapshot
 //     (a searcher and its tables by doc number) behind an atomic pointer.
 //     Every query entry point pins one generation for its whole call, so
@@ -183,7 +182,6 @@ type Engine struct {
 	// pointers it carries over, so views built on one generation serve
 	// every later one.
 	views   *core.ViewCache
-	norm    *text.NormCache
 	scratch sync.Pool // *QueryScratch
 
 	// The online-calibrated cost estimator (see internal/plan): a gauge
@@ -286,7 +284,6 @@ func newEngine(g *generation, opts *Options) *Engine {
 	e := &Engine{
 		Opts:    o,
 		views:   core.NewViewCache(),
-		norm:    text.NewNormCache(0),
 		planner: plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
 	}
 	e.cur.Store(g)
@@ -347,10 +344,10 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// EngineCacheStats snapshots the two cross-query caches an engine uses:
-// analyzed table views and normalized cell strings. The serving daemon's
-// /metrics endpoint exports these. Both are engine-lifetime: views are
-// retained across every ingest and merge swap, so their counters are
+// EngineCacheStats snapshots the one cross-query cache an engine uses:
+// analyzed table views and the interner they share. The serving daemon's
+// /metrics endpoint exports these. The cache is engine-lifetime: views
+// are retained across every ingest and merge swap, so its counters are
 // totals since the engine opened.
 type EngineCacheStats struct {
 	Views CacheStats
@@ -360,11 +357,12 @@ type EngineCacheStats struct {
 	// analyzed.
 	ViewEntries     int
 	InternedStrings int
-	// PairSims and DocSets are always zero: pair similarities are
-	// computed per query and PMI² doc sets are read straight from the
-	// searcher, so no cache serves either. The fields survive only because
-	// the benchmark's traced pass (bench/layers.go) reads them, and the
-	// benchmark is edited only in PRs of its own.
+	// PairSims, DocSets and NormCells are always zero: pair similarities
+	// are computed per query, PMI² doc sets are read straight from the
+	// searcher, and probe 2 reads a sampled cell's tokens off its view's
+	// interned key, so no cache serves any of them. The fields survive
+	// only because the benchmark's traced pass (bench/layers.go) reads
+	// them, and the benchmark is edited only in PRs of its own.
 	PairSims  CacheStats
 	DocSets   CacheStats
 	NormCells CacheStats
@@ -376,7 +374,6 @@ func (e *Engine) CacheStats() EngineCacheStats {
 	var st EngineCacheStats
 	st.Views.Hits, st.Views.Misses = e.views.Stats()
 	st.ViewEntries, st.InternedStrings = e.views.Len(), e.views.Interner().Len()
-	st.NormCells.Hits, st.NormCells.Misses = e.norm.Stats()
 	return st
 }
 

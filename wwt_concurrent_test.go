@@ -196,9 +196,8 @@ func TestAnswerScratchPoolConcurrent(t *testing.T) {
 // changes can't silently reintroduce per-query grid churn. The ceiling is
 // loose (inherent per-query allocations: result payload, hits, labeling,
 // query-token normalization) but far below the thousands of allocations
-// the unpooled build used to make. Second-probe cell normalization is
-// served by the engine's NormCache (see TestNormCacheWarmZeroAlloc for
-// the cache-level guard); the ceiling here assumes those hits stay free.
+// the unpooled build used to make. Probe 2 takes its sampled cells'
+// tokens from the views' interned keys, which costs no allocation.
 func TestAnswerWarmPoolAllocs(t *testing.T) {
 	eng, err := wwt.NewEngine(smallCorpus(t), nil)
 	if err != nil {
@@ -220,7 +219,7 @@ func TestAnswerWarmPoolAllocs(t *testing.T) {
 		}
 		res.Release()
 	})
-	// Measured 50 warm (one model build per query, consolidation reading
+	// Measured 40 warm (one model build per query, consolidation reading
 	// the views' interned cells, the freshly allocated answer) and 70–87
 	// under -race, whose sync.Pool randomly drops arenas; ~30% headroom
 	// over the race count.

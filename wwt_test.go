@@ -1,12 +1,15 @@
 package wwt_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"wwt"
+	"wwt/internal/corpusgen"
 	"wwt/internal/extract"
 	"wwt/internal/index"
+	"wwt/internal/workload"
 	"wwt/internal/wtable"
 )
 
@@ -38,6 +41,49 @@ func smallCorpus(t *testing.T) []*wtable.Table {
 		t.Fatalf("expected 3 tables, got %d", len(tables))
 	}
 	return tables
+}
+
+// TestProbe2SampleMatchesNormalize: probe 2 takes a sampled cell's tokens
+// from its view's interned key, and the token list it probes with must be
+// the one normalizing every sampled cell gives. It runs the 59 Table-1
+// queries (and the small corpus's own query) over the small corpus and
+// over the seed-2012 generated corpus at scale 1.
+func TestProbe2SampleMatchesNormalize(t *testing.T) {
+	corpus := corpusgen.Generate(corpusgen.Config{Seed: 2012, Scale: 1})
+	queries := [][]string{{"country", "currency"}}
+	for _, q := range workload.FromCorpus(corpus) {
+		queries = append(queries, q.Columns)
+	}
+	for _, tc := range []struct {
+		name   string
+		tables []*wtable.Table
+	}{
+		{"small", smallCorpus(t)},
+		{"corpusgen", corpus.ExtractAll(extract.NewOptions())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := wwt.NewEngine(tc.tables, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			fired := 0
+			for _, cols := range queries {
+				got, want, ok, err := wwt.Probe2Sample(eng, wwt.Query{Columns: cols})
+				if err != nil || !ok {
+					continue
+				}
+				fired++
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v: probe-2 tokens\n%q\nwant\n%q", cols, got, want)
+				}
+			}
+			if fired == 0 {
+				t.Fatal("probe 2 fired on no query")
+			}
+			t.Logf("probe 2 fired on %d of %d queries", fired, len(queries))
+		})
+	}
 }
 
 func TestEngineAnswerEndToEnd(t *testing.T) {
