@@ -1,6 +1,6 @@
 package wwt
 
-// Batched multi-query execution: AnswerBatch and CandidatesBatch run many
+// Batched multi-query execution: AnswerBatchCtx and CandidatesBatch run many
 // queries through the same stage list (pipeline.go) on a bounded worker
 // pool. Each worker holds exactly one pooled QueryScratch arena at a time,
 // every worker shares the engine's warm cross-query cache (table views
@@ -67,7 +67,7 @@ func (t BatchTimings) TotalQPS() float64 {
 var ErrPanic = errors.New("panicked")
 
 // BatchResult holds a batch's per-query outcomes, index-aligned with the
-// queries passed to AnswerBatch: Results[i] is nil exactly when Errs[i] is
+// queries passed to AnswerBatchCtx: Results[i] is nil exactly when Errs[i] is
 // non-nil. Each non-nil Result owns its pooled arena just like a solo
 // Answer; release them individually as they are consumed, or call
 // BatchResult.Release once for the rest.
@@ -168,9 +168,9 @@ func (e *Engine) forEachQuery(n, workers int, fn func(i int, s *QueryScratch) (r
 	return workers
 }
 
-// AnswerBatch answers many queries through the full pipeline on a bounded
-// worker pool (workers <= 0 means GOMAXPROCS). Every worker reuses one
-// pooled arena across the member queries it serves — a member that
+// AnswerBatchCtx answers many queries through the full pipeline on a
+// bounded worker pool (workers <= 0 means GOMAXPROCS). Every worker reuses
+// one pooled arena across the member queries it serves — a member that
 // produces a Result hands the arena over, exactly as a solo Answer does,
 // and the worker draws the next one from the pool — and all members share
 // the engine's warm cross-query caches. Each member's output is
@@ -180,18 +180,14 @@ func (e *Engine) forEachQuery(n, workers int, fn func(i int, s *QueryScratch) (r
 // panic is recovered into its error slot) does not affect the others.
 // BatchResult.Timings aggregates the batch; per-query splits stay on each
 // Result.Timings.
-func (e *Engine) AnswerBatch(queries []Query, workers int) *BatchResult {
-	return e.AnswerBatchCtx(context.Background(), queries, workers, 0)
-}
-
-// AnswerBatchCtx is AnswerBatch under a context with an optional
-// per-member deadline. ctx bounds the whole batch: once it is canceled or
-// past its deadline, every not-yet-finished member aborts between stages
-// with ctx.Err() in its own error slot. perQuery > 0 additionally gives
-// each member its own deadline of that much time, measured from when a
-// worker picks the member up — a slow member times out alone with
-// context.DeadlineExceeded in its slot while the rest of the batch runs
-// to completion, bit-identical to solo answers.
+//
+// ctx bounds the whole batch: once it is canceled or past its deadline,
+// every not-yet-finished member aborts between stages with ctx.Err() in
+// its own error slot. perQuery > 0 additionally gives each member its own
+// deadline of that much time, measured from when a worker picks the
+// member up — a slow member times out alone with context.DeadlineExceeded
+// in its slot while the rest of the batch runs to completion,
+// bit-identical to solo answers. perQuery 0 sets no per-member deadline.
 //
 // An aborted member's arena returns to the engine pool like any other
 // failed member's (stages are never interrupted mid-flight, so the arena
@@ -260,7 +256,7 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 // CandidatesBatch runs the candidate-retrieval prefix of the pipeline for
 // many queries on a bounded worker pool (workers <= 0 means GOMAXPROCS),
 // with the same sharing, determinism and isolation contracts as
-// AnswerBatch. Candidate retrieval never retains an arena, so each worker
+// AnswerBatchCtx. Candidate retrieval never retains an arena, so each worker
 // keeps its single arena for the whole batch. The returned slices are
 // index-aligned with queries; sets[i] is meaningful only when errs[i] is
 // nil.

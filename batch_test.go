@@ -1,6 +1,6 @@
 package wwt_test
 
-// Batched-execution tests: every AnswerBatch member must be bit-identical
+// Batched-execution tests: every AnswerBatchCtx member must be bit-identical
 // to a solo Answer of the same query, batches must be safe under -race
 // with arenas recycling between workers, and a failing (or panicking)
 // member must be isolated to its own slot.
@@ -51,7 +51,7 @@ func TestAnswerBatchEquivalence(t *testing.T) {
 			refs[i], refErrs[i] = eng.Answer(q)
 		}
 
-		br := eng.AnswerBatch(wqs, 4)
+		br := eng.AnswerBatchCtx(context.Background(), wqs, 4, 0)
 		if br.Timings.Queries != len(wqs) {
 			t.Fatalf("Timings.Queries = %d, want %d", br.Timings.Queries, len(wqs))
 		}
@@ -177,7 +177,7 @@ func TestAnswerBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			br := eng.AnswerBatch(queries, 1+g%4)
+			br := eng.AnswerBatchCtx(context.Background(), queries, 1+g%4, 0)
 			if br.FirstErr() == nil {
 				t.Errorf("goroutine %d: FirstErr = nil, want the empty-query error", g)
 				return
@@ -267,7 +267,7 @@ func TestAnswerBatchPanicIsolation(t *testing.T) {
 		{Columns: []string{"country", "currency"}},
 		{Columns: []string{"currency"}},
 	}
-	br := broken.AnswerBatch(queries, 2)
+	br := broken.AnswerBatchCtx(context.Background(), queries, 2, 0)
 	for i := range queries {
 		if br.Errs[i] == nil || !strings.Contains(br.Errs[i].Error(), "panicked") {
 			t.Fatalf("member %d: err = %v, want recovered panic", i, br.Errs[i])
@@ -304,7 +304,7 @@ func TestAnswerBatchEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br := eng.AnswerBatch(nil, 8)
+	br := eng.AnswerBatchCtx(context.Background(), nil, 8, 0)
 	if len(br.Results) != 0 || len(br.Errs) != 0 || br.FirstErr() != nil {
 		t.Fatalf("empty batch = %+v", br)
 	}

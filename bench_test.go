@@ -11,6 +11,7 @@ package wwt_test
 // full-scale numbers.
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -431,7 +432,7 @@ func batchQueries(w *benchWorld) []wwt.Query {
 }
 
 // BenchmarkAnswerBatch measures batched full-pipeline throughput: the
-// whole workload per iteration through AnswerBatch on a GOMAXPROCS worker
+// whole workload per iteration through AnswerBatchCtx on a GOMAXPROCS worker
 // pool, every member released back to the arena pool. Compare against
 // BenchmarkAnswerBatchSerial (same queries, solo Answer loop) for the
 // queries/sec speedup; both report a qps metric.
@@ -440,7 +441,7 @@ func BenchmarkAnswerBatch(b *testing.B) {
 	queries := batchQueries(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br := w.engine.AnswerBatch(queries, 0)
+		br := w.engine.AnswerBatchCtx(context.Background(), queries, 0, 0)
 		if err := br.FirstErr(); err != nil {
 			b.Fatal(err)
 		}

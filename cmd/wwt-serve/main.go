@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -39,22 +38,14 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", time.Minute, "ceiling on client-requested timeout_ms")
 	maxBatch := flag.Int("max-batch", 256, "members per batch request")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-	planCoeffs := flag.String("plan-coeffs", "", "planner: calibrated-coefficient sidecar path, loaded at startup and written on drain (default <idx>/plan-coeffs.json; empty string after an explicit -plan-coeffs= disables)")
+	planCoeffs := flag.String("plan-coeffs", "", "retired: only the empty value is accepted")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: wwt-serve -idx DIR [-addr :8080] [flags]")
 		os.Exit(2)
 	}
-
-	coeffsPath := *planCoeffs
-	coeffsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "plan-coeffs" {
-			coeffsSet = true
-		}
-	})
-	if !coeffsSet {
-		coeffsPath = filepath.Join(*idxDir, "plan-coeffs.json")
+	if err := checkRetiredPlanCoeffs(*planCoeffs); err != nil {
+		fatal(err)
 	}
 
 	eng, err := wwt.OpenLive(*idxDir, nil)
@@ -62,18 +53,6 @@ func main() {
 		fatal(err)
 	}
 	defer eng.Close()
-
-	// Warm the cost model from the last run's calibration, when a sidecar
-	// is present; a missing file just starts cold. A corrupt or
-	// version-mismatched sidecar is fatal (delete it to recalibrate) —
-	// silently serving with wrong coefficients would be worse.
-	if coeffsPath != "" {
-		if loaded, err := eng.Planner().LoadFile(coeffsPath); err != nil {
-			fatal(err)
-		} else if loaded {
-			fmt.Printf("wwt-serve: planner coefficients loaded from %s\n", coeffsPath)
-		}
-	}
 
 	srv := serve.New(eng, serve.Config{
 		Workers:        *workers,
@@ -116,18 +95,20 @@ func main() {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal(err)
 		}
-		// Persist what this run learned so the next start resumes warm.
-		// Best-effort: a full disk must not turn a clean drain into a
-		// non-zero exit.
-		if coeffsPath != "" {
-			if err := eng.Planner().SaveFile(coeffsPath); err != nil {
-				fmt.Fprintln(os.Stderr, "wwt-serve:", err)
-			} else {
-				fmt.Printf("wwt-serve: planner coefficients saved to %s\n", coeffsPath)
-			}
-		}
 		fmt.Println("wwt-serve: drained, bye")
 	}
+}
+
+// checkRetiredPlanCoeffs enforces the retired -plan-coeffs flag, which is
+// registered only because bench/daemon.go passes -plan-coeffs= (until
+// ROADMAP item 10). The empty value does nothing; a path is refused
+// rather than silently ignored, since the daemon reads and writes no
+// coefficient file.
+func checkRetiredPlanCoeffs(v string) error {
+	if v != "" {
+		return errors.New("-plan-coeffs is retired: the cost model was removed")
+	}
+	return nil
 }
 
 // describe renders the startup line's account of what is being served.

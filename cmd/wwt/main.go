@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -113,8 +114,8 @@ func parseColumns(line string) []string {
 	return cols
 }
 
-// runBatch answers every query in the file as one AnswerBatch and prints
-// per-query summaries plus the aggregate stage split and throughput.
+// runBatch answers every query in the file as one AnswerBatchCtx call and
+// prints per-query summaries plus the aggregate stage split and throughput.
 func runBatch(eng *wwt.Engine, path string, workers int) {
 	f := os.Stdin
 	if path != "-" {
@@ -143,7 +144,7 @@ func runBatch(eng *wwt.Engine, path string, workers int) {
 		fatal(fmt.Errorf("no queries in %s", path))
 	}
 
-	br := eng.AnswerBatch(queries, workers)
+	br := eng.AnswerBatchCtx(context.Background(), queries, workers, 0)
 	fmt.Printf("%-50s %10s %8s %7s %9s\n", "query", "candidates", "relevant", "rows", "total(ms)")
 	for i, res := range br.Results {
 		name := clip(lines[i], 50)

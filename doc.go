@@ -23,13 +23,12 @@
 // NewEngine (build and freeze in memory) or OpenLive (open an index
 // directory, the one way to serve one). It holds engine-lifetime state
 // set once by its constructor — options, the table-view cache and its
-// interner, the cost model, the arena pool, the probe
-// counters, and for OpenLive the directory, manifest, table-ID and merge
-// state — plus one immutable, refcounted generation (a searcher and its
-// tables by doc number: a probe hit's Doc indexes the table it names)
-// behind an atomic pointer. Every query entry point pins one generation
+// interner, the arena pool, the probe counters, and for OpenLive the
+// directory, manifest, table-ID and merge state — plus one immutable,
+// refcounted generation (a searcher and its tables by doc number: a
+// probe hit's Doc indexes the table it names) behind an atomic pointer. Every query entry point pins one generation
 // for its whole call, so any number of goroutines may call Answer,
-// AnswerBatch, Candidates, CandidatesBatch and MapColumns while
+// AnswerBatchCtx, Candidates, CandidatesBatch and MapColumns while
 // IngestTables and background merges publish new generations. An engine
 // not opened from a directory is generation 0 forever: its IngestTables
 // refuses. The one cross-query cache (table views and their interner) is
@@ -44,7 +43,7 @@
 //
 // # Batched execution
 //
-// AnswerBatch and CandidatesBatch run many queries through the same stage
+// AnswerBatchCtx and CandidatesBatch run many queries through the same stage
 // list on a bounded worker pool. Each worker holds one pooled arena at a
 // time, all workers share the engine's warm caches, and every member's
 // output is bit-identical to a solo call. Members are error-isolated: one
@@ -54,7 +53,7 @@
 //
 // # Deadlines and cancellation
 //
-// AnswerCtx and AnswerBatchCtx run the same pipeline under a context:
+// AnswerCtx and AnswerBatchCtx run the pipeline under a context:
 // cancellation is checked between stages, an expired or canceled query
 // returns ctx.Err() (in its own batch slot, leaving the other members
 // untouched), and the aborted query's arena goes back to the pool clean.

@@ -4,6 +4,7 @@ package wwt_test
 // `go test`, so the documented usage can never rot.
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -68,17 +69,17 @@ func ExampleEngine_Answer() {
 	// Japan: Yen (support 2)
 }
 
-// ExampleEngine_AnswerBatch answers several queries as one batch on a
+// ExampleEngine_AnswerBatchCtx answers several queries as one batch on a
 // bounded worker pool. A member that fails — here a stopword-only query —
 // fills only its own error slot; the rest of the batch completes.
-func ExampleEngine_AnswerBatch() {
+func ExampleEngine_AnswerBatchCtx() {
 	eng := exampleEngine()
 	queries := []wwt.Query{
 		{Columns: []string{"country", "currency"}},
 		{Columns: []string{"name", "area"}},
 		{Columns: []string{"the of a"}}, // stopwords only: this member errors
 	}
-	br := eng.AnswerBatch(queries, 2)
+	br := eng.AnswerBatchCtx(context.Background(), queries, 2, 0)
 	defer br.Release()
 	for i := range queries {
 		if err := br.Errs[i]; err != nil {

@@ -56,6 +56,40 @@ func TestHeaderSimZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
+// stubPMI is a PMISource whose doc sets are preallocated, so every
+// allocation a pmi2 call makes is pmi2's own.
+type stubPMI struct{ docs []int32 }
+
+func (s *stubPMI) HeaderContextDocs([]string) []int32 { return s.docs }
+func (s *stubPMI) ContentDocs([]string) []int32       { return s.docs }
+
+// TestPMI2ZeroAlloc pins the PMI² feature allocation-free: the cell
+// tokens it hands ContentDocs through the PMISource interface live in the
+// build scratch, so no per-call buffer moves to the heap.
+func TestPMI2ZeroAlloc(t *testing.T) {
+	v := view(table("a", [][]string{{"Country", "Currency"}},
+		[][]string{{"Republic of France", "Euro"}, {"Japan", "Yen"}}, ""))
+	src := &stubPMI{docs: []int32{1, 3, 5}}
+	hDocs := []int32{1, 2, 3}
+	p := DefaultParams()
+	var s BuildScratch
+	pmis := func() (sum float64) {
+		for c := 0; c < v.NumCols; c++ {
+			sum += pmi2(hDocs, v, c, src, p, s.pmiToks[:])
+		}
+		return sum
+	}
+	if got := pmis(); got == 0 {
+		t.Fatal("PMI² over overlapping doc sets is 0")
+	}
+	var sink float64
+	allocs := testing.AllocsPerRun(100, func() { sink += pmis() })
+	if allocs != 0 {
+		t.Errorf("pmi2 allocates %.0f/op, want 0", allocs)
+	}
+	_ = sink
+}
+
 // TestWarmBuildAllocsParallel bounds the allocations of a warm two-half
 // build (BuildTables over half of each corpus query's candidates, Extend
 // with the rest) through one reused scratch.

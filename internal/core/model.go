@@ -226,7 +226,7 @@ func (m *Model) addTables(b *Builder, added []*wtable.Table, s *BuildScratch) {
 				seg, cov := segScores(&m.Q[ell], s.qids[ell], v, &s.hdr, c, p)
 				f := Features{SegSim: seg, Cover: cov}
 				if p.UsePMI && b.PMI != nil {
-					f.PMI2 = pmi2(s.hDocs[ell], v, c, b.PMI, p)
+					f.PMI2 = pmi2(s.hDocs[ell], v, c, b.PMI, p, s.pmiToks[:])
 				}
 				feats[c][ell] = f
 			}

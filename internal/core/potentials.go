@@ -10,8 +10,11 @@ import "strings"
 //	|H ∩ B|² / (|H|·|B|)
 //
 // or, under the §7 future-work extension, the Dice coefficient
-// 2|H∩B| / (|H|+|B|). hDocs is the precomputed, sorted H(Qℓ).
-func pmi2(hDocs []int32, v *TableView, c int, src PMISource, p Params) float64 {
+// 2|H∩B| / (|H|+|B|). hDocs is the precomputed, sorted H(Qℓ). toks is a
+// caller-owned buffer whose length caps the tokens of a cell passed to
+// ContentDocs; it outlives the call so the slice handed through the
+// interface does not move a fresh array to the heap on every call.
+func pmi2(hDocs []int32, v *TableView, c int, src PMISource, p Params, toks []string) float64 {
 	if len(hDocs) == 0 || src == nil {
 		return 0
 	}
@@ -24,20 +27,19 @@ func pmi2(hDocs []int32, v *TableView, c int, src PMISource, p Params) float64 {
 		sample = p.PMIMaxRows
 	}
 	var sum float64
-	var buf [8]string
 	for r := 0; r < sample; r++ {
-		// The cell's first eight normalized tokens, read off its interned
-		// key.
-		toks := buf[:0]
-		for key := v.CellKey(r, c); key != "" && len(toks) < len(buf); {
+		// The cell's first len(toks) normalized tokens, read off its
+		// interned key.
+		cell := toks[:0]
+		for key := v.CellKey(r, c); key != "" && len(cell) < len(toks); {
 			var w string
 			w, key, _ = strings.Cut(key, " ")
-			toks = append(toks, w)
+			cell = append(cell, w)
 		}
-		if len(toks) == 0 {
+		if len(cell) == 0 {
 			continue
 		}
-		bDocs := src.ContentDocs(toks)
+		bDocs := src.ContentDocs(cell)
 		if len(bDocs) == 0 {
 			continue
 		}

@@ -38,6 +38,10 @@ type BuildScratch struct {
 	colOff []int     // table -> global offset of its first column
 	in     *Interner // symbol table of the model's views when no ViewCache owns one
 
+	// pmiToks holds one cell's tokens for PMISource.ContentDocs: a cell
+	// contributes at most its first eight.
+	pmiToks [8]string
+
 	views []*TableView
 
 	// Flat grids over (global column, label): one backing array plus the

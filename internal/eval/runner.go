@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -50,7 +51,7 @@ type Runner struct {
 	Engine  *wwt.Engine
 	Queries []workload.Query
 
-	// Workers bounds the worker pool RunAll hands to Engine.AnswerBatch.
+	// Workers bounds the worker pool RunAll hands to Engine.AnswerBatchCtx.
 	// 0 means serial (one worker): Fig 7 reports per-query stage wall
 	// times, and concurrent members would inflate them with contention.
 	// Raise it on sweeps where wall clock matters more than per-stage
@@ -98,7 +99,7 @@ func (r *Runner) Run(q workload.Query) *QueryResult {
 }
 
 // RunAll evaluates the whole workload. The online pipeline runs once per
-// query through Engine.AnswerBatch on the Workers-bounded pool — the eval
+// query through Engine.AnswerBatchCtx on the Workers-bounded pool — the eval
 // harness is the batch entry point's first real consumer — and the
 // per-method evaluation then runs serially over the batch results.
 func (r *Runner) RunAll() []*QueryResult {
@@ -135,7 +136,7 @@ func (r *Runner) runBatch(queries []workload.Query) {
 	for i, q := range queries {
 		wqs[i] = wwt.Query{Columns: q.Columns}
 	}
-	batch := r.Engine.AnswerBatch(wqs, r.batchWorkers())
+	batch := r.Engine.AnswerBatchCtx(context.Background(), wqs, r.batchWorkers(), 0)
 	for i, q := range queries {
 		r.results[q.ID] = r.evaluate(q, batch.Results[i], batch.Errs[i])
 	}

@@ -17,9 +17,9 @@
 // The package has three entry points: NewSearcher freezes an Index in
 // memory (K=1, N=1), WriteDir writes tables as an index directory, and
 // OpenSnapshot opens a directory's committed manifest (K=1 for a plain
-// frozen directory) — one type, one SearchStats, one each of IDF,
-// TermStats and DocSet. One freeze (freezeSegment) builds every segment:
-// it buckets the sorted terms by shard and builds each shard's arrays in
+// frozen directory) — one type, one SearchStats, one each of IDF and
+// DocSet. One freeze (freezeSegment) builds every segment: it buckets the
+// sorted terms by shard and builds each shard's arrays in
 // exactly the form its postings file holds, so NewSearcher's segment and
 // a flat-opened one differ only in where the arrays live, and a frozen
 // searcher shares nothing with its Index. A Searcher is immutable and
@@ -71,7 +71,7 @@
 // checks hoisted); every document sees the identical float64 operation
 // sequence as a scalar loop, so the lanes change speed, never sums.
 // SearchStats exposes per-probe counters (ProbeStats) for the
-// wwt_probe_* metrics and the planner's scanned-fraction feature.
+// wwt_probe_* metrics.
 //
 // # Persistence: the flat sharded index and the table store
 //
@@ -213,7 +213,7 @@
 // top k's, so merging the candidates by the shared hit order (score
 // descending, ID ascending) reproduces exactly what one index rebuilt over
 // the union would return. DocSet intersects per segment and concatenates the
-// rebased results; TermStats and IDF sum over segments.
+// rebased results; IDF sums df over segments.
 //
 // # Segments and the manifest: the live-index lifecycle
 //

@@ -14,8 +14,9 @@ import (
 // values, shard counts and segment splits, and requires bit-identical
 // hits (IDs, scores within 1e-9, order) from the map-based reference
 // scorer and the Searcher, both as a one-segment one-shard freeze and as
-// a segments × shards split of the same corpus; DocSet, TermStats and IDF of the split must match the
-// reference too. The pruning boundaries (k equal to the touched-document
+// a segments × shards split of the same corpus; DocSet, IDF and each
+// query token's df and posting count (sameTermStats) of the split must
+// match the reference too. The pruning boundaries (k equal to the touched-document
 // count, absent terms, duplicate terms, single-doc shards and segments)
 // are exactly where past regressions lived
 // (TestSearcherSkipWithExactlyKTouched); the fuzzer searches that boundary
@@ -57,11 +58,7 @@ func FuzzSearchPruningEquivalence(f *testing.F) {
 			t.Fatalf("DocSet(%v) = %v, want %v", query, got, want)
 		}
 		for _, tok := range query {
-			wdf, wpost, wok := ix.TermStats(tok)
-			gdf, gpost, gok := split.TermStats(tok)
-			if wdf != gdf || wpost != gpost || wok != gok {
-				t.Fatalf("TermStats(%q) = (%d,%d,%v), want (%d,%d,%v)", tok, gdf, gpost, gok, wdf, wpost, wok)
-			}
+			sameTermStats(t, ix, split, tok, "segments × shards")
 			if want, got := ix.IDF(tok), split.IDF(tok); want != got {
 				t.Fatalf("IDF(%q) = %v, want %v", tok, got, want)
 			}

@@ -45,7 +45,7 @@ const laneWidth = 8
 
 // ProbeStats reports how much scoring work one probe actually did against
 // the posting volume its terms resolved to — the skip counters behind the
-// wwt_probe_* metrics and the planner's scanned-fraction feature.
+// wwt_probe_* metrics.
 type ProbeStats struct {
 	Postings      int64 // posting entries across all resolved (term, field) lists
 	Scanned       int64 // posting entries actually visited by the accumulator

@@ -212,25 +212,8 @@ func (seg *segment) find(tok string) (*shard, int32, bool) {
 	return sh, tid, ok
 }
 
-// TermStats returns a token's corpus-global union document frequency and
-// total posting entries across all fields — the cost-model features a
-// query planner reads before probing. Unknown tokens report ok=false.
-func (s *Searcher) TermStats(tok string) (df int32, postings int, ok bool) {
-	for _, seg := range s.segs {
-		if sh, tid, found := seg.find(tok); found {
-			ok = true
-			df += sh.df[tid]
-			for f := 0; f < int(numFields); f++ {
-				postings += int(sh.off[f][tid+1] - sh.off[f][tid])
-			}
-		}
-	}
-	return df, postings, ok
-}
-
 // IDF returns the smoothed corpus-global inverse document frequency of a
-// token (unknown tokens have df 0). It sums only the segments' dfs, not
-// the posting counts TermStats adds for the cost model.
+// token (unknown tokens have df 0): the segments' dfs summed.
 func (s *Searcher) IDF(tok string) float64 {
 	if s.numDocs == 0 {
 		return 1

@@ -435,9 +435,10 @@ func TestShardedDocSetEquivalence(t *testing.T) {
 	}
 }
 
-// TestMultiSearcherDocSets: DocSet/IDF/TermStats must match
-// the unpartitioned searcher — doc numbers remap through the segment
-// bases, and df sums across segments.
+// TestMultiSearcherDocSets: DocSet and IDF must match the unpartitioned
+// searcher — doc numbers remap through the segment bases, and df sums
+// across segments — and each token's df and posting count must match the
+// map oracle's.
 func TestMultiSearcherDocSets(t *testing.T) {
 	ix, tables := buildRandCorpus(t, 4242, 40)
 	s := NewSearcher(ix)
@@ -451,47 +452,60 @@ func TestMultiSearcherDocSets(t *testing.T) {
 			if w, g := s.IDF(tok), c.s.IDF(tok); w != g {
 				t.Fatalf("%s: IDF(%q) = %v, want %v", c.name, tok, g, w)
 			}
-			wdf, wpost, wok := s.TermStats(tok)
-			gdf, gpost, gok := c.s.TermStats(tok)
-			if wdf != gdf || wpost != gpost || wok != gok {
-				t.Fatalf("%s: TermStats(%q) = (%d,%d,%v), want (%d,%d,%v)", c.name, tok, gdf, gpost, gok, wdf, wpost, wok)
-			}
+			sameTermStats(t, ix, c.s, tok, c.name)
 		}
 	}
 }
 
-// TestTermStatsEquivalence: the planner's cost features (df, total posting
-// entries) must read identically from the mutable Index, the
-// one-segment one-shard freeze, and every construction at every segment
-// and shard count; and a probe's ProbeStats.Postings must equal the
-// TermStats postings summed over its unique tokens.
+// sameTermStats checks one token's statistics in s against the map
+// oracle's df and posting count: IDF must be bit-identical to the smoothed
+// IDF of the oracle's df, and a one-token unbounded probe must resolve
+// exactly the oracle's posting entries. An unknown token has df 0 and no
+// postings.
+func sameTermStats(t testing.TB, ix *Index, s *Searcher, tok, name string) {
+	t.Helper()
+	df, postings, _ := ix.TermStats(tok)
+	if got, want := s.IDF(tok), smoothedIDF(len(ix.ids), int64(df)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: IDF(%q) = %v, want %v (oracle df %d)", name, tok, got, want, df)
+	}
+	if _, st := s.SearchStats([]string{tok}, 0); st.Postings != int64(postings) {
+		t.Fatalf("%s: probe of %q resolved %d postings, oracle %d", name, tok, st.Postings, postings)
+	}
+}
+
+// TestTermStatsEquivalence: every token's df and total posting entries in
+// the map oracle must read identically, through IDF and a one-token
+// probe's ProbeStats.Postings, from the one-segment one-shard freeze and
+// every construction at every segment and shard count; and a probe's
+// ProbeStats.Postings must equal the oracle's postings summed over its
+// unique tokens.
 func TestTermStatsEquivalence(t *testing.T) {
 	ix, tables := buildRandCorpus(t, 2012, 40)
 	s := NewSearcher(ix)
+	const unknown = "zzz-no-such-token"
+	if _, _, ok := ix.TermStats(unknown); ok {
+		t.Fatal("Index: unknown token reported ok")
+	}
+	sh := s.segs[0].shards[0]
+	for ti := int32(0); ti < int32(sh.numTerms); ti++ {
+		tok := sh.termName(ti)
+		df, postings, ok := ix.TermStats(tok)
+		if !ok {
+			t.Fatalf("token %q of the freeze unknown to the oracle", tok)
+		}
+		if postings < int(df) {
+			t.Fatalf("token %q: %d posting entries < df %d", tok, postings, df)
+		}
+		sameTermStats(t, ix, s, tok, "freeze")
+	}
+	sameTermStats(t, ix, s, unknown, "freeze")
 	for _, c := range searcherGrid(t, tables, 2012) {
-		sh := s.segs[0].shards[0]
 		for ti := int32(0); ti < int32(sh.numTerms); ti++ {
-			tok := sh.termName(ti)
-			wdf, wpost, wok := ix.TermStats(tok)
-			sdf, spost, sok := s.TermStats(tok)
-			gdf, gpost, gok := c.s.TermStats(tok)
-			if !wok || !sok || !gok {
-				t.Fatalf("%s: token %q ok = (%v,%v,%v), want all true", c.name, tok, wok, sok, gok)
-			}
-			if wdf != sdf || wdf != gdf || wpost != spost || wpost != gpost {
-				t.Fatalf("%s: token %q stats (%d,%d)/(%d,%d)/(%d,%d) disagree",
-					c.name, tok, wdf, wpost, sdf, spost, gdf, gpost)
-			}
-			if wpost < int(wdf) {
-				t.Fatalf("token %q: %d posting entries < df %d", tok, wpost, wdf)
-			}
+			sameTermStats(t, ix, c.s, sh.termName(ti), c.name)
 		}
-		if _, _, ok := c.s.TermStats("zzz-no-such-token"); ok {
-			t.Fatalf("%s: unknown token reported ok", c.name)
-		}
-		// A probe's Postings is the TermStats postings of its unique
-		// tokens: the engine's cost feature reads it in place of a
-		// TermStats call per token.
+		sameTermStats(t, ix, c.s, unknown, c.name)
+		// A probe's Postings is the oracle's postings of its unique
+		// tokens.
 		r := rand.New(rand.NewSource(2013))
 		for qi := 0; qi < 20; qi++ {
 			q := randQuery(r)
@@ -499,22 +513,16 @@ func TestTermStatsEquivalence(t *testing.T) {
 			for _, tok := range q {
 				if !seen[tok] {
 					seen[tok] = true
-					_, post, _ := c.s.TermStats(tok)
+					_, post, _ := ix.TermStats(tok)
 					want += post
 				}
 			}
 			for _, k := range []int{0, 1, 5, 1000} {
 				if _, st := c.s.SearchStats(q, k); st.Postings != int64(want) {
-					t.Fatalf("%s: query %q k %d: probe Postings %d, TermStats sum %d", c.name, q, k, st.Postings, want)
+					t.Fatalf("%s: query %q k %d: probe Postings %d, oracle sum %d", c.name, q, k, st.Postings, want)
 				}
 			}
 		}
-	}
-	if _, _, ok := ix.TermStats("zzz-no-such-token"); ok {
-		t.Fatal("Index: unknown token reported ok")
-	}
-	if _, _, ok := s.TermStats("zzz-no-such-token"); ok {
-		t.Fatal("Searcher: unknown token reported ok")
 	}
 }
 

@@ -424,9 +424,10 @@ func withRetiredSections(t *testing.T, path string) {
 
 // TestRetiredSectionsIgnored: WriteDir writes neither retired section, and
 // a directory whose postings files still carry them opens and answers
-// probes, DocSet and TermStats bit-identically to one without.
+// probes, DocSet, IDF and per-token posting counts bit-identically to one
+// without (both checked against the map oracle).
 func TestRetiredSectionsIgnored(t *testing.T) {
-	_, tables := buildRandCorpus(t, 2012, 40)
+	ix, tables := buildRandCorpus(t, 2012, 40)
 	cur, old := t.TempDir(), t.TempDir()
 	for _, dir := range []string{cur, old} {
 		if err := WriteDir(dir, tables, 3); err != nil {
@@ -467,11 +468,8 @@ func TestRetiredSectionsIgnored(t *testing.T) {
 			sameDocs(t, want.DocSet(q, fs...), got.DocSet(q, fs...), fmt.Sprintf("DocSet(%v, %v)", q, fs))
 		}
 		for _, tok := range q {
-			wdf, wpost, wok := want.TermStats(tok)
-			gdf, gpost, gok := got.TermStats(tok)
-			if wdf != gdf || wpost != gpost || wok != gok {
-				t.Fatalf("TermStats(%q) = (%d,%d,%v), want (%d,%d,%v)", tok, gdf, gpost, gok, wdf, wpost, wok)
-			}
+			sameTermStats(t, ix, want, tok, "current sections")
+			sameTermStats(t, ix, got, tok, "retired sections")
 		}
 	}
 }

@@ -24,9 +24,9 @@
 //   - GET /metrics — Prometheus-style text: request/query counters, a
 //     live QPS window, cumulative per-stage latency, worker occupancy,
 //     hit/miss counters for the engine's one cross-query cache (table
-//     views), the sizes of the view cache and its
-//     interner, and the wwt_index_* / wwt_ingest_* gauges from the
-//     Backend's Info.
+//     views), the sizes of the view cache and its interner, the probe
+//     block counters, the estimated queue drain behind Retry-After, and
+//     the wwt_index_* / wwt_ingest_* gauges from the Backend's Info.
 //
 // # Deadlines
 //
@@ -47,7 +47,11 @@
 // the cap bounds the CPU work in flight. When the server is saturated, up
 // to Config.QueueDepth slots' worth of requests wait for capacity; beyond
 // that the server sheds load immediately with 429 and a Retry-After
-// header instead of queuing unboundedly. Shed requests never reach the engine.
+// header instead of queuing unboundedly. Shed requests never reach the
+// engine. Retry-After is the estimated queue drain: the occupancy divided
+// into capacity-sized waves, each lasting the decayed average time recent
+// batches held their slots, clamped to [1s, Config.MaxTimeout]. /metrics
+// exports the same estimate as wwt_plan_queue_drain_seconds.
 //
 // # Ownership and concurrency
 //

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wwt"
-	"wwt/internal/plan"
 )
 
 // qpsWindow is the span of the live throughput window reported as
@@ -31,12 +30,16 @@ type metrics struct {
 	wall    time.Duration            // cumulative batch wall time
 	buckets [qpsWindow]qpsBucket     // answered-query completions per second
 
-	// hold is the decayed average wall time a request holds its worker
-	// slots — the wave length behind the 429 Retry-After drain estimate.
-	// Deliberately faster-decaying than the cost model (load shifts
-	// faster than per-stage costs do).
-	hold *plan.EWMA
+	// hold is the decayed average wall time, in nanoseconds, a request
+	// holds its worker slots: the wave length behind the 429 Retry-After
+	// drain estimate. held reports whether any batch has been folded in.
+	hold float64
+	held bool
 }
+
+// holdAlpha is the weight each new batch carries in the hold average, so
+// the average remembers about the last five batches.
+const holdAlpha = 0.2
 
 type qpsBucket struct {
 	sec int64 // unix second this bucket currently counts
@@ -44,13 +47,15 @@ type qpsBucket struct {
 }
 
 func newMetrics(now time.Time) *metrics {
-	return &metrics{start: now, stage: make(map[string]time.Duration), hold: plan.NewEWMA(0.2)}
+	return &metrics{start: now, stage: make(map[string]time.Duration)}
 }
 
 // holdAvg returns the decayed average slot-hold time (0 before the first
 // completed batch).
 func (m *metrics) holdAvg() time.Duration {
-	return time.Duration(m.hold.Value())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return time.Duration(m.hold)
 }
 
 // recordBatch folds one executed batch into the counters.
@@ -65,7 +70,13 @@ func (m *metrics) recordBatch(bt wwt.BatchTimings, now time.Time) {
 		m.stage[s.Name] += s.D
 	}
 	m.wall += bt.Wall
-	m.hold.Observe(float64(bt.Wall))
+	// The first batch seeds the hold average directly, with no bias
+	// toward zero.
+	if m.held {
+		m.hold += holdAlpha * (float64(bt.Wall) - m.hold)
+	} else {
+		m.hold, m.held = float64(bt.Wall), true
+	}
 	sec := now.Unix()
 	b := &m.buckets[sec%qpsWindow]
 	if b.sec != sec {
@@ -119,11 +130,7 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 	put("wwt_inflight_capacity", capacity)
 	put("wwt_queued_workers", queued)
 	put("wwt_batch_wall_seconds_total", fmt.Sprintf("%.6f", m.wall.Seconds()))
-	// Cost-model quality: the estimator's decayed |est−actual|/actual
-	// relative error, whether estimates are calibrated at all, and the
-	// current estimated queue-drain time (the 429 Retry-After signal).
-	put("wwt_plan_cost_error", fmt.Sprintf("%.4f", ps.CostError))
-	put("wwt_plan_calibrated", boolGauge(ps.Calibrated))
+	// The current estimated queue-drain time (the 429 Retry-After signal).
 	put("wwt_plan_queue_drain_seconds", fmt.Sprintf("%.3f", drain.Seconds()))
 	// Probe-pruning counters: blocks the block-max skip pruned vs
 	// considered.
@@ -141,12 +148,4 @@ func (m *metrics) render(now time.Time, inFlight, queued, capacity int, cache ww
 	put("wwt_view_cache_entries", cache.ViewEntries)
 	put("wwt_interner_strings", cache.InternedStrings)
 	return b.String()
-}
-
-// boolGauge renders a boolean as a 0/1 Prometheus gauge value.
-func boolGauge(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"wwt"
-	"wwt/internal/plan"
 	"wwt/internal/wtable"
 )
 
@@ -28,7 +27,7 @@ type Backend interface {
 	AnswerBatchPlan(ctx context.Context, queries []wwt.Query, workers int, perQuery time.Duration, bp wwt.BatchPlan) *wwt.BatchResult
 	// CacheStats snapshots the engine's cross-query cache counters.
 	CacheStats() wwt.EngineCacheStats
-	// PlanStats snapshots the cost-model error and probe counters.
+	// PlanStats snapshots the probe counters.
 	PlanStats() wwt.PlanStats
 	// IngestTables freezes the batch into a new index segment and
 	// atomically publishes the new generation, or reports why it cannot
@@ -338,13 +337,29 @@ func errStatus(err error) int {
 	}
 }
 
-// retryAfter derives the 429 backoff from the cost model's estimated queue
-// drain: the occupancy at shed time divided into capacity-sized waves,
-// each lasting the decayed average slot-hold time of recent requests
-// (plan.DrainEstimate). The estimate is clamped to [1s, MaxTimeout]; a
-// cold server (no holds observed yet) falls back to the 1s floor.
+// drainEstimate predicts how long until need worker slots free up, given
+// the admission snapshot (occupied = in-flight + queued slots, capacity
+// slots total) and the decayed average slot-hold time of recent requests.
+// The queue drains in waves of at most capacity slots, each lasting about
+// one hold time. It returns 0 when the inputs give no signal (a cold hold
+// average or no capacity).
+func drainEstimate(occupied, need, capacity int, hold time.Duration) time.Duration {
+	if capacity <= 0 || hold <= 0 {
+		return 0
+	}
+	if need < 1 {
+		need = 1
+	}
+	waves := (occupied + need + capacity - 1) / capacity
+	return time.Duration(waves) * hold
+}
+
+// retryAfter derives the 429 backoff from the estimated queue drain
+// (drainEstimate over the occupancy at shed time). The estimate is
+// clamped to [1s, MaxTimeout]; a cold server (no holds observed yet)
+// falls back to the 1s floor.
 func (s *Server) retryAfter(occupied, need, capacity int) string {
-	est := plan.DrainEstimate(occupied, need, capacity, s.met.holdAvg())
+	est := drainEstimate(occupied, need, capacity, s.met.holdAvg())
 	secs := int64(math.Ceil(est.Seconds())) // never advise retrying early
 	if secs < 1 {
 		secs = 1
@@ -378,7 +393,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	inFlight, queued, capacity := s.adm.snapshot()
-	drain := plan.DrainEstimate(inFlight+queued, 1, capacity, s.met.holdAvg())
+	drain := drainEstimate(inFlight+queued, 1, capacity, s.met.holdAvg())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, s.met.render(time.Now(), inFlight, queued, capacity,
 		s.backend.CacheStats(), s.backend.PlanStats(), drain))

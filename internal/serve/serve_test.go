@@ -134,6 +134,53 @@ func TestBatchAnswer(t *testing.T) {
 	}
 }
 
+// observeHold folds one batch that held its worker slots for d into s's
+// hold average, as every served batch does.
+func observeHold(s *Server, d time.Duration) {
+	s.met.recordBatch(wwt.BatchTimings{Wall: d}, time.Now())
+}
+
+// TestHoldEWMA: the hold average is 0 until the first batch, which seeds
+// it directly; each later batch carries holdAlpha of the weight.
+func TestHoldEWMA(t *testing.T) {
+	s := New(testEngine(t), Config{})
+	if got := s.met.holdAvg(); got != 0 {
+		t.Fatalf("cold hold average = %v, want 0", got)
+	}
+	observeHold(s, 10*time.Second)
+	if got := s.met.holdAvg(); got != 10*time.Second {
+		t.Fatalf("first batch must seed directly: got %v", got)
+	}
+	observeHold(s, 20*time.Second)
+	if got := s.met.holdAvg(); got != 12*time.Second {
+		t.Fatalf("after 10s, 20s: got %v, want 12s", got)
+	}
+}
+
+func TestDrainEstimate(t *testing.T) {
+	hold := 2 * time.Second
+	cases := []struct {
+		occupied, need, capacity int
+		want                     time.Duration
+	}{
+		{0, 1, 4, 2 * time.Second},   // empty server: one wave
+		{4, 4, 4, 4 * time.Second},   // full server, full request: two waves
+		{16, 4, 4, 10 * time.Second}, // deep queue: five waves
+		{3, 0, 4, 2 * time.Second},   // need clamps up to 1
+	}
+	for _, c := range cases {
+		if got := drainEstimate(c.occupied, c.need, c.capacity, hold); got != c.want {
+			t.Errorf("drainEstimate(%d,%d,%d): got %v, want %v", c.occupied, c.need, c.capacity, got, c.want)
+		}
+	}
+	if got := drainEstimate(4, 1, 4, 0); got != 0 {
+		t.Errorf("cold hold: got %v, want 0", got)
+	}
+	if got := drainEstimate(4, 1, 0, hold); got != 0 {
+		t.Errorf("zero capacity: got %v, want 0", got)
+	}
+}
+
 // TestRetryAfterDerivation pins the drain-estimate clamp: cold hold
 // average floors at 1s, long drains cap at MaxTimeout, a fractional
 // drain rounds up, never down, and a sub-second MaxTimeout still
@@ -143,7 +190,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 	if got := s.retryAfter(5, 1, 4); got != "1" {
 		t.Errorf("cold estimator: Retry-After = %s, want 1", got)
 	}
-	s.met.hold.Observe(float64(2 * time.Second))  // one 2s wave observed
+	observeHold(s, 2*time.Second)                 // one 2s wave observed
 	if got := s.retryAfter(7, 1, 4); got != "4" { // ceil(8/4)=2 waves x 2s
 		t.Errorf("warm estimator: Retry-After = %s, want 4", got)
 	}
@@ -151,12 +198,12 @@ func TestRetryAfterDerivation(t *testing.T) {
 		t.Errorf("long drain: Retry-After = %s, want 10", got)
 	}
 	s = New(testEngine(t), Config{MaxTimeout: 10 * time.Second})
-	s.met.hold.Observe(float64(1000500 * time.Microsecond)) // one 1000.5ms wave
+	observeHold(s, 1000500*time.Microsecond) // one 1000.5ms wave
 	if got := s.retryAfter(0, 1, 4); got != "2" {
 		t.Errorf("fractional drain: Retry-After = %s, want 2", got)
 	}
 	s = New(testEngine(t), Config{MaxTimeout: 500 * time.Millisecond})
-	s.met.hold.Observe(float64(2 * time.Second))
+	observeHold(s, 2*time.Second)
 	if got := s.retryAfter(400, 1, 4); got != "1" { // sub-second ceiling rounds up to the floor
 		t.Errorf("sub-second MaxTimeout: Retry-After = %s, want 1", got)
 	}
@@ -410,17 +457,15 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`wwt_cache_hit_rate{cache="views"}`,
 		"wwt_view_cache_entries ",
 		"wwt_interner_strings ",
-		"wwt_plan_cost_error ",
-		"wwt_plan_calibrated ",
 		"wwt_plan_queue_drain_seconds ",
 	} {
 		if !strings.Contains(met, want) {
 			t.Errorf("metrics missing %q:\n%s", want, met)
 		}
 	}
-	for _, retired := range []string{`cache="pair_sims"`, `cache="doc_sets"`, `cache="norm_cells"`} {
+	for _, retired := range []string{`cache="pair_sims"`, `cache="doc_sets"`, `cache="norm_cells"`, "wwt_plan_cost_error", "wwt_plan_calibrated"} {
 		if strings.Contains(met, retired) {
-			t.Errorf("metrics still export the retired %s cache:\n%s", retired, met)
+			t.Errorf("metrics still export the retired series %s:\n%s", retired, met)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"wwt/internal/core"
 	"wwt/internal/index"
 	"wwt/internal/inference"
-	"wwt/internal/plan"
 	"wwt/internal/text"
 	"wwt/internal/wtable"
 )
@@ -88,12 +87,6 @@ type queryState struct {
 	model    *core.Model // per-table state after probe2, the full model after colmap
 	labeling core.Labeling
 	answer   *consolidate.Answer
-
-	// Cost features observed on the way through, for calibrating the
-	// cost model.
-	postings int
-	scanned  int64 // probe-1 postings actually scored (after skips)
-	tables1  int
 }
 
 // pipelineStage names one stage and binds it to its Timings slot. run
@@ -176,12 +169,7 @@ func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 	if len(tokens) == 0 {
 		return false, fmt.Errorf("wwt: query has no content words")
 	}
-	var pst index.ProbeStats
-	st.hits1, pst = e.search(st.g.searcher, tokens, e.Opts.ProbeK)
-	// Cost features: the posting entries under the unique query terms
-	// (the probe resolves every one), and those actually scored.
-	st.postings = int(pst.Postings)
-	st.scanned = pst.Scanned
+	st.hits1 = e.search(st.g.searcher, tokens, e.Opts.ProbeK)
 	return true, nil
 }
 
@@ -189,7 +177,6 @@ func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 // pinned generation's table slice.
 func (e *Engine) stageRead1(st *queryState, _ *QueryScratch) (bool, error) {
 	st.tables = st.g.readTables(st.hits1)
-	st.tables1 = len(st.tables)
 	return true, nil
 }
 
@@ -277,7 +264,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 		}
 	}
 	s.sample = sample
-	st.hits2, _ = e.search(st.g.searcher, sample, e.Opts.ProbeK)
+	st.hits2 = e.search(st.g.searcher, sample, e.Opts.ProbeK)
 	st.probe2Fired = true
 	return true, nil
 }
@@ -385,10 +372,7 @@ func (e *Engine) answer(ctx context.Context, q Query, s *QueryScratch) (*Result,
 	return e.answerOn(ctx, g, q, s)
 }
 
-// answerOn is answer on an already pinned generation. Every successfully
-// answered query feeds its observed stage timings back into the cost
-// estimator — calibration is observability-only and never changes an
-// answer.
+// answerOn is answer on an already pinned generation.
 func (e *Engine) answerOn(ctx context.Context, g *generation, q Query, s *QueryScratch) (*Result, error) {
 	res := &Result{engine: e, scratch: s}
 	st := &queryState{g: g, query: q}
@@ -400,26 +384,5 @@ func (e *Engine) answerOn(ctx context.Context, g *generation, q Query, s *QueryS
 	res.Model = st.model
 	res.Labeling = st.labeling
 	res.Answer = st.answer
-	e.observePlan(st, &res.Timings)
 	return res, nil
-}
-
-// observePlan folds one answered query's realized per-stage cost into the
-// planner's estimator.
-func (e *Engine) observePlan(st *queryState, tm *Timings) {
-	e.planner.Observe(plan.Sample{
-		Postings:        st.postings,
-		PostingsScanned: st.scanned,
-		Tables1:         st.tables1,
-		Tables:          len(st.tables),
-		Alg:             int(inference.TableCentric),
-		Probe2Ran:       st.probe2Fired,
-		Probe1:          tm.Probe1,
-		Read1:           tm.Read1,
-		Probe2:          tm.Probe2,
-		Read2:           tm.Read2,
-		Build:           tm.ColumnMap,
-		Infer:           tm.Infer,
-		Cons:            tm.Consolidate,
-	})
 }

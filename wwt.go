@@ -12,7 +12,6 @@ import (
 	"wwt/internal/core"
 	"wwt/internal/index"
 	"wwt/internal/inference"
-	"wwt/internal/plan"
 	"wwt/internal/slicex"
 	"wwt/internal/wtable"
 )
@@ -165,10 +164,10 @@ func (r *Result) Release() {
 // concurrent use. Its state has two layers:
 //
 //   - Engine-lifetime state, set once by the constructor: Opts, the
-//     table-view cache and its interner, the cost model, the
-//     scratch-arena pool, the probe counters, and the directory,
-//     manifest, table-ID, merge and ingest state of live.go (unset
-//     unless the engine came from OpenLive).
+//     table-view cache and its interner, the scratch-arena pool, the
+//     probe counters, and the directory, manifest, table-ID, merge and
+//     ingest state of live.go (unset unless the engine came from
+//     OpenLive).
 //   - The current generation: an immutable, refcounted corpus snapshot
 //     (a searcher and its tables by doc number) behind an atomic pointer.
 //     Every query entry point pins one generation for its whole call, so
@@ -183,10 +182,6 @@ type Engine struct {
 	// every later one.
 	views   *core.ViewCache
 	scratch sync.Pool // *QueryScratch
-
-	// The online-calibrated cost estimator (see internal/plan): a gauge
-	// that never changes an answer.
-	planner *plan.Estimator
 
 	// Probe-pruning counters: cumulative block-max outcomes across every
 	// index probe this engine ran (both pipeline probes; see
@@ -282,9 +277,8 @@ func newEngine(g *generation, opts *Options) *Engine {
 		o = *opts
 	}
 	e := &Engine{
-		Opts:    o,
-		views:   core.NewViewCache(),
-		planner: plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
+		Opts:  o,
+		views: core.NewViewCache(),
 	}
 	e.cur.Store(g)
 	return e
@@ -314,13 +308,13 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// search runs one index probe. Its skip counters are folded into the
-// engine totals and returned for the planner's scanned-postings feature.
-func (e *Engine) search(s *index.Searcher, tokens []string, k int) ([]index.Hit, index.ProbeStats) {
+// search runs one index probe and folds its block-max skip counters into
+// the engine totals.
+func (e *Engine) search(s *index.Searcher, tokens []string, k int) []index.Hit {
 	hits, st := s.SearchStats(tokens, k)
 	e.probeBlocksTotal.Add(st.BlocksTotal)
 	e.probeBlocksSkipped.Add(st.BlocksSkipped)
-	return hits, st
+	return hits
 }
 
 // builder returns a model builder wired to g's searcher — corpus
@@ -377,15 +371,13 @@ func (e *Engine) CacheStats() EngineCacheStats {
 	return st
 }
 
-// PlanStats is a point-in-time snapshot of how well the cost model
-// predicts and of the probe-pruning counters. Every counter is cumulative
-// over the engine's lifetime.
+// PlanStats is a point-in-time snapshot of the probe-pruning counters.
+// Every counter is cumulative over the engine's lifetime.
 type PlanStats struct {
-	// CostError is the decayed mean relative error of the cost model's
-	// own predictions (|estimated−actual|/actual; 0 until calibrated).
-	CostError float64
-	// Calibrated reports whether the estimator has observed enough
-	// queries for estimates to be meaningful.
+	// CostError and Calibrated are always zero and false: the engine has
+	// no cost model. They are kept only because bench/layers.go reads
+	// them, until ROADMAP item 10.
+	CostError  float64
 	Calibrated bool
 	// ProbeBlocksSkipped / ProbeBlocksTotal count posting blocks the
 	// block-max skip pruned vs considered across every index probe.
@@ -398,21 +390,13 @@ type PlanStats struct {
 	ProbeShardsPruned uint64
 }
 
-// PlanStats snapshots the cost-model quality and probe counters. Safe for
-// concurrent use.
+// PlanStats snapshots the probe counters. Safe for concurrent use.
 func (e *Engine) PlanStats() PlanStats {
 	return PlanStats{
-		CostError:          e.planner.ErrorRate(),
-		Calibrated:         e.planner.Calibrated(int(inference.TableCentric)),
 		ProbeBlocksSkipped: uint64(e.probeBlocksSkipped.Load()),
 		ProbeBlocksTotal:   uint64(e.probeBlocksTotal.Load()),
 	}
 }
-
-// Planner returns the engine's cost estimator. Exposed so the serving
-// daemon can load and save its coefficient sidecar and benchmarks can
-// inspect calibration; answering a query never reads it.
-func (e *Engine) Planner() *plan.Estimator { return e.planner }
 
 // sampleRows draws take distinct row indices from [0, rows) with a sparse
 // partial Fisher–Yates: only the displaced slots of the virtual identity
