@@ -50,10 +50,18 @@ func scores(qc *QueryColumn, v *TableView, c int, p Params) (segSim, cover float
 	var idf idfMemo
 	idf.reset(constStats{})
 	var hw headerWeights
-	hw.weigh(v, &idf)
-	ids := make([]uint32, len(qc.Tokens))
-	v.lookupIDs(qc.Tokens, ids)
-	return segScores(qc, ids, v, &hw, c, p)
+	hw.reset(v, &idf)
+	return segScores(qc, queryTokensFor(qc, v), v, &hw, c, &p)
+}
+
+// queryTokensFor is qc's integer form against v, as a build holds it once
+// v is fetched: IDs in v's interner and hit masks over v's header cells.
+func queryTokensFor(qc *QueryColumn, v *TableView) *queryTokens {
+	var qt queryTokens
+	qt.reset(qc.Tokens)
+	qt.resolve(qc.Tokens, v.in)
+	qt.hits.fill(v, qt.ids)
+	return &qt
 }
 
 func qcol(s string) *QueryColumn {
@@ -234,17 +242,17 @@ func TestNodePotentialShape(t *testing.T) {
 	p := DefaultParams()
 	f := Features{SegSim: 0.8, Cover: 0.9}
 	q, nt := 2, 3
-	real := nodePotential(f, 0.5, q, nt, 0, p)
+	real := nodePotential(f, 0.5, q, nt, 0, &p)
 	want := p.W1*0.8 + p.W2*0.9 + p.W5
 	if math.Abs(real-want) > 1e-9 {
 		t.Errorf("real-label potential = %f, want %f", real, want)
 	}
-	nr := nodePotential(Features{}, 0.5, q, nt, NR(q), p)
+	nr := nodePotential(Features{}, 0.5, q, nt, NR(q), &p)
 	wantNR := p.W4 * (2.0 / 3.0) * 0.5
 	if math.Abs(nr-wantNR) > 1e-9 {
 		t.Errorf("nr potential = %f, want %f", nr, wantNR)
 	}
-	if na := nodePotential(Features{}, 0.5, q, nt, NA(q), p); na != 0 {
+	if na := nodePotential(Features{}, 0.5, q, nt, NA(q), &p); na != 0 {
 		t.Errorf("na potential = %f, want 0", na)
 	}
 }
@@ -420,7 +428,7 @@ func TestContentSimOverlap(t *testing.T) {
 	m := (&Builder{Params: p, Stats: constStats{}}).Build([]string{"country"}, []*wtable.Table{a, b, empty})
 	sims := make(map[[2]int]float64)
 	for _, e := range m.rawEdges {
-		sims[[2]int{e.t1, e.t2}] = e.sim
+		sims[[2]int{int(e.t1), int(e.t2)}] = e.sim
 	}
 	if s := sims[[2]int{0, 1}]; s != 0.5 { // 2 shared / 4 union
 		t.Errorf("content sim = %f, want 0.5", s)

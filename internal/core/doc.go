@@ -23,25 +23,32 @@
 // different interners. The interner also records every string's token-ID
 // set when it assigns the ID, so a body cell's analysis — its whole-cell
 // ID in the view's row-major cells and its token set — is computed once
-// per engine and serves both the edge pass and consolidation. Views are immutable once built and carry no corpus
-// statistics: each build weighs the header tokens of its tables under its
-// own CorpusStats, in its scratch, so a cached view serves every
-// generation of a live engine. The cache retains every table it has
-// analyzed for its lifetime. Every IDF a build reads — its query's and
-// its tables' header tokens', the tables Extend adds included — goes
-// through a memo in its scratch that BuildTables empties and binds to the
-// build's CorpusStats, so each distinct token reaches the statistics
-// (one lookup per live segment, on the index) once per build. The memo
-// is per-build arena state, not a cross-query cache: no IDF outlives the
-// build whose pinned generation it was read under.
+// per engine and serves both the edge pass and consolidation. A view's
+// header tokens are interned too, so a build matches its query against
+// header cells by integer: it resolves the query tokens' IDs once
+// (re-resolving, after each batch of fetched views, a token no view had
+// interned yet) and marks per query column and header cell a hit mask of
+// the query positions the cell holds, which drives SegSim, Cover and
+// outSim's header parts. Views are immutable once built and carry no
+// corpus statistics: each build weighs the header cells of its tables
+// under its own CorpusStats, in its scratch, the first time a feature
+// reads a cell, so a cached view serves every generation of a live
+// engine. The cache retains every table it has analyzed for its lifetime.
+// Every IDF a build reads — its query's and the tokens of the header
+// cells it weighs, the tables Extend adds included — goes through a memo
+// in its scratch that BuildTables empties and binds to the build's
+// CorpusStats, so each distinct token reaches the statistics (one lookup
+// per live segment, on the index) once per build. The memo is per-build
+// arena state, not a cross-query cache: no IDF outlives the build whose
+// pinned generation it was read under.
 //
 // The content-overlap edges are computed per build, in the build's own
 // arena: no pair similarity outlives the query that computed it. One pass
-// sorts a (cell ID, column) entry per body cell of every view, drops the
-// repeats within a column, and counts each column's distinct cells and
-// the shared cells of each cross-table column pair into buffers of
-// Σ n columns and Σ n₁·n₂ counts, one row per column over the columns of
-// the tables after its own. One sweep per table pair then reads its
+// groups the body cells of every view by cell ID through an open-addressed
+// table in the arena, with no sort, drops the repeats within a column, and
+// counts each column's distinct cells and the shared cells of each
+// cross-table column pair into buffers of Σ n columns and Σ n₁·n₂ counts,
+// one row per column over the columns of the tables after its own. One sweep per table pair then reads its
 // Jaccards and set sizes from there instead of merging the two columns'
 // cell sets, appends its survivors straight to the raw edges, and marks
 // its max-matching: survivors that share no column are all matched

@@ -55,7 +55,7 @@ func buildRawEdgesRef(m *Model) []rawEdge {
 	for _, ps := range sims {
 		edgeIdx[[2]columnRef{ps.a, ps.b}] = len(rawEdges)
 		rawEdges = append(rawEdges, rawEdge{
-			t1: ps.a.t, c1: ps.a.c, t2: ps.b.t, c2: ps.b.c,
+			t1: int32(ps.a.t), c1: int32(ps.a.c), t2: int32(ps.b.t), c2: int32(ps.b.c),
 			nsimAB: ps.sim / (p.Lambda + denom[ps.a]),
 			nsimBA: ps.sim / (p.Lambda + denom[ps.b]),
 			sim:    ps.sim,
@@ -331,7 +331,7 @@ func TestBuildRawEdgesMinNeighborSimBoundary(t *testing.T) {
 
 	found := map[[2]int]float64{}
 	for _, re := range m.rawEdges {
-		found[[2]int{re.t1, re.t2}] = re.sim
+		found[[2]int{int(re.t1), int(re.t2)}] = re.sim
 	}
 	// a-b: 1/10 = 0.1 exactly -> kept. a-c: 1/11 < 0.1 -> dropped.
 	if s, ok := found[[2]int{0, 1}]; !ok || s != 0.1 {

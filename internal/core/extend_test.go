@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"wwt/internal/text"
+	"wwt/internal/wtable"
 )
 
 // modelDiff names the first per-table grid or edge list on which got and
@@ -85,6 +88,44 @@ func TestExtendMatchesBuild(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestQueryTokenInternedMidBuild pins the once-per-build query token IDs:
+// on a cold ViewCache, a query token first enters the interner through
+// the header of a table fetched after the build began — a later table of
+// one build, or a table Extend adds — and its features must equal those
+// of the same build over a warm cache, where the token is known from the
+// start.
+func TestQueryTokenInternedMidBuild(t *testing.T) {
+	first := table("first", [][]string{{"Country", "Capital"}},
+		[][]string{{"France", "Paris"}, {"Japan", "Tokyo"}}, "countries of the world")
+	later := table("later", [][]string{{"Nation", "Currency"}},
+		[][]string{{"France", "Euro"}, {"Japan", "Yen"}}, "")
+	tables := []*wtable.Table{first, later}
+	cols := []string{"country", "currency"}
+	tok := text.Normalize("currency")[0]
+	p := DefaultParams()
+
+	warmViews := NewViewCache()
+	warmB := &Builder{Params: p, Stats: constStats{}, Views: warmViews}
+	warmB.Build(cols, tables)
+	want := warmB.Build(cols, tables)
+	if want.Feats[1][1][1].SegSim == 0 {
+		t.Fatal("the later table's currency column scores 0 on a warm cache: the test cannot see the token")
+	}
+	for _, split := range []int{2, 1} {
+		views := NewViewCache()
+		if views.Interner().Lookup(tok) != NoID {
+			t.Fatal("a fresh cache knows the query token")
+		}
+		b := &Builder{Params: p, Stats: constStats{}, Views: views}
+		var s BuildScratch
+		got := b.BuildTables(cols, tables[:split], &s)
+		got.Extend(b, tables[split:], &s)
+		if d := modelDiff(got, want, false); d != "" {
+			t.Errorf("cold cache, %d tables before Extend: %s differs from the warm build", split, d)
 		}
 	}
 }

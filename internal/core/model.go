@@ -55,7 +55,7 @@ type Model struct {
 
 // rawEdge is a matched cross-table column pair before gating/weighting.
 type rawEdge struct {
-	t1, c1, t2, c2 int
+	t1, c1, t2, c2 int32
 	nsimAB, nsimBA float64
 	sim            float64 // raw (unnormalized) similarity, for ablations
 	matched        bool    // survived the one-one max-matching
@@ -140,12 +140,21 @@ func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *Bui
 			s.hDocs[ell] = b.PMI.HeaderContextDocs(qc.Tokens)
 		}
 	}
-	// Cacheless builds still need one interner shared by every view in the
-	// model, Extend's included, or cross-view similarities would compare
-	// unrelated IDs.
-	s.in = b.Interner
-	if b.Views == nil && s.in == nil {
+	// Every view of the model, Extend's included, shares one interner —
+	// the cache's, or for cacheless builds the builder's or a build-local
+	// one — or cross-view similarities would compare unrelated IDs. The
+	// query tokens are resolved there as views are fetched.
+	switch {
+	case b.Views != nil:
+		s.in = b.Views.in
+	case b.Interner != nil:
+		s.in = b.Interner
+	default:
 		s.in = NewInterner()
+	}
+	s.qt = slicex.Grow(s.qt, m.NumQ)
+	for ell := range m.Q {
+		s.qt[ell].reset(m.Q[ell].Tokens)
 	}
 	m.addTables(b, tables, s)
 	return m
@@ -176,22 +185,28 @@ func (m *Model) addTables(b *Builder, added []*wtable.Table, s *BuildScratch) {
 		panic("core: model extended through an arena it was not built in")
 	}
 	n := n0 + len(added)
-	p := m.Params
+	p := &m.Params
 	q := m.NumQ
 	labels := NumLabels(q)
 
+	s.views = slicex.GrowKeep(s.views, n)
+	for i, t := range added {
+		s.views[n0+i] = b.viewFor(t, s.in)
+	}
+	m.Views = s.views
+	// A view fetched above may have interned a query token for the first
+	// time: resolve the tokens still unknown, once for all added views.
+	for ell := range m.Q {
+		s.qt[ell].resolve(m.Q[ell].Tokens, s.in)
+	}
 	s.colOff = slicex.Grow(s.colOff, n+1)
 	colOff := s.colOff
 	colOff[0] = 0
 	for ti, v := range m.Views {
 		colOff[ti+1] = colOff[ti] + v.NumCols
 	}
-	for i, t := range added {
-		colOff[n0+i+1] = colOff[n0+i] + t.NumCols()
-	}
 	total := colOff[n]
 
-	s.views = slicex.GrowKeep(s.views, n)
 	s.rel = slicex.GrowKeep(s.rel, n)
 	s.feats = slicex.GrowKeep(s.feats, total*q)
 	s.node = slicex.GrowKeep(s.node, total*labels)
@@ -201,32 +216,28 @@ func (m *Model) addTables(b *Builder, added []*wtable.Table, s *BuildScratch) {
 	s.nodeRows, s.nodeTab = slicex.Grow(s.nodeRows, total), slicex.Grow(s.nodeTab, n)
 	s.distRows, s.distTab = slicex.Grow(s.distRows, total), slicex.Grow(s.distTab, n)
 	s.confTab = slicex.Grow(s.confTab, n)
-	m.Views, m.Rel = s.views, s.rel
+	m.Rel = s.rel
 	m.Feats = carveGrid(s.feats, s.featRows, s.featsTab, colOff, q)
 	m.Node = carveGrid(s.node, s.nodeRows, s.nodeTab, colOff, labels)
 	m.Dist = carveGrid(s.dist, s.distRows, s.distTab, colOff, labels)
 	m.Conf = carveCols(s.conf, s.confTab, colOff)
 
-	for i, t := range added {
-		ti := n0 + i
-		v := b.viewFor(t, s.in)
-		m.Views[ti] = v
-		// The view carries no corpus statistics: weigh its header under
-		// this build's, and resolve the query tokens in its interner. The
-		// view is fully built, so every token it holds is interned already.
-		s.hdr.weigh(v, &s.idf)
-		s.qids = slicex.Grow(s.qids, q)
+	for ti := n0; ti < n; ti++ {
+		v := m.Views[ti]
+		// The view carries no corpus statistics: its header cells are
+		// weighed under this build's as segScores first reads them, and
+		// each query column's hits in them are marked once per view.
+		s.hdr.reset(v, &s.idf)
 		for ell := range m.Q {
-			s.qids[ell] = slicex.Grow(s.qids[ell], len(m.Q[ell].Tokens))
-			v.lookupIDs(m.Q[ell].Tokens, s.qids[ell])
+			s.qt[ell].hits.fill(v, s.qt[ell].ids)
 		}
 		feats := m.Feats[ti]
 		for c := 0; c < v.NumCols; c++ {
 			for ell := 0; ell < q; ell++ {
-				seg, cov := segScores(&m.Q[ell], s.qids[ell], v, &s.hdr, c, p)
+				seg, cov := segScores(&m.Q[ell], &s.qt[ell], v, &s.hdr, c, p)
 				f := Features{SegSim: seg, Cover: cov}
 				if p.UsePMI && b.PMI != nil {
-					f.PMI2 = pmi2(s.hDocs[ell], v, c, b.PMI, p, s.pmiToks[:])
+					f.PMI2 = pmi2(s.hDocs[ell], v, c, b.PMI, *p, s.pmiToks[:])
 				}
 				feats[c][ell] = f
 			}
@@ -270,7 +281,7 @@ func (m *Model) tableNodes(ti int) {
 			if label < q {
 				f = m.Feats[ti][c][label]
 			}
-			row[label] = nodePotential(f, m.Rel[ti], q, nt, label, m.Params)
+			row[label] = nodePotential(f, m.Rel[ti], q, nt, label, &m.Params)
 		}
 	}
 }
@@ -385,7 +396,7 @@ func (m *Model) tableStage1(ti int, s *BuildScratch) {
 // addTables computed, colOff[t] the global offset of table t's first
 // column — so a warm scratch runs the whole pass without allocating.
 func (m *Model) buildRawEdges(s *BuildScratch) {
-	p := m.Params
+	p := &m.Params
 	n := len(m.Views)
 	colOff := s.colOff
 	m.rawEdges = nil
@@ -393,6 +404,7 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 		return
 	}
 	m.countSharedCells(s)
+	s.mark, s.stamp = slicex.GrowClear(s.mark, colOff[n]), 0
 	raw := s.rawEdges[:0]
 	for t1, a := range m.Views {
 		for t2 := t1 + 1; t2 < n; t2++ {
@@ -408,7 +420,7 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 						sim = float64(k) / float64(len1+int(size2[c2])-int(k))
 					}
 					if sim >= p.MinNeighborSim {
-						raw = append(raw, rawEdge{t1: t1, c1: c1, t2: t2, c2: c2, sim: sim})
+						raw = append(raw, rawEdge{t1: int32(t1), c1: int32(c1), t2: int32(t2), c2: int32(c2), sim: sim})
 					}
 				}
 			}
@@ -428,14 +440,15 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	// keeps.
 	s.denom = slicex.GrowClear(s.denom, colOff[n])
 	denom := s.denom
-	for _, e := range raw {
-		denom[colOff[e.t1]+e.c1] += e.sim
-		denom[colOff[e.t2]+e.c2] += e.sim
+	for i := range raw {
+		e := &raw[i]
+		denom[colOff[e.t1]+int(e.c1)] += e.sim
+		denom[colOff[e.t2]+int(e.c2)] += e.sim
 	}
 	for i := range raw {
 		e := &raw[i]
-		e.nsimAB = e.sim / (p.Lambda + denom[colOff[e.t1]+e.c1])
-		e.nsimBA = e.sim / (p.Lambda + denom[colOff[e.t2]+e.c2])
+		e.nsimAB = e.sim / (p.Lambda + denom[colOff[e.t1]+int(e.c1)])
+		e.nsimBA = e.sim / (p.Lambda + denom[colOff[e.t2]+int(e.c2)])
 	}
 	m.rawEdges = raw
 }
@@ -449,7 +462,9 @@ func (m *Model) finalizeEdges(s *BuildScratch) {
 	if s != nil {
 		edges = s.edges[:0]
 	}
-	for _, re := range m.rawEdges {
+	for i := range m.rawEdges {
+		re := &m.rawEdges[i]
+		t1, c1, t2, c2 := int(re.t1), int(re.c1), int(re.t2), int(re.c2)
 		switch p.Edges {
 		case EdgePotts, EdgePottsNoNR:
 			// Naive variants: every similar pair, raw similarity, no
@@ -457,7 +472,7 @@ func (m *Model) finalizeEdges(s *BuildScratch) {
 			// table-centric messages stay defined.
 			w := p.We * re.sim / 2
 			edges = append(edges, Edge{
-				T1: re.t1, C1: re.c1, T2: re.t2, C2: re.c2,
+				T1: t1, C1: c1, T2: t2, C2: c2,
 				WAB: w, WBA: w,
 				IncludeNR: p.Edges == EdgePotts,
 			})
@@ -466,16 +481,16 @@ func (m *Model) finalizeEdges(s *BuildScratch) {
 				continue
 			}
 			var wab, wba float64
-			if m.Conf[re.t2][re.c2] > p.ConfidenceThreshold {
+			if m.Conf[t2][c2] > p.ConfidenceThreshold {
 				wab = p.We * re.nsimAB
 			}
-			if m.Conf[re.t1][re.c1] > p.ConfidenceThreshold {
+			if m.Conf[t1][c1] > p.ConfidenceThreshold {
 				wba = p.We * re.nsimBA
 			}
 			if wab == 0 && wba == 0 {
 				continue
 			}
-			edges = append(edges, Edge{T1: re.t1, C1: re.c1, T2: re.t2, C2: re.c2, WAB: wab, WBA: wba})
+			edges = append(edges, Edge{T1: t1, C1: c1, T2: t2, C2: c2, WAB: wab, WBA: wba})
 		}
 	}
 	if s != nil {

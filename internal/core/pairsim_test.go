@@ -138,3 +138,110 @@ func TestBuildRawEdgesWideTable(t *testing.T) {
 			len(s.counts), want, s.colOff[len(m.Views)]*s.colOff[len(m.Views)])
 	}
 }
+
+// sortedSharedCounts is the sort-based shared-cell count the grouping
+// table replaced, kept as its oracle: one cellID<<32 | global column
+// entry per body cell, sorted and compacted so each column's distinct
+// cells appear once, each run of equal IDs one cell, counted once for
+// every cross-table column pair in the run. It returns the per-column
+// distinct cells and the count rows in BuildScratch's layout, reading
+// rowOff and colEnd from s.
+func sortedSharedCounts(m *Model, s *BuildScratch) (colCells, counts []int32) {
+	var cells []uint64
+	for t, v := range m.Views {
+		for c := 0; c < v.NumCols; c++ {
+			g := s.colOff[t] + c
+			for i := c; i < len(v.cells); i += v.NumCols {
+				if id := v.cells[i]; id != NoID {
+					cells = append(cells, uint64(id)<<32|uint64(g))
+				}
+			}
+		}
+	}
+	slices.Sort(cells)
+	cells = slices.Compact(cells)
+	colCells = make([]int32, s.colOff[len(m.Views)])
+	for _, e := range cells {
+		colCells[uint32(e)]++
+	}
+	counts = make([]int32, len(s.counts))
+	for i := 0; i < len(cells); {
+		j := i + 1
+		for j < len(cells) && cells[j]>>32 == cells[i]>>32 {
+			j++
+		}
+		for a := i; a < j-1; a++ {
+			ga := uint32(cells[a])
+			for _, e := range cells[a+1 : j] {
+				if gb := int(uint32(e)); gb >= s.colEnd[ga] {
+					counts[s.rowOff[ga]+gb]++
+				}
+			}
+		}
+		i = j
+	}
+	return colCells, counts
+}
+
+// cellsView is a view holding only body cells, given column by column.
+func cellsView(cols ...[]uint32) *TableView {
+	v := &TableView{NumCols: len(cols)}
+	for r := range cols[0] {
+		for _, col := range cols {
+			v.cells = append(v.cells, col[r])
+		}
+	}
+	return v
+}
+
+// TestSharedCellGroupingCollisions pins the edge pass's grouping table on
+// cell IDs that all hash to the table's last slot, so every lookup walks
+// one probe chain that wraps to slot 0; a cell repeated within a column;
+// an empty column; and a cell shared by all four tables. The distinct
+// cells per column and the count rows must equal the sort-based count's,
+// with the views in order and reversed through one dirty scratch.
+func TestSharedCellGroupingCollisions(t *testing.T) {
+	const rows, cols = 4, 8
+	bits := groupBits(rows * cols)
+	last := uint32(1)<<bits - 1
+	var ids []uint32
+	for id := uint32(0); len(ids) < 6; id++ {
+		if cellHash(id, bits) == last {
+			ids = append(ids, id)
+		}
+	}
+	a, b, c, d, e, f := ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]
+	views := []*TableView{
+		cellsView([]uint32{a, a, b, NoID}, []uint32{c, a, NoID, c}, []uint32{d, d, d, d}),
+		cellsView([]uint32{a, b, e, a}, []uint32{d, c, NoID, NoID}),
+		cellsView([]uint32{a, e, f, f}, []uint32{NoID, NoID, NoID, NoID}),
+		cellsView([]uint32{a, d, b, c}),
+	}
+	var s BuildScratch
+	for _, order := range []string{"forward", "reversed"} {
+		m := &Model{Views: views}
+		s.colOff = append(s.colOff[:0], 0)
+		for _, v := range views {
+			s.colOff = append(s.colOff, s.colOff[len(s.colOff)-1]+v.NumCols)
+		}
+		if s.colOff[len(views)] != cols {
+			t.Fatalf("%d columns, want %d", s.colOff[len(views)], cols)
+		}
+		m.countSharedCells(&s)
+		if len(s.slots) != 1<<bits {
+			t.Fatalf("%s: %d slots, want %d", order, len(s.slots), 1<<bits)
+		}
+		wantCells, wantCounts := sortedSharedCounts(m, &s)
+		if !slices.Equal(s.colCells, wantCells) {
+			t.Errorf("%s: colCells %v, sorted count %v", order, s.colCells, wantCells)
+		}
+		if !slices.Equal(s.counts, wantCounts) {
+			t.Errorf("%s: counts %v, sorted count %v", order, s.counts, wantCounts)
+		}
+		if order == "forward" && (wantCells[0] != 2 || wantCells[2] != 1 || wantCells[6] != 0) {
+			t.Fatalf("distinct cells %v: the fixture lost its repeats or its empty column", wantCells)
+		}
+		views = slices.Clone(views)
+		slices.Reverse(views)
+	}
+}

@@ -19,18 +19,20 @@ func PartMatches(qc *QueryColumn, v *TableView, c int) PartMatchReport {
 	if c >= v.NumCols {
 		return rep
 	}
+	var qt queryTokens
+	qt.reset(qc.Tokens)
+	qt.resolve(qc.Tokens, v.in)
+	h := &qt.hits
+	h.fill(v, qt.ids)
 	for r := 0; r < v.HeaderRowCount(); r++ {
-		for _, w := range qc.Tokens {
-			if v.headerHas(r, c, w) {
-				rep.AnyInSim = true
-			}
+		if h.any(r*v.NumCols+c, 0, len(qc.Tokens)) {
+			rep.AnyInSim = true
 		}
 	}
 	if !rep.AnyInSim {
 		return rep
 	}
-	for _, w := range qc.Tokens {
-		id := v.in.Lookup(w)
+	for i, id := range qt.ids {
 		if v.inTitle(id) {
 			rep.Parts[0] = true
 		}
@@ -38,10 +40,10 @@ func PartMatches(qc *QueryColumn, v *TableView, c int) PartMatchReport {
 			rep.Parts[1] = true
 		}
 		for r := 0; r < v.HeaderRowCount(); r++ {
-			if v.otherHeaderRowsHave(r, c, w) {
+			if h.otherRowsHave(v, r, c, i) {
 				rep.Parts[2] = true
 			}
-			if v.otherHeaderColsHave(r, c, w) {
+			if h.otherColsHave(v, r, c, i) {
 				rep.Parts[3] = true
 			}
 		}

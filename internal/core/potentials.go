@@ -115,7 +115,7 @@ type Features struct {
 //	θ(tc, ℓ)  = w1·SegSim + w2·Cover + w3·PMI² + w5          for ℓ ∈ [1..q]
 //	θ(tc, nr) = w4 · (min(q,nt)/nt) · (1 − R(Q,t))
 //	θ(tc, na) = 0
-func nodePotential(f Features, rel float64, q, nt, label int, p Params) float64 {
+func nodePotential(f Features, rel float64, q, nt, label int, p *Params) float64 {
 	switch {
 	case label >= 0 && label < q:
 		v := p.W1*f.SegSim + p.W2*f.Cover + p.W5

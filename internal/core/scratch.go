@@ -24,15 +24,17 @@ import "wwt/internal/graph"
 // and no IDF it holds outlives the build.
 //
 // The edge pass first counts the shared cells of every cross-table column
-// pair once: it sorts one (cell ID, column) entry per body cell into
-// cells, drops the repeats within a column, counts each column's distinct
-// cells into colCells and increments counts, one int32 per column pair:
-// column g's row over the columns of the later tables starts at
-// rowOff[g], indexed by global column from colEnd[g] on (Σ n₁·n₂ entries,
-// no same-table cells). Then each table pair, in (t1, t2) order, appends
-// its surviving column pairs straight to rawEdges and marks its matching,
-// solving in ws through match when its survivors share a column. The
-// counts never leave the scratch.
+// pair once, without a sort: it groups one (cell ID, column) entry per
+// body cell by cell ID through the open-addressed table slots, dropping
+// the repeats within a column, into ents; counts each column's distinct
+// cells into colCells; lays each group's columns out contiguously in
+// grouped; and increments counts, one int32 per column pair: column g's
+// row over the columns of the later tables starts at rowOff[g], indexed
+// by global column from colEnd[g] on (Σ n₁·n₂ entries, no same-table
+// cells). Then each table pair, in (t1, t2) order, appends its surviving
+// column pairs straight to rawEdges and marks its matching — stamping its
+// survivors' columns in mark to see whether two share one, and solving
+// in ws through match when they do. None of it leaves the scratch.
 type BuildScratch struct {
 	hDocs  [][]int32 // per query column: the PMISource's H(Qℓ) doc sets (read-only)
 	colOff []int     // table -> global offset of its first column
@@ -65,12 +67,13 @@ type BuildScratch struct {
 
 	idf idfMemo // every IDF the build reads
 
-	// Per-table state, overwritten for each table: its header weights
-	// under the build's statistics and the query tokens' IDs in its
-	// interner (the per-build inputs of segScores), and the output grid
-	// of its stage-1 max-marginal solve (§4.2).
+	// The query columns' integer form for the whole build (token IDs,
+	// first occurrences, and hit masks over the header cells of the table
+	// being scored), and per-table state overwritten for each table: its
+	// header weights under the build's statistics, weighed as read, and
+	// the output grid of its stage-1 max-marginal solve (§4.2).
+	qt   []queryTokens
 	hdr  headerWeights
-	qids [][]uint32 // per query column: its tokens' IDs
 	out  [][]float64
 	outB []float64
 	// The assignment-solver workspace of the stage-1 solves and the edge
@@ -78,11 +81,17 @@ type BuildScratch struct {
 	ws graph.Workspace
 
 	// Edge construction.
-	cells    []uint64     // cellID<<32 | global column, sorted, distinct
-	colCells []int32      // global column -> its distinct cells
-	rowOff   []int        // global column g -> its row: counts[rowOff[g]+g2], g2 >= colEnd[g]
-	colEnd   []int        // global column -> end of its table's columns
-	counts   []int32      // shared cells per cross-table column pair
+	slots    []cellSlot  // open-addressed cell ID -> group table
+	ents     []cellEntry // (group, global column) per distinct column cell
+	grpLast  []int32     // group -> its last column
+	grpLen   []int32     // group -> its distinct columns, then its run's end in grouped
+	grouped  []int32     // every group's columns, one run per group
+	colCells []int32     // global column -> its distinct cells
+	rowOff   []int       // global column g -> its row: counts[rowOff[g]+g2], g2 >= colEnd[g]
+	colEnd   []int       // global column -> end of its table's columns
+	counts   []int32     // shared cells per cross-table column pair
+	mark     []uint32    // global column -> stamp of the last pair that used it
+	stamp    uint32
 	match    []graph.Cell // the current pair's matching cells
 	denom    []float64
 	rawEdges []rawEdge

@@ -19,25 +19,31 @@ import (
 
 // idfMemo is a build's view of its corpus statistics: it resolves each
 // distinct token through the bound CorpusStats once and answers every
-// later lookup of the token from its map. A token's IDF is one number
+// later lookup of the token from its maps. A token's IDF is one number
 // per generation, and the query analysis and every candidate table's
 // header cells ask for the same few tokens, so a build pays one
 // statistics lookup (one per live segment, on the index) per distinct
-// token instead of one per (table, header cell) occurrence. The memo is
-// arena state, not a cache: reset clears it at the start of every build,
-// so it never outlives the build's pinned statistics, and a warm arena
-// keeps its map's storage.
+// token instead of one per (table, header cell) occurrence. Query tokens
+// are resolved by string; header tokens by their ID in the build's
+// interner, falling back to the string on the ID's first request, so a
+// header token the query already resolved is not looked up again. The
+// memo is arena state, not a cache: reset clears it at the start of every
+// build, so it never outlives the build's pinned statistics, and a warm
+// arena keeps its maps' storage.
 type idfMemo struct {
 	stats CorpusStats
 	idf   map[string]float64
+	byID  map[uint32]float64
 }
 
 // reset empties the memo and binds it to stats.
 func (m *idfMemo) reset(stats CorpusStats) {
 	if m.idf == nil {
 		m.idf = make(map[string]float64)
+		m.byID = make(map[uint32]float64)
 	}
 	clear(m.idf)
+	clear(m.byID)
 	m.stats = stats
 }
 
@@ -52,85 +58,229 @@ func (m *idfMemo) IDF(tok string) float64 {
 	return x
 }
 
+// idfOf is IDF for the token with ID id in in, which must be the one
+// interner of every ID the memo sees between two resets.
+func (m *idfMemo) idfOf(id uint32, in *Interner) float64 {
+	x, ok := m.byID[id]
+	if !ok {
+		x = m.IDF(in.str(id))
+		m.byID[id] = x
+	}
+	return x
+}
+
 // headerWeights is the per-build half of a view's header analysis: the
 // TF-IDF weight of every header token within its cell and every header
 // cell's L2 norm, under the build's corpus statistics — the only corpus
 // statistics a table's analysis reads (inSim's cosine, §3.2.1). Keeping
 // them out of the view is what lets one cached view serve every
-// generation. A build computes them per table into its scratch, reading
-// every IDF through the build's memo, so a warm scratch weighs a table
-// without allocating and without a statistics lookup for a token an
-// earlier table or the query already resolved.
+// generation. A build weighs a header cell only when inSimCosine or
+// unsegScores first reads it — a cell that shares no token with the query
+// is never read — into its scratch, reading every IDF through the build's
+// memo, so a warm scratch weighs a table without allocating and without a
+// statistics lookup for a token an earlier table or the query already
+// resolved.
 type headerWeights struct {
-	w    []float64 // w[i]: the weight of hdrToks[i]'s token in its cell
-	norm []float64 // norm[r*NumCols+c]: L2 norm of header cell (r, c)
+	v       *TableView
+	memo    *idfMemo
+	w       []float64 // w[i]: the weight of hdrIDs[i]'s token in its cell
+	norm    []float64 // norm[cell]: L2 norm of header cell r*NumCols+c
+	weighed []bool    // weighed[cell]: w and norm hold the cell's values
 }
 
-// weigh fills hw for view v under the statistics memo is bound to. A
-// token's weight is its IDF added once per occurrence in the cell, and a
-// cell's norm sums the squared weights in first-occurrence order: the
-// same additions in the same order as a per-cell TF-IDF map built token
-// by token, so every float is bit-identical to it (FuzzHeaderWeights
-// keeps that map as the oracle).
-func (hw *headerWeights) weigh(v *TableView, memo *idfMemo) {
-	hw.w = slicex.Grow(hw.w, len(v.hdrToks))
-	hw.norm = slicex.Grow(hw.norm, len(v.hdrOff)-1)
-	for cell := range hw.norm {
-		lo, hi := int(v.hdrOff[cell]), int(v.hdrOff[cell+1])
-		toks := v.hdrToks[lo:hi]
-		var n2 float64
-		for i, w := range toks {
-			if j := slices.Index(toks[:i], w); j >= 0 {
-				hw.w[lo+i] = hw.w[lo+j]
-				continue
+// reset binds hw to view v under the statistics memo is bound to, with no
+// cell weighed yet.
+func (hw *headerWeights) reset(v *TableView, memo *idfMemo) {
+	hw.v, hw.memo = v, memo
+	cells := len(v.hdrOff) - 1
+	hw.w = slicex.Grow(hw.w, len(v.hdrIDs))
+	hw.norm = slicex.Grow(hw.norm, cells)
+	hw.weighed = slicex.GrowClear(hw.weighed, cells)
+}
+
+// weigh fills the weights and norm of header cell cell unless an earlier
+// read did. A token's weight is its IDF added once per occurrence in the
+// cell, and the cell's norm sums the squared weights of all its tokens in
+// first-occurrence order: the same additions in the same order as a
+// per-cell TF-IDF map built token by token, so every float is
+// bit-identical to it (FuzzHeaderWeights keeps that map as the oracle).
+func (hw *headerWeights) weigh(cell int) {
+	if hw.weighed[cell] {
+		return
+	}
+	hw.weighed[cell] = true
+	v := hw.v
+	lo := int(v.hdrOff[cell])
+	toks := v.headerCell(cell)
+	var n2 float64
+	for i, w := range toks {
+		if j := slices.Index(toks[:i], w); j >= 0 {
+			hw.w[lo+i] = hw.w[lo+j]
+			continue
+		}
+		idf := hw.memo.idfOf(w, v.in)
+		var x float64
+		for _, u := range toks[i:] {
+			if u == w {
+				x += idf
 			}
-			idf := memo.IDF(w)
-			var x float64
-			for _, u := range toks[i:] {
-				if u == w {
-					x += idf
+		}
+		hw.w[lo+i] = x
+		n2 += x * x
+	}
+	hw.norm[cell] = sqrt(n2)
+}
+
+// weight returns the weight of the token with ID id in header cell cell,
+// which must hold it, weighing the cell on first read.
+func (hw *headerWeights) weight(cell int, id uint32) float64 {
+	hw.weigh(cell)
+	return hw.w[int(hw.v.hdrOff[cell])+slices.Index(hw.v.headerCell(cell), id)]
+}
+
+// queryTokens is a build's integer form of one query column: ids[i] is
+// token i's ID in the build's interner (NoID while no view holds it),
+// first[i] the position of the token's first occurrence in the column, so
+// two positions hold the same token exactly when their first agree, and
+// hits the column's hit masks over the header cells of the view being
+// scored.
+type queryTokens struct {
+	ids   []uint32
+	first []int32
+	hits  hitMasks
+}
+
+// reset fills q for the tokens of one query column, every ID NoID.
+func (q *queryTokens) reset(toks []string) {
+	q.ids = slicex.Grow(q.ids, len(toks))
+	q.first = slicex.Grow(q.first, len(toks))
+	for i, w := range toks {
+		q.ids[i] = NoID
+		q.first[i] = int32(slices.Index(toks, w))
+	}
+}
+
+// resolve looks up in in every token still NoID. IDs never change once
+// assigned, so only a token no view had interned at the last resolve can
+// change; a view fetched since may have interned it.
+func (q *queryTokens) resolve(toks []string, in *Interner) {
+	for i, id := range q.ids {
+		if id == NoID {
+			q.ids[i] = in.Lookup(toks[i])
+		}
+	}
+}
+
+// hitMasks holds one query column's hit masks over the header cells of
+// one view: the mask of cell r*NumCols+c is words[cell*w:(cell+1)*w], and
+// its bit k (word k/64, bit k%64) is set when query token k occurs in the
+// cell. A column of m tokens takes w = ⌈m/64⌉ words per cell.
+type hitMasks struct {
+	w     int
+	words []uint64
+}
+
+// fill computes the hit masks of the query tokens ids over v's header
+// cells. A NoID token is in no cell, since every header token is
+// interned.
+func (h *hitMasks) fill(v *TableView, ids []uint32) {
+	cells := len(v.hdrOff) - 1
+	h.w = (len(ids) + 63) / 64
+	h.words = slicex.GrowClear(h.words, cells*h.w)
+	for cell := 0; cell < cells; cell++ {
+		mask := h.words[cell*h.w : (cell+1)*h.w]
+		for _, id := range v.headerCell(cell) {
+			for k, q := range ids {
+				if q == id {
+					mask[k>>6] |= 1 << (k & 63)
 				}
 			}
-			hw.w[lo+i] = x
-			n2 += x * x
 		}
-		hw.norm[cell] = sqrt(n2)
 	}
 }
 
-// weight returns the weight of token w in header cell (r, c), and
-// whether the cell holds w.
-func (hw *headerWeights) weight(v *TableView, r, c int, w string) (float64, bool) {
-	lo, hi := v.headerSpan(r, c)
-	if i := slices.Index(v.hdrToks[lo:hi], w); i >= 0 {
-		return hw.w[lo+i], true
+// has reports whether header cell cell holds query token k.
+func (h *hitMasks) has(cell, k int) bool {
+	return h.words[cell*h.w+k>>6]&(1<<(k&63)) != 0
+}
+
+// any reports whether header cell cell holds a query token of [a, b).
+func (h *hitMasks) any(cell, a, b int) bool {
+	mask := h.words[cell*h.w : (cell+1)*h.w]
+	for a < b {
+		word := mask[a>>6] >> (a & 63)
+		if n := b - a; n < 64-(a&63) {
+			word &= 1<<n - 1
+		}
+		if word != 0 {
+			return true
+		}
+		a = (a>>6 + 1) << 6
 	}
-	return 0, false
+	return false
+}
+
+// firstRow returns the first header row of v whose cell in column c holds
+// query token k, or -1.
+func (h *hitMasks) firstRow(v *TableView, c, k int) int {
+	for r := 0; r < v.HeaderRowCount(); r++ {
+		if h.has(r*v.NumCols+c, k) {
+			return r
+		}
+	}
+	return -1
+}
+
+// otherRowsHave reports whether query token k occurs in column c of v in
+// a header row other than r (the Hc part of outSim).
+func (h *hitMasks) otherRowsHave(v *TableView, r, c, k int) bool {
+	for rr := 0; rr < v.HeaderRowCount(); rr++ {
+		if rr != r && h.has(rr*v.NumCols+c, k) {
+			return true
+		}
+	}
+	return false
+}
+
+// otherColsHave reports whether query token k occurs in header row r of v
+// in a column other than c (the Hr part of outSim).
+func (h *hitMasks) otherColsHave(v *TableView, r, c, k int) bool {
+	for cc := 0; cc < v.NumCols; cc++ {
+		if cc != c && h.has(r*v.NumCols+cc, k) {
+			return true
+		}
+	}
+	return false
 }
 
 // segScores returns SegSim and Cover for query column qc against column c
-// of view v. ids are qc's token IDs in v's interner (lookupIDs) and hw
-// the view's header weights under the build's statistics. Both maximize
+// of view v. qt is qc's integer form with its hit masks over v's header
+// cells, and hw is bound to v under the build's statistics. Both maximize
 // over header rows and over all prefix/suffix segmentations with either
 // part pinned to the header (the pinned part must share a token with the
-// header row). Headerless tables score zero — table-level matches must
-// not count for unspecific columns.
-func segScores(qc *QueryColumn, ids []uint32, v *TableView, hw *headerWeights, c int, p Params) (segSim, cover float64) {
+// header row, so a row whose cell holds no query token is skipped).
+// Headerless tables score zero — table-level matches must not count for
+// unspecific columns.
+func segScores(qc *QueryColumn, qt *queryTokens, v *TableView, hw *headerWeights, c int, p *Params) (segSim, cover float64) {
 	m := len(qc.Tokens)
 	if m == 0 || qc.NormSq == 0 || v.HeaderRowCount() == 0 || c >= v.NumCols {
 		return 0, 0
 	}
 	if p.Unsegmented {
-		return unsegScores(qc, v, hw, c)
+		return unsegScores(qc, qt, v, hw, c)
 	}
+	h := &qt.hits
 	for r := 0; r < v.HeaderRowCount(); r++ {
-		// prefix sums of TI² let every split be O(1) plus the part scans.
+		cell := r*v.NumCols + c
+		if !h.any(cell, 0, m) {
+			continue
+		}
 		for k := 0; k <= m; k++ {
 			// Orientation A: P = tokens[0:k] pinned to header, S = rest out.
-			if k > 0 && intersectsHeader(qc.Tokens[:k], v, r, c) {
-				in := inSimCosine(qc, 0, k, v, hw, r, c)
-				inCov := inSimCover(qc, 0, k, v, r, c)
-				out := outSim(qc, ids, k, m, v, r, c, p)
+			if k > 0 && h.any(cell, 0, k) {
+				in := inSimCosine(qc, qt, 0, k, hw, cell)
+				inCov := inSimCover(qc, h, 0, k, cell)
+				out := outSim(qc, qt, k, m, v, r, c, p)
 				wIn := mass(qc, 0, k) / qc.NormSq
 				wOut := mass(qc, k, m) / qc.NormSq
 				if s := wIn*in + wOut*out; s > segSim {
@@ -141,10 +291,10 @@ func segScores(qc *QueryColumn, ids []uint32, v *TableView, hw *headerWeights, c
 				}
 			}
 			// Orientation B: S = tokens[k:m] pinned to header, P = rest out.
-			if k < m && intersectsHeader(qc.Tokens[k:], v, r, c) {
-				in := inSimCosine(qc, k, m, v, hw, r, c)
-				inCov := inSimCover(qc, k, m, v, r, c)
-				out := outSim(qc, ids, 0, k, v, r, c, p)
+			if k < m && h.any(cell, k, m) {
+				in := inSimCosine(qc, qt, k, m, hw, cell)
+				inCov := inSimCover(qc, h, k, m, cell)
+				out := outSim(qc, qt, 0, k, v, r, c, p)
 				wIn := mass(qc, k, m) / qc.NormSq
 				wOut := mass(qc, 0, k) / qc.NormSq
 				if s := wIn*in + wOut*out; s > segSim {
@@ -161,7 +311,10 @@ func segScores(qc *QueryColumn, ids []uint32, v *TableView, hw *headerWeights, c
 
 // unsegScores is the §5.2 unsegmented comparison model: the whole query is
 // matched against the column's concatenated header rows with a plain
-// TF-IDF cosine (and coverage fraction); no segmentation, no outSim.
+// TF-IDF cosine (and coverage fraction); no segmentation, no outSim. A
+// column whose header holds no query token scores (0, 0), the value the
+// cosine and the coverage take with nothing in common, without weighing
+// its cells.
 //
 // The header vector of the concatenation gives each distinct token the
 // sum of its per-row cell weights (unsegWeight). Every sum runs in
@@ -169,41 +322,45 @@ func segScores(qc *QueryColumn, ids []uint32, v *TableView, hw *headerWeights, c
 // cell order; query tokens in query order), so repeated builds are
 // bit-identical; the linear scans over the few header tokens keep the
 // comparison allocation-free.
-func unsegScores(qc *QueryColumn, v *TableView, hw *headerWeights, c int) (float64, float64) {
+func unsegScores(qc *QueryColumn, qt *queryTokens, v *TableView, hw *headerWeights, c int) (float64, float64) {
+	m, h := len(qc.Tokens), &qt.hits
+	hit := false
+	for r := 0; r < v.HeaderRowCount() && !hit; r++ {
+		hit = h.any(r*v.NumCols+c, 0, m)
+	}
+	if !hit {
+		return 0, 0
+	}
 	var hn2, dot, covered float64
-	empty := true
 	for r := 0; r < v.HeaderRowCount(); r++ {
-		toks := v.headerCell(r, c)
+		toks := v.headerCell(r*v.NumCols + c)
 		for i, w := range toks {
 			if slices.Contains(toks[:i], w) || inEarlierRow(v, r, c, w) {
 				continue
 			}
-			empty = false
-			x, _ := unsegWeight(v, hw, c, w)
+			x := unsegWeight(v, hw, c, r, w)
 			hn2 += x * x
 		}
 	}
-	if empty {
-		return 0, 0
-	}
 	var qn2 float64
-	for i, w := range qc.Tokens {
-		if slices.Contains(qc.Tokens[:i], w) {
+	for i := range qc.Tokens {
+		f := qt.first[i]
+		if int(f) != i {
 			continue
 		}
 		var x float64
-		for j := i; j < len(qc.Tokens); j++ {
-			if qc.Tokens[j] == w {
+		for j := i; j < m; j++ {
+			if qt.first[j] == f {
 				x += mathSqrt(qc.TI2[j])
 			}
 		}
 		qn2 += x * x
-		if y, ok := unsegWeight(v, hw, c, w); ok {
-			dot += x * y
+		if r := h.firstRow(v, c, i); r >= 0 {
+			dot += x * unsegWeight(v, hw, c, r, qt.ids[i])
 		}
 	}
-	for i, w := range qc.Tokens {
-		if _, ok := unsegWeight(v, hw, c, w); ok {
+	for i := range qc.Tokens {
+		if h.firstRow(v, c, i) >= 0 {
 			covered += qc.TI2[i]
 		}
 	}
@@ -213,24 +370,23 @@ func unsegScores(qc *QueryColumn, v *TableView, hw *headerWeights, c int) (float
 	return dot / (mathSqrt(qn2) * mathSqrt(hn2)), covered / qc.NormSq
 }
 
-// unsegWeight returns the weight of w in the concatenated header rows of
-// column c — its cell weights summed in row order — and whether any row
-// holds it.
-func unsegWeight(v *TableView, hw *headerWeights, c int, w string) (x float64, ok bool) {
-	for r := 0; r < v.HeaderRowCount(); r++ {
-		if y, in := hw.weight(v, r, c, w); in {
-			x += y
-			ok = true
+// unsegWeight returns the weight of w, which header row r of column c
+// holds, in the concatenated header rows of the column: its cell weights
+// summed in row order from the first row that holds it, r.
+func unsegWeight(v *TableView, hw *headerWeights, c, r int, w uint32) (x float64) {
+	for ; r < v.HeaderRowCount(); r++ {
+		if cell := r*v.NumCols + c; slices.Contains(v.headerCell(cell), w) {
+			x += hw.weight(cell, w)
 		}
 	}
-	return x, ok
+	return x
 }
 
 // inEarlierRow reports whether w occurs in column c of a header row
 // above r.
-func inEarlierRow(v *TableView, r, c int, w string) bool {
+func inEarlierRow(v *TableView, r, c int, w uint32) bool {
 	for rr := 0; rr < r; rr++ {
-		if slices.Contains(v.headerCell(rr, c), w) {
+		if slices.Contains(v.headerCell(rr*v.NumCols+c), w) {
 			return true
 		}
 	}
@@ -248,22 +404,15 @@ func mass(qc *QueryColumn, a, b int) float64 {
 	return s
 }
 
-func intersectsHeader(tokens []string, v *TableView, r, c int) bool {
-	for _, w := range tokens {
-		if v.headerHas(r, c, w) {
-			return true
-		}
-	}
-	return false
-}
-
 // inSimCosine is the TF-IDF cosine between the pinned query part
-// tokens[a:b] and header row r of column c, under the build's header
-// weights hw.
-func inSimCosine(qc *QueryColumn, a, b int, v *TableView, hw *headerWeights, r, c int) float64 {
-	lo, hi := v.headerSpan(r, c)
-	hnorm := hw.norm[r*v.NumCols+c]
-	if lo == hi || hnorm == 0 || a >= b {
+// tokens[a:b] and header cell cell, under the build's header weights hw.
+func inSimCosine(qc *QueryColumn, qt *queryTokens, a, b int, hw *headerWeights, cell int) float64 {
+	if len(hw.v.headerCell(cell)) == 0 || a >= b {
+		return 0
+	}
+	hw.weigh(cell)
+	hnorm := hw.norm[cell]
+	if hnorm == 0 {
 		return 0
 	}
 	// Query-part vector: TI(w) per occurrence, summed in occurrence order.
@@ -272,19 +421,19 @@ func inSimCosine(qc *QueryColumn, a, b int, v *TableView, hw *headerWeights, r, 
 	// arena vs fresh — sum identically.
 	var dot, qn2 float64
 	for i := a; i < b; i++ {
-		w := qc.Tokens[i]
-		if slices.Contains(qc.Tokens[a:i], w) {
+		f := qt.first[i]
+		if slices.Contains(qt.first[a:i], f) {
 			continue
 		}
 		var x float64
 		for j := i; j < b; j++ {
-			if qc.Tokens[j] == w {
+			if qt.first[j] == f {
 				x += math.Sqrt(qc.TI2[j])
 			}
 		}
 		qn2 += x * x
-		if y, ok := hw.weight(v, r, c, w); ok {
-			dot += x * y
+		if qt.hits.has(cell, i) {
+			dot += x * hw.weight(cell, qt.ids[i])
 		}
 	}
 	if qn2 == 0 {
@@ -294,15 +443,15 @@ func inSimCosine(qc *QueryColumn, a, b int, v *TableView, hw *headerWeights, r, 
 }
 
 // inSimCover is the Cover variant of inSim (§3.2.2): the TI²-weighted
-// fraction of the pinned part's tokens that appear in the header row.
-func inSimCover(qc *QueryColumn, a, b int, v *TableView, r, c int) float64 {
+// fraction of the pinned part's tokens that appear in the header cell.
+func inSimCover(qc *QueryColumn, h *hitMasks, a, b, cell int) float64 {
 	total := mass(qc, a, b)
 	if total == 0 {
 		return 0
 	}
 	var hit float64
 	for i := a; i < b; i++ {
-		if v.headerHas(r, c, qc.Tokens[i]) {
+		if h.has(cell, i) {
 			hit += qc.TI2[i]
 		}
 	}
@@ -310,16 +459,15 @@ func inSimCover(qc *QueryColumn, a, b int, v *TableView, r, c int) float64 {
 }
 
 // outSim scores the unpinned query part tokens[a:b] against the five
-// outside parts with soft-maxed reliabilities (§3.2.1). ids are the query
-// tokens' IDs in the view's interner.
-func outSim(qc *QueryColumn, ids []uint32, a, b int, v *TableView, r, c int, p Params) float64 {
+// outside parts with soft-maxed reliabilities (§3.2.1).
+func outSim(qc *QueryColumn, qt *queryTokens, a, b int, v *TableView, r, c int, p *Params) float64 {
 	norm := mass(qc, a, b)
 	if norm == 0 {
 		return 0
 	}
 	var sum float64
 	for i := a; i < b; i++ {
-		w, id := qc.Tokens[i], ids[i]
+		id := qt.ids[i]
 		miss := 1.0
 		if v.inTitle(id) {
 			miss *= 1 - p.RelTitle
@@ -328,10 +476,10 @@ func outSim(qc *QueryColumn, ids []uint32, a, b int, v *TableView, r, c int, p P
 			// Snippet scores modulate the context reliability (§2.1.2).
 			miss *= 1 - p.RelContext*cs
 		}
-		if v.otherHeaderRowsHave(r, c, w) {
+		if qt.hits.otherRowsHave(v, r, c, i) {
 			miss *= 1 - p.RelOtherHeaderRow
 		}
-		if v.otherHeaderColsHave(r, c, w) {
+		if qt.hits.otherColsHave(v, r, c, i) {
 			miss *= 1 - p.RelOtherHeaderCol
 		}
 		if v.inFreqBody(id) {

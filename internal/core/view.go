@@ -46,13 +46,13 @@ func AnalyzeQuery(cols []string, stats CorpusStats) []QueryColumn {
 // statistics (headerWeights), so a cached view stays valid across every
 // generation of a live engine.
 //
-// Every ID (the body cells, HeaderIDs and the title, context and
-// frequent-body token sets) is interned: two views may be compared — by
-// the edge pass's shared cells, HeaderSim or consolidation's cell
-// matching — only when both were built against the same Interner
-// (ViewCache and Builder.Build guarantee this for every view inside one
-// model), and a query token is looked up in the view's interner before
-// it is matched against the token sets.
+// Every ID (the body cells, the header cells' tokens, HeaderIDs and the
+// title, context and frequent-body token sets) is interned: two views may
+// be compared — by the edge pass's shared cells, HeaderSim or
+// consolidation's cell matching — only when both were built against the
+// same Interner (ViewCache and Builder.Build guarantee this for every view
+// inside one model), and a query token is looked up in the view's
+// interner before it is matched against the token sets and header cells.
 type TableView struct {
 	Table   *wtable.Table
 	NumCols int
@@ -60,11 +60,12 @@ type TableView struct {
 	// in is the symbol table every ID of the view belongs to.
 	in *Interner
 
-	// hdrToks holds the normalized tokens of every header cell, flat in
-	// (header row, column, token) order: cell (r, c) is
-	// hdrToks[hdrOff[r*NumCols+c]:hdrOff[r*NumCols+c+1]].
-	hdrToks []string
-	hdrOff  []int32
+	// hdrIDs holds the interned IDs of the normalized tokens of every
+	// header cell, flat in (header row, column, token) order: cell (r, c)
+	// is hdrIDs[hdrOff[r*NumCols+c]:hdrOff[r*NumCols+c+1]], its tokens in
+	// cell order, repeats kept.
+	hdrIDs []uint32
+	hdrOff []int32
 
 	// titleIDs: sorted IDs of the title-row and caption tokens.
 	titleIDs []uint32
@@ -99,18 +100,16 @@ func NewTableView(t *wtable.Table, p Params, in *Interner) *TableView {
 		in = NewInterner()
 	}
 	v := &TableView{Table: t, NumCols: t.NumCols(), in: in}
-	cells := make([][]string, len(t.HeaderRows)*v.NumCols)
-	n := 0
-	for i := range cells {
-		cells[i] = text.Normalize(t.Header(i/v.NumCols, i%v.NumCols))
-		n += len(cells[i])
+	// Interning order assigns IDs: the header tokens are interned column
+	// by column below, after the title, the context and each column's
+	// body cells.
+	hdr := make([][]string, len(t.HeaderRows)*v.NumCols)
+	v.hdrOff = make([]int32, len(hdr)+1)
+	for i := range hdr {
+		hdr[i] = text.Normalize(t.Header(i/v.NumCols, i%v.NumCols))
+		v.hdrOff[i+1] = v.hdrOff[i] + int32(len(hdr[i]))
 	}
-	v.hdrToks = make([]string, 0, n)
-	v.hdrOff = make([]int32, len(cells)+1)
-	for i, toks := range cells {
-		v.hdrToks = append(v.hdrToks, toks...)
-		v.hdrOff[i+1] = int32(len(v.hdrToks))
-	}
+	v.hdrIDs = make([]uint32, v.hdrOff[len(hdr)])
 	v.titleIDs = internSet(in, text.Normalize(t.TitleText()))
 
 	ctx := make(map[string]float64)
@@ -172,9 +171,12 @@ func NewTableView(t *wtable.Table, p Params, in *Interner) *TableView {
 		}
 		var hids []uint32
 		for r := range t.HeaderRows {
-			for _, w := range v.headerCell(r, c) {
-				hids = append(hids, in.Intern(w))
+			cell := r*v.NumCols + c
+			ids := v.hdrIDs[v.hdrOff[cell]:v.hdrOff[cell+1]]
+			for i, w := range hdr[cell] {
+				ids[i] = in.Intern(w)
 			}
+			hids = append(hids, ids...)
 		}
 		v.HeaderIDs[c] = sortedIDSet(hids)
 		// Frequent tokens of this column feed the B part of outSim.
@@ -199,52 +201,21 @@ func internSet(in *Interner, toks []string) []uint32 {
 	return sortedIDSet(ids)
 }
 
-// HeaderRowCount returns the number of header rows.
-func (v *TableView) HeaderRowCount() int { return len(v.Table.HeaderRows) }
-
-// headerSpan returns the bounds of header cell (r, c) in hdrToks.
-func (v *TableView) headerSpan(r, c int) (lo, hi int) {
-	i := r*v.NumCols + c
-	return int(v.hdrOff[i]), int(v.hdrOff[i+1])
+// HeaderRowCount returns the number of header rows, read off the view's
+// own header cells when it has columns, so the hot loops need not load
+// the table.
+func (v *TableView) HeaderRowCount() int {
+	if v.NumCols == 0 {
+		return len(v.Table.HeaderRows)
+	}
+	return (len(v.hdrOff) - 1) / v.NumCols
 }
 
-// headerCell returns the normalized tokens of header row r, column c.
-func (v *TableView) headerCell(r, c int) []string {
-	lo, hi := v.headerSpan(r, c)
-	return v.hdrToks[lo:hi:hi]
-}
-
-// headerHas reports whether token w occurs in header row r, column c.
-func (v *TableView) headerHas(r, c int, w string) bool {
-	if r < 0 || r >= v.HeaderRowCount() || c < 0 || c >= v.NumCols {
-		return false
-	}
-	return slices.Contains(v.headerCell(r, c), w)
-}
-
-// otherHeaderRowsHave reports whether w appears in column c in a header
-// row other than r (the Hc part of outSim).
-func (v *TableView) otherHeaderRowsHave(r, c int, w string) bool {
-	for rr := 0; rr < v.HeaderRowCount(); rr++ {
-		if rr != r && slices.Contains(v.headerCell(rr, c), w) {
-			return true
-		}
-	}
-	return false
-}
-
-// otherHeaderColsHave reports whether w appears in header row r in a
-// column other than c (the Hr part of outSim).
-func (v *TableView) otherHeaderColsHave(r, c int, w string) bool {
-	if r < 0 || r >= v.HeaderRowCount() {
-		return false
-	}
-	for cc := 0; cc < v.NumCols; cc++ {
-		if cc != c && slices.Contains(v.headerCell(r, cc), w) {
-			return true
-		}
-	}
-	return false
+// headerCell returns the token IDs of header cell cell (r*NumCols+c),
+// in cell order.
+func (v *TableView) headerCell(cell int) []uint32 {
+	lo, hi := v.hdrOff[cell], v.hdrOff[cell+1]
+	return v.hdrIDs[lo:hi:hi]
 }
 
 // inTitle reports whether the token with ID id occurs in the title part.
@@ -267,14 +238,6 @@ func (v *TableView) contextScore(id uint32) float64 {
 func (v *TableView) inFreqBody(id uint32) bool {
 	_, ok := slices.BinarySearch(v.freqIDs, id)
 	return ok
-}
-
-// lookupIDs writes the IDs of toks in the view's interner into ids (same
-// length), NoID for a token no view has interned.
-func (v *TableView) lookupIDs(toks []string, ids []uint32) {
-	for i, w := range toks {
-		ids[i] = v.in.Lookup(w)
-	}
 }
 
 // Cell returns the interned whole-cell ID of body cell (r, c): NoID when
