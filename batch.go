@@ -1,13 +1,13 @@
 package wwt
 
-// Batched multi-query execution: AnswerBatchCtx and CandidatesBatch run many
-// queries through the same stage list (pipeline.go) on a bounded worker
-// pool. Each worker holds exactly one pooled QueryScratch arena at a time,
-// every worker shares the engine's warm cross-query cache (table views
-// and their interner), and each member
-// query's output is bit-identical to a solo Answer/Candidates call —
-// pinned by TestAnswerBatchEquivalence. A failing (or even panicking)
-// member is isolated to its own slot; the rest of the batch completes.
+// Batched multi-query execution: AnswerBatchCtx runs many queries through
+// the same stage list (pipeline.go) on a bounded worker pool. Each worker
+// holds exactly one pooled QueryScratch arena at a time, every worker
+// shares the engine's warm cross-query cache (table views and their
+// interner), and each member query's output is bit-identical to a solo
+// Answer — pinned by TestAnswerBatchEquivalence. A failing (or even
+// panicking) member is isolated to its own slot; the rest of the batch
+// completes.
 
 import (
 	"context"
@@ -17,8 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"wwt/internal/wtable"
 )
 
 // BatchTimings aggregates one batch run. Stages sums every member query's
@@ -98,15 +96,6 @@ func (b *BatchResult) Release() {
 			r.Release()
 		}
 	}
-}
-
-// CandidateSet is one CandidatesBatch member's outcome: the deduplicated
-// candidate tables (first-probe order first), whether the second probe
-// fired, and the member's probe-stage time split.
-type CandidateSet struct {
-	Tables     []*wtable.Table
-	UsedProbe2 bool
-	Timings    Timings
 }
 
 // batchWorkers resolves a caller worker count: non-positive means
@@ -251,41 +240,4 @@ type BatchPlan struct{}
 // nothing. It is the method serve.Backend names.
 func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers int, perQuery time.Duration, _ BatchPlan) *BatchResult {
 	return e.AnswerBatchCtx(ctx, queries, workers, perQuery)
-}
-
-// CandidatesBatch runs the candidate-retrieval prefix of the pipeline for
-// many queries on a bounded worker pool (workers <= 0 means GOMAXPROCS),
-// with the same sharing, determinism and isolation contracts as
-// AnswerBatchCtx. Candidate retrieval never retains an arena, so each worker
-// keeps its single arena for the whole batch. The returned slices are
-// index-aligned with queries; sets[i] is meaningful only when errs[i] is
-// nil.
-func (e *Engine) CandidatesBatch(queries []Query, workers int) (sets []CandidateSet, errs []error, bt BatchTimings) {
-	start := time.Now()
-	g := e.acquire()
-	defer e.release(g)
-	sets = make([]CandidateSet, len(queries))
-	errs = make([]error, len(queries))
-	bt.Queries = len(queries)
-	bt.Workers = e.forEachQuery(len(queries), workers, func(i int, s *QueryScratch) bool {
-		st := &queryState{g: g, query: queries[i]}
-		if err := e.runStages(nil, probePipeline, st, s, &sets[i].Timings); err != nil {
-			errs[i] = err
-			return false
-		}
-		sets[i].Tables = st.tables
-		sets[i].UsedProbe2 = st.probe2Fired
-		return false
-	}, func(i int, v any) {
-		errs[i] = fmt.Errorf("wwt: batch member %d %w: %v", i, ErrPanic, v)
-	})
-	for i := range sets {
-		if errs[i] != nil {
-			bt.Failed++
-			continue
-		}
-		bt.Stages.Add(sets[i].Timings)
-	}
-	bt.Wall = time.Since(start)
-	return sets, errs, bt
 }

@@ -211,46 +211,6 @@ func TestAnswerBatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCandidatesBatchEquivalence pins every CandidatesBatch member to its
-// solo Candidates call: same tables in the same order, same probe2 usage,
-// and errors in the same slots.
-func TestCandidatesBatchEquivalence(t *testing.T) {
-	eng, err := wwt.NewEngine(smallCorpus(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []wwt.Query{
-		{Columns: []string{"country", "currency"}},
-		{Columns: []string{"the of a"}}, // must error
-		{Columns: []string{"name", "area"}},
-		{Columns: []string{"currency"}},
-	}
-	sets, errs, bt := eng.CandidatesBatch(queries, 2)
-	if bt.Queries != len(queries) || bt.Failed != 1 {
-		t.Fatalf("BatchTimings = %+v, want %d queries, 1 failed", bt, len(queries))
-	}
-	for i, q := range queries {
-		tables, used2, err := eng.Candidates(q, nil)
-		if (err == nil) != (errs[i] == nil) {
-			t.Fatalf("member %d: batch err %v, solo err %v", i, errs[i], err)
-		}
-		if err != nil {
-			continue
-		}
-		if sets[i].UsedProbe2 != used2 {
-			t.Errorf("member %d: UsedProbe2 %v != %v", i, sets[i].UsedProbe2, used2)
-		}
-		if len(sets[i].Tables) != len(tables) {
-			t.Fatalf("member %d: %d tables != %d", i, len(sets[i].Tables), len(tables))
-		}
-		for ti := range tables {
-			if sets[i].Tables[ti].ID != tables[ti].ID {
-				t.Errorf("member %d table %d: %s != %s", i, ti, sets[i].Tables[ti].ID, tables[ti].ID)
-			}
-		}
-	}
-}
-
 // TestAnswerBatchPanicIsolation runs a batch on an engine whose generation
 // holds no tables, so every member's Read1 stage panics, and demands that each panic is recovered
 // into its member's error slot instead of killing the process — and that a

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wwt"
 	"wwt/internal/baseline"
@@ -34,6 +35,9 @@ type benchWorld struct {
 	tables  []*wtable.Table
 	engine  *wwt.Engine
 	queries []workload.Query
+	// builder maps columns the way the engine does, through a view cache
+	// that building models warmed.
+	builder *core.Builder
 	// Per-query candidates and models, prebuilt so solve-only benches
 	// measure inference, not feature extraction.
 	cands  [][]*wtable.Table
@@ -59,15 +63,16 @@ func getWorld(b *testing.B) *benchWorld {
 			tables:  tables,
 			engine:  eng,
 			queries: workload.FromCorpus(corpus),
+			builder: &core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.Searcher(), Views: core.NewViewCache()},
 		}
 		for _, q := range w.queries {
-			cands, _, err := eng.Candidates(wwt.Query{Columns: q.Columns}, nil)
-			if err != nil {
-				cands = nil
+			var cands []*wtable.Table
+			if res, err := eng.Answer(wwt.Query{Columns: q.Columns}); err == nil {
+				cands = res.Tables
+				res.Release()
 			}
-			builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.Searcher()}
 			w.cands = append(w.cands, cands)
-			w.models = append(w.models, builder.Build(q.Columns, cands))
+			w.models = append(w.models, w.builder.Build(q.Columns, cands))
 		}
 		world = w
 	})
@@ -75,16 +80,30 @@ func getWorld(b *testing.B) *benchWorld {
 }
 
 // BenchmarkTable1Workload measures the two-stage candidate retrieval of
-// §2.2.1 across the workload (Table 1's candidate counts).
+// §2.2.1 across the workload (Table 1's candidate counts): it answers each
+// query and reports the time its four probe stages took, per query, as
+// probe-ns/op.
 func BenchmarkTable1Workload(b *testing.B) {
 	w := getWorld(b)
+	var probe time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.queries[i%len(w.queries)]
-		if _, _, err := w.engine.Candidates(wwt.Query{Columns: q.Columns}, nil); err != nil {
+		res, err := w.engine.Answer(wwt.Query{Columns: q.Columns})
+		if err != nil {
 			b.Fatal(err)
 		}
+		probe += res.Timings.Probe1 + res.Timings.Read1 + res.Timings.Probe2 + res.Timings.Read2
+		res.Release()
 	}
+	b.ReportMetric(float64(probe.Nanoseconds())/float64(b.N), "probe-ns/op")
+}
+
+// mapColumns is the §3 column-mapping task in isolation: a model build
+// over query qi's candidates through the world's view cache, then
+// table-centric inference.
+func mapColumns(w *benchWorld, qi int) core.Labeling {
+	return inference.SolveTableCentric(w.builder.Build(w.queries[qi].Columns, w.cands[qi]))
 }
 
 // BenchmarkFig5ColumnMapping measures the column-mapping stage (model
@@ -93,8 +112,7 @@ func BenchmarkFig5ColumnMapping(b *testing.B) {
 	w := getWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := w.queries[i%len(w.queries)]
-		w.engine.MapColumns(wwt.Query{Columns: q.Columns}, w.cands[i%len(w.queries)])
+		mapColumns(w, i%len(w.queries))
 	}
 }
 
@@ -270,9 +288,9 @@ func benchModelBuild(b *testing.B, unsegmented bool) {
 	params := w.engine.Opts.Params
 	params.Unsegmented = unsegmented
 	// Fig 8 deliberately builds cacheless (a params sweep can't share view
-	// caches), but a sweep CAN share one interner across configurations —
-	// the symbol table is pure content addressing.
-	builder := &core.Builder{Params: params, Stats: w.engine.Searcher(), PMI: w.engine.Searcher(), Interner: core.NewInterner()}
+	// caches), so every build analyzes its tables into a build-local
+	// interner, and that interning is part of what this times.
+	builder := &core.Builder{Params: params, Stats: w.engine.Searcher(), PMI: w.engine.Searcher()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
@@ -365,40 +383,27 @@ func BenchmarkSearchDense(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildParallel measures the model build (with the engine's
-// shared view cache) over the workload's candidate sets, one query at a
-// time; a build runs on its caller's goroutine, so concurrent queries are
-// what spread builds across CPUs.
+// BenchmarkBuildParallel measures the model build (with a shared view
+// cache) and its table-centric solve over the workload's candidate sets,
+// one query at a time; a build runs on its caller's goroutine, so
+// concurrent queries are what spread builds across CPUs.
 func BenchmarkBuildParallel(b *testing.B) {
 	w := getWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qi := i % len(w.queries)
-		w.engine.MapColumns(wwt.Query{Columns: w.queries[qi].Columns}, w.cands[qi])
+		mapColumns(w, i%len(w.queries))
 	}
 }
 
-// edgeBenchBuilder returns a builder with a pre-warmed view cache, so the
-// bench it serves isolates edge construction.
-func edgeBenchBuilder(w *benchWorld) *core.Builder {
-	views := core.NewViewCache()
-	b := &core.Builder{Params: w.engine.Opts.Params, Stats: w.engine.Searcher(), PMI: w.engine.Searcher(), Views: views}
-	for i, q := range w.queries {
-		b.Build(q.Columns, w.cands[i])
-	}
-	return b
-}
-
-// BenchmarkBuildModelEdges measures a model build over warm views: the
-// full Jaccard grid plus the per-table-pair max-matching runs each time,
-// as it does for every query.
+// BenchmarkBuildModelEdges measures a model build over warm views, which
+// isolates edge construction: the full Jaccard grid plus the
+// per-table-pair max-matching runs each time, as it does for every query.
 func BenchmarkBuildModelEdges(b *testing.B) {
 	w := getWorld(b)
-	builder := edgeBenchBuilder(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
-		builder.Build(w.queries[qi].Columns, w.cands[qi])
+		w.builder.Build(w.queries[qi].Columns, w.cands[qi])
 	}
 }
 

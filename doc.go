@@ -14,8 +14,11 @@
 // (see pipeline.go) — where every stage is a named method fed by a pooled
 // per-query scratch arena (QueryScratch), so the flat buffers behind
 // probing, model building, inference and consolidation are reused across
-// queries instead of reallocated. Candidates runs the probe prefix of the
-// same list; Answer runs the whole list.
+// queries instead of reallocated. Answer, AnswerCtx and AnswerBatchCtx run
+// the whole list, and no entry point runs part of it: the candidates and
+// the §3 column mapping a caller may want on their own are on every
+// Result (Tables, UsedProbe2, Labeling), so the experiments read them
+// there.
 //
 // # Ownership and concurrency
 //
@@ -26,27 +29,27 @@
 // interner, the arena pool, the probe counters, and for OpenLive the
 // directory, manifest, table-ID and merge state — plus one immutable,
 // refcounted generation (a searcher and its tables by doc number: a
-// probe hit's Doc indexes the table it names) behind an atomic pointer. Every query entry point pins one generation
-// for its whole call, so any number of goroutines may call Answer,
-// AnswerBatchCtx, Candidates, CandidatesBatch and MapColumns while
+// probe hit's Doc indexes the table it names) behind an atomic pointer.
+// Every query entry point pins one generation for its whole call, so any
+// number of goroutines may call Answer, AnswerCtx and AnswerBatchCtx while
 // IngestTables and background merges publish new generations. An engine
 // not opened from a directory is generation 0 forever: its IngestTables
 // refuses. The one cross-query cache (table views and their interner) is
 // concurrency-safe and hands out shared read-only views.
 //
-// Exactly one query owns a scratch arena at a time. Candidates returns
-// its arena to the pool on exit; Answer hands it to the Result — whose
-// Model aliases the arena's grids — and only Result.Release recycles it.
+// Exactly one query owns a scratch arena at a time. Answer hands it to the
+// Result — whose Model aliases the arena's grids — and only
+// Result.Release recycles it; a failed query returns it to the pool.
 // Everything else a query returns (answer rows, labeling, tables) owns
 // its storage and survives Release, so an unreleased arena is merely
 // garbage, never a corruption hazard.
 //
 // # Batched execution
 //
-// AnswerBatchCtx and CandidatesBatch run many queries through the same stage
-// list on a bounded worker pool. Each worker holds one pooled arena at a
-// time, all workers share the engine's warm caches, and every member's
-// output is bit-identical to a solo call. Members are error-isolated: one
+// AnswerBatchCtx runs many queries through the same stage list on a
+// bounded worker pool. Each worker holds one pooled arena at a time, all
+// workers share the engine's warm caches, and every member's output is
+// bit-identical to a solo call. Members are error-isolated: one
 // failing query fills only its own error slot. BatchTimings aggregates
 // the per-stage split and wall clock; serving loops and the evaluation
 // harness (internal/eval) are built on these entry points.

@@ -26,10 +26,14 @@ func main() {
 	}
 
 	query := wwt.Query{Columns: []string{"country", "currency"}}
-	cands, usedProbe2, err := eng.Candidates(query, nil)
+	res, err := eng.Answer(query)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The candidates and probe-2 flag outlive Release; the model is rebuilt
+	// heap-side so it can be solved after the query's arena is recycled.
+	cands, usedProbe2 := res.Tables, res.UsedProbe2
+	res.Release()
 	builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.Searcher()}
 	m := builder.Build(query.Columns, cands)
 	fmt.Printf("query %q: %d candidates (probe2=%v), %d cross-table edges\n\n",

@@ -2,6 +2,7 @@ package wwt
 
 import (
 	"cmp"
+	"context"
 	"hash/fnv"
 	"math/rand"
 	"slices"
@@ -27,7 +28,8 @@ func Probe2Sample(e *Engine, q Query) (got, want []string, fired bool, err error
 	defer e.release(g)
 	st := &queryState{g: g, query: q}
 	s := &QueryScratch{}
-	if err := e.runStages(nil, answerPipeline[:3], st, s, nil); err != nil {
+	var tm Timings
+	if err := e.runStages(context.Background(), answerPipeline[:3], st, s, &tm); err != nil {
 		return nil, nil, false, err
 	}
 	if !st.probe2Fired {

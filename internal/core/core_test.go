@@ -263,6 +263,15 @@ func buildTestModel(t *testing.T, q []string, tables []*wtable.Table) *Model {
 	return b.Build(q, tables)
 }
 
+// buildIn is a full build through the caller's arena s, as the engine's
+// query pipeline runs one: BuildTables, then an Extend that adds no
+// tables. The model aliases s.
+func buildIn(b *Builder, q []string, tables []*wtable.Table, s *BuildScratch) *Model {
+	m := b.BuildTables(q, tables, s)
+	m.Extend(b, nil, s)
+	return m
+}
+
 func TestModelStage1Confidence(t *testing.T) {
 	good := table("good", [][]string{{"Country", "Currency"}},
 		[][]string{{"France", "Euro"}, {"Japan", "Yen"}}, "currencies of the world")
@@ -366,7 +375,7 @@ func TestTableMaxMarginalsRespectMutex(t *testing.T) {
 	a := table("a", [][]string{{"Currency", "Currency"}},
 		[][]string{{"Euro", "Euro"}}, "")
 	m := buildTestModel(t, []string{"currency"}, []*wtable.Table{a})
-	mu := m.TableMaxMarginals(0)
+	mu := m.tableMaxMarginals(0, &BuildScratch{})
 	q := 1
 	// µ(c=0, ℓ=0) must equal θ(0,ℓ0) + θ(1,na): the other column cannot
 	// also take ℓ0.

@@ -61,7 +61,7 @@ func BenchmarkBuildRawEdges(b *testing.B) {
 	models := make([]*Model, len(cases))
 	scratch := make([]BuildScratch, len(cases))
 	for i, c := range cases {
-		models[i] = builder.BuildWith(c.cols, c.tables, &scratch[i])
+		models[i] = buildIn(builder, c.cols, c.tables, &scratch[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -56,14 +56,15 @@
 // holds. PMI doc sets and cached view cells are read-only to the
 // builder.
 //
-// Build allocates a private arena; BuildWith carves every model grid from
-// a caller-owned BuildScratch, and the resulting Model aliases that
-// arena. The caller must not reuse the scratch while the Model is live.
-// A build can also run in two halves: BuildTables computes the per-table
-// state (features, Rel, node potentials, stage-1 Dist/Conf), and
-// Model.Extend adds more tables through the same scratch and builds the
-// edges over all of them — identical to one BuildWith over the whole
-// list. Scratch buffers must never be inserted into the cross-query
+// There are two ways in. Build allocates a private arena and returns a
+// model safe to retain. A build can also run in two halves through a
+// caller-owned BuildScratch, as the engine's query pipeline runs it:
+// BuildTables computes the per-table state (features, Rel, node
+// potentials, stage-1 Dist/Conf), and Model.Extend adds more tables
+// through the same scratch and builds the edges over all of them —
+// identical to one BuildTables over the whole list followed by an Extend
+// that adds none, which is what Build runs. Such a Model aliases the
+// arena, and the caller must not reuse the scratch while it is live. Scratch buffers must never be inserted into the cross-query
 // caches; referencing cache-owned slices from scratch fields is fine
 // because build code never writes through them.
 package core

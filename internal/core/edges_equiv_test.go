@@ -295,8 +295,8 @@ func TestBuildRawEdgesEquivalence(t *testing.T) {
 		}
 		engine := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache()}
 		var dirty BuildScratch
-		engine.BuildWith(cols, other, &dirty)
-		mDirty := engine.BuildWith(cols, tables, &dirty)
+		buildIn(engine, cols, other, &dirty)
+		mDirty := buildIn(engine, cols, tables, &dirty)
 		checkEdgesEquiv(t, mDirty, fmt.Sprintf("seed %d dirty scratch", seed))
 		if !reflect.DeepEqual(mDirty.rawEdges, m.rawEdges) || !reflect.DeepEqual(mDirty.Edges, m.Edges) {
 			t.Fatalf("seed %d: dirty-scratch edges diverged from the fresh build's", seed)

@@ -61,24 +61,20 @@ type rawEdge struct {
 	matched        bool    // survived the one-one max-matching
 }
 
-// Builder constructs Models. Stats is required; PMI may be nil when
-// Params.UsePMI is false — when set, it is probed by every query's build
-// and must be safe for concurrent calls. Views, when set, memoizes
-// TableView construction across builds (see ViewCache for the sharing
-// rules).
+// Builder constructs Models, through Build or through BuildTables and
+// Extend. Stats is required; PMI may be nil when Params.UsePMI is false —
+// when set, it is probed by every query's build and must be safe for
+// concurrent calls. Views, when set, memoizes TableView construction
+// across builds (see ViewCache for the sharing rules), and every view
+// interns into the cache's interner; without it, each build analyzes its
+// tables into an interner of its own. Cross-view similarities only ever
+// compare views of one model, which all share one interner, so the two
+// modes build identical models.
 type Builder struct {
 	Params Params
 	Stats  CorpusStats
 	PMI    PMISource
 	Views  *ViewCache
-	// Interner, when set and Views is nil, is the symbol table cacheless
-	// builds intern into, letting parameter sweeps that rebuild the same
-	// tables under many configurations pay the vocabulary cost once
-	// instead of per Build. Ignored when Views is set (the cache owns its
-	// own interner). Cross-view similarities only ever compare views from
-	// one model, and every view of one build shares whichever interner
-	// applies, so results are identical either way.
-	Interner *Interner
 }
 
 // viewFor returns the (possibly cached) analyzed view of one table,
@@ -91,24 +87,11 @@ func (b *Builder) viewFor(t *wtable.Table, in *Interner) *TableView {
 }
 
 // Build assembles the full graphical model with a private scratch arena:
-// the result owns its storage and is safe to retain indefinitely.
-func (b *Builder) Build(queryCols []string, tables []*wtable.Table) *Model {
-	return b.BuildWith(queryCols, tables, nil)
-}
-
-// BuildWith is Build through a caller-owned scratch arena. The returned
-// model aliases s — every grid and edge slice is scratch-backed — so s may
-// be reused only once the model is dead, and Reweight clones of a
-// scratch-backed model share its feature storage (don't reuse s while a
-// clone is live either). A nil s uses a fresh private arena, which is what
-// makes Build safe for retention.
-//
-// A build is its two halves back to back: BuildTables for the per-table
+// the result owns its storage and is safe to retain indefinitely. It is
+// the two halves of a build back to back: BuildTables for the per-table
 // state, then Extend with no added tables for the edge set.
-func (b *Builder) BuildWith(queryCols []string, tables []*wtable.Table, s *BuildScratch) *Model {
-	if s == nil {
-		s = &BuildScratch{}
-	}
+func (b *Builder) Build(queryCols []string, tables []*wtable.Table) *Model {
+	s := &BuildScratch{}
 	m := b.BuildTables(queryCols, tables, s)
 	m.Extend(b, nil, s)
 	return m
@@ -120,8 +103,10 @@ func (b *Builder) BuildWith(queryCols []string, tables []*wtable.Table, s *Build
 // query and one table, so a table's state does not depend on which other
 // tables the model holds. The model has no edges yet (enough for
 // Independent inference, which never reads them); Extend, through the same
-// s, adds tables and builds the edge set. The model aliases s exactly as
-// BuildWith's does.
+// s, adds tables and builds the edge set. The model aliases s — every grid
+// and edge slice is scratch-backed — so s may be reused only once the
+// model is dead, and Reweight clones of it share its feature storage
+// (don't reuse s while a clone is live either).
 func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *BuildScratch) *Model {
 	// The query's IDFs and every header's, Extend's tables included, go
 	// through the memo: each distinct token reaches b.Stats once.
@@ -141,15 +126,12 @@ func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *Bui
 		}
 	}
 	// Every view of the model, Extend's included, shares one interner —
-	// the cache's, or for cacheless builds the builder's or a build-local
-	// one — or cross-view similarities would compare unrelated IDs. The
-	// query tokens are resolved there as views are fetched.
-	switch {
-	case b.Views != nil:
+	// the cache's, or for cacheless builds a build-local one — or
+	// cross-view similarities would compare unrelated IDs. The query
+	// tokens are resolved there as views are fetched.
+	if b.Views != nil {
 		s.in = b.Views.in
-	case b.Interner != nil:
-		s.in = b.Interner
-	default:
+	} else {
 		s.in = NewInterner()
 	}
 	s.qt = slicex.Grow(s.qt, m.NumQ)
@@ -164,11 +146,11 @@ func (b *Builder) BuildTables(queryCols []string, tables []*wtable.Table, s *Bui
 // built through s, computing per-table state for the added tables only,
 // then builds the edge set of §3.3 once over all of them. Per-table state
 // is positional and independent of the other tables, and only the edges
-// depend on the whole set, so the result is identical to BuildWith over
-// the concatenated table list. The grids grow in place, so the model keeps
-// aliasing s, and the added tables' headers are weighed through the IDF
-// memo BuildTables bound to its builder's statistics: Extend does not
-// read b.Stats.
+// depend on the whole set, so the result is identical to one BuildTables
+// over the concatenated table list followed by an Extend that adds none.
+// The grids grow in place, so the model keeps aliasing s, and the added
+// tables' headers are weighed through the IDF memo BuildTables bound to
+// its builder's statistics: Extend does not read b.Stats.
 func (m *Model) Extend(b *Builder, added []*wtable.Table, s *BuildScratch) {
 	m.addTables(b, added, s)
 	m.buildRawEdges(s)
@@ -293,8 +275,8 @@ func (m *Model) tableNodes(ti int) {
 // is cheap enough for the exhaustive weight enumeration of §3.4.
 // p must not change feature-affecting fields (Unsegmented, UsePMI,
 // reliabilities); those require a full rebuild. The clone shares the
-// feature and raw-edge storage of m: if m was built through BuildWith,
-// its scratch must stay unused while the clone is live.
+// feature and raw-edge storage of m: if m was built through a caller's
+// BuildScratch, that scratch must stay unused while the clone is live.
 func (m *Model) Reweight(p Params) *Model {
 	clone := *m
 	clone.Params = p
@@ -325,17 +307,12 @@ func (m *Model) Cols() []int {
 	return out
 }
 
-// TableMaxMarginals computes µ_tc(ℓ) for one table under the mutex and
+// tableMaxMarginals computes µ_tc(ℓ) for one table under the mutex and
 // all-Irr constraints only (§4.2.3): the must-match and min-match
 // constraints are deliberately excluded so relative magnitudes stay
-// undistorted. Returns [col][label] with labels 0..q-1, na, nr; the
-// result is freshly allocated and safe to retain.
-func (m *Model) TableMaxMarginals(ti int) [][]float64 {
-	return m.tableMaxMarginals(ti, &BuildScratch{})
-}
-
-// tableMaxMarginals is TableMaxMarginals through the solver state of s; the
-// returned grid aliases s and is valid until its next use.
+// undistorted. It returns [col][label] with labels 0..q-1, na, nr,
+// through the solver state of s: the grid aliases s and is valid until
+// its next use.
 func (m *Model) tableMaxMarginals(ti int, s *BuildScratch) [][]float64 {
 	q := m.NumQ
 	nt := m.Views[ti].NumCols

@@ -60,11 +60,11 @@ func FuzzSharedCellCounts(f *testing.F) {
 		b := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache()}
 		cols := []string{"aa", "bb"}
 		var s BuildScratch
-		checkEdgesEquiv(t, b.BuildWith(cols, tables, &s), "fresh")
+		checkEdgesEquiv(t, buildIn(b, cols, tables, &s), "fresh")
 		rev := slices.Clone(tables)
 		slices.Reverse(rev)
-		checkEdgesEquiv(t, b.BuildWith(cols, rev, &s), "reversed")
-		checkEdgesEquiv(t, b.BuildWith(cols, tables, &s), "dirty scratch")
+		checkEdgesEquiv(t, buildIn(b, cols, rev, &s), "reversed")
+		checkEdgesEquiv(t, buildIn(b, cols, tables, &s), "dirty scratch")
 	})
 }
 
@@ -83,7 +83,7 @@ func TestBuildRawEdgesWarmAllocs(t *testing.T) {
 	p.MinNeighborSim = 0 // every column pair survives
 	b := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache()}
 	var s BuildScratch
-	m := b.BuildWith([]string{"country", "currency"}, tables, &s)
+	m := buildIn(b, []string{"country", "currency"}, tables, &s)
 	allocs := testing.AllocsPerRun(100, func() { m.buildRawEdges(&s) })
 	if allocs != 0 {
 		t.Errorf("warm edge pass allocates %.0f/op, want 0", allocs)
@@ -122,7 +122,7 @@ func TestBuildRawEdgesWideTable(t *testing.T) {
 
 	b := &Builder{Params: DefaultParams(), Stats: constStats{}, Views: NewViewCache()}
 	var s BuildScratch
-	m := b.BuildWith([]string{"country", "currency"}, tables, &s)
+	m := buildIn(b, []string{"country", "currency"}, tables, &s)
 	checkEdgesEquiv(t, m, "wide")
 	want := 0
 	for i, v := range m.Views {

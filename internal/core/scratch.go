@@ -8,8 +8,8 @@ import "wwt/internal/graph"
 // here, so a warm scratch builds a model with near-zero allocation.
 // The zero value is ready to use.
 //
-// Ownership contract: a Model built through BuildWith or BuildTables
-// aliases the scratch (its Node/Feats/Dist/Conf/Rel/Views/Edges storage IS
+// Ownership contract: a Model built through BuildTables aliases the
+// scratch (its Node/Feats/Dist/Conf/Rel/Views/Edges storage IS
 // the scratch), so the scratch may only be reused once that model is dead.
 // Extend is no exception: it grows that same model in place, so it takes
 // the scratch the model was built through. The engine's query pipeline

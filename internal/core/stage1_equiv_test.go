@@ -54,7 +54,7 @@ func TestTableMaxMarginalsMatchMCMF(t *testing.T) {
 		m := buildTestModel(t, cols, tables)
 		gate := m.Params.ConfidenceThreshold
 		for ti := range m.Views {
-			got := m.TableMaxMarginals(ti)
+			got := m.tableMaxMarginals(ti, &BuildScratch{})
 			want := tableMaxMarginalsRef(m, ti)
 			dist := make([]float64, NumLabels(m.NumQ))
 			for c := range want {

@@ -19,11 +19,9 @@ import (
 // served a stale view; it misses and is analyzed fresh.
 //
 // Cached views are immutable after construction and safe to share between
-// concurrent model builds. The cache is unbounded and pins its tables:
-// engine-driven queries bound it by the corpus (the store already holds
-// those tables, and ingest and merge only add to it), but callers
-// streaming endless fresh tables through Engine.MapColumns grow it with
-// them.
+// concurrent model builds. The cache is unbounded and pins its tables; an
+// engine's cache is bounded by its corpus, because queries only ever map
+// tables the store already holds (ingest and merge only add to it).
 type ViewCache struct {
 	// in is the cache's symbol table: every view built through the cache
 	// interns into it, so any two cached views are mutually comparable:

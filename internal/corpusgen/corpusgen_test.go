@@ -233,3 +233,13 @@ func TestDomainByName(t *testing.T) {
 		t.Error("phantom domain")
 	}
 }
+
+// DomainByName returns the named domain, or nil.
+func (c *Corpus) DomainByName(name string) *Domain {
+	for _, d := range c.Domains {
+		if d.Name == name {
+			return d
+		}
+	}
+	return nil
+}

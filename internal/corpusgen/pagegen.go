@@ -188,13 +188,3 @@ func (c *Corpus) ExtractAll(opts extract.Options) []*wtable.Table {
 	}
 	return out
 }
-
-// DomainByName returns the named domain, or nil.
-func (c *Corpus) DomainByName(name string) *Domain {
-	for _, d := range c.Domains {
-		if d.Name == name {
-			return d
-		}
-	}
-	return nil
-}

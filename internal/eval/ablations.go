@@ -7,6 +7,7 @@ import (
 	"wwt"
 	"wwt/internal/core"
 	"wwt/internal/inference"
+	"wwt/internal/wtable"
 )
 
 // This file implements the ablation experiments beyond the paper's own
@@ -69,11 +70,12 @@ func ExperimentAblationProbe2(w io.Writer, r *Runner) {
 	for _, q := range r.Queries {
 		res := r.Run(q) // full two-probe pipeline
 		withErr += res.Errors[MethodWWT]
-		tables, _, err := single.Candidates(wwt.Query{Columns: q.Columns}, nil)
-		if err != nil {
-			tables = nil
+		var tables []*wtable.Table
+		var l1 core.Labeling
+		if res1, err := single.Answer(wwt.Query{Columns: q.Columns}); err == nil {
+			tables, l1 = res1.Tables, res1.Labeling
+			res1.Release()
 		}
-		_, l1 := single.MapColumns(wwt.Query{Columns: q.Columns}, tables)
 		// Project the single-probe labeling onto the full universe; tables
 		// it never saw stay all-nr.
 		full := res.GT.Labeling(res.Tables) // correct shape

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -91,7 +92,8 @@ func ExperimentProbe2(w io.Writer, r *Runner) {
 		return
 	}
 	defer single.Close()
-	// One batched first-stage-only sweep over the probe2 queries.
+	// One batch over the probe2 queries on the single-probe engine: its
+	// candidates are the first stage's.
 	var probe2 []*QueryResult
 	var wqs []wwt.Query
 	for _, res := range results {
@@ -101,13 +103,15 @@ func ExperimentProbe2(w io.Writer, r *Runner) {
 			used++
 		}
 	}
-	sets, errs, _ := single.CandidatesBatch(wqs, r.batchWorkers())
+	stage1 := single.AnswerBatchCtx(context.Background(), wqs, r.batchWorkers(), 0)
+	defer stage1.Release()
 	for i, res := range probe2 {
-		if errs[i] != nil {
+		if stage1.Errs[i] != nil {
 			continue
 		}
-		inStage1 := make(map[string]bool, len(sets[i].Tables))
-		for _, tb := range sets[i].Tables {
+		tables := stage1.Results[i].Tables
+		inStage1 := make(map[string]bool, len(tables))
+		for _, tb := range tables {
 			inStage1[tb.ID] = true
 			tot1++
 			if res.GT.Relevant[tb.ID] {

@@ -80,11 +80,13 @@ func NewRunner(cfg corpusgen.Config, opts *wwt.Options) (*Runner, error) {
 }
 
 // CandidatesFor returns the candidate tables and ground truth for a query
-// without evaluating any method (used by training).
+// without evaluating any method (used by training). A query the engine
+// rejects (e.g. a stopword-only one) has no candidates.
 func (r *Runner) CandidatesFor(q workload.Query) ([]*wtable.Table, GroundTruth) {
-	tables, _, err := r.Engine.Candidates(wwt.Query{Columns: q.Columns}, nil)
-	if err != nil {
-		tables = nil
+	var tables []*wtable.Table
+	if res, err := r.Engine.Answer(wwt.Query{Columns: q.Columns}); err == nil {
+		tables = res.Tables
+		res.Release()
 	}
 	return tables, TruthFor(q, tables, r.Corpus.Truth)
 }

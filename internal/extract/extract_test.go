@@ -99,7 +99,7 @@ func TestHeaderlessTable(t *testing.T) {
 		t.Fatal("no table")
 	}
 	if len(tables[0].HeaderRows) != 0 {
-		t.Errorf("header rows = %d, want 0 (got %v)", len(tables[0].HeaderRows), tables[0].HeaderRows[0].Texts())
+		t.Errorf("header rows = %d, want 0 (got %v)", len(tables[0].HeaderRows), rowTexts(tables[0].HeaderRows[0]))
 	}
 	if len(tables[0].BodyRows) != 3 {
 		t.Errorf("body rows = %d, want 3", len(tables[0].BodyRows))
@@ -318,4 +318,13 @@ func TestHeaderByLayoutCuesOnly(t *testing.T) {
 			t.Errorf("%s: title/header/body rows = %v, want %v", c.name, got, [3]int{c.title, c.header, c.bodyN})
 		}
 	}
+}
+
+// rowTexts returns the trimmed text of every cell of r.
+func rowTexts(r wtable.Row) []string {
+	out := make([]string, len(r.Cells))
+	for i, c := range r.Cells {
+		out[i] = strings.TrimSpace(c.Text)
+	}
+	return out
 }

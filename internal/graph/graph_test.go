@@ -377,3 +377,12 @@ func TestConstrainedCutAlreadySatisfied(t *testing.T) {
 		t.Errorf("no one should be on t side: %v", tSide)
 	}
 }
+
+// NewMCMF returns an empty network on n nodes (0..n-1).
+func NewMCMF(n int) *MCMF {
+	head := make([]int32, 2*n)
+	for i := range head {
+		head[i] = -1
+	}
+	return &MCMF{n: n, head: head[:n], tail: head[n:]}
+}

@@ -36,13 +36,6 @@ func (g *FlowGraph) AddEdge(u, v int, capacity float64) int {
 	return id
 }
 
-// AddUndirected adds a symmetric edge: capacity cap in both directions.
-func (g *FlowGraph) AddUndirected(u, v int, capacity float64) (int, int) {
-	a := g.AddEdge(u, v, capacity)
-	b := g.AddEdge(v, u, capacity)
-	return a, b
-}
-
 // RaiseCap increases the remaining capacity of edge id by delta.
 func (g *FlowGraph) RaiseCap(id int, delta float64) { g.capa[id] += delta }
 

@@ -36,15 +36,6 @@ type MCMF struct {
 	queue    []int32
 }
 
-// NewMCMF returns an empty network on n nodes (0..n-1).
-func NewMCMF(n int) *MCMF {
-	head := make([]int32, 2*n)
-	for i := range head {
-		head[i] = -1
-	}
-	return &MCMF{n: n, head: head[:n], tail: head[n:]}
-}
-
 // Reserve preallocates room for m AddEdge calls.
 func (g *MCMF) Reserve(m int) {
 	if cap(g.to)-len(g.to) >= 2*m {

@@ -117,16 +117,6 @@ func (n *Node) PathToRoot() []*Node {
 	return path
 }
 
-// HasAncestor reports whether a is a proper ancestor of n.
-func (n *Node) HasAncestor(a *Node) bool {
-	for cur := n.Parent; cur != nil; cur = cur.Parent {
-		if cur == a {
-			return true
-		}
-	}
-	return false
-}
-
 // ChildIndex returns the index of c within n.Children, or -1.
 func (n *Node) ChildIndex(c *Node) int {
 	for i, x := range n.Children {

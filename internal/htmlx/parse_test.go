@@ -202,3 +202,13 @@ func TestParseTHAndTheadStructure(t *testing.T) {
 		t.Error("thead structure broken")
 	}
 }
+
+// HasAncestor reports whether a is a proper ancestor of n.
+func (n *Node) HasAncestor(a *Node) bool {
+	for cur := n.Parent; cur != nil; cur = cur.Parent {
+		if cur == a {
+			return true
+		}
+	}
+	return false
+}

@@ -52,10 +52,6 @@ var stopwords = map[string]bool{
 	"per": true, "via": true, "s": true, "t": true,
 }
 
-// IsStopword reports whether tok (already lowercased) is on the stopword
-// list used by Normalize.
-func IsStopword(tok string) bool { return stopwords[tok] }
-
 // Normalize runs the full analysis chain used by the index and by all
 // similarity features: Tokenize, drop stopwords, Porter-stem each survivor.
 // Numeric tokens pass through unstemmed.

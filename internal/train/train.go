@@ -42,16 +42,15 @@ type queryCase struct {
 }
 
 // prepare builds one model per workload query with the base params. All
-// cacheless builds share one interner: the workload's candidate sets
-// overlap heavily, so the symbol table is populated once instead of per
-// query (cross-view IDs stay comparable — every view of one model interns
-// into the same table).
+// builds share one view cache: the workload's candidate sets overlap
+// heavily, so each table is analyzed, and its strings interned, once
+// instead of per query. Interned IDs never reach a float, so the models
+// are the ones cacheless builds give.
 func prepare(r *eval.Runner, base core.Params) []queryCase {
 	cases := make([]queryCase, 0, len(r.Queries))
-	in := core.NewInterner()
+	b := &core.Builder{Params: base, Stats: r.Engine.Searcher(), PMI: r.Engine.Searcher(), Views: core.NewViewCache()}
 	for _, q := range r.Queries {
 		tables, gt := r.CandidatesFor(q)
-		b := &core.Builder{Params: base, Stats: r.Engine.Searcher(), PMI: r.Engine.Searcher(), Interner: in}
 		cases = append(cases, queryCase{
 			query: q, tables: tables, gt: gt,
 			model: b.Build(q.Columns, tables),

@@ -4,11 +4,7 @@
 // universe and to the semantic attribute keys that define ground truth.
 package workload
 
-import (
-	"fmt"
-
-	"wwt/internal/corpusgen"
-)
+import "wwt/internal/corpusgen"
 
 // Query is one evaluation query.
 type Query struct {
@@ -54,14 +50,4 @@ func FromCorpus(c *corpusgen.Corpus) []Query {
 		}
 	}
 	return out
-}
-
-// ByDomain returns the query bound to the named domain.
-func ByDomain(qs []Query, domain string) (Query, error) {
-	for _, q := range qs {
-		if q.Domain == domain {
-			return q, nil
-		}
-	}
-	return Query{}, fmt.Errorf("workload: no query for domain %q", domain)
 }

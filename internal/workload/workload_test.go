@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -82,4 +83,14 @@ func TestWorkloadMatchesPaperQueries(t *testing.T) {
 		}
 	}
 	_ = rand.Int
+}
+
+// ByDomain returns the query bound to the named domain.
+func ByDomain(qs []Query, domain string) (Query, error) {
+	for _, q := range qs {
+		if q.Domain == domain {
+			return q, nil
+		}
+	}
+	return Query{}, fmt.Errorf("workload: no query for domain %q", domain)
 }

@@ -38,15 +38,6 @@ func (r Row) Cell(i int) Cell {
 	return r.Cells[i]
 }
 
-// Texts returns the trimmed text of every cell.
-func (r Row) Texts() []string {
-	out := make([]string, len(r.Cells))
-	for i, c := range r.Cells {
-		out[i] = strings.TrimSpace(c.Text)
-	}
-	return out
-}
-
 // Snippet is a context fragment extracted from around the table in its
 // parent document, with the relevance score assigned by the extractor
 // (§2.1.2).
@@ -105,15 +96,6 @@ func (t *Table) Body(r, c int) string {
 		return ""
 	}
 	return strings.TrimSpace(t.BodyRows[r].Cell(c).Text)
-}
-
-// ColumnText returns the body text of column c, one entry per body row.
-func (t *Table) ColumnText(c int) []string {
-	out := make([]string, len(t.BodyRows))
-	for i := range t.BodyRows {
-		out[i] = t.Body(i, c)
-	}
-	return out
 }
 
 // HeaderText returns all header text of column c across header rows, top to

@@ -142,3 +142,12 @@ func TestStringSummary(t *testing.T) {
 		}
 	}
 }
+
+// ColumnText returns the body text of column c, one entry per body row.
+func (t *Table) ColumnText(c int) []string {
+	out := make([]string, len(t.BodyRows))
+	for i := range t.BodyRows {
+		out[i] = t.Body(i, c)
+	}
+	return out
+}

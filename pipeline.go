@@ -5,11 +5,11 @@ package wwt
 //	Probe1 → Read1 → Probe2 → Read2 → ColumnMap → Infer → Consolidate
 //
 // Each stage is a named Engine method with explicit inputs/outputs carried
-// by a queryState, fed by one pooled QueryScratch arena. Candidates runs
-// the probe prefix; Answer runs the whole list. The stage list is the
-// seam later batching/sharding work builds on: a stage sees only the
-// state fields it declares, and the per-stage Timings split falls out of
-// the driver loop.
+// by a queryState, fed by one pooled QueryScratch arena. Answer and
+// AnswerBatchCtx run the whole list; a caller that wants only the
+// candidates or the column mapping reads them off the Result (Tables,
+// UsedProbe2, Labeling). A stage sees only the state fields it declares,
+// and the per-stage Timings split falls out of runStages' loop.
 
 import (
 	"context"
@@ -33,9 +33,9 @@ import (
 // value is ready to use.
 //
 // Ownership: an arena is drawn from the engine pool at the start of a
-// query and owned by exactly one query at a time. Candidates returns its
-// arena when it finishes; Answer hands it to the Result (whose Model
-// aliases the build arena) and it is recycled only by Result.Release.
+// query and owned by exactly one query at a time. Answer hands it to the
+// Result (whose Model aliases the build arena) and it is recycled only by
+// Result.Release; a failed query returns it to the pool at once.
 // Everything else a query returns — answer rows, labeling, tables, hits —
 // is freshly allocated, so an unreleased arena can never corrupt a
 // retained result. Scratch buffers must never be written into the
@@ -98,8 +98,7 @@ type pipelineStage struct {
 	run   func(*Engine, *queryState, *QueryScratch) (bool, error)
 }
 
-// answerPipeline is the full Fig. 2 online path; probePipeline is the
-// candidate-retrieval prefix Candidates runs.
+// answerPipeline is the full Fig. 2 online path.
 var answerPipeline = []pipelineStage{
 	{"probe1", func(t *Timings) *time.Duration { return &t.Probe1 }, (*Engine).stageProbe1},
 	{"read1", func(t *Timings) *time.Duration { return &t.Read1 }, (*Engine).stageRead1},
@@ -110,25 +109,21 @@ var answerPipeline = []pipelineStage{
 	{"consolidate", func(t *Timings) *time.Duration { return &t.Consolidate }, (*Engine).stageConsolidate},
 }
 
-var probePipeline = answerPipeline[:4]
-
 // runStages drives a stage list over one query, recording each stage's
-// wall time in its Timings slot. Cancellation is checked between stages
-// (a nil ctx disables the checks): a query whose context is canceled or
-// past its deadline stops before the next stage starts and returns
-// ctx.Err(). Stages themselves run to completion, so an aborted query
-// leaves its arena in the same merely-reusable state as any other failed
-// query — safe to return to the pool, never poisoned.
+// wall time in its Timings slot. Cancellation is checked between stages:
+// a query whose context is canceled or past its deadline stops before
+// the next stage starts and returns ctx.Err(). Stages themselves run to
+// completion, so an aborted query leaves its arena in the same
+// merely-reusable state as any other failed query — safe to return to
+// the pool, never poisoned.
 func (e *Engine) runStages(ctx context.Context, stages []pipelineStage, st *queryState, s *QueryScratch, tm *Timings) error {
 	for i := range stages {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		start := time.Now()
 		ran, err := stages[i].run(e, st, s)
-		if ran && tm != nil {
+		if ran {
 			*stages[i].clock(tm) = time.Since(start)
 		}
 		if err != nil {
@@ -323,23 +318,6 @@ func (e *Engine) stageConsolidate(st *queryState, s *QueryScratch) (bool, error)
 	return true, nil
 }
 
-// Candidates runs the two-stage index probe of §2.2.1 — the probe prefix
-// of the pipeline — and returns the candidate tables (deduplicated,
-// first-probe order first). It reports whether the second probe fired and
-// accumulates stage timings. The probe scratch comes from the engine pool
-// and is returned before Candidates does.
-func (e *Engine) Candidates(q Query, tm *Timings) ([]*wtable.Table, bool, error) {
-	g := e.acquire()
-	defer e.release(g)
-	s := e.getScratch()
-	defer e.putScratch(s)
-	st := &queryState{g: g, query: q}
-	if err := e.runStages(nil, probePipeline, st, s, tm); err != nil {
-		return nil, false, err
-	}
-	return st.tables, st.probe2Fired, nil
-}
-
 // Answer runs the full pipeline: probes, column mapping with
 // table-centric inference (§4.2), and consolidation. The per-query arena
 // is drawn from the engine pool and handed to the Result; call
@@ -364,8 +342,7 @@ func (e *Engine) AnswerCtx(ctx context.Context, q Query) (*Result, error) {
 }
 
 // answer drives the full stage list on the current generation, pinned for
-// the call, with the given arena; the returned Result owns the arena. A
-// nil ctx disables cancellation checks.
+// the call, with the given arena; the returned Result owns the arena.
 func (e *Engine) answer(ctx context.Context, q Query, s *QueryScratch) (*Result, error) {
 	g := e.acquire()
 	defer e.release(g)

@@ -5,6 +5,7 @@ package wwt
 // drive the pipeline with hand-built scratches.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestAnswerScratchEquivalence(t *testing.T) {
 		for _, q := range queries {
 			wq := Query{Columns: q.Columns}
 			pooled, errP := eng.Answer(wq)
-			fresh, errF := eng.answer(nil, wq, &QueryScratch{})
+			fresh, errF := eng.answer(context.Background(), wq, &QueryScratch{})
 			if (errP == nil) != (errF == nil) {
 				t.Fatalf("%v: pooled err %v, fresh err %v", q.Columns, errP, errF)
 			}

@@ -11,7 +11,6 @@ import (
 	"wwt/internal/consolidate"
 	"wwt/internal/core"
 	"wwt/internal/index"
-	"wwt/internal/inference"
 	"wwt/internal/slicex"
 	"wwt/internal/wtable"
 )
@@ -432,18 +431,4 @@ func (g *generation) readTables(hits []index.Hit) []*wtable.Table {
 		out[i] = g.tables[h.Doc]
 	}
 	return out
-}
-
-// MapColumns runs only the column-mapping stage over caller-supplied
-// candidates — the §3 task in isolation, used by the experiments. The
-// model is built with a private arena (safe to retain indefinitely). The
-// engine's table-view cache retains every table passed here (and its
-// analyzed view) for the engine's lifetime; callers streaming an
-// unbounded sequence of fresh tables through a long-lived engine should
-// construct a fresh engine per batch.
-func (e *Engine) MapColumns(q Query, tables []*wtable.Table) (*core.Model, core.Labeling) {
-	g := e.acquire()
-	defer e.release(g)
-	m := e.builder(g).Build(q.Columns, tables)
-	return m, inference.SolveTableCentric(m)
 }
