@@ -151,7 +151,7 @@ func BenchmarkFig6Consolidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
 		consolidate.Consolidate(w.queries[qi].Q(), w.models[qi].Views, labelings[qi],
-			w.models[qi].Rel, consolidate.NewOptions(), nil)
+			w.models[qi].Rel, nil)
 	}
 }
 
@@ -175,7 +175,7 @@ func BenchmarkConsolidate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qi := i % len(w.queries)
 		consolidateSink = consolidate.Consolidate(w.queries[qi].Q(), w.models[qi].Views, labelings[qi],
-			w.models[qi].Rel, consolidate.NewOptions(), &s)
+			w.models[qi].Rel, &s)
 	}
 }
 
@@ -376,7 +376,7 @@ func BenchmarkSearchDense(b *testing.B) {
 	w := getWorld(b)
 	toks := queryTokens(w)
 	s := w.engine.Searcher()
-	k := w.engine.Opts.ProbeK
+	k := wwt.ProbeK
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Search(toks[i%len(toks)], k)

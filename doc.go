@@ -20,6 +20,13 @@
 // Result (Tables, UsedProbe2, Labeling), so the experiments read them
 // there.
 //
+// Options holds the column mapper's Params and the SecondProbe switch.
+// The probes' constants are fixed (§2.2.1): each probe fetches 40
+// candidates, and the second samples 10 rows from each of the (at most
+// two) stage-1 tables relevant with R(Q,t) at least 0.75. Consolidation
+// merges first-column keys whose token sets reach a Jaccard of 0.8
+// (§2.2.3).
+//
 // # Ownership and concurrency
 //
 // There is one engine type. An Engine is only ever obtained from

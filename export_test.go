@@ -11,6 +11,9 @@ import (
 	"wwt/internal/text"
 )
 
+// ProbeK is the number of candidates fetched per index probe.
+const ProbeK = probeK
+
 // WithoutTables returns an engine over e's searcher whose generation
 // holds no tables, so every Read1 that resolves a hit panics. The panic
 // isolation tests use it; e must be an in-memory engine, whose searcher
@@ -48,7 +51,7 @@ func probe2SampleRef(e *Engine, st *queryState) []string {
 	l := is.Independent(m)
 	var conf []int
 	for ti := range st.tables {
-		if l.Relevant(ti) && m.Rel[ti] >= e.Opts.MinConfidentRelevance {
+		if l.Relevant(ti) && m.Rel[ti] >= minConfidentRelevance {
 			conf = append(conf, ti)
 		}
 	}
@@ -62,7 +65,7 @@ func probe2SampleRef(e *Engine, st *queryState) []string {
 	sample := slices.Clone(st.tokens)
 	for _, ti := range conf {
 		tb := st.tables[ti]
-		take := min(e.Opts.SecondProbeRows, tb.NumBodyRows())
+		take := min(secondProbeRows, tb.NumBodyRows())
 		for _, r := range sampleRows(rng, tb.NumBodyRows(), take, nil, map[int]int{}) {
 			for c := 0; c < tb.NumCols(); c++ {
 				sample = append(sample, text.Normalize(tb.Body(r, c))...)

@@ -38,8 +38,10 @@ const (
 )
 
 // TestAnswersGolden pins every answer of the evaluation workload (the 59
-// Table-1 queries) at scale 1, seeds 2012 and 1729, through NewEngine and
-// through OpenLive on a 2-shard WriteDir index. Each answer is encoded as
+// Table-1 queries) at seeds 2012 and 1729: at scale 1 through NewEngine
+// and through OpenLive on a 2-shard WriteDir index, and at scale 4, whose
+// edge grids are about three times as dense, through NewEngine and a
+// 1-shard index. Each answer is encoded as
 // a canonical dump (candidate IDs and labels, then each answer row's
 // cells, support, sources and score bits, plus hashes of the model's
 // bits), and its SHA-256 is compared
@@ -51,39 +53,48 @@ const (
 // Go may fuse multiply-adds on some targets, so float bits are pinned on
 // amd64 only: every line also holds the digest of the dump without them,
 // which is what other targets compare.
+//
+// Only scale 1's dumps are stored, so a scale-4 mismatch prints the head
+// of the new dump as its diff.
 func TestAnswersGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds two scale-1 corpora")
+		t.Skip("builds two scale-1 and two scale-4 corpora")
 	}
 	var got []goldenLine
-	dumps := map[string]string{} // the in-memory engine's, by dumpKey
-	for _, seed := range []int64{2012, 1729} {
-		corpus := corpusgen.Generate(corpusgen.Config{Seed: seed, Scale: 1})
-		tables := corpus.ExtractAll(extract.NewOptions())
-		mem, err := wwt.NewEngine(tables, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mem.Close()
-		dir := t.TempDir()
-		if err := index.WriteDir(dir, tables, 2); err != nil {
-			t.Fatal(err)
-		}
-		live, err := wwt.OpenLive(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer live.Close()
-		for _, e := range []struct {
-			name string
-			eng  *wwt.Engine
-		}{{"mem", mem}, {"dir2", live}} {
-			for _, q := range workload.FromCorpus(corpus) {
-				full, portable := answerDump(e.eng, q.Columns)
-				l := goldenLine{seed, e.name, strings.Join(q.Columns, " | "), digest(full), digest(portable)}
-				got = append(got, l)
-				if e.name == "mem" {
-					dumps[l.dumpKey()] = full
+	dumps := map[string]string{} // the in-memory engines', by dumpKey
+	for _, run := range []struct {
+		scale  float64
+		shards int    // of the OpenLive directory
+		suffix string // of the engine names in the golden file
+	}{{1, 2, ""}, {4, 1, "@4"}} {
+		for _, seed := range []int64{2012, 1729} {
+			corpus := corpusgen.Generate(corpusgen.Config{Seed: seed, Scale: run.scale})
+			tables := corpus.ExtractAll(extract.NewOptions())
+			mem, err := wwt.NewEngine(tables, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mem.Close()
+			dir := t.TempDir()
+			if err := index.WriteDir(dir, tables, run.shards); err != nil {
+				t.Fatal(err)
+			}
+			live, err := wwt.OpenLive(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer live.Close()
+			for _, e := range []struct {
+				name string
+				eng  *wwt.Engine
+			}{{"mem", mem}, {fmt.Sprintf("dir%d", run.shards), live}} {
+				for _, q := range workload.FromCorpus(corpus) {
+					full, portable := answerDump(e.eng, q.Columns)
+					l := goldenLine{seed, e.name + run.suffix, strings.Join(q.Columns, " | "), digest(full), digest(portable)}
+					got = append(got, l)
+					if e.name == "mem" {
+						dumps[l.dumpKey()] = full
+					}
 				}
 			}
 		}
@@ -130,8 +141,14 @@ type goldenLine struct {
 
 func (l goldenLine) key() string { return fmt.Sprintf("seed %d %s %q", l.seed, l.engine, l.query) }
 
-// dumpKey names the dump of l's query; both engines give the same one.
-func (l goldenLine) dumpKey() string { return fmt.Sprintf("seed %d %q", l.seed, l.query) }
+// dumpKey names the dump of l's query; both engines of a scale give the
+// same one.
+func (l goldenLine) dumpKey() string {
+	if _, scale, ok := strings.Cut(l.engine, "@"); ok {
+		return fmt.Sprintf("seed %d @%s %q", l.seed, scale, l.query)
+	}
+	return fmt.Sprintf("seed %d %q", l.seed, l.query)
+}
 
 // answerDump answers columns on e and encodes the outcome canonically:
 // whether probe 2 fired; each candidate's ID and labels in model order,

@@ -52,7 +52,7 @@ func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, fixtures ...string)
 	t.Helper()
 	for _, fx := range fixtures {
 		dir := filepath.Join(srcRoot, fx)
-		pkgs, err := load.Load(load.Options{Dir: dir, Tests: true}, ".")
+		pkgs, err := load.Load(dir, ".")
 		if err != nil {
 			t.Errorf("%s: loading fixture: %v", fx, err)
 			continue

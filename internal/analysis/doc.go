@@ -2,9 +2,9 @@
 // go/analysis-style analyzers that turn the architecture contracts the
 // ROADMAP prose promises — and that code review has repeatedly had to
 // re-litigate — into machine-checked invariants. The cmd/wwt-vet
-// multichecker runs them standalone (wwt-vet ./...) or under the go
-// vet driver (go vet -vettool=$(which wwt-vet) ./...), and the CI lint
-// lane gates every other job on a clean run.
+// multichecker runs all four over the packages it is given, test files
+// included (wwt-vet ./...), and the CI lint lane gates every other job on
+// a clean run.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library

@@ -52,32 +52,21 @@ type listPkg struct {
 	Standard   bool
 }
 
-// Options configures a Load.
-type Options struct {
-	// Dir is the directory go list runs in (the module root or below).
-	Dir string
-	// Tests includes each matched package's test variant: the in-package
-	// variant (which compiles _test.go files alongside the package and
-	// replaces the plain package in the result) and the external _test
-	// package.
-	Tests bool
-}
-
-// Load lists patterns with the go command and type-checks every matched
-// package of the surrounding module. Synthesized test-main packages are
-// skipped; when Options.Tests is set, test variants replace their plain
-// packages so each file is analyzed exactly once.
-func Load(opts Options, patterns ...string) ([]*Package, error) {
+// Load lists patterns with the go command, run in dir ("" for the
+// current directory, which must lie in the module), and type-checks every
+// matched package of the surrounding module together with its test
+// variants: the in-package variant, which compiles the _test.go files
+// alongside the package and replaces the plain package in the result, and
+// the external _test package. Each file is so analyzed exactly once.
+// Synthesized test-main packages are skipped.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := []string{
-		"list", "-e", "-deps", "-export",
+		"list", "-e", "-deps", "-export", "-test",
 		"-json=ImportPath,Dir,Export,GoFiles,ImportMap,DepOnly,ForTest,Standard",
-	}
-	if opts.Tests {
-		args = append(args, "-test")
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = opts.Dir
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -133,15 +122,16 @@ func variantBase(id string) string {
 	return ""
 }
 
-// Check type-checks one explicitly described package: files (absolute
-// paths), its import path, and maps resolving imports to export data —
-// the shape both go list output and a vet .cfg reduce to.
-func Check(fset *token.FileSet, pkgPath string, files []string, importMap, exportFile map[string]string) (*Package, error) {
-	pkg := &Package{ID: pkgPath, PkgPath: pkgPath, Fset: fset}
-	if base := variantBase(pkgPath); base != "" {
+// check type-checks one go list target against the export-data map.
+func check(fset *token.FileSet, t *listPkg, exportFile map[string]string) (*Package, error) {
+	pkg := &Package{ID: t.ImportPath, PkgPath: t.ImportPath, Fset: fset}
+	if base := variantBase(t.ImportPath); base != "" {
 		pkg.PkgPath = base
 	}
-	for _, f := range files {
+	for _, f := range t.GoFiles {
+		if !filepath.IsAbs(f) {
+			f = filepath.Join(t.Dir, f)
+		}
 		file, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -153,7 +143,7 @@ func Check(fset *token.FileSet, pkgPath string, files []string, importMap, expor
 	// spelling, and ImportMap is per-package (test variants remap their
 	// own module imports to the variant builds).
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if m, ok := importMap[path]; ok {
+		if m, ok := t.ImportMap[path]; ok {
 			path = m
 		}
 		ef, ok := exportFile[path]
@@ -184,16 +174,4 @@ func Check(fset *token.FileSet, pkgPath string, files []string, importMap, expor
 	}
 	pkg.Types = tpkg
 	return pkg, nil
-}
-
-// check type-checks one go list target against the export-data map.
-func check(fset *token.FileSet, t *listPkg, exportFile map[string]string) (*Package, error) {
-	files := make([]string, 0, len(t.GoFiles))
-	for _, f := range t.GoFiles {
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(t.Dir, f)
-		}
-		files = append(files, f)
-	}
-	return Check(fset, t.ImportPath, files, t.ImportMap, exportFile)
 }

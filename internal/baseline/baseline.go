@@ -53,17 +53,20 @@ type Config struct {
 	RelevanceThreshold float64
 	// ColumnThreshold gates each per-column assignment.
 	ColumnThreshold float64
-	// PMIWeight scales the PMI² contribution for the PMI2 method.
-	PMIWeight float64
-	// NbrMinSim is the minimum content similarity for importing neighbor
-	// header text (NbrText method).
-	NbrMinSim float64
 }
+
+const (
+	// pmiWeight scales the PMI² contribution for the PMI2 method.
+	pmiWeight float64 = 1.0
+	// nbrMinSim is the minimum content similarity for importing neighbor
+	// header text (NbrText method).
+	nbrMinSim float64 = 0.5
+)
 
 // DefaultConfig returns thresholds tuned on the generated training split
 // by internal/train's exhaustive enumeration (cmd/wwt-train).
 func DefaultConfig() Config {
-	return Config{RelevanceThreshold: 0.42, ColumnThreshold: 0.02, PMIWeight: 1.0, NbrMinSim: 0.5}
+	return Config{RelevanceThreshold: 0.42, ColumnThreshold: 0.02}
 }
 
 // Prepared caches the analyzed views and base header-similarity scores of
@@ -121,14 +124,14 @@ func (p *Prepared) Solve(method Method, cfg Config, pmi core.PMISource) core.Lab
 	}
 	switch method {
 	case NbrText:
-		augmentWithNeighborText(cfg, p.views, p.qcols, score)
+		augmentWithNeighborText(p.views, p.qcols, score)
 	case PMI2:
 		if pmi != nil {
 			p.ensurePMI(pmi)
 			for ti := range score {
 				for c := range score[ti] {
 					for ell := 0; ell < q; ell++ {
-						score[ti][c][ell] += cfg.PMIWeight * p.pmiPart[ti][c][ell]
+						score[ti][c][ell] += pmiWeight * p.pmiPart[ti][c][ell]
 					}
 				}
 			}
@@ -221,7 +224,7 @@ func assignGreedy(labels []int, score [][]float64, q int, threshold float64) {
 // inherits the best neighbor's header similarity scaled by the content
 // overlap, which helps headerless tables but imports wrong headers when
 // columns within a table overlap (§5.1).
-func augmentWithNeighborText(cfg Config, views []*tview, qcols [][]string, score [][][]float64) {
+func augmentWithNeighborText(views []*tview, qcols [][]string, score [][][]float64) {
 	for ti, v := range views {
 		for c := 0; c < v.numCols; c++ {
 			for tj, w := range views {
@@ -230,7 +233,7 @@ func augmentWithNeighborText(cfg Config, views []*tview, qcols [][]string, score
 				}
 				for c2 := 0; c2 < w.numCols; c2++ {
 					sim := cellJaccard(v.cellSet[c], w.cellSet[c2])
-					if sim < cfg.NbrMinSim {
+					if sim < nbrMinSim {
 						continue
 					}
 					for ell := range qcols {

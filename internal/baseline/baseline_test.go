@@ -157,7 +157,7 @@ func TestPMI2AddsCorpusSignal(t *testing.T) {
 	s := index.NewSearcher(ix)
 	// Use permissive thresholds: this test isolates the PMI² signal, not
 	// the trained relevance gate.
-	cfg := Config{RelevanceThreshold: 0.05, ColumnThreshold: 0.3, PMIWeight: 1.0, NbrMinSim: 0.5}
+	cfg := Config{RelevanceThreshold: 0.05, ColumnThreshold: 0.3}
 	lBasic := Solve(Basic, cfg, []string{"black metal bands"},
 		[]*wtable.Table{cand}, s, nil)
 	lPMI := Solve(PMI2, cfg, []string{"black metal bands"},

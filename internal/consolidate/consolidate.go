@@ -9,24 +9,21 @@ import (
 	"wwt/internal/slicex"
 )
 
-// Options tunes consolidation.
-type Options struct {
-	// KeyJaccard is the token-set similarity above which two first-column
-	// cells are considered the same entity.
-	KeyJaccard float64
-	// MaxRows caps the answer size (0 = unlimited).
-	MaxRows int
-}
-
-// NewOptions returns defaults.
-func NewOptions() Options { return Options{KeyJaccard: 0.8, MaxRows: 0} }
+// keyJaccard is the token-set similarity at or above which two
+// first-column cells are the same entity.
+const keyJaccard float64 = 0.8
 
 // Row is one consolidated answer row.
 type Row struct {
 	Cells   []string // one per query column ("" when unknown)
 	Support int      // number of source tables contributing
 	Sources []string // contributing table IDs
-	Score   float64  // support + relevance mass, drives ranking
+	// Score is the summed relevance R(Q,t) of the row's source tables
+	// (1 per table when no relevance is given). It ranks rows of equal
+	// Support; rows whose Score ties too, as rows whose every source lies
+	// below Eq. 2's relevance threshold do at 0, fall through to their
+	// filled-cell count and then to their first cell.
+	Score float64
 }
 
 // Answer is the consolidated result table.
@@ -62,9 +59,9 @@ type Scratch struct {
 // labeling. views are the model's views, one per labeled table, sharing
 // one interner; relevance[t] supplies table scores (may be nil: uniform
 // 1); s is a caller-owned scratch (nil for a fresh one). Keys match when
-// their cell IDs are equal or their token sets reach opts.KeyJaccard, and
+// their cell IDs are equal or their token sets reach keyJaccard, and
 // two rows agree when each pair of their cells does on half its tokens.
-func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []float64, opts Options, s *Scratch) *Answer {
+func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []float64, s *Scratch) *Answer {
 	if s == nil {
 		s = &Scratch{}
 	}
@@ -125,11 +122,8 @@ func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []fl
 			}
 			target, ok := exact[key]
 			if !ok {
-				target = -1
-			}
-			if !ok && opts.KeyJaccard < 1 {
 				set := v.CellTokens(key)
-				target = slices.IndexFunc(keys, func(k []uint32) bool { return jaccardAtLeast(set, k, opts.KeyJaccard) })
+				target = slices.IndexFunc(keys, func(k []uint32) bool { return jaccardAtLeast(set, k, keyJaccard) })
 			}
 			if target >= 0 && compatible(v, rowIDs[target*q:(target+1)*q], ids) {
 				row, known := &ans.Rows[target], rowIDs[target*q:(target+1)*q]
@@ -177,9 +171,6 @@ func Consolidate(q int, views []*core.TableView, l core.Labeling, relevance []fl
 		off += n
 	}
 	rankRows(ans)
-	if opts.MaxRows > 0 && len(ans.Rows) > opts.MaxRows {
-		ans.Rows = ans.Rows[:opts.MaxRows]
-	}
 	return ans
 }
 

@@ -24,7 +24,7 @@ var testIntern = core.NewInterner()
 func viewsOf(tables ...*wtable.Table) []*core.TableView {
 	views := make([]*core.TableView, len(tables))
 	for i, t := range tables {
-		views[i] = core.NewTableView(t, core.DefaultParams(), testIntern)
+		views[i] = core.NewTableView(t, testIntern)
 	}
 	return views
 }
@@ -52,7 +52,7 @@ func TestConsolidateMergesDuplicates(t *testing.T) {
 		{0, 1, 2}, // a: name, nationality, area
 		{2, 0},    // b: area, name
 	}}
-	ans := Consolidate(q, viewsOf(a, b), l, nil, NewOptions(), nil)
+	ans := Consolidate(q, viewsOf(a, b), l, nil, nil)
 	if len(ans.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (Vasco merged)", len(ans.Rows))
 	}
@@ -86,7 +86,7 @@ func TestConsolidateSkipsIrrelevantTables(t *testing.T) {
 		{0, 1},
 		{core.NR(q), core.NR(q)},
 	}}
-	ans := Consolidate(q, viewsOf(a, junk), l, nil, NewOptions(), nil)
+	ans := Consolidate(q, viewsOf(a, junk), l, nil, nil)
 	if len(ans.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(ans.Rows))
 	}
@@ -100,7 +100,7 @@ func TestConsolidateConflictingRowsKeptSeparate(t *testing.T) {
 	b := table("b", [][]string{{"France", "Franc"}}) // conflicting value
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}, {0, 1}}}
-	ans := Consolidate(q, viewsOf(a, b), l, nil, NewOptions(), nil)
+	ans := Consolidate(q, viewsOf(a, b), l, nil, nil)
 	if len(ans.Rows) != 2 {
 		t.Fatalf("conflicting rows merged: %v", ans.Rows)
 	}
@@ -111,7 +111,7 @@ func TestConsolidateMissingKeyColumn(t *testing.T) {
 	a := table("a", [][]string{{"Euro", "x"}})
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{1, core.NA(q)}}}
-	ans := Consolidate(q, viewsOf(a), l, nil, NewOptions(), nil)
+	ans := Consolidate(q, viewsOf(a), l, nil, nil)
 	if len(ans.Rows) != 0 {
 		t.Errorf("rows without key column should be dropped: %v", ans.Rows)
 	}
@@ -121,34 +121,28 @@ func TestConsolidateEmptyKeyRowsDropped(t *testing.T) {
 	a := table("a", [][]string{{"", "Euro"}, {"Japan", "Yen"}})
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}}}
-	ans := Consolidate(q, viewsOf(a), l, nil, NewOptions(), nil)
+	ans := Consolidate(q, viewsOf(a), l, nil, nil)
 	if len(ans.Rows) != 1 || ans.Rows[0].Cells[0] != "Japan" {
 		t.Errorf("rows = %v", ans.Rows)
 	}
 }
 
+// TestConsolidateFuzzyKeyMatch: keys whose token sets differ merge at a
+// Jaccard of 5/6 and stay apart at 3/4, either side of keyJaccard.
 func TestConsolidateFuzzyKeyMatch(t *testing.T) {
-	a := table("a", [][]string{{"United States of America", "Washington"}})
-	b := table("b", [][]string{{"The United States of America", "Washington"}})
-	q := 2
-	l := core.Labeling{Q: q, Y: [][]int{{0, 1}, {0, 1}}}
-	opts := NewOptions()
-	opts.KeyJaccard = 0.7
-	ans := Consolidate(q, viewsOf(a, b), l, nil, opts, nil)
-	if len(ans.Rows) != 1 {
-		t.Errorf("fuzzy keys not merged: %d rows", len(ans.Rows))
-	}
-}
-
-func TestConsolidateMaxRows(t *testing.T) {
-	a := table("a", [][]string{{"a", "1"}, {"b", "2"}, {"c", "3"}})
-	q := 2
-	l := core.Labeling{Q: q, Y: [][]int{{0, 1}}}
-	opts := NewOptions()
-	opts.MaxRows = 2
-	ans := Consolidate(q, viewsOf(a), l, nil, opts, nil)
-	if len(ans.Rows) != 2 {
-		t.Errorf("MaxRows not applied: %d", len(ans.Rows))
+	for _, c := range []struct {
+		a, b string
+		rows int
+	}{
+		{"Kingdom of Great Britain and Northern Ireland", "United Kingdom of Great Britain and Northern Ireland", 1},
+		{"United States of America", "United States of North America", 2},
+	} {
+		a := table("a", [][]string{{c.a, "London"}})
+		b := table("b", [][]string{{c.b, "London"}})
+		l := core.Labeling{Q: 2, Y: [][]int{{0, 1}, {0, 1}}}
+		if ans := Consolidate(2, viewsOf(a, b), l, nil, nil); len(ans.Rows) != c.rows {
+			t.Errorf("%q and %q: %d rows, want %d", c.a, c.b, len(ans.Rows), c.rows)
+		}
 	}
 }
 
@@ -157,7 +151,7 @@ func TestConsolidateSupportCountsTablesNotRows(t *testing.T) {
 	a := table("a", [][]string{{"France", "Euro"}, {"France", "Euro"}})
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}}}
-	ans := Consolidate(q, viewsOf(a), l, nil, NewOptions(), nil)
+	ans := Consolidate(q, viewsOf(a), l, nil, nil)
 	if len(ans.Rows) != 1 {
 		t.Fatalf("rows = %d", len(ans.Rows))
 	}
@@ -171,7 +165,7 @@ func TestRankingPrefersRelevanceOnTie(t *testing.T) {
 	b := table("b", [][]string{{"y", "2"}})
 	q := 2
 	l := core.Labeling{Q: q, Y: [][]int{{0, 1}, {0, 1}}}
-	ans := Consolidate(q, viewsOf(a, b), l, []float64{0.2, 0.9}, NewOptions(), nil)
+	ans := Consolidate(q, viewsOf(a, b), l, []float64{0.2, 0.9}, nil)
 	if len(ans.Rows) != 2 || ans.Rows[0].Cells[0] != "y" {
 		t.Errorf("higher-relevance source should rank first: %v", ans.Rows)
 	}
@@ -185,7 +179,7 @@ func TestSourcesExactSize(t *testing.T) {
 	b := table("b", [][]string{{"Oslo", "Norway"}, {"Quito", "Ecuador"}})
 	c := table("c", [][]string{{"Lima", "Peru"}, {"Oslo", "Norway"}})
 	l := core.Labeling{Q: 2, Y: [][]int{{0, 1}, {0, 1}, {0, 1}}}
-	ans := Consolidate(2, viewsOf(a, b, c), l, nil, NewOptions(), &Scratch{})
+	ans := Consolidate(2, viewsOf(a, b, c), l, nil, &Scratch{})
 	want := map[string][]string{"Oslo": {"a", "b", "c"}, "Lima": {"a", "c"}, "Quito": {"b"}}
 	if len(ans.Rows) != len(want) {
 		t.Fatalf("%d rows, want %d", len(ans.Rows), len(want))

@@ -20,7 +20,7 @@ import (
 // attempt, token-set similarity goes through text.JaccardTokens, and rows
 // are ranked with sort.SliceStable. Consolidate, which matches cells on
 // the views' interned IDs instead, is pinned to it row for row.
-func consolidateRef(q int, tables []*wtable.Table, l core.Labeling, relevance []float64, opts Options) *Answer {
+func consolidateRef(q int, tables []*wtable.Table, l core.Labeling, relevance []float64) *Answer {
 	type keyedRef struct {
 		keyTokens []string
 		row       int
@@ -63,9 +63,9 @@ func consolidateRef(q int, tables []*wtable.Table, l core.Labeling, relevance []
 			target := -1
 			if idx, ok := exact[norm]; ok {
 				target = idx
-			} else if opts.KeyJaccard < 1 {
+			} else {
 				for _, kr := range fuzzy {
-					if text.JaccardTokens(keyToks, kr.keyTokens) >= opts.KeyJaccard {
+					if text.JaccardTokens(keyToks, kr.keyTokens) >= keyJaccard {
 						target = kr.row
 						break
 					}
@@ -82,9 +82,6 @@ func consolidateRef(q int, tables []*wtable.Table, l core.Labeling, relevance []
 		}
 	}
 	rankRowsRef(ans)
-	if opts.MaxRows > 0 && len(ans.Rows) > opts.MaxRows {
-		ans.Rows = ans.Rows[:opts.MaxRows]
-	}
 	return ans
 }
 
@@ -157,9 +154,9 @@ var oracleCells = []string{
 }
 
 // randOracleWorld draws q, candidate tables, a labeling (sometimes shorter
-// than the table list), per-table relevance (nil or drawn from a few
-// values so score ties exercise the stable ranking) and options.
-func randOracleWorld(r *rand.Rand) (int, []*wtable.Table, core.Labeling, []float64, Options) {
+// than the table list) and per-table relevance (nil or drawn from a few
+// values so score ties exercise the stable ranking).
+func randOracleWorld(r *rand.Rand) (int, []*wtable.Table, core.Labeling, []float64) {
 	q := 1 + r.Intn(3)
 	n := 1 + r.Intn(6)
 	tables := make([]*wtable.Table, n)
@@ -207,12 +204,7 @@ func randOracleWorld(r *rand.Rand) (int, []*wtable.Table, core.Labeling, []float
 			rel[i] = []float64{0.25, 0.5, 1}[r.Intn(3)]
 		}
 	}
-	opts := NewOptions()
-	opts.KeyJaccard = []float64{0.8, 0.5, 0.3, 1, 0}[r.Intn(5)]
-	if r.Intn(4) == 0 {
-		opts.MaxRows = 1 + r.Intn(4)
-	}
-	return q, tables, l, rel, opts
+	return q, tables, l, rel
 }
 
 // TestConsolidateMatchesOracleQuick compares Consolidate — through one
@@ -223,11 +215,11 @@ func TestConsolidateMatchesOracleQuick(t *testing.T) {
 	var reused Scratch
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		q, tables, l, rel, opts := randOracleWorld(r)
-		want := consolidateRef(q, tables, l, rel, opts)
+		q, tables, l, rel := randOracleWorld(r)
+		want := consolidateRef(q, tables, l, rel)
 		views := viewsOf(tables...)
 		for _, s := range []*Scratch{&reused, nil} {
-			if got := Consolidate(q, views, l, rel, opts, s); !reflect.DeepEqual(got, want) {
+			if got := Consolidate(q, views, l, rel, s); !reflect.DeepEqual(got, want) {
 				t.Logf("seed %d: got %+v\nwant %+v", seed, got, want)
 				return false
 			}
@@ -239,24 +231,37 @@ func TestConsolidateMatchesOracleQuick(t *testing.T) {
 	}
 }
 
-// TestConsolidateRepeatedSourceIDs replays the oracle world of seed
-// 2101127179483521383: five relevant tables with IDs t0 t1 t3 t0 t1 and
-// KeyJaccard 0, so every key merges into the first row. Its support
-// counts the three distinct IDs; a check of only a row's last source
-// counts the second t0 and t1 again, for 5.
+// TestConsolidateRepeatedSourceIDs merges five relevant tables with IDs
+// t0 t1 t3 t0 t1 that all hold the key "alpha", so it merges into one row.
+// Its support counts the three distinct IDs; a check of only a row's last
+// source counts the second t0 and t1 again, for 5. The "beta" row, which
+// only both t0 tables hold, has support 1.
 func TestConsolidateRepeatedSourceIDs(t *testing.T) {
-	const seed = 2101127179483521383
-	q, tables, l, rel, opts := randOracleWorld(rand.New(rand.NewSource(seed)))
-	want := consolidateRef(q, tables, l, rel, opts)
-	if !reflect.DeepEqual(want.Sources, []string{"t0", "t1", "t3", "t0", "t1"}) {
-		t.Fatalf("seed %d draws sources %v, want t0 t1 t3 t0 t1: the world no longer repeats IDs", seed, want.Sources)
+	var tables []*wtable.Table
+	for _, id := range []string{"t0", "t1", "t3", "t0", "t1"} {
+		body := [][]string{{"alpha", "x"}}
+		if id == "t0" {
+			body = append(body, []string{"beta", "y"})
+		}
+		tables = append(tables, table(id, body))
+	}
+	l := core.NewLabeling(2, []int{2, 2, 2, 2, 2})
+	for i := range l.Y {
+		l.Y[i][0], l.Y[i][1] = 0, 1
+	}
+	want := consolidateRef(2, tables, l, nil)
+	if len(want.Rows) != 2 {
+		t.Fatalf("oracle has %d rows, want alpha and beta", len(want.Rows))
 	}
 	if top := want.Rows[0]; top.Support != 3 || !reflect.DeepEqual(top.Sources, []string{"t0", "t1", "t3"}) {
 		t.Fatalf("oracle's top row %+v, want support 3 from t0 t1 t3", top)
 	}
+	if r := want.Rows[1]; r.Support != 1 || !reflect.DeepEqual(r.Sources, []string{"t0"}) {
+		t.Fatalf("oracle's second row %+v, want support 1 from t0", r)
+	}
 	var reused Scratch
 	for _, s := range []*Scratch{nil, &reused, &reused} {
-		if got := Consolidate(q, viewsOf(tables...), l, rel, opts, s); !reflect.DeepEqual(got, want) {
+		if got := Consolidate(2, viewsOf(tables...), l, nil, s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("got %+v\nwant %+v", got, want)
 		}
 	}
@@ -275,11 +280,11 @@ func FuzzConsolidateOracle(f *testing.F) {
 	f.Add(int64(1), "")
 	f.Add(int64(7), "Straße|STRASSE|İstanbul|istanbul|42nd|running runner")
 	f.Add(int64(2012), "a|the a|  |x y x|y x|Y-X")
-	f.Add(int64(2101127179483521383), "") // TestConsolidateRepeatedSourceIDs
+	f.Add(int64(2101127179483521383), "") // sources t0 t1 t3 t0 t1
 	var reused Scratch
 	f.Fuzz(func(t *testing.T, seed int64, cells string) {
 		r := rand.New(rand.NewSource(seed))
-		q, tables, l, rel, opts := randOracleWorld(r)
+		q, tables, l, rel := randOracleWorld(r)
 		if cells != "" {
 			texts := strings.Split(cells, "|")
 			for _, tb := range tables {
@@ -292,10 +297,10 @@ func FuzzConsolidateOracle(f *testing.F) {
 				}
 			}
 		}
-		want := consolidateRef(q, tables, l, rel, opts)
+		want := consolidateRef(q, tables, l, rel)
 		views := viewsOf(tables...)
 		for _, s := range []*Scratch{nil, &reused} {
-			if got := Consolidate(q, views, l, rel, opts, s); !reflect.DeepEqual(got, want) {
+			if got := Consolidate(q, views, l, rel, s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("got %+v\nwant %+v", got, want)
 			}
 		}

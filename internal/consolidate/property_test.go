@@ -57,7 +57,7 @@ func TestConsolidateInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q, tables, l := randAnswerWorld(r)
-		ans := Consolidate(q, viewsOf(tables...), l, nil, NewOptions(), nil)
+		ans := Consolidate(q, viewsOf(tables...), l, nil, nil)
 		totalRows := 0
 		relevant := map[string]bool{}
 		for i, tb := range tables {
@@ -100,7 +100,7 @@ func TestConsolidateRankingMonotoneQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q, tables, l := randAnswerWorld(r)
-		ans := Consolidate(q, viewsOf(tables...), l, nil, NewOptions(), nil)
+		ans := Consolidate(q, viewsOf(tables...), l, nil, nil)
 		for i := 1; i < len(ans.Rows); i++ {
 			if ans.Rows[i].Support > ans.Rows[i-1].Support {
 				return false
@@ -120,8 +120,8 @@ func TestConsolidateDeterministicQuick(t *testing.T) {
 		q1, t1, l1 := randAnswerWorld(r1)
 		r2 := rand.New(rand.NewSource(seed))
 		q2, t2, l2 := randAnswerWorld(r2)
-		a := Consolidate(q1, viewsOf(t1...), l1, nil, NewOptions(), nil)
-		b := Consolidate(q2, viewsOf(t2...), l2, nil, NewOptions(), nil)
+		a := Consolidate(q1, viewsOf(t1...), l1, nil, nil)
+		b := Consolidate(q2, viewsOf(t2...), l2, nil, nil)
 		if len(a.Rows) != len(b.Rows) {
 			return false
 		}

@@ -121,14 +121,13 @@ func TestWarmBuildAllocsParallel(t *testing.T) {
 func TestViewFootprint(t *testing.T) {
 	corpus := corpusgen.Generate(corpusgen.Config{Seed: 2012, Scale: 1})
 	tables := corpus.ExtractAll(extract.NewOptions())
-	p := DefaultParams()
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	before := ms.HeapAlloc
 	vc := NewViewCache()
 	for _, tb := range tables {
-		vc.view(tb, p)
+		vc.view(tb)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)

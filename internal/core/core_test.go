@@ -40,7 +40,7 @@ func table(id string, headerRows [][]string, body [][]string, context string) *w
 var testIntern = NewInterner()
 
 func view(t *wtable.Table) *TableView {
-	return NewTableView(t, DefaultParams(), testIntern)
+	return NewTableView(t, testIntern)
 }
 
 // scores runs segScores for qc against column c of v the way a build
@@ -416,6 +416,14 @@ func TestLabelingHelpers(t *testing.T) {
 	}
 }
 
+func TestMinMatch(t *testing.T) {
+	for q, want := range []int{1, 1, 2, 2} {
+		if got := MinMatch(q); got != want {
+			t.Errorf("MinMatch(%d) = %d, want %d", q, got, want)
+		}
+	}
+}
+
 func TestLabelString(t *testing.T) {
 	if LabelString(0, 3) != "Q1" || LabelString(2, 3) != "Q3" {
 		t.Error("query labels misrendered")
@@ -427,14 +435,13 @@ func TestLabelString(t *testing.T) {
 
 // TestContentSimOverlap pins the edge pass's content similarity: the
 // Jaccard of two columns' distinct normalized cells, so a repeated cell
-// counts once and a column without content words overlaps nothing.
+// counts once and a column without content words overlaps nothing, which
+// is below the neighbor cut.
 func TestContentSimOverlap(t *testing.T) {
 	a := table("a", nil, [][]string{{"France"}, {"Japan"}, {"India"}, {"india "}}, "")
 	b := table("b", nil, [][]string{{"France"}, {"Japan"}, {"Brazil"}}, "")
 	empty := table("e", nil, [][]string{{""}, {"the"}}, "")
-	p := DefaultParams()
-	p.MinNeighborSim = 0 // keep every pair, zero similarity included
-	m := (&Builder{Params: p, Stats: constStats{}}).Build([]string{"country"}, []*wtable.Table{a, b, empty})
+	m := (&Builder{Params: DefaultParams(), Stats: constStats{}}).Build([]string{"country"}, []*wtable.Table{a, b, empty})
 	sims := make(map[[2]int]float64)
 	for _, e := range m.rawEdges {
 		sims[[2]int{int(e.t1), int(e.t2)}] = e.sim
@@ -442,8 +449,8 @@ func TestContentSimOverlap(t *testing.T) {
 	if s := sims[[2]int{0, 1}]; s != 0.5 { // 2 shared / 4 union
 		t.Errorf("content sim = %f, want 0.5", s)
 	}
-	if s, ok := sims[[2]int{0, 2}]; !ok || s != 0 {
-		t.Errorf("content sim with an empty column = %f (present %v), want 0", s, ok)
+	if s, ok := sims[[2]int{0, 2}]; ok {
+		t.Errorf("content sim with an empty column = %f, want no raw edge", s)
 	}
 }
 

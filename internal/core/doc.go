@@ -8,6 +8,20 @@
 // four table-level hard constraints (Eq. 5–8). The inference package
 // consumes the assembled Model.
 //
+// # Parameters and constants
+//
+// Params holds what training and the experiments vary: the six weights
+// W1..W5, We of Eq. 3/4 and the model variants (UsePMI, Cooccur,
+// Unsegmented, Edges). Every other value the paper fixes is a constant:
+// the outSim reliabilities of T, C, Hc, Hr and B, 1.0, 0.9, 0.5, 1.0 and
+// 0.8 (§3.2.1); a body token is frequent (part B) in at least 0.3 of a
+// column's rows and at least twice; PMI² samples at most 50 rows per
+// column (§3.2.3); the nsim smoothing λ is 0.3, the neighbor cut 0.1 and
+// the confidence gate 0.6 (§3.3); the max-matching weighs content 0.7 and
+// headers 0.3 (§3.3, "Max-matching Edges"); and MinMatch is 1 for a
+// single-column query and 2 otherwise (Eq. 8). A view therefore depends
+// on its table's text alone.
+//
 // # Ownership and concurrency contracts
 //
 // A build runs entirely on its caller's goroutine and starts none of its

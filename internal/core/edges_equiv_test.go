@@ -18,7 +18,6 @@ import (
 // The new path is pinned hit-for-hit against it.
 func buildRawEdgesRef(m *Model) []rawEdge {
 	type columnRef struct{ t, c int }
-	p := m.Params
 	n := len(m.Views)
 	if n < 2 {
 		return nil
@@ -34,7 +33,7 @@ func buildRawEdgesRef(m *Model) []rawEdge {
 			for c1 := 0; c1 < m.Views[t1].NumCols; c1++ {
 				for c2 := 0; c2 < m.Views[t2].NumCols; c2++ {
 					s := JaccardIDs(colCellSet(m.Views[t1], c1), colCellSet(m.Views[t2], c2))
-					if s < p.MinNeighborSim {
+					if s < minNeighborSim {
 						continue
 					}
 					a := columnRef{t1, c1}
@@ -56,8 +55,8 @@ func buildRawEdgesRef(m *Model) []rawEdge {
 		edgeIdx[[2]columnRef{ps.a, ps.b}] = len(rawEdges)
 		rawEdges = append(rawEdges, rawEdge{
 			t1: int32(ps.a.t), c1: int32(ps.a.c), t2: int32(ps.b.t), c2: int32(ps.b.c),
-			nsimAB: ps.sim / (p.Lambda + denom[ps.a]),
-			nsimBA: ps.sim / (p.Lambda + denom[ps.b]),
+			nsimAB: ps.sim / (lambda + denom[ps.a]),
+			nsimBA: ps.sim / (lambda + denom[ps.b]),
 			sim:    ps.sim,
 		})
 		key := [2]int{ps.a.t, ps.b.t}
@@ -72,8 +71,8 @@ func buildRawEdgesRef(m *Model) []rawEdge {
 			w[i] = wBacking[i*n2 : (i+1)*n2]
 		}
 		for _, ps := range pairs {
-			blend := p.MatchContentWeight*ps.sim +
-				p.MatchHeaderWeight*HeaderSim(m.Views[t1], m.Views[t2], ps.a.c, ps.b.c)
+			blend := matchContentWeight*ps.sim +
+				matchHeaderWeight*HeaderSim(m.Views[t1], m.Views[t2], ps.a.c, ps.b.c)
 			w[ps.a.c][ps.b.c] = blend
 		}
 		sol := graph.SolveAssignment(ones(n1), ones(n2), w)
@@ -98,7 +97,7 @@ func ones(n int) []int {
 }
 
 // colPairSim is one cross-view column pair whose content similarity
-// cleared MinNeighborSim: c1 indexes the first view of the pair, c2 the
+// cleared minNeighborSim: c1 indexes the first view of the pair, c2 the
 // second, sim is the raw content Jaccard, and matched marks survival of
 // the blended content+header one-one max-matching between the two views.
 type colPairSim struct {
@@ -112,7 +111,7 @@ type colPairSim struct {
 // every column pair merged from the two sorted cell-ID sets (with the
 // size-ratio early-out that merge had), and a freshly allocated survivor
 // list, weight grid and assignment workspace on every call.
-func computePairSimsRef(a, b *TableView, p Params) []colPairSim {
+func computePairSimsRef(a, b *TableView) []colPairSim {
 	n1, n2 := a.NumCols, b.NumCols
 	var out []colPairSim
 	for c1 := 0; c1 < n1; c1++ {
@@ -125,12 +124,12 @@ func computePairSimsRef(a, b *TableView, p Params) []colPairSim {
 				if lo > hi {
 					lo, hi = hi, lo
 				}
-				if float64(lo)/float64(hi) < p.MinNeighborSim {
+				if float64(lo)/float64(hi) < minNeighborSim {
 					continue
 				}
 				s = JaccardIDs(ids1, ids2)
 			}
-			if s < p.MinNeighborSim {
+			if s < minNeighborSim {
 				continue
 			}
 			out = append(out, colPairSim{c1: int32(c1), c2: int32(c2), sim: s})
@@ -146,8 +145,8 @@ func computePairSimsRef(a, b *TableView, p Params) []colPairSim {
 	}
 	for i := range out {
 		e := &out[i]
-		w[e.c1][e.c2] = p.MatchContentWeight*e.sim +
-			p.MatchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))
+		w[e.c1][e.c2] = matchContentWeight*e.sim +
+			matchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))
 	}
 	sol := graph.SolveAssignment(ones(n1), ones(n2), w)
 	for i := range out {
@@ -192,7 +191,7 @@ func pairSimViews(r *rand.Rand, cols int) []*TableView {
 			}
 			tb.BodyRows = append(tb.BodyRows, br)
 		}
-		views = append(views, NewTableView(tb, DefaultParams(), in))
+		views = append(views, NewTableView(tb, in))
 	}
 	return views
 }
@@ -206,26 +205,21 @@ func TestComputePairSimsReusedSlot(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	views := pairSimViews(r, 8)
 	var slot BuildScratch
-	for _, minSim := range []float64{DefaultParams().MinNeighborSim, 0, 0.5} {
-		p := DefaultParams()
-		p.MinNeighborSim = minSim
-		for _, a := range views {
-			for _, b := range views {
-				m := &Model{Params: p, Views: []*TableView{a, b}}
-				slot.colOff = append(slot.colOff[:0], 0, a.NumCols, a.NumCols+b.NumCols)
-				m.buildRawEdges(&slot)
-				var got []colPairSim
-				for _, e := range m.rawEdges {
-					if e.t1 != 0 || e.t2 != 1 {
-						t.Fatalf("raw edge %+v outside the table pair (0, 1)", e)
-					}
-					got = append(got, colPairSim{c1: int32(e.c1), c2: int32(e.c2), sim: e.sim, matched: e.matched})
+	for _, a := range views {
+		for _, b := range views {
+			m := &Model{Params: DefaultParams(), Views: []*TableView{a, b}}
+			slot.colOff = append(slot.colOff[:0], 0, a.NumCols, a.NumCols+b.NumCols)
+			m.buildRawEdges(&slot)
+			var got []colPairSim
+			for _, e := range m.rawEdges {
+				if e.t1 != 0 || e.t2 != 1 {
+					t.Fatalf("raw edge %+v outside the table pair (0, 1)", e)
 				}
-				want := computePairSimsRef(a, b, p)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("MinNeighborSim %v, %d x %d cols: got %+v, want %+v",
-						minSim, a.NumCols, b.NumCols, got, want)
-				}
+				got = append(got, colPairSim{c1: int32(e.c1), c2: int32(e.c2), sim: e.sim, matched: e.matched})
+			}
+			want := computePairSimsRef(a, b)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d x %d cols: got %+v, want %+v", a.NumCols, b.NumCols, got, want)
 			}
 		}
 	}
@@ -270,14 +264,7 @@ func TestBuildRawEdgesEquivalence(t *testing.T) {
 			tables[i].ID = fmt.Sprintf("t%d", i)
 		}
 		p := DefaultParams()
-		// Exercise threshold extremes too: 0 keeps even zero-similarity
-		// pairs (including empty columns), which the old path did.
-		switch seed % 4 {
-		case 1:
-			p.MinNeighborSim = 0
-		case 2:
-			p.MinNeighborSim = 0.5
-		case 3:
+		if seed%4 == 3 {
 			p.Edges = EdgePotts
 		}
 		cols := []string{phraseFrom(r, 1+r.Intn(2)), phraseFrom(r, 1)}
@@ -305,11 +292,11 @@ func TestBuildRawEdgesEquivalence(t *testing.T) {
 }
 
 // TestBuildRawEdgesMinNeighborSimBoundary pins the >= threshold boundary:
-// a pair at exactly MinNeighborSim is kept, one just below is dropped —
+// a pair at exactly minNeighborSim is kept, one just below is dropped —
 // in both the reference and the new path.
 func TestBuildRawEdgesMinNeighborSimBoundary(t *testing.T) {
 	// Column contents sized for exact Jaccard values: |A|=4, |B|=7,
-	// inter=1 -> 1/10 = 0.1 (kept at MinNeighborSim=0.1); |A|=4, |B|=8,
+	// inter=1 -> 1/10 = 0.1 (kept at minNeighborSim=0.1); |A|=4, |B|=8,
 	// inter=1 -> 1/11 (dropped).
 	mkTable := func(id string, header string, cells []string) *wtable.Table {
 		tb := &wtable.Table{ID: id}
@@ -323,9 +310,7 @@ func TestBuildRawEdgesMinNeighborSimBoundary(t *testing.T) {
 	b := mkTable("b", "beta", []string{"shared", "b1", "b2", "b3", "b4", "b5", "b6"})
 	c := mkTable("c", "gamma", []string{"shared", "c1", "c2", "c3", "c4", "c5", "c6", "c7"})
 
-	p := DefaultParams()
-	p.MinNeighborSim = 0.1
-	builder := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache()}
+	builder := &Builder{Params: DefaultParams(), Stats: constStats{}, Views: NewViewCache()}
 	m := builder.Build([]string{"alpha", "beta"}, []*wtable.Table{a, b, c})
 	checkEdgesEquiv(t, m, "boundary")
 

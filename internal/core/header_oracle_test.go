@@ -72,7 +72,7 @@ func oracleSegScores(qc *QueryColumn, v *TableView, vecs [][]map[string]float64,
 			if k > 0 && strIntersectsHeader(qc.Tokens[:k], v, r, c) {
 				in := oracleInSimCosine(qc, 0, k, vecs[r][c], norms[r][c])
 				inCov := strInSimCover(qc, 0, k, v, r, c)
-				out := strOutSim(qc, k, m, v, r, c, p)
+				out := strOutSim(qc, k, m, v, r, c)
 				wIn := mass(qc, 0, k) / qc.NormSq
 				wOut := mass(qc, k, m) / qc.NormSq
 				if s := wIn*in + wOut*out; s > segSim {
@@ -85,7 +85,7 @@ func oracleSegScores(qc *QueryColumn, v *TableView, vecs [][]map[string]float64,
 			if k < m && strIntersectsHeader(qc.Tokens[k:], v, r, c) {
 				in := oracleInSimCosine(qc, k, m, vecs[r][c], norms[r][c])
 				inCov := strInSimCover(qc, k, m, v, r, c)
-				out := strOutSim(qc, 0, k, v, r, c, p)
+				out := strOutSim(qc, 0, k, v, r, c)
 				wIn := mass(qc, k, m) / qc.NormSq
 				wOut := mass(qc, 0, k) / qc.NormSq
 				if s := wIn*in + wOut*out; s > segSim {
@@ -255,7 +255,7 @@ func strInSimCover(qc *QueryColumn, a, b int, v *TableView, r, c int) float64 {
 // strOutSim is outSim with each query token looked up in v's interner for
 // the title, context and body parts and matched by string against the
 // other header cells.
-func strOutSim(qc *QueryColumn, a, b int, v *TableView, r, c int, p Params) float64 {
+func strOutSim(qc *QueryColumn, a, b int, v *TableView, r, c int) float64 {
 	norm := mass(qc, a, b)
 	if norm == 0 {
 		return 0
@@ -266,19 +266,19 @@ func strOutSim(qc *QueryColumn, a, b int, v *TableView, r, c int, p Params) floa
 		id := v.in.Lookup(w)
 		miss := 1.0
 		if v.inTitle(id) {
-			miss *= 1 - p.RelTitle
+			miss *= 1 - relTitle
 		}
 		if cs := v.contextScore(id); cs > 0 {
-			miss *= 1 - p.RelContext*cs
+			miss *= 1 - relContext*cs
 		}
 		if strOtherHeaderRowsHave(v, r, c, w) {
-			miss *= 1 - p.RelOtherHeaderRow
+			miss *= 1 - relOtherHeaderRow
 		}
 		if strOtherHeaderColsHave(v, r, c, w) {
-			miss *= 1 - p.RelOtherHeaderCol
+			miss *= 1 - relOtherHeaderCol
 		}
 		if v.inFreqBody(id) {
-			miss *= 1 - p.RelBody
+			miss *= 1 - relBody
 		}
 		sum += qc.TI2[i] / norm * (1 - miss)
 	}
@@ -565,7 +565,7 @@ func FuzzSegScoresMasks(f *testing.F) {
 			}
 			tb.TitleRows = []wtable.Row{row(words(2))}
 			tb.Context = []wtable.Snippet{{Text: words(3), Score: float64(src.next(5)) / 4}}
-			v := NewTableView(tb, DefaultParams(), in)
+			v := NewTableView(tb, in)
 			label := "view " + string(rune('0'+view))
 			checkSegScores(t, &qc, v, &hw, &memo, stats, label)
 			for c := 0; c < cols; c++ {

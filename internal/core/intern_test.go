@@ -74,7 +74,7 @@ func FuzzCellKeyTokens(f *testing.F) {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {
-		v := NewTableView(table("t", nil, [][]string{{a, b}, {b, a}}, ""), DefaultParams(), nil)
+		v := NewTableView(table("t", nil, [][]string{{a, b}, {b, a}}, ""), nil)
 		for r := 0; r < 2; r++ {
 			for c := 0; c < v.NumCols; c++ {
 				want := text.Normalize(v.Table.Body(r, c))

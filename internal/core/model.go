@@ -81,9 +81,9 @@ type Builder struct {
 // interning into the cache's symbol table or the build-local one.
 func (b *Builder) viewFor(t *wtable.Table, in *Interner) *TableView {
 	if b.Views != nil {
-		return b.Views.view(t, b.Params)
+		return b.Views.view(t)
 	}
-	return NewTableView(t, b.Params, in)
+	return NewTableView(t, in)
 }
 
 // Build assembles the full graphical model with a private scratch arena:
@@ -274,7 +274,7 @@ func (m *Model) tableNodes(ti int) {
 // extraction (SegSim/Cover/PMI²/similarities) is NOT redone, so Reweight
 // is cheap enough for the exhaustive weight enumeration of §3.4.
 // p must not change feature-affecting fields (Unsegmented, UsePMI,
-// reliabilities); those require a full rebuild. The clone shares the
+// Cooccur); those require a full rebuild. The clone shares the
 // feature and raw-edge storage of m: if m was built through a caller's
 // BuildScratch, that scratch must stay unused while the clone is live.
 func (m *Model) Reweight(p Params) *Model {
@@ -361,7 +361,7 @@ func (m *Model) tableStage1(ti int, s *BuildScratch) {
 // The shared cells of every cross-table column pair are counted once per
 // pass (countSharedCells) into one scratch buffer. Then each table pair,
 // in (t1, t2) order, reads its Jaccards from those counts, appends the
-// column pairs at or above MinNeighborSim straight to the raw edges in
+// column pairs at or above minNeighborSim straight to the raw edges in
 // (c1, c2) order and marks its matching survivors (matchPair). The
 // Jaccard is inter / (|A|+|B|−inter), the same integers and expression a
 // merge of the two sorted sets computes, and 0 when they share nothing.
@@ -373,7 +373,6 @@ func (m *Model) tableStage1(ti int, s *BuildScratch) {
 // addTables computed, colOff[t] the global offset of table t's first
 // column — so a warm scratch runs the whole pass without allocating.
 func (m *Model) buildRawEdges(s *BuildScratch) {
-	p := &m.Params
 	n := len(m.Views)
 	colOff := s.colOff
 	m.rawEdges = nil
@@ -396,13 +395,13 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 					if k > 0 {
 						sim = float64(k) / float64(len1+int(size2[c2])-int(k))
 					}
-					if sim >= p.MinNeighborSim {
+					if sim >= minNeighborSim {
 						raw = append(raw, rawEdge{t1: int32(t1), c1: int32(c1), t2: int32(t2), c2: int32(c2), sim: sim})
 					}
 				}
 			}
 			if len(raw) > start {
-				matchPair(a, b, raw[start:], p, s)
+				matchPair(a, b, raw[start:], s)
 			}
 		}
 	}
@@ -424,8 +423,8 @@ func (m *Model) buildRawEdges(s *BuildScratch) {
 	}
 	for i := range raw {
 		e := &raw[i]
-		e.nsimAB = e.sim / (p.Lambda + denom[colOff[e.t1]+int(e.c1)])
-		e.nsimBA = e.sim / (p.Lambda + denom[colOff[e.t2]+int(e.c2)])
+		e.nsimAB = e.sim / (lambda + denom[colOff[e.t1]+int(e.c1)])
+		e.nsimBA = e.sim / (lambda + denom[colOff[e.t2]+int(e.c2)])
 	}
 	m.rawEdges = raw
 }
@@ -458,10 +457,10 @@ func (m *Model) finalizeEdges(s *BuildScratch) {
 				continue
 			}
 			var wab, wba float64
-			if m.Conf[t2][c2] > p.ConfidenceThreshold {
+			if m.Conf[t2][c2] > confidenceThreshold {
 				wab = p.We * re.nsimAB
 			}
-			if m.Conf[t1][c1] > p.ConfidenceThreshold {
+			if m.Conf[t1][c1] > confidenceThreshold {
 				wba = p.We * re.nsimBA
 			}
 			if wab == 0 && wba == 0 {
@@ -530,7 +529,7 @@ func (m *Model) Score(l Labeling) float64 {
 			if !hasFirst {
 				return math.Inf(-1) // must-match
 			}
-			if realCount < m.Params.MinMatch(q) {
+			if realCount < MinMatch(q) {
 				return math.Inf(-1) // min-match
 			}
 		}

@@ -144,8 +144,8 @@ func (m *Model) countSharedCells(s *BuildScratch) {
 // graph.DisjointMatched holds for the bounds of their weights, every one
 // is matched with no HeaderSim and no solve; otherwise the matching is
 // solved in s's workspace.
-func matchPair(a, b *TableView, es []rawEdge, p *Params, s *BuildScratch) {
-	if disjointMatched(a.NumCols, b.NumCols, es, p, s) {
+func matchPair(a, b *TableView, es []rawEdge, s *BuildScratch) {
+	if disjointMatched(a.NumCols, b.NumCols, es, s) {
 		for i := range es {
 			es[i].matched = true
 		}
@@ -154,8 +154,8 @@ func matchPair(a, b *TableView, es []rawEdge, p *Params, s *BuildScratch) {
 	cells := s.match[:0]
 	for i := range es {
 		e := &es[i]
-		cells = append(cells, graph.Cell{L: e.c1, R: e.c2, W: p.MatchContentWeight*e.sim +
-			p.MatchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))})
+		cells = append(cells, graph.Cell{L: e.c1, R: e.c2, W: matchContentWeight*e.sim +
+			matchHeaderWeight*HeaderSim(a, b, int(e.c1), int(e.c2))})
 	}
 	s.match = cells
 	for i, m := range graph.MatchCells(a.NumCols, b.NumCols, cells, &s.ws) {
@@ -164,22 +164,19 @@ func matchPair(a, b *TableView, es []rawEdge, p *Params, s *BuildScratch) {
 }
 
 // disjointMatched reports whether MatchCells would mark every survivor of
-// es without solving. A header weight of at least 0 only adds a term in
-// [0, MatchHeaderWeight] (HeaderSim is a Jaccard), so the content terms
-// bound every cell's weight from below and, plus that weight, from above.
+// es without solving. The header term lies in [0, matchHeaderWeight]
+// (HeaderSim is a Jaccard), so the content terms bound every cell's weight
+// from below and, plus that weight, from above.
 // Two survivors share a column when one finds it already stamped with
 // this pair's stamp in s.mark, indexed by global column, which keeps the
 // two sides apart.
-func disjointMatched(n1, n2 int, es []rawEdge, p *Params, s *BuildScratch) bool {
-	if !(p.MatchHeaderWeight >= 0) {
-		return false
-	}
+func disjointMatched(n1, n2 int, es []rawEdge, s *BuildScratch) bool {
 	minSim, maxSim := es[0].sim, es[0].sim
 	for i := 1; i < len(es); i++ {
 		minSim, maxSim = min(minSim, es[i].sim), max(maxSim, es[i].sim)
 	}
-	if !graph.DisjointMatched(n1, n2, len(es), p.MatchContentWeight*minSim,
-		p.MatchContentWeight*maxSim+p.MatchHeaderWeight) {
+	if !graph.DisjointMatched(n1, n2, len(es), matchContentWeight*minSim,
+		matchContentWeight*maxSim+matchHeaderWeight) {
 		return false
 	}
 	s.stamp++

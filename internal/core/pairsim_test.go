@@ -14,12 +14,11 @@ import (
 // per-pair merge reference: raw edges (order, endpoints, similarity bits,
 // matched flags) and final Edges. It draws 2–8 tables of 1–10 columns
 // whose cells come from a small alphabet, so cells repeat heavily; a
-// column may be empty or hold a cell that every such column holds. The
-// threshold is 0, 0.1, 0.5 or 1 and the matching's header weight 0.3, 0 or
-// −0.3, so a table pair with disjoint survivors also takes the solve: with
-// a zero-similarity survivor, a negative header weight, or more survivors
-// than the kernel's mask. Each draw is built fresh and then again,
-// reversed and forward, through the scratch the first build left dirty.
+// column may be empty or hold a cell that every such column holds, so a
+// table pair with disjoint survivors also takes the solve when it has more
+// survivors than the kernel's mask. Each draw is built fresh and then
+// again, reversed and forward, through the scratch the first build left
+// dirty.
 func FuzzSharedCellCounts(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 3, 2, 3, 0, 1, 2, 3, 4, 5, 0, 3, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7})
@@ -28,11 +27,9 @@ func FuzzSharedCellCounts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := byteSource(data)
 		p := DefaultParams()
-		p.MinNeighborSim = []float64{0, 0.1, 0.5, 1}[src.next(4)]
 		if src.next(4) == 3 {
 			p.Edges = EdgePotts
 		}
-		p.MatchHeaderWeight = []float64{0.3, 0, -0.3}[src.next(3)]
 		tables := make([]*wtable.Table, 2+src.next(7))
 		for i := range tables {
 			cols, rows := 1+src.next(10), src.next(6)
@@ -79,9 +76,7 @@ func TestBuildRawEdgesWarmAllocs(t *testing.T) {
 		tables[i] = randTable(r)
 		tables[i].ID = fmt.Sprintf("t%d", i)
 	}
-	p := DefaultParams()
-	p.MinNeighborSim = 0 // every column pair survives
-	b := &Builder{Params: p, Stats: constStats{}, Views: NewViewCache()}
+	b := &Builder{Params: DefaultParams(), Stats: constStats{}, Views: NewViewCache()}
 	var s BuildScratch
 	m := buildIn(b, []string{"country", "currency"}, tables, &s)
 	allocs := testing.AllocsPerRun(100, func() { m.buildRawEdges(&s) })

@@ -1,9 +1,10 @@
 package core
 
-// Params collects every tunable of the column mapper. The six weights
+// Params collects the column mapper's settable parameters. The six weights
 // W1..W5, We are the trainable parameters of Eq. 3/4 (the paper trains
 // them by exhaustive enumeration; internal/train does the same); the rest
-// are the constants reported in the paper.
+// select the model variants the experiments compare. Everything else the
+// paper reports as a fixed value is a constant below.
 type Params struct {
 	// Node potential weights (Eq. 3): SegSim, Cover, PMI², nr scale, bias.
 	W1, W2, W3, W4, W5 float64
@@ -26,77 +27,65 @@ type Params struct {
 	// Edges selects the edge-potential construction (§3.3 discusses why
 	// the naive variants fail); EdgeCustom is the paper's final design.
 	Edges EdgeVariant
-
-	// Reliability parameters p_i of outSim for parts T, C, Hc, Hr, B
-	// (§3.2.1; measured empirically in the paper as 1.0, 0.9, 0.5, 1.0, 0.8).
-	RelTitle, RelContext, RelOtherHeaderRow, RelOtherHeaderCol, RelBody float64
-
-	// Lambda is the smoothing constant of the nsim normalization (§3.3);
-	// MinNeighborSim drops weakly similar neighbor columns (0.1).
-	Lambda         float64
-	MinNeighborSim float64
-	// ConfidenceThreshold gates edge potentials on Pr(y|tc) (0.6).
-	ConfidenceThreshold float64
-
-	// Frequent-content-token extraction for the B part of outSim: a token
-	// qualifies when it occurs in at least FreqTokenMinFrac of the rows of
-	// some column and at least FreqTokenMinCount times.
-	FreqTokenMinFrac  float64
-	FreqTokenMinCount int
-
-	// MinMatchFor returns m of the min-match constraint: 2 for q >= 2.
-	// (kept as data to allow ablations).
-	MinMatchTwoPlus int
-
-	// PMIMaxRows caps the rows sampled by the PMI² feature per column.
-	PMIMaxRows int
-
-	// MatchContentWeight/MatchHeaderWeight blend content and header
-	// similarity when computing the one-one max-matching between the
-	// columns of two tables (§3.3, "Max-matching Edges").
-	MatchContentWeight, MatchHeaderWeight float64
 }
+
+// The paper's constants. The float ones are typed float64, so each holds
+// the float64 nearest its literal. The only expressions that fold a
+// constant with another, 1 - relTitle and the like in outSim, are exact
+// in float64, so they equal the subtraction done at run time.
+const (
+	// Reliabilities p_i of outSim for the parts T, C, Hc, Hr and B
+	// (§3.2.1; measured empirically in the paper as 1.0, 0.9, 0.5, 1.0,
+	// 0.8): the title, the context, the column's other header rows, the
+	// other columns' headers and the frequent body tokens.
+	relTitle          float64 = 1.0
+	relContext        float64 = 0.9
+	relOtherHeaderRow float64 = 0.5
+	relOtherHeaderCol float64 = 1.0
+	relBody           float64 = 0.8
+
+	// lambda is the smoothing constant of the nsim normalization (§3.3).
+	lambda float64 = 0.3
+	// minNeighborSim drops weakly similar neighbor columns (§3.3).
+	minNeighborSim float64 = 0.1
+	// confidenceThreshold gates edge potentials on Pr(y|tc) (§3.3).
+	confidenceThreshold float64 = 0.6
+
+	// A body token is frequent, and joins the B part of outSim, when it
+	// occurs in at least freqTokenMinFrac of the rows of some column and
+	// at least freqTokenMinCount times.
+	freqTokenMinFrac  float64 = 0.3
+	freqTokenMinCount         = 2
+
+	// pmiMaxRows caps the rows sampled by the PMI² feature per column.
+	pmiMaxRows = 50
+
+	// matchContentWeight and matchHeaderWeight blend content and header
+	// similarity in the one-one max-matching between the columns of two
+	// tables (§3.3, "Max-matching Edges").
+	matchContentWeight float64 = 0.7
+	matchHeaderWeight  float64 = 0.3
+)
 
 // DefaultParams returns the parameter set used across the experiments.
 // The six weights come from the exhaustive enumeration in internal/train
-// (cmd/wwt-train, training seed 777); the constants are the paper's. The
-// trained optimum weighs Cover heavily against a strong negative bias:
-// a column must cover most of a query column's token mass (in header or
-// reliable surroundings) before a real label pays for itself, which is
-// what rejects key-column-only confusable tables under min-match.
+// (cmd/wwt-train, training seed 777). The trained optimum weighs Cover
+// heavily against a strong negative bias: a column must cover most of a
+// query column's token mass (in header or reliable surroundings) before a
+// real label pays for itself, which is what rejects key-column-only
+// confusable tables under min-match.
 func DefaultParams() Params {
-	return Params{
-		W1: 1.0, W2: 8.0, W3: 0.25, W4: 0.35, W5: -5.5, We: 5.5,
-		UsePMI:              false,
-		RelTitle:            1.0,
-		RelContext:          0.9,
-		RelOtherHeaderRow:   0.5,
-		RelOtherHeaderCol:   1.0,
-		RelBody:             0.8,
-		Lambda:              0.3,
-		MinNeighborSim:      0.1,
-		ConfidenceThreshold: 0.6,
-		FreqTokenMinFrac:    0.3,
-		FreqTokenMinCount:   2,
-		MinMatchTwoPlus:     2,
-		PMIMaxRows:          50,
-		MatchContentWeight:  0.7,
-		MatchHeaderWeight:   0.3,
-	}
+	return Params{W1: 1.0, W2: 8.0, W3: 0.25, W4: 0.35, W5: -5.5, We: 5.5}
 }
 
 // MinMatch returns m, the minimum number of query columns a relevant table
-// must cover (Eq. 8): 1 for single-column queries, MinMatchTwoPlus
+// of a q-column query must cover (Eq. 8): 1 for single-column queries, 2
 // otherwise.
-func (p Params) MinMatch(q int) int {
+func MinMatch(q int) int {
 	if q < 2 {
 		return 1
 	}
-	m := p.MinMatchTwoPlus
-	if m > q {
-		m = q
-	}
-	return m
+	return 2
 }
 
 // CooccurMeasure selects the corpus-wide association statistic used by

@@ -22,10 +22,7 @@ func pmi2(hDocs []int32, v *TableView, c int, src PMISource, p Params, toks []st
 	if rows == 0 {
 		return 0
 	}
-	sample := rows
-	if p.PMIMaxRows > 0 && sample > p.PMIMaxRows {
-		sample = p.PMIMaxRows
-	}
+	sample := min(rows, pmiMaxRows)
 	var sum float64
 	for r := 0; r < sample; r++ {
 		// The cell's first len(toks) normalized tokens, read off its

@@ -55,7 +55,7 @@ func TestSegScoresBoundedQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tb := randTable(r)
-		v := NewTableView(tb, p, nil)
+		v := NewTableView(tb, nil)
 		qc := AnalyzeQuery([]string{phraseFrom(r, 1+r.Intn(3))}, constStats{})
 		for c := 0; c < v.NumCols; c++ {
 			seg, cov := scores(&qc[0], v, c, p)
@@ -86,13 +86,13 @@ func TestCoverMonotoneInHeaderQuick(t *testing.T) {
 			return true
 		}
 		c := r.Intn(tb.NumCols())
-		v1 := NewTableView(tb, p, nil)
+		v1 := NewTableView(tb, nil)
 		_, cov1 := scores(&qc[0], v1, c, p)
 
 		// Append a query word to the header of column c.
 		queryWord := strings.Fields(query)[0]
 		tb.HeaderRows[0].Cells[c].Text += " " + queryWord
-		v2 := NewTableView(tb, p, nil)
+		v2 := NewTableView(tb, nil)
 		_, cov2 := scores(&qc[0], v2, c, p)
 		return cov2 >= cov1-1e-9
 	}
@@ -108,7 +108,7 @@ func TestUnsegmentedNeverExceedsOneQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tb := randTable(r)
-		v := NewTableView(tb, p, nil)
+		v := NewTableView(tb, nil)
 		qc := AnalyzeQuery([]string{phraseFrom(r, 1+r.Intn(3))}, constStats{})
 		for c := 0; c < v.NumCols; c++ {
 			seg, cov := scores(&qc[0], v, c, p)
@@ -213,7 +213,7 @@ func TestPartMatchesConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tb := randTable(r)
-		v := NewTableView(tb, p, nil)
+		v := NewTableView(tb, nil)
 		qc := AnalyzeQuery([]string{phraseFrom(r, 2)}, constStats{})
 		for c := 0; c < v.NumCols; c++ {
 			rep := PartMatches(&qc[0], v, c)

@@ -280,7 +280,7 @@ func segScores(qc *QueryColumn, qt *queryTokens, v *TableView, hw *headerWeights
 			if k > 0 && h.any(cell, 0, k) {
 				in := inSimCosine(qc, qt, 0, k, hw, cell)
 				inCov := inSimCover(qc, h, 0, k, cell)
-				out := outSim(qc, qt, k, m, v, r, c, p)
+				out := outSim(qc, qt, k, m, v, r, c)
 				wIn := mass(qc, 0, k) / qc.NormSq
 				wOut := mass(qc, k, m) / qc.NormSq
 				if s := wIn*in + wOut*out; s > segSim {
@@ -294,7 +294,7 @@ func segScores(qc *QueryColumn, qt *queryTokens, v *TableView, hw *headerWeights
 			if k < m && h.any(cell, k, m) {
 				in := inSimCosine(qc, qt, k, m, hw, cell)
 				inCov := inSimCover(qc, h, k, m, cell)
-				out := outSim(qc, qt, 0, k, v, r, c, p)
+				out := outSim(qc, qt, 0, k, v, r, c)
 				wIn := mass(qc, k, m) / qc.NormSq
 				wOut := mass(qc, 0, k) / qc.NormSq
 				if s := wIn*in + wOut*out; s > segSim {
@@ -460,7 +460,7 @@ func inSimCover(qc *QueryColumn, h *hitMasks, a, b, cell int) float64 {
 
 // outSim scores the unpinned query part tokens[a:b] against the five
 // outside parts with soft-maxed reliabilities (§3.2.1).
-func outSim(qc *QueryColumn, qt *queryTokens, a, b int, v *TableView, r, c int, p *Params) float64 {
+func outSim(qc *QueryColumn, qt *queryTokens, a, b int, v *TableView, r, c int) float64 {
 	norm := mass(qc, a, b)
 	if norm == 0 {
 		return 0
@@ -470,20 +470,20 @@ func outSim(qc *QueryColumn, qt *queryTokens, a, b int, v *TableView, r, c int, 
 		id := qt.ids[i]
 		miss := 1.0
 		if v.inTitle(id) {
-			miss *= 1 - p.RelTitle
+			miss *= 1 - relTitle
 		}
 		if cs := v.contextScore(id); cs > 0 {
 			// Snippet scores modulate the context reliability (§2.1.2).
-			miss *= 1 - p.RelContext*cs
+			miss *= 1 - relContext*cs
 		}
 		if qt.hits.otherRowsHave(v, r, c, i) {
-			miss *= 1 - p.RelOtherHeaderRow
+			miss *= 1 - relOtherHeaderRow
 		}
 		if qt.hits.otherColsHave(v, r, c, i) {
-			miss *= 1 - p.RelOtherHeaderCol
+			miss *= 1 - relOtherHeaderCol
 		}
 		if v.inFreqBody(id) {
-			miss *= 1 - p.RelBody
+			miss *= 1 - relBody
 		}
 		sum += qc.TI2[i] / norm * (1 - miss)
 	}

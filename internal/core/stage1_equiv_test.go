@@ -52,7 +52,7 @@ func TestTableMaxMarginalsMatchMCMF(t *testing.T) {
 			cols[i] = phraseFrom(r, 1+r.Intn(2))
 		}
 		m := buildTestModel(t, cols, tables)
-		gate := m.Params.ConfidenceThreshold
+		gate := confidenceThreshold
 		for ti := range m.Views {
 			got := m.tableMaxMarginals(ti, &BuildScratch{})
 			want := tableMaxMarginalsRef(m, ti)

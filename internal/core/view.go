@@ -39,8 +39,7 @@ func AnalyzeQuery(cols []string, stats CorpusStats) []QueryColumn {
 // TableView caches every piece of analyzed text the features touch, so
 // that feature computation stays pure and allocation-light.
 //
-// A view is a pure function of the table text and the view-affecting
-// params (FreqTokenMinFrac/FreqTokenMinCount): it holds no corpus
+// A view is a pure function of the table text: it holds no corpus
 // statistics. The one place they enter a table's analysis, the TF-IDF
 // cosine of inSim, reads header weights each build computes under its own
 // statistics (headerWeights), so a cached view stays valid across every
@@ -95,7 +94,7 @@ type TableView struct {
 // into in. A nil interner gets a private one — safe only when the view is
 // never compared against another view (cross-view similarities require a
 // shared interner).
-func NewTableView(t *wtable.Table, p Params, in *Interner) *TableView {
+func NewTableView(t *wtable.Table, in *Interner) *TableView {
 	if in == nil {
 		in = NewInterner()
 	}
@@ -182,7 +181,7 @@ func NewTableView(t *wtable.Table, p Params, in *Interner) *TableView {
 		// Frequent tokens of this column feed the B part of outSim.
 		if rows > 0 {
 			for w, n := range counts {
-				if n >= p.FreqTokenMinCount && float64(n) >= p.FreqTokenMinFrac*float64(rows) {
+				if n >= freqTokenMinCount && float64(n) >= freqTokenMinFrac*float64(rows) {
 					freq = append(freq, in.Intern(w))
 				}
 			}

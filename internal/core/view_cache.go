@@ -9,13 +9,10 @@ import (
 
 // ViewCache memoizes TableView construction across queries, keyed by table
 // identity (pointer). Candidate sets overlap heavily between queries, and
-// a TableView depends only on the table text and the view-affecting params
-// (FreqTokenMinFrac/FreqTokenMinCount) — never on corpus statistics — so
-// one cache serves an engine for its whole lifetime, across every
-// generation swap: a table keeps its pointer from one generation's store
-// to the next, so its view is analyzed once. Sharing a cache between
-// builders whose view-affecting params differ is a caller bug. Keying by
-// pointer means a distinct table that merely reuses an ID can never be
+// a TableView depends only on the table text — never on corpus statistics
+// or Params — so one cache serves an engine for its whole lifetime, across
+// every generation swap: a table keeps its pointer from one generation's
+// store to the next, so its view is analyzed once. Keying by pointer means a distinct table that merely reuses an ID can never be
 // served a stale view; it misses and is analyzed fresh.
 //
 // Cached views are immutable after construction and safe to share between
@@ -57,7 +54,7 @@ func (vc *ViewCache) Len() int {
 }
 
 // view returns the cached view for t, building and storing it on a miss.
-func (vc *ViewCache) view(t *wtable.Table, p Params) *TableView {
+func (vc *ViewCache) view(t *wtable.Table) *TableView {
 	vc.mu.RLock()
 	v, ok := vc.m[t]
 	vc.mu.RUnlock()
@@ -66,7 +63,7 @@ func (vc *ViewCache) view(t *wtable.Table, p Params) *TableView {
 		return v
 	}
 	vc.misses.Add(1)
-	v = NewTableView(t, p, vc.in)
+	v = NewTableView(t, vc.in)
 	vc.mu.Lock()
 	// A racing builder may have inserted first; keep one winner so every
 	// model in flight shares the same view instance.

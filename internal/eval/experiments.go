@@ -201,7 +201,7 @@ func ExperimentFig6(w io.Writer, r *Runner) {
 // answerRows consolidates under a labeling and returns normalized full-row
 // keys (all cells, analyzed and joined), the row identity used by Fig. 6.
 func answerRows(res *QueryResult, l core.Labeling) []string {
-	ans := consolidate.Consolidate(res.Query.Q(), res.Model.Views, l, nil, consolidate.NewOptions(), nil)
+	ans := consolidate.Consolidate(res.Query.Q(), res.Model.Views, l, nil, nil)
 	keys := make([]string, 0, len(ans.Rows))
 	for _, row := range ans.Rows {
 		var parts []string

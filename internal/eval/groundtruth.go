@@ -54,7 +54,7 @@ func TruthFor(q workload.Query, tables []*wtable.Table, ledger map[string][]stri
 				labels[c] = core.NA(gt.Q)
 			}
 		}
-		if !known || !hasFirst || mapped < q.MinMatch() {
+		if !known || !hasFirst || mapped < core.MinMatch(q.Q()) {
 			for c := range labels {
 				labels[c] = core.NR(gt.Q)
 			}

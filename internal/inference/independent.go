@@ -40,7 +40,7 @@ func (s *Scratch) Independent(m *core.Model) core.Labeling {
 func solveTableMAPInto(m *core.Model, ti int, node [][]float64, dst []int, s *Scratch) {
 	q := m.NumQ
 	nt := m.Views[ti].NumCols
-	mm := m.Params.MinMatch(q)
+	mm := core.MinMatch(q)
 
 	var nrScore float64
 	for c := 0; c < nt; c++ {
@@ -129,7 +129,7 @@ func tableFeasible(m *core.Model, ti int, labels []int, q int) bool {
 		if !hasFirst {
 			return false // must-match
 		}
-		if realCount < m.Params.MinMatch(q) {
+		if realCount < core.MinMatch(q) {
 			return false // min-match
 		}
 	}

@@ -16,7 +16,7 @@ import (
 func solveTableMAPRef(m *core.Model, node [][]float64) []int {
 	q := m.NumQ
 	nt := len(node)
-	mm := m.Params.MinMatch(q)
+	mm := core.MinMatch(q)
 	dst := make([]int, nt)
 	var nrScore float64
 	for c := range node {

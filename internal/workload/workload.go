@@ -29,14 +29,6 @@ func (q Query) String() string {
 	return s
 }
 
-// MinMatch returns m of the min-match constraint for this query.
-func (q Query) MinMatch() int {
-	if q.Q() < 2 {
-		return 1
-	}
-	return 2
-}
-
 // FromCorpus derives the workload from a generated corpus: one query per
 // domain, in domain declaration order (which follows Table 1).
 func FromCorpus(c *corpusgen.Corpus) []Query {

@@ -40,15 +40,6 @@ func TestQueryString(t *testing.T) {
 	}
 }
 
-func TestMinMatch(t *testing.T) {
-	if (Query{Columns: []string{"a"}}).MinMatch() != 1 {
-		t.Error("single column min-match should be 1")
-	}
-	if (Query{Columns: []string{"a", "b", "c"}}).MinMatch() != 2 {
-		t.Error("multi column min-match should be 2")
-	}
-}
-
 func TestByDomain(t *testing.T) {
 	qs := FromCorpus(corpus())
 	q, err := ByDomain(qs, "country-currency")

@@ -29,9 +29,8 @@ import (
 // Corpus statistics enter a table's analysis only through the header
 // weights each model build computes under its pinned generation, and PMI²
 // doc sets are read from that generation's searcher directly. Everything
-// engine-lifetime — the table-view cache and its interner, the cost
-// model's calibration, the arena pool and
-// the probe counters — carries across swaps untouched, so only the
+// engine-lifetime — the table-view cache and its interner, the arena pool
+// and the probe counters — carries across swaps untouched, so only the
 // ingested tables are analyzed after a swap.
 
 // LiveEngine is the name of the live wrapper Engine absorbed. It survives

@@ -164,7 +164,7 @@ func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 	if len(tokens) == 0 {
 		return false, fmt.Errorf("wwt: query has no content words")
 	}
-	st.hits1 = e.search(st.g.searcher, tokens, e.Opts.ProbeK)
+	st.hits1 = e.search(st.g.searcher, tokens, probeK)
 	return true, nil
 }
 
@@ -199,7 +199,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	var confident [2]scored
 	nConf := 0
 	for ti := range st.tables {
-		if !l.Relevant(ti) || m.Rel[ti] < e.Opts.MinConfidentRelevance {
+		if !l.Relevant(ti) || m.Rel[ti] < minConfidentRelevance {
 			continue
 		}
 		sc := scored{ti, m.Rel[ti]}
@@ -246,7 +246,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	for i := 0; i < nConf; i++ {
 		v := m.Views[confident[i].ti]
 		rows := v.Table.NumBodyRows()
-		take := min(e.Opts.SecondProbeRows, rows)
+		take := min(secondProbeRows, rows)
 		s.rows = sampleRows(s.rng, rows, take, s.rows, s.displaced)
 		for _, r := range s.rows {
 			for c := 0; c < v.NumCols; c++ {
@@ -259,7 +259,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 		}
 	}
 	s.sample = sample
-	st.hits2 = e.search(st.g.searcher, sample, e.Opts.ProbeK)
+	st.hits2 = e.search(st.g.searcher, sample, probeK)
 	st.probe2Fired = true
 	return true, nil
 }
@@ -268,7 +268,7 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 // keeping first-probe order first and dropping the tables probe 1 already
 // found. A generation's doc numbers and table IDs are both unique, so
 // matching doc numbers drops exactly the duplicate tables; each probe
-// returns at most ProbeK hits, so a linear scan does.
+// returns at most probeK hits, so a linear scan does.
 func (e *Engine) stageRead2(st *queryState, _ *QueryScratch) (bool, error) {
 	if !st.probe2Fired {
 		return false, nil
@@ -314,7 +314,7 @@ func (e *Engine) stageInfer(st *queryState, s *QueryScratch) (bool, error) {
 // stageConsolidate merges and ranks the relevant tables' rows (§2.2.3).
 func (e *Engine) stageConsolidate(st *queryState, s *QueryScratch) (bool, error) {
 	st.answer = consolidate.Consolidate(len(st.query.Columns), st.model.Views,
-		st.labeling, st.model.Rel, e.Opts.Consolidate, &s.cons)
+		st.labeling, st.model.Rel, &s.cons)
 	return true, nil
 }
 

@@ -24,36 +24,29 @@ type Query struct {
 // Options configures an Engine. The zero value is not useful; start from
 // DefaultOptions.
 type Options struct {
-	// Params are the column-mapper parameters (weights, reliabilities...).
-	// They are fixed at engine construction: the engine's table-view
-	// cache bakes the view-affecting fields in for the engine's lifetime,
-	// so mutating Opts.Params on a live engine yields stale results —
-	// build a new engine to change params.
+	// Params are the column-mapper parameters: the trained weights and
+	// the model variant. They are fixed at engine construction (queries
+	// read them concurrently); build a new engine to change them.
 	Params core.Params
-	// ProbeK is the number of candidates fetched per index probe.
-	ProbeK int
 	// SecondProbe enables the content-overlap re-probe of §2.2.1.
 	SecondProbe bool
-	// SecondProbeRows is the number of random rows sampled from confident
-	// tables for the second probe (10 in the paper).
-	SecondProbeRows int
-	// MinConfidentRelevance gates which stage-1 tables seed the second
-	// probe ("very high relevance score").
-	MinConfidentRelevance float64
-	// Consolidate options.
-	Consolidate consolidate.Options
 }
+
+// The probe constants of §2.2.1.
+const (
+	// probeK is the number of candidates fetched per index probe.
+	probeK = 40
+	// secondProbeRows is the number of random rows sampled from each
+	// confident table for the second probe (10 in the paper).
+	secondProbeRows = 10
+	// minConfidentRelevance gates which stage-1 tables seed the second
+	// probe ("very high relevance score").
+	minConfidentRelevance float64 = 0.75
+)
 
 // DefaultOptions returns the paper-faithful configuration.
 func DefaultOptions() Options {
-	return Options{
-		Params:                core.DefaultParams(),
-		ProbeK:                40,
-		SecondProbe:           true,
-		SecondProbeRows:       10,
-		MinConfidentRelevance: 0.75,
-		Consolidate:           consolidate.NewOptions(),
-	}
+	return Options{Params: core.DefaultParams(), SecondProbe: true}
 }
 
 // Timings is the per-stage running time split of Fig. 7: one field per
