@@ -66,36 +66,11 @@ var ErrPanic = errors.New("panicked")
 
 // BatchResult holds a batch's per-query outcomes, index-aligned with the
 // queries passed to AnswerBatchCtx: Results[i] is nil exactly when Errs[i] is
-// non-nil. Each non-nil Result owns its pooled arena just like a solo
-// Answer; release them individually as they are consumed, or call
-// BatchResult.Release once for the rest.
+// non-nil.
 type BatchResult struct {
 	Results []*Result
 	Errs    []error
 	Timings BatchTimings
-}
-
-// FirstErr returns the error of the lowest-indexed failed member, or nil
-// when every member succeeded.
-func (b *BatchResult) FirstErr() error {
-	for _, err := range b.Errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Release releases every remaining result's arena back to the engine pool
-// (already-released and failed members are skipped). Like Result.Release
-// it is optional and invalidates only the scratch-backed Models; answer
-// rows, labelings and tables stay valid.
-func (b *BatchResult) Release() {
-	for _, r := range b.Results {
-		if r != nil {
-			r.Release()
-		}
-	}
 }
 
 // batchWorkers resolves a caller worker count: non-positive means
@@ -111,25 +86,25 @@ func batchWorkers(workers, n int) int {
 }
 
 // forEachQuery fans indices 0..n-1 out over a bounded worker pool in
-// submission order. Each worker draws one arena from the engine pool and
-// hands it to fn query by query; fn reports whether it retained the arena
-// (gave it to a Result), in which case the worker draws a fresh one. A
-// panicking fn is recovered into onPanic and its arena is discarded — a
-// half-written arena never re-enters the pool. Returns the worker count
-// actually used.
-func (e *Engine) forEachQuery(n, workers int, fn func(i int, s *QueryScratch) (retained bool), onPanic func(i int, v any)) int {
+// submission order. Each worker draws one arena from the engine pool,
+// hands it to fn query by query and puts it back when the work runs out.
+// A panicking fn is recovered into onPanic and its arena is discarded for
+// a fresh one — a half-written arena never re-enters the pool. Returns
+// the worker count actually used.
+func (e *Engine) forEachQuery(n, workers int, fn func(i int, s *QueryScratch), onPanic func(i int, v any)) int {
 	workers = batchWorkers(workers, n)
 	if workers == 0 {
 		return 0
 	}
-	runOne := func(i int, s *QueryScratch) (retained, poisoned bool) {
+	runOne := func(i int, s *QueryScratch) (poisoned bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				onPanic(i, r)
-				retained, poisoned = false, true
+				poisoned = true
 			}
 		}()
-		return fn(i, s), false
+		fn(i, s)
+		return false
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -143,11 +118,8 @@ func (e *Engine) forEachQuery(n, workers int, fn func(i int, s *QueryScratch) (r
 				if i >= n {
 					break
 				}
-				retained, poisoned := runOne(i, s)
-				if poisoned {
+				if runOne(i, s) {
 					s = &QueryScratch{}
-				} else if retained {
-					s = e.getScratch()
 				}
 			}
 			e.putScratch(s)
@@ -158,12 +130,11 @@ func (e *Engine) forEachQuery(n, workers int, fn func(i int, s *QueryScratch) (r
 }
 
 // AnswerBatchCtx answers many queries through the full pipeline on a
-// bounded worker pool (workers <= 0 means GOMAXPROCS). Every worker reuses
-// one pooled arena across the member queries it serves — a member that
-// produces a Result hands the arena over, exactly as a solo Answer does,
-// and the worker draws the next one from the pool — and all members share
-// the engine's warm cross-query caches. Each member's output is
-// bit-identical to a solo Answer of the same query on the same engine.
+// bounded worker pool (workers <= 0 means GOMAXPROCS). Every worker keeps
+// one pooled arena for all the member queries it serves and puts it back
+// when the batch runs out of members, and all members share the engine's
+// warm cross-query caches. Each member's output is bit-identical to a solo
+// Answer of the same query on the same engine.
 //
 // Members are isolated: one query returning an error (or panicking; the
 // panic is recovered into its error slot) does not affect the others.
@@ -178,10 +149,10 @@ func (e *Engine) forEachQuery(n, workers int, fn func(i int, s *QueryScratch) (r
 // in its slot while the rest of the batch runs to completion,
 // bit-identical to solo answers. perQuery 0 sets no per-member deadline.
 //
-// An aborted member's arena returns to the engine pool like any other
-// failed member's (stages are never interrupted mid-flight, so the arena
-// is reusable, not poisoned). Cancellation latency is bounded by the
-// longest single stage.
+// An aborted member leaves its worker's arena reusable like any other
+// failed member (stages are never interrupted mid-flight, so the arena is
+// not poisoned), and the worker keeps it for its next member. Cancellation
+// latency is bounded by the longest single stage.
 //
 // The whole batch runs on the generation current at call time, pinned
 // until every member finishes: concurrent ingests swap later calls to
@@ -197,25 +168,19 @@ func (e *Engine) AnswerBatchCtx(ctx context.Context, queries []Query, workers in
 		Errs:    make([]error, len(queries)),
 	}
 	br.Timings.Queries = len(queries)
-	br.Timings.Workers = e.forEachQuery(len(queries), workers, func(i int, s *QueryScratch) bool {
+	br.Timings.Workers = e.forEachQuery(len(queries), workers, func(i int, s *QueryScratch) {
 		// The deadline context lives in its own frame so the deferred
 		// cancel releases the timer even when the member panics (the
 		// recover sits in forEachQuery, above this frame).
-		res, err := func() (*Result, error) {
+		br.Results[i], br.Errs[i] = func() (*Result, error) {
 			qctx := ctx
 			if perQuery > 0 {
 				var cancel context.CancelFunc
 				qctx, cancel = context.WithTimeout(ctx, perQuery)
 				defer cancel()
 			}
-			return e.answerOn(qctx, g, queries[i], s)
+			return e.answerOn(qctx, &queryState{g: g, query: queries[i]}, s)
 		}()
-		if err != nil {
-			br.Errs[i] = err
-			return false
-		}
-		br.Results[i] = res
-		return true
 	}, func(i int, v any) {
 		br.Errs[i] = fmt.Errorf("wwt: batch member %d %w: %v", i, ErrPanic, v)
 	})

@@ -69,7 +69,6 @@ func getWorld(b *testing.B) *benchWorld {
 			var cands []*wtable.Table
 			if res, err := eng.Answer(wwt.Query{Columns: q.Columns}); err == nil {
 				cands = res.Tables
-				res.Release()
 			}
 			w.cands = append(w.cands, cands)
 			w.models = append(w.models, w.builder.Build(q.Columns, cands))
@@ -94,7 +93,6 @@ func BenchmarkTable1Workload(b *testing.B) {
 			b.Fatal(err)
 		}
 		probe += res.Timings.Probe1 + res.Timings.Read1 + res.Timings.Probe2 + res.Timings.Read2
-		res.Release()
 	}
 	b.ReportMetric(float64(probe.Nanoseconds())/float64(b.N), "probe-ns/op")
 }
@@ -186,39 +184,30 @@ func BenchmarkFig7QueryPipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.queries[i%len(w.queries)]
-		res, err := w.engine.Answer(wwt.Query{Columns: q.Columns})
-		if err != nil {
+		if _, err := w.engine.Answer(wwt.Query{Columns: q.Columns}); err != nil {
 			b.Fatal(err)
 		}
-		// Releasing per iteration measures the steady state the pooled
-		// arena is designed for; discarding results starved the pool and
-		// charged every op a fresh arena.
-		res.Release()
 	}
 }
 
 // BenchmarkFig7QueryPipelinePooled is the steady-state serving variant of
-// the full pipeline: each query releases its arena back to the engine
-// pool, so warm-pool Answer runs with the scratch buffers of earlier
-// queries instead of fresh allocations.
+// the full pipeline: the arena pool is warmed across the whole workload
+// before measuring, so every Answer runs with the scratch buffers of
+// earlier queries instead of fresh allocations.
 func BenchmarkFig7QueryPipelinePooled(b *testing.B) {
 	w := getWorld(b)
 	// Warm the pool across the whole workload before measuring.
 	for _, q := range w.queries {
-		res, err := w.engine.Answer(wwt.Query{Columns: q.Columns})
-		if err != nil {
+		if _, err := w.engine.Answer(wwt.Query{Columns: q.Columns}); err != nil {
 			b.Fatal(err)
 		}
-		res.Release()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.queries[i%len(w.queries)]
-		res, err := w.engine.Answer(wwt.Query{Columns: q.Columns})
-		if err != nil {
+		if _, err := w.engine.Answer(wwt.Query{Columns: q.Columns}); err != nil {
 			b.Fatal(err)
 		}
-		res.Release()
 	}
 }
 
@@ -253,20 +242,16 @@ func BenchmarkLiveQueryPipeline(b *testing.B) {
 		b.Fatalf("%d segments after the ingests, want at least 4", segments)
 	}
 	for _, q := range w.queries {
-		res, err := eng.Answer(wwt.Query{Columns: q.Columns})
-		if err != nil {
+		if _, err := eng.Answer(wwt.Query{Columns: q.Columns}); err != nil {
 			b.Fatal(err)
 		}
-		res.Release()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.queries[i%len(w.queries)]
-		res, err := eng.Answer(wwt.Query{Columns: q.Columns})
-		if err != nil {
+		if _, err := eng.Answer(wwt.Query{Columns: q.Columns}); err != nil {
 			b.Fatal(err)
 		}
-		res.Release()
 	}
 	b.ReportMetric(float64(segments), "segments")
 }
@@ -417,12 +402,10 @@ func BenchmarkAnswerConcurrent(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			qi := int(next.Add(1)) % len(w.queries)
-			res, err := w.engine.Answer(wwt.Query{Columns: w.queries[qi].Columns})
-			if err != nil {
+			if _, err := w.engine.Answer(wwt.Query{Columns: w.queries[qi].Columns}); err != nil {
 				b.Error(err)
 				return
 			}
-			res.Release()
 		}
 	})
 }
@@ -438,7 +421,7 @@ func batchQueries(w *benchWorld) []wwt.Query {
 
 // BenchmarkAnswerBatch measures batched full-pipeline throughput: the
 // whole workload per iteration through AnswerBatchCtx on a GOMAXPROCS worker
-// pool, every member released back to the arena pool. Compare against
+// pool, each worker keeping one pooled arena. Compare against
 // BenchmarkAnswerBatchSerial (same queries, solo Answer loop) for the
 // queries/sec speedup; both report a qps metric.
 func BenchmarkAnswerBatch(b *testing.B) {
@@ -447,29 +430,26 @@ func BenchmarkAnswerBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br := w.engine.AnswerBatchCtx(context.Background(), queries, 0, 0)
-		if err := br.FirstErr(); err != nil {
+		if err := firstErr(br); err != nil {
 			b.Fatal(err)
 		}
-		br.Release()
 	}
 	b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "qps")
 }
 
 // BenchmarkAnswerBatchSerial is the before side of the batch entry point:
-// the same workload answered one query at a time (arenas still pooled via
-// Release), so the only difference from BenchmarkAnswerBatch is the
-// batch-level worker pool.
+// the same workload answered one query at a time (arenas still pooled),
+// so the only difference from BenchmarkAnswerBatch is the batch-level
+// worker pool.
 func BenchmarkAnswerBatchSerial(b *testing.B) {
 	w := getWorld(b)
 	queries := batchQueries(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			res, err := w.engine.Answer(q)
-			if err != nil {
+			if _, err := w.engine.Answer(q); err != nil {
 				b.Fatal(err)
 			}
-			res.Release()
 		}
 	}
 	b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "qps")

@@ -1,8 +1,8 @@
 // Command wwt-vet is the repo's invariant multichecker: it runs the
-// internal/analysis suite (mapfloatsum, reflectsort, mmapalias,
-// releaseresult) over module packages, test files included, and fails
-// when an architecture invariant from ROADMAP "Architecture invariants"
-// is violated at the source level.
+// internal/analysis suite (mapfloatsum, reflectsort, mmapalias) over
+// module packages, test files included, and fails when an architecture
+// invariant from ROADMAP "Architecture invariants" is violated at the
+// source level.
 //
 //	wwt-vet ./...
 //
@@ -28,7 +28,6 @@ var suite = []*analysis.Analyzer{
 	analysis.MapFloatSum,
 	analysis.ReflectSort,
 	analysis.MmapAlias,
-	analysis.ReleaseResult,
 }
 
 func main() {

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"wwt"
+	"wwt/internal/core"
 )
 
 func main() {
@@ -63,7 +64,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer res.Release()
 
 	relevant := 0
 	for ti := range res.Tables {
@@ -97,7 +97,10 @@ func main() {
 	}
 	if *explain {
 		fmt.Println("\ncolumn mapping rationale:")
-		for _, e := range res.Model.ExplainAll(res.Labeling) {
+		// The pipeline's model stays in its query's arena; a cacheless
+		// build over the same candidates gives the same model.
+		m := (&core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.Searcher()}).Build(cols, res.Tables)
+		for _, e := range m.ExplainAll(res.Labeling) {
 			fmt.Print(e)
 		}
 	}
@@ -161,7 +164,6 @@ func runBatch(eng *wwt.Engine, path string, workers int) {
 		fmt.Printf("%-50s %10d %8d %7d %9.2f\n", name,
 			len(res.Tables), relevant, len(res.Answer.Rows),
 			float64(res.Timings.Total().Microseconds())/1000)
-		res.Release()
 	}
 	t := br.Timings
 	fmt.Printf("\nbatch: %d queries (%d failed) on %d workers in %.1fms — %.1f answered/s (%.1f total/s)\n",

@@ -44,22 +44,23 @@
 // refuses. The one cross-query cache (table views and their interner) is
 // concurrency-safe and hands out shared read-only views.
 //
-// Exactly one query owns a scratch arena at a time. Answer hands it to the
-// Result — whose Model aliases the arena's grids — and only
-// Result.Release recycles it; a failed query returns it to the pool.
-// Everything else a query returns (answer rows, labeling, tables) owns
-// its storage and survives Release, so an unreleased arena is merely
-// garbage, never a corruption hazard.
+// Exactly one query owns a scratch arena at a time, from its first stage
+// to its last, and Answer puts it back into the pool before it returns;
+// a panicking query's arena is dropped, never pooled. The §3 model lives
+// in the arena and never leaves the query. A Result owns everything it
+// holds (answer rows, labeling, tables), so the arena's next query cannot
+// touch it.
 //
 // # Batched execution
 //
 // AnswerBatchCtx runs many queries through the same stage list on a
-// bounded worker pool. Each worker holds one pooled arena at a time, all
-// workers share the engine's warm caches, and every member's output is
-// bit-identical to a solo call. Members are error-isolated: one
-// failing query fills only its own error slot. BatchTimings aggregates
-// the per-stage split and wall clock; serving loops and the evaluation
-// harness (internal/eval) are built on these entry points.
+// bounded worker pool. Each worker keeps one pooled arena for all the
+// members it serves, all workers share the engine's warm caches, and
+// every member's output is bit-identical to a solo call. Members are
+// error-isolated: one failing query fills only its own error slot.
+// BatchTimings aggregates the per-stage split and wall clock; serving
+// loops and the evaluation harness (internal/eval) are built on these
+// entry points.
 //
 // # Deadlines and cancellation
 //
@@ -79,7 +80,6 @@
 //	res, err := eng.Answer(wwt.Query{Columns: []string{
 //	    "name of explorers", "nationality", "areas explored"}})
 //	for _, row := range res.Answer.Rows { ... }
-//	res.Release() // optional: recycle the per-query arena
 //
 // See the runnable examples in example_test.go and the README for the
 // architecture diagram and cache contracts.

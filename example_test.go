@@ -58,7 +58,6 @@ func ExampleEngine_Answer() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer res.Release()
 	for _, row := range res.Answer.Rows {
 		fmt.Printf("%s: %s (support %d)\n", row.Cells[0], row.Cells[1], row.Support)
 	}
@@ -80,7 +79,6 @@ func ExampleEngine_AnswerBatchCtx() {
 		{Columns: []string{"the of a"}}, // stopwords only: this member errors
 	}
 	br := eng.AnswerBatchCtx(context.Background(), queries, 2, 0)
-	defer br.Release()
 	for i := range queries {
 		if err := br.Errs[i]; err != nil {
 			fmt.Printf("query %d failed: %v\n", i, err)
@@ -94,23 +92,4 @@ func ExampleEngine_AnswerBatchCtx() {
 	// query 0: 4 answer rows from 2 candidate tables
 	// query 1: 2 answer rows from 1 candidate tables
 	// query 2 failed: wwt: query has no content words
-}
-
-// ExampleResult_Release shows the arena contract: Release recycles the
-// pooled scratch behind the Result (nilling the scratch-backed Model),
-// while the answer rows, labeling and tables own their storage and stay
-// valid afterwards.
-func ExampleResult_Release() {
-	eng := exampleEngine()
-	res, err := eng.Answer(wwt.Query{Columns: []string{"country", "currency"}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	first := res.Answer.Rows[0]
-	res.Release()
-	fmt.Printf("model recycled: %v\n", res.Model == nil)
-	fmt.Printf("rows still valid: %s: %s\n", first.Cells[0], first.Cells[1])
-	// Output:
-	// model recycled: true
-	// rows still valid: Brazil: Real
 }

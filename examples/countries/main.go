@@ -54,6 +54,5 @@ func main() {
 			fmt.Printf("  %-16s %-22s support=%d\n", row.Cells[0], row.Cells[1], row.Support)
 		}
 		fmt.Println()
-		res.Release()
 	}
 }

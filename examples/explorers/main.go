@@ -111,7 +111,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer res.Release()
 
 	fmt.Println("Column mapping (the §3 task):")
 	for ti, tb := range res.Tables {

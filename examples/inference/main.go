@@ -30,10 +30,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The candidates and probe-2 flag outlive Release; the model is rebuilt
-	// heap-side so it can be solved after the query's arena is recycled.
+	// The pipeline's model stays in its query's arena, so it is rebuilt
+	// over the same candidates; a cacheless build gives the same model.
 	cands, usedProbe2 := res.Tables, res.UsedProbe2
-	res.Release()
 	builder := &core.Builder{Params: eng.Opts.Params, Stats: eng.Searcher(), PMI: eng.Searcher()}
 	m := builder.Build(query.Columns, cands)
 	fmt.Printf("query %q: %d candidates (probe2=%v), %d cross-table edges\n\n",

@@ -70,7 +70,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer res.Release()
 
 	fmt.Printf("candidates: %d, answer rows: %d\n\n", len(res.Tables), len(res.Answer.Rows))
 	fmt.Printf("%-20s %-20s %s\n", "COUNTRY", "CURRENCY", "SUPPORT")

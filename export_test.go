@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"wwt/internal/core"
 	"wwt/internal/inference"
 	"wwt/internal/text"
 )
@@ -20,6 +21,18 @@ const ProbeK = probeK
 // Close leaves usable.
 func WithoutTables(e *Engine) *Engine {
 	return newEngine(newGeneration(e.Searcher(), nil), &e.Opts)
+}
+
+// AnswerWithModel answers q through the full stage list on the
+// caller-owned arena s and returns the Result with the column-mapping
+// model the pipeline built. The model lives in s: it stays valid until s
+// answers another query.
+func AnswerWithModel(e *Engine, q Query, s *QueryScratch) (*Result, *core.Model, error) {
+	g := e.acquire()
+	defer e.release(g)
+	st := &queryState{g: g, query: q}
+	res, err := e.answerOn(context.Background(), st, s)
+	return res, st.model, err
 }
 
 // Probe2Sample runs q's probe1, read1 and probe2 stages on a fresh arena

@@ -88,8 +88,9 @@ func TestAnswersGolden(t *testing.T) {
 				name string
 				eng  *wwt.Engine
 			}{{"mem", mem}, {fmt.Sprintf("dir%d", run.shards), live}} {
+				s := &wwt.QueryScratch{}
 				for _, q := range workload.FromCorpus(corpus) {
-					full, portable := answerDump(e.eng, q.Columns)
+					full, portable := answerDump(e.eng, q.Columns, s)
 					l := goldenLine{seed, e.name + run.suffix, strings.Join(q.Columns, " | "), digest(full), digest(portable)}
 					got = append(got, l)
 					if e.name == "mem" {
@@ -150,26 +151,24 @@ func (l goldenLine) dumpKey() string {
 	return fmt.Sprintf("seed %d %q", l.seed, l.query)
 }
 
-// answerDump answers columns on e and encodes the outcome canonically:
-// whether probe 2 fired; each candidate's ID and labels in model order,
-// with a hash of its model state's bits (features, Rel, node potentials,
-// stage-1 distributions and confidences); a hash of the edges' bits; the
-// merged sources; then one line per answer row with its cells, support,
-// sources and score bits. portable is the same dump without the float
-// bits. An error is dumped as itself.
-func answerDump(e *wwt.Engine, columns []string) (full, portable string) {
-	res, err := e.Answer(wwt.Query{Columns: columns})
+// answerDump answers columns on e with arena s and encodes the outcome
+// canonically: whether probe 2 fired; each candidate's ID and labels in
+// model order, with a hash of its model state's bits (features, Rel, node
+// potentials, stage-1 distributions and confidences); a hash of the
+// edges' bits; the merged sources; then one line per answer row with its
+// cells, support, sources and score bits. portable is the same dump
+// without the float bits. An error is dumped as itself.
+func answerDump(e *wwt.Engine, columns []string, s *wwt.QueryScratch) (full, portable string) {
+	res, m, err := wwt.AnswerWithModel(e, wwt.Query{Columns: columns}, s)
 	if err != nil {
-		s := fmt.Sprintf("error %q\n", err)
-		return s, s
+		d := fmt.Sprintf("error %q\n", err)
+		return d, d
 	}
-	defer res.Release()
 	var fb, pb strings.Builder
 	both := func(format string, args ...any) {
 		fmt.Fprintf(&fb, format, args...)
 		fmt.Fprintf(&pb, format, args...)
 	}
-	m := res.Model
 	both("probe2 %v\n", res.UsedProbe2)
 	for i, tb := range res.Tables {
 		both("cand %q %v", tb.ID, res.Labeling.Y[i])

@@ -63,7 +63,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // same source line or alone on the line immediately above. Directive
 // comments may carry trailing prose after the name:
 //
-//	res, _ := eng.Answer(q) //wwt:retained — stashed on the heap for eval
+//	type view struct{ b []byte } //wwt:mmap-owner — the index's Close unmaps b
 func (p *Pass) HasDirective(pos token.Pos, name string) bool {
 	if p.directives == nil {
 		p.directives = make(map[*ast.File]map[int][]string)
@@ -148,20 +148,6 @@ func named(t types.Type) *types.Named {
 	}
 	n, _ := t.(*types.Named)
 	return n
-}
-
-// isNamedType reports whether t (possibly behind a pointer or alias, and
-// generic instantiations included) is the named type pkgSuffix.name.
-func isNamedType(t types.Type, pkgSuffix, name string) bool {
-	n := named(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Name() != name || obj.Pkg() == nil {
-		return false
-	}
-	return PathHasSuffix(obj.Pkg().Path(), pkgSuffix)
 }
 
 // calleeFunc returns the function or method object called by call, or

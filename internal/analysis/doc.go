@@ -1,8 +1,8 @@
-// Package analysis holds the repo's custom invariant checkers: four
+// Package analysis holds the repo's custom invariant checkers: three
 // go/analysis-style analyzers that turn the architecture contracts the
 // ROADMAP prose promises — and that code review has repeatedly had to
 // re-litigate — into machine-checked invariants. The cmd/wwt-vet
-// multichecker runs all four over the packages it is given, test files
+// multichecker runs all three over the packages it is given, test files
 // included (wwt-vet ./...), and the CI lint lane gates every other job on
 // a clean run.
 //
@@ -36,14 +36,6 @@
 //     type with no Close method lets the alias outlive its mapping.
 //     Escape hatch: //wwt:mmap-owner on a type that holds views on a
 //     Close-owning struct's behalf.
-//
-//   - releaseresult — the QueryScratch pooling contract. An
-//     Engine.Answer/AnswerCtx Result that never reaches Release is not
-//     a leak (the GC collects it) but silently defeats the arena pool,
-//     the regression class the PR 3/PR 4 pooling work exists to
-//     prevent. Lostcancel-style and deliberately forgiving: escaping
-//     Results are someone else's responsibility. Escape hatch:
-//     //wwt:retained on the call line.
 //
 // Golden-diagnostic coverage lives under testdata/src/<fixture> and
 // runs through internal/analysis/analysistest, which loads the fixture

@@ -13,10 +13,10 @@ import "wwt/internal/graph"
 // the scratch), so the scratch may only be reused once that model is dead.
 // Extend is no exception: it grows that same model in place, so it takes
 // the scratch the model was built through. The engine's query pipeline
-// relies on this: the arena is handed to the Result and recycled only on
-// Release. Scratch buffers must never be handed to a cross-query
-// cache (ViewCache) — caches may only hold their own allocations; the
-// reverse (read-only slices owned elsewhere referenced from scratch
+// relies on this: the model never leaves its query, and the query's arena
+// goes back to the pool only after the last stage has read it. Scratch
+// buffers must never be handed to a cross-query cache (ViewCache) —
+// caches may only hold their own allocations; the reverse (read-only slices owned elsewhere referenced from scratch
 // fields, e.g. the PMISource's H(Qℓ) doc sets) is fine because the
 // scratch never writes through them. The IDF memo is arena state like
 // the rest: BuildTables empties it and binds it to the build's

@@ -74,7 +74,6 @@ func ExperimentAblationProbe2(w io.Writer, r *Runner) {
 		var l1 core.Labeling
 		if res1, err := single.Answer(wwt.Query{Columns: q.Columns}); err == nil {
 			tables, l1 = res1.Tables, res1.Labeling
-			res1.Release()
 		}
 		// Project the single-probe labeling onto the full universe; tables
 		// it never saw stay all-nr.

@@ -104,7 +104,6 @@ func ExperimentProbe2(w io.Writer, r *Runner) {
 		}
 	}
 	stage1 := single.AnswerBatchCtx(context.Background(), wqs, r.batchWorkers(), 0)
-	defer stage1.Release()
 	for i, res := range probe2 {
 		if stage1.Errs[i] != nil {
 			continue

@@ -86,7 +86,6 @@ func (r *Runner) CandidatesFor(q workload.Query) ([]*wtable.Table, GroundTruth) 
 	var tables []*wtable.Table
 	if res, err := r.Engine.Answer(wwt.Query{Columns: q.Columns}); err == nil {
 		tables = res.Tables
-		res.Release()
 	}
 	return tables, TruthFor(q, tables, r.Corpus.Truth)
 }
@@ -157,26 +156,21 @@ func (r *Runner) evaluate(q workload.Query, ans *wwt.Result, err error) *QueryRe
 	searcher := r.Engine.Searcher()
 	var tables []*wtable.Table
 	if err == nil {
-		// Tables, the probe2 flag and the timings own their storage and
-		// survive Release; a failed member (e.g. a stopword-only query) is
-		// evaluated over the empty candidate set, as the serial path
-		// always did when Candidates errored.
+		// A failed member (e.g. a stopword-only query) is evaluated over
+		// the empty candidate set, as the serial path always did when
+		// Candidates errored.
 		tables = ans.Tables
 		res.UsedProbe2 = ans.UsedProbe2
 		res.Timings = ans.Timings
 	}
 	res.Tables = tables
 	res.GT = TruthFor(q, tables, r.Corpus.Truth)
-	// The retained model is rebuilt heap-side rather than taken from the
-	// batch member: diagnostics and ablations reweight it for the runner's
-	// lifetime, and the member's Model aliases a full QueryScratch arena —
-	// releasing the member recycles that arena through the engine pool
-	// instead of pinning one per query.
+	// The pipeline's model stays in its query's arena, so the model is
+	// rebuilt heap-side over the same candidates: diagnostics and ablations
+	// reweight it for the runner's lifetime. A cacheless build gives the
+	// pipeline's model bit for bit.
 	builder := &core.Builder{Params: r.Engine.Opts.Params, Stats: searcher, PMI: searcher}
 	res.Model = builder.Build(q.Columns, tables)
-	if ans != nil {
-		ans.Release()
-	}
 
 	// Baselines.
 	cfg := baseline.DefaultConfig()

@@ -136,9 +136,6 @@ func Build(tables []*wtable.Table) (*Index, error) {
 // Len returns the number of indexed documents.
 func (ix *Index) Len() int { return len(ix.ids) }
 
-// IDOf returns the table ID of an internal doc number.
-func (ix *Index) IDOf(doc int32) string { return ix.ids[doc] }
-
 // Hit is one search result: the table's ID and its global doc number —
 // its position in the tables the searcher was built or opened over.
 type Hit struct {

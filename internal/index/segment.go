@@ -40,13 +40,6 @@ type Manifest struct {
 	Segments   []string `json:"segments"`
 }
 
-// clone returns a deep copy safe to mutate for the next commit.
-func (m *Manifest) clone() Manifest {
-	out := *m
-	out.Segments = append([]string(nil), m.Segments...)
-	return out
-}
-
 // ReadManifest reads dir's manifest. ok is false when none exists (a
 // plain frozen index directory).
 func ReadManifest(dir string) (Manifest, bool, error) {

@@ -57,10 +57,9 @@
 //
 // A Server is immutable after New and safe for concurrent requests; all
 // mutable state (admission counters, metrics) is internally synchronized.
-// The server borrows each BatchResult only for the duration of one
-// response: every member's pooled arena is released back to the engine
-// before the handler returns, so serving traffic never pins arenas
-// between requests. The Backend must be safe for concurrent calls
+// Every member's pooled arena is back in the engine's pool before
+// AnswerBatchPlan returns, so serving traffic never pins arenas between
+// requests. The Backend must be safe for concurrent calls
 // (wwt.Engine is). Graceful shutdown is the caller's
 // http.Server.Shutdown: the server holds no background goroutines, so
 // draining in-flight requests drains everything.

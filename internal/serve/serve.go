@@ -242,9 +242,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 
 	br := s.backend.AnswerBatchPlan(r.Context(), queries, s.cfg.Workers, timeout, wwt.BatchPlan{})
 	s.met.recordBatch(br.Timings, time.Now())
-	// Serialize, then hand every member's pooled arena straight back to
-	// the engine: the serving tier never pins arenas across requests.
-	defer br.Release()
 
 	members := make([]memberDTO, len(queries))
 	for i := range queries {

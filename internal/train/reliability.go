@@ -19,13 +19,16 @@ type Reliabilities struct {
 // each part i, the reliability p_i is the fraction of correctly matched
 // columns among all columns with positive inSim and a positive match with
 // part i, measured against ground truth over the training workload. The
-// paper reports (1.0, 0.9, 0.5, 1.0, 0.8) on its corpus.
+// paper reports (1.0, 0.9, 0.5, 1.0, 0.8) on its corpus. It reads only
+// the views and the analyzed query, so each model is built without its
+// edges, in one arena reused query by query.
 func MeasureReliabilities(r *eval.Runner, base core.Params) Reliabilities {
 	var correct, total [5]int
+	b := &core.Builder{Params: base, Stats: r.Engine.Searcher(), PMI: r.Engine.Searcher()}
+	var s core.BuildScratch
 	for _, q := range r.Queries {
 		tables, gt := r.CandidatesFor(q)
-		b := &core.Builder{Params: base, Stats: r.Engine.Searcher(), PMI: r.Engine.Searcher()}
-		m := b.Build(q.Columns, tables)
+		m := b.BuildTables(q.Columns, tables, &s)
 		for ti, v := range m.Views {
 			truth := gt.Labels[tables[ti].ID]
 			for c := 0; c < v.NumCols; c++ {

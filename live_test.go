@@ -166,7 +166,6 @@ func TestLiveEngineMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Release()
 	prev, prevViews := le.PlanStats(), viewLookups()
 	if prevViews == 0 {
 		t.Fatal("the query on generation 0 made no view lookup")
@@ -424,7 +423,6 @@ func TestHotSwapConcurrent(t *testing.T) {
 						case errc <- fmt.Errorf("query %d: %w", i, err):
 						default:
 						}
-						br.Release()
 						return
 					}
 					// In-flight members finished on their pinned
@@ -435,11 +433,9 @@ func TestHotSwapConcurrent(t *testing.T) {
 						case errc <- fmt.Errorf("query %d: empty answer mid-swap", i):
 						default:
 						}
-						br.Release()
 						return
 					}
 				}
-				br.Release()
 			}
 		}()
 	}
@@ -473,37 +469,34 @@ func TestHotSwapConcurrent(t *testing.T) {
 	}
 
 	// The arena pool is engine-lifetime, so arenas dirtied on one
-	// generation serve the next. An answer on a recycled arena after a
+	// generation serve the next. An answer on an arena dirtied before a
 	// swap must equal the answer of a fresh engine over the same directory.
 	le.WaitMerges()
 	q := queries[0]
-	res, err := le.Answer(q)
-	if err != nil {
+	s := &wwt.QueryScratch{}
+	if _, _, err := wwt.AnswerWithModel(le, q, s); err != nil {
 		t.Fatal(err)
 	}
-	res.Release()
 	if _, err := le.IngestTables([]*wtable.Table{currencyTable(ingests)}); err != nil {
 		t.Fatal(err)
 	}
 	le.WaitMerges()
-	swapped, err := le.Answer(q)
+	swapped, swappedModel, err := wwt.AnswerWithModel(le, q, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer swapped.Release()
 	fresh, err := wwt.OpenLive(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	want, err := fresh.Answer(q)
+	want, wantModel, err := wwt.AnswerWithModel(fresh, q, &wwt.QueryScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer want.Release()
 	if !reflect.DeepEqual(tableIDs(swapped), tableIDs(want)) ||
 		!reflect.DeepEqual(swapped.Labeling.Y, want.Labeling.Y) ||
-		!reflect.DeepEqual(swapped.Model.Node, want.Model.Node) ||
+		!reflect.DeepEqual(swappedModel.Node, wantModel.Node) ||
 		!reflect.DeepEqual(swapped.Answer, want.Answer) {
 		t.Fatal("answer on a recycled arena after a swap differs from a fresh engine's")
 	}
@@ -548,20 +541,25 @@ func TestCarriedViewsMatchFreshOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer le.Close()
-	answerAll := func(e *wwt.Engine) []*wwt.Result {
+	// answerAll answers every query on its own arena, so each model stays
+	// valid for the comparison.
+	answerAll := func(e *wwt.Engine) ([]*wwt.Result, []*core.Model) {
 		out := make([]*wwt.Result, len(queries))
+		models := make([]*core.Model, len(queries))
 		for i, q := range queries {
-			res, err := e.Answer(q)
+			res, m, err := wwt.AnswerWithModel(e, q, &wwt.QueryScratch{})
 			if err != nil {
 				t.Fatalf("%v: %v", q.Columns, err)
 			}
-			out[i] = res
+			out[i], models[i] = res, m
 		}
-		return out
+		return out, models
 	}
 	warm := func() {
-		for _, res := range answerAll(le) {
-			res.Release()
+		for _, q := range queries {
+			if _, err := le.Answer(q); err != nil {
+				t.Fatalf("%v: %v", q.Columns, err)
+			}
 		}
 	}
 	warm()
@@ -583,7 +581,7 @@ func TestCarriedViewsMatchFreshOpen(t *testing.T) {
 	}
 	// Every table was analyzed by a pass after its ingest, and a merge
 	// keeps the table pointers it compacts, so this pass misses nothing.
-	got := answerAll(le)
+	got, gotModels := answerAll(le)
 	if added := le.CacheStats().Views.Misses - views.Misses; added != 0 {
 		t.Errorf("the pass after the merges added %d view misses, want 0: a merge must keep its tables' pointers", added)
 	}
@@ -612,16 +610,17 @@ func TestCarriedViewsMatchFreshOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	want := answerAll(fresh)
+	want, wantModels := answerAll(fresh)
 	for i, q := range queries {
 		g, w := got[i], want[i]
+		gm, wm := gotModels[i], wantModels[i]
 		if !reflect.DeepEqual(tableIDs(g), tableIDs(w)) {
 			t.Fatalf("%v: candidate tables differ", q.Columns)
 		}
 		if !sameRows(g.Answer.Rows, w.Answer.Rows) {
 			t.Errorf("%v: answer rows differ", q.Columns)
 		}
-		if !sameBits(g.Model.Feats, w.Model.Feats, func(fs []core.Features) []float64 {
+		if !sameBits(gm.Feats, wm.Feats, func(fs []core.Features) []float64 {
 			var out []float64
 			for _, f := range fs {
 				out = append(out, f.SegSim, f.Cover, f.PMI2)
@@ -630,7 +629,7 @@ func TestCarriedViewsMatchFreshOpen(t *testing.T) {
 		}) {
 			t.Errorf("%v: feats differ", q.Columns)
 		}
-		if !sameBits(g.Model.Dist, w.Model.Dist, func(d []float64) []float64 { return d }) {
+		if !sameBits(gm.Dist, wm.Dist, func(d []float64) []float64 { return d }) {
 			t.Errorf("%v: dist differs", q.Columns)
 		}
 	}

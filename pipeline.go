@@ -33,16 +33,17 @@ import (
 // value is ready to use.
 //
 // Ownership: an arena is drawn from the engine pool at the start of a
-// query and owned by exactly one query at a time. Answer hands it to the
-// Result (whose Model aliases the build arena) and it is recycled only by
-// Result.Release; a failed query returns it to the pool at once.
-// Everything else a query returns — answer rows, labeling, tables, hits —
-// is freshly allocated, so an unreleased arena can never corrupt a
-// retained result. Scratch buffers must never be written into the
-// engine's cross-query caches; cache-owned slices referenced from scratch
-// fields are read-only. The pool is engine-lifetime, so an arena filled
-// on one generation serves the next after a swap; every stage resets what
-// it reuses, which keeps that bit-identical (TestHotSwapConcurrent).
+// query and owned by exactly one query at a time, from its first stage to
+// its last. Answer puts it back before it returns, whether the query
+// succeeded or failed; a panicking query's arena is dropped instead. The
+// column-mapping model lives in the arena and never leaves the query.
+// Everything a Result holds — answer rows, labeling, tables — is freshly
+// allocated, so a later query on the same arena cannot touch it. Scratch
+// buffers must never be written into the engine's cross-query caches;
+// cache-owned slices referenced from scratch fields are read-only. The
+// pool is engine-lifetime, so an arena filled on one generation serves
+// the next after a swap; every stage resets what it reuses, which keeps
+// that bit-identical (TestHotSwapConcurrent).
 type QueryScratch struct {
 	tokens []string // probe-1 query tokens
 	sample []string // probe-2 token buffer (distinct from tokens: never aliased)
@@ -70,9 +71,9 @@ func (e *Engine) getScratch() *QueryScratch {
 func (e *Engine) putScratch(s *QueryScratch) { e.scratch.Put(s) }
 
 // queryState is the data flowing between pipeline stages. Each stage
-// reads the fields earlier stages wrote and fills its own outputs; all
-// retained outputs (tables, model payload, labeling, answer) own their
-// storage except model, which aliases the query's arena.
+// reads the fields earlier stages wrote and fills its own outputs. The
+// outputs a Result takes (tables, labeling, answer) own their storage;
+// model lives in the query's arena.
 type queryState struct {
 	g      *generation // the generation the whole call is pinned to
 	query  Query
@@ -320,8 +321,8 @@ func (e *Engine) stageConsolidate(st *queryState, s *QueryScratch) (bool, error)
 
 // Answer runs the full pipeline: probes, column mapping with
 // table-centric inference (§4.2), and consolidation. The per-query arena
-// is drawn from the engine pool and handed to the Result; call
-// Result.Release to recycle it (see QueryScratch for the contract).
+// is drawn from the engine pool and goes back to it before Answer returns
+// (see QueryScratch for the contract).
 func (e *Engine) Answer(q Query) (*Result, error) {
 	return e.AnswerCtx(context.Background(), q)
 }
@@ -330,35 +331,27 @@ func (e *Engine) Answer(q Query) (*Result, error) {
 // checked between pipeline stages, and an aborted query returns ctx.Err().
 // Individual stages are not interrupted mid-flight, so the abort latency
 // is bounded by the longest single stage. An aborted query's arena goes
-// back to the engine pool exactly like any other failed query's.
+// back to the engine pool exactly like any other query's.
 func (e *Engine) AnswerCtx(ctx context.Context, q Query) (*Result, error) {
-	s := e.getScratch()
-	res, err := e.answer(ctx, q, s)
-	if err != nil {
-		e.putScratch(s)
-		return nil, err
-	}
-	return res, nil
-}
-
-// answer drives the full stage list on the current generation, pinned for
-// the call, with the given arena; the returned Result owns the arena.
-func (e *Engine) answer(ctx context.Context, q Query, s *QueryScratch) (*Result, error) {
 	g := e.acquire()
 	defer e.release(g)
-	return e.answerOn(ctx, g, q, s)
+	s := e.getScratch()
+	res, err := e.answerOn(ctx, &queryState{g: g, query: q}, s)
+	// Not deferred: a panicking query's arena is dropped, never pooled.
+	e.putScratch(s)
+	return res, err
 }
 
-// answerOn is answer on an already pinned generation.
-func (e *Engine) answerOn(ctx context.Context, g *generation, q Query, s *QueryScratch) (*Result, error) {
-	res := &Result{engine: e, scratch: s}
-	st := &queryState{g: g, query: q}
+// answerOn drives the full stage list over st, whose generation the
+// caller has pinned, on arena s. The Result owns its storage; st.model
+// stays in s.
+func (e *Engine) answerOn(ctx context.Context, st *queryState, s *QueryScratch) (*Result, error) {
+	res := &Result{}
 	if err := e.runStages(ctx, answerPipeline, st, s, &res.Timings); err != nil {
 		return nil, err
 	}
 	res.Tables = st.tables
 	res.UsedProbe2 = st.probe2Fired
-	res.Model = st.model
 	res.Labeling = st.labeling
 	res.Answer = st.answer
 	return res, nil

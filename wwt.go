@@ -121,34 +121,15 @@ func (t Timings) Stages() []StageTiming {
 	return out
 }
 
-// Result is the full outcome of answering a query.
+// Result is the full outcome of answering a query. It owns everything it
+// holds: no field aliases the query's pooled arena, which went back to
+// the engine before Answer returned.
 type Result struct {
 	Answer     *consolidate.Answer
 	Labeling   core.Labeling
 	Tables     []*wtable.Table // candidate tables, in model order
-	Model      *core.Model
 	UsedProbe2 bool
 	Timings    Timings
-
-	// The pooled arena backing Model, owned by this result until Release.
-	engine  *Engine
-	scratch *QueryScratch
-}
-
-// Release returns the result's pooled per-query arena to the engine so a
-// later Answer can reuse it. The Model is scratch-backed and is nilled
-// out here; the Answer rows, Labeling, Tables and Timings own their
-// storage and stay valid. Release is optional — an unreleased arena is
-// simply garbage-collected with the result — and must be called at most
-// once, after which the Result's Model must not be used.
-func (r *Result) Release() {
-	if r.scratch == nil || r.engine == nil {
-		return
-	}
-	s, e := r.scratch, r.engine
-	r.scratch, r.engine = nil, nil
-	r.Model = nil
-	e.putScratch(s)
 }
 
 // Engine answers column-keyword queries over an indexed table corpus. It

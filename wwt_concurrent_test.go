@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wwt"
+	"wwt/internal/core"
 	"wwt/internal/index"
 	"wwt/internal/text"
 )
@@ -42,7 +43,6 @@ func TestAnswerConcurrent(t *testing.T) {
 			want[i].rows = append(want[i].rows, row.Cells)
 		}
 		want[i].labeling = res.Labeling.Y
-		res.Release() // rows/labeling stay valid after Release; only the arena returns
 	}
 
 	const goroutines = 8
@@ -71,7 +71,6 @@ func TestAnswerConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d query %d: labeling diverged", g, qi)
 					return
 				}
-				res.Release()
 			}
 		}(g)
 	}
@@ -80,9 +79,10 @@ func TestAnswerConcurrent(t *testing.T) {
 
 // TestAnswerConcurrentEdges hammers the edge construction (run under
 // -race): the queries share candidate tables, so many goroutines compute
-// the same table pairs at once — each in its own build arena, over views
-// shared through the view cache — and every goroutine must still see the
-// exact same model edges.
+// the same table pairs at once — each in its own arena, over views shared
+// through the view cache — and every goroutine must still see the exact
+// same model edges as the serial references, each built on a virgin
+// arena.
 func TestAnswerConcurrentEdges(t *testing.T) {
 	eng, err := wwt.NewEngine(smallCorpus(t), nil)
 	if err != nil {
@@ -98,12 +98,13 @@ func TestAnswerConcurrentEdges(t *testing.T) {
 		{Columns: []string{"name", "area"}},
 	}
 	ref := make([]*wwt.Result, len(queries))
+	refEdges := make([][]core.Edge, len(queries))
 	for i, q := range queries {
-		res, err := eng.Answer(q)
+		res, m, err := wwt.AnswerWithModel(eng, q, &wwt.QueryScratch{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref[i] = res
+		ref[i], refEdges[i] = res, m.Edges
 	}
 
 	const goroutines = 16
@@ -113,14 +114,15 @@ func TestAnswerConcurrentEdges(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			s := &wwt.QueryScratch{}
 			for r := 0; r < rounds; r++ {
 				qi := (g*7 + r) % len(queries)
-				res, err := eng.Answer(queries[qi])
+				res, m, err := wwt.AnswerWithModel(eng, queries[qi], s)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if !reflect.DeepEqual(res.Model.Edges, ref[qi].Model.Edges) {
+				if !reflect.DeepEqual(m.Edges, refEdges[qi]) {
 					t.Errorf("goroutine %d query %d: model edges diverged", g, qi)
 					return
 				}
@@ -128,7 +130,6 @@ func TestAnswerConcurrentEdges(t *testing.T) {
 					t.Errorf("goroutine %d query %d: labeling diverged", g, qi)
 					return
 				}
-				res.Release() // after the Model.Edges check: Release nils Model
 			}
 		}(g)
 	}
@@ -137,10 +138,10 @@ func TestAnswerConcurrentEdges(t *testing.T) {
 
 // TestAnswerScratchPoolConcurrent hammers the engine's scratch-arena pool
 // (run under -race): 16 goroutines answer overlapping queries, each
-// releasing its arena back to the shared pool, so arenas are constantly
+// putting its arena back into the shared pool, so arenas are constantly
 // recycled between goroutines mid-flight. Every result must be identical
-// to the serial fresh-scratch reference run (whose arenas are deliberately
-// never released, so the references cannot alias the pool).
+// to the serial reference run; TestAnswerConcurrentEdges compares the
+// models themselves.
 func TestAnswerScratchPoolConcurrent(t *testing.T) {
 	eng, err := wwt.NewEngine(smallCorpus(t), nil)
 	if err != nil {
@@ -152,8 +153,7 @@ func TestAnswerScratchPoolConcurrent(t *testing.T) {
 		{Columns: []string{"country"}},
 		{Columns: []string{"name", "area"}},
 	}
-	// Serial fresh-scratch references: retained (not Released), so they own
-	// their arenas for the test's lifetime.
+	// Serial references.
 	ref := make([]*wwt.Result, len(queries))
 	for i, q := range queries {
 		res, err := eng.Answer(q)
@@ -177,11 +177,8 @@ func TestAnswerScratchPoolConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				ok := reflect.DeepEqual(res.Labeling.Y, ref[qi].Labeling.Y) &&
-					reflect.DeepEqual(res.Model.Edges, ref[qi].Model.Edges) &&
-					reflect.DeepEqual(res.Answer, ref[qi].Answer)
-				res.Release()
-				if !ok {
+				if !reflect.DeepEqual(res.Labeling.Y, ref[qi].Labeling.Y) ||
+					!reflect.DeepEqual(res.Answer, ref[qi].Answer) {
 					t.Errorf("goroutine %d query %d: pooled result diverged from fresh reference", g, qi)
 					return
 				}
@@ -192,7 +189,7 @@ func TestAnswerScratchPoolConcurrent(t *testing.T) {
 }
 
 // TestAnswerWarmPoolAllocs guards the scratch-pool win: a warm-pool Answer
-// + Release cycle must stay under a fixed allocation ceiling, so later
+// must stay under a fixed allocation ceiling, so later
 // changes can't silently reintroduce per-query grid churn. The ceiling is
 // loose (inherent per-query allocations: result payload, hits, labeling,
 // query-token normalization) but far below the thousands of allocations
@@ -206,18 +203,15 @@ func TestAnswerWarmPoolAllocs(t *testing.T) {
 	q := wwt.Query{Columns: []string{"country", "currency"}}
 	// Warm every cache and the arena pool.
 	for i := 0; i < 3; i++ {
-		res, err := eng.Answer(q)
-		if err != nil {
+		if _, err := eng.Answer(q); err != nil {
 			t.Fatal(err)
 		}
-		res.Release()
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		res, err := eng.Answer(q)
+		_, err := eng.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Release()
 	})
 	// Measured 40 warm (one model build per query, consolidation reading
 	// the views' interned cells, the freshly allocated answer) and 70–87

@@ -29,7 +29,6 @@ func TestEngineShardedFlatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Release()
 
 	for _, k := range []int{1, 2, 3, 8} {
 		k = min(k, len(tables)) // segments are never empty
@@ -89,7 +88,6 @@ func TestEngineShardedFlatRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer b.Release()
 					if len(a.Answer.Rows) != len(b.Answer.Rows) {
 						t.Fatalf("flat-opened engine differs: %d vs %d rows", len(b.Answer.Rows), len(a.Answer.Rows))
 					}

@@ -95,7 +95,6 @@ func TestEngineAnswerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Release()
 	if len(res.Answer.Rows) < 4 {
 		t.Fatalf("answer rows = %d, want >= 4", len(res.Answer.Rows))
 	}
@@ -129,7 +128,6 @@ func TestEngineHeaderlessRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Release()
 	// The bare-page headerless table shares full content with the headed
 	// one; collective inference must mark it relevant.
 	for ti, tb := range res.Tables {
@@ -150,10 +148,10 @@ func TestEngineEmptyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Answer(wwt.Query{}); err == nil { //wwt:retained — rejected query, no Result to release
+	if _, err := eng.Answer(wwt.Query{}); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, err := eng.Answer(wwt.Query{Columns: []string{"the of a"}}); err == nil { //wwt:retained — rejected query, no Result to release
+	if _, err := eng.Answer(wwt.Query{Columns: []string{"the of a"}}); err == nil {
 		t.Error("stopword-only query accepted")
 	}
 }
@@ -167,7 +165,6 @@ func TestEngineNoMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Release()
 	if len(res.Tables) != 0 || len(res.Answer.Rows) != 0 {
 		t.Errorf("expected empty result, got %d tables %d rows", len(res.Tables), len(res.Answer.Rows))
 	}
@@ -184,7 +181,6 @@ func TestEngineSecondProbeToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Release()
 	if res.UsedProbe2 {
 		t.Error("probe2 used despite being disabled")
 	}
@@ -208,7 +204,6 @@ func TestEngineProbe2TimedWhenNotFired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Release()
 	if len(res.Tables) == 0 {
 		t.Fatal("probe 1 found no table")
 	}
@@ -258,12 +253,10 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Release()
 	b, err := eng2.Answer(wwt.Query{Columns: []string{"country", "currency"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Release()
 	if len(a.Answer.Rows) != len(b.Answer.Rows) {
 		t.Errorf("answers differ after persistence round trip: %d vs %d rows",
 			len(a.Answer.Rows), len(b.Answer.Rows))
@@ -280,12 +273,10 @@ func TestEngineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Release()
 	b, err := eng.Answer(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Release()
 	if len(a.Answer.Rows) != len(b.Answer.Rows) {
 		t.Fatal("row counts differ between runs")
 	}
